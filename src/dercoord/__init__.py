@@ -76,7 +76,6 @@ from .network import (
     metropolis_weights,
     minimal_connectivity_window,
     push_matrix,
-    sample_active,
     write_graph,
 )
 from .oracle import DispatchSolution, centralized_pd_run, clamped_best_response, solve_bisection

@@ -585,10 +585,7 @@ def run(
     trace.schedule_digest = schedule.digest()
     if flag_no_progress(trace.residuals["imbalance"]):
         warnings.append("no-progress: imbalance did not decay (stepsize too large?)")
-    union = np.zeros(graph.m, dtype=bool)
-    for k in range(K):
-        union |= schedule.active_mask(k)
-    if K > 0 and not union_connected(graph, union):
+    if K > 0 and not union_connected(graph, schedule.masks[:K].any(axis=0)):
         warnings.append("connectivity: union of active links over the horizon is not connected")
     trace.warnings = warnings + trace.warnings
     trace.validate()
@@ -620,8 +617,8 @@ def _run_undirected(inst, schedule, params, init, K, crude: bool):
     vals = {"p": state.p, "lam": state.lam} if crude else {"p": state.p, "lam": state.lam, "y": state.y}
     rec.record(0, vals, diagnostics(state, 0.0))
     step_fn = pd2_step if crude else pd1_step
-    for k in range(K):
-        W = metropolis_weights(schedule.nominal, schedule.active_mask(k))
+    for k, active in enumerate(schedule.masks[:K]):
+        W = metropolis_weights(schedule.nominal, active)
         state = step_fn(state, inst, W, params, k)
         stoch = _stochasticity_residual(W, doubly=True)
         vals = {"p": state.p, "lam": state.lam} if crude else {"p": state.p, "lam": state.lam, "y": state.y}
@@ -654,8 +651,8 @@ def _run_directed(inst, schedule, params, init, K):
         }
 
     rec.record(0, {"p": state.p, "x": state.x, "y": state.y, "v": state.v}, diagnostics(state, 0.0))
-    for k in range(K):
-        P = push_matrix(schedule.nominal, schedule.active_mask(k))
+    for k, active in enumerate(schedule.masks[:K]):
+        P = push_matrix(schedule.nominal, active)
         state = directed_pd_step(state, inst, P, params, k)
         stoch = _stochasticity_residual(P, doubly=False)
         rec.record(
@@ -693,8 +690,8 @@ def _run_robust(inst, schedule, params, init, K):
         }
 
     rec.record(0, {"p": state.p, "x": state.x, "y": state.y, "v": state.v}, diagnostics(state))
-    for k in range(K):
-        state = robust_pd_step(state, inst, graph, schedule.active_mask(k), params, k)
+    for k, active in enumerate(schedule.masks[:K]):
+        state = robust_pd_step(state, inst, graph, active, params, k)
         rec.record(k + 1, {"p": state.p, "x": state.x, "y": state.y, "v": state.v}, diagnostics(state))
     return RunTrace(
         algorithm="robust",
@@ -730,8 +727,7 @@ def _run_virtual(inst, schedule, params, init, K):
         return {"p": st.p[:n], "x": st.x[:n], "y": st.y[:n], "v": st.v[:n]}
 
     rec.record(0, real(state), diagnostics(state, 0.0))
-    for k in range(K):
-        active = schedule.active_mask(k)
+    for k, active in enumerate(schedule.masks[:K]):
         P = augmented_push_matrix(graph, active, params.gamma, vmap)
         state = virtual_domain_step(state, inst, vmap, active, params, k)
         stoch = _stochasticity_residual(P, doubly=False)

@@ -11,6 +11,7 @@ CLI summaries agree on what "healthy" means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,9 +92,10 @@ class InvariantCheck:
     """One invariant over one run: observed extremum vs its budget.
 
     For most checks ``value`` is the max residual and passing means
-    value <= budget; for ``v_floor`` the value is the min push-sum weight
-    and passing means value >= budget. A budget of None marks a purely
-    informational entry.
+    value <= budget; for ``v_floor`` value and budget are log10 of the min
+    push-sum weight and of its floor (the floor underflows in linear
+    scale), value - budget is the margin in decades, and passing means
+    value >= budget. A budget of None marks a purely informational entry.
     """
 
     name: str
@@ -231,7 +233,7 @@ def invariant_report(trace: RunTrace, schedule=None) -> InvariantReport:
     When the producing `schedule` is supplied and the trace came from a
     running-sum (robust/virtual) run, the push-sum weight floor is also
     checked: min_i v_i[k] for k >= 1 against (1-gamma)/n * tau^(N(2B-1))
-    with B measured from the realized schedule.
+    with B measured from the realized schedule, both as log10.
     """
     checks: list[InvariantCheck] = []
     res = trace.residuals
@@ -259,7 +261,7 @@ def _v_floor_check(trace: RunTrace, schedule) -> InvariantCheck:
 
     series = trace.residuals["min_v"][1:]
     worst = 1 + int(np.argmin(series))
-    value = float(series.min()) if series.size else float("inf")
+    value = math.log10(series[worst - 1]) if series[worst - 1] > 0.0 else -math.inf
     B = minimal_connectivity_window(schedule, trace.steps)
     if B is None:
         return InvariantCheck("v_floor", value, worst, None, True)
@@ -267,8 +269,8 @@ def _v_floor_check(trace: RunTrace, schedule) -> InvariantCheck:
     N = n + schedule.nominal.m
     gamma = trace.params.gamma
     tau = min(gamma, 1.0 - gamma) / n
-    bound = (1.0 - gamma) / n * tau ** (N * (2 * B - 1))
-    return InvariantCheck("v_floor", value, worst, bound, value >= bound)
+    budget = math.log10((1.0 - gamma) / n) + N * (2 * B - 1) * math.log10(tau)
+    return InvariantCheck("v_floor", value, worst, budget, value >= budget)
 
 
 def flag_no_progress(imbalance: np.ndarray) -> bool:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,7 +156,31 @@ class TestInvariantReport:
         check = report["v_floor"]
         assert check.passed
         assert check.budget is not None
-        assert check.value / check.budget > 1e6  # the bound is very loose
+        assert check.value - check.budget > 6  # decades: the bound is very loose
+        assert check.value == math.log10(trace.residuals["min_v"][1:].min())
+
+    def test_v_floor_fails_below_the_bound(self):
+        inst = dc.generate_instance(dc.InstanceSpec(n=3), seed=2)
+        g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0)], True)
+        params = dc.AlgorithmParams(
+            step=dc.ConstantStep(0.02), xi=0.2, nhat=3.0, gamma=0.9, horizon=60
+        )
+        sched = dc.GraphSchedule(g, 0.2, 8, 60)
+        trace = dc.run("robust", inst, sched, params)
+        budget = dc.invariant_report(trace, schedule=sched)["v_floor"].budget
+        trace.residuals["min_v"][17] = 10.0 ** (budget - 0.5)
+        check = dc.invariant_report(trace, schedule=sched)["v_floor"]
+        assert not check.passed and check.worst_step == 17
+        assert check.budget == budget
+
+    def test_v_floor_budget_does_not_underflow_on_case39(self, repo_root):
+        # (1-gamma)/n * tau^(N(2B-1)) is far below the smallest double here
+        config = dc.load_config(repo_root / "configs" / "benchmark39_robust.cfg")
+        sched = dc.GraphSchedule(config.graph, config.q, 1, config.params.horizon)
+        trace = dc.run("robust", config.instance, sched, config.params)
+        check = dc.invariant_report(trace, schedule=sched)["v_floor"]
+        assert np.isfinite(check.budget) and check.budget < -400
+        assert check.passed
 
 
 class TestRateCertificate:

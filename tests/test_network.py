@@ -1,3 +1,8 @@
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +11,7 @@ from hypothesis import strategies as st
 import dercoord as dc
 from dercoord.errors import CaseParseError, InvalidGraphError
 from dercoord.network import (
+    _earliest_connect,
     format_graph,
     numbered_lines,
     parse_graph_lines,
@@ -17,6 +23,56 @@ from dercoord.network import (
 def random_connected_graph(rng, n, directed, extra=3):
     spec = dc.GraphSpec(n=n, extra_edges=extra, directed=directed)
     return dc.generate_graph(spec, int(rng.integers(0, 2**32)))
+
+
+def scipy_union_connected(nominal, mask):
+    """Reference verdict from SciPy's connected components."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = nominal.n
+    src, dst = nominal.srcs[mask], nominal.dsts[mask]
+    adj = coo_matrix((np.ones(src.shape[0]), (src, dst)), shape=(n, n))
+    kind = "strong" if nominal.directed else "weak"
+    return connected_components(adj, directed=nominal.directed, connection=kind, return_labels=False) == 1
+
+
+def brute_windows(nominal, masks, B):
+    K = masks.shape[0]
+    return np.array(
+        [scipy_union_connected(nominal, masks[s : s + B].any(axis=0)) for s in range(0, K - B + 1, B)],
+        dtype=bool,
+    )
+
+
+def sampled(schedule, K):
+    masks = np.zeros((max(K, 0), schedule.nominal.m), dtype=bool)
+    for k in range(K):
+        masks[k] = schedule.active_mask(k)
+    return masks
+
+
+def brute_minimal_window(schedule, K):
+    """Try every B in turn, resampling each step: the reference definition."""
+    K = schedule.horizon if K is None else min(K, schedule.horizon)
+    masks = sampled(schedule, K)
+    for B in range(1, K + 1):
+        if brute_windows(schedule.nominal, masks, B).all():
+            return B
+    return None
+
+
+schedules = st.builds(
+    lambda n, extra, directed, q, seed, horizon: dc.GraphSchedule(
+        dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed), q, seed, horizon
+    ),
+    n=st.integers(1, 11),
+    extra=st.integers(0, 8),
+    directed=st.booleans(),
+    q=st.floats(0.0, 0.95),
+    seed=st.integers(0, 2**32),
+    horizon=st.integers(0, 60),
+)
 
 
 class TestNominalGraph:
@@ -56,22 +112,22 @@ class TestSchedule:
     def test_no_failures_keeps_all_edges(self):
         sched = dc.GraphSchedule(self.graph(), 0.0, 1, 50)
         for k in range(50):
-            assert dc.sample_active(sched, k).all()
+            assert sched.active_mask(k).all()
 
     def test_deterministic_per_seed_and_step(self):
         sched = dc.GraphSchedule(self.graph(), 0.4, 42, 100)
-        first = dc.sample_active(sched, 7)
-        again = dc.sample_active(sched, 7)
+        first = sched.active_mask(7)
+        again = sched.active_mask(7)
         np.testing.assert_array_equal(first, again)
         # lazily sampling step 7 never requires earlier steps: a fresh
         # schedule gives the same answer without touching k < 7
         other = dc.GraphSchedule(self.graph(), 0.4, 42, 100)
-        np.testing.assert_array_equal(dc.sample_active(other, 7), first)
+        np.testing.assert_array_equal(other.active_mask(7), first)
 
     def test_high_failure_rate_matches_binomial_statistics(self):
         q = 0.95
         sched = dc.GraphSchedule(self.graph(), q, 3, 10_000)
-        total = sum(int(dc.sample_active(sched, k).sum()) for k in range(10_000))
+        total = sum(int(sched.active_mask(k).sum()) for k in range(10_000))
         trials = 10_000 * sched.nominal.m
         mean = trials * (1 - q)
         sigma = np.sqrt(trials * q * (1 - q))
@@ -88,7 +144,19 @@ class TestSchedule:
     def test_out_of_horizon_step_rejected(self):
         sched = dc.GraphSchedule(self.graph(), 0.2, 1, 10)
         with pytest.raises(InvalidGraphError):
-            dc.sample_active(sched, 10)
+            sched.active_mask(10)
+
+    @given(sched=schedules)
+    @settings(max_examples=60, deadline=None)
+    def test_mask_block_rows_are_active_masks(self, sched):
+        block = sched.masks
+        assert block.shape == (sched.horizon, sched.nominal.m) and block.dtype == bool
+        for k in range(sched.horizon):
+            np.testing.assert_array_equal(block[k], sched.active_mask(k))
+        assert sched.masks is block
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[...] = True
 
     def test_invalid_q_rejected(self):
         with pytest.raises(InvalidGraphError):
@@ -229,6 +297,50 @@ class TestConnectivityWindows:
     def test_union_connected_empty_mask(self):
         g = dc.NominalGraph(3, [(0, 1), (1, 2)], False)
         assert not union_connected(g, np.zeros(2, bool))
+
+    def test_window_need_not_be_monotone(self):
+        # both links live only at steps 2 and 3: windows of 3 ([0, 3), [3, 6))
+        # each catch one, the second window of 4 ([4, 8)) catches none, and
+        # one window of 5 fits in 8 steps
+        g = dc.NominalGraph(3, [(0, 1), (1, 2)], False)
+        masks = np.zeros((8, 2), dtype=bool)
+        masks[2:4] = True
+        verdicts = [bool(windows_connected(g, masks, B).all()) for B in range(1, 6)]
+        assert verdicts == [False, False, True, False, True]
+        np.testing.assert_array_equal(_earliest_connect(g, masks), [3, 2, 1, 1, 9, 9, 9, 9])
+
+    @given(
+        n=st.integers(1, 8),
+        directed=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_union_connected_matches_scipy(self, n, directed, data):
+        # the complete nominal graph: masks reach every subgraph
+        pairs = itertools.permutations(range(n), 2) if directed else itertools.combinations(range(n), 2)
+        g = dc.NominalGraph(n, list(pairs), directed)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool)
+        assert union_connected(g, mask) == scipy_union_connected(g, mask)
+
+    @given(sched=schedules, K=st.none() | st.integers(-1, 70))
+    @settings(max_examples=150, deadline=None)
+    def test_minimal_window_matches_brute_force(self, sched, K):
+        assert dc.minimal_connectivity_window(sched, K) == brute_minimal_window(sched, K)
+
+    @given(sched=schedules, B=st.integers(1, 70))
+    @settings(max_examples=100, deadline=None)
+    def test_window_verdicts_match_brute_force(self, sched, B):
+        expected = brute_windows(sched.nominal, sampled(sched, sched.horizon), B)
+        np.testing.assert_array_equal(dc.check_B_connectivity(sched, B), expected)
+
+
+def test_import_loads_no_scipy():
+    # SciPy is a test-only dependency; importing it costs a few tenths of a second
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, dercoord; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestGraphFiles:
