@@ -14,7 +14,6 @@ from .algorithms import (
     RobustState,
     UndirectedState,
     VirtualState,
-    default_p0,
     directed_pd_step,
     equilibrium_state,
     init_directed,
@@ -24,7 +23,6 @@ from .algorithms import (
     pd1_step,
     pd2_step,
     robust_pd_step,
-    robust_virtual_values,
     run,
     virtual_domain_step,
 )
@@ -87,6 +85,7 @@ from .problem import (
     ProblemInstance,
     QuadraticCost,
     cost_grad,
+    default_p0,
     kkt_residual,
     project_box,
 )

@@ -1,10 +1,19 @@
 """The four distributed dispatch iterations plus the virtual-domain twin.
 
-All step functions are pure: state in, new state out. Update ordering
-within a step is fixed: the dispatch p[k+1] is computed first from step-k
-values, multiplier/weight estimates are mixed from step-k values, and the
-imbalance tracker y is mixed from step-k values and then incremented with
-nhat*(p[k+1] - p[k]).
+All step functions are pure, with one signature,
+``step(state, inst, graph, active, params, k) -> state``: `graph` is the
+nominal graph and `active` the boolean mask of its links that deliver
+during step k. Update ordering within a step is fixed: the dispatch
+p[k+1] is the projected primal step from step-k values, multiplier/weight
+estimates are mixed from step-k values, and the imbalance tracker y is
+mixed from step-k values and then incremented with nhat*(p[k+1] - p[k]).
+Every step mixes through the edge-list primitive `network.mix` in
+O(n + m); no step builds a dense matrix.
+
+One driver, `run`, steps any algorithm over the schedule's mask block.
+A small per-algorithm spec tells it how to start (and what a valid
+`init` looks like), which step to call, which state fields to record,
+and which residuals the algorithm carries.
 
 Algorithms (ids used by `run`):
 
@@ -25,11 +34,13 @@ advances, all mirrors being advanced before any difference is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     DivergenceError,
     InternalInvariantError,
     InvalidInstanceError,
@@ -40,12 +51,13 @@ from .network import (
     GraphSchedule,
     NominalGraph,
     VirtualIndexMap,
-    augmented_push_matrix,
-    metropolis_weights,
-    push_matrix,
+    column_residual,
+    metropolis_edge_weights,
+    mix,
+    push_out_degrees,
     union_connected,
 )
-from .problem import AlgorithmParams, ProblemInstance, project_box
+from .problem import AlgorithmParams, ProblemInstance, checked_p0, project_box
 
 UNDIRECTED_ALGORITHMS = ("pd1", "pd2")
 DIRECTED_ALGORITHMS = ("directed", "robust", "virtual")
@@ -80,8 +92,7 @@ class RobustState:
     """Running-sum iterates.
 
     ``mirror_*`` are per-nominal-arc accumulators held at the receiving
-    node; ``self_*`` are each node's mirror of its own share stream;
-    ``sum_*`` are the broadcast running sums through the current step.
+    node; ``sum_*`` are the broadcast running sums through the current step.
     Memory is O(n + arcs) per tracked scalar family.
 
     ``virt_*`` are per-arc in-flight values (the virtual-node states the
@@ -97,9 +108,6 @@ class RobustState:
     mirror_lam: np.ndarray
     mirror_v: np.ndarray
     mirror_y: np.ndarray
-    self_lam: np.ndarray
-    self_v: np.ndarray
-    self_y: np.ndarray
     sum_lam: np.ndarray
     sum_v: np.ndarray
     sum_y: np.ndarray
@@ -123,22 +131,6 @@ class VirtualState:
     y: np.ndarray
 
 
-def default_p0(inst: ProblemInstance) -> np.ndarray:
-    """Zero dispatch clamped onto the box (the standard initialization)."""
-    return project_box(np.zeros(inst.n), inst.p_lo, inst.p_hi)
-
-
-def _checked_p0(inst: ProblemInstance, p0) -> np.ndarray:
-    if p0 is None:
-        return default_p0(inst)
-    p0 = np.asarray(p0, dtype=float).copy()
-    if p0.shape != (inst.n,):
-        raise InvalidInstanceError(f"p0 must have shape ({inst.n},)")
-    if np.any(p0 < inst.p_lo) or np.any(p0 > inst.p_hi):
-        raise InvalidInstanceError("p0 must lie within the capacity box")
-    return p0
-
-
 def init_undirected(
     inst: ProblemInstance,
     params: AlgorithmParams,
@@ -147,7 +139,7 @@ def init_undirected(
     tracker: bool = True,
 ) -> UndirectedState:
     """Standard start: lam = 0, y_i = nhat*(p_i[0] - load_i)."""
-    p = _checked_p0(inst, p0)
+    p = checked_p0(inst, p0)
     lam = np.zeros(inst.n) if lam0 is None else np.asarray(lam0, dtype=float).copy()
     y = params.nhat * (p - inst.loads) if tracker else None
     return UndirectedState(p=p, lam=lam, y=y)
@@ -155,7 +147,7 @@ def init_undirected(
 
 def init_directed(inst: ProblemInstance, params: AlgorithmParams, p0=None) -> DirectedState:
     """Standard start: x = 0, lam = 0, v = 1, y_i = nhat*(p_i[0] - load_i)."""
-    p = _checked_p0(inst, p0)
+    p = checked_p0(inst, p0)
     n = inst.n
     return DirectedState(
         p=p,
@@ -178,9 +170,6 @@ def _robust_from_node_values(graph: NominalGraph, p, lam, v, x, y) -> RobustStat
         mirror_lam=np.zeros(m),
         mirror_v=np.zeros(m),
         mirror_y=np.zeros(m),
-        self_lam=np.zeros(graph.n),
-        self_v=np.zeros(graph.n),
-        self_y=np.zeros(graph.n),
         sum_lam=lam / dplus,
         sum_v=v / dplus,
         sum_y=y / dplus,
@@ -194,7 +183,7 @@ def init_robust(
     inst: ProblemInstance, graph: NominalGraph, params: AlgorithmParams, p0=None
 ) -> RobustState:
     """Standard start plus zero mirrors; running sums include step 0."""
-    p = _checked_p0(inst, p0)
+    p = checked_p0(inst, p0)
     n = inst.n
     if graph.n != n:
         raise InvalidInstanceError(f"graph has {graph.n} nodes, instance has {n}")
@@ -212,7 +201,7 @@ def init_virtual(
     inst: ProblemInstance, vmap: VirtualIndexMap, params: AlgorithmParams, p0=None
 ) -> VirtualState:
     """Augmented start: virtual lam/v/y/x/p all zero."""
-    p = _checked_p0(inst, p0)
+    p = checked_p0(inst, p0)
     n, N = inst.n, vmap.size
     pa = np.zeros(N)
     pa[:n] = p
@@ -272,14 +261,25 @@ def equilibrium_state(
 
 def _check_finite(step: int, algorithm: str, *arrays) -> None:
     for arr in arrays:
-        if arr is not None and not np.all(np.isfinite(arr)):
+        if arr is not None and not np.isfinite(arr).all():
             raise DivergenceError(step, algorithm)
+
+
+def _primal_step(inst: ProblemInstance, params: AlgorithmParams, s: float, p, feedback):
+    """Projected primal step clamp(p - s f'(p) + s xi feedback) on the real nodes."""
+    return project_box(p - s * inst.cost.grad(p) + s * params.xi * feedback, inst.p_lo, inst.p_hi)
+
+
+def _metropolis_mixer(graph: NominalGraph, active: np.ndarray):
+    self_w, tails, heads, w = metropolis_edge_weights(graph, active)
+    return lambda z: mix(self_w * z, heads, w * z[tails])
 
 
 def pd2_step(
     state: UndirectedState,
     inst: ProblemInstance,
-    W: np.ndarray,
+    graph: NominalGraph,
+    active: np.ndarray,
     params: AlgorithmParams,
     k: int,
 ) -> UndirectedState:
@@ -289,12 +289,8 @@ def pd2_step(
     stepsize to converge; with a constant one it stalls at a bias.
     """
     s = params.stepsize(k)
-    p_new = project_box(
-        state.p - s * inst.cost.grad(state.p) + s * params.xi * state.lam,
-        inst.p_lo,
-        inst.p_hi,
-    )
-    lam_new = W @ state.lam - s * params.nhat * (state.p - inst.loads)
+    p_new = _primal_step(inst, params, s, state.p, state.lam)
+    lam_new = _metropolis_mixer(graph, active)(state.lam) - s * params.nhat * (state.p - inst.loads)
     _check_finite(k + 1, "pd2", p_new, lam_new)
     return UndirectedState(p=p_new, lam=lam_new, y=None)
 
@@ -302,19 +298,17 @@ def pd2_step(
 def pd1_step(
     state: UndirectedState,
     inst: ProblemInstance,
-    W: np.ndarray,
+    graph: NominalGraph,
+    active: np.ndarray,
     params: AlgorithmParams,
     k: int,
 ) -> UndirectedState:
-    """Gradient-tracking primal-dual step over a doubly stochastic W."""
+    """Gradient-tracking primal-dual step over the doubly stochastic Metropolis weights."""
     s = params.stepsize(k)
-    p_new = project_box(
-        state.p - s * inst.cost.grad(state.p) + s * params.xi * state.lam,
-        inst.p_lo,
-        inst.p_hi,
-    )
-    lam_new = W @ state.lam - s * state.y
-    y_new = W @ state.y + params.nhat * (p_new - state.p)
+    p_new = _primal_step(inst, params, s, state.p, state.lam)
+    W = _metropolis_mixer(graph, active)
+    lam_new = W(state.lam) - s * state.y
+    y_new = W(state.y) + params.nhat * (p_new - state.p)
     _check_finite(k + 1, "pd1", p_new, lam_new, y_new)
     return UndirectedState(p=p_new, lam=lam_new, y=y_new)
 
@@ -322,41 +316,32 @@ def pd1_step(
 def directed_pd_step(
     state: DirectedState,
     inst: ProblemInstance,
-    P: np.ndarray,
+    graph: NominalGraph,
+    active: np.ndarray,
     params: AlgorithmParams,
     k: int,
 ) -> DirectedState:
-    """Push-sum primal-dual step over a column-stochastic P.
+    """Push-sum primal-dual step; instantaneous out-degrees are known.
 
     The mixing is evaluated the way the nodes compute it: each source
     divides its value by its instantaneous out-degree and receivers sum
-    the shares. This is exactly the action of P (whose nonzero pattern and
-    out-degrees are read back from it) and keeps the push-sum totals
-    conserved to a much tighter floating-point tolerance than a dense
-    matrix product would.
+    the shares, which keeps the push-sum totals conserved to a much
+    tighter floating-point tolerance than a dense matrix product would.
     """
     s = params.stepsize(k)
-    n = state.p.shape[0]
-    p_new = project_box(
-        state.p - s * inst.cost.grad(state.p) + s * params.xi * state.x,
-        inst.p_lo,
-        inst.p_hi,
-    )
-    D = np.rint(1.0 / P.diagonal())
-    rows, cols = np.nonzero(P)
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
+    p_new = _primal_step(inst, params, s, state.p, state.x)
+    D, tails, heads = push_out_degrees(graph, active)
 
-    def mix(z: np.ndarray) -> np.ndarray:
+    def push(z: np.ndarray) -> np.ndarray:
         share = z / D
-        return np.bincount(rows, weights=share[cols], minlength=n) + share
+        return mix(share, heads, share[tails])
 
-    lam_new = mix(state.lam - s * state.y)
-    v_new = mix(state.v)
+    lam_new = push(state.lam - s * state.y)
+    v_new = push(state.v)
     if np.any(v_new <= 0.0):
         raise InternalInvariantError(k + 1, "push-sum weight v lost positivity")
     x_new = lam_new / v_new
-    y_new = mix(state.y) + params.nhat * (p_new - state.p)
+    y_new = push(state.y) + params.nhat * (p_new - state.p)
     _check_finite(k + 1, "directed", p_new, lam_new, y_new, x_new)
     return DirectedState(p=p_new, lam=lam_new, v=v_new, x=x_new, y=y_new)
 
@@ -373,22 +358,17 @@ def robust_pd_step(
 
     Mirror advance for arc (j, i): on delivery the mirror jumps to
     (1-gamma)*mirror + gamma*(running sum of j); otherwise it is
-    unchanged. Each node's own mirror always advances by its current
-    share. All mirrors advance first; node states are then sums of mirror
+    unchanged. A node keeps its own current share. All mirrors advance
+    first; node states are then their own shares plus the delivered mirror
     differences (with the y differences entering the lam update at -s).
     """
     s = params.stepsize(k)
     gamma = params.gamma
-    n = graph.n
     dplus = graph.out_degrees
     srcs, dsts = graph.srcs, graph.dsts
     act = np.asarray(active, dtype=bool)
 
-    p_new = project_box(
-        state.p - s * inst.cost.grad(state.p) + s * params.xi * state.x,
-        inst.p_lo,
-        inst.p_hi,
-    )
+    p_new = _primal_step(inst, params, s, state.p, state.x)
 
     # Mirror advances in increment form: gamma*(sum - mirror) equals
     # (1-gamma)*mirror + gamma*sum exactly, but the subtraction of the two
@@ -398,19 +378,13 @@ def robust_pd_step(
     d_lam = np.where(act, gamma * (state.sum_lam[srcs] - state.mirror_lam), 0.0)
     d_v = np.where(act, gamma * (state.sum_v[srcs] - state.mirror_v), 0.0)
     d_y = np.where(act, gamma * (state.sum_y[srcs] - state.mirror_y), 0.0)
-    mirror_lam = state.mirror_lam + d_lam
-    mirror_v = state.mirror_v + d_v
-    mirror_y = state.mirror_y + d_y
     ds_lam = state.lam / dplus
     ds_v = state.v / dplus
     ds_y = state.y / dplus
-    self_lam = state.self_lam + ds_lam
-    self_v = state.self_v + ds_v
-    self_y = state.self_y + ds_y
 
-    lam_new = np.bincount(dsts, weights=d_lam - s * d_y, minlength=n) + ds_lam - s * ds_y
-    v_new = np.bincount(dsts, weights=d_v, minlength=n) + ds_v
-    y_new = np.bincount(dsts, weights=d_y, minlength=n) + ds_y + params.nhat * (p_new - state.p)
+    lam_new = mix(ds_lam, dsts, d_lam - s * d_y) - s * ds_y
+    v_new = mix(ds_v, dsts, d_v)
+    y_new = mix(ds_y, dsts, d_y) + params.nhat * (p_new - state.p)
     if np.any(v_new <= 0.0):
         raise InternalInvariantError(k + 1, "push-sum weight v hit zero")
     x_new = lam_new / v_new
@@ -419,50 +393,28 @@ def robust_pd_step(
     # In-flight sidecar: every step an arc absorbs its source's share and
     # releases exactly the delivered mirror difference, so the augmented
     # conservation sums telescope without touching the large running sums.
-    virt_lam = state.virt_lam + ds_lam[srcs] - d_lam
-    virt_v = state.virt_v + ds_v[srcs] - d_v
-    virt_y = state.virt_y + ds_y[srcs] - d_y
-
     return RobustState(
         p=p_new,
         lam=lam_new,
         v=v_new,
         x=x_new,
         y=y_new,
-        mirror_lam=mirror_lam,
-        mirror_v=mirror_v,
-        mirror_y=mirror_y,
-        self_lam=self_lam,
-        self_v=self_v,
-        self_y=self_y,
+        mirror_lam=state.mirror_lam + d_lam,
+        mirror_v=state.mirror_v + d_v,
+        mirror_y=state.mirror_y + d_y,
         sum_lam=state.sum_lam + lam_new / dplus,
         sum_v=state.sum_v + v_new / dplus,
         sum_y=state.sum_y + y_new / dplus,
-        virt_lam=virt_lam,
-        virt_v=virt_v,
-        virt_y=virt_y,
+        virt_lam=state.virt_lam + ds_lam[srcs] - d_lam,
+        virt_v=state.virt_v + ds_v[srcs] - d_v,
+        virt_y=state.virt_y + ds_y[srcs] - d_y,
     )
-
-
-def robust_virtual_values(state: RobustState, graph: NominalGraph):
-    """In-flight (virtual node) values implied by sums and mirrors.
-
-    For arc (j, i): value = sum_j - mirror_ij - share_j, exact in exact
-    arithmetic; used to monitor the augmented conservation identities
-    without running the virtual twin.
-    """
-    srcs = graph.srcs
-    dplus = graph.out_degrees
-    lam_v = state.sum_lam[srcs] - state.mirror_lam - state.lam[srcs] / dplus[srcs]
-    v_v = state.sum_v[srcs] - state.mirror_v - state.v[srcs] / dplus[srcs]
-    y_v = state.sum_y[srcs] - state.mirror_y - state.y[srcs] / dplus[srcs]
-    return lam_v, v_v, y_v
 
 
 def virtual_domain_step(
     state: VirtualState,
     inst: ProblemInstance,
-    vmap: VirtualIndexMap,
+    graph: NominalGraph,
     active: np.ndarray,
     params: AlgorithmParams,
     k: int,
@@ -477,23 +429,18 @@ def virtual_domain_step(
     its held value plus the incoming share and retains the complement (the
     retained part is computed as inflow minus the released product, so the
     masses cancel exactly). Real-node coordinates match `robust_pd_step`
-    step by step, and the result equals applying the augmented matrix to
-    (lam - s*y on real rows, v, y) up to roundoff.
+    step by step, and the result equals applying `augmented_push_matrix`
+    to (lam - s*y on real rows, v, y) up to roundoff.
     """
     n = inst.n
     s = params.stepsize(k)
     gamma = params.gamma
-    graph = vmap.nominal
     dplus = graph.out_degrees
     srcs, dsts = graph.srcs, graph.dsts
     act = np.asarray(active, dtype=bool)
 
     p_new = state.p.copy()
-    p_new[:n] = project_box(
-        state.p[:n] - s * inst.cost.grad(state.p[:n]) + s * params.xi * state.x[:n],
-        inst.p_lo,
-        inst.p_hi,
-    )
+    p_new[:n] = _primal_step(inst, params, s, state.p[:n], state.x[:n])
 
     def mix_parts(z: np.ndarray):
         share = z[:n] / dplus
@@ -505,13 +452,9 @@ def virtual_domain_step(
     y_share, y_rel, y_virt = mix_parts(state.y)
     v_share, v_rel, v_virt = mix_parts(state.v)
     # real rows mix (lam - s*y); virtual rows carry lam and y separately
-    lam_real = np.bincount(dsts, weights=lam_rel - s * y_rel, minlength=n) + lam_share - s * y_share
-    v_real = np.bincount(dsts, weights=v_rel, minlength=n) + v_share
-    y_real = (
-        np.bincount(dsts, weights=y_rel, minlength=n)
-        + y_share
-        + params.nhat * (p_new[:n] - state.p[:n])
-    )
+    lam_real = mix(lam_share, dsts, lam_rel - s * y_rel) - s * y_share
+    v_real = mix(v_share, dsts, v_rel)
+    y_real = mix(y_share, dsts, y_rel) + params.nhat * (p_new[:n] - state.p[:n])
     v_new = np.concatenate([v_real, v_virt])
     if np.any(v_new <= 0.0):
         raise InternalInvariantError(k + 1, "augmented push-sum weight hit zero")
@@ -522,26 +465,105 @@ def virtual_domain_step(
     return VirtualState(p=p_new, lam=lam_new, v=v_new, x=x_new, y=y_new)
 
 
-def _stochasticity_residual(M: np.ndarray, doubly: bool) -> float:
-    col = float(np.abs(M.sum(axis=0) - 1.0).max())
-    if not doubly:
-        return col
-    row = float(np.abs(M.sum(axis=1) - 1.0).max())
-    return max(col, row)
+def _metropolis_stochasticity(graph: NominalGraph, active: np.ndarray, params) -> float:
+    self_w, tails, _, w = metropolis_edge_weights(graph, active)
+    # Each edge carries the same weight both ways, so columns are rows.
+    return column_residual(self_w, tails, w)
 
 
-class _Recorder:
-    """Preallocated per-step storage for one run."""
+def _push_stochasticity(graph: NominalGraph, active: np.ndarray, params) -> float:
+    D, tails, _ = push_out_degrees(graph, active)
+    return column_residual(1.0 / D, tails, 1.0 / D[tails])
 
-    def __init__(self, K: int, n: int, fields: tuple[str, ...], residual_keys: tuple[str, ...]):
-        self.arrays = {f: np.empty((K + 1, n)) for f in fields}
-        self.residuals = {key: np.empty(K + 1) for key in residual_keys}
 
-    def record(self, k: int, values: dict[str, np.ndarray], residuals: dict[str, float]):
-        for name, val in values.items():
-            self.arrays[name][k] = val
-        for name, val in residuals.items():
-            self.residuals[name][k] = val
+def _augmented_stochasticity(graph: NominalGraph, active: np.ndarray, params) -> float:
+    # Real column j keeps 1/d_j and sends g/d_j to the head and (1-g)/d_j
+    # to the virtual node of each out-arc; a virtual column keeps 1 - g and
+    # releases g. g is gamma on active arcs, 0 on the others.
+    n, m = graph.n, graph.m
+    share = 1.0 / graph.out_degrees
+    arc_share = share[graph.srcs]
+    g = np.where(active, params.gamma, 0.0)
+    virt = n + np.arange(m)
+    return column_residual(
+        np.concatenate([share, 1.0 - g]),
+        np.concatenate([graph.srcs, graph.srcs, virt]),
+        np.concatenate([g * arc_share, (1.0 - g) * arc_share, g]),
+    )
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """What the run driver needs to know about one algorithm.
+
+    ``consensus`` names the state field recorded as the trace's multiplier
+    estimates. ``y`` and ``v`` name the fields whose totals make the
+    tracked imbalance and the push-sum mass (the first of each is the one
+    recorded); empty means the algorithm carries no such quantity.
+    ``stochasticity`` maps (graph, active, params) to the residual of the
+    step's mixing weights, or is None when the weights are not formed.
+    """
+
+    state: type
+    init: Callable
+    step: Callable
+    consensus: str
+    y: tuple[str, ...]
+    v: tuple[str, ...]
+    stochasticity: Callable | None
+
+
+def _specs() -> dict[str, _Spec]:
+    # Built per run, so the step functions are looked up when the run
+    # starts: a profiler or tracer that wraps them in place sees the calls.
+    return {
+        "pd1": _Spec(
+            UndirectedState,
+            lambda inst, graph, params: init_undirected(inst, params),
+            pd1_step, consensus="lam", y=("y",), v=(),
+            stochasticity=_metropolis_stochasticity,
+        ),
+        "pd2": _Spec(
+            UndirectedState,
+            lambda inst, graph, params: init_undirected(inst, params, tracker=False),
+            pd2_step, consensus="lam", y=(), v=(),
+            stochasticity=_metropolis_stochasticity,
+        ),
+        "directed": _Spec(
+            DirectedState,
+            lambda inst, graph, params: init_directed(inst, params),
+            directed_pd_step, consensus="x", y=("y",), v=("v",),
+            stochasticity=_push_stochasticity,
+        ),
+        "robust": _Spec(
+            RobustState,
+            init_robust,
+            robust_pd_step, consensus="x", y=("y", "virt_y"), v=("v", "virt_v"),
+            stochasticity=None,
+        ),
+        "virtual": _Spec(
+            VirtualState,
+            lambda inst, graph, params: init_virtual(inst, VirtualIndexMap(graph), params),
+            virtual_domain_step, consensus="x", y=("y",), v=("v",),
+            stochasticity=_augmented_stochasticity,
+        ),
+    }
+
+
+def _checked_init(algorithm: str, spec: _Spec, init, inst, graph, params):
+    """`init` if it has the algorithm's state type and every array its length."""
+    if type(init) is not spec.state:
+        raise ModeMismatchError(
+            f"{algorithm} starts from a {spec.state.__name__}, got {type(init).__name__}"
+        )
+    reference = spec.init(inst, graph, params)
+    for f in fields(reference):
+        want = getattr(reference, f.name)
+        got = getattr(init, f.name)
+        if want is not None and np.shape(got) != want.shape:
+            actual = 0 if got is None else np.size(got)
+            raise DimensionMismatchError(f"init.{f.name}", want.shape[0], actual)
+    return init
 
 
 def run(
@@ -555,13 +577,14 @@ def run(
 
     The trace is deterministic in (instance, schedule, params, init):
     identical inputs give byte-identical traces. Per-step invariant
-    residuals (imbalance, conservation, mass, min weight, consensus
-    spread, mixing-matrix stochasticity) are recorded where the algorithm
+    residuals (imbalance, consensus spread, mixing stochasticity,
+    conservation, mass, min weight) are recorded where the algorithm
     carries the quantities; for the running-sum algorithm the conservation
-    and mass identities are evaluated over the augmented vector using the
-    in-flight values implied by its own sums and mirrors.
+    and mass identities are evaluated over the augmented vector using its
+    in-flight sidecar.
     """
-    if algorithm not in ALGORITHMS:
+    spec = _specs().get(algorithm)
+    if spec is None:
         raise ModeMismatchError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     graph = schedule.nominal
     if algorithm in UNDIRECTED_ALGORITHMS and graph.directed:
@@ -573,179 +596,67 @@ def run(
     K = params.horizon
     if K > schedule.horizon:
         raise ModeMismatchError(f"horizon {K} exceeds schedule horizon {schedule.horizon}")
+    if init is None:
+        state = spec.init(inst, graph, params)
+    else:
+        state = _checked_init(algorithm, spec, init, inst, graph, params)
 
-    warnings = params.configuration_warnings(inst.n)
-    try:
-        runner = _RUNNERS[algorithm]
-    except KeyError:  # pragma: no cover
-        raise ModeMismatchError(f"unknown algorithm {algorithm!r}") from None
-    trace = runner(inst, schedule, params, init, K)
-    trace.params = params
-    trace.seed = schedule.seed
-    trace.schedule_digest = schedule.digest()
-    if flag_no_progress(trace.residuals["imbalance"]):
+    n, nhat = inst.n, params.nhat
+    recorded = {"p": "p", "consensus": spec.consensus}  # trace field -> state field
+    keys = ["imbalance", "consensus_spread"]
+    if spec.stochasticity is not None:
+        keys.append("stochasticity")
+    if spec.y:
+        recorded["y"] = spec.y[0]
+        keys.append("conservation")
+    if spec.v:
+        recorded["v"] = spec.v[0]
+        keys += ["mass", "min_v"]
+    series = {name: np.empty((K + 1, n)) for name in recorded}
+    residuals = {key: np.empty(K + 1) for key in keys}
+    columns = [(series[name], attr) for name, attr in recorded.items()]
+    stochasticity = residuals.get("stochasticity")
+
+    def record(k: int, st) -> None:
+        for column, attr in columns:
+            column[k] = getattr(st, attr)[:n]
+        imb = float((st.p[:n] - inst.loads).sum())
+        c = getattr(st, spec.consensus)[:n]
+        residuals["imbalance"][k] = abs(imb)
+        residuals["consensus_spread"][k] = float(c.max() - c.min())
+        if spec.y:
+            total = sum(float(getattr(st, a).sum()) for a in spec.y)
+            residuals["conservation"][k] = abs(total - nhat * imb)
+        if spec.v:
+            parts = [getattr(st, a) for a in spec.v]
+            residuals["mass"][k] = abs(sum(float(a.sum()) for a in parts) - n)
+            residuals["min_v"][k] = min(float(a.min()) for a in parts if a.size)
+
+    record(0, state)
+    if stochasticity is not None:
+        stochasticity[0] = 0.0
+    for k, active in enumerate(schedule.masks[:K]):
+        state = spec.step(state, inst, graph, active, params, k)
+        record(k + 1, state)
+        if stochasticity is not None:
+            stochasticity[k + 1] = spec.stochasticity(graph, active, params)
+
+    warnings = params.configuration_warnings(n)
+    if flag_no_progress(residuals["imbalance"]):
         warnings.append("no-progress: imbalance did not decay (stepsize too large?)")
     if K > 0 and not union_connected(graph, schedule.masks[:K].any(axis=0)):
         warnings.append("connectivity: union of active links over the horizon is not connected")
-    trace.warnings = warnings + trace.warnings
+    trace = RunTrace(
+        algorithm=algorithm,
+        p=series["p"],
+        consensus=series["consensus"],
+        y=series.get("y"),
+        v=series.get("v"),
+        residuals=residuals,
+        params=params,
+        seed=schedule.seed,
+        schedule_digest=schedule.digest(),
+        warnings=warnings,
+    )
     trace.validate()
     return trace
-
-
-def _run_undirected(inst, schedule, params, init, K, crude: bool):
-    algorithm = "pd2" if crude else "pd1"
-    state = init if init is not None else init_undirected(inst, params, tracker=not crude)
-    if crude and state.y is not None:
-        state = replace(state, y=None)
-    n = inst.n
-    fields = ("p", "lam") + (() if crude else ("y",))
-    keys = ("imbalance", "consensus_spread", "stochasticity") + (() if crude else ("conservation",))
-    rec = _Recorder(K, n, fields, keys)
-    nhat = params.nhat
-
-    def diagnostics(st, stoch):
-        imb = float(np.sum(st.p - inst.loads))
-        out = {
-            "imbalance": abs(imb),
-            "consensus_spread": float(st.lam.max() - st.lam.min()),
-            "stochasticity": stoch,
-        }
-        if not crude:
-            out["conservation"] = abs(float(np.sum(st.y)) - nhat * imb)
-        return out
-
-    vals = {"p": state.p, "lam": state.lam} if crude else {"p": state.p, "lam": state.lam, "y": state.y}
-    rec.record(0, vals, diagnostics(state, 0.0))
-    step_fn = pd2_step if crude else pd1_step
-    for k, active in enumerate(schedule.masks[:K]):
-        W = metropolis_weights(schedule.nominal, active)
-        state = step_fn(state, inst, W, params, k)
-        stoch = _stochasticity_residual(W, doubly=True)
-        vals = {"p": state.p, "lam": state.lam} if crude else {"p": state.p, "lam": state.lam, "y": state.y}
-        rec.record(k + 1, vals, diagnostics(state, stoch))
-    return RunTrace(
-        algorithm=algorithm,
-        p=rec.arrays["p"],
-        consensus=rec.arrays["lam"],
-        y=None if crude else rec.arrays["y"],
-        residuals=rec.residuals,
-    )
-
-
-def _run_directed(inst, schedule, params, init, K):
-    state = init if init is not None else init_directed(inst, params)
-    n = inst.n
-    keys = ("imbalance", "consensus_spread", "stochasticity", "conservation", "mass", "min_v")
-    rec = _Recorder(K, n, ("p", "x", "y", "v"), keys)
-    nhat = params.nhat
-
-    def diagnostics(st, stoch):
-        imb = float(np.sum(st.p - inst.loads))
-        return {
-            "imbalance": abs(imb),
-            "consensus_spread": float(st.x.max() - st.x.min()),
-            "stochasticity": stoch,
-            "conservation": abs(float(np.sum(st.y)) - nhat * imb),
-            "mass": abs(float(np.sum(st.v)) - n),
-            "min_v": float(st.v.min()),
-        }
-
-    rec.record(0, {"p": state.p, "x": state.x, "y": state.y, "v": state.v}, diagnostics(state, 0.0))
-    for k, active in enumerate(schedule.masks[:K]):
-        P = push_matrix(schedule.nominal, active)
-        state = directed_pd_step(state, inst, P, params, k)
-        stoch = _stochasticity_residual(P, doubly=False)
-        rec.record(
-            k + 1, {"p": state.p, "x": state.x, "y": state.y, "v": state.v}, diagnostics(state, stoch)
-        )
-    return RunTrace(
-        algorithm="directed",
-        p=rec.arrays["p"],
-        consensus=rec.arrays["x"],
-        y=rec.arrays["y"],
-        v=rec.arrays["v"],
-        residuals=rec.residuals,
-    )
-
-
-def _run_robust(inst, schedule, params, init, K):
-    graph = schedule.nominal
-    state = init if init is not None else init_robust(inst, graph, params)
-    n = inst.n
-    keys = ("imbalance", "consensus_spread", "conservation", "mass", "min_v")
-    rec = _Recorder(K, n, ("p", "x", "y", "v"), keys)
-    nhat = params.nhat
-
-    def diagnostics(st):
-        imb = float(np.sum(st.p - inst.loads))
-        aug_y = float(np.sum(st.y)) + float(np.sum(st.virt_y))
-        aug_v = float(np.sum(st.v)) + float(np.sum(st.virt_v))
-        min_v = float(min(st.v.min(), st.virt_v.min())) if graph.m else float(st.v.min())
-        return {
-            "imbalance": abs(imb),
-            "consensus_spread": float(st.x.max() - st.x.min()),
-            "conservation": abs(aug_y - nhat * imb),
-            "mass": abs(aug_v - n),
-            "min_v": min_v,
-        }
-
-    rec.record(0, {"p": state.p, "x": state.x, "y": state.y, "v": state.v}, diagnostics(state))
-    for k, active in enumerate(schedule.masks[:K]):
-        state = robust_pd_step(state, inst, graph, active, params, k)
-        rec.record(k + 1, {"p": state.p, "x": state.x, "y": state.y, "v": state.v}, diagnostics(state))
-    return RunTrace(
-        algorithm="robust",
-        p=rec.arrays["p"],
-        consensus=rec.arrays["x"],
-        y=rec.arrays["y"],
-        v=rec.arrays["v"],
-        residuals=rec.residuals,
-    )
-
-
-def _run_virtual(inst, schedule, params, init, K):
-    graph = schedule.nominal
-    vmap = VirtualIndexMap(graph)
-    state = init if init is not None else init_virtual(inst, vmap, params)
-    n = inst.n
-    keys = ("imbalance", "consensus_spread", "stochasticity", "conservation", "mass", "min_v")
-    rec = _Recorder(K, n, ("p", "x", "y", "v"), keys)
-    nhat = params.nhat
-
-    def diagnostics(st, stoch):
-        imb = float(np.sum(st.p[:n] - inst.loads))
-        return {
-            "imbalance": abs(imb),
-            "consensus_spread": float(st.x[:n].max() - st.x[:n].min()),
-            "stochasticity": stoch,
-            "conservation": abs(float(np.sum(st.y)) - nhat * imb),
-            "mass": abs(float(np.sum(st.v)) - n),
-            "min_v": float(st.v.min()),
-        }
-
-    def real(st):
-        return {"p": st.p[:n], "x": st.x[:n], "y": st.y[:n], "v": st.v[:n]}
-
-    rec.record(0, real(state), diagnostics(state, 0.0))
-    for k, active in enumerate(schedule.masks[:K]):
-        P = augmented_push_matrix(graph, active, params.gamma, vmap)
-        state = virtual_domain_step(state, inst, vmap, active, params, k)
-        stoch = _stochasticity_residual(P, doubly=False)
-        rec.record(k + 1, real(state), diagnostics(state, stoch))
-    return RunTrace(
-        algorithm="virtual",
-        p=rec.arrays["p"],
-        consensus=rec.arrays["x"],
-        y=rec.arrays["y"],
-        v=rec.arrays["v"],
-        residuals=rec.residuals,
-    )
-
-
-_RUNNERS = {
-    "pd1": lambda inst, sched, params, init, K: _run_undirected(inst, sched, params, init, K, crude=False),
-    "pd2": lambda inst, sched, params, init, K: _run_undirected(inst, sched, params, init, K, crude=True),
-    "directed": _run_directed,
-    "robust": _run_robust,
-    "virtual": _run_virtual,
-}

@@ -16,12 +16,8 @@ import argparse
 import sys
 
 from .errors import ConfigError, DercoordError
-from .experiment import load_case, load_config, run_experiment
+from .experiment import _fmt, load_case, load_config, run_experiment
 from .oracle import solve_bisection
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _cmd_run(args) -> int:

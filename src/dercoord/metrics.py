@@ -233,7 +233,9 @@ def invariant_report(trace: RunTrace, schedule=None) -> InvariantReport:
     When the producing `schedule` is supplied and the trace came from a
     running-sum (robust/virtual) run, the push-sum weight floor is also
     checked: min_i v_i[k] for k >= 1 against (1-gamma)/n * tau^(N(2B-1))
-    with B measured from the realized schedule, both as log10.
+    with B measured from the realized schedule, both as log10. A trace
+    without a step k >= 1 gets an informational check (value NaN, no
+    budget).
     """
     checks: list[InvariantCheck] = []
     res = trace.residuals
@@ -260,6 +262,8 @@ def _v_floor_check(trace: RunTrace, schedule) -> InvariantCheck:
     from .network import minimal_connectivity_window  # local import, no cycle at module load
 
     series = trace.residuals["min_v"][1:]
+    if series.size == 0:  # no step k >= 1 to bound
+        return InvariantCheck("v_floor", math.nan, 0, None, True)
     worst = 1 + int(np.argmin(series))
     value = math.log10(series[worst - 1]) if series[worst - 1] > 0.0 else -math.inf
     B = minimal_connectivity_window(schedule, trace.steps)

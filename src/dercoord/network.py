@@ -1,4 +1,4 @@
-"""Time-varying communication graphs and per-step mixing matrices.
+"""Time-varying communication graphs and per-step edge-list mixing.
 
 A `NominalGraph` fixes the topology; a `GraphSchedule` drops each nominal
 link independently with probability q at every step, deterministically per
@@ -20,19 +20,24 @@ s + 1 + L(s + 1); prefix counts over the block make every window union
 O(m). The whole measurement costs O(K (n + m)) for K steps, plus
 O(K log K) to scan the candidate B.
 
-Weight matrices:
+Mixing is one O(n + m) edge-list primitive, `mix`: every node keeps its
+own share and adds the values arriving along the step's arcs. All
+algorithms mix through it, with per-step edge weights built in O(m):
 
-* `metropolis_weights` (undirected): w_ij = 1/max(d_i, d_j) on active
-  edges with nominal degrees d_i = |N_i| + 1. Doubly stochastic and
-  symmetric by construction, and the self-weight satisfies
-  w_ii = 1 - sum_j w_ij >= 1 - (d_i - 1)/d_i = 1/d_i > 0, so the diagonal
-  is bounded below by 1/max_i d_i without choosing any constant.
-* `push_matrix` (directed): column-stochastic with instantaneous
-  out-degrees D_j[k] = |active out-neighbors| + 1.
-* `augmented_push_matrix` (directed, unknown instantaneous out-degrees):
-  column-stochastic over real plus virtual nodes, one virtual node per
-  nominal arc holding in-flight mass; every nonzero entry is at least
-  tau = min(gamma, 1-gamma)/n.
+* `metropolis_edge_weights` (undirected): w_ij = 1/max(d_i, d_j) both ways
+  on active edges, nominal degrees d_i = |N_i| + 1, and self weights
+  w_ii = 1 - sum_j w_ij >= 1/d_i > 0: symmetric and doubly stochastic
+  with no constant to choose.
+* `push_out_degrees` (directed): node j keeps z_j / D_j and pushes the
+  same share along each active out-arc, D_j = |active out-arcs| + 1.
+* running sums (robust, virtual): 1/(nominal out-degree) shares, and an
+  active arc releases the fraction gamma of what it holds. Over real plus
+  virtual nodes (one per nominal arc, holding in-flight mass) this is
+  column stochastic with every nonzero weight >= tau = min(gamma, 1-gamma)/n.
+
+`column_residual` gives each mixing's stochasticity from the same edge
+weights. The dense `metropolis_weights`, `push_matrix` and
+`augmented_push_matrix` are reference constructions for tests.
 """
 
 from __future__ import annotations
@@ -100,6 +105,28 @@ class NominalGraph:
     @cached_property
     def dsts(self) -> np.ndarray:
         return np.array([e[1] for e in self.edges], dtype=np.intp)
+
+    @cached_property
+    def arcs_by_head(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(edge positions, tails, heads) sorted by (head, tail).
+
+        Summing each node's arrivals by increasing tail makes a push-sum
+        mix independent of the order the edges are listed in.
+        """
+        order = np.lexsort((self.srcs, self.dsts))
+        return order, self.srcs[order], self.dsts[order]
+
+    @cached_property
+    def metropolis_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tails, heads, weights) of both directions of every edge (undirected).
+
+        Edge e = (i, j) gives arc i -> j at position e and j -> i at e + m,
+        each weighted 1/max(d_i, d_j) for when the edge is active.
+        """
+        d = self.degrees
+        w = 1.0 / np.maximum(d[self.srcs], d[self.dsts])
+        both = np.concatenate
+        return both([self.srcs, self.dsts]), both([self.dsts, self.srcs]), both([w, w])
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -188,8 +215,54 @@ class GraphSchedule:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
+def mix(own: np.ndarray, heads: np.ndarray, arc_values: np.ndarray) -> np.ndarray:
+    """One mixing step over an edge list, in O(n + m).
+
+    Node i ends with own[i] plus every arc_values[e] with heads[e] == i,
+    the arcs of each node summed in the order given.
+    """
+    return np.bincount(heads, weights=arc_values, minlength=own.shape[0]) + own
+
+
+def column_residual(own: np.ndarray, tails: np.ndarray, arc_weights: np.ndarray) -> float:
+    """Worst |column sum - 1| of a mixing given by its edge weights.
+
+    Column j sums j's self weight own[j] and the weights of the arcs
+    leaving j.
+    """
+    return float(np.abs(mix(own, tails, arc_weights) - 1.0).max())
+
+
+def metropolis_edge_weights(nominal: NominalGraph, active: np.ndarray):
+    """Metropolis weights of one step as an edge list, in O(n + m).
+
+    Returns (self weights, tails, heads, weights) over both directions of
+    every nominal edge, inactive ones weighing 0; `metropolis_weights` is
+    the dense reference.
+    """
+    if nominal.directed:
+        raise InvalidGraphError("Metropolis weights require an undirected graph")
+    tails, heads, w = nominal.metropolis_arcs
+    w = w * np.concatenate([active, active])  # inactive edges weigh 0
+    return 1.0 - np.bincount(tails, weights=w, minlength=nominal.n), tails, heads, w
+
+
+def push_out_degrees(nominal: NominalGraph, active: np.ndarray):
+    """Instantaneous out-degrees and active arcs of one step, in O(n + m).
+
+    Returns (D, tails, heads) with D_j = |active out-arcs of j| + 1 and the
+    arcs sorted by (head, tail); `push_matrix` is the dense reference.
+    """
+    if not nominal.directed:
+        raise InvalidGraphError("push matrices require a directed graph")
+    order, tails, heads = nominal.arcs_by_head
+    live = np.asarray(active, dtype=bool)[order]
+    tails, heads = tails[live], heads[live]
+    return 1.0 + np.bincount(tails, minlength=nominal.n), tails, heads
+
+
 def metropolis_weights(nominal: NominalGraph, active: np.ndarray) -> np.ndarray:
-    """Symmetric doubly stochastic weights on the active edges."""
+    """Dense reference: symmetric doubly stochastic weights on the active edges."""
     if nominal.directed:
         raise InvalidGraphError("Metropolis weights require an undirected graph")
     n = nominal.n
@@ -205,7 +278,7 @@ def metropolis_weights(nominal: NominalGraph, active: np.ndarray) -> np.ndarray:
 
 
 def push_matrix(nominal: NominalGraph, active: np.ndarray) -> np.ndarray:
-    """Column-stochastic push matrix from instantaneous out-degrees."""
+    """Dense reference: column-stochastic push matrix from instantaneous out-degrees."""
     if not nominal.directed:
         raise InvalidGraphError("push matrices require a directed graph")
     n = nominal.n
@@ -256,7 +329,7 @@ def augmented_push_matrix(
     gamma: float,
     vmap: VirtualIndexMap | None = None,
 ) -> np.ndarray:
-    """Column-stochastic mixing over real plus virtual nodes.
+    """Dense reference: column-stochastic mixing over real plus virtual nodes.
 
     Uses only nominal out-degrees. An active arc (j, i) routes gamma/d_j
     of node j's share to i and (1-gamma)/d_j to the arc's virtual node,

@@ -24,6 +24,7 @@ from .problem import (
     GeneralCost,
     ProblemInstance,
     QuadraticCost,
+    checked_p0,
     kkt_residual,
     project_box,
 )
@@ -165,14 +166,7 @@ def centralized_pd_run(
     baseline the distributed algorithms emulate.
     """
     n = inst.n
-    if p0 is None:
-        p = project_box(np.zeros(n), inst.p_lo, inst.p_hi)
-    else:
-        p = np.asarray(p0, dtype=float).copy()
-        if p.shape != (n,):
-            raise InvalidInstanceError(f"p0 must have shape ({n},)")
-        if np.any(p < inst.p_lo) or np.any(p > inst.p_hi):
-            raise InvalidInstanceError("p0 must lie within the capacity box")
+    p = checked_p0(inst, p0)
     lam = float(lam0)
     K = params.horizon
     p_hist = np.empty((K + 1, n))

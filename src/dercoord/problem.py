@@ -266,10 +266,6 @@ class AlgorithmParams:
             )
         return out
 
-    def multiplier_scale(self, n: int) -> float:
-        """The stationarity scale xi*nhat/n relating f' to lambda."""
-        return self.xi * self.nhat / n
-
 
 def cost_grad(cost: CostModel, p) -> np.ndarray:
     """Per-agent marginal cost f_i'(p_i)."""
@@ -294,6 +290,23 @@ def project_box(p, lo, hi) -> np.ndarray:
             f"agent {i}: p_lo={lo.flat[i]:.6g} > p_hi={hi.flat[i]:.6g}"
         )
     return np.clip(p, lo, hi)
+
+
+def default_p0(inst: ProblemInstance) -> np.ndarray:
+    """Zero dispatch clamped onto the box (the standard initialization)."""
+    return project_box(np.zeros(inst.n), inst.p_lo, inst.p_hi)
+
+
+def checked_p0(inst: ProblemInstance, p0=None) -> np.ndarray:
+    """A fresh initial dispatch: `default_p0` if p0 is None, else a checked copy."""
+    if p0 is None:
+        return default_p0(inst)
+    p0 = np.asarray(p0, dtype=float).copy()
+    if p0.shape != (inst.n,):
+        raise InvalidInstanceError(f"p0 must have shape ({inst.n},)")
+    if np.any(p0 < inst.p_lo) or np.any(p0 > inst.p_hi):
+        raise InvalidInstanceError("p0 must lie within the capacity box")
+    return p0
 
 
 def kkt_residual(inst: ProblemInstance, p, lam: float, xi: float, nhat: float) -> float:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,9 @@ from dercoord.algorithms import (
     init_robust,
     init_undirected,
     init_virtual,
-    robust_virtual_values,
 )
-from dercoord.errors import DivergenceError, ModeMismatchError
+from dercoord.errors import DimensionMismatchError, DivergenceError, ModeMismatchError
+from dercoord.metrics import BUDGETS
 from dercoord.network import VirtualIndexMap, push_matrix
 
 
@@ -52,18 +53,16 @@ class TestUndirectedSteps:
     def test_balanced_start_keeps_multiplier_at_zero(self, small_instance):
         params = params_for(3)
         g = ring(3, False)
-        W = dc.metropolis_weights(g, np.ones(3, bool))
         state = init_undirected(small_instance, params, p0=small_instance.loads)
         for step_fn in (dc.pd1_step, dc.pd2_step):
-            new = step_fn(state, small_instance, W, params, 0)
+            new = step_fn(state, small_instance, g, np.ones(3, bool), params, 0)
             np.testing.assert_allclose(new.lam, 0.0, atol=1e-15)
 
     def test_conservation_after_one_step(self, small_instance):
         params = params_for(3)
         g = ring(3, False)
-        W = dc.metropolis_weights(g, np.array([True, False, True]))
         state = init_undirected(small_instance, params, p0=[0.1, 2.3, 0.7])
-        new = dc.pd1_step(state, small_instance, W, params, 0)
+        new = dc.pd1_step(state, small_instance, g, np.array([True, False, True]), params, 0)
         lhs = np.sum(new.y)
         rhs = params.nhat * np.sum(new.p - small_instance.loads)
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -73,26 +72,23 @@ class TestUndirectedSteps:
         sol = dc.solve_bisection(small_instance, xi=params.xi, nhat=params.nhat)
         state = dc.equilibrium_state("pd1", small_instance, params, sol)
         assert np.abs(state.y).max() == 0.0
-        W = dc.metropolis_weights(ring(3, False), np.ones(3, bool))
-        new = dc.pd1_step(state, small_instance, W, params, 0)
+        new = dc.pd1_step(state, small_instance, ring(3, False), np.ones(3, bool), params, 0)
         np.testing.assert_allclose(new.p, state.p, atol=1e-14)
         np.testing.assert_allclose(new.lam, state.lam, atol=1e-14)
 
     def test_pd2_has_no_tracker(self, small_instance):
         params = params_for(3)
-        W = dc.metropolis_weights(ring(3, False), np.ones(3, bool))
         state = init_undirected(small_instance, params, tracker=False)
-        new = dc.pd2_step(state, small_instance, W, params, 0)
+        new = dc.pd2_step(state, small_instance, ring(3, False), np.ones(3, bool), params, 0)
         assert new.y is None
 
     def test_divergence_guard(self, small_instance):
         params = params_for(3)
-        W = dc.metropolis_weights(ring(3, False), np.ones(3, bool))
         bad = dc.UndirectedState(
             p=np.array([0.0, np.nan, 0.0]), lam=np.zeros(3), y=np.zeros(3)
         )
         with pytest.raises(DivergenceError):
-            dc.pd1_step(bad, small_instance, W, params, 4)
+            dc.pd1_step(bad, small_instance, ring(3, False), np.ones(3, bool), params, 4)
 
 
 class TestDirectedSteps:
@@ -112,8 +108,7 @@ class TestDirectedSteps:
         g = ring(3, True)
         params = params_for(3)
         state = init_directed(small_instance, params, p0=[0.2, 0.9, 1.4])
-        P = push_matrix(g, np.array([True, False, True]))
-        new = dc.directed_pd_step(state, small_instance, P, params, 0)
+        new = dc.directed_pd_step(state, small_instance, g, np.array([True, False, True]), params, 0)
         expect = np.sum(state.lam) - params.stepsize(0) * np.sum(state.y)
         assert np.sum(new.lam) == pytest.approx(expect, abs=1e-12)
 
@@ -140,8 +135,9 @@ class TestDirectedSteps:
         params = params_for(3)
         sol = dc.solve_bisection(small_instance, xi=params.xi, nhat=params.nhat)
         state = dc.equilibrium_state("directed", small_instance, params, sol)
-        P = push_matrix(ring(3, True), np.array([True, True, False]))
-        new = dc.directed_pd_step(state, small_instance, P, params, 0)
+        new = dc.directed_pd_step(
+            state, small_instance, ring(3, True), np.array([True, True, False]), params, 0
+        )
         np.testing.assert_allclose(new.p, state.p, atol=1e-13)
         np.testing.assert_allclose(new.x, state.x, atol=1e-13)
 
@@ -166,26 +162,24 @@ class TestRobustSteps:
         l10 = 1
         assert new.mirror_lam[l10] == 0.0  # undelivered arc unchanged
 
-    def test_self_mirror_always_advances(self):
-        inst = self.pinned_instance()
-        g = dc.NominalGraph(2, [(0, 1), (1, 0)], True)
-        params = params_for(2)
-        state = init_robust(inst, g, params)
-        state = replace(state, lam=np.array([4.0, 0.0]))
-        new = dc.robust_pd_step(state, inst, g, np.zeros(2, bool), params, 0)
-        assert new.self_lam[0] == pytest.approx(4.0 / g.out_degrees[0])
-
-    def test_sidecar_matches_reconstruction(self, small_instance):
-        g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)], True)
-        params = params_for(3, horizon=60)
-        sched = dc.GraphSchedule(g, 0.3, 5, 60)
-        state = init_robust(small_instance, g, params)
-        for k in range(60):
-            state = dc.robust_pd_step(state, small_instance, g, sched.active_mask(k), params, k)
-        lam_v, v_v, y_v = robust_virtual_values(state, g)
-        np.testing.assert_allclose(state.virt_lam, lam_v, atol=1e-10)
-        np.testing.assert_allclose(state.virt_v, v_v, atol=1e-10)
-        np.testing.assert_allclose(state.virt_y, y_v, atol=1e-10)
+    def test_sidecar_matches_virtual_twin(self, case39_directed):
+        # the in-flight sidecar is the virtual twin's virtual-node state
+        inst, g = case39_directed
+        params = dc.AlgorithmParams(
+            step=dc.ConstantStep(0.02), xi=0.2, nhat=20.0, gamma=0.9, horizon=1200
+        )
+        sched = dc.GraphSchedule(g, 0.2, 1, 1200)
+        robust = init_robust(inst, g, params)
+        twin = init_virtual(inst, VirtualIndexMap(g), params)
+        n = inst.n
+        worst = 0.0
+        for k, active in enumerate(sched.masks):
+            robust = dc.robust_pd_step(robust, inst, g, active, params, k)
+            twin = dc.virtual_domain_step(twin, inst, g, active, params, k)
+            for side, virtual in (("lam", "virt_lam"), ("v", "virt_v"), ("y", "virt_y")):
+                gap = np.abs(getattr(twin, side)[n:] - getattr(robust, virtual)).max()
+                worst = max(worst, float(gap))
+        assert worst <= BUDGETS["conservation"]
 
     def test_failure_free_high_gamma_limit(self, small_instance):
         # q=0, gamma near 1: virtual nodes hold vanishing mass and the
@@ -231,7 +225,7 @@ class TestVirtualDomain:
             Py = P @ state.y
             lam_ref[:n] -= s * Py[:n]
             v_ref = P @ state.v
-            state = dc.virtual_domain_step(state, small_instance, vmap, act, params, k)
+            state = dc.virtual_domain_step(state, small_instance, g, act, params, k)
             np.testing.assert_allclose(state.lam, lam_ref, atol=1e-13)
             np.testing.assert_allclose(state.v, v_ref, atol=1e-13)
 
@@ -242,7 +236,7 @@ class TestVirtualDomain:
         vmap = VirtualIndexMap(g)
         state = init_virtual(small_instance, vmap, params)
         for k in range(200):
-            state = dc.virtual_domain_step(state, small_instance, vmap, sched.active_mask(k), params, k)
+            state = dc.virtual_domain_step(state, small_instance, g, sched.active_mask(k), params, k)
             assert np.sum(state.v) == pytest.approx(3.0, abs=1e-12)
             assert np.all(state.p[3:] == 0.0)
 
@@ -263,6 +257,32 @@ class TestRun:
             dc.run("directed", small_instance, dc.GraphSchedule(ring(3, False), 0.2, 1, 100), params)
         with pytest.raises(ModeMismatchError):
             dc.run("nope", small_instance, dc.GraphSchedule(ring(3, False), 0.2, 1, 100), params)
+
+    def test_init_of_another_algorithm_rejected(self, small_instance):
+        params = params_for(3)
+        sched = dc.GraphSchedule(ring(3, False), 0.2, 1, 100)
+        with pytest.raises(ModeMismatchError, match="UndirectedState.*DirectedState"):
+            dc.run("pd1", small_instance, sched, params, init=init_directed(small_instance, params))
+        directed = dc.GraphSchedule(ring(3, True), 0.2, 1, 100)
+        twin = init_virtual(small_instance, VirtualIndexMap(ring(3, True)), params)
+        with pytest.raises(ModeMismatchError, match="DirectedState.*VirtualState"):
+            dc.run("directed", small_instance, directed, params, init=twin)
+
+    def test_init_of_wrong_length_names_the_field(self, small_instance):
+        params = params_for(3)
+        sched = dc.GraphSchedule(ring(3, False), 0.2, 1, 100)
+        state = init_undirected(small_instance, params)
+        with pytest.raises(DimensionMismatchError, match=r"init\.lam: expected length 3, got 4"):
+            dc.run("pd1", small_instance, sched, params, init=replace(state, lam=np.zeros(4)))
+        g = ring(3, True)
+        robust = init_robust(small_instance, g, params)
+        with pytest.raises(DimensionMismatchError, match=r"init\.mirror_v: expected length 3, got 2"):
+            dc.run("robust", small_instance, dc.GraphSchedule(g, 0.2, 1, 100), params,
+                   init=replace(robust, mirror_v=np.zeros(2)))
+        twin = init_virtual(small_instance, VirtualIndexMap(g), params)
+        with pytest.raises(DimensionMismatchError, match=r"init\.y: expected length 6, got 3"):
+            dc.run("virtual", small_instance, dc.GraphSchedule(g, 0.2, 1, 100), params,
+                   init=replace(twin, y=np.zeros(3)))
 
     def test_repeat_runs_identical(self, small_instance):
         g = ring(3, True)
@@ -326,6 +346,28 @@ class TestRun:
         sched = dc.GraphSchedule(g, 0.2, 6, 10)
         trace = dc.run("pd1", small_instance, sched, params)
         assert trace.schedule_digest == sched.digest()
+
+    def test_no_dense_matrix_in_any_step(self):
+        # One dense 2000 x 2000 float64 matrix is 32 MB; edge-list mixing
+        # needs O(n + m).
+        n = 2000
+        inst = dc.generate_instance(dc.InstanceSpec(n=n), seed=1)
+        ring_edges = [(i, (i + 1) % n) for i in range(n)]
+        graphs = {
+            False: dc.NominalGraph(n, ring_edges + [(i, (i + 7) % n) for i in range(0, n, 3)], False),
+            True: dc.NominalGraph(n, ring_edges + [(j, i) for i, j in ring_edges], True),
+        }
+        params = dc.AlgorithmParams(step=dc.ConstantStep(0.01), xi=0.05, nhat=float(n), horizon=3)
+        for algorithm in dc.ALGORITHMS:
+            sched = dc.GraphSchedule(graphs[algorithm not in ("pd1", "pd2")], 0.2, 1, 3)
+            sched.masks  # sampled before measuring
+            tracemalloc.start()
+            try:
+                dc.run(algorithm, inst, sched, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8_000_000, f"{algorithm}: tracemalloc peak {peak} bytes"
 
     def test_converged_consensus_state_satisfies_kkt(self, small_instance):
         # small spread plus a frozen dispatch certify a KKT point: spread

@@ -173,6 +173,19 @@ class TestInvariantReport:
         assert not check.passed and check.worst_step == 17
         assert check.budget == budget
 
+    @pytest.mark.parametrize("algorithm", ["robust", "virtual"])
+    def test_v_floor_informational_at_horizon_zero(self, algorithm):
+        inst = dc.generate_instance(dc.InstanceSpec(n=3), seed=2)
+        g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0)], True)
+        params = dc.AlgorithmParams(
+            step=dc.ConstantStep(0.02), xi=0.2, nhat=3.0, gamma=0.9, horizon=0
+        )
+        sched = dc.GraphSchedule(g, 0.2, 8, 0)
+        trace = dc.run(algorithm, inst, sched, params)
+        check = dc.invariant_report(trace, schedule=sched)["v_floor"]
+        assert check.passed and check.budget is None
+        assert math.isnan(check.value)
+
     def test_v_floor_budget_does_not_underflow_on_case39(self, repo_root):
         # (1-gamma)/n * tau^(N(2B-1)) is far below the smallest double here
         config = dc.load_config(repo_root / "configs" / "benchmark39_robust.cfg")

@@ -10,11 +10,19 @@ from hypothesis import strategies as st
 
 import dercoord as dc
 from dercoord.errors import CaseParseError, InvalidGraphError
+from dercoord.algorithms import (
+    _augmented_stochasticity,
+    _metropolis_mixer,
+    _metropolis_stochasticity,
+    _push_stochasticity,
+)
 from dercoord.network import (
     _earliest_connect,
     format_graph,
+    mix,
     numbered_lines,
     parse_graph_lines,
+    push_out_degrees,
     union_connected,
     windows_connected,
 )
@@ -268,6 +276,50 @@ class TestAugmentedPushMatrix:
         assert seen == set(range(3, 3 + g.m))
         with pytest.raises(InvalidGraphError):
             vmap.index(1, 0)
+
+
+class TestEdgeListMixing:
+    """The O(n + m) mixing the steps use against the dense reference matrices."""
+
+    @given(
+        n=st.integers(1, 12),
+        directed=st.booleans(),
+        seed=st.integers(0, 10_000),
+        q=st.floats(0.0, 0.95),
+        gamma=st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mix_equals_dense_action(self, n, directed, seed, q, gamma):
+        rng = np.random.default_rng(seed)
+        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=3, directed=directed), seed)
+        active = rng.random(g.m) >= q
+        params = dc.AlgorithmParams(step=dc.ConstantStep(0.1), gamma=gamma)
+        if not directed:
+            z = rng.normal(size=n)
+            W = dc.metropolis_weights(g, active)
+            np.testing.assert_allclose(_metropolis_mixer(g, active)(z), W @ z, rtol=0, atol=1e-13)
+            dense = max(np.abs(W.sum(axis=0) - 1).max(), np.abs(W.sum(axis=1) - 1).max())
+            residual = _metropolis_stochasticity(g, active, params)
+            assert residual <= 1e-12 and abs(residual - dense) <= 1e-15
+            return
+        z = rng.normal(size=n)
+        D, tails, heads = push_out_degrees(g, active)
+        P = dc.push_matrix(g, active)
+        np.testing.assert_allclose(mix(z / D, heads, (z / D)[tails]), P @ z, rtol=0, atol=1e-13)
+        residual = _push_stochasticity(g, active, params)
+        assert residual <= 1e-12 and abs(residual - np.abs(P.sum(axis=0) - 1).max()) <= 1e-15
+        # The virtual step's mixing of lam and v (y = 0) is the augmented action.
+        N = n + g.m
+        A = dc.augmented_push_matrix(g, active, gamma)
+        inst = dc.ProblemInstance(np.zeros(n), np.zeros(n), np.zeros(n), dc.QuadraticCost(np.ones(n)))
+        state = dc.VirtualState(
+            p=np.zeros(N), lam=rng.normal(size=N), v=rng.random(N) + 0.5, x=np.zeros(N), y=np.zeros(N)
+        )
+        new = dc.virtual_domain_step(state, inst, g, active, params, 0)
+        np.testing.assert_allclose(new.lam, A @ state.lam, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(new.v, A @ state.v, rtol=0, atol=1e-13)
+        residual = _augmented_stochasticity(g, active, params)
+        assert residual <= 1e-12 and abs(residual - np.abs(A.sum(axis=0) - 1).max()) <= 1e-15
 
 
 class TestConnectivityWindows:
