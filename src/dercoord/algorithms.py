@@ -13,7 +13,9 @@ O(n + m); no step builds a dense matrix.
 One driver, `run`, steps any algorithm over the schedule's mask block.
 A small per-algorithm spec tells it how to start (and what a valid
 `init` looks like), which step to call, which state fields to record,
-and which residuals the algorithm carries.
+and which residuals the algorithm carries. The stochasticity residuals
+depend on the schedule alone and are computed before stepping, one
+block of steps at a time.
 
 Algorithms (ids used by `run`):
 
@@ -55,13 +57,17 @@ from .network import (
     metropolis_edge_weights,
     mix,
     push_out_degrees,
+    row_bincount,
     union_connected,
 )
-from .problem import AlgorithmParams, ProblemInstance, checked_p0, project_box
+from .problem import AlgorithmParams, ProblemInstance, checked_p0
 
 UNDIRECTED_ALGORITHMS = ("pd1", "pd2")
 DIRECTED_ALGORITHMS = ("directed", "robust", "virtual")
 ALGORITHMS = UNDIRECTED_ALGORITHMS + DIRECTED_ALGORITHMS
+
+# Link entries per block of stochasticity residuals (rows = this // m).
+_RESIDUAL_BLOCK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -267,7 +273,7 @@ def _check_finite(step: int, algorithm: str, *arrays) -> None:
 
 def _primal_step(inst: ProblemInstance, params: AlgorithmParams, s: float, p, feedback):
     """Projected primal step clamp(p - s f'(p) + s xi feedback) on the real nodes."""
-    return project_box(p - s * inst.cost.grad(p) + s * params.xi * feedback, inst.p_lo, inst.p_hi)
+    return inst.clamp(p - s * inst.cost.grad(p) + s * params.xi * feedback)
 
 
 def _metropolis_mixer(graph: NominalGraph, active: np.ndarray):
@@ -465,30 +471,34 @@ def virtual_domain_step(
     return VirtualState(p=p_new, lam=lam_new, v=v_new, x=x_new, y=y_new)
 
 
-def _metropolis_stochasticity(graph: NominalGraph, active: np.ndarray, params) -> float:
-    self_w, tails, _, w = metropolis_edge_weights(graph, active)
+def _metropolis_stochasticity(graph: NominalGraph, masks: np.ndarray, params) -> np.ndarray:
+    tails, _, w = graph.metropolis_arcs
+    w = w * np.concatenate([masks, masks], axis=1)  # inactive edges weigh 0
+    self_w = 1.0 - row_bincount(tails, w, graph.n)
     # Each edge carries the same weight both ways, so columns are rows.
     return column_residual(self_w, tails, w)
 
 
-def _push_stochasticity(graph: NominalGraph, active: np.ndarray, params) -> float:
-    D, tails, _ = push_out_degrees(graph, active)
-    return column_residual(1.0 / D, tails, 1.0 / D[tails])
+def _push_stochasticity(graph: NominalGraph, masks: np.ndarray, params) -> np.ndarray:
+    order, tails, _ = graph.arcs_by_head
+    live = masks[:, order]
+    D = 1.0 + row_bincount(tails, live.astype(float), graph.n)
+    return column_residual(1.0 / D, tails, np.where(live, 1.0 / D[:, tails], 0.0))
 
 
-def _augmented_stochasticity(graph: NominalGraph, active: np.ndarray, params) -> float:
+def _augmented_stochasticity(graph: NominalGraph, masks: np.ndarray, params) -> np.ndarray:
     # Real column j keeps 1/d_j and sends g/d_j to the head and (1-g)/d_j
     # to the virtual node of each out-arc; a virtual column keeps 1 - g and
     # releases g. g is gamma on active arcs, 0 on the others.
     n, m = graph.n, graph.m
     share = 1.0 / graph.out_degrees
     arc_share = share[graph.srcs]
-    g = np.where(active, params.gamma, 0.0)
+    g = np.where(masks, params.gamma, 0.0)
     virt = n + np.arange(m)
     return column_residual(
-        np.concatenate([share, 1.0 - g]),
+        np.concatenate([np.broadcast_to(share, (g.shape[0], n)), 1.0 - g], axis=1),
         np.concatenate([graph.srcs, graph.srcs, virt]),
-        np.concatenate([g * arc_share, (1.0 - g) * arc_share, g]),
+        np.concatenate([g * arc_share, (1.0 - g) * arc_share, g], axis=1),
     )
 
 
@@ -500,8 +510,9 @@ class _Spec:
     estimates. ``y`` and ``v`` name the fields whose totals make the
     tracked imbalance and the push-sum mass (the first of each is the one
     recorded); empty means the algorithm carries no such quantity.
-    ``stochasticity`` maps (graph, active, params) to the residual of the
-    step's mixing weights, or is None when the weights are not formed.
+    ``stochasticity`` maps (graph, masks, params) to the residual of each
+    step's mixing weights for a (rows, m) block of masks, or is None when
+    the weights are not formed.
     """
 
     state: type
@@ -632,19 +643,23 @@ def run(
             residuals["mass"][k] = abs(sum(float(a.sum()) for a in parts) - n)
             residuals["min_v"][k] = min(float(a.min()) for a in parts if a.size)
 
-    record(0, state)
+    masks = schedule.masks[:K]
     if stochasticity is not None:
+        # Blocks keep the temporaries bounded whatever the horizon.
         stochasticity[0] = 0.0
-    for k, active in enumerate(schedule.masks[:K]):
+        rows = max(1, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
+        for start in range(0, K, rows):
+            stop = min(start + rows, K)
+            stochasticity[start + 1 : stop + 1] = spec.stochasticity(graph, masks[start:stop], params)
+    record(0, state)
+    for k, active in enumerate(masks):
         state = spec.step(state, inst, graph, active, params, k)
         record(k + 1, state)
-        if stochasticity is not None:
-            stochasticity[k + 1] = spec.stochasticity(graph, active, params)
 
     warnings = params.configuration_warnings(n)
     if flag_no_progress(residuals["imbalance"]):
         warnings.append("no-progress: imbalance did not decay (stepsize too large?)")
-    if K > 0 and not union_connected(graph, schedule.masks[:K].any(axis=0)):
+    if K > 0 and not union_connected(graph, masks.any(axis=0)):
         warnings.append("connectivity: union of active links over the horizon is not connected")
     trace = RunTrace(
         algorithm=algorithm,

@@ -167,18 +167,18 @@ def generate_graph(spec: GraphSpec, seed: int) -> NominalGraph:
         edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1), (1, 0)]
     else:
         edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
-    ring = {(min(i, j), max(i, j)) for i, j in edges}
-    candidates = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) not in ring
-    ]
-    count = min(spec.extra_edges, len(candidates))
+    # Chord candidates are the non-ring pairs i < j in lexicographic order:
+    # row 0 holds j = 2..n-2 and row i >= 1 holds j = i+2..n-1. A pick is
+    # mapped to its pair through the row starts, without listing all pairs.
+    pairs = max(n - 3, 0) * n // 2
+    count = min(spec.extra_edges, pairs)
     if count:
-        picks = gen.choice(len(candidates), size=count, replace=False)
-        for idx in sorted(int(i) for i in picks):
-            i, j = candidates[idx]
+        picks = np.sort(gen.choice(pairs, size=count, replace=False))
+        sizes = n - 2 - np.arange(n - 2)
+        sizes[0] -= 1
+        starts = np.cumsum(sizes) - sizes
+        rows = np.searchsorted(starts, picks, side="right") - 1
+        for i, j in zip(rows.tolist(), (picks - starts[rows] + rows + 2).tolist()):
             if not spec.directed:
                 edges.append((i, j))
                 continue
@@ -438,27 +438,13 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _trace_csv(trace: RunTrace, error: np.ndarray) -> str:
-    res = trace.residuals
-    rows = [",".join(TRACE_COLUMNS)]
     nan = np.full(trace.p.shape[0], np.nan)
-    spread = res.get("consensus_spread", nan)
-    conservation = res.get("conservation", nan)
-    mass = res.get("mass", nan)
-    min_v = res.get("min_v", nan)
-    for k in range(trace.p.shape[0]):
-        rows.append(
-            ",".join(
-                (
-                    str(k),
-                    _fmt(error[k]),
-                    _fmt(spread[k]),
-                    _fmt(conservation[k]),
-                    _fmt(mass[k]),
-                    _fmt(min_v[k]),
-                )
-            )
-        )
-    return "\n".join(rows) + "\n"
+    keys = ("consensus_spread", "conservation", "mass", "min_v")
+    columns = [error.tolist()] + [trace.residuals.get(key, nan).tolist() for key in keys]
+    # Python floats format exactly as `_fmt` does.
+    rows = [f"{k},{e:.17g},{s:.17g},{c:.17g},{m:.17g},{v:.17g}"
+            for k, (e, s, c, m, v) in enumerate(zip(*columns))]
+    return "\n".join([",".join(TRACE_COLUMNS), *rows]) + "\n"
 
 
 def _summary_row(outcome: SeedOutcome) -> str:
@@ -469,7 +455,8 @@ def _summary_row(outcome: SeedOutcome) -> str:
         return float(res[key].max()) if key in res else float("nan")
 
     final_error = float(outcome.error[-1]) if outcome.error is not None else float("nan")
-    min_v = float(res["min_v"].min()) if "min_v" in res else float("nan")
+    # Steps k >= 1 only: virtual nodes start at v = 0 (as in `v_floor`).
+    min_v = float(res["min_v"][1:].min()) if "min_v" in res and t.steps else float("nan")
     cells = (
         str(outcome.seed),
         _fmt(outcome.fitted_rate),

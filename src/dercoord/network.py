@@ -7,9 +7,9 @@ one 53-bit uniform per edge index), so step k can be sampled without
 sampling any earlier step and identical inputs give identical schedules.
 The generator contract is named `philox4x64-v1` and enters the schedule
 digest. `GraphSchedule.masks` samples the whole horizon once, on first
-use, into a read-only (horizon, m) block whose row k is `active_mask(k)`;
-the run loops and the connectivity analysis read that block and never
-resample.
+use, into a read-only (horizon, m) block whose row k is `active_mask(k)`,
+re-keying one generator per step instead of building one; the run loop
+and the connectivity analysis read that block and never resample.
 
 Connectivity is one O(n + m) routine, `union_connected`: forward and
 reverse reachability from node 0 (undirected links count both ways). The
@@ -36,13 +36,15 @@ algorithms mix through it, with per-step edge weights built in O(m):
   column stochastic with every nonzero weight >= tau = min(gamma, 1-gamma)/n.
 
 `column_residual` gives each mixing's stochasticity from the same edge
-weights. The dense `metropolis_weights`, `push_matrix` and
+weights, for a block of steps at once: the weights depend on the
+schedule alone. The dense `metropolis_weights`, `push_matrix` and
 `augmented_push_matrix` are reference constructions for tests.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -177,13 +179,28 @@ class GraphSchedule:
         if self.horizon < 0:
             raise InvalidGraphError("horizon must be nonnegative")
 
+    def _sampler(self) -> Callable[[int], np.ndarray]:
+        """k -> mask of step k: the edges whose uniform from Philox4x64 keyed by (seed, k) is >= q.
+
+        One generator re-keyed per step (zero counter, empty buffer) gives the
+        stream of a fresh `Philox(key=[seed, k])` without building one.
+        """
+        bits = np.random.Philox(0)
+        gen = np.random.Generator(bits)
+        m, q, seed = self.nominal.m, self.q, self.seed
+
+        def sample(k: int) -> np.ndarray:
+            bits.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, k)},
+                          "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            return gen.random(m) >= q
+
+        return sample
+
     def active_mask(self, k: int) -> np.ndarray:
         """Boolean mask over nominal edges active during step k."""
         if not (0 <= k < self.horizon):
             raise InvalidGraphError(f"step {k} outside horizon {self.horizon}")
-        key = np.array([self.seed, k], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        return gen.random(self.nominal.m) >= self.q
+        return self._sampler()(k)
 
     def active_edges(self, k: int) -> tuple[tuple[int, int], ...]:
         mask = self.active_mask(k)
@@ -195,9 +212,10 @@ class GraphSchedule:
 
         Sampled once, over the full horizon, on first access.
         """
+        sample = self._sampler()
         block = np.empty((self.horizon, self.nominal.m), dtype=bool)
         for k in range(self.horizon):
-            block[k] = self.active_mask(k)
+            block[k] = sample(k)
         block.flags.writeable = False
         return block
 
@@ -224,13 +242,20 @@ def mix(own: np.ndarray, heads: np.ndarray, arc_values: np.ndarray) -> np.ndarra
     return np.bincount(heads, weights=arc_values, minlength=own.shape[0]) + own
 
 
-def column_residual(own: np.ndarray, tails: np.ndarray, arc_weights: np.ndarray) -> float:
-    """Worst |column sum - 1| of a mixing given by its edge weights.
+def row_bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """out[r, i] sums weights[r, e] over index[e] == i in increasing e, like a per-row bincount."""
+    rows = weights.shape[0]
+    bins = (np.arange(rows)[:, None] * n + index).ravel()
+    return np.bincount(bins, weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
 
-    Column j sums j's self weight own[j] and the weights of the arcs
-    leaving j.
+
+def column_residual(own: np.ndarray, tails: np.ndarray, arc_weights: np.ndarray) -> np.ndarray:
+    """Worst |column sum - 1| of each step's mixing in a block of steps.
+
+    Row r's column j sums the self weight own[r, j] and the weights
+    arc_weights[r, e] of the arcs with tails[e] == j, in the order given.
     """
-    return float(np.abs(mix(own, tails, arc_weights) - 1.0).max())
+    return np.abs(row_bincount(tails, arc_weights, own.shape[1]) + own - 1.0).max(axis=1)
 
 
 def metropolis_edge_weights(nominal: NominalGraph, active: np.ndarray):

@@ -26,7 +26,6 @@ from .problem import (
     QuadraticCost,
     checked_p0,
     kkt_residual,
-    project_box,
 )
 
 # Inner vectorized bisection for inverting f' on the box (general costs).
@@ -57,7 +56,7 @@ def clamped_best_response(inst: ProblemInstance, scale: float, lam) -> np.ndarra
     cost = inst.cost
     if isinstance(cost, QuadraticCost):
         raw = (t[..., None] - cost.b) / (2.0 * cost.a) if lam.ndim else cost.grad_inverse(t)
-        return np.clip(raw, inst.p_lo, inst.p_hi)
+        return inst.clamp(raw)
     if lam.ndim:
         return np.stack([clamped_best_response(inst, scale, float(x)) for x in lam])
     # monotone f' (f'' >= m > 0): bisect within the box, then clamp is implicit
@@ -177,9 +176,7 @@ def centralized_pd_run(
     imbalance[0] = abs(float(np.sum(p - inst.loads)))
     for k in range(K):
         s = params.stepsize(k)
-        p_new = project_box(
-            p - s * inst.cost.grad(p) + s * params.xi * lam, inst.p_lo, inst.p_hi
-        )
+        p_new = inst.clamp(p - s * inst.cost.grad(p) + s * params.xi * lam)
         lam = lam - s * float(np.sum(p - inst.loads))
         p = p_new
         if not (np.all(np.isfinite(p)) and np.isfinite(lam)):

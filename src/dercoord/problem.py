@@ -194,6 +194,10 @@ class ProblemInstance:
     def total_load(self) -> float:
         return float(self.loads.sum())
 
+    def clamp(self, p: np.ndarray) -> np.ndarray:
+        """Componentwise clamp of float array p onto the box, validated at construction."""
+        return np.clip(p, self.p_lo, self.p_hi)
+
 
 @dataclass(frozen=True)
 class ConstantStep:
@@ -280,7 +284,7 @@ def cost_grad(cost: CostModel, p) -> np.ndarray:
 
 
 def project_box(p, lo, hi) -> np.ndarray:
-    """Componentwise clamp of p onto [lo, hi]. Idempotent and non-expansive."""
+    """Componentwise clamp of p onto [lo, hi], checked first. Idempotent and non-expansive."""
     p = np.asarray(p, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -294,7 +298,7 @@ def project_box(p, lo, hi) -> np.ndarray:
 
 def default_p0(inst: ProblemInstance) -> np.ndarray:
     """Zero dispatch clamped onto the box (the standard initialization)."""
-    return project_box(np.zeros(inst.n), inst.p_lo, inst.p_hi)
+    return inst.clamp(np.zeros(inst.n))
 
 
 def checked_p0(inst: ProblemInstance, p0=None) -> np.ndarray:

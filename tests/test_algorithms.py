@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dercoord as dc
 from dercoord.algorithms import (
+    _RESIDUAL_BLOCK_ENTRIES,
     init_directed,
     init_robust,
     init_undirected,
@@ -13,7 +16,7 @@ from dercoord.algorithms import (
 )
 from dercoord.errors import DimensionMismatchError, DivergenceError, ModeMismatchError
 from dercoord.metrics import BUDGETS
-from dercoord.network import VirtualIndexMap, push_matrix
+from dercoord.network import VirtualIndexMap, metropolis_edge_weights, push_matrix, push_out_degrees
 
 
 def ring(n, directed):
@@ -383,3 +386,81 @@ class TestRun:
         lam = x_bar * small_instance.n / params.nhat
         res = dc.kkt_residual(small_instance, trace.p[-1], lam, params.xi, params.nhat)
         assert res <= 1e-6
+
+
+def stepwise_stochasticity(algorithm, g, active, gamma):
+    """One step's residual from its edge weights, the way each step forms them."""
+    n = g.n
+    if algorithm == "pd1":
+        self_w, tails, _, w = metropolis_edge_weights(g, active)
+        sums = np.bincount(tails, weights=w, minlength=n) + self_w
+    elif algorithm == "directed":
+        D, tails, _ = push_out_degrees(g, active)
+        sums = np.bincount(tails, weights=1.0 / D[tails], minlength=n) + 1.0 / D
+    else:
+        share = 1.0 / g.out_degrees
+        arc_share = share[g.srcs]
+        gg = np.where(active, gamma, 0.0)
+        tails = np.concatenate([g.srcs, g.srcs, n + np.arange(g.m)])
+        w = np.concatenate([gg * arc_share, (1.0 - gg) * arc_share, gg])
+        sums = np.bincount(tails, weights=w, minlength=n + g.m) + np.concatenate([share, 1.0 - gg])
+    return float(np.abs(sums - 1.0).max())
+
+
+def block_rows(g):
+    return max(1, _RESIDUAL_BLOCK_ENTRIES // max(g.m, 1))
+
+
+class TestStochasticityBlocks:
+    """`run` computes the residual series per block of steps, before stepping."""
+
+    def check_series(self, algorithm, g, q, seed, gamma, K):
+        inst = dc.generate_instance(dc.InstanceSpec(n=g.n), seed)
+        params = dc.AlgorithmParams(
+            step=dc.ConstantStep(0.01), xi=0.5, nhat=float(g.n), gamma=gamma, horizon=K
+        )
+        sched = dc.GraphSchedule(g, q, seed, K)
+        series = dc.run(algorithm, inst, sched, params).residuals["stochasticity"]
+        want = [0.0] + [stepwise_stochasticity(algorithm, g, sched.masks[k], gamma) for k in range(K)]
+        assert np.array_equal(series, want)
+
+    @given(
+        algorithm=st.sampled_from(["pd1", "directed", "virtual"]),
+        n=st.integers(5, 12),
+        extra=st.integers(3, 10),
+        seed=st.integers(0, 2**32),
+        q=st.floats(0.0, 0.95),
+        gamma=st.floats(0.01, 0.99),
+        offset=st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_block_series_equals_stepwise(self, algorithm, n, extra, seed, q, gamma, offset):
+        spec = dc.GraphSpec(n=n, extra_edges=extra, directed=algorithm != "pd1")
+        g = dc.generate_graph(spec, seed)
+        self.check_series(algorithm, g, q, seed, gamma, block_rows(g) + offset)
+
+    @pytest.mark.parametrize("algorithm", ["pd1", "directed", "virtual"])
+    def test_one_row_blocks(self, algorithm):
+        g = dc.generate_graph(dc.GraphSpec(n=100, extra_edges=4200, directed=algorithm != "pd1"), 5)
+        assert block_rows(g) == 1
+        for K in (0, 1, 2):
+            self.check_series(algorithm, g, 0.3, 7, 0.6, K)
+
+    def test_residual_memory_does_not_grow_with_horizon(self, case39_undirected):
+        inst, g = case39_undirected
+
+        def peak_beyond_trace(K):
+            params = dc.AlgorithmParams(step=dc.ConstantStep(0.01), xi=0.05, nhat=39.0, horizon=K)
+            sched = dc.GraphSchedule(g, 0.2, 1, K)
+            sched.masks  # sampled before measuring
+            tracemalloc.start()
+            try:
+                trace = dc.run("pd1", inst, sched, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = [trace.p, trace.consensus, trace.y, *trace.residuals.values()]
+            return peak - sum(a.nbytes for a in kept)
+
+        growth = peak_beyond_trace(20_000) - peak_beyond_trace(2_000)
+        assert growth < 1_000_000, f"peak beyond the trace grew by {growth} bytes"

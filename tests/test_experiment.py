@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,12 @@ from dercoord.errors import (
     InvalidInstanceError,
 )
 from dercoord.experiment import (
+    _TAG_GRAPH,
+    TRACE_COLUMNS,
     InstanceSpec,
     _generate_instance,
+    _stream,
+    _trace_csv,
     format_case,
     load_config,
     parse_case,
@@ -104,6 +110,43 @@ class TestGenerators:
         for seed in range(20):
             g = dc.generate_graph(dc.GraphSpec(n=9, extra_edges=3, directed=True), seed)
             assert g.n == 9 and g.m >= 9  # ring plus oriented chords
+
+    @pytest.mark.parametrize("n", [*range(1, 40), 57, 100, 211])
+    def test_chords_equal_candidate_list_construction(self, n):
+        for extra, directed, seed in itertools.product((0, 1, 2, 7, 40, 10**6), (False, True), (0, 3, 2**40)):
+            spec = dc.GraphSpec(n=n, extra_edges=extra, directed=directed)
+            assert dc.generate_graph(spec, seed).edges == candidate_list_graph(spec, seed).edges
+
+
+def candidate_list_graph(spec, seed):
+    """Ring-plus-chords graph drawn from the explicit list of all non-ring pairs."""
+    gen = _stream(seed, _TAG_GRAPH)
+    n = spec.n
+    if n == 1:
+        return dc.NominalGraph(1, [], spec.directed)
+    if spec.directed:
+        edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1), (1, 0)]
+    else:
+        edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
+    ring = {(min(i, j), max(i, j)) for i, j in edges}
+    candidates = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in ring]
+    count = min(spec.extra_edges, len(candidates))
+    if count:
+        picks = gen.choice(len(candidates), size=count, replace=False)
+        for idx in sorted(int(i) for i in picks):
+            i, j = candidates[idx]
+            if not spec.directed:
+                edges.append((i, j))
+                continue
+            r = gen.random()
+            if r < 0.4:
+                edges.append((i, j))
+            elif r < 0.8:
+                edges.append((j, i))
+            else:
+                edges.append((i, j))
+                edges.append((j, i))
+    return dc.NominalGraph(n, edges, spec.directed)
 
 
 def write_config(path, body):
@@ -215,6 +258,35 @@ class TestRunExperiment:
             run_experiment(load_config(cfg_path, out_override=tmp_path / d))
         for name in ("trace_1.csv", "trace_2.csv", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_trace_csv_cells_are_17g_of_each_value(self, tmp_path):
+        config = load_config(
+            write_config(tmp_path / "c.cfg", GOOD_CONFIG.replace("K = 300", "K = 5"))
+        )
+        sched = dc.GraphSchedule(config.graph, config.q, 1, 5)
+        trace = dc.run(config.algorithm, config.instance, sched, config.params)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308])
+        keys = ("consensus_spread", "conservation", "mass", "min_v")
+        for shift, key in enumerate(keys, 1):
+            trace.residuals[key][:] = np.roll(special, shift)
+        del trace.residuals["mass"]  # an absent series is written as nan
+        cells = [special] + [trace.residuals.get(key, np.full(6, np.nan)) for key in keys]
+        want = [",".join(TRACE_COLUMNS)] + [
+            ",".join([str(k)] + [format(float(c[k]), ".17g") for c in cells]) for k in range(6)
+        ]
+        assert _trace_csv(trace, special) == "\n".join(want) + "\n"
+
+    def test_summary_min_v_skips_the_zero_start_of_virtual_nodes(self, tmp_path):
+        body = GOOD_CONFIG.replace("id = directed", "id = robust\ngamma = 0.9")
+        config = load_config(write_config(tmp_path / "c.cfg", body), out_override=tmp_path / "out")
+        result = run_experiment(config)
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        header = summary[0].split(",")
+        for outcome, line in zip(result.outcomes, summary[1:]):
+            min_v = float(line.split(",")[header.index("min_v")])
+            series = outcome.trace.residuals["min_v"]
+            assert series[0] == 0.0  # the in-flight (virtual) weights start empty
+            assert min_v > 0.0 and min_v == series[1:].min()
 
     def test_missing_output_dir_rejected(self, tmp_path):
         config = load_config(write_config(tmp_path / "c.cfg", GOOD_CONFIG))

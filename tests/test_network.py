@@ -170,6 +170,40 @@ class TestSchedule:
         with pytest.raises(InvalidGraphError):
             dc.GraphSchedule(self.graph(), 1.0, 1, 10)
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**63, 2**63 + 12345, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "n, edges, directed",
+        [
+            (2, [(0, 1)], False),  # m = 1
+            (4, [(0, 1), (1, 2), (2, 3), (3, 0)], False),  # m = 4
+            (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], True),  # m = 5
+        ],
+    )
+    @pytest.mark.parametrize("q", [0.0, 0.35])
+    def test_masks_are_numpy_philox_streams(self, seed, n, edges, directed, q):
+        # philox4x64-v1 pinned to NumPy itself: step k is the first m
+        # uniforms of a fresh Philox keyed by (seed, k), kept where >= q.
+        # The key is built as uint64: a plain list of seeds >= 2**63 passes
+        # through float64 and loses bits.
+        sched = dc.GraphSchedule(dc.NominalGraph(n, edges, directed), q, seed, 5)
+        for k in range(5):
+            key = np.array([seed, k], dtype=np.uint64)
+            want = np.random.Generator(np.random.Philox(key=key)).random(len(edges)) >= q
+            np.testing.assert_array_equal(sched.masks[k], want)
+            np.testing.assert_array_equal(sched.active_mask(k), want)
+
+    def test_mask_block_builds_one_generator(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        dc.GraphSchedule(self.graph(), 0.3, 9, 40).masks
+        assert len(built) == 1
+
 
 class TestMetropolisWeights:
     def test_symmetric_pair(self):
@@ -299,14 +333,14 @@ class TestEdgeListMixing:
             W = dc.metropolis_weights(g, active)
             np.testing.assert_allclose(_metropolis_mixer(g, active)(z), W @ z, rtol=0, atol=1e-13)
             dense = max(np.abs(W.sum(axis=0) - 1).max(), np.abs(W.sum(axis=1) - 1).max())
-            residual = _metropolis_stochasticity(g, active, params)
+            residual = _metropolis_stochasticity(g, active[None], params)[0]
             assert residual <= 1e-12 and abs(residual - dense) <= 1e-15
             return
         z = rng.normal(size=n)
         D, tails, heads = push_out_degrees(g, active)
         P = dc.push_matrix(g, active)
         np.testing.assert_allclose(mix(z / D, heads, (z / D)[tails]), P @ z, rtol=0, atol=1e-13)
-        residual = _push_stochasticity(g, active, params)
+        residual = _push_stochasticity(g, active[None], params)[0]
         assert residual <= 1e-12 and abs(residual - np.abs(P.sum(axis=0) - 1).max()) <= 1e-15
         # The virtual step's mixing of lam and v (y = 0) is the augmented action.
         N = n + g.m
@@ -318,7 +352,7 @@ class TestEdgeListMixing:
         new = dc.virtual_domain_step(state, inst, g, active, params, 0)
         np.testing.assert_allclose(new.lam, A @ state.lam, rtol=0, atol=1e-13)
         np.testing.assert_allclose(new.v, A @ state.v, rtol=0, atol=1e-13)
-        residual = _augmented_stochasticity(g, active, params)
+        residual = _augmented_stochasticity(g, active[None], params)[0]
         assert residual <= 1e-12 and abs(residual - np.abs(A.sum(axis=0) - 1).max()) <= 1e-15
 
 
