@@ -13,9 +13,16 @@ O(n + m); no step builds a dense matrix.
 One driver, `run`, steps any algorithm over the schedule's mask block.
 A small per-algorithm spec tells it how to start (and what a valid
 `init` looks like), which step to call, which state fields to record,
-and which residuals the algorithm carries. The stochasticity residuals
-depend on the schedule alone and are computed before stepping, one
-block of steps at a time.
+and which residuals the algorithm carries. The driver works through the
+trace in blocks of about 2^13 link entries and at least 8 rows. Within a
+block each step only calls the step function and copies the recorded
+state rows into the trace (plus, where a total needs more than the
+recorded rows, the whole field into a small block buffer). After the
+block, the residual series are reduced row-wise over those rows, with
+the same reductions in the same order as one state at a time, so they
+are bit-identical to a per-step evaluation. The stochasticity residuals
+depend on the schedule alone and come from the block's masks before it
+is stepped.
 
 Algorithms (ids used by `run`):
 
@@ -66,8 +73,13 @@ UNDIRECTED_ALGORITHMS = ("pd1", "pd2")
 DIRECTED_ALGORITHMS = ("directed", "robust", "virtual")
 ALGORITHMS = UNDIRECTED_ALGORITHMS + DIRECTED_ALGORITHMS
 
-# Link entries per block of stochasticity residuals (rows = this // m).
+# Trace rows per block: about this many link entries (rows = this // m),
+# so a block's temporaries stay small whatever the horizon, ...
 _RESIDUAL_BLOCK_ENTRIES = 2**13
+# ... but at least this many, so that each block's fixed cost of a dozen
+# reductions is shared (at n = 3000 one-row blocks cost more per step
+# than reducing each state on its own).
+_MIN_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -587,12 +599,14 @@ def run(
     """Drive one algorithm for params.horizon steps and record the trace.
 
     The trace is deterministic in (instance, schedule, params, init):
-    identical inputs give byte-identical traces. Per-step invariant
-    residuals (imbalance, consensus spread, mixing stochasticity,
-    conservation, mass, min weight) are recorded where the algorithm
-    carries the quantities; for the running-sum algorithm the conservation
-    and mass identities are evaluated over the augmented vector using its
-    in-flight sidecar.
+    identical inputs give byte-identical traces. Invariant residuals
+    (imbalance, consensus spread, mixing stochasticity, conservation,
+    mass, min weight) get one value per step where the algorithm carries
+    the quantities; they are reduced per block of recorded rows, not per
+    step, so the step loop only steps and records. For the running-sum
+    algorithm the conservation and mass identities are evaluated over the
+    augmented vector using its in-flight sidecar. The step functions keep
+    their own finite and positivity guards, so a failure names its step.
     """
     spec = _specs().get(algorithm)
     if spec is None:
@@ -627,34 +641,56 @@ def run(
     residuals = {key: np.empty(K + 1) for key in keys}
     columns = [(series[name], attr) for name, attr in recorded.items()]
     stochasticity = residuals.get("stochasticity")
+    rows = max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
 
-    def record(k: int, st) -> None:
-        for column, attr in columns:
-            column[k] = getattr(st, attr)[:n]
-        imb = float((st.p[:n] - inst.loads).sum())
-        c = getattr(st, spec.consensus)[:n]
-        residuals["imbalance"][k] = abs(imb)
-        residuals["consensus_spread"][k] = float(c.max() - c.min())
+    # A total reads its field's trace rows when the trace holds the whole
+    # field, else a block buffer that the step loop fills beside the trace.
+    traced = {attr: series[name] for name, attr in recorded.items()}
+    buffers = {}
+    for attr in spec.y + spec.v:
+        width = getattr(state, attr).shape[0]
+        if attr not in traced or width != n:
+            buffers[attr] = np.empty((rows, width))
+
+    def block_residuals(lo: int, hi: int) -> None:
+        """The residual rows lo..hi-1 from the recorded rows, by row-wise reductions."""
+
+        def block(attr):
+            return buffers[attr][: hi - lo] if attr in buffers else traced[attr][lo:hi]
+
+        imb = (series["p"][lo:hi] - inst.loads).sum(axis=1)
+        c = series["consensus"][lo:hi]
+        residuals["imbalance"][lo:hi] = np.abs(imb)
+        residuals["consensus_spread"][lo:hi] = c.max(axis=1) - c.min(axis=1)
         if spec.y:
-            total = sum(float(getattr(st, a).sum()) for a in spec.y)
-            residuals["conservation"][k] = abs(total - nhat * imb)
+            total = sum(block(a).sum(axis=1) for a in spec.y)
+            residuals["conservation"][lo:hi] = np.abs(total - nhat * imb)
         if spec.v:
-            parts = [getattr(st, a) for a in spec.v]
-            residuals["mass"][k] = abs(sum(float(a.sum()) for a in parts) - n)
-            residuals["min_v"][k] = min(float(a.min()) for a in parts if a.size)
+            parts = [block(a) for a in spec.v]
+            residuals["mass"][lo:hi] = np.abs(sum(a.sum(axis=1) for a in parts) - n)
+            # Python's min: a later part replaces the running minimum only where it is smaller.
+            lows = [a.min(axis=1) for a in parts if a.shape[1]]
+            low = lows[0]
+            for other in lows[1:]:
+                low = np.where(other < low, other, low)
+            residuals["min_v"][lo:hi] = low
 
     masks = schedule.masks[:K]
     if stochasticity is not None:
-        # Blocks keep the temporaries bounded whatever the horizon.
         stochasticity[0] = 0.0
-        rows = max(1, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
-        for start in range(0, K, rows):
-            stop = min(start + rows, K)
-            stochasticity[start + 1 : stop + 1] = spec.stochasticity(graph, masks[start:stop], params)
-    record(0, state)
-    for k, active in enumerate(masks):
-        state = spec.step(state, inst, graph, active, params, k)
-        record(k + 1, state)
+    for lo in range(0, K + 1, rows):
+        hi = min(lo + rows, K + 1)
+        first = max(lo, 1)  # row k >= 1 follows step k - 1
+        if stochasticity is not None and first < hi:
+            stochasticity[first:hi] = spec.stochasticity(graph, masks[first - 1 : hi - 1], params)
+        for k in range(lo, hi):
+            if k:
+                state = spec.step(state, inst, graph, masks[k - 1], params, k - 1)
+            for column, attr in columns:
+                column[k] = getattr(state, attr)[:n]
+            for attr, buffer in buffers.items():
+                buffer[k - lo] = getattr(state, attr)
+        block_residuals(lo, hi)
 
     warnings = params.configuration_warnings(n)
     if flag_no_progress(residuals["imbalance"]):

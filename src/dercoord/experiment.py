@@ -69,6 +69,7 @@ SUMMARY_COLUMNS = (
     "max_consensus_spread",
     "min_v",
     "status",
+    "warnings",
 )
 
 
@@ -467,6 +468,7 @@ def _summary_row(outcome: SeedOutcome) -> str:
         _fmt(series_max("consensus_spread")),
         _fmt(min_v),
         outcome.status,
+        str(len(t.warnings) if t is not None else 0),
     )
     return ",".join(cells)
 

@@ -17,8 +17,10 @@ realized connectivity window B (`minimal_connectivity_window`) comes from
 per-start earliest-connect lengths L(s), found backwards in s with O(1)
 amortized connectivity tests per step because s + L(s) never exceeds
 s + 1 + L(s + 1); prefix counts over the block make every window union
-O(m). The whole measurement costs O(K (n + m)) for K steps, plus
-O(K log K) to scan the candidate B.
+O(m). A schedule finds the lengths once, over its full horizon, on first
+use (`GraphSchedule.connect_lengths`, O(K (n + m)) for K steps); every
+horizon prefix derives its own lengths from them in O(K), and scanning
+the candidate B costs O(K log K).
 
 Mixing is one O(n + m) edge-list primitive, `mix`: every node keeps its
 own share and adds the values arriving along the step's arcs. All
@@ -218,6 +220,19 @@ class GraphSchedule:
             block[k] = sample(k)
         block.flags.writeable = False
         return block
+
+    @cached_property
+    def connect_lengths(self) -> np.ndarray:
+        """Read-only earliest-connect lengths L(s) over the full horizon.
+
+        L(s) is the fewest steps from s whose active sets join into a
+        connected union, horizon + 1 where none do (`_earliest_connect`).
+        Computed once, on first access; `minimal_connectivity_window`
+        derives the lengths of any horizon prefix from it.
+        """
+        lengths = _earliest_connect(self.nominal, self.masks)
+        lengths.flags.writeable = False
+        return lengths
 
     def digest(self) -> str:
         """Hash identifying (generator, nominal, q, seed, horizon)."""
@@ -472,6 +487,16 @@ def _earliest_connect(nominal: NominalGraph, masks: np.ndarray) -> np.ndarray:
     return lengths
 
 
+def _prefix_lengths(schedule: GraphSchedule, K: int) -> np.ndarray:
+    """`_earliest_connect` of the first K steps, from the cached full-horizon lengths.
+
+    Within the prefix, start s connects after L(s) steps when s + L(s) <= K
+    and never (K + 1) otherwise.
+    """
+    full = schedule.connect_lengths[:K]
+    return np.where(np.arange(K) + full <= K, full, K + 1)
+
+
 def minimal_connectivity_window(schedule: GraphSchedule, K: int | None = None) -> int | None:
     """Smallest B with every complete window connected, or None.
 
@@ -480,11 +505,14 @@ def minimal_connectivity_window(schedule: GraphSchedule, K: int | None = None) -
     L[jB] <= B, so after the earliest-connect lengths L (O(K) connectivity
     tests) each candidate B costs O(K/B). B need not be monotone: a B can
     fail while a smaller one passes, because the windows realign.
+
+    The lengths derive from the schedule's cached `connect_lengths`, so
+    every K reuses one search.
     """
     K = schedule.horizon if K is None else min(K, schedule.horizon)
     if K < 1:
         return None
-    lengths = _earliest_connect(schedule.nominal, schedule.masks[:K])
+    lengths = _prefix_lengths(schedule, K)
     for B in range(int(lengths[0]), K + 1):
         if (lengths[: K - B + 1 : B] <= B).all():
             return B

@@ -288,6 +288,23 @@ class TestRunExperiment:
             assert series[0] == 0.0  # the in-flight (virtual) weights start empty
             assert min_v > 0.0 and min_v == series[1:].min()
 
+    def test_summary_counts_warnings_after_status(self, tmp_path):
+        header = None
+        for xi, want in (("0.5", 0), ("2.0", 1)):  # xi*nhat = 12 exceeds n = 6
+            body = GOOD_CONFIG.replace("xi = 0.5", f"xi = {xi}")
+            out = tmp_path / xi
+            result = run_experiment(load_config(write_config(tmp_path / "c.cfg", body), out_override=out))
+            summary = (out / "summary.csv").read_text().splitlines()
+            header = summary[0].split(",")
+            for outcome, line in zip(result.outcomes, summary[1:]):
+                scaling = [w for w in outcome.trace.warnings if "xi*nhat" in w]
+                assert len(scaling) == want
+                assert int(line.split(",")[header.index("warnings")]) == len(outcome.trace.warnings)
+        assert header == [
+            "seed", "fitted_rate", "fit_r_squared", "final_error", "max_conservation_residual",
+            "max_mass_residual", "max_consensus_spread", "min_v", "status", "warnings",
+        ]
+
     def test_missing_output_dir_rejected(self, tmp_path):
         config = load_config(write_config(tmp_path / "c.cfg", GOOD_CONFIG))
         with pytest.raises(ConfigError, match="output"):

@@ -18,6 +18,7 @@ from dercoord.algorithms import (
 )
 from dercoord.network import (
     _earliest_connect,
+    _prefix_lengths,
     format_graph,
     mix,
     numbered_lines,
@@ -412,6 +413,33 @@ class TestConnectivityWindows:
     @settings(max_examples=150, deadline=None)
     def test_minimal_window_matches_brute_force(self, sched, K):
         assert dc.minimal_connectivity_window(sched, K) == brute_minimal_window(sched, K)
+
+    @given(sched=schedules)
+    @settings(max_examples=80, deadline=None)
+    def test_prefix_lengths_equal_a_fresh_search(self, sched):
+        assert not sched.connect_lengths.flags.writeable
+        for K in range(sched.horizon + 1):
+            want = _earliest_connect(sched.nominal, sched.masks[:K])
+            assert np.array_equal(_prefix_lengths(sched, K), want), K
+
+    def test_search_runs_once_per_schedule(self, case39_directed, monkeypatch):
+        import dercoord.network as network
+
+        calls = []
+
+        def counted(nominal, masks):
+            calls.append(masks.shape[0])
+            return _earliest_connect(nominal, masks)
+
+        monkeypatch.setattr(network, "_earliest_connect", counted)
+        inst, g = case39_directed
+        params = dc.AlgorithmParams(step=dc.ConstantStep(0.01), xi=0.05, nhat=39.0, gamma=0.9, horizon=60)
+        sched = dc.GraphSchedule(g, 0.2, 3, 80)
+        for algorithm in ("robust", "virtual"):
+            dc.invariant_report(dc.run(algorithm, inst, sched, params), schedule=sched)
+        for K in (None, 1, 40, 60, 80):
+            dc.minimal_connectivity_window(sched, K)
+        assert calls == [80]
 
     @given(sched=schedules, B=st.integers(1, 70))
     @settings(max_examples=100, deadline=None)
