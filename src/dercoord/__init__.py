@@ -24,6 +24,7 @@ from .algorithms import (
     pd2_step,
     robust_pd_step,
     run,
+    step_weights,
     virtual_domain_step,
 )
 from .errors import (

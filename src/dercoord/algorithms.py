@@ -1,28 +1,35 @@
 """The four distributed dispatch iterations plus the virtual-domain twin.
 
 All step functions are pure, with one signature,
-``step(state, inst, graph, active, params, k) -> state``: `graph` is the
-nominal graph and `active` the boolean mask of its links that deliver
-during step k. Update ordering within a step is fixed: the dispatch
-p[k+1] is the projected primal step from step-k values, multiplier/weight
-estimates are mixed from step-k values, and the imbalance tracker y is
-mixed from step-k values and then incremented with nhat*(p[k+1] - p[k]).
-Every step mixes through the edge-list primitive `network.mix` in
-O(n + m); no step builds a dense matrix.
+``step(state, inst, graph, weights, params, k) -> state``: `graph` is the
+nominal graph and `weights` the row of step k in the algorithm's weight
+table (`step_weights` builds it from one step's active mask). Update
+ordering within a step is fixed: the dispatch p[k+1] is the projected
+primal step from step-k values, multiplier/weight estimates are mixed
+from step-k values, and the imbalance tracker y is mixed from step-k
+values and then incremented with nhat*(p[k+1] - p[k]).
+
+Each state keeps the fields it mixes as one (F, n) stack `z`: (lam, y)
+for pd1, (lam,) for pd2 and (lam, v, y) for the push-sum algorithms,
+whose per-arc mirror, running-sum and in-flight arrays are stacks of the
+same three families. A step mixes its whole stack in one call of the
+edge-list primitive `network.mix` in O(F (n + m)), and checks p, the stack
+and x for finiteness in one guard; no step builds a dense matrix.
 
 One driver, `run`, steps any algorithm over the schedule's mask block.
 A small per-algorithm spec tells it how to start (and what a valid
-`init` looks like), which step to call, which state fields to record,
-and which residuals the algorithm carries. The driver works through the
-trace in blocks of about 2^13 link entries and at least 8 rows. Within a
-block each step only calls the step function and copies the recorded
-state rows into the trace (plus, where a total needs more than the
-recorded rows, the whole field into a small block buffer). After the
-block, the residual series are reduced row-wise over those rows, with
+`init` looks like), which step to call, how to build its weight table,
+which state fields to record, and which residuals the algorithm carries.
+The driver works through the trace in blocks of about 2^13 link entries
+and at least 8 rows. Each block's weight table is built once, from the
+block's masks, before the block is stepped; the stochasticity residuals
+come from the same table, so they measure exactly the weights the steps
+use. Within a block each step only calls the step function and copies
+the recorded state rows into the trace (plus, where a total needs more
+than the recorded rows, the whole field into a small block buffer). After
+the block, the residual series are reduced row-wise over those rows, with
 the same reductions in the same order as one state at a time, so they
-are bit-identical to a per-step evaluation. The stochasticity residuals
-depend on the schedule alone and come from the block's masks before it
-is stepped.
+are bit-identical to a per-step evaluation.
 
 Algorithms (ids used by `run`):
 
@@ -61,10 +68,9 @@ from .network import (
     NominalGraph,
     VirtualIndexMap,
     column_residual,
-    metropolis_edge_weights,
+    metropolis_table,
     mix,
-    push_out_degrees,
-    row_bincount,
+    push_table,
     union_connected,
 )
 from .problem import AlgorithmParams, ProblemInstance, checked_p0
@@ -81,61 +87,67 @@ _RESIDUAL_BLOCK_ENTRIES = 2**13
 # than reducing each state on its own).
 _MIN_BLOCK_ROWS = 8
 
+# Names of the rows of each mixed stack, for error messages.
+_PD_FAMILIES = ("lam", "y")
+_PUSH_FAMILIES = ("lam", "v", "y")
+
 
 @dataclass(frozen=True)
 class UndirectedState:
-    """Iterates of pd1/pd2: dispatch, multiplier estimates, imbalance tracker.
+    """Iterates of pd1/pd2: dispatch p and the mixed stack z.
 
-    pd2 carries no tracker; its y is None.
+    z is (lam, y), the multiplier estimates and the imbalance tracker; pd2
+    carries no tracker, so its z is (lam,) and its y is None.
     """
 
     p: np.ndarray
-    lam: np.ndarray
-    y: np.ndarray | None = None
+    z: np.ndarray
+
+    lam = property(lambda self: self.z[0])
+    y = property(lambda self: self.z[1] if len(self.z) > 1 else None)
+
+
+class _PushSumFamilies:
+    """lam, v and y of a push-sum state are the rows of its stack z."""
+
+    lam = property(lambda self: self.z[0])
+    v = property(lambda self: self.z[1])
+    y = property(lambda self: self.z[2])
 
 
 @dataclass(frozen=True)
-class DirectedState:
-    """Push-sum iterates: v are the push-sum weights, x = lam / v."""
+class DirectedState(_PushSumFamilies):
+    """Push-sum iterates: z = (lam, v, y), v the push-sum weights, x = lam / v."""
 
     p: np.ndarray
-    lam: np.ndarray
-    v: np.ndarray
+    z: np.ndarray
     x: np.ndarray
-    y: np.ndarray
 
 
 @dataclass(frozen=True)
-class RobustState:
-    """Running-sum iterates.
+class RobustState(_PushSumFamilies):
+    """Running-sum iterates: z = (lam, v, y) and x = lam / v as for push-sum.
 
-    ``mirror_*`` are per-nominal-arc accumulators held at the receiving
-    node; ``sum_*`` are the broadcast running sums through the current step.
-    Memory is O(n + arcs) per tracked scalar family.
+    ``mirror`` holds the per-nominal-arc accumulators kept at the receiving
+    node and ``sums`` the broadcast running sums through the current step,
+    each a stack of the three families (rows as in z): memory is O(n + arcs)
+    per family.
 
-    ``virt_*`` are per-arc in-flight values (the virtual-node states the
-    protocol implies), advanced incrementally alongside the protocol for
-    diagnostics; they are not used by any node update.
+    ``virt`` holds the per-arc in-flight values (the virtual-node states
+    the protocol implies), advanced incrementally alongside the protocol for
+    diagnostics; no node update reads them.
     """
 
     p: np.ndarray
-    lam: np.ndarray
-    v: np.ndarray
+    z: np.ndarray
     x: np.ndarray
-    y: np.ndarray
-    mirror_lam: np.ndarray
-    mirror_v: np.ndarray
-    mirror_y: np.ndarray
-    sum_lam: np.ndarray
-    sum_v: np.ndarray
-    sum_y: np.ndarray
-    virt_lam: np.ndarray
-    virt_v: np.ndarray
-    virt_y: np.ndarray
+    mirror: np.ndarray
+    sums: np.ndarray
+    virt: np.ndarray
 
 
 @dataclass(frozen=True)
-class VirtualState:
+class VirtualState(_PushSumFamilies):
     """Augmented iterates over real followed by virtual nodes (length N).
 
     Virtual dispatch entries are pinned to zero (their box is [0, 0]);
@@ -143,10 +155,8 @@ class VirtualState:
     """
 
     p: np.ndarray
-    lam: np.ndarray
-    v: np.ndarray
+    z: np.ndarray
     x: np.ndarray
-    y: np.ndarray
 
 
 def init_undirected(
@@ -158,77 +168,46 @@ def init_undirected(
 ) -> UndirectedState:
     """Standard start: lam = 0, y_i = nhat*(p_i[0] - load_i)."""
     p = checked_p0(inst, p0)
-    lam = np.zeros(inst.n) if lam0 is None else np.asarray(lam0, dtype=float).copy()
-    y = params.nhat * (p - inst.loads) if tracker else None
-    return UndirectedState(p=p, lam=lam, y=y)
+    lam = np.zeros(inst.n) if lam0 is None else np.asarray(lam0, dtype=float)
+    rows = [lam, params.nhat * (p - inst.loads)] if tracker else [lam]
+    return UndirectedState(p=p, z=np.stack(rows))
 
 
 def init_directed(inst: ProblemInstance, params: AlgorithmParams, p0=None) -> DirectedState:
     """Standard start: x = 0, lam = 0, v = 1, y_i = nhat*(p_i[0] - load_i)."""
     p = checked_p0(inst, p0)
     n = inst.n
-    return DirectedState(
-        p=p,
-        lam=np.zeros(n),
-        v=np.ones(n),
-        x=np.zeros(n),
-        y=params.nhat * (p - inst.loads),
-    )
+    z = np.stack([np.zeros(n), np.ones(n), params.nhat * (p - inst.loads)])
+    return DirectedState(p=p, z=z, x=np.zeros(n))
 
 
-def _robust_from_node_values(graph: NominalGraph, p, lam, v, x, y) -> RobustState:
-    dplus = graph.out_degrees
+def _robust_start(graph: NominalGraph, start: DirectedState) -> RobustState:
+    """The node values of `start`, zero mirrors and in-flight values, running sums through step 0."""
     m = graph.m
-    return RobustState(
-        p=p,
-        lam=lam,
-        v=v,
-        x=x,
-        y=y,
-        mirror_lam=np.zeros(m),
-        mirror_v=np.zeros(m),
-        mirror_y=np.zeros(m),
-        sum_lam=lam / dplus,
-        sum_v=v / dplus,
-        sum_y=y / dplus,
-        virt_lam=np.zeros(m),
-        virt_v=np.zeros(m),
-        virt_y=np.zeros(m),
-    )
+    return RobustState(p=start.p, z=start.z, x=start.x, mirror=np.zeros((3, m)),
+                       sums=start.z / graph.out_degrees, virt=np.zeros((3, m)))
+
+
+def _virtual_start(start: DirectedState, vmap: VirtualIndexMap) -> VirtualState:
+    """The real nodes of `start` followed by virtual nodes holding zero."""
+    pad = (0, vmap.size - start.p.shape[0])
+    return VirtualState(p=np.pad(start.p, pad), z=np.pad(start.z, ((0, 0), pad)), x=np.pad(start.x, pad))
 
 
 def init_robust(
     inst: ProblemInstance, graph: NominalGraph, params: AlgorithmParams, p0=None
 ) -> RobustState:
     """Standard start plus zero mirrors; running sums include step 0."""
-    p = checked_p0(inst, p0)
-    n = inst.n
-    if graph.n != n:
-        raise InvalidInstanceError(f"graph has {graph.n} nodes, instance has {n}")
-    return _robust_from_node_values(
-        graph,
-        p=p,
-        lam=np.zeros(n),
-        v=np.ones(n),
-        x=np.zeros(n),
-        y=params.nhat * (p - inst.loads),
-    )
+    if graph.n != inst.n:
+        raise InvalidInstanceError(f"graph has {graph.n} nodes, instance has {inst.n}")
+    return _robust_start(graph, init_directed(inst, params, p0))
 
 
 def init_virtual(
     inst: ProblemInstance, vmap: VirtualIndexMap, params: AlgorithmParams, p0=None
 ) -> VirtualState:
-    """Augmented start: virtual lam/v/y/x/p all zero."""
-    p = checked_p0(inst, p0)
-    n, N = inst.n, vmap.size
-    pa = np.zeros(N)
-    pa[:n] = p
-    lam = np.zeros(N)
-    v = np.zeros(N)
-    v[:n] = 1.0
-    y = np.zeros(N)
-    y[:n] = params.nhat * (p - inst.loads)
-    return VirtualState(p=pa, lam=lam, v=v, x=np.zeros(N), y=y)
+    """Augmented start: the directed start, virtual lam/v/y/x/p all zero."""
+    return _virtual_start(init_directed(inst, params, p0), vmap)
 
 
 def equilibrium_state(
@@ -249,38 +228,24 @@ def equilibrium_state(
     p = np.asarray(solution.p_star, dtype=float).copy()
     n = inst.n
     if algorithm == "pd1":
-        return UndirectedState(p=p, lam=np.full(n, xstar), y=np.zeros(n))
+        return UndirectedState(p=p, z=np.stack([np.full(n, xstar), np.zeros(n)]))
+    if algorithm not in DIRECTED_ALGORITHMS:
+        raise InvalidInstanceError(f"no equilibrium construction for algorithm {algorithm!r}")
+    state = DirectedState(p=p, z=np.stack([np.full(n, xstar), np.ones(n), np.zeros(n)]), x=np.full(n, xstar))
     if algorithm == "directed":
-        return DirectedState(
-            p=p, lam=np.full(n, xstar), v=np.ones(n), x=np.full(n, xstar), y=np.zeros(n)
-        )
-    if algorithm == "robust":
-        if graph is None:
-            raise InvalidInstanceError("robust equilibrium needs the nominal graph")
-        return _robust_from_node_values(
-            graph, p=p, lam=np.full(n, xstar), v=np.ones(n), x=np.full(n, xstar), y=np.zeros(n)
-        )
-    if algorithm == "virtual":
-        if graph is None:
-            raise InvalidInstanceError("virtual equilibrium needs the nominal graph")
-        vmap = VirtualIndexMap(graph)
-        N = vmap.size
-        pa = np.zeros(N)
-        pa[:n] = p
-        lam = np.zeros(N)
-        lam[:n] = xstar
-        v = np.zeros(N)
-        v[:n] = 1.0
-        x = np.zeros(N)
-        x[:n] = xstar
-        return VirtualState(p=pa, lam=lam, v=v, x=x, y=np.zeros(N))
-    raise InvalidInstanceError(f"no equilibrium construction for algorithm {algorithm!r}")
+        return state
+    if graph is None:
+        raise InvalidInstanceError(f"{algorithm} equilibrium needs the nominal graph")
+    return _robust_start(graph, state) if algorithm == "robust" else _virtual_start(state, VirtualIndexMap(graph))
 
 
-def _check_finite(step: int, algorithm: str, *arrays) -> None:
-    for arr in arrays:
-        if arr is not None and not np.isfinite(arr).all():
-            raise DivergenceError(step, algorithm)
+def _check_finite(step: int, algorithm: str, families, p, z, x=None) -> None:
+    """One finiteness guard over p, the stack z and x; a failure names every non-finite field."""
+    if np.isfinite(p).all() and np.isfinite(z).all() and (x is None or np.isfinite(x).all()):
+        return
+    named = [("p", p), *zip(families, z), ("x", x)]
+    bad = [name for name, a in named if a is not None and not np.isfinite(a).all()]
+    raise DivergenceError(step, f"{algorithm}: {', '.join(bad)}")
 
 
 def _primal_step(inst: ProblemInstance, params: AlgorithmParams, s: float, p, feedback):
@@ -288,16 +253,17 @@ def _primal_step(inst: ProblemInstance, params: AlgorithmParams, s: float, p, fe
     return inst.clamp(p - s * inst.cost.grad(p) + s * params.xi * feedback)
 
 
-def _metropolis_mixer(graph: NominalGraph, active: np.ndarray):
-    self_w, tails, heads, w = metropolis_edge_weights(graph, active)
-    return lambda z: mix(self_w * z, heads, w * z[tails])
+def _metropolis_mix(graph: NominalGraph, weights, z: np.ndarray) -> np.ndarray:
+    self_w, w = weights
+    tails, bins, _ = graph.metropolis_arcs
+    return mix(self_w * z, bins, w * z.take(tails, axis=1))
 
 
 def pd2_step(
     state: UndirectedState,
     inst: ProblemInstance,
     graph: NominalGraph,
-    active: np.ndarray,
+    weights,
     params: AlgorithmParams,
     k: int,
 ) -> UndirectedState:
@@ -307,35 +273,37 @@ def pd2_step(
     stepsize to converge; with a constant one it stalls at a bias.
     """
     s = params.stepsize(k)
-    p_new = _primal_step(inst, params, s, state.p, state.lam)
-    lam_new = _metropolis_mixer(graph, active)(state.lam) - s * params.nhat * (state.p - inst.loads)
-    _check_finite(k + 1, "pd2", p_new, lam_new)
-    return UndirectedState(p=p_new, lam=lam_new, y=None)
+    p_new = _primal_step(inst, params, s, state.p, state.z[0])
+    z_new = _metropolis_mix(graph, weights, state.z)
+    z_new[0] -= s * params.nhat * (state.p - inst.loads)
+    _check_finite(k + 1, "pd2", _PD_FAMILIES, p_new, z_new)
+    return UndirectedState(p=p_new, z=z_new)
 
 
 def pd1_step(
     state: UndirectedState,
     inst: ProblemInstance,
     graph: NominalGraph,
-    active: np.ndarray,
+    weights,
     params: AlgorithmParams,
     k: int,
 ) -> UndirectedState:
     """Gradient-tracking primal-dual step over the doubly stochastic Metropolis weights."""
     s = params.stepsize(k)
-    p_new = _primal_step(inst, params, s, state.p, state.lam)
-    W = _metropolis_mixer(graph, active)
-    lam_new = W(state.lam) - s * state.y
-    y_new = W(state.y) + params.nhat * (p_new - state.p)
-    _check_finite(k + 1, "pd1", p_new, lam_new, y_new)
-    return UndirectedState(p=p_new, lam=lam_new, y=y_new)
+    z = state.z
+    p_new = _primal_step(inst, params, s, state.p, z[0])
+    z_new = _metropolis_mix(graph, weights, z)
+    z_new[0] -= s * z[1]
+    z_new[1] += params.nhat * (p_new - state.p)
+    _check_finite(k + 1, "pd1", _PD_FAMILIES, p_new, z_new)
+    return UndirectedState(p=p_new, z=z_new)
 
 
 def directed_pd_step(
     state: DirectedState,
     inst: ProblemInstance,
     graph: NominalGraph,
-    active: np.ndarray,
+    weights,
     params: AlgorithmParams,
     k: int,
 ) -> DirectedState:
@@ -345,30 +313,29 @@ def directed_pd_step(
     divides its value by its instantaneous out-degree and receivers sum
     the shares, which keeps the push-sum totals conserved to a much
     tighter floating-point tolerance than a dense matrix product would.
+    lam mixes together with -s*y.
     """
+    D, live = weights
+    _, tails, bins = graph.arcs_by_head
     s = params.stepsize(k)
     p_new = _primal_step(inst, params, s, state.p, state.x)
-    D, tails, heads = push_out_degrees(graph, active)
-
-    def push(z: np.ndarray) -> np.ndarray:
-        share = z / D
-        return mix(share, heads, share[tails])
-
-    lam_new = push(state.lam - s * state.y)
-    v_new = push(state.v)
-    if np.any(v_new <= 0.0):
+    z = state.z.copy()
+    z[0] -= s * z[2]
+    share = z / D
+    z_new = mix(share, bins, share.take(tails, axis=1) * live)
+    z_new[2] += params.nhat * (p_new - state.p)
+    if np.any(z_new[1] <= 0.0):
         raise InternalInvariantError(k + 1, "push-sum weight v lost positivity")
-    x_new = lam_new / v_new
-    y_new = push(state.y) + params.nhat * (p_new - state.p)
-    _check_finite(k + 1, "directed", p_new, lam_new, y_new, x_new)
-    return DirectedState(p=p_new, lam=lam_new, v=v_new, x=x_new, y=y_new)
+    x_new = z_new[0] / z_new[1]
+    _check_finite(k + 1, "directed", _PUSH_FAMILIES, p_new, z_new, x_new)
+    return DirectedState(p=p_new, z=z_new, x=x_new)
 
 
 def robust_pd_step(
     state: RobustState,
     inst: ProblemInstance,
     graph: NominalGraph,
-    active: np.ndarray,
+    weights,
     params: AlgorithmParams,
     k: int,
 ) -> RobustState:
@@ -379,12 +346,12 @@ def robust_pd_step(
     unchanged. A node keeps its own current share. All mirrors advance
     first; node states are then their own shares plus the delivered mirror
     differences (with the y differences entering the lam update at -s).
+    `weights` is the step's active mask, as a 1-tuple.
     """
+    (active,) = weights
     s = params.stepsize(k)
-    gamma = params.gamma
     dplus = graph.out_degrees
-    srcs, dsts = graph.srcs, graph.dsts
-    act = np.asarray(active, dtype=bool)
+    srcs = graph.srcs
 
     p_new = _primal_step(inst, params, s, state.p, state.x)
 
@@ -393,39 +360,28 @@ def robust_pd_step(
     # nearby running quantities is exact in floating point, so the node
     # updates are free of the large-magnitude rounding the running sums
     # would otherwise inject.
-    d_lam = np.where(act, gamma * (state.sum_lam[srcs] - state.mirror_lam), 0.0)
-    d_v = np.where(act, gamma * (state.sum_v[srcs] - state.mirror_v), 0.0)
-    d_y = np.where(act, gamma * (state.sum_y[srcs] - state.mirror_y), 0.0)
-    ds_lam = state.lam / dplus
-    ds_v = state.v / dplus
-    ds_y = state.y / dplus
-
-    lam_new = mix(ds_lam, dsts, d_lam - s * d_y) - s * ds_y
-    v_new = mix(ds_v, dsts, d_v)
-    y_new = mix(ds_y, dsts, d_y) + params.nhat * (p_new - state.p)
-    if np.any(v_new <= 0.0):
+    d = np.where(active, params.gamma * (state.sums.take(srcs, axis=1) - state.mirror), 0.0)
+    shares = state.z / dplus
+    arcs = d.copy()
+    arcs[0] -= s * d[2]
+    z_new = mix(shares, graph.arc_bins, arcs)
+    z_new[0] -= s * shares[2]
+    z_new[2] += params.nhat * (p_new - state.p)
+    if np.any(z_new[1] <= 0.0):
         raise InternalInvariantError(k + 1, "push-sum weight v hit zero")
-    x_new = lam_new / v_new
-    _check_finite(k + 1, "robust", p_new, lam_new, y_new, x_new)
+    x_new = z_new[0] / z_new[1]
+    _check_finite(k + 1, "robust", _PUSH_FAMILIES, p_new, z_new, x_new)
 
     # In-flight sidecar: every step an arc absorbs its source's share and
     # releases exactly the delivered mirror difference, so the augmented
     # conservation sums telescope without touching the large running sums.
     return RobustState(
         p=p_new,
-        lam=lam_new,
-        v=v_new,
+        z=z_new,
         x=x_new,
-        y=y_new,
-        mirror_lam=state.mirror_lam + d_lam,
-        mirror_v=state.mirror_v + d_v,
-        mirror_y=state.mirror_y + d_y,
-        sum_lam=state.sum_lam + lam_new / dplus,
-        sum_v=state.sum_v + v_new / dplus,
-        sum_y=state.sum_y + y_new / dplus,
-        virt_lam=state.virt_lam + ds_lam[srcs] - d_lam,
-        virt_v=state.virt_v + ds_v[srcs] - d_v,
-        virt_y=state.virt_y + ds_y[srcs] - d_y,
+        mirror=state.mirror + d,
+        sums=state.sums + z_new / dplus,
+        virt=state.virt + shares.take(srcs, axis=1) - d,
     )
 
 
@@ -433,7 +389,7 @@ def virtual_domain_step(
     state: VirtualState,
     inst: ProblemInstance,
     graph: NominalGraph,
-    active: np.ndarray,
+    weights,
     params: AlgorithmParams,
     k: int,
 ) -> VirtualState:
@@ -448,64 +404,59 @@ def virtual_domain_step(
     retained part is computed as inflow minus the released product, so the
     masses cancel exactly). Real-node coordinates match `robust_pd_step`
     step by step, and the result equals applying `augmented_push_matrix`
-    to (lam - s*y on real rows, v, y) up to roundoff.
+    to (lam - s*y on real rows, v, y) up to roundoff. `weights` is the
+    step's active mask, as a 1-tuple.
     """
+    (active,) = weights
     n = inst.n
     s = params.stepsize(k)
-    gamma = params.gamma
-    dplus = graph.out_degrees
-    srcs, dsts = graph.srcs, graph.dsts
-    act = np.asarray(active, dtype=bool)
+    z = state.z
 
     p_new = state.p.copy()
     p_new[:n] = _primal_step(inst, params, s, state.p[:n], state.x[:n])
 
-    def mix_parts(z: np.ndarray):
-        share = z[:n] / dplus
-        inflow = z[n:] + share[srcs]
-        released = np.where(act, gamma * inflow, 0.0)
-        return share, released, inflow - released
-
-    lam_share, lam_rel, lam_virt = mix_parts(state.lam)
-    y_share, y_rel, y_virt = mix_parts(state.y)
-    v_share, v_rel, v_virt = mix_parts(state.v)
+    share = z[:, :n] / graph.out_degrees
+    inflow = z[:, n:] + share.take(graph.srcs, axis=1)
+    released = np.where(active, params.gamma * inflow, 0.0)
+    arcs = released.copy()
+    arcs[0] -= s * released[2]
     # real rows mix (lam - s*y); virtual rows carry lam and y separately
-    lam_real = mix(lam_share, dsts, lam_rel - s * y_rel) - s * y_share
-    v_real = mix(v_share, dsts, v_rel)
-    y_real = mix(y_share, dsts, y_rel) + params.nhat * (p_new[:n] - state.p[:n])
-    v_new = np.concatenate([v_real, v_virt])
-    if np.any(v_new <= 0.0):
+    real = mix(share, graph.arc_bins, arcs)
+    real[0] -= s * share[2]
+    real[2] += params.nhat * (p_new[:n] - state.p[:n])
+    z_new = np.concatenate([real, inflow - released], axis=1)
+    if np.any(z_new[1] <= 0.0):
         raise InternalInvariantError(k + 1, "augmented push-sum weight hit zero")
-    lam_new = np.concatenate([lam_real, lam_virt])
-    x_new = lam_new / v_new
-    y_new = np.concatenate([y_real, y_virt])
-    _check_finite(k + 1, "virtual", p_new, lam_new, y_new, x_new)
-    return VirtualState(p=p_new, lam=lam_new, v=v_new, x=x_new, y=y_new)
+    x_new = z_new[0] / z_new[1]
+    _check_finite(k + 1, "virtual", _PUSH_FAMILIES, p_new, z_new, x_new)
+    return VirtualState(p=p_new, z=z_new, x=x_new)
 
 
-def _metropolis_stochasticity(graph: NominalGraph, masks: np.ndarray, params) -> np.ndarray:
-    tails, _, w = graph.metropolis_arcs
-    w = w * np.concatenate([masks, masks], axis=1)  # inactive edges weigh 0
-    self_w = 1.0 - row_bincount(tails, w, graph.n)
+def _mask_table(graph: NominalGraph, masks: np.ndarray) -> tuple[np.ndarray]:
+    """Running-sum weight table: the masks themselves (gamma and the nominal degrees are fixed)."""
+    return (masks,)
+
+
+def _metropolis_stochasticity(graph: NominalGraph, table, params) -> np.ndarray:
+    self_w, w = table
     # Each edge carries the same weight both ways, so columns are rows.
-    return column_residual(self_w, tails, w)
+    return column_residual(self_w, graph.metropolis_arcs[0], w)
 
 
-def _push_stochasticity(graph: NominalGraph, masks: np.ndarray, params) -> np.ndarray:
-    order, tails, _ = graph.arcs_by_head
-    live = masks[:, order]
-    D = 1.0 + row_bincount(tails, live.astype(float), graph.n)
-    return column_residual(1.0 / D, tails, np.where(live, 1.0 / D[:, tails], 0.0))
+def _push_stochasticity(graph: NominalGraph, table, params) -> np.ndarray:
+    D, live = table
+    tails = graph.arcs_by_head[1]
+    return column_residual(1.0 / D, tails, live / D[:, tails])
 
 
-def _augmented_stochasticity(graph: NominalGraph, masks: np.ndarray, params) -> np.ndarray:
+def _augmented_stochasticity(graph: NominalGraph, table, params) -> np.ndarray:
     # Real column j keeps 1/d_j and sends g/d_j to the head and (1-g)/d_j
     # to the virtual node of each out-arc; a virtual column keeps 1 - g and
     # releases g. g is gamma on active arcs, 0 on the others.
     n, m = graph.n, graph.m
     share = 1.0 / graph.out_degrees
     arc_share = share[graph.srcs]
-    g = np.where(masks, params.gamma, 0.0)
+    g = np.where(table[0], params.gamma, 0.0)
     virt = n + np.arange(m)
     return column_residual(
         np.concatenate([np.broadcast_to(share, (g.shape[0], n)), 1.0 - g], axis=1),
@@ -518,63 +469,92 @@ def _augmented_stochasticity(graph: NominalGraph, masks: np.ndarray, params) -> 
 class _Spec:
     """What the run driver needs to know about one algorithm.
 
-    ``consensus`` names the state field recorded as the trace's multiplier
-    estimates. ``y`` and ``v`` name the fields whose totals make the
-    tracked imbalance and the push-sum mass (the first of each is the one
-    recorded); empty means the algorithm carries no such quantity.
-    ``stochasticity`` maps (graph, masks, params) to the residual of each
-    step's mixing weights for a (rows, m) block of masks, or is None when
-    the weights are not formed.
+    Fields are named by (state field, row) references, row None for a
+    whole field. ``consensus`` is the trace's multiplier estimates. ``y``
+    and ``v`` are the fields whose totals make the tracked imbalance and
+    the push-sum mass (the first of each is the one recorded); empty means
+    the algorithm carries no such quantity. ``weights`` maps (graph, masks)
+    to the weight table of a (rows, m) block of masks, a tuple of arrays
+    whose row r the step of the block's row r takes. ``stochasticity`` maps
+    (graph, table, params) to the residual of each step's mixing weights,
+    or is None when the weights are not formed.
     """
 
     state: type
     init: Callable
     step: Callable
-    consensus: str
-    y: tuple[str, ...]
-    v: tuple[str, ...]
+    weights: Callable
+    consensus: tuple
+    y: tuple[tuple, ...]
+    v: tuple[tuple, ...]
     stochasticity: Callable | None
 
 
 def _specs() -> dict[str, _Spec]:
-    # Built per run, so the step functions are looked up when the run
-    # starts: a profiler or tracer that wraps them in place sees the calls.
+    # Built per run, so the step functions and table builders are looked
+    # up when the run starts: a profiler or tracer that wraps them in place
+    # sees the calls.
+    push = {"consensus": ("x", None), "y": (("z", 2),), "v": (("z", 1),)}
     return {
         "pd1": _Spec(
             UndirectedState,
             lambda inst, graph, params: init_undirected(inst, params),
-            pd1_step, consensus="lam", y=("y",), v=(),
+            pd1_step, metropolis_table, consensus=("z", 0), y=(("z", 1),), v=(),
             stochasticity=_metropolis_stochasticity,
         ),
         "pd2": _Spec(
             UndirectedState,
             lambda inst, graph, params: init_undirected(inst, params, tracker=False),
-            pd2_step, consensus="lam", y=(), v=(),
+            pd2_step, metropolis_table, consensus=("z", 0), y=(), v=(),
             stochasticity=_metropolis_stochasticity,
         ),
         "directed": _Spec(
             DirectedState,
             lambda inst, graph, params: init_directed(inst, params),
-            directed_pd_step, consensus="x", y=("y",), v=("v",),
+            directed_pd_step, push_table, **push,
             stochasticity=_push_stochasticity,
         ),
         "robust": _Spec(
             RobustState,
             init_robust,
-            robust_pd_step, consensus="x", y=("y", "virt_y"), v=("v", "virt_v"),
+            robust_pd_step, _mask_table, consensus=("x", None),
+            y=(("z", 2), ("virt", 2)), v=(("z", 1), ("virt", 1)),
             stochasticity=None,
         ),
         "virtual": _Spec(
             VirtualState,
             lambda inst, graph, params: init_virtual(inst, VirtualIndexMap(graph), params),
-            virtual_domain_step, consensus="x", y=("y",), v=("v",),
+            virtual_domain_step, _mask_table, **push,
             stochasticity=_augmented_stochasticity,
         ),
     }
 
 
+def _spec(algorithm: str) -> _Spec:
+    spec = _specs().get(algorithm)
+    if spec is None:
+        raise ModeMismatchError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    return spec
+
+
+def step_weights(algorithm: str, graph: NominalGraph, active) -> tuple:
+    """The weights row an algorithm's step function takes, for one step's active mask.
+
+    `run` builds these rows a block of steps at a time; this one-row form
+    serves callers that drive a step function directly.
+    """
+    table = _spec(algorithm).weights(graph, np.asarray(active, dtype=bool)[None])
+    return tuple(a[0] for a in table)
+
+
+def _index(ref, stop=None):
+    """(field, index) of a (field, row) view, cut to its first `stop` entries."""
+    field, row = ref
+    return field, slice(stop) if row is None else (row, slice(stop))
+
+
 def _checked_init(algorithm: str, spec: _Spec, init, inst, graph, params):
-    """`init` if it has the algorithm's state type and every array its length."""
+    """`init` if it has the algorithm's state type and every array its shape."""
     if type(init) is not spec.state:
         raise ModeMismatchError(
             f"{algorithm} starts from a {spec.state.__name__}, got {type(init).__name__}"
@@ -582,10 +562,11 @@ def _checked_init(algorithm: str, spec: _Spec, init, inst, graph, params):
     reference = spec.init(inst, graph, params)
     for f in fields(reference):
         want = getattr(reference, f.name)
-        got = getattr(init, f.name)
-        if want is not None and np.shape(got) != want.shape:
-            actual = 0 if got is None else np.size(got)
-            raise DimensionMismatchError(f"init.{f.name}", want.shape[0], actual)
+        got = np.shape(getattr(init, f.name))
+        if got != want.shape:
+            if want.ndim == 1:
+                raise DimensionMismatchError(f"init.{f.name}", want.shape[0], got[0] if got else 0)
+            raise DimensionMismatchError(f"init.{f.name}", want.shape, got)
     return init
 
 
@@ -603,14 +584,14 @@ def run(
     (imbalance, consensus spread, mixing stochasticity, conservation,
     mass, min weight) get one value per step where the algorithm carries
     the quantities; they are reduced per block of recorded rows, not per
-    step, so the step loop only steps and records. For the running-sum
+    step, so the step loop only steps and records. Each block's weight
+    table is built once, before the block is stepped, and gives both the
+    steps' weights and the stochasticity residuals. For the running-sum
     algorithm the conservation and mass identities are evaluated over the
     augmented vector using its in-flight sidecar. The step functions keep
     their own finite and positivity guards, so a failure names its step.
     """
-    spec = _specs().get(algorithm)
-    if spec is None:
-        raise ModeMismatchError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    spec = _spec(algorithm)
     graph = schedule.nominal
     if algorithm in UNDIRECTED_ALGORITHMS and graph.directed:
         raise ModeMismatchError(f"{algorithm} requires an undirected schedule")
@@ -627,7 +608,7 @@ def run(
         state = _checked_init(algorithm, spec, init, inst, graph, params)
 
     n, nhat = inst.n, params.nhat
-    recorded = {"p": "p", "consensus": spec.consensus}  # trace field -> state field
+    recorded = {"p": ("p", None), "consensus": spec.consensus}  # trace field -> state view
     keys = ["imbalance", "consensus_spread"]
     if spec.stochasticity is not None:
         keys.append("stochasticity")
@@ -639,24 +620,25 @@ def run(
         keys += ["mass", "min_v"]
     series = {name: np.empty((K + 1, n)) for name in recorded}
     residuals = {key: np.empty(K + 1) for key in keys}
-    columns = [(series[name], attr) for name, attr in recorded.items()]
+    columns = [(series[name], *_index(ref, n)) for name, ref in recorded.items()]
     stochasticity = residuals.get("stochasticity")
     rows = max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
 
-    # A total reads its field's trace rows when the trace holds the whole
-    # field, else a block buffer that the step loop fills beside the trace.
-    traced = {attr: series[name] for name, attr in recorded.items()}
+    # A total reads its view's trace rows when the trace holds the whole
+    # view, else a block buffer that the step loop fills beside the trace.
+    traced = {ref: series[name] for name, ref in recorded.items()}
     buffers = {}
-    for attr in spec.y + spec.v:
-        width = getattr(state, attr).shape[0]
-        if attr not in traced or width != n:
-            buffers[attr] = np.empty((rows, width))
+    for ref in spec.y + spec.v:
+        field, index = _index(ref)
+        width = getattr(state, field)[index].shape[0]
+        if ref not in traced or width != n:
+            buffers[ref] = (np.empty((rows, width)), field, index)
 
     def block_residuals(lo: int, hi: int) -> None:
         """The residual rows lo..hi-1 from the recorded rows, by row-wise reductions."""
 
-        def block(attr):
-            return buffers[attr][: hi - lo] if attr in buffers else traced[attr][lo:hi]
+        def block(ref):
+            return buffers[ref][0][: hi - lo] if ref in buffers else traced[ref][lo:hi]
 
         imb = (series["p"][lo:hi] - inst.loads).sum(axis=1)
         c = series["consensus"][lo:hi]
@@ -681,15 +663,18 @@ def run(
     for lo in range(0, K + 1, rows):
         hi = min(lo + rows, K + 1)
         first = max(lo, 1)  # row k >= 1 follows step k - 1
-        if stochasticity is not None and first < hi:
-            stochasticity[first:hi] = spec.stochasticity(graph, masks[first - 1 : hi - 1], params)
+        if first < hi:
+            table = spec.weights(graph, masks[first - 1 : hi - 1])
+            if stochasticity is not None:
+                stochasticity[first:hi] = spec.stochasticity(graph, table, params)
+            step_rows = list(zip(*table))
         for k in range(lo, hi):
             if k:
-                state = spec.step(state, inst, graph, masks[k - 1], params, k - 1)
-            for column, attr in columns:
-                column[k] = getattr(state, attr)[:n]
-            for attr, buffer in buffers.items():
-                buffer[k - lo] = getattr(state, attr)
+                state = spec.step(state, inst, graph, step_rows[k - first], params, k - 1)
+            for column, field, index in columns:
+                column[k] = getattr(state, field)[index]
+            for buffer, field, index in buffers.values():
+                buffer[k - lo] = getattr(state, field)[index]
         block_residuals(lo, hi)
 
     warnings = params.configuration_warnings(n)

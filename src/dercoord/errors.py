@@ -6,12 +6,13 @@ class DercoordError(Exception):
 
 
 class DimensionMismatchError(DercoordError):
-    """A vector has the wrong length for the given problem instance."""
+    """An array has the wrong length (an int) or shape (a tuple) for the given problem instance."""
 
-    def __init__(self, what: str, expected: int, actual: int):
+    def __init__(self, what: str, expected, actual):
         self.expected = expected
         self.actual = actual
-        super().__init__(f"{what}: expected length {expected}, got {actual}")
+        kind = "shape" if isinstance(expected, tuple) else "length"
+        super().__init__(f"{what}: expected {kind} {expected}, got {actual}")
 
 
 class InvalidInstanceError(DercoordError):

@@ -22,25 +22,31 @@ use (`GraphSchedule.connect_lengths`, O(K (n + m)) for K steps); every
 horizon prefix derives its own lengths from them in O(K), and scanning
 the candidate B costs O(K log K).
 
-Mixing is one O(n + m) edge-list primitive, `mix`: every node keeps its
-own share and adds the values arriving along the step's arcs. All
-algorithms mix through it, with per-step edge weights built in O(m):
+Mixing is one O(F (n + m)) edge-list primitive, `mix`, over a (F, n)
+stack of fields: every node keeps its own share of each field and adds
+the values arriving along the step's arcs, all fields in one `bincount`
+whose bins are the arc heads offset by f*n for row f (cached per graph).
+Each node sums the same terms in the same order as a per-field mix. The
+edge weights depend on the schedule alone, so they are built for a
+(rows, m) block of masks at once, as a weight table whose row r is what
+the step needs:
 
-* `metropolis_edge_weights` (undirected): w_ij = 1/max(d_i, d_j) both ways
-  on active edges, nominal degrees d_i = |N_i| + 1, and self weights
+* `metropolis_table` (undirected): w_ij = 1/max(d_i, d_j) both ways on
+  active edges, nominal degrees d_i = |N_i| + 1, and self weights
   w_ii = 1 - sum_j w_ij >= 1/d_i > 0: symmetric and doubly stochastic
   with no constant to choose.
-* `push_out_degrees` (directed): node j keeps z_j / D_j and pushes the
-  same share along each active out-arc, D_j = |active out-arcs| + 1.
-* running sums (robust, virtual): 1/(nominal out-degree) shares, and an
-  active arc releases the fraction gamma of what it holds. Over real plus
-  virtual nodes (one per nominal arc, holding in-flight mass) this is
-  column stochastic with every nonzero weight >= tau = min(gamma, 1-gamma)/n.
+* `push_table` (directed): node j keeps z_j / D_j and pushes the same
+  share along each active out-arc, D_j = |active out-arcs| + 1; the
+  table holds D and each arc's live flag (an inactive arc pushes 0).
+* running sums (robust, virtual): the masks themselves. Shares are
+  1/(nominal out-degree), and an active arc releases the fraction gamma
+  of what it holds. Over real plus virtual nodes (one per nominal arc,
+  holding in-flight mass) this is column stochastic with every nonzero
+  weight >= tau = min(gamma, 1-gamma)/n.
 
-`column_residual` gives each mixing's stochasticity from the same edge
-weights, for a block of steps at once: the weights depend on the
-schedule alone. The dense `metropolis_weights`, `push_matrix` and
-`augmented_push_matrix` are reference constructions for tests.
+`column_residual` gives each mixing's stochasticity from the same table.
+The dense `metropolis_weights`, `push_matrix` and `augmented_push_matrix`
+are reference constructions for tests.
 """
 
 from __future__ import annotations
@@ -111,26 +117,33 @@ class NominalGraph:
         return np.array([e[1] for e in self.edges], dtype=np.intp)
 
     @cached_property
+    def arc_bins(self) -> np.ndarray:
+        """`mix` bins of the arcs in edge order, for stacks of up to three fields."""
+        return offset_bins(self.dsts, 3, self.n)
+
+    @cached_property
     def arcs_by_head(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(edge positions, tails, heads) sorted by (head, tail).
+        """(edge positions, tails, `mix` bins) of the arcs sorted by (head, tail).
 
         Summing each node's arrivals by increasing tail makes a push-sum
-        mix independent of the order the edges are listed in.
+        mix independent of the order the edges are listed in. The bins
+        serve stacks of up to three fields.
         """
         order = np.lexsort((self.srcs, self.dsts))
-        return order, self.srcs[order], self.dsts[order]
+        return order, self.srcs[order], offset_bins(self.dsts[order], 3, self.n)
 
     @cached_property
     def metropolis_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(tails, heads, weights) of both directions of every edge (undirected).
+        """(tails, `mix` bins, weights) of both directions of every edge (undirected).
 
         Edge e = (i, j) gives arc i -> j at position e and j -> i at e + m,
-        each weighted 1/max(d_i, d_j) for when the edge is active.
+        each weighted 1/max(d_i, d_j) for when the edge is active. The bins
+        serve stacks of up to two fields.
         """
         d = self.degrees
         w = 1.0 / np.maximum(d[self.srcs], d[self.dsts])
         both = np.concatenate
-        return both([self.srcs, self.dsts]), both([self.dsts, self.srcs]), both([w, w])
+        return both([self.srcs, self.dsts]), offset_bins(both([self.dsts, self.srcs]), 2, self.n), both([w, w])
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -204,10 +217,6 @@ class GraphSchedule:
             raise InvalidGraphError(f"step {k} outside horizon {self.horizon}")
         return self._sampler()(k)
 
-    def active_edges(self, k: int) -> tuple[tuple[int, int], ...]:
-        mask = self.active_mask(k)
-        return tuple(e for e, live in zip(self.nominal.edges, mask) if live)
-
     @cached_property
     def masks(self) -> np.ndarray:
         """Read-only (horizon, m) block whose row k is `active_mask(k)`.
@@ -248,20 +257,26 @@ class GraphSchedule:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-def mix(own: np.ndarray, heads: np.ndarray, arc_values: np.ndarray) -> np.ndarray:
-    """One mixing step over an edge list, in O(n + m).
+def offset_bins(heads: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """Bins r*n + heads[e] for rows r < rows, row after row: where row r's arcs land in a (rows, n) bincount."""
+    return (np.arange(rows)[:, None] * n + heads).ravel()
 
-    Node i ends with own[i] plus every arc_values[e] with heads[e] == i,
-    the arcs of each node summed in the order given.
+
+def mix(own: np.ndarray, bins: np.ndarray, arc_values: np.ndarray) -> np.ndarray:
+    """One mixing step of a (F, n) stack of fields over an edge list, in O(F (n + m)).
+
+    Field f of node i ends with own[f, i] plus every arc_values[f, e] whose
+    bin is f*n + i, the arcs of each node summed in the order given.
+    `bins` are heads offset per field (`offset_bins`), for F or more fields.
     """
-    return np.bincount(heads, weights=arc_values, minlength=own.shape[0]) + own
+    sums = np.bincount(bins[: arc_values.size], weights=arc_values.ravel(), minlength=own.size)
+    return sums.reshape(own.shape) + own
 
 
 def row_bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """out[r, i] sums weights[r, e] over index[e] == i in increasing e, like a per-row bincount."""
     rows = weights.shape[0]
-    bins = (np.arange(rows)[:, None] * n + index).ravel()
-    return np.bincount(bins, weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
+    return np.bincount(offset_bins(index, rows, n), weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
 
 
 def column_residual(own: np.ndarray, tails: np.ndarray, arc_weights: np.ndarray) -> np.ndarray:
@@ -273,32 +288,30 @@ def column_residual(own: np.ndarray, tails: np.ndarray, arc_weights: np.ndarray)
     return np.abs(row_bincount(tails, arc_weights, own.shape[1]) + own - 1.0).max(axis=1)
 
 
-def metropolis_edge_weights(nominal: NominalGraph, active: np.ndarray):
-    """Metropolis weights of one step as an edge list, in O(n + m).
+def metropolis_table(nominal: NominalGraph, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Metropolis weights of a (rows, m) block of steps, in O(rows (n + m)).
 
-    Returns (self weights, tails, heads, weights) over both directions of
-    every nominal edge, inactive ones weighing 0; `metropolis_weights` is
-    the dense reference.
+    Returns (self weights (rows, n), arc weights (rows, 2m)) over both
+    directions of every nominal edge (`metropolis_arcs`), inactive ones
+    weighing 0; `metropolis_weights` is the dense reference.
     """
-    if nominal.directed:
-        raise InvalidGraphError("Metropolis weights require an undirected graph")
-    tails, heads, w = nominal.metropolis_arcs
-    w = w * np.concatenate([active, active])  # inactive edges weigh 0
-    return 1.0 - np.bincount(tails, weights=w, minlength=nominal.n), tails, heads, w
+    tails, _, w = nominal.metropolis_arcs
+    w = w * np.concatenate([masks, masks], axis=1)  # inactive edges weigh 0
+    return 1.0 - row_bincount(tails, w, nominal.n), w
 
 
-def push_out_degrees(nominal: NominalGraph, active: np.ndarray):
-    """Instantaneous out-degrees and active arcs of one step, in O(n + m).
+def push_table(nominal: NominalGraph, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Instantaneous out-degrees and live arcs of a (rows, m) block of steps, in O(rows (n + m)).
 
-    Returns (D, tails, heads) with D_j = |active out-arcs of j| + 1 and the
-    arcs sorted by (head, tail); `push_matrix` is the dense reference.
+    Returns (D (rows, n), live (rows, m)) with D_j = |active out-arcs of j| + 1
+    and live 1.0 or 0.0 per arc in `arcs_by_head` order; `push_matrix` is
+    the dense reference.
     """
     if not nominal.directed:
         raise InvalidGraphError("push matrices require a directed graph")
-    order, tails, heads = nominal.arcs_by_head
-    live = np.asarray(active, dtype=bool)[order]
-    tails, heads = tails[live], heads[live]
-    return 1.0 + np.bincount(tails, minlength=nominal.n), tails, heads
+    order, tails, _ = nominal.arcs_by_head
+    live = masks[:, order].astype(float)
+    return 1.0 + row_bincount(tails, live, nominal.n), live
 
 
 def metropolis_weights(nominal: NominalGraph, active: np.ndarray) -> np.ndarray:

@@ -17,7 +17,12 @@ from dercoord.algorithms import (
 )
 from dercoord.errors import DimensionMismatchError, DivergenceError, ModeMismatchError
 from dercoord.metrics import BUDGETS
-from dercoord.network import VirtualIndexMap, metropolis_edge_weights, push_matrix, push_out_degrees
+from dercoord.network import VirtualIndexMap, push_matrix
+
+
+def live(algorithm, g, active):
+    """The weights row `algorithm`'s step function takes for one step's active mask."""
+    return dc.step_weights(algorithm, g, active)
 
 
 def ring(n, directed):
@@ -59,14 +64,14 @@ class TestUndirectedSteps:
         g = ring(3, False)
         state = init_undirected(small_instance, params, p0=small_instance.loads)
         for step_fn in (dc.pd1_step, dc.pd2_step):
-            new = step_fn(state, small_instance, g, np.ones(3, bool), params, 0)
+            new = step_fn(state, small_instance, g, live("pd1", g, np.ones(3, bool)), params, 0)
             np.testing.assert_allclose(new.lam, 0.0, atol=1e-15)
 
     def test_conservation_after_one_step(self, small_instance):
         params = params_for(3)
         g = ring(3, False)
         state = init_undirected(small_instance, params, p0=[0.1, 2.3, 0.7])
-        new = dc.pd1_step(state, small_instance, g, np.array([True, False, True]), params, 0)
+        new = dc.pd1_step(state, small_instance, g, live("pd1", g, [True, False, True]), params, 0)
         lhs = np.sum(new.y)
         rhs = params.nhat * np.sum(new.p - small_instance.loads)
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -76,23 +81,24 @@ class TestUndirectedSteps:
         sol = dc.solve_bisection(small_instance, xi=params.xi, nhat=params.nhat)
         state = dc.equilibrium_state("pd1", small_instance, params, sol)
         assert np.abs(state.y).max() == 0.0
-        new = dc.pd1_step(state, small_instance, ring(3, False), np.ones(3, bool), params, 0)
+        g = ring(3, False)
+        new = dc.pd1_step(state, small_instance, g, live("pd1", g, np.ones(3, bool)), params, 0)
         np.testing.assert_allclose(new.p, state.p, atol=1e-14)
         np.testing.assert_allclose(new.lam, state.lam, atol=1e-14)
 
     def test_pd2_has_no_tracker(self, small_instance):
         params = params_for(3)
         state = init_undirected(small_instance, params, tracker=False)
-        new = dc.pd2_step(state, small_instance, ring(3, False), np.ones(3, bool), params, 0)
+        g = ring(3, False)
+        new = dc.pd2_step(state, small_instance, g, live("pd2", g, np.ones(3, bool)), params, 0)
         assert new.y is None
 
     def test_divergence_guard(self, small_instance):
         params = params_for(3)
-        bad = dc.UndirectedState(
-            p=np.array([0.0, np.nan, 0.0]), lam=np.zeros(3), y=np.zeros(3)
-        )
+        bad = dc.UndirectedState(p=np.array([0.0, np.nan, 0.0]), z=np.zeros((2, 3)))
+        g = ring(3, False)
         with pytest.raises(DivergenceError):
-            dc.pd1_step(bad, small_instance, ring(3, False), np.ones(3, bool), params, 4)
+            dc.pd1_step(bad, small_instance, g, live("pd1", g, np.ones(3, bool)), params, 4)
 
 
 class TestDirectedSteps:
@@ -112,7 +118,7 @@ class TestDirectedSteps:
         g = ring(3, True)
         params = params_for(3)
         state = init_directed(small_instance, params, p0=[0.2, 0.9, 1.4])
-        new = dc.directed_pd_step(state, small_instance, g, np.array([True, False, True]), params, 0)
+        new = dc.directed_pd_step(state, small_instance, g, live("directed", g, [True, False, True]), params, 0)
         expect = np.sum(state.lam) - params.stepsize(0) * np.sum(state.y)
         assert np.sum(new.lam) == pytest.approx(expect, abs=1e-12)
 
@@ -139,8 +145,9 @@ class TestDirectedSteps:
         params = params_for(3)
         sol = dc.solve_bisection(small_instance, xi=params.xi, nhat=params.nhat)
         state = dc.equilibrium_state("directed", small_instance, params, sol)
+        g = ring(3, True)
         new = dc.directed_pd_step(
-            state, small_instance, ring(3, True), np.array([True, True, False]), params, 0
+            state, small_instance, g, live("directed", g, [True, True, False]), params, 0
         )
         np.testing.assert_allclose(new.p, state.p, atol=1e-13)
         np.testing.assert_allclose(new.x, state.x, atol=1e-13)
@@ -157,14 +164,16 @@ class TestRobustSteps:
         params = params_for(2, gamma=0.9)
         state = init_robust(inst, g, params)
         # craft: node 0's broadcast running sum is 1.0, mirror still 0
-        state = replace(state, sum_lam=np.array([1.0, 0.0]))
+        sums = state.sums.copy()
+        sums[0] = [1.0, 0.0]  # the lam row
+        state = replace(state, sums=sums)
         active = np.array([True, False])  # only arc (0, 1) delivers
-        new = dc.robust_pd_step(state, inst, g, active, params, 0)
+        new = dc.robust_pd_step(state, inst, g, live("robust", g, active), params, 0)
         l01 = 0  # position of arc (0, 1) in the edge list
-        assert new.mirror_lam[l01] == pytest.approx(0.9)  # (1-g)*0 + g*1.0
+        assert new.mirror[0, l01] == pytest.approx(0.9)  # (1-g)*0 + g*1.0
         assert new.lam[1] == pytest.approx(0.9)  # delivered contribution
         l10 = 1
-        assert new.mirror_lam[l10] == 0.0  # undelivered arc unchanged
+        assert new.mirror[0, l10] == 0.0  # undelivered arc unchanged
 
     def test_sidecar_matches_virtual_twin(self, case39_directed):
         # the in-flight sidecar is the virtual twin's virtual-node state
@@ -178,10 +187,10 @@ class TestRobustSteps:
         n = inst.n
         worst = 0.0
         for k, active in enumerate(sched.masks):
-            robust = dc.robust_pd_step(robust, inst, g, active, params, k)
-            twin = dc.virtual_domain_step(twin, inst, g, active, params, k)
-            for side, virtual in (("lam", "virt_lam"), ("v", "virt_v"), ("y", "virt_y")):
-                gap = np.abs(getattr(twin, side)[n:] - getattr(robust, virtual)).max()
+            robust = dc.robust_pd_step(robust, inst, g, live("robust", g, active), params, k)
+            twin = dc.virtual_domain_step(twin, inst, g, live("virtual", g, active), params, k)
+            for row in range(3):  # lam, v, y
+                gap = np.abs(twin.z[row, n:] - robust.virt[row]).max()
                 worst = max(worst, float(gap))
         assert worst <= BUDGETS["conservation"]
 
@@ -229,7 +238,7 @@ class TestVirtualDomain:
             Py = P @ state.y
             lam_ref[:n] -= s * Py[:n]
             v_ref = P @ state.v
-            state = dc.virtual_domain_step(state, small_instance, g, act, params, k)
+            state = dc.virtual_domain_step(state, small_instance, g, live("virtual", g, act), params, k)
             np.testing.assert_allclose(state.lam, lam_ref, atol=1e-13)
             np.testing.assert_allclose(state.v, v_ref, atol=1e-13)
 
@@ -240,7 +249,8 @@ class TestVirtualDomain:
         vmap = VirtualIndexMap(g)
         state = init_virtual(small_instance, vmap, params)
         for k in range(200):
-            state = dc.virtual_domain_step(state, small_instance, g, sched.active_mask(k), params, k)
+            act = live("virtual", g, sched.active_mask(k))
+            state = dc.virtual_domain_step(state, small_instance, g, act, params, k)
             assert np.sum(state.v) == pytest.approx(3.0, abs=1e-12)
             assert np.all(state.p[3:] == 0.0)
 
@@ -276,17 +286,19 @@ class TestRun:
         params = params_for(3)
         sched = dc.GraphSchedule(ring(3, False), 0.2, 1, 100)
         state = init_undirected(small_instance, params)
-        with pytest.raises(DimensionMismatchError, match=r"init\.lam: expected length 3, got 4"):
-            dc.run("pd1", small_instance, sched, params, init=replace(state, lam=np.zeros(4)))
+        with pytest.raises(DimensionMismatchError, match=r"init\.z: expected shape \(2, 3\), got \(2, 4\)"):
+            dc.run("pd1", small_instance, sched, params, init=replace(state, z=np.zeros((2, 4))))
+        with pytest.raises(DimensionMismatchError, match=r"init\.p: expected length 3, got 4"):
+            dc.run("pd1", small_instance, sched, params, init=replace(state, p=np.zeros(4)))
         g = ring(3, True)
         robust = init_robust(small_instance, g, params)
-        with pytest.raises(DimensionMismatchError, match=r"init\.mirror_v: expected length 3, got 2"):
+        with pytest.raises(DimensionMismatchError, match=r"init\.mirror: expected shape \(3, 3\), got \(3, 2\)"):
             dc.run("robust", small_instance, dc.GraphSchedule(g, 0.2, 1, 100), params,
-                   init=replace(robust, mirror_v=np.zeros(2)))
+                   init=replace(robust, mirror=np.zeros((3, 2))))
         twin = init_virtual(small_instance, VirtualIndexMap(g), params)
-        with pytest.raises(DimensionMismatchError, match=r"init\.y: expected length 6, got 3"):
+        with pytest.raises(DimensionMismatchError, match=r"init\.z: expected shape \(3, 6\), got \(3, 3\)"):
             dc.run("virtual", small_instance, dc.GraphSchedule(g, 0.2, 1, 100), params,
-                   init=replace(twin, y=np.zeros(3)))
+                   init=replace(twin, z=np.zeros((3, 3))))
 
     def test_repeat_runs_identical(self, small_instance):
         g = ring(3, True)
@@ -390,13 +402,19 @@ class TestRun:
 
 
 def stepwise_stochasticity(algorithm, g, active, gamma):
-    """One step's residual from its edge weights, the way each step forms them."""
+    """One step's residual from its edge weights, formed from the mask alone."""
     n = g.n
     if algorithm == "pd1":
-        self_w, tails, _, w = metropolis_edge_weights(g, active)
-        sums = np.bincount(tails, weights=w, minlength=n) + self_w
+        # Metropolis: both directions of each active edge weigh 1/max(d_i, d_j).
+        d = g.degrees
+        tails = np.concatenate([g.srcs, g.dsts])
+        w = np.tile(active / np.maximum(d[g.srcs], d[g.dsts]), 2)
+        sums = np.bincount(tails, weights=w, minlength=n) + (1.0 - np.bincount(tails, weights=w, minlength=n))
     elif algorithm == "directed":
-        D, tails, _ = push_out_degrees(g, active)
+        # Push-sum over the live arcs, summed per tail in (head, tail) order.
+        order = np.lexsort((g.srcs, g.dsts))
+        tails = g.srcs[order][active[order]]
+        D = 1.0 + np.bincount(tails, minlength=n)
         sums = np.bincount(tails, weights=1.0 / D[tails], minlength=n) + 1.0 / D
     else:
         share = 1.0 / g.out_degrees
@@ -476,14 +494,21 @@ STEPS = {
     "robust": dc.robust_pd_step,
     "virtual": dc.virtual_domain_step,
 }
-# consensus field, fields summed into the tracked imbalance, fields summed into the mass
+# consensus field, fields summed into the tracked imbalance, fields summed into
+# the mass; "virt.y" is the y row of robust's in-flight stack
 CARRIED = {
     "pd1": ("lam", ("y",), ()),
     "pd2": ("lam", (), ()),
     "directed": ("x", ("y",), ("v",)),
-    "robust": ("x", ("y", "virt_y"), ("v", "virt_v")),
+    "robust": ("x", ("y", "virt.y"), ("v", "virt.v")),
     "virtual": ("x", ("y",), ("v",)),
 }
+
+
+def family(state, name):
+    if name.startswith("virt."):
+        return state.virt[{"v": 1, "y": 2}[name[5:]]]
+    return getattr(state, name)
 
 
 def standard_start(algorithm, inst, g, params):
@@ -512,16 +537,17 @@ def stepwise_residuals(algorithm, inst, sched, params, state):
         out["imbalance"].append(abs(imb))
         out["consensus_spread"].append(float(c.max() - c.min()))
         if ys:
-            total = sum(float(getattr(st, a).sum()) for a in ys)
+            total = sum(float(family(st, a).sum()) for a in ys)
             out["conservation"].append(abs(total - nhat * imb))
         if vs:
-            parts = [getattr(st, a) for a in vs]
+            parts = [family(st, a) for a in vs]
             out["mass"].append(abs(sum(float(a.sum()) for a in parts) - n))
             out["min_v"].append(min(float(a.min()) for a in parts if a.size))
 
     record(state)
     for k in range(params.horizon):
-        state = STEPS[algorithm](state, inst, sched.nominal, sched.masks[k], params, k)
+        weights = live(algorithm, sched.nominal, sched.masks[k])
+        state = STEPS[algorithm](state, inst, sched.nominal, weights, params, k)
         record(state)
     return {key: np.array(series) for key, series in out.items()}
 
@@ -645,3 +671,100 @@ class TestRunProperties:
         }
         for name, (a, b) in pairs.items():
             assert np.abs(a - b).max() <= budget, name
+
+
+class TestDivergenceNames:
+    """A `DivergenceError` names its step and every non-finite field."""
+
+    @pytest.mark.parametrize("algorithm, graph, named", [
+        ("pd1", ring(3, False), "pd1: lam, y"),
+        ("robust", ring(3, True), "robust: lam, y, x"),
+    ])
+    def test_inf_in_y_names_step_and_fields(self, small_instance, algorithm, graph, named):
+        params = params_for(3, horizon=10)
+        start = standard_start(algorithm, small_instance, graph, params)
+        z = start.z.copy()
+        z[-1, 0] = np.inf  # y is the last row of both stacks
+        no_warning = np.errstate(invalid="ignore")  # inactive arcs weigh 0 * inf
+        with no_warning, pytest.raises(DivergenceError, match=rf"^non-finite iterate at step 1 \({named}\)$") as err:
+            dc.run(algorithm, small_instance, dc.GraphSchedule(graph, 0.2, 1, 10), params,
+                   init=replace(start, z=z))
+        assert err.value.step == 1
+
+
+class TestWeightTables:
+    @pytest.mark.parametrize("algorithm, builder", [
+        ("pd1", "metropolis_table"),
+        ("pd2", "metropolis_table"),
+        ("directed", "push_table"),
+        ("robust", "_mask_table"),
+        ("virtual", "_mask_table"),
+    ])
+    def test_built_once_per_block(self, monkeypatch, algorithm, builder):
+        from dercoord import algorithms
+
+        directed = algorithm not in ("pd1", "pd2")
+        g = dc.generate_graph(dc.GraphSpec(n=8, extra_edges=4, directed=directed), 3)
+        rows = block_rows(g)
+        K = 2 * rows + 3  # blocks of rows - 1, rows and 4 steps
+        original = getattr(algorithms, builder)
+        built = []
+
+        def counting(graph, masks):
+            built.append(masks.shape[0])
+            return original(graph, masks)
+
+        monkeypatch.setattr(algorithms, builder, counting)
+        inst = dc.generate_instance(dc.InstanceSpec(n=g.n), 3)
+        dc.run(algorithm, inst, dc.GraphSchedule(g, 0.3, 5, K), params_for(g.n, s=0.01, horizon=K))
+        assert built == [rows - 1, rows, 4]
+
+
+def permuted_instance(inst, perm):
+    """Agent r of the result is agent perm[r] of `inst`."""
+    cost = inst.cost
+    return dc.ProblemInstance(
+        inst.loads[perm], inst.p_lo[perm], inst.p_hi[perm],
+        dc.QuadraticCost(cost.a[perm], cost.b[perm], cost.c[perm]),
+    )
+
+
+# Relabeling can reorder a node's arrivals (push-sum sums them by tail, and an
+# undirected edge may swap its ends), so traces agree only up to roundoff:
+# within RELABEL_RTOL of each field's largest magnitude over the run.
+RELABEL_RTOL = 1e-9
+
+
+class TestRelabelEquivariance:
+    @given(
+        algorithm=st.sampled_from(dc.ALGORITHMS),
+        n=st.integers(1, 10),
+        extra=st.integers(0, 10),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+        q=st.floats(0.0, 0.95),
+        gamma=st.floats(0.01, 0.99),
+        s=st.floats(0.001, 0.1),
+        K=st.integers(0, 200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_relabeled_run_permutes_the_trace(self, algorithm, n, extra, seed, data, q, gamma, s, K):
+        perm = np.array(data.draw(st.permutations(range(n)), label="perm"), dtype=int)
+        directed = algorithm not in ("pd1", "pd2")
+        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed)
+        inst = dc.generate_instance(dc.InstanceSpec(n=n), seed)
+        params = params_for(n, s=s, horizon=K, gamma=gamma)
+        base = dc.run(algorithm, inst, dc.GraphSchedule(g, q, seed, K), params)
+        # new agent r carries base agent perm[r], so base node b is renamed to
+        # the inverse image of perm; edge order, hence every mask, is kept
+        relabel = np.empty(n, dtype=int)
+        relabel[perm] = np.arange(n)
+        other = dc.run(algorithm, permuted_instance(inst, perm),
+                       dc.GraphSchedule(g.relabeled(relabel), q, seed, K), params)
+        for name in ("p", "consensus", "y", "v"):
+            want = getattr(base, name)
+            if want is None:
+                continue
+            scale = max(1.0, float(np.abs(want).max()))
+            np.testing.assert_allclose(getattr(other, name), want[:, perm], rtol=0,
+                                       atol=RELABEL_RTOL * scale, err_msg=name)

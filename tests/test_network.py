@@ -12,7 +12,7 @@ import dercoord as dc
 from dercoord.errors import CaseParseError, InvalidGraphError
 from dercoord.algorithms import (
     _augmented_stochasticity,
-    _metropolis_mixer,
+    _mask_table,
     _metropolis_stochasticity,
     _push_stochasticity,
 )
@@ -20,10 +20,11 @@ from dercoord.network import (
     _earliest_connect,
     _prefix_lengths,
     format_graph,
+    metropolis_table,
     mix,
     numbered_lines,
     parse_graph_lines,
-    push_out_degrees,
+    push_table,
     union_connected,
     windows_connected,
 )
@@ -330,30 +331,34 @@ class TestEdgeListMixing:
         active = rng.random(g.m) >= q
         params = dc.AlgorithmParams(step=dc.ConstantStep(0.1), gamma=gamma)
         if not directed:
-            z = rng.normal(size=n)
+            z = rng.normal(size=(2, n))  # a two-field stack mixes each row by W
             W = dc.metropolis_weights(g, active)
-            np.testing.assert_allclose(_metropolis_mixer(g, active)(z), W @ z, rtol=0, atol=1e-13)
+            self_w, w = dc.step_weights("pd1", g, active)
+            tails, bins, _ = g.metropolis_arcs
+            mixed = mix(self_w * z, bins, w * z[:, tails])
+            np.testing.assert_allclose(mixed, z @ W.T, rtol=0, atol=1e-13)
             dense = max(np.abs(W.sum(axis=0) - 1).max(), np.abs(W.sum(axis=1) - 1).max())
-            residual = _metropolis_stochasticity(g, active[None], params)[0]
+            residual = _metropolis_stochasticity(g, metropolis_table(g, active[None]), params)[0]
             assert residual <= 1e-12 and abs(residual - dense) <= 1e-15
             return
-        z = rng.normal(size=n)
-        D, tails, heads = push_out_degrees(g, active)
+        z = rng.normal(size=(3, n))
+        D, live = dc.step_weights("directed", g, active)
+        _, tails, bins = g.arcs_by_head
         P = dc.push_matrix(g, active)
-        np.testing.assert_allclose(mix(z / D, heads, (z / D)[tails]), P @ z, rtol=0, atol=1e-13)
-        residual = _push_stochasticity(g, active[None], params)[0]
+        np.testing.assert_allclose(mix(z / D, bins, (z / D)[:, tails] * live), z @ P.T, rtol=0, atol=1e-13)
+        residual = _push_stochasticity(g, push_table(g, active[None]), params)[0]
         assert residual <= 1e-12 and abs(residual - np.abs(P.sum(axis=0) - 1).max()) <= 1e-15
         # The virtual step's mixing of lam and v (y = 0) is the augmented action.
         N = n + g.m
         A = dc.augmented_push_matrix(g, active, gamma)
         inst = dc.ProblemInstance(np.zeros(n), np.zeros(n), np.zeros(n), dc.QuadraticCost(np.ones(n)))
         state = dc.VirtualState(
-            p=np.zeros(N), lam=rng.normal(size=N), v=rng.random(N) + 0.5, x=np.zeros(N), y=np.zeros(N)
+            p=np.zeros(N), z=np.stack([rng.normal(size=N), rng.random(N) + 0.5, np.zeros(N)]), x=np.zeros(N)
         )
-        new = dc.virtual_domain_step(state, inst, g, active, params, 0)
+        new = dc.virtual_domain_step(state, inst, g, dc.step_weights("virtual", g, active), params, 0)
         np.testing.assert_allclose(new.lam, A @ state.lam, rtol=0, atol=1e-13)
         np.testing.assert_allclose(new.v, A @ state.v, rtol=0, atol=1e-13)
-        residual = _augmented_stochasticity(g, active[None], params)[0]
+        residual = _augmented_stochasticity(g, _mask_table(g, active[None]), params)[0]
         assert residual <= 1e-12 and abs(residual - np.abs(A.sum(axis=0) - 1).max()) <= 1e-15
 
 
