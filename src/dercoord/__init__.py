@@ -69,12 +69,9 @@ from .network import (
     GraphSchedule,
     NominalGraph,
     VirtualIndexMap,
-    augmented_push_matrix,
     check_B_connectivity,
     load_graph,
-    metropolis_weights,
     minimal_connectivity_window,
-    push_matrix,
     write_graph,
 )
 from .oracle import DispatchSolution, centralized_pd_run, clamped_best_response, solve_bisection

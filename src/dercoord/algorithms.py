@@ -9,12 +9,18 @@ primal step from step-k values, multiplier/weight estimates are mixed
 from step-k values, and the imbalance tracker y is mixed from step-k
 values and then incremented with nhat*(p[k+1] - p[k]).
 
-Each state keeps the fields it mixes as one (F, n) stack `z`: (lam, y)
-for pd1, (lam,) for pd2 and (lam, v, y) for the push-sum algorithms,
-whose per-arc mirror, running-sum and in-flight arrays are stacks of the
-same three families. A step mixes its whole stack in one call of the
-edge-list primitive `network.mix` in O(F (n + m)), and checks p, the stack
-and x for finiteness in one guard; no step builds a dense matrix.
+Each state keeps its node fields as the rows of one contiguous (R, n)
+array `nodes`, and the named fields are row views of it: (p, lam, y) for
+pd1, (p, lam) for pd2 and (lam, v, y, p, x) for the push-sum algorithms,
+with the running sums of lam, v and y as three more rows for robust.
+The rows a step mixes are adjacent, the stack `z`: (lam, y), (lam,) or
+(lam, v, y). Robust's per-arc mirror and in-flight values are one (6, m)
+array `arcs`. A step allocates the next state's array once and fills it
+in place with ufuncs writing into its rows; it mixes the whole stack in
+one call of the edge-list primitive `network.mix` in O(F (n + m)), and
+checks the whole array for finiteness in one guard (the push-sum steps
+first check that the weights v stayed positive). No step builds a dense
+matrix.
 
 One driver, `run`, steps any algorithm over the schedule's mask block.
 A small per-algorithm spec tells it how to start (and what a valid
@@ -25,8 +31,9 @@ and at least 8 rows. Each block's weight table is built once, from the
 block's masks, before the block is stepped; the stochasticity residuals
 come from the same table, so they measure exactly the weights the steps
 use. Within a block each step only calls the step function and copies
-the recorded state rows into the trace (plus, where a total needs more
-than the recorded rows, the whole field into a small block buffer). After
+the recorded state rows into the trace, one slice of adjacent rows (plus,
+where a total needs more than the recorded rows, one slice into a small
+block buffer). After
 the block, the residual series are reduced row-wise over those rows, with
 the same reductions in the same order as one state at a time, so they
 are bit-identical to a per-step evaluation.
@@ -73,7 +80,7 @@ from .network import (
     push_table,
     union_connected,
 )
-from .problem import AlgorithmParams, ProblemInstance, checked_p0
+from .problem import AlgorithmParams, ProblemInstance, checked_p0, clip
 
 UNDIRECTED_ALGORITHMS = ("pd1", "pd2")
 DIRECTED_ALGORITHMS = ("directed", "robust", "virtual")
@@ -87,76 +94,77 @@ _RESIDUAL_BLOCK_ENTRIES = 2**13
 # than reducing each state on its own).
 _MIN_BLOCK_ROWS = 8
 
-# Names of the rows of each mixed stack, for error messages.
-_PD_FAMILIES = ("lam", "y")
-_PUSH_FAMILIES = ("lam", "v", "y")
-
 
 @dataclass(frozen=True)
 class UndirectedState:
-    """Iterates of pd1/pd2: dispatch p and the mixed stack z.
+    """Iterates of pd1/pd2 as the rows of one (R, n) array: p, then the mixed stack z.
 
     z is (lam, y), the multiplier estimates and the imbalance tracker; pd2
     carries no tracker, so its z is (lam,) and its y is None.
     """
 
-    p: np.ndarray
-    z: np.ndarray
+    nodes: np.ndarray
 
-    lam = property(lambda self: self.z[0])
-    y = property(lambda self: self.z[1] if len(self.z) > 1 else None)
-
-
-class _PushSumFamilies:
-    """lam, v and y of a push-sum state are the rows of its stack z."""
-
-    lam = property(lambda self: self.z[0])
-    v = property(lambda self: self.z[1])
-    y = property(lambda self: self.z[2])
+    p = property(lambda self: self.nodes[0])
+    z = property(lambda self: self.nodes[1:])
+    lam = property(lambda self: self.nodes[1])
+    y = property(lambda self: self.nodes[2] if len(self.nodes) > 2 else None)
 
 
-@dataclass(frozen=True)
-class DirectedState(_PushSumFamilies):
-    """Push-sum iterates: z = (lam, v, y), v the push-sum weights, x = lam / v."""
+class _PushSumRows:
+    """A push-sum state's node rows: lam, v, y (the mixed stack z), then p and x."""
 
-    p: np.ndarray
-    z: np.ndarray
-    x: np.ndarray
+    z = property(lambda self: self.nodes[:3])
+    lam = property(lambda self: self.nodes[0])
+    v = property(lambda self: self.nodes[1])
+    y = property(lambda self: self.nodes[2])
+    p = property(lambda self: self.nodes[3])
+    x = property(lambda self: self.nodes[4])
 
 
 @dataclass(frozen=True)
-class RobustState(_PushSumFamilies):
-    """Running-sum iterates: z = (lam, v, y) and x = lam / v as for push-sum.
+class DirectedState(_PushSumRows):
+    """Push-sum iterates: rows lam, v, y, p, x; v the push-sum weights, x = lam / v."""
 
-    ``mirror`` holds the per-nominal-arc accumulators kept at the receiving
-    node and ``sums`` the broadcast running sums through the current step,
-    each a stack of the three families (rows as in z): memory is O(n + arcs)
-    per family.
+    nodes: np.ndarray
 
-    ``virt`` holds the per-arc in-flight values (the virtual-node states
-    the protocol implies), advanced incrementally alongside the protocol for
-    diagnostics; no node update reads them.
+
+@dataclass(frozen=True)
+class RobustState(_PushSumRows):
+    """Running-sum iterates: node rows as for push-sum, then the running sums.
+
+    The last three node rows, ``sums``, are the broadcast running sums of
+    lam, v and y through the current step. ``arcs`` holds one (6, m) array
+    over the nominal arcs: ``mirror``, the accumulators kept at the
+    receiving node, then ``virt``, the in-flight values (the virtual-node
+    states the protocol implies), each a stack of the three families in the
+    rows of z. Memory is O(n + arcs) per family. ``virt`` is advanced
+    alongside the protocol for diagnostics; no node update reads it.
     """
 
-    p: np.ndarray
-    z: np.ndarray
-    x: np.ndarray
-    mirror: np.ndarray
-    sums: np.ndarray
-    virt: np.ndarray
+    nodes: np.ndarray
+    arcs: np.ndarray
+
+    sums = property(lambda self: self.nodes[5:])
+    mirror = property(lambda self: self.arcs[:3])
+    virt = property(lambda self: self.arcs[3:])
 
 
 @dataclass(frozen=True)
-class VirtualState(_PushSumFamilies):
-    """Augmented iterates over real followed by virtual nodes (length N).
+class VirtualState(_PushSumRows):
+    """Augmented iterates over real followed by virtual nodes (N columns).
 
     Virtual dispatch entries are pinned to zero (their box is [0, 0]);
     virtual lam/v/y start at zero.
     """
 
-    p: np.ndarray
-    z: np.ndarray
-    x: np.ndarray
+    nodes: np.ndarray
+
+
+# Names of the rows of each state's `nodes`, for error messages.
+_PD_ROWS = ("p", "lam", "y")  # pd2 has the first two
+_PUSH_ROWS = ("lam", "v", "y", "p", "x")
+_ROBUST_ROWS = _PUSH_ROWS + ("sums.lam", "sums.v", "sums.y")
 
 
 def init_undirected(
@@ -170,28 +178,24 @@ def init_undirected(
     p = checked_p0(inst, p0)
     lam = np.zeros(inst.n) if lam0 is None else np.asarray(lam0, dtype=float)
     rows = [lam, params.nhat * (p - inst.loads)] if tracker else [lam]
-    return UndirectedState(p=p, z=np.stack(rows))
+    return UndirectedState(np.stack([p, *rows]))
 
 
 def init_directed(inst: ProblemInstance, params: AlgorithmParams, p0=None) -> DirectedState:
     """Standard start: x = 0, lam = 0, v = 1, y_i = nhat*(p_i[0] - load_i)."""
     p = checked_p0(inst, p0)
     n = inst.n
-    z = np.stack([np.zeros(n), np.ones(n), params.nhat * (p - inst.loads)])
-    return DirectedState(p=p, z=z, x=np.zeros(n))
+    return DirectedState(np.stack([np.zeros(n), np.ones(n), params.nhat * (p - inst.loads), p, np.zeros(n)]))
 
 
 def _robust_start(graph: NominalGraph, start: DirectedState) -> RobustState:
-    """The node values of `start`, zero mirrors and in-flight values, running sums through step 0."""
-    m = graph.m
-    return RobustState(p=start.p, z=start.z, x=start.x, mirror=np.zeros((3, m)),
-                       sums=start.z / graph.out_degrees, virt=np.zeros((3, m)))
+    """The node values of `start`, running sums through step 0, zero mirrors and in-flight values."""
+    return RobustState(np.concatenate([start.nodes, start.z / graph.out_degrees]), np.zeros((6, graph.m)))
 
 
 def _virtual_start(start: DirectedState, vmap: VirtualIndexMap) -> VirtualState:
     """The real nodes of `start` followed by virtual nodes holding zero."""
-    pad = (0, vmap.size - start.p.shape[0])
-    return VirtualState(p=np.pad(start.p, pad), z=np.pad(start.z, ((0, 0), pad)), x=np.pad(start.x, pad))
+    return VirtualState(np.pad(start.nodes, ((0, 0), (0, vmap.size - start.nodes.shape[1]))))
 
 
 def init_robust(
@@ -224,14 +228,14 @@ def equilibrium_state(
     algorithms lam stays proportional to v, keeping x constant even as the
     weights mix.
     """
-    xstar = params.nhat / inst.n * solution.lambda_star
-    p = np.asarray(solution.p_star, dtype=float).copy()
-    n = inst.n
+    xstar = np.full(inst.n, params.nhat / inst.n * solution.lambda_star)
+    p = np.asarray(solution.p_star, dtype=float)
+    zero = np.zeros(inst.n)
     if algorithm == "pd1":
-        return UndirectedState(p=p, z=np.stack([np.full(n, xstar), np.zeros(n)]))
+        return UndirectedState(np.stack([p, xstar, zero]))
     if algorithm not in DIRECTED_ALGORITHMS:
         raise InvalidInstanceError(f"no equilibrium construction for algorithm {algorithm!r}")
-    state = DirectedState(p=p, z=np.stack([np.full(n, xstar), np.ones(n), np.zeros(n)]), x=np.full(n, xstar))
+    state = DirectedState(np.stack([xstar, np.ones(inst.n), zero, p, xstar]))
     if algorithm == "directed":
         return state
     if graph is None:
@@ -239,24 +243,37 @@ def equilibrium_state(
     return _robust_start(graph, state) if algorithm == "robust" else _virtual_start(state, VirtualIndexMap(graph))
 
 
-def _check_finite(step: int, algorithm: str, families, p, z, x=None) -> None:
-    """One finiteness guard over p, the stack z and x; a failure names every non-finite field."""
-    if np.isfinite(p).all() and np.isfinite(z).all() and (x is None or np.isfinite(x).all()):
+def _check_finite(step: int, algorithm: str, names, nodes) -> None:
+    """One finiteness guard over all of a state's node rows; a failure names every non-finite row, p first."""
+    if np.isfinite(nodes).all():
         return
-    named = [("p", p), *zip(families, z), ("x", x)]
-    bad = [name for name, a in named if a is not None and not np.isfinite(a).all()]
+    bad = [name for name, row in zip(names, nodes) if not np.isfinite(row).all()]
+    bad.sort(key=lambda name: name != "p")
     raise DivergenceError(step, f"{algorithm}: {', '.join(bad)}")
 
 
-def _primal_step(inst: ProblemInstance, params: AlgorithmParams, s: float, p, feedback):
-    """Projected primal step clamp(p - s f'(p) + s xi feedback) on the real nodes."""
-    return inst.clamp(p - s * inst.cost.grad(p) + s * params.xi * feedback)
+def _check_positive(step: int, v: np.ndarray, what: str) -> None:
+    """Raise if some weight is <= 0. fmin skips NaNs, so this is (v <= 0).any() in one reduction."""
+    if np.fmin.reduce(v) <= 0.0:
+        raise InternalInvariantError(step, what)
 
 
-def _metropolis_mix(graph: NominalGraph, weights, z: np.ndarray) -> np.ndarray:
+def _primal_step(inst: ProblemInstance, params: AlgorithmParams, s: float, p, feedback, out) -> None:
+    """Projected primal step clamp(p - s f'(p) + s xi feedback) on the real nodes, into `out`.
+
+    Evaluated as (p - s*f'(p)) + (s*xi)*feedback: regrouping changes the
+    last bits of every trace.
+    """
+    np.subtract(p, s * inst.cost.grad(p), out=out)
+    out += s * params.xi * feedback
+    clip(out, inst.p_lo, inst.p_hi, out=out)
+
+
+def _metropolis_mix(graph: NominalGraph, weights, z: np.ndarray, out: np.ndarray) -> None:
     self_w, w = weights
     tails, bins, _ = graph.metropolis_arcs
-    return mix(self_w * z, bins, w * z.take(tails, axis=1))
+    np.multiply(z, self_w, out=out)
+    mix(out, bins, w * z.take(tails, axis=1))
 
 
 def pd2_step(
@@ -273,11 +290,14 @@ def pd2_step(
     stepsize to converge; with a constant one it stalls at a bias.
     """
     s = params.stepsize(k)
-    p_new = _primal_step(inst, params, s, state.p, state.z[0])
-    z_new = _metropolis_mix(graph, weights, state.z)
-    z_new[0] -= s * params.nhat * (state.p - inst.loads)
-    _check_finite(k + 1, "pd2", _PD_FAMILIES, p_new, z_new)
-    return UndirectedState(p=p_new, z=z_new)
+    nodes = state.nodes
+    nxt = np.empty(nodes.shape)
+    lam = nxt[1]
+    _primal_step(inst, params, s, nodes[0], nodes[1], nxt[0])
+    _metropolis_mix(graph, weights, nodes[1:], nxt[1:])
+    lam -= s * params.nhat * (nodes[0] - inst.loads)
+    _check_finite(k + 1, "pd2", _PD_ROWS, nxt)
+    return UndirectedState(nxt)
 
 
 def pd1_step(
@@ -290,13 +310,15 @@ def pd1_step(
 ) -> UndirectedState:
     """Gradient-tracking primal-dual step over the doubly stochastic Metropolis weights."""
     s = params.stepsize(k)
-    z = state.z
-    p_new = _primal_step(inst, params, s, state.p, z[0])
-    z_new = _metropolis_mix(graph, weights, z)
-    z_new[0] -= s * z[1]
-    z_new[1] += params.nhat * (p_new - state.p)
-    _check_finite(k + 1, "pd1", _PD_FAMILIES, p_new, z_new)
-    return UndirectedState(p=p_new, z=z_new)
+    nodes = state.nodes
+    nxt = np.empty(nodes.shape)
+    p, lam, y = nxt[0], nxt[1], nxt[2]
+    _primal_step(inst, params, s, nodes[0], nodes[1], p)
+    _metropolis_mix(graph, weights, nodes[1:], nxt[1:])
+    lam -= s * nodes[2]
+    y += params.nhat * (p - nodes[0])
+    _check_finite(k + 1, "pd1", _PD_ROWS, nxt)
+    return UndirectedState(nxt)
 
 
 def directed_pd_step(
@@ -318,17 +340,19 @@ def directed_pd_step(
     D, live = weights
     _, tails, bins = graph.arcs_by_head
     s = params.stepsize(k)
-    p_new = _primal_step(inst, params, s, state.p, state.x)
-    z = state.z.copy()
-    z[0] -= s * z[2]
-    share = z / D
-    z_new = mix(share, bins, share.take(tails, axis=1) * live)
-    z_new[2] += params.nhat * (p_new - state.p)
-    if np.any(z_new[1] <= 0.0):
-        raise InternalInvariantError(k + 1, "push-sum weight v lost positivity")
-    x_new = z_new[0] / z_new[1]
-    _check_finite(k + 1, "directed", _PUSH_FAMILIES, p_new, z_new, x_new)
-    return DirectedState(p=p_new, z=z_new, x=x_new)
+    nodes = state.nodes
+    nxt = np.empty(nodes.shape)
+    lam, v, y, p, x = nxt[0], nxt[1], nxt[2], nxt[3], nxt[4]
+    _primal_step(inst, params, s, nodes[3], nodes[4], p)
+    share = nxt[:3]  # each node's share of (lam - s*y, v, y), mixed in place
+    np.divide(nodes[0] - s * nodes[2], D, out=lam)
+    np.divide(nodes[1:3], D, out=share[1:])
+    mix(share, bins, share.take(tails, axis=1) * live)
+    y += params.nhat * (p - nodes[3])
+    _check_positive(k + 1, v, "push-sum weight v lost positivity")
+    np.divide(lam, v, out=x)
+    _check_finite(k + 1, "directed", _PUSH_ROWS, nxt)
+    return DirectedState(nxt)
 
 
 def robust_pd_step(
@@ -352,37 +376,36 @@ def robust_pd_step(
     s = params.stepsize(k)
     dplus = graph.out_degrees
     srcs = graph.srcs
-
-    p_new = _primal_step(inst, params, s, state.p, state.x)
+    nodes, arcs = state.nodes, state.arcs
+    nxt, arcs_nxt = np.empty(nodes.shape), np.empty(arcs.shape)
+    lam, v, y, p, x = nxt[0], nxt[1], nxt[2], nxt[3], nxt[4]
+    z, sums = nxt[:3], nxt[5:]
+    _primal_step(inst, params, s, nodes[3], nodes[4], p)
 
     # Mirror advances in increment form: gamma*(sum - mirror) equals
     # (1-gamma)*mirror + gamma*sum exactly, but the subtraction of the two
     # nearby running quantities is exact in floating point, so the node
     # updates are free of the large-magnitude rounding the running sums
     # would otherwise inject.
-    d = np.where(active, params.gamma * (state.sums.take(srcs, axis=1) - state.mirror), 0.0)
-    shares = state.z / dplus
-    arcs = d.copy()
-    arcs[0] -= s * d[2]
-    z_new = mix(shares, graph.arc_bins, arcs)
-    z_new[0] -= s * shares[2]
-    z_new[2] += params.nhat * (p_new - state.p)
-    if np.any(z_new[1] <= 0.0):
-        raise InternalInvariantError(k + 1, "push-sum weight v hit zero")
-    x_new = z_new[0] / z_new[1]
-    _check_finite(k + 1, "robust", _PUSH_FAMILIES, p_new, z_new, x_new)
-
+    d = np.where(active, params.gamma * (nodes[5:].take(srcs, axis=1) - arcs[:3]), 0.0)
+    np.add(arcs[:3], d, out=arcs_nxt[:3])
+    shares = np.divide(nodes[:3], dplus, out=z)  # mixed in place below
     # In-flight sidecar: every step an arc absorbs its source's share and
     # releases exactly the delivered mirror difference, so the augmented
     # conservation sums telescope without touching the large running sums.
-    return RobustState(
-        p=p_new,
-        z=z_new,
-        x=x_new,
-        mirror=state.mirror + d,
-        sums=state.sums + z_new / dplus,
-        virt=state.virt + shares.take(srcs, axis=1) - d,
-    )
+    virt = np.add(arcs[3:], shares.take(srcs, axis=1), out=arcs_nxt[3:])
+    virt -= d
+    own_y = s * shares[2]
+    np.subtract(d[0], s * d[2], out=d[0])  # lam arrives together with -s times y
+    mix(z, graph.arc_bins, d)
+    lam -= own_y
+    y += params.nhat * (p - nodes[3])
+    _check_positive(k + 1, v, "push-sum weight v hit zero")
+    np.divide(lam, v, out=x)
+    np.divide(z, dplus, out=sums)
+    sums += nodes[5:]
+    _check_finite(k + 1, "robust", _ROBUST_ROWS, nxt)
+    return RobustState(nxt, arcs_nxt)
 
 
 def virtual_domain_step(
@@ -403,33 +426,35 @@ def virtual_domain_step(
     its held value plus the incoming share and retains the complement (the
     retained part is computed as inflow minus the released product, so the
     masses cancel exactly). Real-node coordinates match `robust_pd_step`
-    step by step, and the result equals applying `augmented_push_matrix`
+    step by step, and the result equals applying the augmented push matrix
     to (lam - s*y on real rows, v, y) up to roundoff. `weights` is the
     step's active mask, as a 1-tuple.
     """
     (active,) = weights
     n = inst.n
     s = params.stepsize(k)
-    z = state.z
+    nodes = state.nodes
+    nxt = np.empty(nodes.shape)
+    real, held = nxt[:3, :n], nxt[:3, n:]
+    lam, v, p, x = nxt[0], nxt[1], nxt[3], nxt[4]
+    p[n:] = nodes[3, n:]
+    _primal_step(inst, params, s, nodes[3, :n], nodes[4, :n], p[:n])
 
-    p_new = state.p.copy()
-    p_new[:n] = _primal_step(inst, params, s, state.p[:n], state.x[:n])
-
-    share = z[:, :n] / graph.out_degrees
-    inflow = z[:, n:] + share.take(graph.srcs, axis=1)
+    share = np.divide(nodes[:3, :n], graph.out_degrees, out=real)  # mixed in place below
+    inflow = np.add(nodes[:3, n:], share.take(graph.srcs, axis=1), out=held)
     released = np.where(active, params.gamma * inflow, 0.0)
-    arcs = released.copy()
-    arcs[0] -= s * released[2]
+    held -= released
     # real rows mix (lam - s*y); virtual rows carry lam and y separately
-    real = mix(share, graph.arc_bins, arcs)
-    real[0] -= s * share[2]
-    real[2] += params.nhat * (p_new[:n] - state.p[:n])
-    z_new = np.concatenate([real, inflow - released], axis=1)
-    if np.any(z_new[1] <= 0.0):
-        raise InternalInvariantError(k + 1, "augmented push-sum weight hit zero")
-    x_new = z_new[0] / z_new[1]
-    _check_finite(k + 1, "virtual", _PUSH_FAMILIES, p_new, z_new, x_new)
-    return VirtualState(p=p_new, z=z_new, x=x_new)
+    own_y = s * share[2]
+    np.subtract(released[0], s * released[2], out=released[0])
+    mix(real, graph.arc_bins, released)
+    real_lam, real_y = lam[:n], real[2]
+    real_lam -= own_y
+    real_y += params.nhat * (p[:n] - nodes[3, :n])
+    _check_positive(k + 1, v, "augmented push-sum weight hit zero")
+    np.divide(lam, v, out=x)
+    _check_finite(k + 1, "virtual", _PUSH_ROWS, nxt)
+    return VirtualState(nxt)
 
 
 def _mask_table(graph: NominalGraph, masks: np.ndarray) -> tuple[np.ndarray]:
@@ -469,24 +494,29 @@ def _augmented_stochasticity(graph: NominalGraph, table, params) -> np.ndarray:
 class _Spec:
     """What the run driver needs to know about one algorithm.
 
-    Fields are named by (state field, row) references, row None for a
-    whole field. ``consensus`` is the trace's multiplier estimates. ``y``
-    and ``v`` are the fields whose totals make the tracked imbalance and
-    the push-sum mass (the first of each is the one recorded); empty means
-    the algorithm carries no such quantity. ``weights`` maps (graph, masks)
-    to the weight table of a (rows, m) block of masks, a tuple of arrays
-    whose row r the step of the block's row r takes. ``stochasticity`` maps
-    (graph, table, params) to the residual of each step's mixing weights,
-    or is None when the weights are not formed.
+    The trace records node rows ``rows`` of each state, as the series
+    named in ``series`` (row for row), with one copy per step; "consensus"
+    is the multiplier estimates. ``buffered`` is (state field, rows) of the
+    rows a block buffer copies beside the trace, or None. ``y`` and ``v``
+    say where the totals of the tracked imbalance and the push-sum mass
+    are read: a trace series by name or a row of the block buffer by
+    number; empty means the algorithm carries no such quantity.
+    ``weights`` maps (graph, masks) to the weight table of a (rows, m)
+    block of masks, a tuple of arrays whose row r the step of the block's
+    row r takes. ``stochasticity`` maps (graph, table, params) to the
+    residual of each step's mixing weights, or is None when the weights
+    are not formed.
     """
 
     state: type
     init: Callable
     step: Callable
     weights: Callable
-    consensus: tuple
-    y: tuple[tuple, ...]
-    v: tuple[tuple, ...]
+    rows: slice
+    series: tuple[str, ...]
+    buffered: tuple[str, slice] | None
+    y: tuple
+    v: tuple
     stochasticity: Callable | None
 
 
@@ -494,37 +524,38 @@ def _specs() -> dict[str, _Spec]:
     # Built per run, so the step functions and table builders are looked
     # up when the run starts: a profiler or tracer that wraps them in place
     # sees the calls.
-    push = {"consensus": ("x", None), "y": (("z", 2),), "v": (("z", 1),)}
+    push = {"rows": slice(1, 5), "series": ("v", "y", "p", "consensus")}
     return {
         "pd1": _Spec(
             UndirectedState,
             lambda inst, graph, params: init_undirected(inst, params),
-            pd1_step, metropolis_table, consensus=("z", 0), y=(("z", 1),), v=(),
+            pd1_step, metropolis_table, slice(0, 3), ("p", "consensus", "y"), None, y=("y",), v=(),
             stochasticity=_metropolis_stochasticity,
         ),
         "pd2": _Spec(
             UndirectedState,
             lambda inst, graph, params: init_undirected(inst, params, tracker=False),
-            pd2_step, metropolis_table, consensus=("z", 0), y=(), v=(),
+            pd2_step, metropolis_table, slice(0, 2), ("p", "consensus"), None, y=(), v=(),
             stochasticity=_metropolis_stochasticity,
         ),
         "directed": _Spec(
             DirectedState,
             lambda inst, graph, params: init_directed(inst, params),
-            directed_pd_step, push_table, **push,
+            directed_pd_step, push_table, **push, buffered=None, y=("y",), v=("v",),
             stochasticity=_push_stochasticity,
         ),
         "robust": _Spec(
             RobustState,
             init_robust,
-            robust_pd_step, _mask_table, consensus=("x", None),
-            y=(("z", 2), ("virt", 2)), v=(("z", 1), ("virt", 1)),
+            robust_pd_step, _mask_table, **push,
+            buffered=("arcs", slice(4, 6)), y=("y", 1), v=("v", 0),  # in-flight v and y
             stochasticity=None,
         ),
         "virtual": _Spec(
             VirtualState,
             lambda inst, graph, params: init_virtual(inst, VirtualIndexMap(graph), params),
             virtual_domain_step, _mask_table, **push,
+            buffered=("nodes", slice(1, 3)), y=(1,), v=(0,),  # v and y over all N nodes
             stochasticity=_augmented_stochasticity,
         ),
     }
@@ -547,12 +578,6 @@ def step_weights(algorithm: str, graph: NominalGraph, active) -> tuple:
     return tuple(a[0] for a in table)
 
 
-def _index(ref, stop=None):
-    """(field, index) of a (field, row) view, cut to its first `stop` entries."""
-    field, row = ref
-    return field, slice(stop) if row is None else (row, slice(stop))
-
-
 def _checked_init(algorithm: str, spec: _Spec, init, inst, graph, params):
     """`init` if it has the algorithm's state type and every array its shape."""
     if type(init) is not spec.state:
@@ -561,12 +586,10 @@ def _checked_init(algorithm: str, spec: _Spec, init, inst, graph, params):
         )
     reference = spec.init(inst, graph, params)
     for f in fields(reference):
-        want = getattr(reference, f.name)
+        want = getattr(reference, f.name).shape
         got = np.shape(getattr(init, f.name))
-        if got != want.shape:
-            if want.ndim == 1:
-                raise DimensionMismatchError(f"init.{f.name}", want.shape[0], got[0] if got else 0)
-            raise DimensionMismatchError(f"init.{f.name}", want.shape, got)
+        if got != want:
+            raise DimensionMismatchError(f"init.{f.name}", want, got)
     return init
 
 
@@ -608,37 +631,29 @@ def run(
         state = _checked_init(algorithm, spec, init, inst, graph, params)
 
     n, nhat = inst.n, params.nhat
-    recorded = {"p": ("p", None), "consensus": spec.consensus}  # trace field -> state view
     keys = ["imbalance", "consensus_spread"]
     if spec.stochasticity is not None:
         keys.append("stochasticity")
     if spec.y:
-        recorded["y"] = spec.y[0]
         keys.append("conservation")
     if spec.v:
-        recorded["v"] = spec.v[0]
         keys += ["mass", "min_v"]
-    series = {name: np.empty((K + 1, n)) for name in recorded}
+    # One (K + 1, series, n) block holds every series; row k is one copy of state k's traced rows.
+    trace_rows = np.empty((K + 1, len(spec.series), n))
+    traced = (spec.rows, slice(n))
+    series = {name: trace_rows[:, i] for i, name in enumerate(spec.series)}
     residuals = {key: np.empty(K + 1) for key in keys}
-    columns = [(series[name], *_index(ref, n)) for name, ref in recorded.items()]
     stochasticity = residuals.get("stochasticity")
     rows = max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
-
-    # A total reads its view's trace rows when the trace holds the whole
-    # view, else a block buffer that the step loop fills beside the trace.
-    traced = {ref: series[name] for name, ref in recorded.items()}
-    buffers = {}
-    for ref in spec.y + spec.v:
-        field, index = _index(ref)
-        width = getattr(state, field)[index].shape[0]
-        if ref not in traced or width != n:
-            buffers[ref] = (np.empty((rows, width)), field, index)
+    if spec.buffered is not None:
+        buffered_field, buffered_rows = spec.buffered
+        buffer = np.empty((rows, *getattr(state, buffered_field)[buffered_rows].shape))
 
     def block_residuals(lo: int, hi: int) -> None:
         """The residual rows lo..hi-1 from the recorded rows, by row-wise reductions."""
 
         def block(ref):
-            return buffers[ref][0][: hi - lo] if ref in buffers else traced[ref][lo:hi]
+            return buffer[: hi - lo, ref] if isinstance(ref, int) else series[ref][lo:hi]
 
         imb = (series["p"][lo:hi] - inst.loads).sum(axis=1)
         c = series["consensus"][lo:hi]
@@ -657,6 +672,7 @@ def run(
                 low = np.where(other < low, other, low)
             residuals["min_v"][lo:hi] = low
 
+    step = spec.step
     masks = schedule.masks[:K]
     if stochasticity is not None:
         stochasticity[0] = 0.0
@@ -670,11 +686,10 @@ def run(
             step_rows = list(zip(*table))
         for k in range(lo, hi):
             if k:
-                state = spec.step(state, inst, graph, step_rows[k - first], params, k - 1)
-            for column, field, index in columns:
-                column[k] = getattr(state, field)[index]
-            for buffer, field, index in buffers.values():
-                buffer[k - lo] = getattr(state, field)[index]
+                state = step(state, inst, graph, step_rows[k - first], params, k - 1)
+            trace_rows[k] = state.nodes[traced]
+            if spec.buffered is not None:
+                buffer[k - lo] = getattr(state, buffered_field)[buffered_rows]
         block_residuals(lo, hi)
 
     warnings = params.configuration_warnings(n)

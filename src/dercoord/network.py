@@ -45,8 +45,6 @@ the step needs:
   weight >= tau = min(gamma, 1-gamma)/n.
 
 `column_residual` gives each mixing's stochasticity from the same table.
-The dense `metropolis_weights`, `push_matrix` and `augmented_push_matrix`
-are reference constructions for tests.
 """
 
 from __future__ import annotations
@@ -263,14 +261,15 @@ def offset_bins(heads: np.ndarray, rows: int, n: int) -> np.ndarray:
 
 
 def mix(own: np.ndarray, bins: np.ndarray, arc_values: np.ndarray) -> np.ndarray:
-    """One mixing step of a (F, n) stack of fields over an edge list, in O(F (n + m)).
+    """One mixing step of a (F, n) stack of fields over an edge list, in place, in O(F (n + m)).
 
-    Field f of node i ends with own[f, i] plus every arc_values[f, e] whose
-    bin is f*n + i, the arcs of each node summed in the order given.
-    `bins` are heads offset per field (`offset_bins`), for F or more fields.
+    Field f of node i ends with own[f, i] plus the sum of every
+    arc_values[f, e] whose bin is f*n + i, the arcs of each node summed in
+    the order given; `own` is updated and returned. `bins` are heads
+    offset per field (`offset_bins`), for F or more fields.
     """
-    sums = np.bincount(bins[: arc_values.size], weights=arc_values.ravel(), minlength=own.size)
-    return sums.reshape(own.shape) + own
+    own += np.bincount(bins[: arc_values.size], weights=arc_values.ravel(), minlength=own.size).reshape(own.shape)
+    return own
 
 
 def row_bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -293,7 +292,7 @@ def metropolis_table(nominal: NominalGraph, masks: np.ndarray) -> tuple[np.ndarr
 
     Returns (self weights (rows, n), arc weights (rows, 2m)) over both
     directions of every nominal edge (`metropolis_arcs`), inactive ones
-    weighing 0; `metropolis_weights` is the dense reference.
+    weighing 0.
     """
     tails, _, w = nominal.metropolis_arcs
     w = w * np.concatenate([masks, masks], axis=1)  # inactive edges weigh 0
@@ -304,44 +303,13 @@ def push_table(nominal: NominalGraph, masks: np.ndarray) -> tuple[np.ndarray, np
     """Instantaneous out-degrees and live arcs of a (rows, m) block of steps, in O(rows (n + m)).
 
     Returns (D (rows, n), live (rows, m)) with D_j = |active out-arcs of j| + 1
-    and live 1.0 or 0.0 per arc in `arcs_by_head` order; `push_matrix` is
-    the dense reference.
+    and live 1.0 or 0.0 per arc in `arcs_by_head` order.
     """
     if not nominal.directed:
         raise InvalidGraphError("push matrices require a directed graph")
     order, tails, _ = nominal.arcs_by_head
     live = masks[:, order].astype(float)
     return 1.0 + row_bincount(tails, live, nominal.n), live
-
-
-def metropolis_weights(nominal: NominalGraph, active: np.ndarray) -> np.ndarray:
-    """Dense reference: symmetric doubly stochastic weights on the active edges."""
-    if nominal.directed:
-        raise InvalidGraphError("Metropolis weights require an undirected graph")
-    n = nominal.n
-    W = np.zeros((n, n))
-    if nominal.m:
-        d = nominal.degrees
-        srcs, dsts = nominal.srcs[active], nominal.dsts[active]
-        w = 1.0 / np.maximum(d[srcs], d[dsts])
-        W[srcs, dsts] = w
-        W[dsts, srcs] = w
-    W[np.diag_indices(n)] = 1.0 - W.sum(axis=1)
-    return W
-
-
-def push_matrix(nominal: NominalGraph, active: np.ndarray) -> np.ndarray:
-    """Dense reference: column-stochastic push matrix from instantaneous out-degrees."""
-    if not nominal.directed:
-        raise InvalidGraphError("push matrices require a directed graph")
-    n = nominal.n
-    D = np.ones(n)
-    srcs, dsts = nominal.srcs[active], nominal.dsts[active]
-    np.add.at(D, srcs, 1.0)
-    P = np.zeros((n, n))
-    P[np.diag_indices(n)] = 1.0 / D
-    P[dsts, srcs] = 1.0 / D[srcs]
-    return P
 
 
 @dataclass(frozen=True)
@@ -374,45 +342,6 @@ class VirtualIndexMap:
         if not (0 <= pos < self.nominal.m):
             raise InvalidGraphError(f"{node} is not a virtual node index")
         return self.nominal.edges[pos]
-
-
-def augmented_push_matrix(
-    nominal: NominalGraph,
-    active: np.ndarray,
-    gamma: float,
-    vmap: VirtualIndexMap | None = None,
-) -> np.ndarray:
-    """Dense reference: column-stochastic mixing over real plus virtual nodes.
-
-    Uses only nominal out-degrees. An active arc (j, i) routes gamma/d_j
-    of node j's share to i and (1-gamma)/d_j to the arc's virtual node,
-    which also retains (1-gamma) of its own mass and releases gamma to i;
-    an inactive arc diverts the full 1/d_j share to the virtual node, which
-    keeps everything. Every nonzero entry is >= min(gamma, 1-gamma)/n.
-    """
-    if vmap is None:
-        vmap = VirtualIndexMap(nominal)
-    if not (0.0 < gamma < 1.0):
-        raise InvalidGraphError("gamma must lie in (0, 1)")
-    n, m = nominal.n, nominal.m
-    N = n + m
-    dplus = nominal.out_degrees
-    P = np.zeros((N, N))
-    P[np.arange(n), np.arange(n)] = 1.0 / dplus
-    if m == 0:
-        return P
-    srcs, dsts = nominal.srcs, nominal.dsts
-    virt = n + np.arange(m)
-    share = 1.0 / dplus[srcs]
-    act = np.asarray(active, dtype=bool)
-    ina = ~act
-    P[dsts[act], srcs[act]] = gamma * share[act]
-    P[virt[act], srcs[act]] = (1.0 - gamma) * share[act]
-    P[dsts[act], virt[act]] = gamma
-    P[virt[act], virt[act]] = 1.0 - gamma
-    P[virt[ina], srcs[ina]] = share[ina]
-    P[virt[ina], virt[ina]] = 1.0
-    return P
 
 
 def _reaches_all(n: int, tails: list[int], heads: list[int]) -> bool:

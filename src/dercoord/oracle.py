@@ -55,7 +55,7 @@ def clamped_best_response(inst: ProblemInstance, scale: float, lam) -> np.ndarra
     t = scale * lam
     cost = inst.cost
     if isinstance(cost, QuadraticCost):
-        raw = (t[..., None] - cost.b) / (2.0 * cost.a) if lam.ndim else cost.grad_inverse(t)
+        raw = (t[..., None] - cost.b) / cost.twice_a if lam.ndim else cost.grad_inverse(t)
         return inst.clamp(raw)
     if lam.ndim:
         return np.stack([clamped_best_response(inst, scale, float(x)) for x in lam])

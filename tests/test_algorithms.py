@@ -15,9 +15,10 @@ from dercoord.algorithms import (
     init_undirected,
     init_virtual,
 )
-from dercoord.errors import DimensionMismatchError, DivergenceError, ModeMismatchError
+from dercoord.errors import DimensionMismatchError, DivergenceError, InternalInvariantError, ModeMismatchError
 from dercoord.metrics import BUDGETS
-from dercoord.network import VirtualIndexMap, push_matrix
+from dercoord.network import VirtualIndexMap
+from reference import augmented_push_matrix, push_matrix, reference_run, stepwise_stochasticity
 
 
 def live(algorithm, g, active):
@@ -95,7 +96,7 @@ class TestUndirectedSteps:
 
     def test_divergence_guard(self, small_instance):
         params = params_for(3)
-        bad = dc.UndirectedState(p=np.array([0.0, np.nan, 0.0]), z=np.zeros((2, 3)))
+        bad = dc.UndirectedState(np.stack([[0.0, np.nan, 0.0], np.zeros(3), np.zeros(3)]))  # p, lam, y
         g = ring(3, False)
         with pytest.raises(DivergenceError):
             dc.pd1_step(bad, small_instance, g, live("pd1", g, np.ones(3, bool)), params, 4)
@@ -164,9 +165,8 @@ class TestRobustSteps:
         params = params_for(2, gamma=0.9)
         state = init_robust(inst, g, params)
         # craft: node 0's broadcast running sum is 1.0, mirror still 0
-        sums = state.sums.copy()
-        sums[0] = [1.0, 0.0]  # the lam row
-        state = replace(state, sums=sums)
+        state = replace(state, nodes=state.nodes.copy())
+        state.sums[0] = [1.0, 0.0]  # the lam row
         active = np.array([True, False])  # only arc (0, 1) delivers
         new = dc.robust_pd_step(state, inst, g, live("robust", g, active), params, 0)
         l01 = 0  # position of arc (0, 1) in the edge list
@@ -232,7 +232,7 @@ class TestVirtualDomain:
         n = 3
         for k in range(30):
             act = sched.active_mask(k)
-            P = dc.augmented_push_matrix(g, act, params.gamma, vmap)
+            P = augmented_push_matrix(g, act, params.gamma, vmap)
             s = params.stepsize(k)
             lam_ref = P @ state.lam
             Py = P @ state.y
@@ -286,19 +286,19 @@ class TestRun:
         params = params_for(3)
         sched = dc.GraphSchedule(ring(3, False), 0.2, 1, 100)
         state = init_undirected(small_instance, params)
-        with pytest.raises(DimensionMismatchError, match=r"init\.z: expected shape \(2, 3\), got \(2, 4\)"):
-            dc.run("pd1", small_instance, sched, params, init=replace(state, z=np.zeros((2, 4))))
-        with pytest.raises(DimensionMismatchError, match=r"init\.p: expected length 3, got 4"):
-            dc.run("pd1", small_instance, sched, params, init=replace(state, p=np.zeros(4)))
+        with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(3, 3\), got \(3, 4\)"):
+            dc.run("pd1", small_instance, sched, params, init=replace(state, nodes=np.zeros((3, 4))))
+        with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(3, 3\), got \(2, 3\)"):
+            dc.run("pd1", small_instance, sched, params, init=replace(state, nodes=np.zeros((2, 3))))
         g = ring(3, True)
         robust = init_robust(small_instance, g, params)
-        with pytest.raises(DimensionMismatchError, match=r"init\.mirror: expected shape \(3, 3\), got \(3, 2\)"):
+        with pytest.raises(DimensionMismatchError, match=r"init\.arcs: expected shape \(6, 3\), got \(6, 2\)"):
             dc.run("robust", small_instance, dc.GraphSchedule(g, 0.2, 1, 100), params,
-                   init=replace(robust, mirror=np.zeros((3, 2))))
+                   init=replace(robust, arcs=np.zeros((6, 2))))
         twin = init_virtual(small_instance, VirtualIndexMap(g), params)
-        with pytest.raises(DimensionMismatchError, match=r"init\.z: expected shape \(3, 6\), got \(3, 3\)"):
+        with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(5, 6\), got \(5, 3\)"):
             dc.run("virtual", small_instance, dc.GraphSchedule(g, 0.2, 1, 100), params,
-                   init=replace(twin, z=np.zeros((3, 3))))
+                   init=replace(twin, nodes=np.zeros((5, 3))))
 
     def test_repeat_runs_identical(self, small_instance):
         g = ring(3, True)
@@ -399,31 +399,6 @@ class TestRun:
         lam = x_bar * small_instance.n / params.nhat
         res = dc.kkt_residual(small_instance, trace.p[-1], lam, params.xi, params.nhat)
         assert res <= 1e-6
-
-
-def stepwise_stochasticity(algorithm, g, active, gamma):
-    """One step's residual from its edge weights, formed from the mask alone."""
-    n = g.n
-    if algorithm == "pd1":
-        # Metropolis: both directions of each active edge weigh 1/max(d_i, d_j).
-        d = g.degrees
-        tails = np.concatenate([g.srcs, g.dsts])
-        w = np.tile(active / np.maximum(d[g.srcs], d[g.dsts]), 2)
-        sums = np.bincount(tails, weights=w, minlength=n) + (1.0 - np.bincount(tails, weights=w, minlength=n))
-    elif algorithm == "directed":
-        # Push-sum over the live arcs, summed per tail in (head, tail) order.
-        order = np.lexsort((g.srcs, g.dsts))
-        tails = g.srcs[order][active[order]]
-        D = 1.0 + np.bincount(tails, minlength=n)
-        sums = np.bincount(tails, weights=1.0 / D[tails], minlength=n) + 1.0 / D
-    else:
-        share = 1.0 / g.out_degrees
-        arc_share = share[g.srcs]
-        gg = np.where(active, gamma, 0.0)
-        tails = np.concatenate([g.srcs, g.srcs, n + np.arange(g.m)])
-        w = np.concatenate([gg * arc_share, (1.0 - gg) * arc_share, gg])
-        sums = np.bincount(tails, weights=w, minlength=n + g.m) + np.concatenate([share, 1.0 - gg])
-    return float(np.abs(sums - 1.0).max())
 
 
 def block_rows(g):
@@ -676,20 +651,99 @@ class TestRunProperties:
 class TestDivergenceNames:
     """A `DivergenceError` names its step and every non-finite field."""
 
-    @pytest.mark.parametrize("algorithm, graph, named", [
-        ("pd1", ring(3, False), "pd1: lam, y"),
-        ("robust", ring(3, True), "robust: lam, y, x"),
+    @pytest.mark.parametrize("algorithm, named", [
+        ("pd1", "pd1: lam, y"),
+        ("pd2", "pd2: lam"),
+        ("directed", "directed: lam, y, x"),
+        ("robust", "robust: lam, y, x, sums.lam, sums.y"),
+        ("virtual", "virtual: lam, y, x"),
     ])
-    def test_inf_in_y_names_step_and_fields(self, small_instance, algorithm, graph, named):
+    def test_inf_in_y_names_step_and_fields(self, small_instance, algorithm, named):
+        graph = ring(3, algorithm not in ("pd1", "pd2"))
         params = params_for(3, horizon=10)
         start = standard_start(algorithm, small_instance, graph, params)
-        z = start.z.copy()
-        z[-1, 0] = np.inf  # y is the last row of both stacks
+        start = replace(start, nodes=start.nodes.copy())
+        (start.lam if algorithm == "pd2" else start.y)[0] = np.inf  # pd2 carries no tracker
         no_warning = np.errstate(invalid="ignore")  # inactive arcs weigh 0 * inf
         with no_warning, pytest.raises(DivergenceError, match=rf"^non-finite iterate at step 1 \({named}\)$") as err:
-            dc.run(algorithm, small_instance, dc.GraphSchedule(graph, 0.2, 1, 10), params,
-                   init=replace(start, z=z))
+            dc.run(algorithm, small_instance, dc.GraphSchedule(graph, 0.2, 1, 10), params, init=start)
         assert err.value.step == 1
+
+    @pytest.mark.parametrize("algorithm", ["directed", "robust", "virtual"])
+    def test_overflow_in_x_alone_names_x(self, small_instance, algorithm):
+        # lam and v stay finite and v positive, but lam / v overflows: the one
+        # guard over the whole state sees x, and names x alone.
+        graph = ring(3, True)
+        params = params_for(3, horizon=10)
+        start = standard_start(algorithm, small_instance, graph, params)
+        start = replace(start, nodes=start.nodes.copy())
+        start.lam[:3] = 1e10
+        start.v[:3] = 1e-300
+        if algorithm == "robust":
+            start.sums[:] = start.z / graph.out_degrees  # running sums through step 0
+        with np.errstate(over="ignore"), pytest.raises(
+            DivergenceError, match=rf"^non-finite iterate at step 1 \({algorithm}: x\)$"
+        ):
+            dc.run(algorithm, small_instance, dc.GraphSchedule(graph, 0.2, 1, 10), params, init=start)
+
+    @pytest.mark.parametrize("algorithm, what", [
+        ("directed", "push-sum weight v lost positivity"),
+        ("robust", "push-sum weight v hit zero"),
+        ("virtual", "augmented push-sum weight hit zero"),
+    ])
+    def test_positivity_guard_names_its_step(self, small_instance, algorithm, what):
+        graph = ring(3, True)
+        params = params_for(3, horizon=10)
+        start = standard_start(algorithm, small_instance, graph, params)
+        start = replace(start, nodes=start.nodes.copy())
+        start.v[:] = 0.0
+        if algorithm == "robust":
+            start.sums[:] = start.z / graph.out_degrees
+        with pytest.raises(InternalInvariantError, match=rf"at step 1: {what}$") as err:
+            dc.run(algorithm, small_instance, dc.GraphSchedule(graph, 0.2, 1, 10), params, init=start)
+        assert err.value.step == 1
+        with pytest.raises(InternalInvariantError) as err:
+            STEPS[algorithm](start, small_instance, graph, live(algorithm, graph, np.ones(3, bool)), params, 6)
+        assert err.value.step == 7
+
+
+def bit_equal(a, b):
+    """Same shape, same values and same sign bits (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestBitIdentity:
+    """`run` reproduces the per-field, allocating iterations of `reference_run` bit for bit."""
+
+    @given(
+        algorithm=st.sampled_from(dc.ALGORITHMS),
+        n=st.integers(1, 12),
+        extra=st.integers(0, 10),
+        seed=st.integers(0, 2**32),
+        q=st.floats(0.0, 0.95),
+        gamma=st.floats(0.01, 0.99),
+        step=st.one_of(
+            st.builds(dc.ConstantStep, st.floats(0.001, 0.1)),
+            st.builds(lambda s, b: dc.DiminishingStep(s * b, b), st.floats(0.001, 0.1), st.floats(1.0, 200.0)),
+        ),
+        K=st.integers(0, 200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_run_equals_reference_stepping(self, algorithm, n, extra, seed, q, gamma, step, K):
+        directed = algorithm not in ("pd1", "pd2")
+        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed)
+        inst = dc.generate_instance(dc.InstanceSpec(n=n), seed)
+        params = dc.AlgorithmParams(step=step, xi=0.5, nhat=float(n), gamma=gamma, horizon=K)
+        sched = dc.GraphSchedule(g, q, seed, K)
+        trace = dc.run(algorithm, inst, sched, params)
+        arrays, residuals = reference_run(algorithm, inst, sched, params)
+        got = {name: getattr(trace, name) for name in ("p", "consensus", "y", "v")}
+        assert {name for name, a in got.items() if a is not None} == set(arrays)
+        assert set(trace.residuals) == set(residuals)
+        for name, want in arrays.items():
+            assert bit_equal(got[name], want), name
+        for key, want in residuals.items():
+            assert bit_equal(trace.residuals[key], want), key
 
 
 class TestWeightTables:

@@ -28,6 +28,7 @@ from dercoord.network import (
     union_connected,
     windows_connected,
 )
+from reference import augmented_push_matrix, metropolis_weights, push_matrix
 
 
 def random_connected_graph(rng, n, directed, extra=3):
@@ -210,19 +211,19 @@ class TestSchedule:
 class TestMetropolisWeights:
     def test_symmetric_pair(self):
         g = dc.NominalGraph(2, [(0, 1)], False)
-        W = dc.metropolis_weights(g, np.array([True]))
+        W = metropolis_weights(g, np.array([True]))
         np.testing.assert_allclose(W, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_weight_uses_max_nominal_degree(self):
         # star around 0 plus a path keeps degrees unequal: d0=4, d1=3
         g = dc.NominalGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)], False)
-        W = dc.metropolis_weights(g, np.ones(4, dtype=bool))
+        W = metropolis_weights(g, np.ones(4, dtype=bool))
         assert W[0, 1] == pytest.approx(1.0 / 4.0)
         assert W[1, 2] == pytest.approx(1.0 / 3.0)
 
     def test_no_active_edges_gives_identity(self):
         g = dc.NominalGraph(3, [(0, 1), (1, 2)], False)
-        W = dc.metropolis_weights(g, np.zeros(2, dtype=bool))
+        W = metropolis_weights(g, np.zeros(2, dtype=bool))
         np.testing.assert_array_equal(W, np.eye(3))
 
     @given(n=st.integers(3, 12), seed=st.integers(0, 10_000), q=st.floats(0.0, 0.9))
@@ -230,7 +231,7 @@ class TestMetropolisWeights:
     def test_stochasticity_and_diagonal_floor(self, n, seed, q):
         g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=3, directed=False), seed)
         sched = dc.GraphSchedule(g, q, seed, 2)
-        W = dc.metropolis_weights(g, sched.active_mask(0))
+        W = metropolis_weights(g, sched.active_mask(0))
         np.testing.assert_allclose(W, W.T, atol=0)
         np.testing.assert_allclose(W.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-12)
@@ -241,18 +242,18 @@ class TestMetropolisWeights:
 class TestPushMatrix:
     def test_single_out_arc_splits_in_half(self):
         g = dc.NominalGraph(2, [(0, 1), (1, 0)], True)
-        P = dc.push_matrix(g, np.array([True, False]))
+        P = push_matrix(g, np.array([True, False]))
         assert P[0, 0] == pytest.approx(0.5)
         assert P[1, 0] == pytest.approx(0.5)
         assert P[1, 1] == pytest.approx(1.0)
 
     def test_no_active_arcs_gives_identity(self):
         g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0)], True)
-        np.testing.assert_array_equal(dc.push_matrix(g, np.zeros(3, bool)), np.eye(3))
+        np.testing.assert_array_equal(push_matrix(g, np.zeros(3, bool)), np.eye(3))
 
     def test_three_ring_fully_active(self):
         g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0)], True)
-        P = dc.push_matrix(g, np.ones(3, bool))
+        P = push_matrix(g, np.ones(3, bool))
         np.testing.assert_allclose(P.sum(axis=0), 1.0, atol=1e-15)
         for j in range(3):
             col = P[:, j]
@@ -265,7 +266,7 @@ class TestAugmentedPushMatrix:
 
     def test_active_arc_splits_gamma(self):
         g = self.graph()
-        P = dc.augmented_push_matrix(g, np.array([True, False]), 0.9)
+        P = augmented_push_matrix(g, np.array([True, False]), 0.9)
         vmap = dc.VirtualIndexMap(g)
         l01 = vmap.index(0, 1)
         assert P[0, 0] == pytest.approx(0.5)  # real self 1/d
@@ -277,7 +278,7 @@ class TestAugmentedPushMatrix:
 
     def test_inactive_arc_diverts_to_virtual(self):
         g = self.graph()
-        P = dc.augmented_push_matrix(g, np.array([False, False]), 0.9)
+        P = augmented_push_matrix(g, np.array([False, False]), 0.9)
         vmap = dc.VirtualIndexMap(g)
         l01 = vmap.index(0, 1)
         assert P[0, 0] == pytest.approx(0.5)
@@ -290,7 +291,7 @@ class TestAugmentedPushMatrix:
     def test_columns_stochastic_and_entry_floor(self, n, seed, gamma, q):
         g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=2, directed=True), seed)
         sched = dc.GraphSchedule(g, q, seed, 2)
-        P = dc.augmented_push_matrix(g, sched.active_mask(0), gamma)
+        P = augmented_push_matrix(g, sched.active_mask(0), gamma)
         np.testing.assert_allclose(P.sum(axis=0), 1.0, atol=1e-12)
         tau = min(gamma, 1 - gamma) / n
         nz = P[P > 0]
@@ -332,7 +333,7 @@ class TestEdgeListMixing:
         params = dc.AlgorithmParams(step=dc.ConstantStep(0.1), gamma=gamma)
         if not directed:
             z = rng.normal(size=(2, n))  # a two-field stack mixes each row by W
-            W = dc.metropolis_weights(g, active)
+            W = metropolis_weights(g, active)
             self_w, w = dc.step_weights("pd1", g, active)
             tails, bins, _ = g.metropolis_arcs
             mixed = mix(self_w * z, bins, w * z[:, tails])
@@ -344,17 +345,15 @@ class TestEdgeListMixing:
         z = rng.normal(size=(3, n))
         D, live = dc.step_weights("directed", g, active)
         _, tails, bins = g.arcs_by_head
-        P = dc.push_matrix(g, active)
+        P = push_matrix(g, active)
         np.testing.assert_allclose(mix(z / D, bins, (z / D)[:, tails] * live), z @ P.T, rtol=0, atol=1e-13)
         residual = _push_stochasticity(g, push_table(g, active[None]), params)[0]
         assert residual <= 1e-12 and abs(residual - np.abs(P.sum(axis=0) - 1).max()) <= 1e-15
         # The virtual step's mixing of lam and v (y = 0) is the augmented action.
         N = n + g.m
-        A = dc.augmented_push_matrix(g, active, gamma)
+        A = augmented_push_matrix(g, active, gamma)
         inst = dc.ProblemInstance(np.zeros(n), np.zeros(n), np.zeros(n), dc.QuadraticCost(np.ones(n)))
-        state = dc.VirtualState(
-            p=np.zeros(N), z=np.stack([rng.normal(size=N), rng.random(N) + 0.5, np.zeros(N)]), x=np.zeros(N)
-        )
+        state = dc.VirtualState(np.stack([rng.normal(size=N), rng.random(N) + 0.5, np.zeros(N), np.zeros(N), np.zeros(N)]))
         new = dc.virtual_domain_step(state, inst, g, dc.step_weights("virtual", g, active), params, 0)
         np.testing.assert_allclose(new.lam, A @ state.lam, rtol=0, atol=1e-13)
         np.testing.assert_allclose(new.v, A @ state.v, rtol=0, atol=1e-13)
