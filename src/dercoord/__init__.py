@@ -68,7 +68,6 @@ from .metrics import (
 from .network import (
     GraphSchedule,
     NominalGraph,
-    VirtualIndexMap,
     check_B_connectivity,
     load_graph,
     minimal_connectivity_window,
@@ -82,10 +81,8 @@ from .problem import (
     GeneralCost,
     ProblemInstance,
     QuadraticCost,
-    cost_grad,
     default_p0,
     kkt_residual,
-    project_box,
 )
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ All step functions are pure, with one signature,
 nominal graph and `weights` the row of step k in the algorithm's weight
 table (`step_weights` builds it from one step's active mask). Update
 ordering within a step is fixed: the dispatch p[k+1] is the projected
-primal step from step-k values, multiplier/weight estimates are mixed
+primal step from step-k values (`problem._primal_step`, the step the
+centralized baseline takes too), multiplier/weight estimates are mixed
 from step-k values, and the imbalance tracker y is mixed from step-k
 values and then incremented with nhat*(p[k+1] - p[k]).
 
@@ -45,8 +46,9 @@ Algorithms (ids used by `run`):
 * ``directed`` push-sum (ratio consensus) primal-dual, instantaneous
                out-degrees known
 * ``robust``   running-sum primal-dual, only nominal out-degrees known
-* ``virtual``  the robust algorithm rewritten over real + virtual nodes;
-               its real-node coordinates coincide with ``robust`` step by
+* ``virtual``  the robust algorithm rewritten over real + virtual nodes
+               (nominal arc e is virtual node n + e); its real-node
+               coordinates coincide with ``robust`` step by
                step, which is the strongest oracle for both
 
 The robust algorithm is stated exactly as the protocol runs: each node
@@ -66,6 +68,7 @@ from .errors import (
     DimensionMismatchError,
     DivergenceError,
     InternalInvariantError,
+    InvalidGraphError,
     InvalidInstanceError,
     ModeMismatchError,
 )
@@ -73,14 +76,13 @@ from .metrics import RunTrace, flag_no_progress
 from .network import (
     GraphSchedule,
     NominalGraph,
-    VirtualIndexMap,
     column_residual,
     metropolis_table,
     mix,
     push_table,
     union_connected,
 )
-from .problem import AlgorithmParams, ProblemInstance, checked_p0, clip
+from .problem import AlgorithmParams, ProblemInstance, _primal_step, checked_p0
 
 UNDIRECTED_ALGORITHMS = ("pd1", "pd2")
 DIRECTED_ALGORITHMS = ("directed", "robust", "virtual")
@@ -152,7 +154,7 @@ class RobustState(_PushSumRows):
 
 @dataclass(frozen=True)
 class VirtualState(_PushSumRows):
-    """Augmented iterates over real followed by virtual nodes (N columns).
+    """Augmented iterates over the n real nodes, then one virtual node per nominal arc (N = n + m columns).
 
     Virtual dispatch entries are pinned to zero (their box is [0, 0]);
     virtual lam/v/y start at zero.
@@ -171,12 +173,11 @@ def init_undirected(
     inst: ProblemInstance,
     params: AlgorithmParams,
     p0=None,
-    lam0=None,
     tracker: bool = True,
 ) -> UndirectedState:
     """Standard start: lam = 0, y_i = nhat*(p_i[0] - load_i)."""
     p = checked_p0(inst, p0)
-    lam = np.zeros(inst.n) if lam0 is None else np.asarray(lam0, dtype=float)
+    lam = np.zeros(inst.n)
     rows = [lam, params.nhat * (p - inst.loads)] if tracker else [lam]
     return UndirectedState(np.stack([p, *rows]))
 
@@ -188,30 +189,37 @@ def init_directed(inst: ProblemInstance, params: AlgorithmParams, p0=None) -> Di
     return DirectedState(np.stack([np.zeros(n), np.ones(n), params.nhat * (p - inst.loads), p, np.zeros(n)]))
 
 
+def _check_graph_size(inst: ProblemInstance, graph: NominalGraph) -> None:
+    if graph.n != inst.n:
+        raise InvalidInstanceError(f"graph has {graph.n} nodes, instance has {inst.n}")
+
+
 def _robust_start(graph: NominalGraph, start: DirectedState) -> RobustState:
     """The node values of `start`, running sums through step 0, zero mirrors and in-flight values."""
     return RobustState(np.concatenate([start.nodes, start.z / graph.out_degrees]), np.zeros((6, graph.m)))
 
 
-def _virtual_start(start: DirectedState, vmap: VirtualIndexMap) -> VirtualState:
-    """The real nodes of `start` followed by virtual nodes holding zero."""
-    return VirtualState(np.pad(start.nodes, ((0, 0), (0, vmap.size - start.nodes.shape[1]))))
+def _virtual_start(graph: NominalGraph, start: DirectedState) -> VirtualState:
+    """The real nodes of `start`, then one virtual node per nominal arc (arc e is node n + e) holding zero."""
+    if not graph.directed:
+        raise InvalidGraphError("virtual nodes are defined for directed graphs")
+    return VirtualState(np.pad(start.nodes, ((0, 0), (0, graph.m))))
 
 
 def init_robust(
     inst: ProblemInstance, graph: NominalGraph, params: AlgorithmParams, p0=None
 ) -> RobustState:
     """Standard start plus zero mirrors; running sums include step 0."""
-    if graph.n != inst.n:
-        raise InvalidInstanceError(f"graph has {graph.n} nodes, instance has {inst.n}")
+    _check_graph_size(inst, graph)
     return _robust_start(graph, init_directed(inst, params, p0))
 
 
 def init_virtual(
-    inst: ProblemInstance, vmap: VirtualIndexMap, params: AlgorithmParams, p0=None
+    inst: ProblemInstance, graph: NominalGraph, params: AlgorithmParams, p0=None
 ) -> VirtualState:
     """Augmented start: the directed start, virtual lam/v/y/x/p all zero."""
-    return _virtual_start(init_directed(inst, params, p0), vmap)
+    _check_graph_size(inst, graph)
+    return _virtual_start(graph, init_directed(inst, params, p0))
 
 
 def equilibrium_state(
@@ -240,7 +248,8 @@ def equilibrium_state(
         return state
     if graph is None:
         raise InvalidInstanceError(f"{algorithm} equilibrium needs the nominal graph")
-    return _robust_start(graph, state) if algorithm == "robust" else _virtual_start(state, VirtualIndexMap(graph))
+    _check_graph_size(inst, graph)
+    return _robust_start(graph, state) if algorithm == "robust" else _virtual_start(graph, state)
 
 
 def _check_finite(step: int, algorithm: str, names, nodes) -> None:
@@ -256,17 +265,6 @@ def _check_positive(step: int, v: np.ndarray, what: str) -> None:
     """Raise if some weight is <= 0. fmin skips NaNs, so this is (v <= 0).any() in one reduction."""
     if np.fmin.reduce(v) <= 0.0:
         raise InternalInvariantError(step, what)
-
-
-def _primal_step(inst: ProblemInstance, params: AlgorithmParams, s: float, p, feedback, out) -> None:
-    """Projected primal step clamp(p - s f'(p) + s xi feedback) on the real nodes, into `out`.
-
-    Evaluated as (p - s*f'(p)) + (s*xi)*feedback: regrouping changes the
-    last bits of every trace.
-    """
-    np.subtract(p, s * inst.cost.grad(p), out=out)
-    out += s * params.xi * feedback
-    clip(out, inst.p_lo, inst.p_hi, out=out)
 
 
 def _metropolis_mix(graph: NominalGraph, weights, z: np.ndarray, out: np.ndarray) -> None:
@@ -553,7 +551,7 @@ def _specs() -> dict[str, _Spec]:
         ),
         "virtual": _Spec(
             VirtualState,
-            lambda inst, graph, params: init_virtual(inst, VirtualIndexMap(graph), params),
+            init_virtual,
             virtual_domain_step, _mask_table, **push,
             buffered=("nodes", slice(1, 3)), y=(1,), v=(0,),  # v and y over all N nodes
             stochasticity=_augmented_stochasticity,

@@ -276,7 +276,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     out_dir: Path | None
     oracle_tol: float = 1e-12
-    label: str = "experiment"
 
 
 def _req(section, key: str, where: str):
@@ -407,7 +406,6 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
         seeds=seeds,
         out_dir=None if out_dir is None else Path(out_dir),
         oracle_tol=oracle_tol,
-        label=path.stem,
     )
 
 

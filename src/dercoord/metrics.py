@@ -57,10 +57,6 @@ class RunTrace:
     def steps(self) -> int:
         return self.p.shape[0] - 1
 
-    @property
-    def k(self) -> np.ndarray:
-        return np.arange(self.p.shape[0])
-
     def validate(self) -> None:
         rows = self.p.shape[0]
         for name in ("consensus", "y", "v"):

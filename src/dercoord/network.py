@@ -20,7 +20,9 @@ s + 1 + L(s + 1); prefix counts over the block make every window union
 O(m). A schedule finds the lengths once, over its full horizon, on first
 use (`GraphSchedule.connect_lengths`, O(K (n + m)) for K steps); every
 horizon prefix derives its own lengths from them in O(K), and scanning
-the candidate B costs O(K log K).
+the candidate B costs O(K log K). `check_B_connectivity` judges each
+window's union on its own (`windows_connected`), not from those lengths,
+so it stays an independent check of the B they give.
 
 Mixing is one O(F (n + m)) edge-list primitive, `mix`, over a (F, n)
 stack of fields: every node keeps its own share of each field and adds
@@ -40,9 +42,9 @@ the step needs:
   table holds D and each arc's live flag (an inactive arc pushes 0).
 * running sums (robust, virtual): the masks themselves. Shares are
   1/(nominal out-degree), and an active arc releases the fraction gamma
-  of what it holds. Over real plus virtual nodes (one per nominal arc,
-  holding in-flight mass) this is column stochastic with every nonzero
-  weight >= tau = min(gamma, 1-gamma)/n.
+  of what it holds. Over real plus virtual nodes (nominal arc e is node
+  n + e, holding in-flight mass) this is column stochastic with every
+  nonzero weight >= tau = min(gamma, 1-gamma)/n.
 
 `column_residual` gives each mixing's stochasticity from the same table.
 """
@@ -50,6 +52,7 @@ the step needs:
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -187,6 +190,10 @@ class GraphSchedule:
     def __post_init__(self):
         if not (0.0 <= self.q < 1.0):
             raise InvalidGraphError(f"failure probability q={self.q} outside [0, 1)")
+        try:  # stored as an int, so equal seeds give equal digests
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise InvalidGraphError(f"seed must be an integer, got {self.seed!r}") from None
         if not (0 <= self.seed < _MAX_SEED):
             raise InvalidGraphError("seed must fit in 64 bits")
         if self.horizon < 0:
@@ -312,38 +319,6 @@ def push_table(nominal: NominalGraph, masks: np.ndarray) -> tuple[np.ndarray, np
     return 1.0 + row_bincount(tails, live, nominal.n), live
 
 
-@dataclass(frozen=True)
-class VirtualIndexMap:
-    """Bijection between nominal arcs and virtual-node indices n..N-1."""
-
-    nominal: NominalGraph
-
-    def __post_init__(self):
-        if not self.nominal.directed:
-            raise InvalidGraphError("virtual nodes are defined for directed graphs")
-
-    @property
-    def size(self) -> int:
-        """Augmented node count N = n + |nominal arcs|."""
-        return self.nominal.n + self.nominal.m
-
-    @cached_property
-    def _arc_to_index(self) -> dict[tuple[int, int], int]:
-        return {arc: self.nominal.n + pos for pos, arc in enumerate(self.nominal.edges)}
-
-    def index(self, src: int, dst: int) -> int:
-        try:
-            return self._arc_to_index[(src, dst)]
-        except KeyError:
-            raise InvalidGraphError(f"({src}, {dst}) is not a nominal arc") from None
-
-    def arc(self, node: int) -> tuple[int, int]:
-        pos = node - self.nominal.n
-        if not (0 <= pos < self.nominal.m):
-            raise InvalidGraphError(f"{node} is not a virtual node index")
-        return self.nominal.edges[pos]
-
-
 def _reaches_all(n: int, tails: list[int], heads: list[int]) -> bool:
     """Does node 0 reach every node along the arcs tails[e] -> heads[e]?"""
     out: list[list[int]] = [[] for _ in range(n)]
@@ -396,9 +371,7 @@ def windows_connected(nominal: NominalGraph, masks: np.ndarray, B: int) -> np.nd
 
 
 def check_B_connectivity(schedule: GraphSchedule, B: int) -> np.ndarray:
-    """Window verdicts for the realized schedule over its full horizon."""
-    if schedule.horizon == 0:
-        return np.zeros(0, dtype=bool)
+    """Window verdicts for the realized schedule over its full horizon, from the window unions themselves."""
     return windows_connected(schedule.nominal, schedule.masks, B)
 
 

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InfeasibleInstanceError, InvalidCostError, InvalidInstanceError
+from .errors import DivergenceError, InvalidInstanceError
 from .metrics import RunTrace, flag_no_progress
 from .problem import (
     AlgorithmParams,
     GeneralCost,
     ProblemInstance,
     QuadraticCost,
+    _primal_step,
     checked_p0,
     kkt_residual,
 )
@@ -45,20 +46,12 @@ class DispatchSolution:
     bracket: tuple[float, float]
 
 
-def clamped_best_response(inst: ProblemInstance, scale: float, lam) -> np.ndarray:
-    """p(lam): componentwise clamp of (f')^{-1}(scale * lam) onto the box.
-
-    ``lam`` may be a scalar or a vector of multiplier values; a vector
-    returns one dispatch row per value.
-    """
-    lam = np.asarray(lam, dtype=float)
-    t = scale * lam
+def clamped_best_response(inst: ProblemInstance, scale: float, lam: float) -> np.ndarray:
+    """p(lam): componentwise clamp of (f')^{-1}(scale * lam) onto the box, for a scalar lam."""
+    t = scale * float(lam)
     cost = inst.cost
     if isinstance(cost, QuadraticCost):
-        raw = (t[..., None] - cost.b) / cost.twice_a if lam.ndim else cost.grad_inverse(t)
-        return inst.clamp(raw)
-    if lam.ndim:
-        return np.stack([clamped_best_response(inst, scale, float(x)) for x in lam])
+        return inst.clamp(cost.grad_inverse(t))
     # monotone f' (f'' >= m > 0): bisect within the box, then clamp is implicit
     lo = inst.p_lo.copy()
     hi = inst.p_hi.copy()
@@ -92,22 +85,16 @@ def solve_bisection(
 
     Bisects lam until |1'p(lam) - 1'load| <= tol (or the bracket reaches
     machine resolution). The initial bracket is instance-derived and
-    guaranteed to straddle the optimum by monotonicity.
+    guaranteed to straddle the optimum by monotonicity; `ProblemInstance`
+    has already checked that the instance is feasible and its cost
+    strongly convex.
     """
     if nhat is None:
         nhat = float(inst.n)
     if xi <= 0 or nhat <= 0:
         raise InvalidInstanceError("xi and nhat must be positive")
-    if inst.cost.strong_convexity <= 0:
-        raise InvalidCostError("cost must be strongly convex (m > 0)")
     scale = xi * nhat / inst.n
     total = inst.total_load
-    lo_sum = float(inst.p_lo.sum())
-    hi_sum = float(inst.p_hi.sum())
-    if lo_sum > total:
-        raise InfeasibleInstanceError(f"1'p_lo = {lo_sum:.6g} > 1'load = {total:.6g}")
-    if total > hi_sum:
-        raise InfeasibleInstanceError(f"1'load = {total:.6g} > 1'p_hi = {hi_sum:.6g}")
 
     g_lo = inst.cost.grad(inst.p_lo)
     g_hi = inst.cost.grad(inst.p_hi)
@@ -161,29 +148,31 @@ def centralized_pd_run(
 
     p[k+1] = clamp(p[k] - s f'(p[k]) + s xi lam[k]),
     lam[k+1] = lam[k] - s 1'(p[k] - load);
-    both updates read step-k values. Serves as the single-multiplier
+    both updates read step-k values. The primal step is the one the
+    distributed iterations take (`problem._primal_step`), with the scalar
+    lam as every agent's feedback. Serves as the single-multiplier
     baseline the distributed algorithms emulate.
     """
     n = inst.n
-    p = checked_p0(inst, p0)
-    lam = float(lam0)
     K = params.horizon
     p_hist = np.empty((K + 1, n))
     lam_hist = np.empty((K + 1, 1))
     imbalance = np.empty(K + 1)
-    p_hist[0] = p
+    p_hist[0] = checked_p0(inst, p0)
+    lam = float(lam0)
     lam_hist[0, 0] = lam
-    imbalance[0] = abs(float(np.sum(p - inst.loads)))
+    gap = float(np.sum(p_hist[0] - inst.loads))  # 1'(p[k] - load), read by imbalance[k] and the lam update
+    imbalance[0] = abs(gap)
     for k in range(K):
         s = params.stepsize(k)
-        p_new = inst.clamp(p - s * inst.cost.grad(p) + s * params.xi * lam)
-        lam = lam - s * float(np.sum(p - inst.loads))
-        p = p_new
+        p = p_hist[k + 1]
+        _primal_step(inst, params, s, p_hist[k], lam, p)
+        lam -= s * gap
         if not (np.all(np.isfinite(p)) and np.isfinite(lam)):
             raise DivergenceError(k + 1, "centralized iterate")
-        p_hist[k + 1] = p
         lam_hist[k + 1, 0] = lam
-        imbalance[k + 1] = abs(float(np.sum(p - inst.loads)))
+        gap = float(np.sum(p - inst.loads))
+        imbalance[k + 1] = abs(gap)
     warnings = params.configuration_warnings(n)
     if flag_no_progress(imbalance):
         warnings.append("no-progress: imbalance did not decay (stepsize too large?)")

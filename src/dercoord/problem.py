@@ -38,7 +38,9 @@ CONVEXITY_GRID_POINTS = 1000
 
 
 def _as_vector(x, name: str, n: int | None = None) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    """A read-only float copy of x, which must be a vector of length n: what is validated cannot change later."""
+    v = np.array(x, dtype=float)
+    v.flags.writeable = False
     if v.ndim == 0:
         v = v.reshape(1)
     if v.ndim != 1:
@@ -59,8 +61,8 @@ class QuadraticCost:
     def __init__(self, a, b=None, c=None):
         a = _as_vector(a, "a")
         n = a.shape[0]
-        b = np.zeros(n) if b is None else _as_vector(b, "b", n)
-        c = np.zeros(n) if c is None else _as_vector(c, "c", n)
+        b = _as_vector(np.zeros(n) if b is None else b, "b", n)
+        c = _as_vector(np.zeros(n) if c is None else c, "c", n)
         if np.any(a <= 0):
             raise InvalidCostError("quadratic coefficients a_i must be positive")
         object.__setattr__(self, "a", a)
@@ -70,10 +72,6 @@ class QuadraticCost:
     @property
     def n(self) -> int:
         return self.a.shape[0]
-
-    @property
-    def strong_convexity(self) -> float:
-        return float(2.0 * self.a.min())
 
     def value(self, p: np.ndarray) -> np.ndarray:
         return self.a * p * p + self.b * p + self.c
@@ -85,9 +83,6 @@ class QuadraticCost:
 
     def grad(self, p: np.ndarray) -> np.ndarray:
         return self.twice_a * p + self.b
-
-    def hess(self, p: np.ndarray) -> np.ndarray:
-        return self.twice_a * np.ones_like(p)
 
     def grad_inverse(self, t: np.ndarray) -> np.ndarray:
         """Solve f_i'(p) = t_i for p, componentwise."""
@@ -116,10 +111,6 @@ class GeneralCost:
             raise InvalidCostError("declared strong convexity m must be > 0")
         if self.n < 1:
             raise InvalidCostError("agent count must be >= 1")
-
-    @property
-    def strong_convexity(self) -> float:
-        return self.m
 
     def value(self, p: np.ndarray) -> np.ndarray:
         return np.asarray(self.value_fn(p), dtype=float)
@@ -282,29 +273,17 @@ class AlgorithmParams:
         return out
 
 
-def cost_grad(cost: CostModel, p) -> np.ndarray:
-    """Per-agent marginal cost f_i'(p_i)."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 0:
-        p = p.reshape(1)
-    if p.shape[0] != cost.n:
-        raise DimensionMismatchError("p", cost.n, p.shape[0])
-    if not np.all(np.isfinite(p)):
-        raise InvalidInstanceError("p must be finite")
-    return cost.grad(p)
+def _primal_step(inst: ProblemInstance, params: AlgorithmParams, s: float, p, feedback, out) -> None:
+    """Projected primal step clamp(p - s f'(p) + s xi feedback), into `out`.
 
-
-def project_box(p, lo, hi) -> np.ndarray:
-    """Componentwise clamp of p onto [lo, hi], checked first. Idempotent and non-expansive."""
-    p = np.asarray(p, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        i = int(np.nonzero(lo > hi)[0][0])
-        raise InvalidInstanceError(
-            f"agent {i}: p_lo={lo.flat[i]:.6g} > p_hi={hi.flat[i]:.6g}"
-        )
-    return np.clip(p, lo, hi)
+    The one primal step of the centralized baseline (scalar feedback) and
+    of every distributed iteration (per-agent feedback). Evaluated as
+    (p - s*f'(p)) + (s*xi)*feedback, then the clip ufunc: regrouping
+    changes the last bits of every trace.
+    """
+    np.subtract(p, s * inst.cost.grad(p), out=out)
+    out += s * params.xi * feedback
+    clip(out, inst.p_lo, inst.p_hi, out=out)
 
 
 def default_p0(inst: ProblemInstance) -> np.ndarray:

@@ -10,6 +10,8 @@
   same trace and residual series bit for bit.
 * `stepwise_stochasticity`: one step's column-sum residual from its edge
   weights.
+* `reference_centralized`: the centralized primal-dual loop as it was
+  written before it shared the distributed iterations' primal step.
 """
 
 from types import SimpleNamespace
@@ -50,22 +52,18 @@ def push_matrix(nominal: dc.NominalGraph, active: np.ndarray) -> np.ndarray:
     return P
 
 
-def augmented_push_matrix(
-    nominal: dc.NominalGraph,
-    active: np.ndarray,
-    gamma: float,
-    vmap: dc.VirtualIndexMap | None = None,
-) -> np.ndarray:
+def augmented_push_matrix(nominal: dc.NominalGraph, active: np.ndarray, gamma: float) -> np.ndarray:
     """Dense reference: column-stochastic mixing over real plus virtual nodes.
 
-    Uses only nominal out-degrees. An active arc (j, i) routes gamma/d_j
+    The virtual node of nominal arc e is index n + e. Uses only nominal
+    out-degrees. An active arc (j, i) routes gamma/d_j
     of node j's share to i and (1-gamma)/d_j to the arc's virtual node,
     which also retains (1-gamma) of its own mass and releases gamma to i;
     an inactive arc diverts the full 1/d_j share to the virtual node, which
     keeps everything. Every nonzero entry is >= min(gamma, 1-gamma)/n.
     """
-    if vmap is None:
-        vmap = dc.VirtualIndexMap(nominal)
+    if not nominal.directed:
+        raise InvalidGraphError("virtual nodes are defined for directed graphs")
     if not (0.0 < gamma < 1.0):
         raise InvalidGraphError("gamma must lie in (0, 1)")
     n, m = nominal.n, nominal.m
@@ -279,3 +277,21 @@ def reference_run(algorithm, inst, sched, params):
             res["stochasticity"].append(stepwise_stochasticity(algorithm, g, active, params.gamma))
         record(st)
     return {name: np.array(rows) for name, rows in trace.items()}, {key: np.array(v) for key, v in res.items()}
+
+
+def reference_centralized(inst, params, p0=None, lam0=0.0):
+    """(p, consensus, imbalance) of `centralized_pd_run`, from its own inline loop."""
+    p = np.clip(np.zeros(inst.n), inst.p_lo, inst.p_hi) if p0 is None else np.asarray(p0, dtype=float).copy()
+    lam = float(lam0)
+    K = params.horizon
+    p_hist, lam_hist, imbalance = np.empty((K + 1, inst.n)), np.empty((K + 1, 1)), np.empty(K + 1)
+    p_hist[0], lam_hist[0, 0] = p, lam
+    imbalance[0] = abs(float(np.sum(p - inst.loads)))
+    for k in range(K):
+        s = params.stepsize(k)
+        p_new = np.clip(p - s * inst.cost.grad(p) + s * params.xi * lam, inst.p_lo, inst.p_hi)
+        lam = lam - s * float(np.sum(p - inst.loads))
+        p = p_new
+        p_hist[k + 1], lam_hist[k + 1, 0] = p, lam
+        imbalance[k + 1] = abs(float(np.sum(p - inst.loads)))
+    return p_hist, lam_hist, imbalance

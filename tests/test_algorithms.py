@@ -15,9 +15,15 @@ from dercoord.algorithms import (
     init_undirected,
     init_virtual,
 )
-from dercoord.errors import DimensionMismatchError, DivergenceError, InternalInvariantError, ModeMismatchError
+from dercoord.errors import (
+    DimensionMismatchError,
+    DivergenceError,
+    InternalInvariantError,
+    InvalidGraphError,
+    InvalidInstanceError,
+    ModeMismatchError,
+)
 from dercoord.metrics import BUDGETS
-from dercoord.network import VirtualIndexMap
 from reference import augmented_push_matrix, push_matrix, reference_run, stepwise_stochasticity
 
 
@@ -57,6 +63,33 @@ class TestInitialization:
         np.testing.assert_array_equal(state.lam, 0.0)
         np.testing.assert_array_equal(state.x, 0.0)
         np.testing.assert_array_equal(state.v, 1.0)
+
+    def test_virtual_start_pads_one_node_per_arc(self, small_instance):
+        g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)], True)
+        state = init_virtual(small_instance, g, params_for(3))
+        direct = init_directed(small_instance, params_for(3))
+        assert state.nodes.shape == (5, 3 + g.m)
+        np.testing.assert_array_equal(state.nodes[:, :3], direct.nodes)
+        np.testing.assert_array_equal(state.nodes[:, 3:], 0.0)
+
+    def test_virtual_start_rejects_undirected_graph(self, small_instance):
+        params = params_for(3)
+        with pytest.raises(InvalidGraphError, match="directed graphs"):
+            init_virtual(small_instance, ring(3, False), params)
+        sol = dc.solve_bisection(small_instance, xi=params.xi, nhat=params.nhat)
+        with pytest.raises(InvalidGraphError, match="directed graphs"):
+            dc.equilibrium_state("virtual", small_instance, params, sol, graph=ring(3, False))
+
+    @pytest.mark.parametrize("algorithm", ["robust", "virtual"])
+    def test_start_rejects_graph_of_another_size(self, small_instance, algorithm):
+        # 3 agents on a 4-node graph
+        params = params_for(3)
+        init = {"robust": init_robust, "virtual": init_virtual}[algorithm]
+        with pytest.raises(InvalidInstanceError, match="graph has 4 nodes, instance has 3"):
+            init(small_instance, ring(4, True), params)
+        sol = dc.solve_bisection(small_instance, xi=params.xi, nhat=params.nhat)
+        with pytest.raises(InvalidInstanceError, match="graph has 4 nodes, instance has 3"):
+            dc.equilibrium_state(algorithm, small_instance, params, sol, graph=ring(4, True))
 
 
 class TestUndirectedSteps:
@@ -183,7 +216,7 @@ class TestRobustSteps:
         )
         sched = dc.GraphSchedule(g, 0.2, 1, 1200)
         robust = init_robust(inst, g, params)
-        twin = init_virtual(inst, VirtualIndexMap(g), params)
+        twin = init_virtual(inst, g, params)
         n = inst.n
         worst = 0.0
         for k, active in enumerate(sched.masks):
@@ -225,14 +258,13 @@ class TestRobustSteps:
 class TestVirtualDomain:
     def test_step_equals_matrix_action(self, small_instance):
         g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)], True)
-        vmap = VirtualIndexMap(g)
         params = params_for(3, horizon=30)
         sched = dc.GraphSchedule(g, 0.3, 7, 30)
-        state = init_virtual(small_instance, vmap, params)
+        state = init_virtual(small_instance, g, params)
         n = 3
         for k in range(30):
             act = sched.active_mask(k)
-            P = augmented_push_matrix(g, act, params.gamma, vmap)
+            P = augmented_push_matrix(g, act, params.gamma)
             s = params.stepsize(k)
             lam_ref = P @ state.lam
             Py = P @ state.y
@@ -246,8 +278,7 @@ class TestVirtualDomain:
         g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0)], True)
         params = params_for(3, horizon=200)
         sched = dc.GraphSchedule(g, 0.2, 3, 200)
-        vmap = VirtualIndexMap(g)
-        state = init_virtual(small_instance, vmap, params)
+        state = init_virtual(small_instance, g, params)
         for k in range(200):
             act = live("virtual", g, sched.active_mask(k))
             state = dc.virtual_domain_step(state, small_instance, g, act, params, k)
@@ -278,7 +309,7 @@ class TestRun:
         with pytest.raises(ModeMismatchError, match="UndirectedState.*DirectedState"):
             dc.run("pd1", small_instance, sched, params, init=init_directed(small_instance, params))
         directed = dc.GraphSchedule(ring(3, True), 0.2, 1, 100)
-        twin = init_virtual(small_instance, VirtualIndexMap(ring(3, True)), params)
+        twin = init_virtual(small_instance, ring(3, True), params)
         with pytest.raises(ModeMismatchError, match="DirectedState.*VirtualState"):
             dc.run("directed", small_instance, directed, params, init=twin)
 
@@ -295,7 +326,7 @@ class TestRun:
         with pytest.raises(DimensionMismatchError, match=r"init\.arcs: expected shape \(6, 3\), got \(6, 2\)"):
             dc.run("robust", small_instance, dc.GraphSchedule(g, 0.2, 1, 100), params,
                    init=replace(robust, arcs=np.zeros((6, 2))))
-        twin = init_virtual(small_instance, VirtualIndexMap(g), params)
+        twin = init_virtual(small_instance, g, params)
         with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(5, 6\), got \(5, 3\)"):
             dc.run("virtual", small_instance, dc.GraphSchedule(g, 0.2, 1, 100), params,
                    init=replace(twin, nodes=np.zeros((5, 3))))
@@ -493,7 +524,7 @@ def standard_start(algorithm, inst, g, params):
         return init_directed(inst, params)
     if algorithm == "robust":
         return init_robust(inst, g, params)
-    return init_virtual(inst, VirtualIndexMap(g), params)
+    return init_virtual(inst, g, params)
 
 
 def stepwise_residuals(algorithm, inst, sched, params, state):

@@ -152,6 +152,22 @@ class TestSchedule:
         assert dc.GraphSchedule(g, 0.2, 1, 11).digest() != base
         assert dc.GraphSchedule(g, 0.2, 1, 10).digest() == base
 
+    def test_seed_must_be_an_integer(self):
+        g = dc.NominalGraph(3, [(0, 1), (1, 2)], False)
+        with pytest.raises(InvalidGraphError, match="seed must be an integer, got 1.5"):
+            dc.GraphSchedule(g, 0.2, 1.5, 10)
+        base = dc.GraphSchedule(g, 0.2, 1, 10)
+        same = dc.GraphSchedule(g, 0.2, np.uint64(1), 10)
+        assert type(same.seed) is int
+        assert same.digest() == base.digest()
+        np.testing.assert_array_equal(same.masks, base.masks)
+
+    def test_digests_are_pinned(self):
+        # Normalizing the seed must not move any digest of an integer seed.
+        g = dc.NominalGraph(3, [(0, 1), (1, 2)], False)
+        pinned = "013d95f97fe3e29e7215f8d261bf6d687716c224a0439466ac630f1b5225c74e"
+        assert dc.GraphSchedule(g, 0.2, 1, 10).digest() == pinned
+
     def test_out_of_horizon_step_rejected(self):
         sched = dc.GraphSchedule(self.graph(), 0.2, 1, 10)
         with pytest.raises(InvalidGraphError):
@@ -267,8 +283,7 @@ class TestAugmentedPushMatrix:
     def test_active_arc_splits_gamma(self):
         g = self.graph()
         P = augmented_push_matrix(g, np.array([True, False]), 0.9)
-        vmap = dc.VirtualIndexMap(g)
-        l01 = vmap.index(0, 1)
+        l01 = g.n + g.edges.index((0, 1))  # arc e is virtual node n + e
         assert P[0, 0] == pytest.approx(0.5)  # real self 1/d
         assert P[1, 0] == pytest.approx(0.45)  # gamma/d to target
         assert P[l01, 0] == pytest.approx(0.05)  # (1-gamma)/d to the arc node
@@ -279,8 +294,7 @@ class TestAugmentedPushMatrix:
     def test_inactive_arc_diverts_to_virtual(self):
         g = self.graph()
         P = augmented_push_matrix(g, np.array([False, False]), 0.9)
-        vmap = dc.VirtualIndexMap(g)
-        l01 = vmap.index(0, 1)
+        l01 = g.n + g.edges.index((0, 1))  # arc e is virtual node n + e
         assert P[0, 0] == pytest.approx(0.5)
         assert P[1, 0] == 0.0
         assert P[l01, 0] == pytest.approx(0.5)
@@ -302,17 +316,18 @@ class TestAugmentedPushMatrix:
         for col in range(n, n + g.m):
             assert np.count_nonzero(P[:, col]) <= 2
 
-    def test_virtual_index_map_is_bijection(self):
+    def test_virtual_node_of_arc_e_is_column_n_plus_e(self, small_instance):
+        # With every arc down, each virtual node holds its source's share of lam.
         g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)], True)
-        vmap = dc.VirtualIndexMap(g)
-        seen = set()
-        for src, dst in g.edges:
-            idx = vmap.index(src, dst)
-            assert vmap.arc(idx) == (src, dst)
-            seen.add(idx)
-        assert seen == set(range(3, 3 + g.m))
-        with pytest.raises(InvalidGraphError):
-            vmap.index(1, 0)
+        params = dc.AlgorithmParams(step=dc.ConstantStep(0.1))
+        lam = np.array([1.0, 2.0, 4.0, 0.0, 0.0, 0.0, 0.0])
+        state = dc.VirtualState(np.stack([lam, np.ones(7), np.zeros(7), np.zeros(7), lam]))
+        down = np.zeros(g.m, bool)
+        new = dc.virtual_domain_step(state, small_instance, g, dc.step_weights("virtual", g, down), params, 0)
+        P = augmented_push_matrix(g, down, params.gamma)
+        for e, (src, _) in enumerate(g.edges):
+            assert new.lam[g.n + e] == lam[src] / g.out_degrees[src]
+            assert P[g.n + e, src] == 1.0 / g.out_degrees[src]
 
 
 class TestEdgeListMixing:
@@ -362,6 +377,16 @@ class TestEdgeListMixing:
 
 
 class TestConnectivityWindows:
+    def test_window_length_checked_at_every_horizon(self):
+        g = dc.NominalGraph(3, [(0, 1), (1, 2)], False)
+        for K in (0, 5):
+            sched = dc.GraphSchedule(g, 0.2, 1, K)
+            with pytest.raises(InvalidGraphError, match="B must be >= 1"):
+                dc.check_B_connectivity(sched, 0)
+            for B in (K + 1, K + 2):  # no complete window fits
+                verdicts = dc.check_B_connectivity(sched, B)
+                assert verdicts.dtype == bool and verdicts.shape == (0,)
+
     def test_no_failures_all_windows_connected(self):
         g = dc.NominalGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], False)
         sched = dc.GraphSchedule(g, 0.0, 1, 20)

@@ -3,6 +3,7 @@ import pytest
 
 import dercoord as dc
 from dercoord.errors import InvalidInstanceError
+from reference import reference_centralized
 
 
 def grid_search_quadratic(inst, scale, step=1e-4):
@@ -137,6 +138,18 @@ class TestCentralizedRun:
         params = dc.AlgorithmParams(step=dc.ConstantStep(0.1), horizon=10)
         with pytest.raises(InvalidInstanceError):
             dc.centralized_pd_run(inst, params, p0=[11.0])
+
+    @pytest.mark.parametrize("step", [dc.ConstantStep(0.01), dc.DiminishingStep(1.0, 50.0)], ids=["constant", "diminishing"])
+    @pytest.mark.parametrize("start", [False, True], ids=["default-start", "p0-lam0"])
+    def test_equals_reference_loop_bit_for_bit(self, case39_undirected, step, start):
+        # The loop shares the distributed iterations' primal step; the bits must not move.
+        inst, _ = case39_undirected
+        params = dc.AlgorithmParams(step=step, xi=0.05, nhat=39.0, horizon=1500)
+        kwargs = {"p0": 0.5 * (inst.p_lo + inst.p_hi), "lam0": 3.7} if start else {}
+        trace = dc.centralized_pd_run(inst, params, **kwargs)
+        want = reference_centralized(inst, params, **kwargs)
+        for got, ref in zip((trace.p, trace.consensus, trace.residuals["imbalance"]), want):
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
     def test_converges_to_bisection_solution(self, small_instance):
         params = dc.AlgorithmParams(step=dc.ConstantStep(0.05), xi=1.0, nhat=3.0, horizon=4000)

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 import dercoord as dc
 from dercoord.errors import (
-    DimensionMismatchError,
     InfeasibleInstanceError,
     InvalidCostError,
     InvalidInstanceError,
@@ -27,29 +26,19 @@ def quartic_cost():
 class TestCostGrad:
     def test_quadratic_scalar(self):
         cost = dc.QuadraticCost([1.0])
-        assert dc.cost_grad(cost, [3.0]) == pytest.approx([6.0], abs=0)
+        assert cost.grad(np.array([3.0])) == pytest.approx([6.0], abs=0)
 
     def test_quadratic_at_origin(self):
         cost = dc.QuadraticCost([1.0, 2.0], b=[1.0, 0.0])
-        np.testing.assert_allclose(dc.cost_grad(cost, [0.0, 0.0]), [1.0, 0.0])
+        np.testing.assert_allclose(cost.grad(np.zeros(2)), [1.0, 0.0])
 
     def test_general_hook_matches_finite_difference(self):
         cost = quartic_cost()
         h = 1e-6
         fd = (cost.value(np.array([2.0 + h])) - cost.value(np.array([2.0 - h]))) / (2 * h)
-        grad = dc.cost_grad(cost, [2.0])
+        grad = cost.grad(np.array([2.0]))
         assert abs(grad[0] - fd[0]) <= 1e-4
         assert grad[0] == pytest.approx(36.0)
-
-    def test_dimension_mismatch(self):
-        cost = dc.QuadraticCost([1.0, 2.0])
-        with pytest.raises(DimensionMismatchError) as err:
-            dc.cost_grad(cost, [1.0])
-        assert err.value.expected == 2 and err.value.actual == 1
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInstanceError):
-            dc.cost_grad(dc.QuadraticCost([1.0]), [np.nan])
 
     @given(
         a=arrays(float, 4, elements=st.floats(0.1, 5.0)),
@@ -61,23 +50,24 @@ class TestCostGrad:
         cost = dc.QuadraticCost(a, b)
         h = 1e-6
         fd = (cost.value(p + h) - cost.value(p - h)) / (2 * h)
-        np.testing.assert_allclose(dc.cost_grad(cost, p), fd, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(cost.grad(p), fd, rtol=1e-6, atol=1e-6)
 
 
-class TestProjectBox:
+def box(lo, hi):
+    """An instance whose capacity box is [lo, hi] (loads at the lower bounds)."""
+    return dc.ProblemInstance(lo, lo, hi, dc.QuadraticCost(np.ones(len(lo))))
+
+
+class TestClamp:
     def test_upper_clamp(self):
-        assert dc.project_box([5.0], [0.0], [3.0])[0] == 3.0
+        assert box([0.0], [3.0]).clamp(np.array([5.0]))[0] == 3.0
 
     def test_interior_unchanged(self):
-        assert dc.project_box([1.0], [0.0], [3.0])[0] == 1.0
+        assert box([0.0], [3.0]).clamp(np.array([1.0]))[0] == 1.0
 
     def test_mixed(self):
-        out = dc.project_box([-2.0, 0.5, 9.0], [0.0] * 3, [3.0] * 3)
+        out = box([0.0] * 3, [3.0] * 3).clamp(np.array([-2.0, 0.5, 9.0]))
         np.testing.assert_array_equal(out, [0.0, 0.5, 3.0])
-
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(InvalidInstanceError):
-            dc.project_box([1.0], [2.0], [0.0])
 
     @given(
         p=arrays(float, 5, elements=st.floats(-100, 100)),
@@ -87,9 +77,10 @@ class TestProjectBox:
     )
     @settings(max_examples=100, deadline=None)
     def test_idempotent_and_nonexpansive(self, p, q, lo, hi):
-        pp = dc.project_box(p, lo, hi)
-        np.testing.assert_array_equal(dc.project_box(pp, lo, hi), pp)
-        qq = dc.project_box(q, lo, hi)
+        inst = box(lo, hi)
+        pp = inst.clamp(p)
+        np.testing.assert_array_equal(inst.clamp(pp), pp)
+        qq = inst.clamp(q)
         assert np.linalg.norm(pp - qq) <= np.linalg.norm(p - q) + 1e-12
 
 
@@ -148,6 +139,16 @@ class TestInstanceValidation:
         )
         with pytest.raises(InvalidCostError):
             dc.ProblemInstance([0.5], [0.0], [1.0], bad)
+
+    def test_validated_arrays_cannot_change(self):
+        # The instance keeps read-only copies, so no check made at construction goes stale.
+        loads = np.array([1.0, 1.0])
+        inst = dc.ProblemInstance(loads, [0.0, 0.0], [3.0, 3.0], dc.QuadraticCost([1.0, 2.0]))
+        loads[0] = 100.0
+        assert inst.total_load == 2.0
+        for arr in (inst.loads, inst.p_lo, inst.p_hi, inst.cost.a, inst.cost.b, inst.cost.c):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 100.0
 
     def test_general_hook_accepted_on_valid_box(self):
         inst = dc.ProblemInstance([1.0], [0.0], [2.0], quartic_cost())
