@@ -21,7 +21,6 @@ from .errors import DivergenceError, InvalidInstanceError
 from .metrics import RunTrace, flag_no_progress
 from .problem import (
     AlgorithmParams,
-    GeneralCost,
     ProblemInstance,
     QuadraticCost,
     _primal_step,
