@@ -16,28 +16,34 @@ pd1, (p, lam) for pd2 and (lam, v, y, p, x) for the push-sum algorithms,
 with the running sums of lam, v and y as three more rows for robust.
 The rows a step mixes are adjacent, the stack `z`: (lam, y), (lam,) or
 (lam, v, y). Robust's per-arc mirror and in-flight values are one (6, m)
-array `arcs`. A step allocates the next state's array once and fills it
-in place with ufuncs writing into its rows; it mixes the whole stack in
-one call of the edge-list primitive `network.mix` in O(F (n + m)), and
-checks the whole array for finiteness in one guard (the push-sum steps
-first check that the weights v stayed positive). No step builds a dense
-matrix.
+array `arcs`. Each algorithm's arithmetic is one private in-place kernel,
+``kernel(cur, nxt, inst, graph, weights, params, s)``: it reads one
+state's arrays (`cur`: `nodes`, then robust's `arcs`), fills the next
+state's (`nxt`) with ufuncs writing into their rows, and mixes the whole
+stack in one call of the edge-list primitive `network.mix` in
+O(F (n + m)). No kernel builds a dense matrix. A step function runs its
+kernel into fresh arrays and guards them as `run` guards a block.
 
 One driver, `run`, steps any algorithm over the schedule's mask block.
 A small per-algorithm spec tells it how to start (and what a valid
-`init` looks like), which step to call, how to build its weight table,
+`init` looks like), which kernel to call, how to build its weight table,
 which state fields to record, and which residuals the algorithm carries.
-The driver works through the trace in blocks of about 2^13 link entries
-and at least 8 rows. Each block's weight table is built once, from the
-block's masks, before the block is stepped; the stochasticity residuals
-come from the same table, so they measure exactly the weights the steps
-use. Within a block each step only calls the step function and copies
-the recorded state rows into the trace, one slice of adjacent rows (plus,
-where a total needs more than the recorded rows, one slice into a small
-block buffer). After
-the block, the residual series are reduced row-wise over those rows, with
-the same reductions in the same order as one state at a time, so they
-are bit-identical to a per-step evaluation.
+The driver works in blocks of about 2^13 link entries and at least 8
+rows, in place in a ring of rows + 1 slots per state array: slot 0 holds
+the state before the block, step j reads slot j and writes slot j + 1,
+and the last slot then moves to slot 0. A block's weight table and
+stepsizes are formed once; the stochasticity residuals come from the
+same table, so they measure exactly the weights the steps use. After the
+block, one positivity reduction over the v rows and one finiteness
+reduction over all node rows guard it. Only on failure are its slots
+taken in order, to raise the error of the first failing step: positivity
+before finiteness, every non-finite row named, p first. The block's
+later steps have by then run on that step's values, which may be
+non-finite (NumPy may warn), but nothing they computed is kept. The
+traced rows go into the trace as one slice, and the residual series are
+reduced row-wise over them (and over robust's in-flight and virtual's
+full-width v and y, read from the ring) in the order of one state at a
+time, so they are bit-identical to a per-step evaluation.
 
 Algorithms (ids used by `run`):
 
@@ -163,12 +169,6 @@ class VirtualState(_PushSumRows):
     nodes: np.ndarray
 
 
-# Names of the rows of each state's `nodes`, for error messages.
-_PD_ROWS = ("p", "lam", "y")  # pd2 has the first two
-_PUSH_ROWS = ("lam", "v", "y", "p", "x")
-_ROBUST_ROWS = _PUSH_ROWS + ("sums.lam", "sums.v", "sums.y")
-
-
 def init_undirected(
     inst: ProblemInstance,
     params: AlgorithmParams,
@@ -252,19 +252,42 @@ def equilibrium_state(
     return _robust_start(graph, state) if algorithm == "robust" else _virtual_start(graph, state)
 
 
-def _check_finite(step: int, algorithm: str, names, nodes) -> None:
-    """One finiteness guard over all of a state's node rows; a failure names every non-finite row, p first."""
-    if np.isfinite(nodes).all():
+# Per algorithm: the names of its states' node rows, for error messages, and
+# what a lost positivity of the push-sum weights v reads (None: no weights).
+_PUSH_ROWS = ("lam", "v", "y", "p", "x")
+_GUARDS = {
+    "pd1": (("p", "lam", "y"), None),
+    "pd2": (("p", "lam"), None),
+    "directed": (_PUSH_ROWS, "push-sum weight v lost positivity"),
+    "robust": (_PUSH_ROWS + ("sums.lam", "sums.v", "sums.y"), "push-sum weight v hit zero"),
+    "virtual": (_PUSH_ROWS, "augmented push-sum weight hit zero"),
+}
+
+
+def _check_block(algorithm: str, first: int, block: np.ndarray) -> None:
+    """Guard the node arrays of consecutive states, the first at step `first`, with two reductions.
+
+    fmin skips NaNs, so a minimum v <= 0 means some weight is <= 0. Only a
+    failing block is taken state by state, for the first failing state's error.
+    """
+    names, what = _GUARDS[algorithm]
+    if (what is None or not np.fmin.reduce(block[:, 1], axis=None) <= 0.0) and np.isfinite(block).all():
         return
-    bad = [name for name, row in zip(names, nodes) if not np.isfinite(row).all()]
-    bad.sort(key=lambda name: name != "p")
-    raise DivergenceError(step, f"{algorithm}: {', '.join(bad)}")
+    for step, nodes in enumerate(block, first):
+        if what is not None and np.fmin.reduce(nodes[1]) <= 0.0:
+            raise InternalInvariantError(step, what)
+        bad = [name for name, row in zip(names, nodes) if not np.isfinite(row).all()]
+        if bad:
+            bad.sort(key=lambda name: name != "p")
+            raise DivergenceError(step, f"{algorithm}: {', '.join(bad)}")
 
 
-def _check_positive(step: int, v: np.ndarray, what: str) -> None:
-    """Raise if some weight is <= 0. fmin skips NaNs, so this is (v <= 0).any() in one reduction."""
-    if np.fmin.reduce(v) <= 0.0:
-        raise InternalInvariantError(step, what)
+def _one_step(algorithm: str, kernel: Callable, cur: tuple, inst, graph, weights, params, k: int) -> tuple:
+    """Step k of `kernel` from the state arrays `cur` into fresh ones, under the block guard of one state."""
+    nxt = tuple(np.empty(a.shape) for a in cur)
+    kernel(cur, nxt, inst, graph, weights, params, params.stepsize(k))
+    _check_block(algorithm, k + 1, nxt[0][None])
+    return nxt
 
 
 def _metropolis_mix(graph: NominalGraph, weights, z: np.ndarray, out: np.ndarray) -> None:
@@ -274,58 +297,112 @@ def _metropolis_mix(graph: NominalGraph, weights, z: np.ndarray, out: np.ndarray
     mix(out, bins, w * z.take(tails, axis=1))
 
 
+def _pd2(cur, nxt, inst, graph, weights, params, s) -> None:
+    (nodes,), (out,) = cur, nxt
+    lam = out[1]
+    _primal_step(inst, params, s, nodes[0], nodes[1], out[0])
+    _metropolis_mix(graph, weights, nodes[1:], out[1:])
+    lam -= s * params.nhat * (nodes[0] - inst.loads)
+
+
+def _pd1(cur, nxt, inst, graph, weights, params, s) -> None:
+    (nodes,), (out,) = cur, nxt
+    p, lam, y = out[0], out[1], out[2]
+    _primal_step(inst, params, s, nodes[0], nodes[1], p)
+    _metropolis_mix(graph, weights, nodes[1:], out[1:])
+    lam -= s * nodes[2]
+    y += params.nhat * (p - nodes[0])
+
+
+def _directed(cur, nxt, inst, graph, weights, params, s) -> None:
+    D, live = weights
+    _, tails, bins = graph.arcs_by_head
+    (nodes,), (out,) = cur, nxt
+    lam, v, y, p, x = out[0], out[1], out[2], out[3], out[4]
+    _primal_step(inst, params, s, nodes[3], nodes[4], p)
+    share = out[:3]  # each node's share of (lam - s*y, v, y), mixed in place
+    np.divide(nodes[0] - s * nodes[2], D, out=lam)
+    np.divide(nodes[1:3], D, out=share[1:])
+    mix(share, bins, share.take(tails, axis=1) * live)
+    y += params.nhat * (p - nodes[3])
+    np.divide(lam, v, out=x)
+
+
+def _robust(cur, nxt, inst, graph, weights, params, s) -> None:
+    (active,) = weights
+    dplus = graph.out_degrees
+    srcs = graph.srcs
+    (nodes, arcs), (out, arcs_out) = cur, nxt
+    lam, v, y, p, x = out[0], out[1], out[2], out[3], out[4]
+    z, sums = out[:3], out[5:]
+    _primal_step(inst, params, s, nodes[3], nodes[4], p)
+
+    # Mirror advances in increment form: gamma*(sum - mirror) equals
+    # (1-gamma)*mirror + gamma*sum exactly, but the subtraction of the two
+    # nearby running quantities is exact in floating point, so the node
+    # updates are free of the large-magnitude rounding the running sums
+    # would otherwise inject.
+    d = np.where(active, params.gamma * (nodes[5:].take(srcs, axis=1) - arcs[:3]), 0.0)
+    np.add(arcs[:3], d, out=arcs_out[:3])
+    shares = np.divide(nodes[:3], dplus, out=z)  # mixed in place below
+    # In-flight sidecar: every step an arc absorbs its source's share and
+    # releases exactly the delivered mirror difference, so the augmented
+    # conservation sums telescope without touching the large running sums.
+    virt = np.add(arcs[3:], shares.take(srcs, axis=1), out=arcs_out[3:])
+    virt -= d
+    own_y = s * shares[2]
+    np.subtract(d[0], s * d[2], out=d[0])  # lam arrives together with -s times y
+    mix(z, graph.arc_bins, d)
+    lam -= own_y
+    y += params.nhat * (p - nodes[3])
+    np.divide(lam, v, out=x)
+    np.divide(z, dplus, out=sums)
+    sums += nodes[5:]
+
+
+def _virtual(cur, nxt, inst, graph, weights, params, s) -> None:
+    (active,) = weights
+    n = inst.n
+    (nodes,), (out,) = cur, nxt
+    real, held = out[:3, :n], out[:3, n:]
+    lam, v, p, x = out[0], out[1], out[3], out[4]
+    p[n:] = nodes[3, n:]
+    _primal_step(inst, params, s, nodes[3, :n], nodes[4, :n], p[:n])
+
+    share = np.divide(nodes[:3, :n], graph.out_degrees, out=real)  # mixed in place below
+    inflow = np.add(nodes[:3, n:], share.take(graph.srcs, axis=1), out=held)
+    released = np.where(active, params.gamma * inflow, 0.0)
+    held -= released
+    # real rows mix (lam - s*y); virtual rows carry lam and y separately
+    own_y = s * share[2]
+    np.subtract(released[0], s * released[2], out=released[0])
+    mix(real, graph.arc_bins, released)
+    real_lam, real_y = lam[:n], real[2]
+    real_lam -= own_y
+    real_y += params.nhat * (p[:n] - nodes[3, :n])
+    np.divide(lam, v, out=x)
+
+
 def pd2_step(
-    state: UndirectedState,
-    inst: ProblemInstance,
-    graph: NominalGraph,
-    weights,
-    params: AlgorithmParams,
-    k: int,
+    state: UndirectedState, inst: ProblemInstance, graph: NominalGraph, weights, params: AlgorithmParams, k: int
 ) -> UndirectedState:
     """Crude variant: the multiplier sees only the local imbalance.
 
     lam[k+1] = W lam[k] - s*nhat*(p[k] - load). Needs a diminishing
     stepsize to converge; with a constant one it stalls at a bias.
     """
-    s = params.stepsize(k)
-    nodes = state.nodes
-    nxt = np.empty(nodes.shape)
-    lam = nxt[1]
-    _primal_step(inst, params, s, nodes[0], nodes[1], nxt[0])
-    _metropolis_mix(graph, weights, nodes[1:], nxt[1:])
-    lam -= s * params.nhat * (nodes[0] - inst.loads)
-    _check_finite(k + 1, "pd2", _PD_ROWS, nxt)
-    return UndirectedState(nxt)
+    return UndirectedState(*_one_step("pd2", _pd2, (state.nodes,), inst, graph, weights, params, k))
 
 
 def pd1_step(
-    state: UndirectedState,
-    inst: ProblemInstance,
-    graph: NominalGraph,
-    weights,
-    params: AlgorithmParams,
-    k: int,
+    state: UndirectedState, inst: ProblemInstance, graph: NominalGraph, weights, params: AlgorithmParams, k: int
 ) -> UndirectedState:
     """Gradient-tracking primal-dual step over the doubly stochastic Metropolis weights."""
-    s = params.stepsize(k)
-    nodes = state.nodes
-    nxt = np.empty(nodes.shape)
-    p, lam, y = nxt[0], nxt[1], nxt[2]
-    _primal_step(inst, params, s, nodes[0], nodes[1], p)
-    _metropolis_mix(graph, weights, nodes[1:], nxt[1:])
-    lam -= s * nodes[2]
-    y += params.nhat * (p - nodes[0])
-    _check_finite(k + 1, "pd1", _PD_ROWS, nxt)
-    return UndirectedState(nxt)
+    return UndirectedState(*_one_step("pd1", _pd1, (state.nodes,), inst, graph, weights, params, k))
 
 
 def directed_pd_step(
-    state: DirectedState,
-    inst: ProblemInstance,
-    graph: NominalGraph,
-    weights,
-    params: AlgorithmParams,
-    k: int,
+    state: DirectedState, inst: ProblemInstance, graph: NominalGraph, weights, params: AlgorithmParams, k: int
 ) -> DirectedState:
     """Push-sum primal-dual step; instantaneous out-degrees are known.
 
@@ -335,31 +412,11 @@ def directed_pd_step(
     tighter floating-point tolerance than a dense matrix product would.
     lam mixes together with -s*y.
     """
-    D, live = weights
-    _, tails, bins = graph.arcs_by_head
-    s = params.stepsize(k)
-    nodes = state.nodes
-    nxt = np.empty(nodes.shape)
-    lam, v, y, p, x = nxt[0], nxt[1], nxt[2], nxt[3], nxt[4]
-    _primal_step(inst, params, s, nodes[3], nodes[4], p)
-    share = nxt[:3]  # each node's share of (lam - s*y, v, y), mixed in place
-    np.divide(nodes[0] - s * nodes[2], D, out=lam)
-    np.divide(nodes[1:3], D, out=share[1:])
-    mix(share, bins, share.take(tails, axis=1) * live)
-    y += params.nhat * (p - nodes[3])
-    _check_positive(k + 1, v, "push-sum weight v lost positivity")
-    np.divide(lam, v, out=x)
-    _check_finite(k + 1, "directed", _PUSH_ROWS, nxt)
-    return DirectedState(nxt)
+    return DirectedState(*_one_step("directed", _directed, (state.nodes,), inst, graph, weights, params, k))
 
 
 def robust_pd_step(
-    state: RobustState,
-    inst: ProblemInstance,
-    graph: NominalGraph,
-    weights,
-    params: AlgorithmParams,
-    k: int,
+    state: RobustState, inst: ProblemInstance, graph: NominalGraph, weights, params: AlgorithmParams, k: int
 ) -> RobustState:
     """Running-sum primal-dual step; only nominal out-degrees are used.
 
@@ -370,49 +427,11 @@ def robust_pd_step(
     differences (with the y differences entering the lam update at -s).
     `weights` is the step's active mask, as a 1-tuple.
     """
-    (active,) = weights
-    s = params.stepsize(k)
-    dplus = graph.out_degrees
-    srcs = graph.srcs
-    nodes, arcs = state.nodes, state.arcs
-    nxt, arcs_nxt = np.empty(nodes.shape), np.empty(arcs.shape)
-    lam, v, y, p, x = nxt[0], nxt[1], nxt[2], nxt[3], nxt[4]
-    z, sums = nxt[:3], nxt[5:]
-    _primal_step(inst, params, s, nodes[3], nodes[4], p)
-
-    # Mirror advances in increment form: gamma*(sum - mirror) equals
-    # (1-gamma)*mirror + gamma*sum exactly, but the subtraction of the two
-    # nearby running quantities is exact in floating point, so the node
-    # updates are free of the large-magnitude rounding the running sums
-    # would otherwise inject.
-    d = np.where(active, params.gamma * (nodes[5:].take(srcs, axis=1) - arcs[:3]), 0.0)
-    np.add(arcs[:3], d, out=arcs_nxt[:3])
-    shares = np.divide(nodes[:3], dplus, out=z)  # mixed in place below
-    # In-flight sidecar: every step an arc absorbs its source's share and
-    # releases exactly the delivered mirror difference, so the augmented
-    # conservation sums telescope without touching the large running sums.
-    virt = np.add(arcs[3:], shares.take(srcs, axis=1), out=arcs_nxt[3:])
-    virt -= d
-    own_y = s * shares[2]
-    np.subtract(d[0], s * d[2], out=d[0])  # lam arrives together with -s times y
-    mix(z, graph.arc_bins, d)
-    lam -= own_y
-    y += params.nhat * (p - nodes[3])
-    _check_positive(k + 1, v, "push-sum weight v hit zero")
-    np.divide(lam, v, out=x)
-    np.divide(z, dplus, out=sums)
-    sums += nodes[5:]
-    _check_finite(k + 1, "robust", _ROBUST_ROWS, nxt)
-    return RobustState(nxt, arcs_nxt)
+    return RobustState(*_one_step("robust", _robust, (state.nodes, state.arcs), inst, graph, weights, params, k))
 
 
 def virtual_domain_step(
-    state: VirtualState,
-    inst: ProblemInstance,
-    graph: NominalGraph,
-    weights,
-    params: AlgorithmParams,
-    k: int,
+    state: VirtualState, inst: ProblemInstance, graph: NominalGraph, weights, params: AlgorithmParams, k: int
 ) -> VirtualState:
     """Augmented-system step: the action of the column-stochastic mixing.
 
@@ -428,31 +447,7 @@ def virtual_domain_step(
     to (lam - s*y on real rows, v, y) up to roundoff. `weights` is the
     step's active mask, as a 1-tuple.
     """
-    (active,) = weights
-    n = inst.n
-    s = params.stepsize(k)
-    nodes = state.nodes
-    nxt = np.empty(nodes.shape)
-    real, held = nxt[:3, :n], nxt[:3, n:]
-    lam, v, p, x = nxt[0], nxt[1], nxt[3], nxt[4]
-    p[n:] = nodes[3, n:]
-    _primal_step(inst, params, s, nodes[3, :n], nodes[4, :n], p[:n])
-
-    share = np.divide(nodes[:3, :n], graph.out_degrees, out=real)  # mixed in place below
-    inflow = np.add(nodes[:3, n:], share.take(graph.srcs, axis=1), out=held)
-    released = np.where(active, params.gamma * inflow, 0.0)
-    held -= released
-    # real rows mix (lam - s*y); virtual rows carry lam and y separately
-    own_y = s * share[2]
-    np.subtract(released[0], s * released[2], out=released[0])
-    mix(real, graph.arc_bins, released)
-    real_lam, real_y = lam[:n], real[2]
-    real_lam -= own_y
-    real_y += params.nhat * (p[:n] - nodes[3, :n])
-    _check_positive(k + 1, v, "augmented push-sum weight hit zero")
-    np.divide(lam, v, out=x)
-    _check_finite(k + 1, "virtual", _PUSH_ROWS, nxt)
-    return VirtualState(nxt)
+    return VirtualState(*_one_step("virtual", _virtual, (state.nodes,), inst, graph, weights, params, k))
 
 
 def _mask_table(graph: NominalGraph, masks: np.ndarray) -> tuple[np.ndarray]:
@@ -492,13 +487,13 @@ def _augmented_stochasticity(graph: NominalGraph, table, params) -> np.ndarray:
 class _Spec:
     """What the run driver needs to know about one algorithm.
 
-    The trace records node rows ``rows`` of each state, as the series
-    named in ``series`` (row for row), with one copy per step; "consensus"
-    is the multiplier estimates. ``buffered`` is (state field, rows) of the
-    rows a block buffer copies beside the trace, or None. ``y`` and ``v``
-    say where the totals of the tracked imbalance and the push-sum mass
-    are read: a trace series by name or a row of the block buffer by
-    number; empty means the algorithm carries no such quantity.
+    ``kernel`` is the in-place step. The trace records node rows ``rows``
+    of each state, as the series named in ``series`` (row for row), with
+    one copy per block; "consensus" is the multiplier estimates. ``y`` and
+    ``v`` say where the totals of the tracked imbalance and the push-sum
+    mass are read: a trace series by name, or (state field, row) of the
+    state ring over all the field's columns; empty means the algorithm
+    carries no such quantity.
     ``weights`` maps (graph, masks) to the weight table of a (rows, m)
     block of masks, a tuple of arrays whose row r the step of the block's
     row r takes. ``stochasticity`` maps (graph, table, params) to the
@@ -508,18 +503,17 @@ class _Spec:
 
     state: type
     init: Callable
-    step: Callable
+    kernel: Callable
     weights: Callable
     rows: slice
     series: tuple[str, ...]
-    buffered: tuple[str, slice] | None
     y: tuple
     v: tuple
     stochasticity: Callable | None
 
 
 def _specs() -> dict[str, _Spec]:
-    # Built per run, so the step functions and table builders are looked
+    # Built per run, so the step kernels and table builders are looked
     # up when the run starts: a profiler or tracer that wraps them in place
     # sees the calls.
     push = {"rows": slice(1, 5), "series": ("v", "y", "p", "consensus")}
@@ -527,33 +521,33 @@ def _specs() -> dict[str, _Spec]:
         "pd1": _Spec(
             UndirectedState,
             lambda inst, graph, params: init_undirected(inst, params),
-            pd1_step, metropolis_table, slice(0, 3), ("p", "consensus", "y"), None, y=("y",), v=(),
+            _pd1, metropolis_table, slice(0, 3), ("p", "consensus", "y"), y=("y",), v=(),
             stochasticity=_metropolis_stochasticity,
         ),
         "pd2": _Spec(
             UndirectedState,
             lambda inst, graph, params: init_undirected(inst, params, tracker=False),
-            pd2_step, metropolis_table, slice(0, 2), ("p", "consensus"), None, y=(), v=(),
+            _pd2, metropolis_table, slice(0, 2), ("p", "consensus"), y=(), v=(),
             stochasticity=_metropolis_stochasticity,
         ),
         "directed": _Spec(
             DirectedState,
             lambda inst, graph, params: init_directed(inst, params),
-            directed_pd_step, push_table, **push, buffered=None, y=("y",), v=("v",),
+            _directed, push_table, **push, y=("y",), v=("v",),
             stochasticity=_push_stochasticity,
         ),
         "robust": _Spec(
             RobustState,
             init_robust,
-            robust_pd_step, _mask_table, **push,
-            buffered=("arcs", slice(4, 6)), y=("y", 1), v=("v", 0),  # in-flight v and y
+            _robust, _mask_table, **push,
+            y=("y", ("arcs", 5)), v=("v", ("arcs", 4)),  # in-flight v and y
             stochasticity=None,
         ),
         "virtual": _Spec(
             VirtualState,
             init_virtual,
-            virtual_domain_step, _mask_table, **push,
-            buffered=("nodes", slice(1, 3)), y=(1,), v=(0,),  # v and y over all N nodes
+            _virtual, _mask_table, **push,
+            y=(("nodes", 2),), v=(("nodes", 1),),  # v and y over all N nodes
             stochasticity=_augmented_stochasticity,
         ),
     }
@@ -605,12 +599,11 @@ def run(
     (imbalance, consensus spread, mixing stochasticity, conservation,
     mass, min weight) get one value per step where the algorithm carries
     the quantities; they are reduced per block of recorded rows, not per
-    step, so the step loop only steps and records. Each block's weight
-    table is built once, before the block is stepped, and gives both the
-    steps' weights and the stochasticity residuals. For the running-sum
-    algorithm the conservation and mass identities are evaluated over the
-    augmented vector using its in-flight sidecar. The step functions keep
-    their own finite and positivity guards, so a failure names its step.
+    step. For the running-sum algorithm the conservation and mass
+    identities are evaluated over the augmented vector using its in-flight
+    sidecar. Each block is stepped in place in a ring of states, under one
+    guard that raises the error the step functions raise at the block's
+    first failing step (see the module docstring).
     """
     spec = _spec(algorithm)
     graph = schedule.nominal
@@ -638,20 +631,21 @@ def run(
         keys += ["mass", "min_v"]
     # One (K + 1, series, n) block holds every series; row k is one copy of state k's traced rows.
     trace_rows = np.empty((K + 1, len(spec.series), n))
-    traced = (spec.rows, slice(n))
     series = {name: trace_rows[:, i] for i, name in enumerate(spec.series)}
     residuals = {key: np.empty(K + 1) for key in keys}
     stochasticity = residuals.get("stochasticity")
     rows = max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
-    if spec.buffered is not None:
-        buffered_field, buffered_rows = spec.buffered
-        buffer = np.empty((rows, *getattr(state, buffered_field)[buffered_rows].shape))
+    # Slot 0 holds the state before a block, state 0 in the first.
+    ring = {f.name: np.empty((rows + 1, *getattr(state, f.name).shape)) for f in fields(state)}
+    for name, arrays in ring.items():
+        arrays[0] = getattr(state, name)
+    slots = list(zip(*ring.values()))
 
-    def block_residuals(lo: int, hi: int) -> None:
-        """The residual rows lo..hi-1 from the recorded rows, by row-wise reductions."""
+    def block_residuals(lo: int, hi: int, slot: int) -> None:
+        """The residual rows lo..hi-1 from the recorded rows and the ring from `slot`, by row-wise reductions."""
 
         def block(ref):
-            return buffer[: hi - lo, ref] if isinstance(ref, int) else series[ref][lo:hi]
+            return series[ref][lo:hi] if isinstance(ref, str) else ring[ref[0]][slot : slot + hi - lo, ref[1]]
 
         imb = (series["p"][lo:hi] - inst.loads).sum(axis=1)
         c = series["consensus"][lo:hi]
@@ -670,25 +664,27 @@ def run(
                 low = np.where(other < low, other, low)
             residuals["min_v"][lo:hi] = low
 
-    step = spec.step
+    kernel = spec.kernel
     masks = schedule.masks[:K]
     if stochasticity is not None:
         stochasticity[0] = 0.0
     for lo in range(0, K + 1, rows):
         hi = min(lo + rows, K + 1)
         first = max(lo, 1)  # row k >= 1 follows step k - 1
-        if first < hi:
+        last = hi - first  # the slot of row hi - 1
+        if last:
             table = spec.weights(graph, masks[first - 1 : hi - 1])
             if stochasticity is not None:
                 stochasticity[first:hi] = spec.stochasticity(graph, table, params)
-            step_rows = list(zip(*table))
-        for k in range(lo, hi):
-            if k:
-                state = step(state, inst, graph, step_rows[k - first], params, k - 1)
-            trace_rows[k] = state.nodes[traced]
-            if spec.buffered is not None:
-                buffer[k - lo] = getattr(state, buffered_field)[buffered_rows]
-        block_residuals(lo, hi)
+            steps = [params.stepsize(k) for k in range(first - 1, hi - 1)]
+            for j, (weights, s) in enumerate(zip(zip(*table), steps)):
+                kernel(slots[j], slots[j + 1], inst, graph, weights, params, s)
+            _check_block(algorithm, first, ring["nodes"][1 : last + 1])
+        slot = last + 1 - (hi - lo)  # the slot of row lo
+        trace_rows[lo:hi] = ring["nodes"][slot : last + 1, spec.rows, :n]
+        block_residuals(lo, hi, slot)
+        for arrays in ring.values():
+            arrays[0] = arrays[last]
 
     warnings = params.configuration_warnings(n)
     if flag_no_progress(residuals["imbalance"]):

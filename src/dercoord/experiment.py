@@ -376,6 +376,8 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
         oracle_tol = float(run_sec.get("oracle_tol", "1e-12"))
     except ValueError:
         raise ConfigError("non-numeric run parameter") from None
+    if not 0.0 < oracle_tol < float("inf"):
+        raise ConfigError(f"oracle_tol={oracle_tol} must be positive and finite")
     seeds_text = seeds_override if seeds_override is not None else _req(run_sec, "seeds", "run")
     try:
         seeds = tuple(int(s) for s in str(seeds_text).replace(",", " ").split())
@@ -385,6 +387,8 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
         raise ConfigError("empty seed list")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("duplicate seeds")
+    if not all(0 <= s < 2**64 for s in seeds):
+        raise ConfigError(f"seeds must lie in [0, 2^64), got {seeds_text!r}")
     if not (0.0 <= q < 1.0):
         raise ConfigError(f"q={q} outside [0, 1)")
     if K < 0:
@@ -482,7 +486,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.out_dir is None:
         raise ConfigError("no output directory: set [output] dir or pass --out")
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
     solution = solve_bisection(
         config.instance, xi=config.params.xi, nhat=config.params.nhat, tol=config.oracle_tol
     )

@@ -1,9 +1,9 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dercoord as dc
@@ -15,7 +15,9 @@ from dercoord.algorithms import (
     init_undirected,
     init_virtual,
 )
+from dercoord import algorithms
 from dercoord.errors import (
+    DercoordError,
     DimensionMismatchError,
     DivergenceError,
     InternalInvariantError,
@@ -736,6 +738,83 @@ class TestDivergenceNames:
         with pytest.raises(InternalInvariantError) as err:
             STEPS[algorithm](start, small_instance, graph, live(algorithm, graph, np.ones(3, bool)), params, 6)
         assert err.value.step == 7
+
+
+@dataclass(frozen=True)
+class SpikeStep:
+    """Stepsize s before step k and `spike` from step k on, to make the iterates fail at step k + 1."""
+
+    s: float
+    k: int
+    spike: float
+
+    def at(self, k: int) -> float:
+        return self.s if k < self.k else self.spike
+
+
+def raised(fn):
+    """(type, step, message) of the package error `fn` raises, or None if it returns."""
+    try:
+        fn()
+    except DercoordError as exc:
+        return type(exc), exc.step, str(exc)
+    return None
+
+
+class TestBlockGuard:
+    """`run` guards a block of steps at once, and raises what stepping one state at a time raises."""
+
+    @given(
+        algorithm=st.sampled_from(dc.ALGORITHMS),
+        n=st.integers(2, 8),
+        extra=st.integers(0, 6),
+        seed=st.integers(0, 2**32),
+        q=st.floats(0.0, 0.9),
+        rows=st.integers(_MIN_BLOCK_ROWS, _MIN_BLOCK_ROWS + 4),
+        trigger=st.sampled_from(["init inf", "init nan", "zero v", "stepsize"]),
+        place=st.sampled_from(["first", "middle", "last", "second block"]),
+        spike=st.sampled_from([1e150, 1e300, np.inf, np.nan]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_run_raises_what_the_step_functions_raise(
+        self, algorithm, n, extra, seed, q, rows, trigger, place, spike, data
+    ):
+        assume(trigger != "zero v" or algorithm in algorithms.DIRECTED_ALGORITHMS)
+        directed = algorithm in algorithms.DIRECTED_ALGORITHMS
+        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed)
+        inst = dc.generate_instance(dc.InstanceSpec(n=n), seed)
+        K = 2 * rows + 3
+        # Block 0 holds steps 1 .. rows - 1, block 1 steps rows .. 2 rows - 1.
+        fail_at = {"first": 1, "middle": rows // 2, "last": rows - 1, "second block": rows}[place]
+        step = SpikeStep(0.02, fail_at - 1, spike) if trigger == "stepsize" else dc.ConstantStep(0.02)
+        params = dc.AlgorithmParams(step=step, xi=0.5, nhat=float(n), gamma=0.9, horizon=K)
+        sched = dc.GraphSchedule(g, q, seed, K)
+        start = standard_start(algorithm, inst, g, params)
+        start = replace(start, nodes=start.nodes.copy())
+        if trigger == "zero v":
+            start.v[:] = 0.0
+            if algorithm == "robust":
+                start.sums[:] = start.z / g.out_degrees  # running sums through step 0
+        elif trigger.startswith("init"):
+            row = data.draw(st.integers(0, len(start.nodes) - 1), label="row")
+            col = data.draw(st.integers(0, start.nodes.shape[1] - 1), label="column")
+            start.nodes[row, col] = np.inf if trigger == "init inf" else np.nan
+
+        def step_through():
+            state = start
+            for k in range(K):
+                state = STEPS[algorithm](state, inst, g, live(algorithm, g, sched.masks[k]), params, k)
+
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algorithms, "_RESIDUAL_BLOCK_ENTRIES", rows * g.m)
+            want = raised(step_through)
+            got = raised(lambda: dc.run(algorithm, inst, sched, params, init=start))
+        assert got == want
+        if trigger == "stepsize" and np.isnan(spike):  # a NaN stepsize makes p NaN at once
+            assert want is not None and want[:2] == (DivergenceError, fail_at)
+        if trigger == "zero v":
+            assert want is not None and want[:2] == (InternalInvariantError, 1)
 
 
 def bit_equal(a, b):

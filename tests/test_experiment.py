@@ -223,6 +223,21 @@ seeds = 1
         )
         assert config.seeds == (7, 8, 9)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, seed):
+        cfg = write_config(tmp_path / "c.cfg", GOOD_CONFIG)
+        with pytest.raises(ConfigError, match=r"seeds must lie in \[0, 2\^64\)"):
+            load_config(cfg, seeds_override=str(seed))
+        with pytest.raises(ConfigError, match="seeds must lie"):
+            load_config(write_config(tmp_path / "d.cfg", GOOD_CONFIG.replace("seeds = 1,2", f"seeds = 1,{seed}")))
+        assert load_config(cfg, seeds_override=f"0,{2**64 - 1}").seeds == (0, 2**64 - 1)
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_oracle_tol_must_be_positive_and_finite(self, tmp_path, tol):
+        bad = GOOD_CONFIG.replace("seeds = 1,2", f"seeds = 1,2\noracle_tol = {tol}")
+        with pytest.raises(ConfigError, match="oracle_tol"):
+            load_config(write_config(tmp_path / "c.cfg", bad))
+
 
 class TestRunExperiment:
     def test_artifacts_and_summary(self, tmp_path):
@@ -342,3 +357,18 @@ class TestCli:
     def test_run_bad_config_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", GOOD_CONFIG.replace("id = directed", "id = warp"))
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_run_with_negative_seed_exits_2_without_artifacts(self, repo_root, tmp_path, capsys):
+        cfg = repo_root / "configs" / "benchmark39_pd1.cfg"
+        assert cli_main(["run", str(cfg), "--seeds=-1", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: seeds must lie in [0, 2^64)")
+        assert not (tmp_path / "out").exists()
+
+    def test_run_into_uncreatable_directory_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", GOOD_CONFIG)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        for out in (blocker, blocker / "x"):
+            assert cli_main(["run", str(cfg), "--out", str(out), "--seeds", "5"]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}")
+        assert blocker.read_text() == "not a directory"
