@@ -40,7 +40,9 @@ taken in order, to raise the error of the first failing step: positivity
 before finiteness, every non-finite row named, p first. The block's
 later steps have by then run on that step's values, which may be
 non-finite (NumPy may warn), but nothing they computed is kept. The
-traced rows go into the trace as one slice, and the residual series are
+trace is one series-major (series, K + 1, n) block, so each recorded
+series is a C-contiguous (K + 1, n) view of it; a block's traced rows go
+into it as one slice, and the residual series are
 reduced row-wise over them (and over robust's in-flight and virtual's
 full-width v and y, read from the ring) in the order of one state at a
 time, so they are bit-identical to a per-step evaluation.
@@ -603,7 +605,8 @@ def run(
     identities are evaluated over the augmented vector using its in-flight
     sidecar. Each block is stepped in place in a ring of states, under one
     guard that raises the error the step functions raise at the block's
-    first failing step (see the module docstring).
+    first failing step (see the module docstring). The recorded series
+    are C-contiguous views of one allocation that holds them all.
     """
     spec = _spec(algorithm)
     graph = schedule.nominal
@@ -629,9 +632,9 @@ def run(
         keys.append("conservation")
     if spec.v:
         keys += ["mass", "min_v"]
-    # One (K + 1, series, n) block holds every series; row k is one copy of state k's traced rows.
-    trace_rows = np.empty((K + 1, len(spec.series), n))
-    series = {name: trace_rows[:, i] for i, name in enumerate(spec.series)}
+    # One (series, K + 1, n) block holds every series, so each series is a contiguous (K + 1, n) view.
+    trace_rows = np.empty((len(spec.series), K + 1, n))
+    series = dict(zip(spec.series, trace_rows))
     residuals = {key: np.empty(K + 1) for key in keys}
     stochasticity = residuals.get("stochasticity")
     rows = max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
@@ -681,7 +684,7 @@ def run(
                 kernel(slots[j], slots[j + 1], inst, graph, weights, params, s)
             _check_block(algorithm, first, ring["nodes"][1 : last + 1])
         slot = last + 1 - (hi - lo)  # the slot of row lo
-        trace_rows[lo:hi] = ring["nodes"][slot : last + 1, spec.rows, :n]
+        trace_rows[:, lo:hi] = ring["nodes"][slot : last + 1, spec.rows, :n].swapaxes(0, 1)
         block_residuals(lo, hi, slot)
         for arrays in ring.values():
             arrays[0] = arrays[last]

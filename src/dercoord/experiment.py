@@ -294,6 +294,11 @@ def _parse_range(text: str, key: str) -> tuple[float, float]:
         raise ConfigError(f"non-numeric bound in {key}={text!r}") from None
 
 
+def _check_seed(seed: int, key: str) -> None:
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{key} must lie in [0, 2^64), got {seed}")
+
+
 def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfig:
     """Parse and fully resolve a config file; all validation happens here."""
     path = Path(path)
@@ -323,6 +328,7 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
             inst_seed = int(_req(instance_sec, "seed", "instance"))
         except ValueError:
             raise ConfigError("instance n and seed must be integers") from None
+        _check_seed(inst_seed, "[instance] seed")
         kwargs = {}
         for key in ("a_range", "b_range", "c_range", "load_range", "lo_range", "hi_range"):
             if key in instance_sec:
@@ -342,6 +348,7 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
                 graph_seed = int(graph_sec.get("seed", str(inst_seed)))
             except ValueError:
                 raise ConfigError("graph extra_edges and seed must be integers") from None
+            _check_seed(graph_seed, "[graph] seed")
             graph = generate_graph(
                 GraphSpec(n=inst.n, extra_edges=extra, directed=(mode == "directed")),
                 graph_seed,

@@ -23,6 +23,9 @@ from .problem import AlgorithmParams
 # from rate fits (100x double-precision epsilon).
 FIT_FLOOR = 100.0 * np.finfo(float).eps
 
+# Entries of p per block of `convergence_error`'s row-wise norm.
+_ERROR_BLOCK_ENTRIES = 1 << 16
+
 # Accumulated-tolerance budgets for runs up to ~1e5 steps.
 BUDGETS: dict[str, float] = {
     "conservation": 1e-9,
@@ -36,6 +39,8 @@ class RunTrace:
     """Time-indexed record of a run: iterates, diagnostics, metadata.
 
     Arrays are step-major: row k holds the state at step k, k = 0..K.
+    `run` records each series as one C-contiguous (K + 1, n) view of a
+    single series-major block, so hashing or saving one copies nothing.
     ``consensus`` holds the per-agent multiplier estimates (lambda for the
     undirected algorithms, the push-sum ratio x for the directed ones).
     ``residuals`` maps diagnostic names to per-step series; only the
@@ -120,11 +125,22 @@ class InvariantReport:
 
 
 def convergence_error(trace: RunTrace, solution) -> np.ndarray:
-    """Euclidean distance ||p[k] - p*||_2 for every recorded step."""
+    """Euclidean distance ||p[k] - p*||_2 for every recorded step.
+
+    The norm is taken over blocks of about `_ERROR_BLOCK_ENTRIES` entries,
+    so the temporaries stay O(block) however long the trace. Each row is
+    reduced on its own, so the result is bit-identical to one full-array
+    ``np.linalg.norm(p - p_star, axis=1)``.
+    """
     p_star = np.asarray(solution.p_star, dtype=float)
-    if trace.p.shape[1] != p_star.shape[0]:
-        raise DimensionMismatchError("solution.p_star", trace.p.shape[1], p_star.shape[0])
-    return np.linalg.norm(trace.p - p_star[None, :], axis=1)
+    p = trace.p
+    if p.shape[1] != p_star.shape[0]:
+        raise DimensionMismatchError("solution.p_star", p.shape[1], p_star.shape[0])
+    err = np.empty(p.shape[0])
+    rows = max(1, _ERROR_BLOCK_ENTRIES // max(p.shape[1], 1))
+    for lo in range(0, p.shape[0], rows):
+        err[lo : lo + rows] = np.linalg.norm(p[lo : lo + rows] - p_star, axis=1)
+    return err
 
 
 def weighted_norm(series, a: float, K: int) -> float:

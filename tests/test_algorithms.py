@@ -624,6 +624,22 @@ class TestResidualBlocks:
         growth = peak_beyond_trace(20_000) - peak_beyond_trace(2_000)
         assert growth < 1_000_000, f"peak beyond the trace grew by {growth} bytes"
 
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_traced_series_are_contiguous_views_of_one_block(
+        self, algorithm, case39_undirected, case39_directed
+    ):
+        inst, g = case39_undirected if algorithm in ("pd1", "pd2") else case39_directed
+        K = 2 * block_rows(g) + 3
+        trace = dc.run(algorithm, inst, dc.GraphSchedule(g, 0.2, 1, K), params_for(inst.n, s=0.01, horizon=K))
+        series = [a for a in (trace.p, trace.consensus, trace.y, trace.v) if a is not None]
+        assert len(series) == (2 if algorithm == "pd2" else 3 if algorithm == "pd1" else 4)
+        for a in series:
+            assert a.shape == (K + 1, inst.n) and a.flags.c_contiguous
+        # One allocation holds exactly the series.
+        block = series[0].base
+        assert all(a.base is block for a in series)
+        assert block.nbytes == sum(a.nbytes for a in series)
+
 
 class TestRunProperties:
     """Invariants of whole runs over random graphs and parameters."""

@@ -364,6 +364,22 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: seeds must lie in [0, 2^64)")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section", ["instance", "graph"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_run_with_generator_seed_outside_64_bits_exits_2_without_artifacts(
+        self, tmp_path, capsys, section, seed
+    ):
+        if section == "instance":
+            body = GOOD_CONFIG.replace("seed = 3", f"seed = {seed}")
+        else:
+            body = GOOD_CONFIG.replace("[graph]\n", f"[graph]\nseed = {seed}\n")
+        cfg = write_config(tmp_path / "c.cfg", body)
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: [{section}] seed must lie in [0, 2^64)")
+        assert not (tmp_path / "out").exists()
+        edge = write_config(tmp_path / "d.cfg", body.replace(f"seed = {seed}", f"seed = {2**64 - 1}"))
+        assert load_config(edge).instance.n == 6
+
     def test_run_into_uncreatable_directory_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", GOOD_CONFIG)
         blocker = tmp_path / "file"

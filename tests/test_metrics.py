@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import dercoord as dc
 from dercoord.errors import DimensionMismatchError, FitWindowError
-from dercoord.metrics import RunTrace, flag_no_progress
+from dercoord.metrics import _ERROR_BLOCK_ENTRIES, RunTrace, flag_no_progress
 
 
 def make_trace(p, **kwargs):
@@ -52,6 +54,52 @@ class TestConvergenceError:
         sol_p = self.solution(np.asarray(sol.p_star)[perm])
         err_p = dc.convergence_error(make_trace(p[:, perm]), sol_p)
         np.testing.assert_allclose(err_p, err, atol=1e-12)
+
+    @given(
+        n=st.one_of(st.integers(1, 40), st.integers(_ERROR_BLOCK_ENTRIES + 1, _ERROR_BLOCK_ENTRIES + 40)),
+        count=st.sampled_from(["0", "1", "block - 1", "block", "block + 1"]),
+        scale=st.sampled_from([1e-300, 1.0, 1e160, 1e300]),
+        bad=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from([np.nan, np.inf, -np.inf]))),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_norm_equals_full_norm(self, n, count, scale, bad, seed):
+        # One block holds _ERROR_BLOCK_ENTRIES // n rows, or one row when n exceeds it.
+        block = max(1, _ERROR_BLOCK_ENTRIES // n)
+        rows = {"0": 0, "1": 1, "block - 1": block - 1, "block": block, "block + 1": block + 1}[count]
+        rng = np.random.default_rng(seed)
+        p = scale * rng.normal(size=(rows, n))
+        p_star = scale * rng.normal(size=n)
+        for row, value in bad:
+            if rows:
+                p[row % rows, row % n] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = dc.convergence_error(make_trace(p), SimpleNamespace(p_star=p_star))
+            want = np.linalg.norm(p - p_star, axis=1)
+        assert err.shape == want.shape
+        np.testing.assert_array_equal(err, want)
+        assert np.array_equal(np.signbit(err), np.signbit(want))
+
+    def test_memory_beyond_trace_does_not_grow_with_horizon(self, case39_directed):
+        inst, g = case39_directed
+        sol = dc.solve_bisection(inst, xi=0.2, nhat=20.0)
+
+        def peak_beyond_trace(K):
+            params = dc.AlgorithmParams(step=dc.ConstantStep(0.02), xi=0.2, nhat=20.0, gamma=0.9, horizon=K)
+            sched = dc.GraphSchedule(g, 0.2, 1, K)
+            sched.masks  # sampled before measuring
+            tracemalloc.start()
+            try:
+                trace = dc.run("robust", inst, sched, params)
+                err = dc.convergence_error(trace, sol)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = [trace.p, trace.consensus, trace.y, trace.v, *trace.residuals.values(), err]
+            return peak - sum(a.nbytes for a in kept)
+
+        growth = peak_beyond_trace(20_000) - peak_beyond_trace(2_000)
+        assert growth < 1_000_000, f"peak beyond the trace and error grew by {growth} bytes"
 
 
 class TestWeightedNorm:
