@@ -394,8 +394,8 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
         raise ConfigError("empty seed list")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("duplicate seeds")
-    if not all(0 <= s < 2**64 for s in seeds):
-        raise ConfigError(f"seeds must lie in [0, 2^64), got {seeds_text!r}")
+    for seed in seeds:
+        _check_seed(seed, "seeds")
     if not (0.0 <= q < 1.0):
         raise ConfigError(f"q={q} outside [0, 1)")
     if K < 0:
