@@ -80,7 +80,7 @@ from .errors import (
     InvalidInstanceError,
     ModeMismatchError,
 )
-from .metrics import RunTrace, flag_no_progress
+from .metrics import RunTrace, run_warnings
 from .network import (
     GraphSchedule,
     NominalGraph,
@@ -587,6 +587,16 @@ def _checked_init(algorithm: str, spec: _Spec, init, inst, graph, params):
     return init
 
 
+def check_pairing(algorithm: str, inst: ProblemInstance, graph: NominalGraph) -> None:
+    """Raise `ModeMismatchError` unless `graph` has the algorithm's directedness and the instance's size."""
+    if algorithm in UNDIRECTED_ALGORITHMS and graph.directed:
+        raise ModeMismatchError(f"{algorithm} requires an undirected graph")
+    if algorithm in DIRECTED_ALGORITHMS and not graph.directed:
+        raise ModeMismatchError(f"{algorithm} requires a directed graph")
+    if graph.n != inst.n:
+        raise ModeMismatchError(f"graph has {graph.n} nodes, instance has {inst.n}")
+
+
 def run(
     algorithm: str,
     inst: ProblemInstance,
@@ -610,12 +620,7 @@ def run(
     """
     spec = _spec(algorithm)
     graph = schedule.nominal
-    if algorithm in UNDIRECTED_ALGORITHMS and graph.directed:
-        raise ModeMismatchError(f"{algorithm} requires an undirected schedule")
-    if algorithm in DIRECTED_ALGORITHMS and not graph.directed:
-        raise ModeMismatchError(f"{algorithm} requires a directed schedule")
-    if graph.n != inst.n:
-        raise ModeMismatchError(f"schedule has {graph.n} nodes, instance has {inst.n}")
+    check_pairing(algorithm, inst, graph)
     K = params.horizon
     if K > schedule.horizon:
         raise ModeMismatchError(f"horizon {K} exceeds schedule horizon {schedule.horizon}")
@@ -689,12 +694,10 @@ def run(
         for arrays in ring.values():
             arrays[0] = arrays[last]
 
-    warnings = params.configuration_warnings(n)
-    if flag_no_progress(residuals["imbalance"]):
-        warnings.append("no-progress: imbalance did not decay (stepsize too large?)")
+    warnings = run_warnings(params, n, residuals["imbalance"])
     if K > 0 and not union_connected(graph, masks.any(axis=0)):
         warnings.append("connectivity: union of active links over the horizon is not connected")
-    trace = RunTrace(
+    return RunTrace(
         algorithm=algorithm,
         p=series["p"],
         consensus=series["consensus"],
@@ -706,5 +709,3 @@ def run(
         schedule_digest=schedule.digest(),
         warnings=warnings,
     )
-    trace.validate()
-    return trace

@@ -25,12 +25,11 @@ def _cmd_run(args) -> int:
     result = run_experiment(config)
     for outcome in result.outcomes:
         if outcome.status == "ok":
-            final = outcome.error[-1] if outcome.error is not None else float("nan")
             print(
-                f"seed {outcome.seed}: ok  final_error={_fmt(final)}  "
+                f"seed {outcome.seed}: ok  final_error={_fmt(outcome.final_error)}  "
                 f"rate={_fmt(outcome.fitted_rate)}"
             )
-            for note in outcome.trace.warnings:
+            for note in outcome.warnings:
                 print(f"seed {outcome.seed}: warning: {note}")
         else:
             print(f"seed {outcome.seed}: error: {outcome.message}", file=sys.stderr)

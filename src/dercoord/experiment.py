@@ -5,7 +5,9 @@ A run is described by one INI-style config (sections [instance], [graph],
 explicitly, there are no hidden defaults for them. Each seed produces
 ``trace_<seed>.csv`` and the batch produces ``summary.csv``; floats are
 rendered with 17 significant digits so values round-trip losslessly and
-repeated runs are byte-identical.
+repeated runs are byte-identical. A seed is finished in one pass and
+leaves only its `SeedOutcome`, whose residual extrema are its
+`invariant_report`: the summary computes none of them itself.
 
 Case file format (text)::
 
@@ -24,15 +26,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, run
+from .algorithms import ALGORITHMS, check_pairing, run
 from .errors import (
     CaseParseError,
     ConfigError,
     DercoordError,
     GeneratorSpecError,
+    InvalidCostError,
     InvalidInstanceError,
 )
-from .metrics import RunTrace, convergence_error, fit_rate
+from .metrics import InvariantReport, RunTrace, convergence_error, fit_rate, invariant_report
 from .network import (
     GraphSchedule,
     NominalGraph,
@@ -299,8 +302,52 @@ def _check_seed(seed: int, key: str) -> None:
         raise ConfigError(f"{key} must lie in [0, 2^64), got {seed}")
 
 
+def _instance_and_graph(cp: configparser.ConfigParser, path: Path) -> tuple[ProblemInstance, NominalGraph]:
+    instance_sec = cp["instance"]
+    if "case" in instance_sec:
+        case_path = Path(instance_sec["case"])
+        if not case_path.is_absolute():
+            case_path = path.parent / case_path
+        try:
+            return load_case(case_path)
+        except FileNotFoundError:
+            raise ConfigError(f"case file not found: {case_path}") from None
+    try:
+        n = int(_req(instance_sec, "n", "instance"))
+        inst_seed = int(_req(instance_sec, "seed", "instance"))
+    except ValueError:
+        raise ConfigError("instance n and seed must be integers") from None
+    _check_seed(inst_seed, "[instance] seed")
+    kwargs = {}
+    for key in ("a_range", "b_range", "c_range", "load_range", "lo_range", "hi_range"):
+        if key in instance_sec:
+            kwargs[key] = _parse_range(instance_sec[key], key)
+    inst = generate_instance(InstanceSpec(n=n, **kwargs), inst_seed)
+    if "graph" not in cp:
+        raise ConfigError("generated instances need a [graph] section")
+    graph_sec = cp["graph"]
+    if "file" in graph_sec:
+        return inst, load_graph(path.parent / graph_sec["file"])
+    mode = _req(graph_sec, "mode", "graph").lower()
+    if mode not in ("undirected", "directed"):
+        raise ConfigError(f"graph mode must be undirected|directed, got {mode!r}")
+    try:
+        extra = int(graph_sec.get("extra_edges", "0"))
+        graph_seed = int(graph_sec.get("seed", str(inst_seed)))
+    except ValueError:
+        raise ConfigError("graph extra_edges and seed must be integers") from None
+    _check_seed(graph_seed, "[graph] seed")
+    spec = GraphSpec(n=inst.n, extra_edges=extra, directed=(mode == "directed"))
+    return inst, generate_graph(spec, graph_seed)
+
+
 def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfig:
-    """Parse and fully resolve a config file; all validation happens here."""
+    """Parse and fully resolve a config file; all validation happens here.
+
+    Every invalid input raises `ConfigError`: an instance or cost the
+    library rejects, and an algorithm whose directedness or size does not
+    match the graph, are among them.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -313,51 +360,16 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
         if section not in cp:
             raise ConfigError(f"missing section [{section}]")
 
-    instance_sec = cp["instance"]
-    if "case" in instance_sec:
-        case_path = Path(instance_sec["case"])
-        if not case_path.is_absolute():
-            case_path = path.parent / case_path
-        try:
-            inst, graph = load_case(case_path)
-        except FileNotFoundError:
-            raise ConfigError(f"case file not found: {case_path}") from None
-    else:
-        try:
-            n = int(_req(instance_sec, "n", "instance"))
-            inst_seed = int(_req(instance_sec, "seed", "instance"))
-        except ValueError:
-            raise ConfigError("instance n and seed must be integers") from None
-        _check_seed(inst_seed, "[instance] seed")
-        kwargs = {}
-        for key in ("a_range", "b_range", "c_range", "load_range", "lo_range", "hi_range"):
-            if key in instance_sec:
-                kwargs[key] = _parse_range(instance_sec[key], key)
-        inst = generate_instance(InstanceSpec(n=n, **kwargs), inst_seed)
-        if "graph" not in cp:
-            raise ConfigError("generated instances need a [graph] section")
-        graph_sec = cp["graph"]
-        if "file" in graph_sec:
-            graph = load_graph(path.parent / graph_sec["file"])
-        else:
-            mode = _req(graph_sec, "mode", "graph").lower()
-            if mode not in ("undirected", "directed"):
-                raise ConfigError(f"graph mode must be undirected|directed, got {mode!r}")
-            try:
-                extra = int(graph_sec.get("extra_edges", "0"))
-                graph_seed = int(graph_sec.get("seed", str(inst_seed)))
-            except ValueError:
-                raise ConfigError("graph extra_edges and seed must be integers") from None
-            _check_seed(graph_seed, "[graph] seed")
-            graph = generate_graph(
-                GraphSpec(n=inst.n, extra_edges=extra, directed=(mode == "directed")),
-                graph_seed,
-            )
+    try:
+        inst, graph = _instance_and_graph(cp, path)
+    except (InvalidInstanceError, InvalidCostError) as exc:
+        raise ConfigError(str(exc)) from exc
 
     alg_sec = cp["algorithm"]
     algorithm = _req(alg_sec, "id", "algorithm").lower()
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm id {algorithm!r}; expected one of {ALGORITHMS}")
+    check_pairing(algorithm, inst, graph)
     try:
         if "s" in alg_sec:
             if "step_a" in alg_sec or "step_b" in alg_sec:
@@ -422,12 +434,20 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
 
 @dataclass
 class SeedOutcome:
+    """One seed's result: status, error message and the values of its summary row.
+
+    It holds no arrays, so a batch keeps one seed's trace at a time. The
+    residual extrema are the seed's `invariant_report`, taken without a
+    schedule; a seed that errored has an empty report.
+    """
+
     seed: int
     status: str
-    trace: RunTrace | None = None
-    error: np.ndarray | None = None
+    final_error: float = float("nan")
     fitted_rate: float = float("nan")
     fit_r_squared: float = float("nan")
+    report: InvariantReport = InvariantReport(())
+    warnings: tuple[str, ...] = ()
     message: str = ""
 
 
@@ -458,37 +478,43 @@ def _trace_csv(trace: RunTrace, error: np.ndarray) -> str:
 
 
 def _summary_row(outcome: SeedOutcome) -> str:
-    t = outcome.trace
-    res = t.residuals if t is not None else {}
-
-    def series_max(key):
-        return float(res[key].max()) if key in res else float("nan")
-
-    final_error = float(outcome.error[-1]) if outcome.error is not None else float("nan")
-    # Steps k >= 1 only: virtual nodes start at v = 0 (as in `v_floor`).
-    min_v = float(res["min_v"][1:].min()) if "min_v" in res and t.steps else float("nan")
+    report = outcome.report
+    extrema = [report[name].value if name in report else float("nan")
+               for name in ("conservation", "mass", "consensus_spread", "min_v")]
     cells = (
         str(outcome.seed),
         _fmt(outcome.fitted_rate),
         _fmt(outcome.fit_r_squared),
-        _fmt(final_error),
-        _fmt(series_max("conservation")),
-        _fmt(series_max("mass")),
-        _fmt(series_max("consensus_spread")),
-        _fmt(min_v),
+        _fmt(outcome.final_error),
+        *map(_fmt, extrema),
         outcome.status,
-        str(len(t.warnings) if t is not None else 0),
+        str(len(outcome.warnings)),
     )
     return ",".join(cells)
+
+
+def _run_seed(config: ExperimentConfig, solution, seed: int, out: Path) -> SeedOutcome:
+    """Run one seed, write its trace CSV and keep its summary values; its arrays die on return."""
+    schedule = GraphSchedule(config.graph, config.q, seed, config.params.horizon)
+    trace = run(config.algorithm, config.instance, schedule, config.params)
+    err = convergence_error(trace, solution)
+    try:
+        fit = fit_rate(err)
+        rate, r_squared = fit.rate, fit.r_squared
+    except DercoordError:  # converged-to-floor or too-short series: rate stays nan
+        rate = r_squared = float("nan")
+    _write_atomic(out / f"trace_{seed}.csv", _trace_csv(trace, err))
+    return SeedOutcome(seed, "ok", float(err[-1]), rate, r_squared, invariant_report(trace), tuple(trace.warnings))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every seed, write per-seed trace CSVs plus summary.csv.
 
-    Per-seed failures are recorded and remaining seeds still run; the
-    result's `ok` flag is False if any seed errored. Output files are
-    written atomically and are byte-identical across repeated runs of the
-    same config.
+    Each seed is finished before the next starts, and only its
+    `SeedOutcome` is kept. Per-seed failures are recorded and remaining
+    seeds still run; the result's `ok` flag is False if any seed errored.
+    Output files are written atomically and are byte-identical across
+    repeated runs of the same config.
     """
     if config.out_dir is None:
         raise ConfigError("no output directory: set [output] dir or pass --out")
@@ -502,23 +528,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     result = ExperimentResult(config=config)
     for seed in config.seeds:
-        outcome = SeedOutcome(seed=seed, status="ok")
         try:
-            schedule = GraphSchedule(config.graph, config.q, seed, config.params.horizon)
-            trace = run(config.algorithm, config.instance, schedule, config.params)
-            err = convergence_error(trace, solution)
-            outcome.trace = trace
-            outcome.error = err
-            try:
-                fit = fit_rate(err)
-                outcome.fitted_rate = fit.rate
-                outcome.fit_r_squared = fit.r_squared
-            except DercoordError:
-                pass  # converged-to-floor or too-short series: rate stays nan
-            _write_atomic(out / f"trace_{seed}.csv", _trace_csv(trace, err))
+            outcome = _run_seed(config, solution, seed, out)
         except DercoordError as exc:
-            outcome.status = "error"
-            outcome.message = str(exc)
+            outcome = SeedOutcome(seed=seed, status="error", message=str(exc))
         result.outcomes.append(outcome)
     header = ",".join(SUMMARY_COLUMNS)
     body = "\n".join(_summary_row(o) for o in result.outcomes)

@@ -3,16 +3,19 @@
 A run produces a `RunTrace`: per-step iterates plus diagnostic residual
 series recorded while stepping. The functions here turn traces into
 convergence-error series, exponentially weighted norms, fitted geometric
-rates, and pass/fail invariant reports.
+rates, and pass/fail invariant reports. `run_warnings` builds the
+warnings every run carries.
 
 Residual budgets live in one table (`BUDGETS`) so the test suite and the
-CLI summaries agree on what "healthy" means.
+CLI summaries agree on what "healthy" means. The CLI summary's residual
+extrema are `invariant_report` values, so each extremum, including the
+k >= 1 rule for the least push-sum weight, is computed here only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,16 +64,6 @@ class RunTrace:
     @property
     def steps(self) -> int:
         return self.p.shape[0] - 1
-
-    def validate(self) -> None:
-        rows = self.p.shape[0]
-        for name in ("consensus", "y", "v"):
-            arr = getattr(self, name)
-            if arr is not None and arr.shape[0] != rows:
-                raise DimensionMismatchError(f"trace.{name} rows", rows, arr.shape[0])
-        for name, series in self.residuals.items():
-            if series.shape[0] != rows:
-                raise DimensionMismatchError(f"trace residual {name}", rows, series.shape[0])
 
 
 @dataclass(frozen=True)
@@ -242,12 +235,15 @@ def _max_check(name: str, series: np.ndarray, budget: float | None) -> Invariant
 def invariant_report(trace: RunTrace, schedule=None) -> InvariantReport:
     """Summarize per-step residuals against the central budgets.
 
-    When the producing `schedule` is supplied and the trace came from a
-    running-sum (robust/virtual) run, the push-sum weight floor is also
-    checked: min_i v_i[k] for k >= 1 against (1-gamma)/n * tau^(N(2B-1))
-    with B measured from the realized schedule, both as log10. A trace
-    without a step k >= 1 gets an informational check (value NaN, no
-    budget).
+    The maxima of the conservation, mass, stochasticity and consensus
+    spread series are checked (the spread without a budget). The smallest
+    push-sum weight is taken over the steps k >= 1 only, because virtual
+    nodes start at v = 0. When the producing `schedule` is supplied and
+    the trace came from a running-sum (robust/virtual) run, that weight is
+    checked as ``v_floor`` against (1-gamma)/n * tau^(N(2B-1)) with B
+    measured from the realized schedule, both as log10. Otherwise it is an
+    informational ``min_v`` entry. Without a step k >= 1 either one is
+    informational with value NaN.
     """
     checks: list[InvariantCheck] = []
     res = trace.residuals
@@ -264,29 +260,43 @@ def invariant_report(trace: RunTrace, schedule=None) -> InvariantReport:
     ):
         checks.append(_v_floor_check(trace, schedule))
     elif "min_v" in res:
-        series = res["min_v"]
-        worst = int(np.argmin(series))
-        checks.append(InvariantCheck("min_v", float(series[worst]), worst, None, True))
+        checks.append(_lowest_weight(trace))
     return InvariantReport(tuple(checks))
+
+
+def _lowest_weight(trace: RunTrace) -> InvariantCheck:
+    """min_i v_i[k] over the steps k >= 1 and its step; NaN at step 0 when there is none."""
+    series = trace.residuals["min_v"][1:]
+    if series.size == 0:
+        return InvariantCheck("min_v", math.nan, 0, None, True)
+    worst = int(np.argmin(series))
+    return InvariantCheck("min_v", float(series[worst]), worst + 1, None, True)
 
 
 def _v_floor_check(trace: RunTrace, schedule) -> InvariantCheck:
     from .network import minimal_connectivity_window  # local import, no cycle at module load
 
-    series = trace.residuals["min_v"][1:]
-    if series.size == 0:  # no step k >= 1 to bound
-        return InvariantCheck("v_floor", math.nan, 0, None, True)
-    worst = 1 + int(np.argmin(series))
-    value = math.log10(series[worst - 1]) if series[worst - 1] > 0.0 else -math.inf
+    low = _lowest_weight(trace)
+    if low.worst_step == 0:  # no step k >= 1 to bound
+        return replace(low, name="v_floor")
+    value = math.log10(low.value) if low.value > 0.0 else -math.inf
     B = minimal_connectivity_window(schedule, trace.steps)
     if B is None:
-        return InvariantCheck("v_floor", value, worst, None, True)
+        return InvariantCheck("v_floor", value, low.worst_step, None, True)
     n = schedule.nominal.n
     N = n + schedule.nominal.m
     gamma = trace.params.gamma
     tau = min(gamma, 1.0 - gamma) / n
     budget = math.log10((1.0 - gamma) / n) + N * (2 * B - 1) * math.log10(tau)
-    return InvariantCheck("v_floor", value, worst, budget, value >= budget)
+    return InvariantCheck("v_floor", value, low.worst_step, budget, value >= budget)
+
+
+def run_warnings(params: AlgorithmParams, n: int, imbalance: np.ndarray) -> list[str]:
+    """The warnings every run carries: the parameters' range checks, then the no-progress monitor."""
+    warnings = params.configuration_warnings(n)
+    if flag_no_progress(imbalance):
+        warnings.append("no-progress: imbalance did not decay (stepsize too large?)")
+    return warnings
 
 
 def flag_no_progress(imbalance: np.ndarray) -> bool:

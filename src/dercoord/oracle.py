@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInstanceError
-from .metrics import RunTrace, flag_no_progress
+from .errors import DivergenceError, InvalidCostError, InvalidInstanceError
+from .metrics import RunTrace, run_warnings
 from .problem import (
     AlgorithmParams,
     ProblemInstance,
@@ -86,7 +86,8 @@ def solve_bisection(
     machine resolution). The initial bracket is instance-derived and
     guaranteed to straddle the optimum by monotonicity; `ProblemInstance`
     has already checked that the instance is feasible and its cost
-    strongly convex.
+    strongly convex. A cost whose gradient is not finite at a capacity
+    bound leaves no bracket and raises `InvalidCostError`.
     """
     if nhat is None:
         nhat = float(inst.n)
@@ -97,6 +98,9 @@ def solve_bisection(
 
     g_lo = inst.cost.grad(inst.p_lo)
     g_hi = inst.cost.grad(inst.p_hi)
+    bad = np.flatnonzero(~(np.isfinite(g_lo) & np.isfinite(g_hi)))
+    if bad.size:
+        raise InvalidCostError(f"agent {bad[0]}: f' is not finite at p_lo or p_hi")
     lam_lo = float(g_lo.min()) / scale - 1.0
     lam_hi = float(g_hi.max()) / scale + 1.0
     bracket = (lam_lo, lam_hi)
@@ -172,14 +176,11 @@ def centralized_pd_run(
         lam_hist[k + 1, 0] = lam
         gap = float(np.sum(p - inst.loads))
         imbalance[k + 1] = abs(gap)
-    warnings = params.configuration_warnings(n)
-    if flag_no_progress(imbalance):
-        warnings.append("no-progress: imbalance did not decay (stepsize too large?)")
     return RunTrace(
         algorithm="centralized",
         p=p_hist,
         consensus=lam_hist,
         residuals={"imbalance": imbalance},
         params=params,
-        warnings=warnings,
+        warnings=run_warnings(params, n, imbalance),
     )

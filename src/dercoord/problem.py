@@ -52,7 +52,7 @@ def _as_vector(x, name: str, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticCost:
-    """Per-agent quadratic costs f_i(p) = a_i*p^2 + b_i*p + c_i with a_i > 0."""
+    """Per-agent quadratic costs f_i(p) = a_i*p^2 + b_i*p + c_i with finite coefficients and a_i > 0."""
 
     a: np.ndarray
     b: np.ndarray
@@ -63,6 +63,9 @@ class QuadraticCost:
         n = a.shape[0]
         b = _as_vector(np.zeros(n) if b is None else b, "b", n)
         c = _as_vector(np.zeros(n) if c is None else c, "c", n)
+        bad = np.flatnonzero(~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c)))
+        if bad.size:
+            raise InvalidCostError(f"agent {bad[0]}: quadratic coefficients a, b, c must be finite")
         if np.any(a <= 0):
             raise InvalidCostError("quadratic coefficients a_i must be positive")
         object.__setattr__(self, "a", a)

@@ -155,6 +155,11 @@ def _run_shipped(name: str, out_dir) -> "dc.experiment.ExperimentResult":
     return run_experiment(load_config(REPO / "configs" / name, out_override=out_dir))
 
 
+def _trace_column(out_dir, seed: int, column: str) -> np.ndarray:
+    """One column of a seed's trace CSV (17 significant digits, so every value round-trips)."""
+    return np.genfromtxt(Path(out_dir) / f"trace_{seed}.csv", delimiter=",", names=True)[column]
+
+
 def test_criterion_5_pd1_geometric_convergence(tmp_path):
     t0 = time.perf_counter()
     result = _run_shipped("benchmark39_pd1.cfg", tmp_path)
@@ -162,7 +167,7 @@ def test_criterion_5_pd1_geometric_convergence(tmp_path):
     ok = result.ok
     details = []
     for outcome in result.outcomes:
-        err = outcome.error
+        err = _trace_column(tmp_path, outcome.seed, "err_p")
         reached = bool(np.any(err <= 1e-6 * err[0]))
         fit_ok = outcome.fitted_rate < 1.0 and outcome.fit_r_squared > 0.95
         ok = ok and reached and fit_ok
@@ -181,8 +186,8 @@ def test_criterion_6_pd1_beats_pd2(tmp_path):
     pd1 = _run_shipped("benchmark39_pd1.cfg", tmp_path / "pd1")
     pd2 = _run_shipped("benchmark39_pd2.cfg", tmp_path / "pd2")
     assert pd1.ok and pd2.ok
-    finals_pd1 = {o.seed: o.error[-1] for o in pd1.outcomes}
-    finals_pd2 = {o.seed: o.error[-1] for o in pd2.outcomes}
+    finals_pd1 = {o.seed: _trace_column(tmp_path / "pd1", o.seed, "err_p")[-1] for o in pd1.outcomes}
+    finals_pd2 = {o.seed: _trace_column(tmp_path / "pd2", o.seed, "err_p")[-1] for o in pd2.outcomes}
     ok = set(finals_pd1) == set(finals_pd2) and all(
         finals_pd1[s] < finals_pd2[s] for s in finals_pd1
     )
@@ -201,7 +206,7 @@ def test_criterion_7_robust_geometric_convergence(tmp_path):
     ok = result.ok
     details = []
     for outcome in result.outcomes:
-        err = outcome.error
+        err = _trace_column(tmp_path, outcome.seed, "err_p")
         rel = err[-1] / err[0]
         fit_ok = outcome.fitted_rate < 1.0 and outcome.fit_r_squared > 0.95
         ok = ok and rel <= 1e-5 and fit_ok

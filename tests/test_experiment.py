@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,31 @@ def write_config(path, body):
     return path
 
 
+def trace_column(out_dir, seed, column):
+    """One column of a seed's trace CSV (17 significant digits, so every value round-trips)."""
+    return np.genfromtxt(out_dir / f"trace_{seed}.csv", delimiter=",", names=True)[column]
+
+
+def case_config(case, algorithm="pd1"):
+    """A config for `case` (a path) with the parameters every algorithm needs."""
+    return f"""
+[instance]
+case = {case}
+
+[algorithm]
+id = {algorithm}
+s = 0.01
+xi = 0.05
+nhat = 39
+gamma = 0.9
+
+[run]
+K = 10
+q = 0.2
+seeds = 1
+"""
+
+
 GOOD_CONFIG = """
 [instance]
 n = 6
@@ -217,6 +243,24 @@ seeds = 1
         config = load_config(write_config(tmp_path / "c.cfg", body))
         assert config.instance.n == 39
 
+    @pytest.mark.parametrize("algorithm,case,want", [
+        ("pd1", "directed", "an undirected"), ("pd2", "directed", "an undirected"), ("robust", "undirected", "a directed"),
+    ])
+    def test_algorithm_must_match_graph_directedness(self, tmp_path, repo_root, algorithm, case, want):
+        body = case_config(repo_root / "cases" / f"case39_{case}.txt", algorithm)
+        with pytest.raises(ConfigError, match=f"{algorithm} requires {want} graph"):
+            load_config(write_config(tmp_path / "c.cfg", body))
+
+    def test_graph_file_must_have_the_instance_size(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", GOOD_CONFIG.replace("mode = directed\nextra_edges = 2", "file = g.txt"))
+        for n in (4, 7, 6):
+            (tmp_path / "g.txt").write_text(f"{n} {n} directed\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+            if n == 6:
+                assert load_config(cfg).graph.n == 6
+            else:
+                with pytest.raises(ConfigError, match=f"graph has {n} nodes, instance has 6"):
+                    load_config(cfg)
+
     def test_seeds_override(self, tmp_path):
         config = load_config(
             write_config(tmp_path / "c.cfg", GOOD_CONFIG), seeds_override="7, 8, 9"
@@ -265,7 +309,11 @@ class TestRunExperiment:
         summary_line = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1].split(",")
         assert float(summary_line[1]) == refit.rate  # same code path, lossless CSV
         outcome = result.outcomes[0]
-        np.testing.assert_array_equal(err, outcome.error)  # 17g round-trip is exact
+        schedule = dc.GraphSchedule(config.graph, config.q, 1, config.params.horizon)
+        trace = dc.run(config.algorithm, config.instance, schedule, config.params)
+        sol = dc.solve_bisection(config.instance, xi=config.params.xi, nhat=config.params.nhat)
+        np.testing.assert_array_equal(err, dc.convergence_error(trace, sol))  # 17g round-trip is exact
+        assert err[-1] == outcome.final_error
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.cfg", GOOD_CONFIG)
@@ -299,7 +347,7 @@ class TestRunExperiment:
         header = summary[0].split(",")
         for outcome, line in zip(result.outcomes, summary[1:]):
             min_v = float(line.split(",")[header.index("min_v")])
-            series = outcome.trace.residuals["min_v"]
+            series = trace_column(tmp_path / "out", outcome.seed, "min_v")
             assert series[0] == 0.0  # the in-flight (virtual) weights start empty
             assert min_v > 0.0 and min_v == series[1:].min()
 
@@ -312,13 +360,49 @@ class TestRunExperiment:
             summary = (out / "summary.csv").read_text().splitlines()
             header = summary[0].split(",")
             for outcome, line in zip(result.outcomes, summary[1:]):
-                scaling = [w for w in outcome.trace.warnings if "xi*nhat" in w]
+                scaling = [w for w in outcome.warnings if "xi*nhat" in w]
                 assert len(scaling) == want
-                assert int(line.split(",")[header.index("warnings")]) == len(outcome.trace.warnings)
+                assert int(line.split(",")[header.index("warnings")]) == len(outcome.warnings)
         assert header == [
             "seed", "fitted_rate", "fit_r_squared", "final_error", "max_conservation_residual",
             "max_mass_residual", "max_consensus_spread", "min_v", "status", "warnings",
         ]
+
+    def test_peak_memory_does_not_grow_with_seed_count(self, repo_root, tmp_path):
+        # Each seed's trace is released before the next seed runs; a batch that kept them
+        # would add about 1.9 MiB per pd1 seed on case39.
+        cfg = repo_root / "configs" / "benchmark39_pd1.cfg"
+
+        def peak(seeds, out):
+            config = load_config(cfg, out_override=tmp_path / out, seeds_override=seeds)
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("1", "warm-up")  # one-time allocations (caches, imports) land here
+        assert peak("1,2,3,4,5", "five") - peak("1", "one") < 0.5 * 2**20
+
+    @pytest.mark.parametrize("name", ["pd1", "pd2", "robust"])
+    def test_summary_extrema_are_the_invariant_report(self, repo_root, tmp_path, name):
+        config = load_config(repo_root / "configs" / f"benchmark39_{name}.cfg", out_override=tmp_path, seeds_override="1,2")
+        result = run_experiment(config)
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        columns = {"max_conservation_residual": "conservation", "max_mass_residual": "mass",
+                   "max_consensus_spread": "consensus_spread", "min_v": "min_v"}
+        for outcome, line in zip(result.outcomes, lines[1:]):
+            cells = dict(zip(header, line.split(",")))
+            schedule = dc.GraphSchedule(config.graph, config.q, outcome.seed, config.params.horizon)
+            report = dc.invariant_report(dc.run(config.algorithm, config.instance, schedule, config.params))
+            assert report == outcome.report
+            for column, check in columns.items():
+                want = report[check].value if check in report else float("nan")
+                assert float(cells[column]) == want or (np.isnan(want) and cells[column] == "nan")
+            if name == "robust":
+                assert float(cells["min_v"]) > 0.0
 
     def test_missing_output_dir_rejected(self, tmp_path):
         config = load_config(write_config(tmp_path / "c.cfg", GOOD_CONFIG))
@@ -379,6 +463,34 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         edge = write_config(tmp_path / "d.cfg", body.replace(f"seed = {seed}", f"seed = {2**64 - 1}"))
         assert load_config(edge).instance.n == 6
+
+    @pytest.mark.parametrize("mismatch", ["directedness", "graph size"])
+    def test_run_with_mismatched_graph_exits_2_without_artifacts(self, repo_root, tmp_path, capsys, mismatch):
+        if mismatch == "directedness":
+            body = case_config(repo_root / "cases" / "case39_directed.txt")
+        else:
+            (tmp_path / "g.txt").write_text("4 4 directed\n0 1\n1 2\n2 3\n3 0\n")
+            body = GOOD_CONFIG.replace("n = 6", "n = 5").replace("mode = directed\nextra_edges = 2", "file = g.txt")
+        cfg = write_config(tmp_path / "c.cfg", body)
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "run"])
+    @pytest.mark.parametrize("column,value", [(0, "nan"), (1, "inf"), (2, "nan"), (1, "-inf")])
+    def test_non_finite_cost_exits_2(self, tmp_path, capsys, command, column, value):
+        row = ["1.0", "0", "0", "0", "5", "2"]
+        row[column] = value
+        case = tmp_path / "case.txt"
+        case.write_text(f"2\n{' '.join(row)}\n1.0 0 0 0 5 2\n2 1 undirected\n0 1\n")
+        if command == "run":
+            cfg = write_config(tmp_path / "c.cfg", case_config(case).replace("nhat = 39", "nhat = 2"))
+            argv = ["run", str(cfg), "--out", str(tmp_path / "out")]
+        else:
+            argv = [command, str(case)]
+        assert cli_main(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_into_uncreatable_directory_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", GOOD_CONFIG)

@@ -234,6 +234,25 @@ class TestInvariantReport:
         assert check.passed and check.budget is None
         assert math.isnan(check.value)
 
+    @pytest.mark.parametrize("algorithm", ["robust", "virtual"])
+    def test_min_v_skips_the_zero_start_of_virtual_nodes(self, algorithm):
+        inst = dc.generate_instance(dc.InstanceSpec(n=3), seed=2)
+        g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0)], True)
+        for K in (60, 0):
+            params = dc.AlgorithmParams(
+                step=dc.ConstantStep(0.02), xi=0.2, nhat=3.0, gamma=0.9, horizon=K
+            )
+            trace = dc.run(algorithm, inst, dc.GraphSchedule(g, 0.2, 8, K), params)
+            series = trace.residuals["min_v"]
+            assert series[0] == 0.0  # virtual nodes start empty
+            check = dc.invariant_report(trace)["min_v"]
+            assert check.budget is None and check.passed
+            if K:
+                assert check.value > 0.0 and check.value == series[1:].min()
+                assert check.worst_step == 1 + int(np.argmin(series[1:]))
+            else:
+                assert math.isnan(check.value) and check.worst_step == 0
+
     def test_v_floor_budget_does_not_underflow_on_case39(self, repo_root):
         # (1-gamma)/n * tau^(N(2B-1)) is far below the smallest double here
         config = dc.load_config(repo_root / "configs" / "benchmark39_robust.cfg")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dercoord as dc
-from dercoord.errors import InvalidInstanceError
+from dercoord.errors import InvalidCostError, InvalidInstanceError
 from reference import reference_centralized
 
 
@@ -92,6 +92,21 @@ class TestSolveBisection:
         sol = dc.solve_bisection(inst)
         np.testing.assert_allclose(sol.p_star, [1.0, 1.0], atol=1e-8)
         assert sol.kkt_residual <= 1e-9
+
+    @pytest.mark.parametrize("bound", [0.0, 3.0])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_gradient_not_finite_at_a_bound_is_rejected(self, bound, value):
+        # Agent 1's f' is 2p except at one bound, so the multiplier bracket has no finite end.
+        cost = dc.GeneralCost(
+            value_fn=lambda p: p**2,
+            grad_fn=lambda p: np.where((p == bound) & (np.arange(p.size) == 1), value, 2 * p),
+            hess_fn=lambda p: np.full_like(p, 2.0),
+            m=2.0,
+            n=2,
+        )
+        inst = dc.ProblemInstance([1.0, 1.0], [0.0] * 2, [3.0] * 2, cost)
+        with pytest.raises(InvalidCostError, match="agent 1: f' is not finite"):
+            dc.solve_bisection(inst)
 
     def test_scaled_convention_shifts_lambda_only(self, small_instance):
         base = dc.solve_bisection(small_instance, xi=1.0, nhat=3.0)

@@ -128,6 +128,14 @@ class TestInstanceValidation:
         with pytest.raises(InvalidCostError):
             dc.QuadraticCost([0.0])
 
+    @pytest.mark.parametrize("column", ["a", "b", "c"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_quadratic_coefficient(self, column, value):
+        coefficients = {"a": [1.0, 1.0], "b": [0.0, 0.0], "c": [0.0, 0.0]}
+        coefficients[column][1] = value
+        with pytest.raises(InvalidCostError, match="agent 1: quadratic coefficients a, b, c must be finite"):
+            dc.QuadraticCost(**coefficients)
+
     def test_general_hook_convexity_grid_check(self):
         # f(p) = p^4: f''(0) = 0 < declared m on a box containing 0
         bad = dc.GeneralCost(
