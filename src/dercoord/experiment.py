@@ -514,18 +514,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     `SeedOutcome` is kept. Per-seed failures are recorded and remaining
     seeds still run; the result's `ok` flag is False if any seed errored.
     Output files are written atomically and are byte-identical across
-    repeated runs of the same config.
+    repeated runs of the same config. The oracle is solved before the
+    output directory is made, so an oracle failure leaves none behind.
     """
     if config.out_dir is None:
         raise ConfigError("no output directory: set [output] dir or pass --out")
+    solution = solve_bisection(
+        config.instance, xi=config.params.xi, nhat=config.params.nhat, tol=config.oracle_tol
+    )
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
-    solution = solve_bisection(
-        config.instance, xi=config.params.xi, nhat=config.params.nhat, tol=config.oracle_tol
-    )
     result = ExperimentResult(config=config)
     for seed in config.seeds:
         try:

@@ -11,18 +11,23 @@ use, into a read-only (horizon, m) block whose row k is `active_mask(k)`,
 re-keying one generator per step instead of building one; the run loop
 and the connectivity analysis read that block and never resample.
 
-Connectivity is one O(n + m) routine, `union_connected`: forward and
-reverse reachability from node 0 (undirected links count both ways). The
-realized connectivity window B (`minimal_connectivity_window`) comes from
-per-start earliest-connect lengths L(s), found backwards in s with O(1)
-amortized connectivity tests per step because s + L(s) never exceeds
-s + 1 + L(s + 1); prefix counts over the block make every window union
-O(m). A schedule finds the lengths once, over its full horizon, on first
-use (`GraphSchedule.connect_lengths`, O(K (n + m)) for K steps); every
-horizon prefix derives its own lengths from them in O(K), and scanning
-the candidate B costs O(K log K). `check_B_connectivity` judges each
-window's union on its own (`windows_connected`), not from those lengths,
-so it stays an independent check of the B they give.
+Connectivity of one union is one O(n + m) routine, `union_connected`:
+forward and reverse reachability from node 0 (undirected links count
+both ways). The realized connectivity window B
+(`minimal_connectivity_window`) comes from per-start earliest-connect
+lengths L(s), all found in one integer computation: window [s, e)
+connects exactly when node 0 reaches, and is reached from, every node
+along arcs first live at some step in [s, e), so s + L(s) is 1 + the
+largest minimax path weight from node 0 when each arc weighs its first
+live step at or after s (`_earliest_connect`). Gauss-Seidel sweeps over
+the arcs relax those weights for every s at once, O(m K) per sweep for
+K steps, until a sweep changes nothing. A schedule finds the lengths
+once, over its full horizon, on first use (`GraphSchedule.connect_lengths`);
+every horizon prefix derives its own lengths from them in O(K), and
+scanning the candidate B costs O(K log K). `check_B_connectivity` judges
+each window's union on its own with `union_connected`
+(`windows_connected`), a different algorithm from the lengths', so it
+stays an independent check of the B they give.
 
 Mixing is one O(F (n + m)) edge-list primitive, `mix`, over a (F, n)
 stack of fields: every node keeps its own share of each field and adds
@@ -240,9 +245,10 @@ class GraphSchedule:
         """Read-only earliest-connect lengths L(s) over the full horizon.
 
         L(s) is the fewest steps from s whose active sets join into a
-        connected union, horizon + 1 where none do (`_earliest_connect`).
-        Computed once, on first access; `minimal_connectivity_window`
-        derives the lengths of any horizon prefix from it.
+        connected union, horizon + 1 where none do. Every start's length
+        comes from one minimax path computation (`_earliest_connect`),
+        done once, on first access; `minimal_connectivity_window` derives
+        the lengths of any horizon prefix from it.
         """
         lengths = _earliest_connect(self.nominal, self.masks)
         lengths.flags.writeable = False
@@ -358,16 +364,14 @@ def windows_connected(nominal: NominalGraph, masks: np.ndarray, B: int) -> np.nd
     """Per-window verdicts: union of B consecutive active sets is connected.
 
     `masks` is a (K, m) boolean array of active sets; only complete
-    windows [kB, (k+1)B - 1] within K are judged.
+    windows [kB, (k+1)B - 1] within K are judged. The unions are built at
+    once and each is judged by `union_connected`.
     """
     if B < 1:
         raise InvalidGraphError("window length B must be >= 1")
-    K = masks.shape[0]
-    verdicts = []
-    for start in range(0, K - B + 1, B):
-        union = masks[start : start + B].any(axis=0)
-        verdicts.append(union_connected(nominal, union))
-    return np.array(verdicts, dtype=bool)
+    K, m = masks.shape
+    unions = masks[: K // B * B].reshape(K // B, B, m).any(axis=1)
+    return np.array([union_connected(nominal, union) for union in unions], dtype=bool)
 
 
 def check_B_connectivity(schedule: GraphSchedule, B: int) -> np.ndarray:
@@ -379,27 +383,44 @@ def _earliest_connect(nominal: NominalGraph, masks: np.ndarray) -> np.ndarray:
     """L[s]: fewest steps from s whose active sets join into a connected union.
 
     K + 1 marks a start whose union up to the end of `masks` never
-    connects. Windows ending later grow, so s + L[s] <= (s+1) + L[s+1]:
-    walking s backwards the window end only retreats, and each step costs
-    O(1) amortized connectivity tests. Prefix counts make any window
-    union O(m).
+    connects. With first[a, s] the first step >= s at which arc a is live
+    (K if none is), window [s, e) holds arc a exactly when first[a, s] < e,
+    so it connects exactly when every node reaches node 0, and is reached
+    from it, along arcs with first[a, s] < e. The earliest end is therefore
+    1 + the largest minimax path weight from node 0 under first[:, s], in
+    both directions (one for undirected edges, which count both ways).
+    `_minimax_from_root` finds those weights for every s at once, in exact
+    integer arithmetic.
     """
     K = masks.shape[0]
-    counts = np.cumsum(np.pad(masks, ((1, 0), (0, 0))), axis=0, dtype=np.int32)
-    lengths = np.full(K, K + 1)
-    end = K + 1  # exclusive end of the earliest connected window from s + 1
-    for s in range(K - 1, -1, -1):
-        if end > K and not union_connected(nominal, counts[K] > counts[s]):
-            continue
-        end = min(end, K)
-        while end - 1 > s:
-            shorter = counts[end - 1] > counts[s]
-            # A last step that adds no link leaves the union, and its verdict, unchanged.
-            if (masks[end - 1] > shorter).any() and not union_connected(nominal, shorter):
-                break
-            end -= 1
-        lengths[s] = end - s
-    return lengths
+    first = np.where(masks.T, np.arange(K, dtype=np.int32), np.int32(K))
+    first = np.ascontiguousarray(np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1])
+    arcs = list(zip(range(nominal.m), nominal.srcs.tolist(), nominal.dsts.tolist()))
+    backward = [(a, v, u) for a, u, v in arcs]
+    directions = [arcs, backward] if nominal.directed else [arcs + backward]
+    end = np.max([_minimax_from_root(nominal.n, first, way).max(axis=0) for way in directions], axis=0)
+    return np.where(end >= K, K + 1, end + 1 - np.arange(K))
+
+
+def _minimax_from_root(n: int, first: np.ndarray, arcs: list[tuple[int, int, int]]) -> np.ndarray:
+    """d[v, s]: the least, over paths 0 -> v, of the largest first[a, s] on the path; d[0, s] = s.
+
+    `arcs` are (row of `first`, tail, head) triples. Gauss-Seidel sweeps
+    relax d[v] = min(d[v], max(d[u], first[a])) over the arcs, alternating
+    their order, until a sweep changes nothing.
+    """
+    K = first.shape[1]
+    d = np.full((n, K), K, dtype=first.dtype)
+    d[0] = np.arange(K)
+    via = np.empty(K, dtype=first.dtype)
+    while True:
+        before = d.copy()
+        for a, u, v in arcs:
+            np.maximum(d[u], first[a], out=via)
+            np.minimum(d[v], via, out=d[v])
+        if np.array_equal(before, d):
+            return d
+        arcs = arcs[::-1]
 
 
 def _prefix_lengths(schedule: GraphSchedule, K: int) -> np.ndarray:
@@ -417,8 +438,8 @@ def minimal_connectivity_window(schedule: GraphSchedule, K: int | None = None) -
 
     This is the realized connectivity constant of one sampled schedule; it
     is measured, not assumed. Window [jB, (j+1)B) is connected exactly when
-    L[jB] <= B, so after the earliest-connect lengths L (O(K) connectivity
-    tests) each candidate B costs O(K/B). B need not be monotone: a B can
+    L[jB] <= B, so after the earliest-connect lengths L each candidate B
+    costs O(K/B). B need not be monotone: a B can
     fail while a smaller one passes, because the windows realign.
 
     The lengths derive from the schedule's cached `connect_lengths`, so

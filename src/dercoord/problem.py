@@ -143,7 +143,11 @@ CostModel = QuadraticCost | GeneralCost
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A dispatch problem: n agents with costs, per-agent box, fixed loads."""
+    """A dispatch problem: n agents with costs, per-agent box, fixed loads.
+
+    A quadratic cost's f' must be finite at both ends of every box, so
+    the oracle's multiplier bracket exists.
+    """
 
     loads: np.ndarray
     p_lo: np.ndarray
@@ -194,6 +198,11 @@ class ProblemInstance:
             )
         if isinstance(self.cost, GeneralCost):
             self.cost.validate_on_box(self.p_lo, self.p_hi)
+            return
+        with np.errstate(all="ignore"):  # an overflowing f' is rejected, not warned about
+            bad = np.flatnonzero(~(np.isfinite(self.cost.grad(self.p_lo)) & np.isfinite(self.cost.grad(self.p_hi))))
+        if bad.size:
+            raise InvalidCostError(f"agent {bad[0]}: f' is not finite at p_lo or p_hi")
 
     @property
     def total_load(self) -> float:

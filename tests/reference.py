@@ -12,6 +12,10 @@
   weights.
 * `reference_centralized`: the centralized primal-dual loop as it was
   written before it shared the distributed iterations' primal step.
+* `earliest_connect_scan`: the earliest-connect lengths found by a
+  backward two-pointer scan that judges each probed window union with
+  `union_connected`, the way the package found them before it took
+  minimax path weights for every start at once.
 """
 
 from types import SimpleNamespace
@@ -20,6 +24,7 @@ import numpy as np
 
 import dercoord as dc
 from dercoord.errors import InvalidGraphError
+from dercoord.network import union_connected
 
 
 def metropolis_weights(nominal: dc.NominalGraph, active: np.ndarray) -> np.ndarray:
@@ -111,6 +116,31 @@ def stepwise_stochasticity(algorithm, g, active, gamma):
         sums = np.bincount(tails, weights=w, minlength=n + g.m) + np.concatenate([share, 1.0 - gg])
     return float(np.abs(sums - 1.0).max())
 
+
+
+def earliest_connect_scan(nominal: dc.NominalGraph, masks: np.ndarray) -> np.ndarray:
+    """L[s]: fewest steps from s whose active sets join into a connected union, K + 1 if none do.
+
+    Windows ending later grow, so s + L[s] <= (s+1) + L[s+1]: walking s
+    backwards the window end only retreats, and each step costs O(1)
+    amortized connectivity tests. Prefix counts make any window union O(m).
+    """
+    K = masks.shape[0]
+    counts = np.cumsum(np.pad(masks, ((1, 0), (0, 0))), axis=0, dtype=np.int32)
+    lengths = np.full(K, K + 1)
+    end = K + 1  # exclusive end of the earliest connected window from s + 1
+    for s in range(K - 1, -1, -1):
+        if end > K and not union_connected(nominal, counts[K] > counts[s]):
+            continue
+        end = min(end, K)
+        while end - 1 > s:
+            shorter = counts[end - 1] > counts[s]
+            # A last step that adds no link leaves the union, and its verdict, unchanged.
+            if (masks[end - 1] > shorter).any() and not union_connected(nominal, shorter):
+                break
+            end -= 1
+        lengths[s] = end - s
+    return lengths
 
 # -- per-field iterations ----------------------------------------------------
 

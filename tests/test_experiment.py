@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -10,6 +11,7 @@ from dercoord.errors import (
     CaseParseError,
     ConfigError,
     GeneratorSpecError,
+    InvalidCostError,
     InvalidInstanceError,
 )
 from dercoord.experiment import (
@@ -296,6 +298,21 @@ class TestRunExperiment:
         assert summary[0].startswith("seed,fitted_rate,fit_r_squared,final_error")
         assert len(summary) == 3
 
+    def test_oracle_failure_leaves_no_output_directory(self, tmp_path):
+        config = load_config(write_config(tmp_path / "c.cfg", GOOD_CONFIG), out_override=tmp_path / "out")
+        # f' is inf at p_hi for every agent, so the oracle has no bracket
+        cost = dc.GeneralCost(
+            value_fn=lambda p: p**2,
+            grad_fn=lambda p: np.where(p == 3.0, np.inf, 2 * p),
+            hess_fn=lambda p: np.full_like(p, 2.0),
+            m=2.0,
+            n=6,
+        )
+        config = dataclasses.replace(config, instance=dc.ProblemInstance([1.0] * 6, [0.0] * 6, [3.0] * 6, cost))
+        with pytest.raises(InvalidCostError, match="f' is not finite"):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
     def test_trace_csv_round_trips_and_fit_matches_summary(self, tmp_path):
         config = load_config(
             write_config(tmp_path / "c.cfg", GOOD_CONFIG), out_override=tmp_path / "out"
@@ -490,6 +507,21 @@ class TestCli:
             argv = [command, str(case)]
         assert cli_main(argv) == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")  # rejected before any overflow warning
+    @pytest.mark.parametrize("command", ["validate", "solve", "run"])
+    def test_gradient_overflow_at_a_bound_exits_2(self, tmp_path, capsys, command):
+        # finite coefficients, but f'(p_hi) = 2e300 * 1e10 overflows
+        case = tmp_path / "case.txt"
+        case.write_text("2\n1e300 0 0 0 1e10 2\n1 0 0 0 5 2\n2 1 undirected\n0 1\n")
+        if command == "run":
+            cfg = write_config(tmp_path / "c.cfg", case_config(case).replace("nhat = 39", "nhat = 2"))
+            argv = ["run", str(cfg), "--out", str(tmp_path / "out")]
+        else:
+            argv = [command, str(case)]
+        assert cli_main(argv) == 2
+        assert "agent 0: f' is not finite at p_lo or p_hi" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_run_into_uncreatable_directory_exits_2(self, tmp_path, capsys):

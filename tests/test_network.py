@@ -28,7 +28,7 @@ from dercoord.network import (
     union_connected,
     windows_connected,
 )
-from reference import augmented_push_matrix, metropolis_weights, push_matrix
+from reference import augmented_push_matrix, earliest_connect_scan, metropolis_weights, push_matrix
 
 
 def random_connected_graph(rng, n, directed, extra=3):
@@ -438,6 +438,30 @@ class TestConnectivityWindows:
     @settings(max_examples=150, deadline=None)
     def test_minimal_window_matches_brute_force(self, sched, K):
         assert dc.minimal_connectivity_window(sched, K) == brute_minimal_window(sched, K)
+
+    @given(
+        n=st.integers(1, 10),
+        extra=st.integers(0, 8),
+        directed=st.booleans(),
+        q=st.floats(0.0, 0.95),
+        seed=st.integers(0, 2**32),
+        K=st.integers(0, 80),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_earliest_connect_matches_the_scan(self, n, extra, directed, q, seed, K):
+        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed)
+        masks = dc.GraphSchedule(g, q, seed, K).masks
+        assert np.array_equal(_earliest_connect(g, masks), earliest_connect_scan(g, masks))
+
+    def test_earliest_connect_needs_more_than_one_sweep(self):
+        # a directed ring 0 -> 1 -> 2 -> 3 -> 0 listed mostly against the order
+        # in which a search from node 0 meets its arcs, so neither direction
+        # settles in one sweep; arc 0 -> 1 goes live at step 3
+        g = dc.NominalGraph(4, [(2, 3), (1, 2), (0, 1), (3, 0)], True)
+        masks = np.ones((6, 4), dtype=bool)
+        masks[:3, 2] = False
+        np.testing.assert_array_equal(_earliest_connect(g, masks), [4, 3, 2, 1, 1, 1])
+        np.testing.assert_array_equal(earliest_connect_scan(g, masks), [4, 3, 2, 1, 1, 1])
 
     @given(sched=schedules)
     @settings(max_examples=80, deadline=None)

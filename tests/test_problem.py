@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,14 @@ class TestInstanceValidation:
         coefficients[column][1] = value
         with pytest.raises(InvalidCostError, match="agent 1: quadratic coefficients a, b, c must be finite"):
             dc.QuadraticCost(**coefficients)
+
+    @pytest.mark.parametrize("a,p_lo,p_hi", [(1e300, 0.0, 1e10), (1e300, -1e10, 0.0), (1e308, 0.0, 5.0)])
+    def test_gradient_not_finite_at_a_bound_is_rejected(self, a, p_lo, p_hi):
+        # finite coefficients whose f' = 2a*p + b overflows (or is inf*0) at a box end
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidCostError, match="agent 1: f' is not finite at p_lo or p_hi"):
+                dc.ProblemInstance([1.0, 1.0], [0.0, p_lo], [5.0, p_hi], dc.QuadraticCost([1.0, a]))
 
     def test_general_hook_convexity_grid_check(self):
         # f(p) = p^4: f''(0) = 0 < declared m on a box containing 0
