@@ -468,13 +468,16 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _trace_csv(trace: RunTrace, error: np.ndarray) -> str:
-    nan = np.full(trace.p.shape[0], np.nan)
+    """The trace CSV, its body formatted by one `%` over a row template repeated per step.
+
+    A residual the algorithm does not carry is the literal `nan` in the
+    template; `%.17g` of a Python float formats exactly as `_fmt` does.
+    """
     keys = ("consensus_spread", "conservation", "mass", "min_v")
-    columns = [error.tolist()] + [trace.residuals.get(key, nan).tolist() for key in keys]
-    # Python floats format exactly as `_fmt` does.
-    rows = [f"{k},{e:.17g},{s:.17g},{c:.17g},{m:.17g},{v:.17g}"
-            for k, (e, s, c, m, v) in enumerate(zip(*columns))]
-    return "\n".join([",".join(TRACE_COLUMNS), *rows]) + "\n"
+    series = [trace.residuals[key] for key in keys if key in trace.residuals]
+    table = np.column_stack([np.arange(len(error)), error, *series])
+    row = ",".join(["%d", "%.17g", *("%.17g" if key in trace.residuals else "nan" for key in keys)]) + "\n"
+    return ",".join(TRACE_COLUMNS) + "\n" + (row * len(error)) % tuple(table.ravel().tolist())
 
 
 def _summary_row(outcome: SeedOutcome) -> str:

@@ -8,7 +8,10 @@ sampling any earlier step and identical inputs give identical schedules.
 The generator contract is named `philox4x64-v1` and enters the schedule
 digest. `GraphSchedule.masks` samples the whole horizon once, on first
 use, into a read-only (horizon, m) block whose row k is `active_mask(k)`,
-re-keying one generator per step instead of building one; the run loop
+re-keying one generator per step instead of building one: only the key of
+one state dict changes, and each chunk of steps draws into one reused
+buffer of at most 2^13 uniforms before a single comparison with q;
+`active_mask(k)` draws through the same code, one step long. The run loop
 and the connectivity analysis read that block and never resample.
 
 Connectivity of one union is one O(n + m) routine, `union_connected`:
@@ -58,7 +61,6 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -204,39 +206,46 @@ class GraphSchedule:
         if self.horizon < 0:
             raise InvalidGraphError("horizon must be nonnegative")
 
-    def _sampler(self) -> Callable[[int], np.ndarray]:
-        """k -> mask of step k: the edges whose uniform from Philox4x64 keyed by (seed, k) is >= q.
+    def _sample(self, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo, m) masks of steps lo..hi-1: the edges whose uniform from Philox4x64 keyed by (seed, k) is >= q.
 
         One generator re-keyed per step (zero counter, empty buffer) gives the
-        stream of a fresh `Philox(key=[seed, k])` without building one.
+        stream of a fresh `Philox(key=[seed, k])` without building one. Only
+        the key of one state dict changes from step to step; the uniforms of
+        a chunk of steps land in one reused buffer of at most 2^13 entries
+        (at least one row) and are compared with q once per chunk.
         """
         bits = np.random.Philox(0)
         gen = np.random.Generator(bits)
         m, q, seed = self.nominal.m, self.q, self.seed
-
-        def sample(k: int) -> np.ndarray:
-            bits.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, k)},
-                          "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            return gen.random(m) >= q
-
-        return sample
+        state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        key = state["state"]
+        block = np.empty((hi - lo, m), dtype=bool)
+        buf = np.empty((max(1, min(2**13 // max(m, 1), hi - lo)), m))
+        for first in range(lo, hi, len(buf)):
+            last = min(first + len(buf), hi)
+            for k in range(first, last):
+                key["key"] = (seed, k)
+                bits.state = state
+                gen.random(out=buf[k - first])
+            np.greater_equal(buf[: last - first], q, out=block[first - lo : last - lo])
+        return block
 
     def active_mask(self, k: int) -> np.ndarray:
         """Boolean mask over nominal edges active during step k."""
         if not (0 <= k < self.horizon):
             raise InvalidGraphError(f"step {k} outside horizon {self.horizon}")
-        return self._sampler()(k)
+        return self._sample(k, k + 1)[0]
 
     @cached_property
     def masks(self) -> np.ndarray:
         """Read-only (horizon, m) block whose row k is `active_mask(k)`.
 
-        Sampled once, over the full horizon, on first access.
+        Sampled once, over the full horizon, on first access, re-keying one
+        generator per step.
         """
-        sample = self._sampler()
-        block = np.empty((self.horizon, self.nominal.m), dtype=bool)
-        for k in range(self.horizon):
-            block[k] = sample(k)
+        block = self._sample(0, self.horizon)
         block.flags.writeable = False
         return block
 

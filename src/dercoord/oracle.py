@@ -87,7 +87,9 @@ def solve_bisection(
     guaranteed to straddle the optimum by monotonicity; `ProblemInstance`
     has already checked that the instance is feasible and its cost
     strongly convex. A cost whose gradient is not finite at a capacity
-    bound leaves no bracket and raises `InvalidCostError`.
+    bound leaves no bracket and raises `InvalidCostError`; a finite one
+    that overflows the bracket once divided by xi*nhat/n raises
+    `InvalidInstanceError`.
     """
     if nhat is None:
         nhat = float(inst.n)
@@ -103,6 +105,12 @@ def solve_bisection(
         raise InvalidCostError(f"agent {bad[0]}: f' is not finite at p_lo or p_hi")
     lam_lo = float(g_lo.min()) / scale - 1.0
     lam_hi = float(g_hi.max()) / scale + 1.0
+    for name, bound in (("lam_lo", lam_lo), ("lam_hi", lam_hi)):
+        if not np.isfinite(bound):
+            raise InvalidInstanceError(
+                f"multiplier bracket {name} = {bound} is not finite: f' at the box ends over "
+                f"xi*nhat/n = {scale:.17g} overflows"
+            )
     bracket = (lam_lo, lam_hi)
 
     lam = 0.5 * (lam_lo + lam_hi)

@@ -16,6 +16,9 @@
   backward two-pointer scan that judges each probed window union with
   `union_connected`, the way the package found them before it took
   minimax path weights for every start at once.
+* `reference_trace_csv`: a trace CSV written with one f-string per step,
+  the way the package wrote it before it formatted the whole body with one
+  `%` over a repeated row template. The CSVs must be byte-equal.
 """
 
 from types import SimpleNamespace
@@ -24,6 +27,7 @@ import numpy as np
 
 import dercoord as dc
 from dercoord.errors import InvalidGraphError
+from dercoord.experiment import TRACE_COLUMNS
 from dercoord.network import union_connected
 
 
@@ -141,6 +145,17 @@ def earliest_connect_scan(nominal: dc.NominalGraph, masks: np.ndarray) -> np.nda
             end -= 1
         lengths[s] = end - s
     return lengths
+
+
+def reference_trace_csv(trace, error: np.ndarray) -> str:
+    """The trace CSV, one f-string per step; an absent residual series is written as nan."""
+    nan = np.full(trace.p.shape[0], np.nan)
+    keys = ("consensus_spread", "conservation", "mass", "min_v")
+    columns = [error.tolist()] + [trace.residuals.get(key, nan).tolist() for key in keys]
+    rows = [f"{k},{e:.17g},{s:.17g},{c:.17g},{m:.17g},{v:.17g}"
+            for k, (e, s, c, m, v) in enumerate(zip(*columns))]
+    return "\n".join([",".join(TRACE_COLUMNS), *rows]) + "\n"
+
 
 # -- per-field iterations ----------------------------------------------------
 

@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dercoord as dc
 from dercoord.cli import main as cli_main
@@ -25,6 +28,15 @@ from dercoord.experiment import (
     load_config,
     parse_case,
     run_experiment,
+)
+from reference import reference_trace_csv
+
+RESIDUAL_KEYS = ("consensus_spread", "conservation", "mass", "min_v")
+# float64 bit patterns: any, plus +-0, the extreme subnormals, +-inf and NaNs of either sign
+FLOAT_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 1 << 63, 1, (1 << 63) | 1, 0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000,
+                     0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001]),
 )
 
 
@@ -356,6 +368,30 @@ class TestRunExperiment:
         ]
         assert _trace_csv(trace, special) == "\n".join(want) + "\n"
 
+    @given(
+        rows=st.integers(1, 50),
+        present=st.sets(st.sampled_from(RESIDUAL_KEYS)),
+        bits=arrays(np.uint64, (5, 50), elements=FLOAT_BITS),
+    )
+    @example(rows=1, present=set(), bits=np.full((5, 50), 0xFFF8000000000000, dtype=np.uint64))
+    @example(rows=50, present=set(RESIDUAL_KEYS), bits=np.full((5, 50), 0xFFF8000000000000, dtype=np.uint64))
+    @settings(max_examples=150, deadline=None)
+    def test_trace_csv_matches_the_row_by_row_writer(self, rows, present, bits):
+        error, *series = bits[:, :rows].view(np.float64)
+        present = [key for key in RESIDUAL_KEYS if key in present]
+        trace = dc.RunTrace("pd1", np.zeros((rows, 1)), residuals=dict(zip(present, series)))
+        assert _trace_csv(trace, error) == reference_trace_csv(trace, error)
+
+    @pytest.mark.parametrize("name", ["pd1", "pd2", "robust"])
+    def test_trace_csv_matches_the_row_by_row_writer_on_the_shipped_configs(self, repo_root, name):
+        config = load_config(repo_root / "configs" / f"benchmark39_{name}.cfg")
+        params = dataclasses.replace(config.params, horizon=2000)
+        schedule = dc.GraphSchedule(config.graph, config.q, 1, params.horizon)
+        trace = dc.run(config.algorithm, config.instance, schedule, params)
+        error = dc.convergence_error(trace, dc.solve_bisection(config.instance, xi=params.xi, nhat=params.nhat))
+        assert len(error) == 2001
+        assert _trace_csv(trace, error) == reference_trace_csv(trace, error)
+
     def test_summary_min_v_skips_the_zero_start_of_virtual_nodes(self, tmp_path):
         body = GOOD_CONFIG.replace("id = directed", "id = robust\ngamma = 0.9")
         config = load_config(write_config(tmp_path / "c.cfg", body), out_override=tmp_path / "out")
@@ -522,6 +558,29 @@ class TestCli:
             argv = [command, str(case)]
         assert cli_main(argv) == 2
         assert "agent 0: f' is not finite at p_lo or p_hi" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["validate", "solve", "run"])
+    def test_overflowing_multiplier_bracket_fails_without_artifacts(self, tmp_path, capsys, command):
+        # f'(p_hi) = 2e302 is finite, but over xi*nhat/n = 1e-10 it overflows the
+        # multiplier bracket; the case itself is valid.
+        case = tmp_path / "case.txt"
+        case.write_text("2\n1e300 0 0 0 100 2\n1 0 0 0 5 2\n2 1 undirected\n0 1\n")
+        if command == "run":
+            body = case_config(case).replace("xi = 0.05", "xi = 1e-10").replace("nhat = 39", "nhat = 2")
+            argv = ["run", str(write_config(tmp_path / "c.cfg", body)), "--out", str(tmp_path / "out")]
+        elif command == "solve":
+            argv = ["solve", str(case), "--xi", "1e-10", "--nhat", "2"]
+        else:
+            argv = ["validate", str(case)]
+        rc = cli_main(argv)
+        err = capsys.readouterr().err
+        if command == "validate":
+            assert rc == 0 and err == ""
+        else:
+            assert rc == {"solve": 2, "run": 3}[command]
+            assert "multiplier bracket lam_hi = inf is not finite" in err and "xi*nhat/n = 1e-10" in err
         assert not (tmp_path / "out").exists()
 
     def test_run_into_uncreatable_directory_exits_2(self, tmp_path, capsys):

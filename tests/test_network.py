@@ -2,10 +2,11 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dercoord as dc
@@ -71,6 +72,32 @@ def brute_minimal_window(schedule, K):
         if brute_windows(schedule.nominal, masks, B).all():
             return B
     return None
+
+
+def philox_rows(schedule):
+    """philox4x64-v1 by definition: row k holds the first m uniforms of a fresh Philox keyed by (seed, k), kept where >= q."""
+    m = schedule.nominal.m
+    block = np.empty((schedule.horizon, m), dtype=bool)
+    for k in range(schedule.horizon):
+        key = np.array([schedule.seed, k], dtype=np.uint64)
+        block[k] = np.random.Generator(np.random.Philox(key=key)).random(m) >= schedule.q
+    return block
+
+
+def chunk_rows(m):
+    """Steps per chunk of the sampler's buffer of at most 2^13 uniforms (at least one step)."""
+    return max(1, 2**13 // max(m, 1))
+
+
+@st.composite
+def sampled_schedules(draw):
+    """Small graphs (n = 1 has m = 0), any 64-bit seed, q in [0, 1), short horizons or one at a chunk boundary."""
+    spec = dc.GraphSpec(n=draw(st.integers(1, 11)), extra_edges=draw(st.integers(0, 8)), directed=draw(st.booleans()))
+    g = dc.generate_graph(spec, draw(st.integers(0, 2**32)))
+    rows = chunk_rows(g.m)
+    horizon = draw(st.one_of(st.integers(0, 40), st.sampled_from([rows - 1, rows, rows + 1])))
+    seed = draw(st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)))
+    return dc.GraphSchedule(g, draw(st.floats(0.0, 1.0, exclude_max=True)), seed, horizon)
 
 
 schedules = st.builds(
@@ -206,6 +233,47 @@ class TestSchedule:
             want = np.random.Generator(np.random.Philox(key=key)).random(len(edges)) >= q
             np.testing.assert_array_equal(sched.masks[k], want)
             np.testing.assert_array_equal(sched.active_mask(k), want)
+
+    @given(sched=sampled_schedules())
+    @example(sched=dc.GraphSchedule(dc.NominalGraph(1, [], False), 0.5, 2**64 - 1, 3))
+    @example(sched=dc.GraphSchedule(dc.NominalGraph(2, [(0, 1)], False), 0.0, 0, 0))
+    @example(sched=dc.GraphSchedule(dc.NominalGraph(2, [(0, 1)], False), 0.5, 2**63, chunk_rows(1) + 1))
+    @settings(max_examples=80, deadline=None)
+    def test_masks_are_fresh_philox_streams(self, sched):
+        want = philox_rows(sched)
+        assert np.array_equal(sched.masks, want)
+        for k in {0, chunk_rows(sched.nominal.m) - 1, chunk_rows(sched.nominal.m), sched.horizon - 1}:
+            if 0 <= k < sched.horizon:
+                assert np.array_equal(sched.active_mask(k), want[k])
+
+    @pytest.mark.parametrize("m", [4097, 8193])  # one or two steps per chunk
+    def test_masks_cross_chunk_boundaries(self, m):
+        path = dc.NominalGraph(m + 1, [(i, i + 1) for i in range(m)], False)
+        rows = chunk_rows(m)
+        for horizon in (rows - 1, rows, rows + 1):
+            sched = dc.GraphSchedule(path, 0.3, 2**63 + 12345, horizon)
+            assert np.array_equal(sched.masks, philox_rows(sched))
+
+    def test_an_edge_whose_uniform_equals_q_is_active(self):
+        # the contract keeps uniforms >= q, so q set to a drawn uniform pins the comparison
+        g = self.graph()
+        u = np.random.Generator(np.random.Philox(key=np.array([5, 3], dtype=np.uint64))).random(g.m)
+        sched = dc.GraphSchedule(g, float(u[1]), 5, 4)
+        assert sched.masks[3, 1] and sched.active_mask(3)[1]
+        assert not dc.GraphSchedule(g, float(np.nextafter(u[1], 1.0)), 5, 4).masks[3, 1]
+
+    def test_mask_block_peak_is_its_own_block(self):
+        # n = 3000, m = 4500: the temporaries beside the (K, m) block stay
+        # under 1 MiB; a buffer of uniforms for the whole horizon would be 72 MB.
+        g = dc.generate_graph(dc.GraphSpec(n=3000, extra_edges=1500, directed=False), 7)
+        sched = dc.GraphSchedule(g, 0.2, 11, 2000)
+        tracemalloc.start()
+        try:
+            block = sched.masks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - block.nbytes <= 2**20, f"masks peaked {peak - block.nbytes} bytes above its block"
 
     def test_mask_block_builds_one_generator(self, monkeypatch):
         built = []

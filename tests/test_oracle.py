@@ -108,6 +108,18 @@ class TestSolveBisection:
         with pytest.raises(InvalidCostError, match="agent 1: f' is not finite"):
             dc.solve_bisection(inst)
 
+    @pytest.mark.parametrize(
+        "bound, a, b",
+        [("lam_hi", [1e300, 1.0], [0.0, 0.0]), ("lam_lo", [1.0, 1.0], [-1e300, 0.0])],
+    )
+    def test_overflowing_multiplier_bracket_is_rejected(self, bound, a, b):
+        # f' is finite at both box ends, but f'(p_hi) = 2e302 (or f'(p_lo) = -1e300)
+        # over xi*nhat/n = 1e-10 is not: the bracket would have an infinite end.
+        inst = dc.ProblemInstance([2.0, 2.0], [0.0] * 2, [100.0, 5.0], dc.QuadraticCost(a, b))
+        with pytest.raises(InvalidInstanceError, match=rf"{bound} = -?inf is not finite.*xi\*nhat/n = 1e-10"):
+            dc.solve_bisection(inst, xi=1e-10, nhat=2.0)
+        assert np.isfinite(dc.solve_bisection(inst, xi=1.0, nhat=2.0).lambda_star)
+
     def test_scaled_convention_shifts_lambda_only(self, small_instance):
         base = dc.solve_bisection(small_instance, xi=1.0, nhat=3.0)
         scaled = dc.solve_bisection(small_instance, xi=0.1, nhat=6.0)
