@@ -588,11 +588,15 @@ def _checked_init(algorithm: str, spec: _Spec, init, inst, graph, params):
 
 
 def check_pairing(algorithm: str, inst: ProblemInstance, graph: NominalGraph) -> None:
-    """Raise `ModeMismatchError` unless `graph` has the algorithm's directedness and the instance's size."""
-    if algorithm in UNDIRECTED_ALGORITHMS and graph.directed:
-        raise ModeMismatchError(f"{algorithm} requires an undirected graph")
-    if algorithm in DIRECTED_ALGORITHMS and not graph.directed:
-        raise ModeMismatchError(f"{algorithm} requires a directed graph")
+    """Raise `ModeMismatchError` unless `algorithm` is a known id that fits the graph.
+
+    It fits when the graph has the algorithm's directedness and the instance's size.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ModeMismatchError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    directed = algorithm in DIRECTED_ALGORITHMS
+    if graph.directed != directed:
+        raise ModeMismatchError(f"{algorithm} requires {'a directed' if directed else 'an undirected'} graph")
     if graph.n != inst.n:
         raise ModeMismatchError(f"graph has {graph.n} nodes, instance has {inst.n}")
 

@@ -7,7 +7,17 @@ Subcommands:
 * ``solve <case>`` -- print the exact dispatch and multiplier for a case.
 * ``validate <case>`` -- parse and validate a case file.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 run error.
+Exit codes follow the kind of error, not the command:
+
+* 0 -- success;
+* 2 -- bad input: a missing or malformed file, an invalid config, case or
+  parameter, or a problem the oracle cannot solve. Every package error
+  that escapes a command is one of these, since `run` records each seed's
+  own errors instead of raising them. Nothing is written: a failing
+  `run` stops before it makes its output directory;
+* 3 -- `run` finished, but some seed failed; each failure is printed as
+  ``seed <s>: error: <message>`` and that seed's summary row reads
+  ``error``.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, DercoordError
+from .errors import DercoordError
 from .experiment import _fmt, load_case, load_config, run_experiment
 from .oracle import solve_bisection
 
@@ -39,8 +49,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst, _graph = load_case(args.case)
-    nhat = args.nhat if args.nhat is not None else float(inst.n)
-    sol = solve_bisection(inst, xi=args.xi, nhat=nhat, tol=args.tol)
+    sol = solve_bisection(inst, xi=args.xi, nhat=args.nhat, tol=args.tol)
     print(f"lambda_star = {_fmt(sol.lambda_star)}")
     print(f"kkt_residual = {_fmt(sol.kkt_residual)}")
     print("p_star:")
@@ -90,13 +99,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DercoordError as exc:
-        if args.command == "run":
-            print(f"run error: {exc}", file=sys.stderr)
-            return 3
+    except (DercoordError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

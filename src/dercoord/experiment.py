@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, check_pairing, run
+from .algorithms import check_pairing, run
 from .errors import (
     CaseParseError,
     ConfigError,
@@ -37,6 +37,7 @@ from .errors import (
 )
 from .metrics import InvariantReport, RunTrace, convergence_error, fit_rate, invariant_report
 from .network import (
+    _MAX_SEED,
     GraphSchedule,
     NominalGraph,
     format_graph,
@@ -45,7 +46,7 @@ from .network import (
     parse_graph_lines,
 )
 from .oracle import solve_bisection
-from .problem import AlgorithmParams, ConstantStep, DiminishingStep, ProblemInstance, QuadraticCost
+from .problem import AlgorithmParams, ConstantStep, DiminishingStep, ProblemInstance, QuadraticCost, positive
 
 # Stream tags keep generator draws disjoint from schedule draws (which use
 # key = [seed, step]).
@@ -53,6 +54,8 @@ _TAG_INSTANCE = (1 << 63) + 1
 _TAG_GRAPH = (1 << 63) + 2
 
 _REJECTION_LIMIT = 1000
+
+_RANGES = ("a_range", "b_range", "c_range", "load_range", "lo_range", "hi_range")
 
 TRACE_COLUMNS = (
     "k",
@@ -90,7 +93,8 @@ class InstanceSpec:
     """Randomization recipe for dispatch instances.
 
     Quadratic coefficients, loads, and capacity bounds are drawn uniformly
-    from the given ranges; infeasible draws are rejected and redrawn.
+    from the given (low, high) ranges, which must be finite with low <= high
+    (and a positive); infeasible draws are rejected and redrawn.
     """
 
     n: int
@@ -104,12 +108,12 @@ class InstanceSpec:
     def __post_init__(self):
         if self.n < 1:
             raise GeneratorSpecError("instance spec needs n >= 1")
+        for name in _RANGES:  # each comparison is False for NaN
+            low, high = getattr(self, name)
+            if not -np.inf < low <= high < np.inf:
+                raise GeneratorSpecError(f"{name}=({low}, {high}) must be finite with low <= high")
         if self.a_range[0] <= 0:
             raise GeneratorSpecError("a_range must be strictly positive")
-        for name in ("a_range", "b_range", "c_range", "load_range", "lo_range", "hi_range"):
-            r = getattr(self, name)
-            if r[0] > r[1]:
-                raise GeneratorSpecError(f"{name} has lower bound above upper bound")
 
 
 def _generate_instance(spec: InstanceSpec, seed: int) -> tuple[ProblemInstance, int]:
@@ -281,75 +285,96 @@ class ExperimentConfig:
     oracle_tol: float = 1e-12
 
 
-def _req(section, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required key '{key}' in [{where}]")
-    return section[key]
+def _range(text: str) -> tuple[float, float]:
+    low, high = map(float, text.split())  # ValueError unless two numbers
+    return low, high
 
 
-def _parse_range(text: str, key: str) -> tuple[float, float]:
-    parts = text.split()
-    if len(parts) != 2:
-        raise ConfigError(f"{key} must be 'low high', got {text!r}")
+_KINDS = {int: "an integer", float: "a number", _range: "two numbers 'low high'"}
+
+
+def _get(cp: configparser.ConfigParser, section: str, key: str, kind=str, default=None):
+    """[section] key parsed by `kind` (str, int, float or `_range`), or `default` if it is absent.
+
+    A key without a default is required. Each error names the key, and a
+    value `kind` cannot parse is quoted in it. Ranges and positivity are
+    checked by what the value is given to.
+    """
+    if not cp.has_option(section, key):
+        if default is None:
+            raise ConfigError(f"missing required key '{key}' in [{section}]")
+        return default
+    text = cp[section][key]
     try:
-        return float(parts[0]), float(parts[1])
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"non-numeric bound in {key}={text!r}") from None
+        raise ConfigError(f"[{section}] {key} must be {_KINDS[kind]}, got {text!r}") from None
+
+
+def _path(cp: configparser.ConfigParser, config: Path, section: str, key: str, exists: bool = True) -> Path:
+    """[section] key as a path, a relative one taken from the config file's directory."""
+    path = config.parent / _get(cp, section, key)
+    if exists and not path.is_file():
+        raise ConfigError(f"[{section}] {key}: file not found: {path}")
+    return path
 
 
 def _check_seed(seed: int, key: str) -> None:
-    if not 0 <= seed < 2**64:
+    if not 0 <= seed < _MAX_SEED:
         raise ConfigError(f"{key} must lie in [0, 2^64), got {seed}")
 
 
 def _instance_and_graph(cp: configparser.ConfigParser, path: Path) -> tuple[ProblemInstance, NominalGraph]:
-    instance_sec = cp["instance"]
-    if "case" in instance_sec:
-        case_path = Path(instance_sec["case"])
-        if not case_path.is_absolute():
-            case_path = path.parent / case_path
-        try:
-            return load_case(case_path)
-        except FileNotFoundError:
-            raise ConfigError(f"case file not found: {case_path}") from None
-    try:
-        n = int(_req(instance_sec, "n", "instance"))
-        inst_seed = int(_req(instance_sec, "seed", "instance"))
-    except ValueError:
-        raise ConfigError("instance n and seed must be integers") from None
+    if cp.has_option("instance", "case"):
+        return load_case(_path(cp, path, "instance", "case"))
+    inst_seed = _get(cp, "instance", "seed", int)
     _check_seed(inst_seed, "[instance] seed")
-    kwargs = {}
-    for key in ("a_range", "b_range", "c_range", "load_range", "lo_range", "hi_range"):
-        if key in instance_sec:
-            kwargs[key] = _parse_range(instance_sec[key], key)
-    inst = generate_instance(InstanceSpec(n=n, **kwargs), inst_seed)
+    ranges = {key: _get(cp, "instance", key, _range) for key in _RANGES if cp.has_option("instance", key)}
+    inst = generate_instance(InstanceSpec(n=_get(cp, "instance", "n", int), **ranges), inst_seed)
     if "graph" not in cp:
         raise ConfigError("generated instances need a [graph] section")
-    graph_sec = cp["graph"]
-    if "file" in graph_sec:
-        return inst, load_graph(path.parent / graph_sec["file"])
-    mode = _req(graph_sec, "mode", "graph").lower()
+    if cp.has_option("graph", "file"):
+        return inst, load_graph(_path(cp, path, "graph", "file"))
+    mode = _get(cp, "graph", "mode").lower()
     if mode not in ("undirected", "directed"):
         raise ConfigError(f"graph mode must be undirected|directed, got {mode!r}")
-    try:
-        extra = int(graph_sec.get("extra_edges", "0"))
-        graph_seed = int(graph_sec.get("seed", str(inst_seed)))
-    except ValueError:
-        raise ConfigError("graph extra_edges and seed must be integers") from None
+    graph_seed = _get(cp, "graph", "seed", int, inst_seed)
     _check_seed(graph_seed, "[graph] seed")
-    spec = GraphSpec(n=inst.n, extra_edges=extra, directed=(mode == "directed"))
+    spec = GraphSpec(inst.n, _get(cp, "graph", "extra_edges", int, GraphSpec.extra_edges), mode == "directed")
     return inst, generate_graph(spec, graph_seed)
+
+
+def _params(cp: configparser.ConfigParser, algorithm: str) -> AlgorithmParams:
+    alg = cp["algorithm"]
+    if "s" in alg:
+        if "step_a" in alg or "step_b" in alg:
+            raise ConfigError("give either s or step_a/step_b, not both")
+        step = ConstantStep(_get(cp, "algorithm", "s", float))
+    elif "step_a" in alg and "step_b" in alg:
+        step = DiminishingStep(_get(cp, "algorithm", "step_a", float), _get(cp, "algorithm", "step_b", float))
+    else:
+        raise ConfigError("missing stepsize: give s or step_a and step_b in [algorithm]")
+    gamma = _get(cp, "algorithm", "gamma", float, None if algorithm in ("robust", "virtual") else AlgorithmParams.gamma)
+    return AlgorithmParams(
+        step, _get(cp, "algorithm", "xi", float), _get(cp, "algorithm", "nhat", float), gamma, _get(cp, "run", "K", int)
+    )
 
 
 def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfig:
     """Parse and fully resolve a config file; all validation happens here.
 
-    Every invalid input raises `ConfigError`: an instance or cost the
-    library rejects, and an algorithm whose directedness or size does not
-    match the graph, are among them.
+    Every key is read through one typed reader, so a missing or
+    unparsable value is a `ConfigError` that names its key. Every invalid
+    input raises `ConfigError`: a missing file, an instance, cost or
+    graph the library rejects (an unknown algorithm id, or one whose
+    directedness or size does not match the graph, among them), and
+    parameters the `AlgorithmParams` and stepsize constructors reject (s,
+    step_a, step_b, xi and nhat must be positive and finite). Paths in
+    the config (`case`, `file`, `[output] dir`) are relative to its
+    directory.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -359,45 +384,21 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
     for section in ("instance", "algorithm", "run"):
         if section not in cp:
             raise ConfigError(f"missing section [{section}]")
-
+    algorithm = _get(cp, "algorithm", "id").lower()
     try:
         inst, graph = _instance_and_graph(cp, path)
+        check_pairing(algorithm, inst, graph)
+        params = _params(cp, algorithm)
     except (InvalidInstanceError, InvalidCostError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    alg_sec = cp["algorithm"]
-    algorithm = _req(alg_sec, "id", "algorithm").lower()
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm id {algorithm!r}; expected one of {ALGORITHMS}")
-    check_pairing(algorithm, inst, graph)
-    try:
-        if "s" in alg_sec:
-            if "step_a" in alg_sec or "step_b" in alg_sec:
-                raise ConfigError("give either s or step_a/step_b, not both")
-            step = ConstantStep(float(alg_sec["s"]))
-        elif "step_a" in alg_sec and "step_b" in alg_sec:
-            step = DiminishingStep(float(alg_sec["step_a"]), float(alg_sec["step_b"]))
-        else:
-            raise ConfigError("missing stepsize: give s or step_a and step_b in [algorithm]")
-        xi = float(_req(alg_sec, "xi", "algorithm"))
-        nhat = float(_req(alg_sec, "nhat", "algorithm"))
-        if algorithm in ("robust", "virtual"):
-            gamma = float(_req(alg_sec, "gamma", "algorithm"))
-        else:
-            gamma = float(alg_sec.get("gamma", "0.9"))
-    except ValueError:
-        raise ConfigError("non-numeric algorithm parameter") from None
-
-    run_sec = cp["run"]
-    try:
-        K = int(_req(run_sec, "K", "run"))
-        q = float(_req(run_sec, "q", "run"))
-        oracle_tol = float(run_sec.get("oracle_tol", "1e-12"))
-    except ValueError:
-        raise ConfigError("non-numeric run parameter") from None
-    if not 0.0 < oracle_tol < float("inf"):
+    q = _get(cp, "run", "q", float)
+    if not 0.0 <= q < 1.0:
+        raise ConfigError(f"q={q} outside [0, 1)")
+    oracle_tol = _get(cp, "run", "oracle_tol", float, ExperimentConfig.oracle_tol)
+    if not positive(oracle_tol):
         raise ConfigError(f"oracle_tol={oracle_tol} must be positive and finite")
-    seeds_text = seeds_override if seeds_override is not None else _req(run_sec, "seeds", "run")
+    seeds_text = seeds_override if seeds_override is not None else _get(cp, "run", "seeds")
     try:
         seeds = tuple(int(s) for s in str(seeds_text).replace(",", " ").split())
     except ValueError:
@@ -408,18 +409,10 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
         raise ConfigError("duplicate seeds")
     for seed in seeds:
         _check_seed(seed, "seeds")
-    if not (0.0 <= q < 1.0):
-        raise ConfigError(f"q={q} outside [0, 1)")
-    if K < 0:
-        raise ConfigError("K must be nonnegative")
 
     out_dir = out_override
-    if out_dir is None and "output" in cp and "dir" in cp["output"]:
-        out_dir = path.parent / cp["output"]["dir"]
-    try:
-        params = AlgorithmParams(step=step, xi=xi, nhat=nhat, gamma=gamma, horizon=K)
-    except InvalidInstanceError as exc:
-        raise ConfigError(str(exc)) from exc
+    if out_dir is None and cp.has_option("output", "dir"):
+        out_dir = _path(cp, path, "output", "dir", exists=False)
     return ExperimentConfig(
         instance=inst,
         graph=graph,

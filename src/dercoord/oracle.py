@@ -26,6 +26,7 @@ from .problem import (
     _primal_step,
     checked_p0,
     kkt_residual,
+    positive,
 )
 
 # Inner vectorized bisection for inverting f' on the box (general costs).
@@ -86,15 +87,18 @@ def solve_bisection(
     machine resolution). The initial bracket is instance-derived and
     guaranteed to straddle the optimum by monotonicity; `ProblemInstance`
     has already checked that the instance is feasible and its cost
-    strongly convex. A cost whose gradient is not finite at a capacity
+    strongly convex. xi, nhat (default n) and tol must be positive and
+    finite (`problem.positive`), else `InvalidInstanceError` names the
+    first that is not. A cost whose gradient is not finite at a capacity
     bound leaves no bracket and raises `InvalidCostError`; a finite one
     that overflows the bracket once divided by xi*nhat/n raises
     `InvalidInstanceError`.
     """
     if nhat is None:
         nhat = float(inst.n)
-    if xi <= 0 or nhat <= 0:
-        raise InvalidInstanceError("xi and nhat must be positive")
+    for name, value in (("xi", xi), ("nhat", nhat), ("tol", tol)):
+        if not positive(value):
+            raise InvalidInstanceError(f"{name}={value} must be positive and finite")
     scale = xi * nhat / inst.n
     total = inst.total_load
 

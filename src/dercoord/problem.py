@@ -37,6 +37,11 @@ from .errors import (
 CONVEXITY_GRID_POINTS = 1000
 
 
+def positive(x) -> bool:
+    """The rule for the problem's positive parameters: 0 < x < inf, which NaN fails."""
+    return 0.0 < x < np.inf
+
+
 def _as_vector(x, name: str, n: int | None = None) -> np.ndarray:
     """A read-only float copy of x, which must be a vector of length n: what is validated cannot change later."""
     v = np.array(x, dtype=float)
@@ -97,9 +102,10 @@ class GeneralCost:
     """General convex hook: user-supplied vectorized evaluators.
 
     ``value``/``grad``/``hess`` map a length-n vector to per-agent values.
-    The user declares the strong-convexity parameter m > 0; it is verified
-    on a sampled grid when the cost is attached to an instance (best
-    effort, see `validate_on_box`). Derivatives are never approximated
+    The user declares the strong-convexity parameter m, which must be
+    `positive`; it is verified on a sampled grid when the cost is attached
+    to an instance (best effort, see `validate_on_box`; a NaN second
+    derivative fails it). Derivatives are never approximated
     numerically inside iteration loops.
     """
 
@@ -110,8 +116,8 @@ class GeneralCost:
     n: int
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise InvalidCostError("declared strong convexity m must be > 0")
+        if not positive(self.m):
+            raise InvalidCostError(f"declared strong convexity m={self.m} must be positive and finite")
         if self.n < 1:
             raise InvalidCostError("agent count must be >= 1")
 
@@ -130,7 +136,7 @@ class GeneralCost:
         grid = lo[None, :] + ts[:, None] * (hi - lo)[None, :]
         h = np.vstack([self.hess(row) for row in grid])
         slack = 1e-9 * max(1.0, abs(self.m))
-        if np.any(h < self.m - slack):
+        if not np.all(h >= self.m - slack):  # NaN fails too, and argmin finds it first
             bad = np.unravel_index(int(np.argmin(h)), h.shape)
             raise InvalidCostError(
                 f"second derivative {h[bad]:.6g} below declared m={self.m:.6g} "
@@ -215,13 +221,13 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class ConstantStep:
-    """Constant stepsize s > 0."""
+    """Constant stepsize s, positive and finite."""
 
     s: float
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise InvalidInstanceError("stepsize must be positive")
+        if not positive(self.s):
+            raise InvalidInstanceError(f"stepsize s={self.s} must be positive and finite")
 
     def at(self, k: int) -> float:
         return self.s
@@ -229,14 +235,14 @@ class ConstantStep:
 
 @dataclass(frozen=True)
 class DiminishingStep:
-    """Diminishing schedule s[k] = a / (k + b)."""
+    """Diminishing schedule s[k] = a / (k + b), with a and b positive and finite."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise InvalidInstanceError("schedule parameters a, b must be positive")
+        if not (positive(self.a) and positive(self.b)):
+            raise InvalidInstanceError(f"schedule a={self.a}, b={self.b}: a and b must be positive and finite")
 
     def at(self, k: int) -> float:
         return self.a / (k + self.b)
@@ -262,14 +268,13 @@ class AlgorithmParams:
     horizon: int = 1000
 
     def __post_init__(self):
-        if self.xi <= 0:
-            raise InvalidInstanceError("xi must be positive")
-        if self.nhat <= 0:
-            raise InvalidInstanceError("nhat must be positive")
+        for name in ("xi", "nhat"):
+            if not positive(getattr(self, name)):
+                raise InvalidInstanceError(f"{name}={getattr(self, name)} must be positive and finite")
         if not (0.0 < self.gamma < 1.0):
-            raise InvalidInstanceError("gamma must lie in (0, 1)")
+            raise InvalidInstanceError(f"gamma={self.gamma} must lie in (0, 1)")
         if self.horizon < 0:
-            raise InvalidInstanceError("horizon must be nonnegative")
+            raise InvalidInstanceError(f"horizon K={self.horizon} must be nonnegative")
 
     def stepsize(self, k: int) -> float:
         return self.step.at(k)
@@ -310,7 +315,7 @@ def checked_p0(inst: ProblemInstance, p0=None) -> np.ndarray:
     p0 = np.asarray(p0, dtype=float).copy()
     if p0.shape != (inst.n,):
         raise InvalidInstanceError(f"p0 must have shape ({inst.n},)")
-    if np.any(p0 < inst.p_lo) or np.any(p0 > inst.p_hi):
+    if not (np.all(p0 >= inst.p_lo) and np.all(p0 <= inst.p_hi)):  # NaN fails
         raise InvalidInstanceError("p0 must lie within the capacity box")
     return p0
 

@@ -305,6 +305,11 @@ class TestRun:
         with pytest.raises(ModeMismatchError):
             dc.run("nope", small_instance, dc.GraphSchedule(ring(3, False), 0.2, 1, 100), params)
 
+    def test_check_pairing_rejects_unknown_ids(self, small_instance):
+        for graph in (ring(3, False), ring(3, True)):
+            with pytest.raises(ModeMismatchError, match="unknown algorithm 'warp'"):
+                algorithms.check_pairing("warp", small_instance, graph)
+
     def test_init_of_another_algorithm_rejected(self, small_instance):
         params = params_for(3)
         sched = dc.GraphSchedule(ring(3, False), 0.2, 1, 100)

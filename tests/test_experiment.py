@@ -1,5 +1,8 @@
+import configparser
 import dataclasses
+import io
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -121,6 +124,14 @@ class TestGenerators:
         _, attempts = _generate_instance(InstanceSpec(n=4), 2)
         assert attempts >= 1
 
+    @pytest.mark.parametrize("name,bounds", [
+        ("a_range", (np.nan, 1.0)), ("load_range", (1.0, np.nan)), ("hi_range", (1.0, np.inf)),
+        ("b_range", (-np.inf, 0.0)), ("lo_range", (1.0, 0.0)),
+    ])
+    def test_spec_ranges_must_be_finite_and_ordered(self, name, bounds):
+        with pytest.raises(GeneratorSpecError, match=rf"{name}=\(.*\) must be finite with low <= high"):
+            InstanceSpec(n=3, **{name: bounds})
+
     def test_generated_graphs_connected_and_sized(self):
         for seed in range(20):
             g = dc.generate_graph(dc.GraphSpec(n=9, extra_edges=3, directed=True), seed)
@@ -216,7 +227,61 @@ seeds = 1,2
 """
 
 
+def config_with(section, key, value, body=GOOD_CONFIG):
+    """`body` with [section] key = value; step_a and step_b (1 and 10 unless given) replace s."""
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_string(body)
+    if key.startswith("step_"):
+        cp.remove_option("algorithm", "s")
+        cp["algorithm"].update(step_a="1", step_b="10")
+    cp[section][key] = value
+    out = io.StringIO()
+    cp.write(out)
+    return out.getvalue()
+
+
+NUMERIC_KEYS = [
+    ("instance", "n"), ("instance", "seed"), ("instance", "a_range"), ("instance", "b_range"),
+    ("instance", "c_range"), ("instance", "load_range"), ("instance", "lo_range"), ("instance", "hi_range"),
+    ("graph", "extra_edges"), ("graph", "seed"), ("algorithm", "s"), ("algorithm", "step_a"),
+    ("algorithm", "step_b"), ("algorithm", "xi"), ("algorithm", "nhat"), ("algorithm", "gamma"),
+    ("run", "K"), ("run", "q"), ("run", "oracle_tol"), ("run", "seeds"),
+]
+# (section, key, value, what the error names): a number the key's rule rejects
+BAD_NUMBERS = [
+    *(("algorithm", key, value, f"{name}={value}") for key, name in
+      (("s", "s"), ("step_a", "a"), ("step_b", "b"), ("xi", "xi"), ("nhat", "nhat")) for value in ("nan", "inf")),
+    ("run", "oracle_tol", "nan", "oracle_tol=nan"), ("run", "oracle_tol", "inf", "oracle_tol=inf"),
+    ("algorithm", "gamma", "nan", "gamma=nan"), ("run", "q", "nan", "q=nan"),
+]
+BAD_VALUES = [
+    *((section, key, "abc", f"{key} must be ") for section, key in NUMERIC_KEYS),
+    *BAD_NUMBERS,
+    ("algorithm", "id", "warp", "unknown algorithm 'warp'"),
+]
+
+
 class TestConfigs:
+    @pytest.mark.parametrize("section,key", NUMERIC_KEYS)
+    def test_non_numeric_value_names_its_key_and_text(self, tmp_path, section, key):
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be ")) as err:
+            load_config(write_config(tmp_path / "c.cfg", config_with(section, key, "abc")))
+        assert "'abc'" in str(err.value)
+        if section != "run" or key != "seeds":  # seeds may come from --seeds too
+            assert str(err.value).startswith(f"[{section}] {key} must be ")
+
+    @pytest.mark.parametrize("section,key,value,named", BAD_NUMBERS)
+    def test_number_outside_its_rule_names_its_key(self, tmp_path, section, key, value, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(write_config(tmp_path / "c.cfg", config_with(section, key, value)))
+
+    @pytest.mark.parametrize("section,key", [("instance", "case"), ("graph", "file")])
+    def test_missing_file_is_a_config_error_naming_the_path(self, tmp_path, section, key):
+        body = config_with(section, key, "missing.txt")
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}: file not found: {tmp_path / 'missing.txt'}")):
+            load_config(write_config(tmp_path / "c.cfg", body))
+
     def test_missing_stepsize_rejected(self, tmp_path):
         bad = GOOD_CONFIG.replace("s = 0.05\n", "")
         with pytest.raises(ConfigError, match="stepsize"):
@@ -579,9 +644,38 @@ class TestCli:
         if command == "validate":
             assert rc == 0 and err == ""
         else:
-            assert rc == {"solve": 2, "run": 3}[command]
+            assert rc == 2  # an input error, whichever command meets it
             assert "multiplier bracket lam_hi = inf is not finite" in err and "xi*nhat/n = 1e-10" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,key,value,named", BAD_VALUES)
+    def test_bad_value_exits_2_without_artifacts(self, tmp_path, capsys, section, key, value, named):
+        cfg = write_config(tmp_path / "c.cfg", config_with(section, key, value))
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,key", [("instance", "case"), ("graph", "file")])
+    def test_missing_file_exits_2_without_artifacts(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path / "c.cfg", config_with(section, key, "missing.txt"))
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: [{section}] {key}: file not found: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the iterates overflow, as they should
+    def test_run_in_which_every_seed_fails_exits_3(self, repo_root, tmp_path, capsys):
+        body = case_config(repo_root / "cases" / "case39_undirected.txt").replace("s = 0.01", "s = 1e307")
+        cfg = write_config(tmp_path / "c.cfg", body)
+        out = tmp_path / "out"
+        assert cli_main(["run", str(cfg), "--seeds", "1,2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert [f"seed {seed}: error: non-finite iterate at step 1 (pd1: lam)" for seed in (1, 2)] == err
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[1:] == [f"{seed},nan,nan,nan,nan,nan,nan,nan,error,0" for seed in (1, 2)]
+        assert [path.name for path in out.iterdir()] == ["summary.csv"]
+        result = run_experiment(load_config(cfg, out_override=tmp_path / "lib", seeds_override="1,2"))
+        assert not result.ok and [o.status for o in result.outcomes] == ["error", "error"]
 
     def test_run_into_uncreatable_directory_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", GOOD_CONFIG)

@@ -120,6 +120,12 @@ class TestSolveBisection:
             dc.solve_bisection(inst, xi=1e-10, nhat=2.0)
         assert np.isfinite(dc.solve_bisection(inst, xi=1.0, nhat=2.0).lambda_star)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["xi", "nhat", "tol"])
+    def test_parameters_must_be_positive_and_finite(self, small_instance, name, value):
+        with pytest.raises(InvalidInstanceError, match=f"{name}={value} must be positive and finite"):
+            dc.solve_bisection(small_instance, **{name: value})
+
     def test_scaled_convention_shifts_lambda_only(self, small_instance):
         base = dc.solve_bisection(small_instance, xi=1.0, nhat=3.0)
         scaled = dc.solve_bisection(small_instance, xi=0.1, nhat=6.0)

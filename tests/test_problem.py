@@ -12,6 +12,9 @@ from dercoord.errors import (
     InvalidCostError,
     InvalidInstanceError,
 )
+from dercoord.problem import checked_p0, positive
+
+NOT_POSITIVE = [0.0, -1.0, -np.inf, np.inf, np.nan]
 
 
 def quartic_cost():
@@ -158,6 +161,29 @@ class TestInstanceValidation:
         with pytest.raises(InvalidCostError):
             dc.ProblemInstance([0.5], [0.0], [1.0], bad)
 
+    def test_nan_second_derivative_fails_the_convexity_check(self):
+        cost = dc.GeneralCost(
+            value_fn=lambda p: p**2,
+            grad_fn=lambda p: 2 * p,
+            hess_fn=lambda p: np.where(p > 0.5, np.nan, 2.0),
+            m=1.0,
+            n=1,
+        )
+        with pytest.raises(InvalidCostError, match="second derivative nan"):
+            dc.ProblemInstance([0.5], [0.0], [1.0], cost)
+
+    @pytest.mark.parametrize("m", NOT_POSITIVE)
+    def test_declared_convexity_must_be_positive_and_finite(self, m):
+        with pytest.raises(InvalidCostError, match=f"m={m} must be positive and finite"):
+            dc.GeneralCost(lambda p: p**2, lambda p: 2 * p, lambda p: np.full_like(p, 2.0), m=m, n=1)
+
+    @pytest.mark.parametrize("p0", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [-1.0, 1.0]])
+    def test_p0_outside_the_box_or_nan_is_rejected(self, p0):
+        inst = box([0.0, 0.0], [3.0, 3.0])
+        with pytest.raises(InvalidInstanceError, match="capacity box"):
+            checked_p0(inst, p0)
+        assert checked_p0(inst, [0.0, 3.0]).tolist() == [0.0, 3.0]
+
     def test_validated_arrays_cannot_change(self):
         # The instance keeps read-only copies, so no check made at construction goes stale.
         loads = np.array([1.0, 1.0])
@@ -192,3 +218,25 @@ class TestAlgorithmParams:
             dc.AlgorithmParams(step=dc.ConstantStep(0.1), gamma=1.0)
         with pytest.raises(InvalidInstanceError):
             dc.AlgorithmParams(step=dc.ConstantStep(0.1), xi=-1.0)
+
+    def test_positive_means_above_zero_and_finite(self):
+        assert positive(1e-300) and positive(1e308) and positive(np.float64(2.0))
+        assert not any(positive(x) for x in NOT_POSITIVE)
+
+    @pytest.mark.parametrize("value", NOT_POSITIVE)
+    @pytest.mark.parametrize("name", ["s", "a", "b", "xi", "nhat"])
+    def test_positive_parameters_must_be_positive_and_finite(self, name, value):
+        make = {
+            "s": lambda: dc.ConstantStep(value),
+            "a": lambda: dc.DiminishingStep(value, 1.0),
+            "b": lambda: dc.DiminishingStep(1.0, value),
+            "xi": lambda: dc.AlgorithmParams(step=dc.ConstantStep(0.1), xi=value),
+            "nhat": lambda: dc.AlgorithmParams(step=dc.ConstantStep(0.1), nhat=value),
+        }[name]
+        with pytest.raises(InvalidInstanceError, match=f"{name}={value}"):
+            make()
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, np.nan, np.inf])
+    def test_gamma_must_lie_in_the_open_unit_interval(self, gamma):
+        with pytest.raises(InvalidInstanceError, match=f"gamma={gamma} must lie in"):
+            dc.AlgorithmParams(step=dc.ConstantStep(0.1), gamma=gamma)
