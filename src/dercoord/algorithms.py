@@ -16,13 +16,21 @@ pd1, (p, lam) for pd2 and (lam, v, y, p, x) for the push-sum algorithms,
 with the running sums of lam, v and y as three more rows for robust.
 The rows a step mixes are adjacent, the stack `z`: (lam, y), (lam,) or
 (lam, v, y). Robust's per-arc mirror and in-flight values are one (6, m)
-array `arcs`. Each algorithm's arithmetic is one private in-place kernel,
-``kernel(cur, nxt, inst, graph, weights, params, s)``: it reads one
-state's arrays (`cur`: `nodes`, then robust's `arcs`), fills the next
-state's (`nxt`) with ufuncs writing into their rows, and mixes the whole
-stack in one call of the edge-list primitive `network.mix` in
-O(F (n + m)). No kernel builds a dense matrix. A step function runs its
-kernel into fresh arrays and guards them as `run` guards a block.
+array `arcs`. Each algorithm's arithmetic is one private kernel, bound
+once per run: ``kernel(inst, graph, params) -> (views, step)``. Binding
+looks up what is fixed for the run (the primal step with its cost
+gradient and box, xi, nhat and gamma, the graph's tails, exact-length
+`mix` bins and out-degrees) and allocates the scratch buffers a step
+writes through. ``views(*arrays)`` makes the view tuple of one state's
+arrays (`nodes`, then robust's `arcs`): the rows and row stacks the step
+reads or writes. ``step(cur, nxt, weights, s)`` reads the views `cur` and
+fills `nxt` with ufuncs writing through positional `out`, mixing the
+whole stack in one call of the edge-list primitive `network.mix` in
+O(F (n + m)); each expression keeps its operands and their order, so
+the bits are those of the plain NumPy expressions. No kernel builds a
+dense matrix. A step function binds its kernel, steps into copies of the
+state's arrays (rows the kernel does not write keep their values) and
+guards them as `run` guards a block.
 
 One driver, `run`, steps any algorithm over the schedule's mask block.
 A small per-algorithm spec tells it how to start (and what a valid
@@ -31,7 +39,8 @@ which state fields to record, and which residuals the algorithm carries.
 The driver works in blocks of about 2^13 link entries and at least 8
 rows, in place in a ring of rows + 1 slots per state array: slot 0 holds
 the state before the block, step j reads slot j and writes slot j + 1,
-and the last slot then moves to slot 0. A block's weight table and
+and the last slot then moves to slot 0. Each step makes the view tuple of
+the slot it writes, which the next step reads. A block's weight table and
 stepsizes are formed once; the stochasticity residuals come from the
 same table, so they measure exactly the weights the steps use. After the
 block, one positivity reduction over the v rows and one finiteness
@@ -39,7 +48,10 @@ reduction over all node rows guard it. Only on failure are its slots
 taken in order, to raise the error of the first failing step: positivity
 before finiteness, every non-finite row named, p first. The block's
 later steps have by then run on that step's values, which may be
-non-finite (NumPy may warn), but nothing they computed is kept. The
+non-finite, but nothing they computed is kept. The steps run with NumPy's
+floating-point warnings off: an overflow, invalid value or division by
+zero ends in a non-finite or non-positive iterate, which the guard names
+by step and field. The
 trace is one series-major (series, K + 1, n) block, so each recorded
 series is a C-contiguous (K + 1, n) view of it; a block's traced rows go
 into it as one slice, and the residual series are
@@ -71,6 +83,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy import add, divide, multiply, subtract
 
 from .errors import (
     DimensionMismatchError,
@@ -284,105 +297,141 @@ def _check_block(algorithm: str, first: int, block: np.ndarray) -> None:
             raise DivergenceError(step, f"{algorithm}: {', '.join(bad)}")
 
 
+def _scalar(x) -> np.ndarray:
+    """x as a 0-d float array: a ufunc takes one faster than a Python float, with the same bits."""
+    return np.array(x, dtype=float)
+
+
 def _one_step(algorithm: str, kernel: Callable, cur: tuple, inst, graph, weights, params, k: int) -> tuple:
-    """Step k of `kernel` from the state arrays `cur` into fresh ones, under the block guard of one state."""
-    nxt = tuple(np.empty(a.shape) for a in cur)
-    kernel(cur, nxt, inst, graph, weights, params, params.stepsize(k))
+    """Step k from the state arrays `cur` into copies of them, under the block guard of one state.
+
+    The kernel is bound for this one step. Rows it does not write keep
+    their values: pd2 writes p and lam only, whatever rows the state has.
+    """
+    views, step = kernel(inst, graph, params)
+    nxt = tuple(a.copy() for a in cur)
+    with np.errstate(all="ignore"):  # the guard names what fails
+        step(views(*cur), views(*nxt), weights, params.stepsize(k))
     _check_block(algorithm, k + 1, nxt[0][None])
     return nxt
 
 
-def _metropolis_mix(graph: NominalGraph, weights, z: np.ndarray, out: np.ndarray) -> None:
-    self_w, w = weights
+def _pd2(inst, graph, params):
+    primal, loads, nhat = _primal_step(inst, params), inst.loads, params.nhat
     tails, bins, _ = graph.metropolis_arcs
-    np.multiply(z, self_w, out=out)
-    mix(out, bins, w * z.take(tails, axis=1))
+    gathered, scratch = np.empty((1, len(tails))), np.empty(inst.n)
+    bins, flat = bins[: gathered.size], gathered.reshape(-1)
+
+    def step(cur, nxt, weights, s):
+        self_w, w = weights
+        (p0, lam0, z0), (p, lam, z) = cur, nxt
+        primal(s, p0, lam0, p)
+        multiply(z0, self_w, z)
+        multiply(z0.take(tails, 1, gathered, "clip"), w, gathered)
+        mix(z, bins, flat)
+        subtract(lam, multiply(subtract(p0, loads, scratch), s * nhat, scratch), lam)
+
+    return lambda a: (a[0], a[1], a[1:2]), step
 
 
-def _pd2(cur, nxt, inst, graph, weights, params, s) -> None:
-    (nodes,), (out,) = cur, nxt
-    lam = out[1]
-    _primal_step(inst, params, s, nodes[0], nodes[1], out[0])
-    _metropolis_mix(graph, weights, nodes[1:], out[1:])
-    lam -= s * params.nhat * (nodes[0] - inst.loads)
+def _pd1(inst, graph, params):
+    primal, nhat = _primal_step(inst, params), _scalar(params.nhat)
+    tails, bins, _ = graph.metropolis_arcs
+    gathered, scratch = np.empty((2, len(tails))), np.empty(inst.n)
+    flat = gathered.reshape(-1)
+
+    def step(cur, nxt, weights, s):
+        self_w, w = weights
+        (p0, lam0, y0, z0), (p, lam, y, z) = cur, nxt
+        primal(s, p0, lam0, p)
+        multiply(z0, self_w, z)
+        multiply(z0.take(tails, 1, gathered, "clip"), w, gathered)
+        mix(z, bins, flat)
+        subtract(lam, multiply(y0, s, scratch), lam)
+        add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
+
+    return lambda a: (a[0], a[1], a[2], a[1:]), step
 
 
-def _pd1(cur, nxt, inst, graph, weights, params, s) -> None:
-    (nodes,), (out,) = cur, nxt
-    p, lam, y = out[0], out[1], out[2]
-    _primal_step(inst, params, s, nodes[0], nodes[1], p)
-    _metropolis_mix(graph, weights, nodes[1:], out[1:])
-    lam -= s * nodes[2]
-    y += params.nhat * (p - nodes[0])
-
-
-def _directed(cur, nxt, inst, graph, weights, params, s) -> None:
-    D, live = weights
+def _directed(inst, graph, params):
+    primal, nhat = _primal_step(inst, params), _scalar(params.nhat)
     _, tails, bins = graph.arcs_by_head
-    (nodes,), (out,) = cur, nxt
-    lam, v, y, p, x = out[0], out[1], out[2], out[3], out[4]
-    _primal_step(inst, params, s, nodes[3], nodes[4], p)
-    share = out[:3]  # each node's share of (lam - s*y, v, y), mixed in place
-    np.divide(nodes[0] - s * nodes[2], D, out=lam)
-    np.divide(nodes[1:3], D, out=share[1:])
-    mix(share, bins, share.take(tails, axis=1) * live)
-    y += params.nhat * (p - nodes[3])
-    np.divide(lam, v, out=x)
+    gathered, scratch = np.empty((3, graph.m)), np.empty(inst.n)
+    flat = gathered.reshape(-1)
+
+    def step(cur, nxt, weights, s):
+        D, live = weights
+        lam0, _, y0, p0, x0, _, vy0 = cur
+        lam, v, y, p, x, z, vy = nxt  # z: each node's share of (lam - s*y, v, y), mixed in place
+        primal(s, p0, x0, p)
+        divide(subtract(lam0, multiply(y0, s, scratch), scratch), D, lam)
+        divide(vy0, D, vy)
+        multiply(z.take(tails, 1, gathered, "clip"), live, gathered)
+        mix(z, bins, flat)
+        add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
+        divide(lam, v, x)
+
+    return lambda a: (a[0], a[1], a[2], a[3], a[4], a[:3], a[1:3]), step
 
 
-def _robust(cur, nxt, inst, graph, weights, params, s) -> None:
-    (active,) = weights
-    dplus = graph.out_degrees
-    srcs = graph.srcs
-    (nodes, arcs), (out, arcs_out) = cur, nxt
-    lam, v, y, p, x = out[0], out[1], out[2], out[3], out[4]
-    z, sums = out[:3], out[5:]
-    _primal_step(inst, params, s, nodes[3], nodes[4], p)
+def _robust(inst, graph, params):
+    primal, nhat, gamma = _primal_step(inst, params), _scalar(params.nhat), _scalar(params.gamma)
+    srcs, bins, dplus = graph.srcs, graph.arc_bins, graph.out_degrees
+    gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(inst.n), np.empty(inst.n), np.empty(graph.m)
 
-    # Mirror advances in increment form: gamma*(sum - mirror) equals
-    # (1-gamma)*mirror + gamma*sum exactly, but the subtraction of the two
-    # nearby running quantities is exact in floating point, so the node
-    # updates are free of the large-magnitude rounding the running sums
-    # would otherwise inject.
-    d = np.where(active, params.gamma * (nodes[5:].take(srcs, axis=1) - arcs[:3]), 0.0)
-    np.add(arcs[:3], d, out=arcs_out[:3])
-    shares = np.divide(nodes[:3], dplus, out=z)  # mixed in place below
-    # In-flight sidecar: every step an arc absorbs its source's share and
-    # releases exactly the delivered mirror difference, so the augmented
-    # conservation sums telescope without touching the large running sums.
-    virt = np.add(arcs[3:], shares.take(srcs, axis=1), out=arcs_out[3:])
-    virt -= d
-    own_y = s * shares[2]
-    np.subtract(d[0], s * d[2], out=d[0])  # lam arrives together with -s times y
-    mix(z, graph.arc_bins, d)
-    lam -= own_y
-    y += params.nhat * (p - nodes[3])
-    np.divide(lam, v, out=x)
-    np.divide(z, dplus, out=sums)
-    sums += nodes[5:]
+    def step(cur, nxt, weights, s):
+        (active,) = weights
+        _, _, _, p0, x0, z0, sums0, mirror0, virt0 = cur
+        lam, v, y, p, x, z, sums, mirror, virt = nxt
+        primal(s, p0, x0, p)
+        # Mirror advances in increment form: gamma*(sum - mirror) equals
+        # (1-gamma)*mirror + gamma*sum exactly, but the subtraction of the two
+        # nearby running quantities is exact in floating point, so the node
+        # updates are free of the large-magnitude rounding the running sums
+        # would otherwise inject.
+        gap = subtract(sums0.take(srcs, 1, gathered, "clip"), mirror0, gathered)
+        d = np.where(active, multiply(gap, gamma, gathered), 0.0)
+        add(mirror0, d, mirror)
+        divide(z0, dplus, z)  # each node's shares, mixed in place below
+        # In-flight sidecar: every step an arc absorbs its source's share and
+        # releases exactly the delivered mirror difference, so the augmented
+        # conservation sums telescope without touching the large running sums.
+        subtract(add(virt0, z.take(srcs, 1, gathered, "clip"), virt), d, virt)
+        multiply(y, s, own_y)
+        subtract(d[0], multiply(d[2], s, dy), d[0])  # lam arrives together with -s times y
+        mix(z, bins, d.reshape(-1))
+        subtract(lam, own_y, lam)
+        add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
+        divide(lam, v, x)
+        add(divide(z, dplus, sums), sums0, sums)
+
+    return lambda a, arcs: (*a[:5], a[:3], a[5:], arcs[:3], arcs[3:]), step
 
 
-def _virtual(cur, nxt, inst, graph, weights, params, s) -> None:
-    (active,) = weights
-    n = inst.n
-    (nodes,), (out,) = cur, nxt
-    real, held = out[:3, :n], out[:3, n:]
-    lam, v, p, x = out[0], out[1], out[3], out[4]
-    p[n:] = nodes[3, n:]
-    _primal_step(inst, params, s, nodes[3, :n], nodes[4, :n], p[:n])
+def _virtual(inst, graph, params):
+    n, primal, nhat, gamma = inst.n, _primal_step(inst, params), _scalar(params.nhat), _scalar(params.gamma)
+    srcs, bins, dplus = graph.srcs, graph.arc_bins, graph.out_degrees
+    gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(n), np.empty(n), np.empty(graph.m)
 
-    share = np.divide(nodes[:3, :n], graph.out_degrees, out=real)  # mixed in place below
-    inflow = np.add(nodes[:3, n:], share.take(graph.srcs, axis=1), out=held)
-    released = np.where(active, params.gamma * inflow, 0.0)
-    held -= released
-    # real rows mix (lam - s*y); virtual rows carry lam and y separately
-    own_y = s * share[2]
-    np.subtract(released[0], s * released[2], out=released[0])
-    mix(real, graph.arc_bins, released)
-    real_lam, real_y = lam[:n], real[2]
-    real_lam -= own_y
-    real_y += params.nhat * (p[:n] - nodes[3, :n])
-    np.divide(lam, v, out=x)
+    def step(cur, nxt, weights, s):
+        (active,) = weights
+        real0, held0, _, _, p0, pinned0, x0, _, _, _ = cur
+        real, held, lam, y, p, pinned, _, full_lam, v, x = nxt  # pinned: the virtual nodes' dispatch
+        pinned[...] = pinned0
+        primal(s, p0, x0, p)
+        divide(real0, dplus, real)  # each real node's shares, mixed in place below
+        add(held0, real.take(srcs, 1, gathered, "clip"), held)
+        released = np.where(active, multiply(held, gamma, gathered), 0.0)
+        subtract(held, released, held)
+        # real rows mix (lam - s*y); virtual rows carry lam and y separately
+        multiply(y, s, own_y)
+        subtract(released[0], multiply(released[2], s, dy), released[0])
+        mix(real, bins, released.reshape(-1))
+        subtract(lam, own_y, lam)
+        add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
+        divide(full_lam, v, x)
+
+    return lambda a: (a[:3, :n], a[:3, n:], a[0, :n], a[2, :n], a[3, :n], a[3, n:], a[4, :n], a[0], a[1], a[4]), step
 
 
 def pd2_step(
@@ -489,7 +538,8 @@ def _augmented_stochasticity(graph: NominalGraph, table, params) -> np.ndarray:
 class _Spec:
     """What the run driver needs to know about one algorithm.
 
-    ``kernel`` is the in-place step. The trace records node rows ``rows``
+    ``kernel`` binds the views and the step to a run (see the module
+    docstring). The trace records node rows ``rows``
     of each state, as the series named in ``series`` (row for row), with
     one copy per block; "consensus" is the multiplier estimates. ``y`` and
     ``v`` say where the totals of the tracked imbalance and the push-sum
@@ -517,7 +567,7 @@ class _Spec:
 def _specs() -> dict[str, _Spec]:
     # Built per run, so the step kernels and table builders are looked
     # up when the run starts: a profiler or tracer that wraps them in place
-    # sees the calls.
+    # sees the calls. A kernel is called once per run, to bind its step.
     push = {"rows": slice(1, 5), "series": ("v", "y", "p", "consensus")}
     return {
         "pd1": _Spec(
@@ -676,7 +726,7 @@ def run(
                 low = np.where(other < low, other, low)
             residuals["min_v"][lo:hi] = low
 
-    kernel = spec.kernel
+    views, step = spec.kernel(inst, graph, params)
     masks = schedule.masks[:K]
     if stochasticity is not None:
         stochasticity[0] = 0.0
@@ -689,8 +739,11 @@ def run(
             if stochasticity is not None:
                 stochasticity[first:hi] = spec.stochasticity(graph, table, params)
             steps = [params.stepsize(k) for k in range(first - 1, hi - 1)]
-            for j, (weights, s) in enumerate(zip(zip(*table), steps)):
-                kernel(slots[j], slots[j + 1], inst, graph, weights, params, s)
+            cur = views(*slots[0])
+            with np.errstate(all="ignore"):  # a step that overflows fails the guard, which names it
+                for nxt, weights, s in zip((views(*slot) for slot in slots[1:]), zip(*table), steps):
+                    step(cur, nxt, weights, s)
+                    cur = nxt
             _check_block(algorithm, first, ring["nodes"][1 : last + 1])
         slot = last + 1 - (hi - lo)  # the slot of row lo
         trace_rows[:, lo:hi] = ring["nodes"][slot : last + 1, spec.rows, :n].swapaxes(0, 1)

@@ -27,7 +27,7 @@ import sys
 
 from .errors import DercoordError
 from .experiment import _fmt, load_case, load_config, run_experiment
-from .oracle import solve_bisection
+from .oracle import ORACLE_TOL, solve_bisection
 
 
 def _cmd_run(args) -> int:
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("case", help="path to a case file")
     p_solve.add_argument("--xi", type=float, default=1.0, help="multiplier scaling (default 1)")
     p_solve.add_argument("--nhat", type=float, default=None, help="size estimate (default n)")
-    p_solve.add_argument("--tol", type=float, default=1e-12, help="balance tolerance")
+    p_solve.add_argument("--tol", type=float, default=ORACLE_TOL, help="balance tolerance")
     p_solve.set_defaults(fn=_cmd_solve)
 
     p_val = sub.add_parser("validate", help="parse and validate a case file")

@@ -45,7 +45,7 @@ from .network import (
     numbered_lines,
     parse_graph_lines,
 )
-from .oracle import solve_bisection
+from .oracle import ORACLE_TOL, solve_bisection
 from .problem import AlgorithmParams, ConstantStep, DiminishingStep, ProblemInstance, QuadraticCost, positive
 
 # Stream tags keep generator draws disjoint from schedule draws (which use
@@ -282,7 +282,7 @@ class ExperimentConfig:
     q: float
     seeds: tuple[int, ...]
     out_dir: Path | None
-    oracle_tol: float = 1e-12
+    oracle_tol: float = ORACLE_TOL
 
 
 def _range(text: str) -> tuple[float, float]:

@@ -286,11 +286,13 @@ def mix(own: np.ndarray, bins: np.ndarray, arc_values: np.ndarray) -> np.ndarray
     """One mixing step of a (F, n) stack of fields over an edge list, in place, in O(F (n + m)).
 
     Field f of node i ends with own[f, i] plus the sum of every
-    arc_values[f, e] whose bin is f*n + i, the arcs of each node summed in
-    the order given; `own` is updated and returned. `bins` are heads
-    offset per field (`offset_bins`), for F or more fields.
+    arc_values[e] whose bin is f*n + i, the arcs of each node summed in
+    the order given; `own` is updated and returned. `arc_values` is flat,
+    F*m values field after field, and `bins` are as many heads offset per
+    field (`offset_bins`): the callers bind both once per run, so a step
+    slices and ravels nothing.
     """
-    own += np.bincount(bins[: arc_values.size], weights=arc_values.ravel(), minlength=own.size).reshape(own.shape)
+    own += np.bincount(bins, arc_values, own.size).reshape(own.shape)
     return own
 
 

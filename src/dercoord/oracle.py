@@ -29,6 +29,10 @@ from .problem import (
     positive,
 )
 
+# The default balance tolerance |1'p - 1'load| of `solve_bisection`, also
+# the config's `oracle_tol` and `dercoord solve --tol` default.
+ORACLE_TOL = 1e-12
+
 # Inner vectorized bisection for inverting f' on the box (general costs).
 _INVERSE_ITERATIONS = 80
 
@@ -79,7 +83,7 @@ def solve_bisection(
     inst: ProblemInstance,
     xi: float = 1.0,
     nhat: float | None = None,
-    tol: float = 1e-12,
+    tol: float = ORACLE_TOL,
 ) -> DispatchSolution:
     """Exact optimum of the dispatch problem by bisection on the multiplier.
 
@@ -164,9 +168,9 @@ def centralized_pd_run(
     p[k+1] = clamp(p[k] - s f'(p[k]) + s xi lam[k]),
     lam[k+1] = lam[k] - s 1'(p[k] - load);
     both updates read step-k values. The primal step is the one the
-    distributed iterations take (`problem._primal_step`), with the scalar
-    lam as every agent's feedback. Serves as the single-multiplier
-    baseline the distributed algorithms emulate.
+    distributed kernels take, `problem._primal_step` bound once per run,
+    with the scalar lam as every agent's feedback. Serves as the
+    single-multiplier baseline the distributed algorithms emulate.
     """
     n = inst.n
     K = params.horizon
@@ -178,10 +182,11 @@ def centralized_pd_run(
     lam_hist[0, 0] = lam
     gap = float(np.sum(p_hist[0] - inst.loads))  # 1'(p[k] - load), read by imbalance[k] and the lam update
     imbalance[0] = abs(gap)
+    primal = _primal_step(inst, params)
     for k in range(K):
         s = params.stepsize(k)
         p = p_hist[k + 1]
-        _primal_step(inst, params, s, p_hist[k], lam, p)
+        primal(s, p_hist[k], lam, p)
         lam -= s * gap
         if not (np.all(np.isfinite(p)) and np.isfinite(lam)):
             raise DivergenceError(k + 1, "centralized iterate")

@@ -10,6 +10,10 @@ f_i'(p_i) = xi*(nhat/n)*lambda, which is the fixed point shared by the
 centralized and distributed iterations. It differs from the raw multiplier
 of the balance constraint only by a constant rescaling of lambda; the
 optimal dispatch is identical.
+
+The projected primal step every iteration takes lives here once, as
+`_primal_step(inst, params)`: each distributed kernel in `algorithms`
+and `oracle.centralized_pd_run` binds it once per run.
 """
 
 from __future__ import annotations
@@ -290,17 +294,25 @@ class AlgorithmParams:
         return out
 
 
-def _primal_step(inst: ProblemInstance, params: AlgorithmParams, s: float, p, feedback, out) -> None:
-    """Projected primal step clamp(p - s f'(p) + s xi feedback), into `out`.
+def _primal_step(inst: ProblemInstance, params: AlgorithmParams) -> Callable:
+    """The projected primal step clamp(p - s f'(p) + s xi feedback), bound to one run: ``step(s, p, feedback, out)``.
 
     The one primal step of the centralized baseline (scalar feedback) and
-    of every distributed iteration (per-agent feedback). Evaluated as
-    (p - s*f'(p)) + (s*xi)*feedback, then the clip ufunc: regrouping
-    changes the last bits of every trace.
+    of every distributed iteration (per-agent feedback): the kernels in
+    `algorithms` and `oracle.centralized_pd_run` each bind it once per run.
+    The cost's `grad`, the box, xi and one scratch row are bound. Evaluated
+    as (p - s*f'(p)) + (s*xi)*feedback, then the clip ufunc, writing into
+    `out` (not p): regrouping changes the last bits of every trace.
     """
-    np.subtract(p, s * inst.cost.grad(p), out=out)
-    out += s * params.xi * feedback
-    clip(out, inst.p_lo, inst.p_hi, out=out)
+    grad, lo, hi, xi = inst.cost.grad, inst.p_lo, inst.p_hi, params.xi
+    scratch = np.empty(inst.n)
+
+    def step(s, p, feedback, out) -> None:
+        np.subtract(p, np.multiply(grad(p), s, scratch), out)
+        np.add(out, np.multiply(feedback, s * xi, scratch), out)
+        clip(out, lo, hi, out)
+
+    return step
 
 
 def default_p0(inst: ProblemInstance) -> np.ndarray:

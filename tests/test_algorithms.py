@@ -877,6 +877,29 @@ class TestBitIdentity:
             assert bit_equal(trace.residuals[key], want), key
 
 
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_general_cost_runs_as_its_quadratic(self, repo_root, algorithm):
+        # The kernels call the cost's own grad: a GeneralCost whose f' is the
+        # quadratic's, 2a*p + b, gives the quadratic run's traces bit for bit.
+        name = algorithm if algorithm in algorithms.UNDIRECTED_ALGORITHMS else "robust"
+        config = dc.load_config(repo_root / "configs" / f"benchmark39_{name}.cfg")
+        inst, params = config.instance, config.params
+        a, b, c, twice_a = inst.cost.a, inst.cost.b, inst.cost.c, inst.cost.twice_a
+        general = dc.GeneralCost(
+            lambda p: a * p * p + b * p + c, lambda p: twice_a * p + b, lambda p: twice_a, float(twice_a.min()), inst.n
+        )
+        wrapped = dc.ProblemInstance(inst.loads, inst.p_lo, inst.p_hi, general)
+        sched = dc.GraphSchedule(config.graph, config.q, 1, params.horizon)
+        want, got = dc.run(algorithm, inst, sched, params), dc.run(algorithm, wrapped, sched, params)
+        for name in ("p", "consensus", "y", "v"):
+            assert (getattr(want, name) is None) == (getattr(got, name) is None), name
+            assert getattr(want, name) is None or bit_equal(getattr(got, name), getattr(want, name)), name
+        assert set(got.residuals) == set(want.residuals)
+        for key, series in want.residuals.items():
+            assert bit_equal(got.residuals[key], series), key
+        if algorithm == "pd1":  # the centralized baseline takes the same primal step
+            assert bit_equal(dc.centralized_pd_run(wrapped, params).p, dc.centralized_pd_run(inst, params).p)
+
 class TestWeightTables:
     @pytest.mark.parametrize("algorithm, builder", [
         ("pd1", "metropolis_table"),

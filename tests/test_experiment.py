@@ -663,7 +663,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: [{section}] {key}: file not found: ")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the iterates overflow, as they should
+    @pytest.mark.filterwarnings("error")  # the iterates overflow, and the guard alone reports it
     def test_run_in_which_every_seed_fails_exits_3(self, repo_root, tmp_path, capsys):
         body = case_config(repo_root / "cases" / "case39_undirected.txt").replace("s = 0.01", "s = 1e307")
         cfg = write_config(tmp_path / "c.cfg", body)

@@ -415,7 +415,7 @@ class TestEdgeListMixing:
             W = metropolis_weights(g, active)
             self_w, w = dc.step_weights("pd1", g, active)
             tails, bins, _ = g.metropolis_arcs
-            mixed = mix(self_w * z, bins, w * z[:, tails])
+            mixed = mix(self_w * z, bins, (w * z[:, tails]).ravel())  # flat arc values, field after field
             np.testing.assert_allclose(mixed, z @ W.T, rtol=0, atol=1e-13)
             dense = max(np.abs(W.sum(axis=0) - 1).max(), np.abs(W.sum(axis=1) - 1).max())
             residual = _metropolis_stochasticity(g, metropolis_table(g, active[None]), params)[0]
@@ -425,7 +425,7 @@ class TestEdgeListMixing:
         D, live = dc.step_weights("directed", g, active)
         _, tails, bins = g.arcs_by_head
         P = push_matrix(g, active)
-        np.testing.assert_allclose(mix(z / D, bins, (z / D)[:, tails] * live), z @ P.T, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(mix(z / D, bins, ((z / D)[:, tails] * live).ravel()), z @ P.T, rtol=0, atol=1e-13)
         residual = _push_stochasticity(g, push_table(g, active[None]), params)[0]
         assert residual <= 1e-12 and abs(residual - np.abs(P.sum(axis=0) - 1).max()) <= 1e-15
         # The virtual step's mixing of lam and v (y = 0) is the augmented action.

@@ -1,8 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import dercoord as dc
 from dercoord.errors import InvalidCostError, InvalidInstanceError
+from dercoord.cli import build_parser
+from dercoord.experiment import ExperimentConfig
+from dercoord.oracle import ORACLE_TOL
 from reference import reference_centralized
 
 
@@ -132,6 +137,12 @@ class TestSolveBisection:
         np.testing.assert_allclose(scaled.p_star, base.p_star, atol=1e-8)
         assert scaled.lambda_star * 0.1 * 6.0 == pytest.approx(base.lambda_star * 3.0, rel=1e-6)
 
+
+    def test_default_tolerance_is_one_constant(self):
+        # The solver's default, the config's and `dercoord solve --tol`'s are one statement.
+        assert inspect.signature(dc.solve_bisection).parameters["tol"].default is ORACLE_TOL
+        assert ExperimentConfig.oracle_tol is ORACLE_TOL
+        assert build_parser().parse_args(["solve", "case.txt"]).tol is ORACLE_TOL
 
 class TestCentralizedRun:
     def scalar_reference(self, s, xi, K, load=5.0, a=1.0, lo=0.0, hi=10.0):
