@@ -14,18 +14,12 @@ from .algorithms import (
     RobustState,
     UndirectedState,
     VirtualState,
-    directed_pd_step,
     equilibrium_state,
     init_directed,
     init_robust,
     init_undirected,
     init_virtual,
-    pd1_step,
-    pd2_step,
-    robust_pd_step,
     run,
-    step_weights,
-    virtual_domain_step,
 )
 from .errors import (
     CaseParseError,

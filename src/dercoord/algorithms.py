@@ -1,10 +1,7 @@
 """The four distributed dispatch iterations plus the virtual-domain twin.
 
-All step functions are pure, with one signature,
-``step(state, inst, graph, weights, params, k) -> state``: `graph` is the
-nominal graph and `weights` the row of step k in the algorithm's weight
-table (`step_weights` builds it from one step's active mask). Update
-ordering within a step is fixed: the dispatch p[k+1] is the projected
+One driver, `run`, steps every algorithm. Update ordering within a step
+is fixed: the dispatch p[k+1] is the projected
 primal step from step-k values (`problem._primal_step`, the step the
 centralized baseline takes too), multiplier/weight estimates are mixed
 from step-k values, and the imbalance tracker y is mixed from step-k
@@ -23,16 +20,15 @@ gradient and box, xi, nhat and gamma, the graph's tails, exact-length
 `mix` bins and out-degrees) and allocates the scratch buffers a step
 writes through. ``views(*arrays)`` makes the view tuple of one state's
 arrays (`nodes`, then robust's `arcs`): the rows and row stacks the step
-reads or writes. ``step(cur, nxt, weights, s)`` reads the views `cur` and
+reads or writes. ``step(cur, nxt, weights, s)`` reads the views `cur`,
+the step's row of the algorithm's weight table and the stepsize s, and
 fills `nxt` with ufuncs writing through positional `out`, mixing the
 whole stack in one call of the edge-list primitive `network.mix` in
 O(F (n + m)); each expression keeps its operands and their order, so
 the bits are those of the plain NumPy expressions. No kernel builds a
-dense matrix. A step function binds its kernel, steps into copies of the
-state's arrays (rows the kernel does not write keep their values) and
-guards them as `run` guards a block.
+dense matrix.
 
-One driver, `run`, steps any algorithm over the schedule's mask block.
+`run` steps any algorithm over the schedule's mask block.
 A small per-algorithm spec tells it how to start (and what a valid
 `init` looks like), which kernel to call, how to build its weight table,
 which state fields to record, and which residuals the algorithm carries.
@@ -57,7 +53,11 @@ series is a C-contiguous (K + 1, n) view of it; a block's traced rows go
 into it as one slice, and the residual series are
 reduced row-wise over them (and over robust's in-flight and virtual's
 full-width v and y, read from the ring) in the order of one state at a
-time, so they are bit-identical to a per-step evaluation.
+time, so they are bit-identical to a per-step evaluation. After the last
+block, slot 0 holds the last state, which the trace keeps a copy of as
+`final`: ``run(..., init=trace.final)`` resumes from it. The resumed run
+numbers its steps from 0 again, so it takes its schedule's masks and
+the stepsize of step 0 onwards.
 
 Algorithms (ids used by `run`):
 
@@ -302,21 +302,13 @@ def _scalar(x) -> np.ndarray:
     return np.array(x, dtype=float)
 
 
-def _one_step(algorithm: str, kernel: Callable, cur: tuple, inst, graph, weights, params, k: int) -> tuple:
-    """Step k from the state arrays `cur` into copies of them, under the block guard of one state.
-
-    The kernel is bound for this one step. Rows it does not write keep
-    their values: pd2 writes p and lam only, whatever rows the state has.
-    """
-    views, step = kernel(inst, graph, params)
-    nxt = tuple(a.copy() for a in cur)
-    with np.errstate(all="ignore"):  # the guard names what fails
-        step(views(*cur), views(*nxt), weights, params.stepsize(k))
-    _check_block(algorithm, k + 1, nxt[0][None])
-    return nxt
-
-
 def _pd2(inst, graph, params):
+    """Crude variant: the multiplier sees only the local imbalance.
+
+    lam[k+1] = W lam[k] - s*nhat*(p[k] - load), W the doubly stochastic
+    Metropolis weights. Needs a diminishing stepsize to converge; with a
+    constant one it stalls at a bias.
+    """
     primal, loads, nhat = _primal_step(inst, params), inst.loads, params.nhat
     tails, bins, _ = graph.metropolis_arcs
     gathered, scratch = np.empty((1, len(tails))), np.empty(inst.n)
@@ -335,6 +327,7 @@ def _pd2(inst, graph, params):
 
 
 def _pd1(inst, graph, params):
+    """Gradient-tracking primal-dual step over the doubly stochastic Metropolis weights."""
     primal, nhat = _primal_step(inst, params), _scalar(params.nhat)
     tails, bins, _ = graph.metropolis_arcs
     gathered, scratch = np.empty((2, len(tails))), np.empty(inst.n)
@@ -354,6 +347,14 @@ def _pd1(inst, graph, params):
 
 
 def _directed(inst, graph, params):
+    """Push-sum primal-dual step; instantaneous out-degrees are known.
+
+    The mixing is evaluated the way the nodes compute it: each source
+    divides its value by its instantaneous out-degree and receivers sum
+    the shares, which keeps the push-sum totals conserved to a much
+    tighter floating-point tolerance than a dense matrix product would.
+    lam mixes together with -s*y.
+    """
     primal, nhat = _primal_step(inst, params), _scalar(params.nhat)
     _, tails, bins = graph.arcs_by_head
     gathered, scratch = np.empty((3, graph.m)), np.empty(inst.n)
@@ -375,6 +376,15 @@ def _directed(inst, graph, params):
 
 
 def _robust(inst, graph, params):
+    """Running-sum primal-dual step; only nominal out-degrees are used.
+
+    Mirror advance for arc (j, i): on delivery the mirror jumps to
+    (1-gamma)*mirror + gamma*(running sum of j); otherwise it is
+    unchanged. A node keeps its own current share. All mirrors advance
+    first; node states are then their own shares plus the delivered mirror
+    differences (with the y differences entering the lam update at -s).
+    The step's weights are its active mask, as a 1-tuple.
+    """
     primal, nhat, gamma = _primal_step(inst, params), _scalar(params.nhat), _scalar(params.gamma)
     srcs, bins, dplus = graph.srcs, graph.arc_bins, graph.out_degrees
     gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(inst.n), np.empty(inst.n), np.empty(graph.m)
@@ -409,6 +419,20 @@ def _robust(inst, graph, params):
 
 
 def _virtual(inst, graph, params):
+    """Augmented-system step: the action of the column-stochastic mixing.
+
+    lam mixes together with -s*y on the real rows only (virtual nodes
+    accumulate raw lam shares); v mixes plainly; y mixes and the real rows
+    gain nhat*(p[k+1] - p[k]). The mixing is evaluated per column the way
+    the augmented matrix is defined: each real source splits off
+    1/out-degree shares, a delivering arc releases the gamma portion of
+    its held value plus the incoming share and retains the complement (the
+    retained part is computed as inflow minus the released product, so the
+    masses cancel exactly). Real-node coordinates match `_robust` step by
+    step, and the result equals applying the augmented push matrix to
+    (lam - s*y on real rows, v, y) up to roundoff. The step's weights are
+    its active mask, as a 1-tuple.
+    """
     n, primal, nhat, gamma = inst.n, _primal_step(inst, params), _scalar(params.nhat), _scalar(params.gamma)
     srcs, bins, dplus = graph.srcs, graph.arc_bins, graph.out_degrees
     gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(n), np.empty(n), np.empty(graph.m)
@@ -432,73 +456,6 @@ def _virtual(inst, graph, params):
         divide(full_lam, v, x)
 
     return lambda a: (a[:3, :n], a[:3, n:], a[0, :n], a[2, :n], a[3, :n], a[3, n:], a[4, :n], a[0], a[1], a[4]), step
-
-
-def pd2_step(
-    state: UndirectedState, inst: ProblemInstance, graph: NominalGraph, weights, params: AlgorithmParams, k: int
-) -> UndirectedState:
-    """Crude variant: the multiplier sees only the local imbalance.
-
-    lam[k+1] = W lam[k] - s*nhat*(p[k] - load). Needs a diminishing
-    stepsize to converge; with a constant one it stalls at a bias.
-    """
-    return UndirectedState(*_one_step("pd2", _pd2, (state.nodes,), inst, graph, weights, params, k))
-
-
-def pd1_step(
-    state: UndirectedState, inst: ProblemInstance, graph: NominalGraph, weights, params: AlgorithmParams, k: int
-) -> UndirectedState:
-    """Gradient-tracking primal-dual step over the doubly stochastic Metropolis weights."""
-    return UndirectedState(*_one_step("pd1", _pd1, (state.nodes,), inst, graph, weights, params, k))
-
-
-def directed_pd_step(
-    state: DirectedState, inst: ProblemInstance, graph: NominalGraph, weights, params: AlgorithmParams, k: int
-) -> DirectedState:
-    """Push-sum primal-dual step; instantaneous out-degrees are known.
-
-    The mixing is evaluated the way the nodes compute it: each source
-    divides its value by its instantaneous out-degree and receivers sum
-    the shares, which keeps the push-sum totals conserved to a much
-    tighter floating-point tolerance than a dense matrix product would.
-    lam mixes together with -s*y.
-    """
-    return DirectedState(*_one_step("directed", _directed, (state.nodes,), inst, graph, weights, params, k))
-
-
-def robust_pd_step(
-    state: RobustState, inst: ProblemInstance, graph: NominalGraph, weights, params: AlgorithmParams, k: int
-) -> RobustState:
-    """Running-sum primal-dual step; only nominal out-degrees are used.
-
-    Mirror advance for arc (j, i): on delivery the mirror jumps to
-    (1-gamma)*mirror + gamma*(running sum of j); otherwise it is
-    unchanged. A node keeps its own current share. All mirrors advance
-    first; node states are then their own shares plus the delivered mirror
-    differences (with the y differences entering the lam update at -s).
-    `weights` is the step's active mask, as a 1-tuple.
-    """
-    return RobustState(*_one_step("robust", _robust, (state.nodes, state.arcs), inst, graph, weights, params, k))
-
-
-def virtual_domain_step(
-    state: VirtualState, inst: ProblemInstance, graph: NominalGraph, weights, params: AlgorithmParams, k: int
-) -> VirtualState:
-    """Augmented-system step: the action of the column-stochastic mixing.
-
-    lam mixes together with -s*y on the real rows only (virtual nodes
-    accumulate raw lam shares); v mixes plainly; y mixes and the real rows
-    gain nhat*(p[k+1] - p[k]). The mixing is evaluated per column the way
-    the augmented matrix is defined: each real source splits off
-    1/out-degree shares, a delivering arc releases the gamma portion of
-    its held value plus the incoming share and retains the complement (the
-    retained part is computed as inflow minus the released product, so the
-    masses cancel exactly). Real-node coordinates match `robust_pd_step`
-    step by step, and the result equals applying the augmented push matrix
-    to (lam - s*y on real rows, v, y) up to roundoff. `weights` is the
-    step's active mask, as a 1-tuple.
-    """
-    return VirtualState(*_one_step("virtual", _virtual, (state.nodes,), inst, graph, weights, params, k))
 
 
 def _mask_table(graph: NominalGraph, masks: np.ndarray) -> tuple[np.ndarray]:
@@ -612,16 +569,6 @@ def _spec(algorithm: str) -> _Spec:
     return spec
 
 
-def step_weights(algorithm: str, graph: NominalGraph, active) -> tuple:
-    """The weights row an algorithm's step function takes, for one step's active mask.
-
-    `run` builds these rows a block of steps at a time; this one-row form
-    serves callers that drive a step function directly.
-    """
-    table = _spec(algorithm).weights(graph, np.asarray(active, dtype=bool)[None])
-    return tuple(a[0] for a in table)
-
-
 def _checked_init(algorithm: str, spec: _Spec, init, inst, graph, params):
     """`init` if it has the algorithm's state type and every array its shape."""
     if type(init) is not spec.state:
@@ -668,9 +615,10 @@ def run(
     step. For the running-sum algorithm the conservation and mass
     identities are evaluated over the augmented vector using its in-flight
     sidecar. Each block is stepped in place in a ring of states, under one
-    guard that raises the error the step functions raise at the block's
-    first failing step (see the module docstring). The recorded series
-    are C-contiguous views of one allocation that holds them all.
+    guard that raises the error of the block's first failing step (see
+    the module docstring). The recorded series are C-contiguous views of
+    one allocation that holds them all. ``final`` is a copy of the last
+    state, which `init` takes to resume the run.
     """
     spec = _spec(algorithm)
     graph = schedule.nominal
@@ -765,4 +713,5 @@ def run(
         seed=schedule.seed,
         schedule_digest=schedule.digest(),
         warnings=warnings,
+        final=spec.state(*(arrays[0].copy() for arrays in ring.values())),
     )

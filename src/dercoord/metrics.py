@@ -47,7 +47,10 @@ class RunTrace:
     ``consensus`` holds the per-agent multiplier estimates (lambda for the
     undirected algorithms, the push-sum ratio x for the directed ones).
     ``residuals`` maps diagnostic names to per-step series; only the
-    quantities an algorithm actually carries are present.
+    quantities an algorithm actually carries are present. ``final`` is
+    the state after the last step, of the algorithm's own state type and
+    sharing no memory with the series, so ``run(..., init=trace.final)``
+    resumes the run; None for `centralized_pd_run`.
     """
 
     algorithm: str
@@ -60,6 +63,7 @@ class RunTrace:
     seed: int | None = None
     schedule_digest: str | None = None
     warnings: list[str] = field(default_factory=list)
+    final: object | None = None
 
     @property
     def steps(self) -> int:

@@ -7,7 +7,12 @@
   new array for every intermediate, the way the package evaluated them
   before each state became one contiguous array filled in place. Each
   step forms its weights from the step's mask alone. `run` must give the
-  same trace and residual series bit for bit.
+  same trace and residual series bit for bit, from the standard start or
+  from any state given as ``start=`` (what `run` takes as ``init``).
+* `FixedMasks` and `run_over`: a schedule of given masks, and `run` over
+  one, so a test steps any state through masks of its choosing (one
+  mask: one step, read back as ``trace.final``) or resumes a run over the
+  masks that remain.
 * `stepwise_stochasticity`: one step's column-sum residual from its edge
   weights.
 * `reference_centralized`: the centralized primal-dual loop as it was
@@ -21,6 +26,8 @@
   `%` over a repeated row template. The CSVs must be byte-equal.
 """
 
+import hashlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,6 +101,28 @@ def augmented_push_matrix(nominal: dc.NominalGraph, active: np.ndarray, gamma: f
     P[virt[ina], srcs[ina]] = share[ina]
     P[virt[ina], virt[ina]] = 1.0
     return P
+
+
+class FixedMasks:
+    """A schedule of given masks: row k of `masks` is step k's active mask.
+
+    It has what `run` reads of a `GraphSchedule`: ``nominal``, ``horizon``
+    (the number of masks), ``masks``, ``seed`` and ``digest()``.
+    """
+
+    def __init__(self, nominal: dc.NominalGraph, masks):
+        self.nominal, self.seed = nominal, None
+        self.masks = np.array(masks, dtype=bool, ndmin=2)
+        self.horizon = len(self.masks)
+
+    def digest(self) -> str:
+        return hashlib.sha256(self.masks.tobytes()).hexdigest()
+
+
+def run_over(algorithm, inst, nominal, masks, params, init=None):
+    """`run` from `init` (the standard start if None) through `masks`, one step per mask."""
+    schedule = FixedMasks(nominal, masks)
+    return dc.run(algorithm, inst, schedule, replace(params, horizon=schedule.horizon), init=init)
 
 
 def stepwise_stochasticity(algorithm, g, active, gamma):
@@ -277,8 +306,22 @@ def reference_start(algorithm, inst, g, params):
     return st
 
 
-def reference_run(algorithm, inst, sched, params):
-    """Trace arrays and residual series of `run`, from per-field steps and per-state reductions."""
+def fields_of(algorithm, state):
+    """A package state as copies of the per-field arrays the reference steps take."""
+    names = ["p", "z"]
+    if algorithm in ("directed", "robust", "virtual"):
+        names.append("x")
+    if algorithm == "robust":
+        names += ["sums", "mirror", "virt"]
+    return SimpleNamespace(**{name: np.array(getattr(state, name)) for name in names})
+
+
+def reference_run(algorithm, inst, sched, params, start=None):
+    """Trace arrays and residual series of `run`, from per-field steps and per-state reductions.
+
+    The run steps from `start`, a package state as `run` takes for `init`,
+    or from the standard start if it is None.
+    """
     g, n, nhat = sched.nominal, inst.n, params.nhat
     push = algorithm in ("directed", "robust", "virtual")
     fields = ["p", "consensus"] + (["y"] if algorithm != "pd2" else []) + (["v"] if push else [])
@@ -313,7 +356,7 @@ def reference_run(algorithm, inst, sched, params):
         res["mass"].append(abs(sum(float(a.sum()) for a in vs) - n))
         res["min_v"].append(min(float(a.min()) for a in vs if a.size))
 
-    st = reference_start(algorithm, inst, g, params)
+    st = reference_start(algorithm, inst, g, params) if start is None else fields_of(algorithm, start)
     record(st)
     for k in range(params.horizon):
         active = sched.masks[k]

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -26,12 +26,7 @@ from dercoord.errors import (
     ModeMismatchError,
 )
 from dercoord.metrics import BUDGETS
-from reference import augmented_push_matrix, push_matrix, reference_run, stepwise_stochasticity
-
-
-def live(algorithm, g, active):
-    """The weights row `algorithm`'s step function takes for one step's active mask."""
-    return dc.step_weights(algorithm, g, active)
+from reference import augmented_push_matrix, push_matrix, reference_run, run_over, stepwise_stochasticity
 
 
 def ring(n, directed):
@@ -98,16 +93,16 @@ class TestUndirectedSteps:
     def test_balanced_start_keeps_multiplier_at_zero(self, small_instance):
         params = params_for(3)
         g = ring(3, False)
-        state = init_undirected(small_instance, params, p0=small_instance.loads)
-        for step_fn in (dc.pd1_step, dc.pd2_step):
-            new = step_fn(state, small_instance, g, live("pd1", g, np.ones(3, bool)), params, 0)
+        for algorithm in ("pd1", "pd2"):
+            state = init_undirected(small_instance, params, p0=small_instance.loads, tracker=algorithm == "pd1")
+            new = run_over(algorithm, small_instance, g, [np.ones(3, bool)], params, state).final
             np.testing.assert_allclose(new.lam, 0.0, atol=1e-15)
 
     def test_conservation_after_one_step(self, small_instance):
         params = params_for(3)
         g = ring(3, False)
         state = init_undirected(small_instance, params, p0=[0.1, 2.3, 0.7])
-        new = dc.pd1_step(state, small_instance, g, live("pd1", g, [True, False, True]), params, 0)
+        new = run_over("pd1", small_instance, g, [[True, False, True]], params, state).final
         lhs = np.sum(new.y)
         rhs = params.nhat * np.sum(new.p - small_instance.loads)
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -118,7 +113,7 @@ class TestUndirectedSteps:
         state = dc.equilibrium_state("pd1", small_instance, params, sol)
         assert np.abs(state.y).max() == 0.0
         g = ring(3, False)
-        new = dc.pd1_step(state, small_instance, g, live("pd1", g, np.ones(3, bool)), params, 0)
+        new = run_over("pd1", small_instance, g, [np.ones(3, bool)], params, state).final
         np.testing.assert_allclose(new.p, state.p, atol=1e-14)
         np.testing.assert_allclose(new.lam, state.lam, atol=1e-14)
 
@@ -126,15 +121,15 @@ class TestUndirectedSteps:
         params = params_for(3)
         state = init_undirected(small_instance, params, tracker=False)
         g = ring(3, False)
-        new = dc.pd2_step(state, small_instance, g, live("pd2", g, np.ones(3, bool)), params, 0)
-        assert new.y is None
+        trace = run_over("pd2", small_instance, g, [np.ones(3, bool)], params, state)
+        assert trace.y is None and trace.final.y is None
 
     def test_divergence_guard(self, small_instance):
         params = params_for(3)
         bad = dc.UndirectedState(np.stack([[0.0, np.nan, 0.0], np.zeros(3), np.zeros(3)]))  # p, lam, y
         g = ring(3, False)
-        with pytest.raises(DivergenceError):
-            dc.pd1_step(bad, small_instance, g, live("pd1", g, np.ones(3, bool)), params, 4)
+        with pytest.raises(DivergenceError, match="at step 1 "):
+            run_over("pd1", small_instance, g, [np.ones(3, bool)], params, bad)
 
 
 class TestDirectedSteps:
@@ -154,7 +149,7 @@ class TestDirectedSteps:
         g = ring(3, True)
         params = params_for(3)
         state = init_directed(small_instance, params, p0=[0.2, 0.9, 1.4])
-        new = dc.directed_pd_step(state, small_instance, g, live("directed", g, [True, False, True]), params, 0)
+        new = run_over("directed", small_instance, g, [[True, False, True]], params, state).final
         expect = np.sum(state.lam) - params.stepsize(0) * np.sum(state.y)
         assert np.sum(new.lam) == pytest.approx(expect, abs=1e-12)
 
@@ -182,9 +177,7 @@ class TestDirectedSteps:
         sol = dc.solve_bisection(small_instance, xi=params.xi, nhat=params.nhat)
         state = dc.equilibrium_state("directed", small_instance, params, sol)
         g = ring(3, True)
-        new = dc.directed_pd_step(
-            state, small_instance, g, live("directed", g, [True, True, False]), params, 0
-        )
+        new = run_over("directed", small_instance, g, [[True, True, False]], params, state).final
         np.testing.assert_allclose(new.p, state.p, atol=1e-13)
         np.testing.assert_allclose(new.x, state.x, atol=1e-13)
 
@@ -203,7 +196,7 @@ class TestRobustSteps:
         state = replace(state, nodes=state.nodes.copy())
         state.sums[0] = [1.0, 0.0]  # the lam row
         active = np.array([True, False])  # only arc (0, 1) delivers
-        new = dc.robust_pd_step(state, inst, g, live("robust", g, active), params, 0)
+        new = run_over("robust", inst, g, [active], params, state).final
         l01 = 0  # position of arc (0, 1) in the edge list
         assert new.mirror[0, l01] == pytest.approx(0.9)  # (1-g)*0 + g*1.0
         assert new.lam[1] == pytest.approx(0.9)  # delivered contribution
@@ -221,9 +214,9 @@ class TestRobustSteps:
         twin = init_virtual(inst, g, params)
         n = inst.n
         worst = 0.0
-        for k, active in enumerate(sched.masks):
-            robust = dc.robust_pd_step(robust, inst, g, live("robust", g, active), params, k)
-            twin = dc.virtual_domain_step(twin, inst, g, live("virtual", g, active), params, k)
+        for active in sched.masks:  # one run per step: the constant step needs no step index
+            robust = run_over("robust", inst, g, [active], params, robust).final
+            twin = run_over("virtual", inst, g, [active], params, twin).final
             for row in range(3):  # lam, v, y
                 gap = np.abs(twin.z[row, n:] - robust.virt[row]).max()
                 worst = max(worst, float(gap))
@@ -272,7 +265,7 @@ class TestVirtualDomain:
             Py = P @ state.y
             lam_ref[:n] -= s * Py[:n]
             v_ref = P @ state.v
-            state = dc.virtual_domain_step(state, small_instance, g, live("virtual", g, act), params, k)
+            state = run_over("virtual", small_instance, g, [act], params, state).final
             np.testing.assert_allclose(state.lam, lam_ref, atol=1e-13)
             np.testing.assert_allclose(state.v, v_ref, atol=1e-13)
 
@@ -282,8 +275,7 @@ class TestVirtualDomain:
         sched = dc.GraphSchedule(g, 0.2, 3, 200)
         state = init_virtual(small_instance, g, params)
         for k in range(200):
-            act = live("virtual", g, sched.active_mask(k))
-            state = dc.virtual_domain_step(state, small_instance, g, act, params, k)
+            state = run_over("virtual", small_instance, g, [sched.active_mask(k)], params, state).final
             assert np.sum(state.v) == pytest.approx(3.0, abs=1e-12)
             assert np.all(state.p[3:] == 0.0)
 
@@ -328,6 +320,12 @@ class TestRun:
             dc.run("pd1", small_instance, sched, params, init=replace(state, nodes=np.zeros((3, 4))))
         with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(3, 3\), got \(2, 3\)"):
             dc.run("pd1", small_instance, sched, params, init=replace(state, nodes=np.zeros((2, 3))))
+        # pd1 and pd2 share the state type, but not its rows.
+        pd2_state = init_undirected(small_instance, params, tracker=False)
+        with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(2, 3\), got \(3, 3\)"):
+            dc.run("pd2", small_instance, sched, params, init=state)
+        with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(3, 3\), got \(2, 3\)"):
+            dc.run("pd1", small_instance, sched, params, init=pd2_state)
         g = ring(3, True)
         robust = init_robust(small_instance, g, params)
         with pytest.raises(DimensionMismatchError, match=r"init\.arcs: expected shape \(6, 3\), got \(6, 2\)"):
@@ -439,6 +437,54 @@ class TestRun:
         assert res <= 1e-6
 
 
+class TestResume:
+    """`run(..., init=trace.final)` over the masks that remain continues a run bit for bit."""
+
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_resumed_run_continues_the_uninterrupted_one(self, repo_root, algorithm):
+        name = algorithm if algorithm in algorithms.UNDIRECTED_ALGORITHMS else "robust"
+        config = dc.load_config(repo_root / "configs" / f"benchmark39_{name}.cfg")
+        inst, params = config.instance, config.params
+        # A resumed run numbers its steps from 0, which would restart pd2's diminishing step.
+        params = replace(params, step=dc.ConstantStep(0.01)) if algorithm == "pd2" else params
+        K = params.horizon
+        k1 = 2 * K // 5 + 1  # inside a block
+        sched = dc.GraphSchedule(config.graph, config.q, 1, K)
+        whole = dc.run(algorithm, inst, sched, params)
+        head = dc.run(algorithm, inst, sched, replace(params, horizon=k1))
+        tail = run_over(algorithm, inst, config.graph, sched.masks[k1:], params, head.final)
+        for name in ("p", "consensus", "y", "v"):
+            series = getattr(whole, name)
+            if series is None:
+                assert getattr(head, name) is None and getattr(tail, name) is None, name
+                continue
+            assert bit_equal(getattr(head, name), series[: k1 + 1]), name
+            assert bit_equal(getattr(tail, name), series[k1:]), name
+        assert set(head.residuals) == set(tail.residuals) == set(whole.residuals)
+        for key, series in whole.residuals.items():
+            assert bit_equal(head.residuals[key], series[: k1 + 1]), key
+            assert bit_equal(tail.residuals[key][1:], series[k1 + 1 :]), key
+        for f in fields(whole.final):
+            assert bit_equal(getattr(tail.final, f.name), getattr(whole.final, f.name)), f.name
+
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_final_is_a_copy_of_the_last_state(self, small_instance, algorithm):
+        g = ring(3, algorithm in algorithms.DIRECTED_ALGORITHMS)
+        init = standard_start(algorithm, small_instance, g, params_for(3))
+        for K in (0, 5):
+            params = params_for(3, horizon=K)
+            trace = dc.run(algorithm, small_instance, dc.GraphSchedule(g, 0.2, 1, K), params, init=init)
+            final = trace.final
+            assert type(final) is type(init)
+            assert bit_equal(final.p[:3], trace.p[-1])
+            kept = [a for a in (trace.p, trace.consensus, trace.y, trace.v) if a is not None]
+            for f in fields(final):
+                got, start = getattr(final, f.name), getattr(init, f.name)
+                assert not any(np.shares_memory(got, a) for a in [*kept, *trace.residuals.values(), start]), f.name
+                assert K or bit_equal(got, start), f.name
+        assert dc.centralized_pd_run(small_instance, params_for(3, horizon=5)).final is None
+
+
 def block_rows(g):
     return max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(g.m, 1))
 
@@ -500,30 +546,6 @@ class TestStochasticityBlocks:
         assert growth < 1_000_000, f"peak beyond the trace grew by {growth} bytes"
 
 
-STEPS = {
-    "pd1": dc.pd1_step,
-    "pd2": dc.pd2_step,
-    "directed": dc.directed_pd_step,
-    "robust": dc.robust_pd_step,
-    "virtual": dc.virtual_domain_step,
-}
-# consensus field, fields summed into the tracked imbalance, fields summed into
-# the mass; "virt.y" is the y row of robust's in-flight stack
-CARRIED = {
-    "pd1": ("lam", ("y",), ()),
-    "pd2": ("lam", (), ()),
-    "directed": ("x", ("y",), ("v",)),
-    "robust": ("x", ("y", "virt.y"), ("v", "virt.v")),
-    "virtual": ("x", ("y",), ("v",)),
-}
-
-
-def family(state, name):
-    if name.startswith("virt."):
-        return state.virt[{"v": 1, "y": 2}[name[5:]]]
-    return getattr(state, name)
-
-
 def standard_start(algorithm, inst, g, params):
     if algorithm in ("pd1", "pd2"):
         return init_undirected(inst, params, tracker=algorithm == "pd1")
@@ -534,39 +556,8 @@ def standard_start(algorithm, inst, g, params):
     return init_virtual(inst, g, params)
 
 
-def stepwise_residuals(algorithm, inst, sched, params, state):
-    """The five residual series, one state at a time, from hand-stepped states."""
-    consensus, ys, vs = CARRIED[algorithm]
-    n, nhat = inst.n, params.nhat
-    out = {"imbalance": [], "consensus_spread": []}
-    if ys:
-        out["conservation"] = []
-    if vs:
-        out["mass"], out["min_v"] = [], []
-
-    def record(st):
-        imb = float((st.p[:n] - inst.loads).sum())
-        c = getattr(st, consensus)[:n]
-        out["imbalance"].append(abs(imb))
-        out["consensus_spread"].append(float(c.max() - c.min()))
-        if ys:
-            total = sum(float(family(st, a).sum()) for a in ys)
-            out["conservation"].append(abs(total - nhat * imb))
-        if vs:
-            parts = [family(st, a) for a in vs]
-            out["mass"].append(abs(sum(float(a.sum()) for a in parts) - n))
-            out["min_v"].append(min(float(a.min()) for a in parts if a.size))
-
-    record(state)
-    for k in range(params.horizon):
-        weights = live(algorithm, sched.nominal, sched.masks[k])
-        state = STEPS[algorithm](state, inst, sched.nominal, weights, params, k)
-        record(state)
-    return {key: np.array(series) for key, series in out.items()}
-
-
 class TestResidualBlocks:
-    """`run` reduces the residual series per block of recorded rows."""
+    """`run` reduces the residual series per block of recorded rows, as `reference_run` does per state."""
 
     @given(
         algorithm=st.sampled_from(dc.ALGORITHMS),
@@ -602,10 +593,12 @@ class TestResidualBlocks:
         if equilibrium and algorithm != "pd2":  # pd2 has no exact fixed point
             solution = dc.solve_bisection(inst, xi=params.xi, nhat=params.nhat)
             init = dc.equilibrium_state(algorithm, inst, params, solution, graph=g)
-        start = standard_start(algorithm, inst, g, params) if init is None else init
-        want = stepwise_residuals(algorithm, inst, sched, params, start)
-        got = dc.run(algorithm, inst, sched, params, init=init).residuals
-        assert set(got) - {"stochasticity"} == set(want)
+        arrays, want = reference_run(algorithm, inst, sched, params, start=init)
+        trace = dc.run(algorithm, inst, sched, params, init=init)
+        for name, series in arrays.items():
+            assert np.array_equal(getattr(trace, name), series), name
+        got = trace.residuals
+        assert set(got) == set(want)
         for key, series in want.items():
             assert np.array_equal(got[key], series), key
 
@@ -756,9 +749,6 @@ class TestDivergenceNames:
         with pytest.raises(InternalInvariantError, match=rf"at step 1: {what}$") as err:
             dc.run(algorithm, small_instance, dc.GraphSchedule(graph, 0.2, 1, 10), params, init=start)
         assert err.value.step == 1
-        with pytest.raises(InternalInvariantError) as err:
-            STEPS[algorithm](start, small_instance, graph, live(algorithm, graph, np.ones(3, bool)), params, 6)
-        assert err.value.step == 7
 
 
 @dataclass(frozen=True)
@@ -783,7 +773,7 @@ def raised(fn):
 
 
 class TestBlockGuard:
-    """`run` guards a block of steps at once, and raises what stepping one state at a time raises."""
+    """`run` guards a block of steps at once, and raises what guarding one step per block raises."""
 
     @given(
         algorithm=st.sampled_from(dc.ALGORITHMS),
@@ -798,7 +788,7 @@ class TestBlockGuard:
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_run_raises_what_the_step_functions_raise(
+    def test_run_raises_what_one_step_blocks_raise(
         self, algorithm, n, extra, seed, q, rows, trigger, place, spike, data
     ):
         assume(trigger != "zero v" or algorithm in algorithms.DIRECTED_ALGORITHMS)
@@ -822,15 +812,16 @@ class TestBlockGuard:
             col = data.draw(st.integers(0, start.nodes.shape[1] - 1), label="column")
             start.nodes[row, col] = np.inf if trigger == "init inf" else np.nan
 
-        def step_through():
-            state = start
-            for k in range(K):
-                state = STEPS[algorithm](state, inst, g, live(algorithm, g, sched.masks[k]), params, k)
+        def run_from_start():
+            return dc.run(algorithm, inst, sched, params, init=start)
 
         with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algorithms, "_MIN_BLOCK_ROWS", 1)
+            mp.setattr(algorithms, "_RESIDUAL_BLOCK_ENTRIES", 1)
+            want = raised(run_from_start)  # every block one step, guarded on its own
+            mp.setattr(algorithms, "_MIN_BLOCK_ROWS", _MIN_BLOCK_ROWS)
             mp.setattr(algorithms, "_RESIDUAL_BLOCK_ENTRIES", rows * g.m)
-            want = raised(step_through)
-            got = raised(lambda: dc.run(algorithm, inst, sched, params, init=start))
+            got = raised(run_from_start)
         assert got == want
         if trigger == "stepsize" and np.isnan(spike):  # a NaN stepsize makes p NaN at once
             assert want is not None and want[:2] == (DivergenceError, fail_at)

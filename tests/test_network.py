@@ -29,7 +29,7 @@ from dercoord.network import (
     union_connected,
     windows_connected,
 )
-from reference import augmented_push_matrix, earliest_connect_scan, metropolis_weights, push_matrix
+from reference import augmented_push_matrix, earliest_connect_scan, metropolis_weights, push_matrix, run_over
 
 
 def random_connected_graph(rng, n, directed, extra=3):
@@ -387,7 +387,7 @@ class TestAugmentedPushMatrix:
         lam = np.array([1.0, 2.0, 4.0, 0.0, 0.0, 0.0, 0.0])
         state = dc.VirtualState(np.stack([lam, np.ones(7), np.zeros(7), np.zeros(7), lam]))
         down = np.zeros(g.m, bool)
-        new = dc.virtual_domain_step(state, small_instance, g, dc.step_weights("virtual", g, down), params, 0)
+        new = run_over("virtual", small_instance, g, [down], params, state).final
         P = augmented_push_matrix(g, down, params.gamma)
         for e, (src, _) in enumerate(g.edges):
             assert new.lam[g.n + e] == lam[src] / g.out_degrees[src]
@@ -413,7 +413,7 @@ class TestEdgeListMixing:
         if not directed:
             z = rng.normal(size=(2, n))  # a two-field stack mixes each row by W
             W = metropolis_weights(g, active)
-            self_w, w = dc.step_weights("pd1", g, active)
+            self_w, w = (a[0] for a in metropolis_table(g, active[None]))
             tails, bins, _ = g.metropolis_arcs
             mixed = mix(self_w * z, bins, (w * z[:, tails]).ravel())  # flat arc values, field after field
             np.testing.assert_allclose(mixed, z @ W.T, rtol=0, atol=1e-13)
@@ -422,7 +422,7 @@ class TestEdgeListMixing:
             assert residual <= 1e-12 and abs(residual - dense) <= 1e-15
             return
         z = rng.normal(size=(3, n))
-        D, live = dc.step_weights("directed", g, active)
+        D, live = (a[0] for a in push_table(g, active[None]))
         _, tails, bins = g.arcs_by_head
         P = push_matrix(g, active)
         np.testing.assert_allclose(mix(z / D, bins, ((z / D)[:, tails] * live).ravel()), z @ P.T, rtol=0, atol=1e-13)
@@ -433,7 +433,7 @@ class TestEdgeListMixing:
         A = augmented_push_matrix(g, active, gamma)
         inst = dc.ProblemInstance(np.zeros(n), np.zeros(n), np.zeros(n), dc.QuadraticCost(np.ones(n)))
         state = dc.VirtualState(np.stack([rng.normal(size=N), rng.random(N) + 0.5, np.zeros(N), np.zeros(N), np.zeros(N)]))
-        new = dc.virtual_domain_step(state, inst, g, dc.step_weights("virtual", g, active), params, 0)
+        new = run_over("virtual", inst, g, [active], params, state).final
         np.testing.assert_allclose(new.lam, A @ state.lam, rtol=0, atol=1e-13)
         np.testing.assert_allclose(new.v, A @ state.v, rtol=0, atol=1e-13)
         residual = _augmented_stochasticity(g, _mask_table(g, active[None]), params)[0]
