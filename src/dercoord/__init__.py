@@ -15,10 +15,7 @@ from .algorithms import (
     UndirectedState,
     VirtualState,
     equilibrium_state,
-    init_directed,
-    init_robust,
-    init_undirected,
-    init_virtual,
+    initial_state,
     run,
 )
 from .errors import (

@@ -28,10 +28,19 @@ O(F (n + m)); each expression keeps its operands and their order, so
 the bits are those of the plain NumPy expressions. No kernel builds a
 dense matrix.
 
+Each algorithm is declared once, as one `_Spec` entry plus its kernel.
+The entry gives its state type (whose rows say the graph kind: push-sum
+states need a directed graph), how its start lifts from the push-sum
+rows, the names its guard gives the node rows and what a lost push-sum
+weight reads, its kernel and weight table, the rows it records and the
+rows that carry its tracked imbalance and push-sum mass. `ALGORITHMS`,
+`check_pairing`'s rules and `RUNNING_SUM_ALGORITHMS` derive from the
+table. Every start comes from one builder, `_start`: `initial_state`
+gives the standard start (lam = 0, y = nhat*(p - load)) and
+`equilibrium_state` the state at the oracle's solution (a fixed point of
+every algorithm but pd2), both for any algorithm.
+
 `run` steps any algorithm over the schedule's mask block.
-A small per-algorithm spec tells it how to start (and what a valid
-`init` looks like), which kernel to call, how to build its weight table,
-which state fields to record, and which residuals the algorithm carries.
 The driver works in blocks of about 2^13 link entries and at least 8
 rows, in place in a ring of rows + 1 slots per state array: slot 0 holds
 the state before the block, step j reads slot j and writes slot j + 1,
@@ -50,14 +59,17 @@ zero ends in a non-finite or non-positive iterate, which the guard names
 by step and field. The
 trace is one series-major (series, K + 1, n) block, so each recorded
 series is a C-contiguous (K + 1, n) view of it; a block's traced rows go
-into it as one slice, and the residual series are
-reduced row-wise over them (and over robust's in-flight and virtual's
-full-width v and y, read from the ring) in the order of one state at a
+into it as one slice. The residual series are reduced row-wise, over
+those rows and, for the tracked-imbalance and mass totals, over the
+ring rows the spec names (robust's in-flight values among them, and
+virtual's v and y over all N nodes), in the order of one state at a
 time, so they are bit-identical to a per-step evaluation. After the last
 block, slot 0 holds the last state, which the trace keeps a copy of as
 `final`: ``run(..., init=trace.final)`` resumes from it. The resumed run
 numbers its steps from 0 again, so it takes its schedule's masks and
-the stepsize of step 0 onwards.
+the stepsize of step 0 onwards: a ``DiminishingStep(a, b)`` run stopped
+after k1 steps resumes with ``DiminishingStep(a, b + k1)``, bit for bit
+when b is integer-valued.
 
 Algorithms (ids used by `run`):
 
@@ -85,14 +97,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy import add, divide, multiply, subtract
 
-from .errors import (
-    DimensionMismatchError,
-    DivergenceError,
-    InternalInvariantError,
-    InvalidGraphError,
-    InvalidInstanceError,
-    ModeMismatchError,
-)
+from .errors import DimensionMismatchError, DivergenceError, InternalInvariantError, ModeMismatchError
 from .metrics import RunTrace, run_warnings
 from .network import (
     GraphSchedule,
@@ -104,10 +109,6 @@ from .network import (
     union_connected,
 )
 from .problem import AlgorithmParams, ProblemInstance, _primal_step, checked_p0
-
-UNDIRECTED_ALGORITHMS = ("pd1", "pd2")
-DIRECTED_ALGORITHMS = ("directed", "robust", "virtual")
-ALGORITHMS = UNDIRECTED_ALGORITHMS + DIRECTED_ALGORITHMS
 
 # Trace rows per block: about this many link entries (rows = this // m),
 # so a block's temporaries stay small whatever the horizon, ...
@@ -184,31 +185,6 @@ class VirtualState(_PushSumRows):
     nodes: np.ndarray
 
 
-def init_undirected(
-    inst: ProblemInstance,
-    params: AlgorithmParams,
-    p0=None,
-    tracker: bool = True,
-) -> UndirectedState:
-    """Standard start: lam = 0, y_i = nhat*(p_i[0] - load_i)."""
-    p = checked_p0(inst, p0)
-    lam = np.zeros(inst.n)
-    rows = [lam, params.nhat * (p - inst.loads)] if tracker else [lam]
-    return UndirectedState(np.stack([p, *rows]))
-
-
-def init_directed(inst: ProblemInstance, params: AlgorithmParams, p0=None) -> DirectedState:
-    """Standard start: x = 0, lam = 0, v = 1, y_i = nhat*(p_i[0] - load_i)."""
-    p = checked_p0(inst, p0)
-    n = inst.n
-    return DirectedState(np.stack([np.zeros(n), np.ones(n), params.nhat * (p - inst.loads), p, np.zeros(n)]))
-
-
-def _check_graph_size(inst: ProblemInstance, graph: NominalGraph) -> None:
-    if graph.n != inst.n:
-        raise InvalidInstanceError(f"graph has {graph.n} nodes, instance has {inst.n}")
-
-
 def _robust_start(graph: NominalGraph, start: DirectedState) -> RobustState:
     """The node values of `start`, running sums through step 0, zero mirrors and in-flight values."""
     return RobustState(np.concatenate([start.nodes, start.z / graph.out_degrees]), np.zeros((6, graph.m)))
@@ -216,76 +192,56 @@ def _robust_start(graph: NominalGraph, start: DirectedState) -> RobustState:
 
 def _virtual_start(graph: NominalGraph, start: DirectedState) -> VirtualState:
     """The real nodes of `start`, then one virtual node per nominal arc (arc e is node n + e) holding zero."""
-    if not graph.directed:
-        raise InvalidGraphError("virtual nodes are defined for directed graphs")
     return VirtualState(np.pad(start.nodes, ((0, 0), (0, graph.m))))
 
 
-def init_robust(
-    inst: ProblemInstance, graph: NominalGraph, params: AlgorithmParams, p0=None
-) -> RobustState:
-    """Standard start plus zero mirrors; running sums include step 0."""
-    _check_graph_size(inst, graph)
-    return _robust_start(graph, init_directed(inst, params, p0))
+def _start(spec: _Spec, graph: NominalGraph, p, lam, y):
+    """The state of `spec`'s algorithm with dispatch p, multiplier estimates lam and tracker y.
 
-
-def init_virtual(
-    inst: ProblemInstance, graph: NominalGraph, params: AlgorithmParams, p0=None
-) -> VirtualState:
-    """Augmented start: the directed start, virtual lam/v/y/x/p all zero."""
-    _check_graph_size(inst, graph)
-    return _virtual_start(graph, init_directed(inst, params, p0))
-
-
-def equilibrium_state(
-    algorithm: str,
-    inst: ProblemInstance,
-    params: AlgorithmParams,
-    solution,
-    graph: NominalGraph | None = None,
-):
-    """Exact fixed point of an algorithm, for equilibrium-invariance tests.
-
-    The consensus multiplier value is (nhat/n) * lambda* (oracle scaled
-    convention) and the imbalance trackers sit at zero; for push-sum
-    algorithms lam stays proportional to v, keeping x constant even as the
-    weights mix.
+    Undirected states take the first len(spec.names) of p, lam and y (pd2
+    has no y); push-sum states take lam, v = 1, y, p and x = lam, then the
+    spec's lift.
     """
-    xstar = np.full(inst.n, params.nhat / inst.n * solution.lambda_star)
-    p = np.asarray(solution.p_star, dtype=float)
-    zero = np.zeros(inst.n)
-    if algorithm == "pd1":
-        return UndirectedState(np.stack([p, xstar, zero]))
-    if algorithm not in DIRECTED_ALGORITHMS:
-        raise InvalidInstanceError(f"no equilibrium construction for algorithm {algorithm!r}")
-    state = DirectedState(np.stack([xstar, np.ones(inst.n), zero, p, xstar]))
-    if algorithm == "directed":
-        return state
-    if graph is None:
-        raise InvalidInstanceError(f"{algorithm} equilibrium needs the nominal graph")
-    _check_graph_size(inst, graph)
-    return _robust_start(graph, state) if algorithm == "robust" else _virtual_start(graph, state)
+    if not spec.directed:
+        return spec.state(np.stack([p, lam, y][: len(spec.names)]))
+    return spec.lift(graph, DirectedState(np.stack([lam, np.ones(len(p)), y, p, lam])))
 
 
-# Per algorithm: the names of its states' node rows, for error messages, and
-# what a lost positivity of the push-sum weights v reads (None: no weights).
-_PUSH_ROWS = ("lam", "v", "y", "p", "x")
-_GUARDS = {
-    "pd1": (("p", "lam", "y"), None),
-    "pd2": (("p", "lam"), None),
-    "directed": (_PUSH_ROWS, "push-sum weight v lost positivity"),
-    "robust": (_PUSH_ROWS + ("sums.lam", "sums.v", "sums.y"), "push-sum weight v hit zero"),
-    "virtual": (_PUSH_ROWS, "augmented push-sum weight hit zero"),
-}
+def initial_state(algorithm: str, inst: ProblemInstance, graph: NominalGraph, params: AlgorithmParams, p0=None):
+    """The standard start `run` takes by default: lam = 0, v = 1, y_i = nhat*(p_i[0] - load_i).
+
+    p[0] is `p0`, checked to lie in the box, or `default_p0`. Robust's
+    running sums include step 0 and its mirrors start at zero; virtual
+    nodes start at zero. Raises `ModeMismatchError` unless the algorithm
+    fits the graph (`check_pairing`).
+    """
+    spec = check_pairing(algorithm, inst, graph)
+    p = checked_p0(inst, p0)
+    return _start(spec, graph, p, np.zeros(inst.n), params.nhat * (p - inst.loads))
 
 
-def _check_block(algorithm: str, first: int, block: np.ndarray) -> None:
+def equilibrium_state(algorithm: str, inst: ProblemInstance, graph: NominalGraph, params: AlgorithmParams, solution):
+    """The state at the oracle's `solution`: an exact fixed point, for equilibrium-invariance tests.
+
+    The multiplier estimates sit at (nhat/n) * lambda* (oracle scaled
+    convention) and the imbalance trackers at zero; for push-sum
+    algorithms lam stays proportional to v, keeping x constant even as the
+    weights mix. pd2 has no fixed point: its multipliers see only the
+    local imbalance, so they leave this state. Raises `ModeMismatchError`
+    unless the algorithm fits the graph (`check_pairing`).
+    """
+    spec = check_pairing(algorithm, inst, graph)
+    lam = np.full(inst.n, params.nhat / inst.n * solution.lambda_star)
+    return _start(spec, graph, np.asarray(solution.p_star, dtype=float), lam, np.zeros(inst.n))
+
+
+def _check_block(algorithm: str, spec: _Spec, first: int, block: np.ndarray) -> None:
     """Guard the node arrays of consecutive states, the first at step `first`, with two reductions.
 
     fmin skips NaNs, so a minimum v <= 0 means some weight is <= 0. Only a
     failing block is taken state by state, for the first failing state's error.
     """
-    names, what = _GUARDS[algorithm]
+    names, what = spec.names, spec.lost_weight
     if (what is None or not np.fmin.reduce(block[:, 1], axis=None) <= 0.0) and np.isfinite(block).all():
         return
     for step, nodes in enumerate(block, first):
@@ -493,16 +449,22 @@ def _augmented_stochasticity(graph: NominalGraph, table, params) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Spec:
-    """What the run driver needs to know about one algorithm.
+    """One algorithm, declared once: how it starts, how it is guarded, stepped and recorded.
 
+    ``state`` is its state type. A push-sum state (rows lam, v, y, p, x)
+    runs on a directed graph, any other on an undirected one
+    (``directed``). ``lift`` maps (graph, push-sum start) to a push-sum
+    algorithm's state (see `_start`); the undirected algorithms have none.
+    ``names`` names the state's node rows in guard errors (an undirected
+    state has exactly these rows); ``lost_weight`` is what a lost
+    positivity of the push-sum weights v reads (None: no weights).
     ``kernel`` binds the views and the step to a run (see the module
-    docstring). The trace records node rows ``rows``
-    of each state, as the series named in ``series`` (row for row), with
-    one copy per block; "consensus" is the multiplier estimates. ``y`` and
-    ``v`` say where the totals of the tracked imbalance and the push-sum
-    mass are read: a trace series by name, or (state field, row) of the
-    state ring over all the field's columns; empty means the algorithm
-    carries no such quantity.
+    docstring). The trace records node rows ``rows`` of each state, as the
+    series named in ``series`` (row for row), with one copy per block;
+    "consensus" is the multiplier estimates. ``y`` and ``v`` are the
+    (state field, row) pairs of the state ring whose totals, over all the
+    field's columns, are the tracked imbalance and the push-sum mass;
+    empty means the algorithm carries no such quantity.
     ``weights`` maps (graph, masks) to the weight table of a (rows, m)
     block of masks, a tuple of arrays whose row r the step of the block's
     row r takes. ``stochasticity`` maps (graph, table, params) to the
@@ -511,7 +473,9 @@ class _Spec:
     """
 
     state: type
-    init: Callable
+    lift: Callable | None
+    names: tuple[str, ...]
+    lost_weight: str | None
     kernel: Callable
     weights: Callable
     rows: slice
@@ -520,82 +484,78 @@ class _Spec:
     v: tuple
     stochasticity: Callable | None
 
+    @property
+    def directed(self) -> bool:
+        return issubclass(self.state, _PushSumRows)
+
 
 def _specs() -> dict[str, _Spec]:
     # Built per run, so the step kernels and table builders are looked
     # up when the run starts: a profiler or tracer that wraps them in place
     # sees the calls. A kernel is called once per run, to bind its step.
+    names = ("lam", "v", "y", "p", "x")
     push = {"rows": slice(1, 5), "series": ("v", "y", "p", "consensus")}
+    own = {"y": (("nodes", 2),), "v": (("nodes", 1),)}  # the state's own y and v rows
     return {
         "pd1": _Spec(
-            UndirectedState,
-            lambda inst, graph, params: init_undirected(inst, params),
-            _pd1, metropolis_table, slice(0, 3), ("p", "consensus", "y"), y=("y",), v=(),
+            UndirectedState, None, ("p", "lam", "y"), None,
+            _pd1, metropolis_table, slice(0, 3), ("p", "consensus", "y"), y=(("nodes", 2),), v=(),
             stochasticity=_metropolis_stochasticity,
         ),
         "pd2": _Spec(
-            UndirectedState,
-            lambda inst, graph, params: init_undirected(inst, params, tracker=False),
+            UndirectedState, None, ("p", "lam"), None,
             _pd2, metropolis_table, slice(0, 2), ("p", "consensus"), y=(), v=(),
             stochasticity=_metropolis_stochasticity,
         ),
         "directed": _Spec(
-            DirectedState,
-            lambda inst, graph, params: init_directed(inst, params),
-            _directed, push_table, **push, y=("y",), v=("v",),
+            DirectedState, lambda graph, start: start, names, "push-sum weight v lost positivity",
+            _directed, push_table, **push, **own,
             stochasticity=_push_stochasticity,
         ),
         "robust": _Spec(
-            RobustState,
-            init_robust,
+            RobustState, _robust_start, names + ("sums.lam", "sums.v", "sums.y"), "push-sum weight v hit zero",
             _robust, _mask_table, **push,
-            y=("y", ("arcs", 5)), v=("v", ("arcs", 4)),  # in-flight v and y
+            y=(("nodes", 2), ("arcs", 5)), v=(("nodes", 1), ("arcs", 4)),  # in-flight y and v too
             stochasticity=None,
         ),
         "virtual": _Spec(
-            VirtualState,
-            init_virtual,
-            _virtual, _mask_table, **push,
-            y=(("nodes", 2),), v=(("nodes", 1),),  # v and y over all N nodes
+            VirtualState, _virtual_start, names, "augmented push-sum weight hit zero",
+            _virtual, _mask_table, **push, **own,  # over all N nodes
             stochasticity=_augmented_stochasticity,
         ),
     }
 
 
-def _spec(algorithm: str) -> _Spec:
-    spec = _specs().get(algorithm)
-    if spec is None:
-        raise ModeMismatchError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    return spec
+ALGORITHMS = tuple(_specs())
+# The running-sum algorithms: their weight table is the masks, and their mirrors retain a share gamma.
+RUNNING_SUM_ALGORITHMS = tuple(name for name, spec in _specs().items() if spec.weights is _mask_table)
 
 
-def _checked_init(algorithm: str, spec: _Spec, init, inst, graph, params):
-    """`init` if it has the algorithm's state type and every array its shape."""
-    if type(init) is not spec.state:
-        raise ModeMismatchError(
-            f"{algorithm} starts from a {spec.state.__name__}, got {type(init).__name__}"
-        )
-    reference = spec.init(inst, graph, params)
-    for f in fields(reference):
-        want = getattr(reference, f.name).shape
+def _checked_init(algorithm: str, init, start):
+    """`init` if it has the type of the standard `start` and every array its shape."""
+    if type(init) is not type(start):
+        raise ModeMismatchError(f"{algorithm} starts from a {type(start).__name__}, got {type(init).__name__}")
+    for f in fields(start):
+        want = getattr(start, f.name).shape
         got = np.shape(getattr(init, f.name))
         if got != want:
             raise DimensionMismatchError(f"init.{f.name}", want, got)
     return init
 
 
-def check_pairing(algorithm: str, inst: ProblemInstance, graph: NominalGraph) -> None:
-    """Raise `ModeMismatchError` unless `algorithm` is a known id that fits the graph.
+def check_pairing(algorithm: str, inst: ProblemInstance, graph: NominalGraph) -> _Spec:
+    """The spec of `algorithm`; `ModeMismatchError` unless it is a known id that fits the graph.
 
     It fits when the graph has the algorithm's directedness and the instance's size.
     """
-    if algorithm not in ALGORITHMS:
+    spec = _specs().get(algorithm)
+    if spec is None:
         raise ModeMismatchError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    directed = algorithm in DIRECTED_ALGORITHMS
-    if graph.directed != directed:
-        raise ModeMismatchError(f"{algorithm} requires {'a directed' if directed else 'an undirected'} graph")
+    if graph.directed != spec.directed:
+        raise ModeMismatchError(f"{algorithm} requires {'a directed' if spec.directed else 'an undirected'} graph")
     if graph.n != inst.n:
         raise ModeMismatchError(f"graph has {graph.n} nodes, instance has {inst.n}")
+    return spec
 
 
 def run(
@@ -617,19 +577,20 @@ def run(
     sidecar. Each block is stepped in place in a ring of states, under one
     guard that raises the error of the block's first failing step (see
     the module docstring). The recorded series are C-contiguous views of
-    one allocation that holds them all. ``final`` is a copy of the last
-    state, which `init` takes to resume the run.
+    one allocation that holds them all. Without `init` the run takes
+    `initial_state`; an `init` must have that state's type and shapes.
+    ``final`` is a copy of the last state, which `init` takes to resume
+    the run. The resumed run numbers its steps from 0 again: a run with
+    ``DiminishingStep(a, b)`` stopped after k1 steps resumes with
+    ``DiminishingStep(a, b + k1)``, bit for bit when b is integer-valued.
     """
-    spec = _spec(algorithm)
     graph = schedule.nominal
-    check_pairing(algorithm, inst, graph)
+    spec = check_pairing(algorithm, inst, graph)
     K = params.horizon
     if K > schedule.horizon:
         raise ModeMismatchError(f"horizon {K} exceeds schedule horizon {schedule.horizon}")
-    if init is None:
-        state = spec.init(inst, graph, params)
-    else:
-        state = _checked_init(algorithm, spec, init, inst, graph, params)
+    start = initial_state(algorithm, inst, graph, params)
+    state = start if init is None else _checked_init(algorithm, init, start)
 
     n, nhat = inst.n, params.nhat
     keys = ["imbalance", "consensus_spread"]
@@ -653,19 +614,16 @@ def run(
 
     def block_residuals(lo: int, hi: int, slot: int) -> None:
         """The residual rows lo..hi-1 from the recorded rows and the ring from `slot`, by row-wise reductions."""
-
-        def block(ref):
-            return series[ref][lo:hi] if isinstance(ref, str) else ring[ref[0]][slot : slot + hi - lo, ref[1]]
-
+        span = slice(slot, slot + hi - lo)
         imb = (series["p"][lo:hi] - inst.loads).sum(axis=1)
         c = series["consensus"][lo:hi]
         residuals["imbalance"][lo:hi] = np.abs(imb)
         residuals["consensus_spread"][lo:hi] = c.max(axis=1) - c.min(axis=1)
         if spec.y:
-            total = sum(block(a).sum(axis=1) for a in spec.y)
+            total = sum(ring[name][span, row].sum(axis=1) for name, row in spec.y)
             residuals["conservation"][lo:hi] = np.abs(total - nhat * imb)
         if spec.v:
-            parts = [block(a) for a in spec.v]
+            parts = [ring[name][span, row] for name, row in spec.v]
             residuals["mass"][lo:hi] = np.abs(sum(a.sum(axis=1) for a in parts) - n)
             # Python's min: a later part replaces the running minimum only where it is smaller.
             lows = [a.min(axis=1) for a in parts if a.shape[1]]
@@ -692,7 +650,7 @@ def run(
                 for nxt, weights, s in zip((views(*slot) for slot in slots[1:]), zip(*table), steps):
                     step(cur, nxt, weights, s)
                     cur = nxt
-            _check_block(algorithm, first, ring["nodes"][1 : last + 1])
+            _check_block(algorithm, spec, first, ring["nodes"][1 : last + 1])
         slot = last + 1 - (hi - lo)  # the slot of row lo
         trace_rows[:, lo:hi] = ring["nodes"][slot : last + 1, spec.rows, :n].swapaxes(0, 1)
         block_residuals(lo, hi, slot)

@@ -58,7 +58,8 @@ class ConfigError(DercoordError):
 
 
 class ModeMismatchError(ConfigError):
-    """Algorithm and graph schedule disagree on directedness."""
+    """An algorithm does not fit its inputs: an unknown id, a graph of the wrong kind or size,
+    a start of another algorithm's state type, or a horizon past the schedule's."""
 
 
 class GeneratorSpecError(ConfigError):

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import check_pairing, run
+from .algorithms import RUNNING_SUM_ALGORITHMS, check_pairing, run
 from .errors import (
     CaseParseError,
     ConfigError,
@@ -354,7 +354,7 @@ def _params(cp: configparser.ConfigParser, algorithm: str) -> AlgorithmParams:
         step = DiminishingStep(_get(cp, "algorithm", "step_a", float), _get(cp, "algorithm", "step_b", float))
     else:
         raise ConfigError("missing stepsize: give s or step_a and step_b in [algorithm]")
-    gamma = _get(cp, "algorithm", "gamma", float, None if algorithm in ("robust", "virtual") else AlgorithmParams.gamma)
+    gamma = _get(cp, "algorithm", "gamma", float, None if algorithm in RUNNING_SUM_ALGORITHMS else AlgorithmParams.gamma)
     return AlgorithmParams(
         step, _get(cp, "algorithm", "xi", float), _get(cp, "algorithm", "nhat", float), gamma, _get(cp, "run", "K", int)
     )

@@ -243,12 +243,15 @@ def invariant_report(trace: RunTrace, schedule=None) -> InvariantReport:
     spread series are checked (the spread without a budget). The smallest
     push-sum weight is taken over the steps k >= 1 only, because virtual
     nodes start at v = 0. When the producing `schedule` is supplied and
-    the trace came from a running-sum (robust/virtual) run, that weight is
-    checked as ``v_floor`` against (1-gamma)/n * tau^(N(2B-1)) with B
-    measured from the realized schedule, both as log10. Otherwise it is an
+    the trace came from a running-sum run (`RUNNING_SUM_ALGORITHMS`),
+    that weight is checked as ``v_floor`` against (1-gamma)/n *
+    tau^(N(2B-1)) with B measured from the realized schedule, both as
+    log10. Otherwise it is an
     informational ``min_v`` entry. Without a step k >= 1 either one is
     informational with value NaN.
     """
+    from .algorithms import RUNNING_SUM_ALGORITHMS  # local import, no cycle at module load
+
     checks: list[InvariantCheck] = []
     res = trace.residuals
     for key in ("conservation", "mass", "stochasticity"):
@@ -260,7 +263,7 @@ def invariant_report(trace: RunTrace, schedule=None) -> InvariantReport:
         "min_v" in res
         and schedule is not None
         and trace.params is not None
-        and trace.algorithm in ("robust", "virtual")
+        and trace.algorithm in RUNNING_SUM_ALGORITHMS
     ):
         checks.append(_v_floor_check(trace, schedule))
     elif "min_v" in res:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidCostError, InvalidInstanceError
+from .errors import DivergenceError, InvalidInstanceError
 from .metrics import RunTrace, run_warnings
 from .problem import (
     AlgorithmParams,
@@ -93,10 +93,9 @@ def solve_bisection(
     has already checked that the instance is feasible and its cost
     strongly convex. xi, nhat (default n) and tol must be positive and
     finite (`problem.positive`), else `InvalidInstanceError` names the
-    first that is not. A cost whose gradient is not finite at a capacity
-    bound leaves no bracket and raises `InvalidCostError`; a finite one
-    that overflows the bracket once divided by xi*nhat/n raises
-    `InvalidInstanceError`.
+    first that is not. `ProblemInstance` has checked that f' is finite at
+    both ends of every box; an f' that overflows the bracket once divided
+    by xi*nhat/n raises `InvalidInstanceError`.
     """
     if nhat is None:
         nhat = float(inst.n)
@@ -106,13 +105,8 @@ def solve_bisection(
     scale = xi * nhat / inst.n
     total = inst.total_load
 
-    g_lo = inst.cost.grad(inst.p_lo)
-    g_hi = inst.cost.grad(inst.p_hi)
-    bad = np.flatnonzero(~(np.isfinite(g_lo) & np.isfinite(g_hi)))
-    if bad.size:
-        raise InvalidCostError(f"agent {bad[0]}: f' is not finite at p_lo or p_hi")
-    lam_lo = float(g_lo.min()) / scale - 1.0
-    lam_hi = float(g_hi.max()) / scale + 1.0
+    lam_lo = float(inst.cost.grad(inst.p_lo).min()) / scale - 1.0
+    lam_hi = float(inst.cost.grad(inst.p_hi).max()) / scale + 1.0
     for name, bound in (("lam_lo", lam_lo), ("lam_hi", lam_hi)):
         if not np.isfinite(bound):
             raise InvalidInstanceError(

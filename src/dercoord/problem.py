@@ -155,8 +155,8 @@ CostModel = QuadraticCost | GeneralCost
 class ProblemInstance:
     """A dispatch problem: n agents with costs, per-agent box, fixed loads.
 
-    A quadratic cost's f' must be finite at both ends of every box, so
-    the oracle's multiplier bracket exists.
+    The cost's f' must be finite at both ends of every box, so the
+    oracle's multiplier bracket exists.
     """
 
     loads: np.ndarray
@@ -208,7 +208,6 @@ class ProblemInstance:
             )
         if isinstance(self.cost, GeneralCost):
             self.cost.validate_on_box(self.p_lo, self.p_hi)
-            return
         with np.errstate(all="ignore"):  # an overflowing f' is rejected, not warned about
             bad = np.flatnonzero(~(np.isfinite(self.cost.grad(self.p_lo)) & np.isfinite(self.cost.grad(self.p_hi))))
         if bad.size:

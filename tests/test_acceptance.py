@@ -81,7 +81,7 @@ def test_criterion_2_fixed_points(case39_undirected, case39_directed):
             step=dc.ConstantStep(kw["s"]), xi=kw["xi"], nhat=kw["nhat"], gamma=0.9, horizon=1000
         )
         sol = dc.solve_bisection(inst, xi=kw["xi"], nhat=kw["nhat"])
-        state = dc.equilibrium_state(alg, inst, params, sol, graph=graph)
+        state = dc.equilibrium_state(alg, inst, graph, params, sol)
         sched = dc.GraphSchedule(graph, 0.0, 0, 1000)
         trace = dc.run(alg, inst, sched, params, init=state)
         drift = max(

@@ -7,22 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dercoord as dc
-from dercoord.algorithms import (
-    _MIN_BLOCK_ROWS,
-    _RESIDUAL_BLOCK_ENTRIES,
-    init_directed,
-    init_robust,
-    init_undirected,
-    init_virtual,
-)
+from dercoord.algorithms import _MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES
 from dercoord import algorithms
 from dercoord.errors import (
     DercoordError,
     DimensionMismatchError,
     DivergenceError,
     InternalInvariantError,
-    InvalidGraphError,
-    InvalidInstanceError,
     ModeMismatchError,
 )
 from dercoord.metrics import BUDGETS
@@ -42,7 +33,7 @@ def params_for(n, s=0.05, xi=0.5, horizon=100, gamma=0.9):
 class TestInitialization:
     def test_tracker_starts_at_scaled_local_imbalance(self, small_instance):
         params = params_for(3)
-        state = init_undirected(small_instance, params, p0=[0.5, 1.0, 2.0])
+        state = dc.initial_state("pd1", small_instance, ring(3, False), params, p0=[0.5, 1.0, 2.0])
         np.testing.assert_allclose(
             state.y, params.nhat * (np.array([0.5, 1.0, 2.0]) - small_instance.loads)
         )
@@ -52,41 +43,41 @@ class TestInitialization:
 
     def test_default_start_is_clamped_zero(self):
         inst = dc.ProblemInstance([2.0], [1.0], [5.0], dc.QuadraticCost([1.0]))
-        state = init_undirected(inst, params_for(1))
+        state = dc.initial_state("pd1", inst, dc.NominalGraph(1, [], False), params_for(1))
         assert state.p[0] == 1.0  # zero clamped up to the floor
 
     def test_directed_init_values(self, small_instance):
-        state = init_directed(small_instance, params_for(3))
+        state = dc.initial_state("directed", small_instance, ring(3, True), params_for(3))
         np.testing.assert_array_equal(state.lam, 0.0)
         np.testing.assert_array_equal(state.x, 0.0)
         np.testing.assert_array_equal(state.v, 1.0)
 
     def test_virtual_start_pads_one_node_per_arc(self, small_instance):
         g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)], True)
-        state = init_virtual(small_instance, g, params_for(3))
-        direct = init_directed(small_instance, params_for(3))
+        state = dc.initial_state("virtual", small_instance, g, params_for(3))
+        direct = dc.initial_state("directed", small_instance, g, params_for(3))
         assert state.nodes.shape == (5, 3 + g.m)
         np.testing.assert_array_equal(state.nodes[:, :3], direct.nodes)
         np.testing.assert_array_equal(state.nodes[:, 3:], 0.0)
 
     def test_virtual_start_rejects_undirected_graph(self, small_instance):
         params = params_for(3)
-        with pytest.raises(InvalidGraphError, match="directed graphs"):
-            init_virtual(small_instance, ring(3, False), params)
+        with pytest.raises(ModeMismatchError, match="virtual requires a directed graph"):
+            dc.initial_state("virtual", small_instance, ring(3, False), params)
         sol = dc.solve_bisection(small_instance, xi=params.xi, nhat=params.nhat)
-        with pytest.raises(InvalidGraphError, match="directed graphs"):
-            dc.equilibrium_state("virtual", small_instance, params, sol, graph=ring(3, False))
+        with pytest.raises(ModeMismatchError, match="virtual requires a directed graph"):
+            dc.equilibrium_state("virtual", small_instance, ring(3, False), params, sol)
 
-    @pytest.mark.parametrize("algorithm", ["robust", "virtual"])
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_start_rejects_graph_of_another_size(self, small_instance, algorithm):
         # 3 agents on a 4-node graph
         params = params_for(3)
-        init = {"robust": init_robust, "virtual": init_virtual}[algorithm]
-        with pytest.raises(InvalidInstanceError, match="graph has 4 nodes, instance has 3"):
-            init(small_instance, ring(4, True), params)
+        graph = ring(4, algorithm not in ("pd1", "pd2"))
+        with pytest.raises(ModeMismatchError, match="graph has 4 nodes, instance has 3"):
+            dc.initial_state(algorithm, small_instance, graph, params)
         sol = dc.solve_bisection(small_instance, xi=params.xi, nhat=params.nhat)
-        with pytest.raises(InvalidInstanceError, match="graph has 4 nodes, instance has 3"):
-            dc.equilibrium_state(algorithm, small_instance, params, sol, graph=ring(4, True))
+        with pytest.raises(ModeMismatchError, match="graph has 4 nodes, instance has 3"):
+            dc.equilibrium_state(algorithm, small_instance, graph, params, sol)
 
 
 class TestUndirectedSteps:
@@ -94,14 +85,14 @@ class TestUndirectedSteps:
         params = params_for(3)
         g = ring(3, False)
         for algorithm in ("pd1", "pd2"):
-            state = init_undirected(small_instance, params, p0=small_instance.loads, tracker=algorithm == "pd1")
+            state = dc.initial_state(algorithm, small_instance, g, params, p0=small_instance.loads)
             new = run_over(algorithm, small_instance, g, [np.ones(3, bool)], params, state).final
             np.testing.assert_allclose(new.lam, 0.0, atol=1e-15)
 
     def test_conservation_after_one_step(self, small_instance):
         params = params_for(3)
         g = ring(3, False)
-        state = init_undirected(small_instance, params, p0=[0.1, 2.3, 0.7])
+        state = dc.initial_state("pd1", small_instance, g, params, p0=[0.1, 2.3, 0.7])
         new = run_over("pd1", small_instance, g, [[True, False, True]], params, state).final
         lhs = np.sum(new.y)
         rhs = params.nhat * np.sum(new.p - small_instance.loads)
@@ -110,17 +101,17 @@ class TestUndirectedSteps:
     def test_pd1_fixed_point(self, small_instance):
         params = params_for(3)
         sol = dc.solve_bisection(small_instance, xi=params.xi, nhat=params.nhat)
-        state = dc.equilibrium_state("pd1", small_instance, params, sol)
-        assert np.abs(state.y).max() == 0.0
         g = ring(3, False)
+        state = dc.equilibrium_state("pd1", small_instance, g, params, sol)
+        assert np.abs(state.y).max() == 0.0
         new = run_over("pd1", small_instance, g, [np.ones(3, bool)], params, state).final
         np.testing.assert_allclose(new.p, state.p, atol=1e-14)
         np.testing.assert_allclose(new.lam, state.lam, atol=1e-14)
 
     def test_pd2_has_no_tracker(self, small_instance):
         params = params_for(3)
-        state = init_undirected(small_instance, params, tracker=False)
         g = ring(3, False)
+        state = dc.initial_state("pd2", small_instance, g, params)
         trace = run_over("pd2", small_instance, g, [np.ones(3, bool)], params, state)
         assert trace.y is None and trace.final.y is None
 
@@ -148,7 +139,7 @@ class TestDirectedSteps:
         # 1'lam[k+1] = 1'lam[k] - s 1'y[k] for any column-stochastic mixing
         g = ring(3, True)
         params = params_for(3)
-        state = init_directed(small_instance, params, p0=[0.2, 0.9, 1.4])
+        state = dc.initial_state("directed", small_instance, g, params, p0=[0.2, 0.9, 1.4])
         new = run_over("directed", small_instance, g, [[True, False, True]], params, state).final
         expect = np.sum(state.lam) - params.stepsize(0) * np.sum(state.y)
         assert np.sum(new.lam) == pytest.approx(expect, abs=1e-12)
@@ -175,8 +166,8 @@ class TestDirectedSteps:
     def test_fixed_point(self, small_instance):
         params = params_for(3)
         sol = dc.solve_bisection(small_instance, xi=params.xi, nhat=params.nhat)
-        state = dc.equilibrium_state("directed", small_instance, params, sol)
         g = ring(3, True)
+        state = dc.equilibrium_state("directed", small_instance, g, params, sol)
         new = run_over("directed", small_instance, g, [[True, True, False]], params, state).final
         np.testing.assert_allclose(new.p, state.p, atol=1e-13)
         np.testing.assert_allclose(new.x, state.x, atol=1e-13)
@@ -191,7 +182,7 @@ class TestRobustSteps:
         inst = self.pinned_instance()
         g = dc.NominalGraph(2, [(0, 1), (1, 0)], True)
         params = params_for(2, gamma=0.9)
-        state = init_robust(inst, g, params)
+        state = dc.initial_state("robust", inst, g, params)
         # craft: node 0's broadcast running sum is 1.0, mirror still 0
         state = replace(state, nodes=state.nodes.copy())
         state.sums[0] = [1.0, 0.0]  # the lam row
@@ -210,8 +201,8 @@ class TestRobustSteps:
             step=dc.ConstantStep(0.02), xi=0.2, nhat=20.0, gamma=0.9, horizon=1200
         )
         sched = dc.GraphSchedule(g, 0.2, 1, 1200)
-        robust = init_robust(inst, g, params)
-        twin = init_virtual(inst, g, params)
+        robust = dc.initial_state("robust", inst, g, params)
+        twin = dc.initial_state("virtual", inst, g, params)
         n = inst.n
         worst = 0.0
         for active in sched.masks:  # one run per step: the constant step needs no step index
@@ -255,7 +246,7 @@ class TestVirtualDomain:
         g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)], True)
         params = params_for(3, horizon=30)
         sched = dc.GraphSchedule(g, 0.3, 7, 30)
-        state = init_virtual(small_instance, g, params)
+        state = dc.initial_state("virtual", small_instance, g, params)
         n = 3
         for k in range(30):
             act = sched.active_mask(k)
@@ -273,7 +264,7 @@ class TestVirtualDomain:
         g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0)], True)
         params = params_for(3, horizon=200)
         sched = dc.GraphSchedule(g, 0.2, 3, 200)
-        state = init_virtual(small_instance, g, params)
+        state = dc.initial_state("virtual", small_instance, g, params)
         for k in range(200):
             state = run_over("virtual", small_instance, g, [sched.active_mask(k)], params, state).final
             assert np.sum(state.v) == pytest.approx(3.0, abs=1e-12)
@@ -304,34 +295,35 @@ class TestRun:
 
     def test_init_of_another_algorithm_rejected(self, small_instance):
         params = params_for(3)
+        g = ring(3, True)
         sched = dc.GraphSchedule(ring(3, False), 0.2, 1, 100)
         with pytest.raises(ModeMismatchError, match="UndirectedState.*DirectedState"):
-            dc.run("pd1", small_instance, sched, params, init=init_directed(small_instance, params))
-        directed = dc.GraphSchedule(ring(3, True), 0.2, 1, 100)
-        twin = init_virtual(small_instance, ring(3, True), params)
+            dc.run("pd1", small_instance, sched, params, init=dc.initial_state("directed", small_instance, g, params))
+        directed = dc.GraphSchedule(g, 0.2, 1, 100)
+        twin = dc.initial_state("virtual", small_instance, g, params)
         with pytest.raises(ModeMismatchError, match="DirectedState.*VirtualState"):
             dc.run("directed", small_instance, directed, params, init=twin)
 
     def test_init_of_wrong_length_names_the_field(self, small_instance):
         params = params_for(3)
         sched = dc.GraphSchedule(ring(3, False), 0.2, 1, 100)
-        state = init_undirected(small_instance, params)
+        state = dc.initial_state("pd1", small_instance, ring(3, False), params)
         with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(3, 3\), got \(3, 4\)"):
             dc.run("pd1", small_instance, sched, params, init=replace(state, nodes=np.zeros((3, 4))))
         with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(3, 3\), got \(2, 3\)"):
             dc.run("pd1", small_instance, sched, params, init=replace(state, nodes=np.zeros((2, 3))))
         # pd1 and pd2 share the state type, but not its rows.
-        pd2_state = init_undirected(small_instance, params, tracker=False)
+        pd2_state = dc.initial_state("pd2", small_instance, ring(3, False), params)
         with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(2, 3\), got \(3, 3\)"):
             dc.run("pd2", small_instance, sched, params, init=state)
         with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(3, 3\), got \(2, 3\)"):
             dc.run("pd1", small_instance, sched, params, init=pd2_state)
         g = ring(3, True)
-        robust = init_robust(small_instance, g, params)
+        robust = dc.initial_state("robust", small_instance, g, params)
         with pytest.raises(DimensionMismatchError, match=r"init\.arcs: expected shape \(6, 3\), got \(6, 2\)"):
             dc.run("robust", small_instance, dc.GraphSchedule(g, 0.2, 1, 100), params,
                    init=replace(robust, arcs=np.zeros((6, 2))))
-        twin = init_virtual(small_instance, g, params)
+        twin = dc.initial_state("virtual", small_instance, g, params)
         with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(5, 6\), got \(5, 3\)"):
             dc.run("virtual", small_instance, dc.GraphSchedule(g, 0.2, 1, 100), params,
                    init=replace(twin, nodes=np.zeros((5, 3))))
@@ -442,17 +434,17 @@ class TestResume:
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_resumed_run_continues_the_uninterrupted_one(self, repo_root, algorithm):
-        name = algorithm if algorithm in algorithms.UNDIRECTED_ALGORITHMS else "robust"
+        name = algorithm if algorithm in ("pd1", "pd2") else "robust"
         config = dc.load_config(repo_root / "configs" / f"benchmark39_{name}.cfg")
         inst, params = config.instance, config.params
-        # A resumed run numbers its steps from 0, which would restart pd2's diminishing step.
-        params = replace(params, step=dc.ConstantStep(0.01)) if algorithm == "pd2" else params
         K = params.horizon
         k1 = 2 * K // 5 + 1  # inside a block
         sched = dc.GraphSchedule(config.graph, config.q, 1, K)
         whole = dc.run(algorithm, inst, sched, params)
         head = dc.run(algorithm, inst, sched, replace(params, horizon=k1))
-        tail = run_over(algorithm, inst, config.graph, sched.masks[k1:], params, head.final)
+        # The resumed run numbers its steps from 0, so pd2's DiminishingStep(a, b) resumes as (a, b + k1).
+        step = replace(params.step, b=params.step.b + k1) if algorithm == "pd2" else params.step
+        tail = run_over(algorithm, inst, config.graph, sched.masks[k1:], replace(params, step=step), head.final)
         for name in ("p", "consensus", "y", "v"):
             series = getattr(whole, name)
             if series is None:
@@ -469,8 +461,8 @@ class TestResume:
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_final_is_a_copy_of_the_last_state(self, small_instance, algorithm):
-        g = ring(3, algorithm in algorithms.DIRECTED_ALGORITHMS)
-        init = standard_start(algorithm, small_instance, g, params_for(3))
+        g = ring(3, algorithm not in ("pd1", "pd2"))
+        init = dc.initial_state(algorithm, small_instance, g, params_for(3))
         for K in (0, 5):
             params = params_for(3, horizon=K)
             trace = dc.run(algorithm, small_instance, dc.GraphSchedule(g, 0.2, 1, K), params, init=init)
@@ -546,16 +538,6 @@ class TestStochasticityBlocks:
         assert growth < 1_000_000, f"peak beyond the trace grew by {growth} bytes"
 
 
-def standard_start(algorithm, inst, g, params):
-    if algorithm in ("pd1", "pd2"):
-        return init_undirected(inst, params, tracker=algorithm == "pd1")
-    if algorithm == "directed":
-        return init_directed(inst, params)
-    if algorithm == "robust":
-        return init_robust(inst, g, params)
-    return init_virtual(inst, g, params)
-
-
 class TestResidualBlocks:
     """`run` reduces the residual series per block of recorded rows, as `reference_run` does per state."""
 
@@ -590,9 +572,9 @@ class TestResidualBlocks:
         )
         sched = dc.GraphSchedule(g, q, seed, K)
         init = None
-        if equilibrium and algorithm != "pd2":  # pd2 has no exact fixed point
+        if equilibrium:
             solution = dc.solve_bisection(inst, xi=params.xi, nhat=params.nhat)
-            init = dc.equilibrium_state(algorithm, inst, params, solution, graph=g)
+            init = dc.equilibrium_state(algorithm, inst, g, params, solution)
         arrays, want = reference_run(algorithm, inst, sched, params, start=init)
         trace = dc.run(algorithm, inst, sched, params, init=init)
         for name, series in arrays.items():
@@ -708,7 +690,7 @@ class TestDivergenceNames:
     def test_inf_in_y_names_step_and_fields(self, small_instance, algorithm, named):
         graph = ring(3, algorithm not in ("pd1", "pd2"))
         params = params_for(3, horizon=10)
-        start = standard_start(algorithm, small_instance, graph, params)
+        start = dc.initial_state(algorithm, small_instance, graph, params)
         start = replace(start, nodes=start.nodes.copy())
         (start.lam if algorithm == "pd2" else start.y)[0] = np.inf  # pd2 carries no tracker
         no_warning = np.errstate(invalid="ignore")  # inactive arcs weigh 0 * inf
@@ -722,7 +704,7 @@ class TestDivergenceNames:
         # guard over the whole state sees x, and names x alone.
         graph = ring(3, True)
         params = params_for(3, horizon=10)
-        start = standard_start(algorithm, small_instance, graph, params)
+        start = dc.initial_state(algorithm, small_instance, graph, params)
         start = replace(start, nodes=start.nodes.copy())
         start.lam[:3] = 1e10
         start.v[:3] = 1e-300
@@ -741,7 +723,7 @@ class TestDivergenceNames:
     def test_positivity_guard_names_its_step(self, small_instance, algorithm, what):
         graph = ring(3, True)
         params = params_for(3, horizon=10)
-        start = standard_start(algorithm, small_instance, graph, params)
+        start = dc.initial_state(algorithm, small_instance, graph, params)
         start = replace(start, nodes=start.nodes.copy())
         start.v[:] = 0.0
         if algorithm == "robust":
@@ -791,8 +773,8 @@ class TestBlockGuard:
     def test_run_raises_what_one_step_blocks_raise(
         self, algorithm, n, extra, seed, q, rows, trigger, place, spike, data
     ):
-        assume(trigger != "zero v" or algorithm in algorithms.DIRECTED_ALGORITHMS)
-        directed = algorithm in algorithms.DIRECTED_ALGORITHMS
+        directed = algorithm not in ("pd1", "pd2")
+        assume(trigger != "zero v" or directed)
         g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed)
         inst = dc.generate_instance(dc.InstanceSpec(n=n), seed)
         K = 2 * rows + 3
@@ -801,7 +783,7 @@ class TestBlockGuard:
         step = SpikeStep(0.02, fail_at - 1, spike) if trigger == "stepsize" else dc.ConstantStep(0.02)
         params = dc.AlgorithmParams(step=step, xi=0.5, nhat=float(n), gamma=0.9, horizon=K)
         sched = dc.GraphSchedule(g, q, seed, K)
-        start = standard_start(algorithm, inst, g, params)
+        start = dc.initial_state(algorithm, inst, g, params)
         start = replace(start, nodes=start.nodes.copy())
         if trigger == "zero v":
             start.v[:] = 0.0
@@ -872,7 +854,7 @@ class TestBitIdentity:
     def test_general_cost_runs_as_its_quadratic(self, repo_root, algorithm):
         # The kernels call the cost's own grad: a GeneralCost whose f' is the
         # quadratic's, 2a*p + b, gives the quadratic run's traces bit for bit.
-        name = algorithm if algorithm in algorithms.UNDIRECTED_ALGORITHMS else "robust"
+        name = algorithm if algorithm in ("pd1", "pd2") else "robust"
         config = dc.load_config(repo_root / "configs" / f"benchmark39_{name}.cfg")
         inst, params = config.instance, config.params
         a, b, c, twice_a = inst.cost.a, inst.cost.b, inst.cost.c, inst.cost.twice_a

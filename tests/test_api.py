@@ -50,10 +50,7 @@ PUBLIC_NAMES = [
     "fit_rate",
     "generate_graph",
     "generate_instance",
-    "init_directed",
-    "init_robust",
-    "init_undirected",
-    "init_virtual",
+    "initial_state",
     "invariant_report",
     "kkt_residual",
     "load_case",

@@ -17,7 +17,6 @@ from dercoord.errors import (
     CaseParseError,
     ConfigError,
     GeneratorSpecError,
-    InvalidCostError,
     InvalidInstanceError,
 )
 from dercoord.experiment import (
@@ -377,16 +376,10 @@ class TestRunExperiment:
 
     def test_oracle_failure_leaves_no_output_directory(self, tmp_path):
         config = load_config(write_config(tmp_path / "c.cfg", GOOD_CONFIG), out_override=tmp_path / "out")
-        # f' is inf at p_hi for every agent, so the oracle has no bracket
-        cost = dc.GeneralCost(
-            value_fn=lambda p: p**2,
-            grad_fn=lambda p: np.where(p == 3.0, np.inf, 2 * p),
-            hess_fn=lambda p: np.full_like(p, 2.0),
-            m=2.0,
-            n=6,
-        )
-        config = dataclasses.replace(config, instance=dc.ProblemInstance([1.0] * 6, [0.0] * 6, [3.0] * 6, cost))
-        with pytest.raises(InvalidCostError, match="f' is not finite"):
+        # f'(p_hi) = 2e302 is finite, but over xi*nhat/n = 1e-10 it overflows the oracle's bracket
+        inst = dc.ProblemInstance([1.0] * 6, [0.0] * 6, [100.0] + [5.0] * 5, dc.QuadraticCost([1e300] + [1.0] * 5))
+        config = dataclasses.replace(config, instance=inst, params=dataclasses.replace(config.params, xi=1e-10))
+        with pytest.raises(InvalidInstanceError, match="multiplier bracket lam_hi = inf is not finite"):
             run_experiment(config)
         assert not (tmp_path / "out").exists()
 

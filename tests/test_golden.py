@@ -7,13 +7,15 @@
   for seeds 1-3 over the configs' K and for seeds 0, 2^63 and 2^64 - 1
   over 50 steps (the ends of the seed range).
 * CSVs: the ``trace_<seed>.csv`` files that ``dercoord run`` writes for
-  the three shipped configs, seeds 1-3. ``summary.csv`` is left out: its
-  fitted rates go through ``np.polyfit``, whose last bits depend on the
-  LAPACK build, not on this package.
+  the three shipped configs, seeds 1-3, and each cell of those runs'
+  ``summary.csv`` rows, column by column. The ``fitted_rate`` and
+  ``fit_r_squared`` cells are left out: they go through ``np.polyfit``,
+  whose last bits depend on the LAPACK build, not on this package.
 
-A change that moves any bit fails here, naming the series, the algorithm,
-graph or config, and the seed. When a change is meant to move them, say why
-in CHANGES.md and rewrite the pins with ``PYTHONPATH=src python tests/test_golden.py``.
+A change that moves any bit fails here, naming the series or column, the
+algorithm, graph or config, and the seed. When a change is meant to move
+them, say why in CHANGES.md and rewrite the pins with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
@@ -34,6 +36,8 @@ SEEDS = (1, 2, 3)
 MASK_GRAPHS = {"case39_undirected": "pd1", "case39_directed": "robust"}
 EDGE_SEEDS, EDGE_HORIZON = (0, 2**63, 2**64 - 1), 50
 CSV_CONFIGS = ("pd1", "pd2", "robust")
+# Summary columns computed through np.polyfit.
+UNPINNED_COLUMNS = ("fitted_rate", "fit_r_squared")
 
 
 def sha256(data: bytes) -> str:
@@ -65,11 +69,28 @@ def mask_digests(graph: str) -> dict[str, str]:
     }
 
 
-def csv_digests(name: str, out: Path) -> dict[str, str]:
-    """Seed -> SHA-256 of the trace CSV that ``dercoord run`` writes for the config, seeds 1-3."""
+def run_cli(name: str, out: Path) -> Path:
+    """`out`, after ``dercoord run`` has written the config's outputs for seeds 1-3 into it."""
     status = cli.main(["run", str(config_path(name)), "--seeds", ",".join(map(str, SEEDS)), "--out", str(out)])
     assert status == 0, f"{name}: dercoord run exited with {status}"
+    return out
+
+
+def csv_digests(out: Path) -> dict[str, str]:
+    """Seed -> SHA-256 of the trace CSV in `out`."""
     return {str(seed): sha256((out / f"trace_{seed}.csv").read_bytes()) for seed in SEEDS}
+
+
+def summary_digests(out: Path) -> dict[str, dict[str, str]]:
+    """Seed -> column -> SHA-256 of the cell's text in `out`'s summary.csv, without the fitted columns."""
+    header, *rows = (out / "summary.csv").read_text().splitlines()
+    digests = {}
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        digests[cells["seed"]] = {
+            column: sha256(text.encode()) for column, text in cells.items() if column not in UNPINNED_COLUMNS
+        }
+    return digests
 
 
 def moved(what: str, got: dict[str, str], want: dict[str, str]) -> list[str]:
@@ -91,15 +112,39 @@ def test_masks_match_their_pins(graph):
     assert not changed, f"{graph}: masks of seed {', '.join(changed)} moved from their pins"
 
 
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    """Config name -> the directory ``dercoord run`` wrote for it; each config runs once per module."""
+    made = {}
+
+    def outputs(name: str) -> Path:
+        if name not in made:
+            made[name] = run_cli(name, tmp_path_factory.mktemp(name))
+        return made[name]
+
+    return outputs
+
+
 @pytest.mark.parametrize("name", CSV_CONFIGS)
-def test_trace_csvs_match_their_pins(name, tmp_path):
-    changed = moved(name, csv_digests(name, tmp_path), json.loads(GOLDEN.read_text())["csv"][name])
+def test_trace_csvs_match_their_pins(name, cli_outputs):
+    changed = moved(name, csv_digests(cli_outputs(name)), json.loads(GOLDEN.read_text())["csv"][name])
     assert not changed, f"benchmark39_{name}.cfg: trace CSV of seed {', '.join(changed)} moved from its pin"
+
+
+@pytest.mark.parametrize("name", CSV_CONFIGS)
+def test_summary_columns_match_their_pins(name, cli_outputs):
+    got, want = summary_digests(cli_outputs(name)), json.loads(GOLDEN.read_text())["summary"][name]
+    assert sorted(got) == sorted(want), f"benchmark39_{name}.cfg: summary seeds {sorted(got)} != {sorted(want)}"
+    for seed in want:
+        changed = moved(f"benchmark39_{name}.cfg, seed {seed}", got[seed], want[seed])
+        assert not changed, f"benchmark39_{name}.cfg, seed {seed}: summary column {', '.join(changed)} moved from its pin"
 
 
 if __name__ == "__main__":
     pins = {a: {str(seed): trace_digests(a, seed) for seed in SEEDS} for a in dc.ALGORITHMS}
     pins["masks"] = {graph: mask_digests(graph) for graph in MASK_GRAPHS}
     with tempfile.TemporaryDirectory() as tmp:
-        pins["csv"] = {name: csv_digests(name, Path(tmp) / name) for name in CSV_CONFIGS}
+        outs = {name: run_cli(name, Path(tmp) / name) for name in CSV_CONFIGS}
+        pins["csv"] = {name: csv_digests(out) for name, out in outs.items()}
+        pins["summary"] = {name: summary_digests(out) for name, out in outs.items()}
     GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

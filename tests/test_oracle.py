@@ -101,7 +101,8 @@ class TestSolveBisection:
     @pytest.mark.parametrize("bound", [0.0, 3.0])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_gradient_not_finite_at_a_bound_is_rejected(self, bound, value):
-        # Agent 1's f' is 2p except at one bound, so the multiplier bracket has no finite end.
+        # Agent 1's f' is 2p except at one bound, so the multiplier bracket would have no
+        # finite end: the instance rejects the cost before the oracle sees it.
         cost = dc.GeneralCost(
             value_fn=lambda p: p**2,
             grad_fn=lambda p: np.where((p == bound) & (np.arange(p.size) == 1), value, 2 * p),
@@ -109,9 +110,8 @@ class TestSolveBisection:
             m=2.0,
             n=2,
         )
-        inst = dc.ProblemInstance([1.0, 1.0], [0.0] * 2, [3.0] * 2, cost)
         with pytest.raises(InvalidCostError, match="agent 1: f' is not finite"):
-            dc.solve_bisection(inst)
+            dc.ProblemInstance([1.0, 1.0], [0.0] * 2, [3.0] * 2, cost)
 
     @pytest.mark.parametrize(
         "bound, a, b",
