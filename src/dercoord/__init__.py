@@ -1,11 +1,12 @@
 """Distributed coordination of energy resources over time-varying graphs.
 
 Library + simulator for the single-balance economic dispatch problem:
-exact solutions by multiplier bisection, a centralized projected
-primal-dual baseline, four distributed iterations (gradient-tracking and
-crude primal-dual over undirected graphs; push-sum and packet-loss-robust
-running-sum primal-dual over directed graphs), deterministic link-failure
-schedules, and convergence/invariant analysis.
+exact solutions by multiplier bisection, four distributed iterations
+(gradient-tracking and crude primal-dual over undirected graphs; push-sum
+and packet-loss-robust running-sum primal-dual over directed graphs) and
+the centralized projected primal-dual baseline they distribute, all
+stepped by one driver, deterministic link-failure schedules, and
+convergence/invariant analysis.
 """
 
 from .algorithms import (
@@ -64,7 +65,7 @@ from .network import (
     minimal_connectivity_window,
     write_graph,
 )
-from .oracle import DispatchSolution, centralized_pd_run, clamped_best_response, solve_bisection
+from .oracle import DispatchSolution, clamped_best_response, solve_bisection
 from .problem import (
     AlgorithmParams,
     ConstantStep,

@@ -1,20 +1,21 @@
-"""The four distributed dispatch iterations plus the virtual-domain twin.
+"""The centralized primal-dual baseline, the four distributed dispatch iterations and the virtual-domain twin.
 
 One driver, `run`, steps every algorithm. Update ordering within a step
 is fixed: the dispatch p[k+1] is the projected
-primal step from step-k values (`problem._primal_step`, the step the
-centralized baseline takes too), multiplier/weight estimates are mixed
+primal step from step-k values (`problem._primal_step`, which every
+algorithm takes), multiplier/weight estimates are mixed
 from step-k values, and the imbalance tracker y is mixed from step-k
 values and then incremented with nhat*(p[k+1] - p[k]).
 
 Each state keeps its node fields as the rows of one contiguous (R, n)
 array `nodes`, and the named fields are row views of it: (p, lam, y) for
-pd1, (p, lam) for pd2 and (lam, v, y, p, x) for the push-sum algorithms,
-with the running sums of lam, v and y as three more rows for robust.
-The rows a step mixes are adjacent, the stack `z`: (lam, y), (lam,) or
-(lam, v, y). Robust's per-arc mirror and in-flight values are one (6, m)
-array `arcs`. Each algorithm's arithmetic is one private kernel, bound
-once per run: ``kernel(inst, graph, params) -> (views, step)``. Binding
+pd1, (p, lam) for pd2 and centralized, and (lam, v, y, p, x) for the
+push-sum algorithms, with the running sums of lam, v and y as three more
+rows for robust. The rows a step mixes are adjacent, the stack `z`:
+(lam, y), (lam,) or (lam, v, y); centralized mixes none. Robust's
+per-arc mirror and in-flight values are one (6, m) array `arcs`. Each
+algorithm's arithmetic is one private kernel, bound once per run:
+``kernel(inst, graph, params) -> (views, step)``. Binding
 looks up what is fixed for the run (the primal step with its cost
 gradient and box, xi, nhat and gamma, the graph's tails, exact-length
 `mix` bins and out-degrees) and allocates the scratch buffers a step
@@ -73,15 +74,19 @@ when b is integer-valued.
 
 Algorithms (ids used by `run`):
 
-* ``pd1``      gradient-tracking primal-dual over undirected graphs
-* ``pd2``      crude variant using only the local imbalance
-* ``directed`` push-sum (ratio consensus) primal-dual, instantaneous
-               out-degrees known
-* ``robust``   running-sum primal-dual, only nominal out-degrees known
-* ``virtual``  the robust algorithm rewritten over real + virtual nodes
-               (nominal arc e is virtual node n + e); its real-node
-               coordinates coincide with ``robust`` step by
-               step, which is the strongest oracle for both
+* ``pd1``         gradient-tracking primal-dual over undirected graphs
+* ``pd2``         crude variant using only the local imbalance
+* ``directed``    push-sum (ratio consensus) primal-dual, instantaneous
+                  out-degrees known
+* ``robust``      running-sum primal-dual, only nominal out-degrees known
+* ``virtual``     the robust algorithm rewritten over real + virtual nodes
+                  (nominal arc e is virtual node n + e); its real-node
+                  coordinates coincide with ``robust`` step by
+                  step, which is the strongest oracle for both
+* ``centralized`` the projected primal-dual baseline the others
+                  distribute: one multiplier fed the exact total
+                  imbalance, held in every agent's lam row; it reads no
+                  link, and pairs with undirected graphs as pd1 does
 
 The robust algorithm is stated exactly as the protocol runs: each node
 broadcasts running sums of its shares and keeps one mirror accumulator per
@@ -121,10 +126,11 @@ _MIN_BLOCK_ROWS = 8
 
 @dataclass(frozen=True)
 class UndirectedState:
-    """Iterates of pd1/pd2 as the rows of one (R, n) array: p, then the mixed stack z.
+    """Iterates of pd1/pd2/centralized as the rows of one (R, n) array: p, then the mixed stack z.
 
     z is (lam, y), the multiplier estimates and the imbalance tracker; pd2
-    carries no tracker, so its z is (lam,) and its y is None.
+    and the centralized baseline carry no tracker, so their z is (lam,)
+    and their y is None.
     """
 
     nodes: np.ndarray
@@ -414,6 +420,23 @@ def _virtual(inst, graph, params):
     return lambda a: (a[:3, :n], a[:3, n:], a[0, :n], a[2, :n], a[3, :n], a[3, n:], a[4, :n], a[0], a[1], a[4]), step
 
 
+def _centralized(inst, graph, params):
+    """Centralized projected primal-dual step: every lam row holds the one multiplier.
+
+    lam[k+1] = lam[k] - s*1'(p[k] - load), the exact total imbalance, so
+    each element goes through the operations of the scalar iteration. The
+    step reads no link: its weights (the masks) go unread.
+    """
+    primal, loads, gap = _primal_step(inst, params), inst.loads, np.empty(inst.n)
+
+    def step(cur, nxt, weights, s):
+        (p0, lam0), (p, lam) = cur, nxt
+        primal(s, p0, lam0, p)
+        subtract(lam0, s * float(subtract(p0, loads, gap).sum()), lam)
+
+    return lambda a: (a[0], a[1]), step
+
+
 def _mask_table(graph: NominalGraph, masks: np.ndarray) -> tuple[np.ndarray]:
     """Running-sum weight table: the masks themselves (gamma and the nominal degrees are fixed)."""
     return (masks,)
@@ -523,12 +546,17 @@ def _specs() -> dict[str, _Spec]:
             _virtual, _mask_table, **push, **own,  # over all N nodes
             stochasticity=_augmented_stochasticity,
         ),
+        "centralized": _Spec(
+            UndirectedState, None, ("p", "lam"), None,
+            _centralized, _mask_table, slice(0, 2), ("p", "consensus"), y=(), v=(),
+            stochasticity=None,
+        ),
     }
 
 
 ALGORITHMS = tuple(_specs())
-# The running-sum algorithms: their weight table is the masks, and their mirrors retain a share gamma.
-RUNNING_SUM_ALGORITHMS = tuple(name for name, spec in _specs().items() if spec.weights is _mask_table)
+# The running-sum algorithms: directed, their weight table is the masks, and their mirrors retain a share gamma.
+RUNNING_SUM_ALGORITHMS = tuple(name for name, spec in _specs().items() if spec.directed and spec.weights is _mask_table)
 
 
 def _checked_init(algorithm: str, init, start):

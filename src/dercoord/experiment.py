@@ -130,13 +130,10 @@ def _generate_instance(spec: InstanceSpec, seed: int) -> tuple[ProblemInstance, 
         loads = draw(spec.load_range, spec.n)
         lo = draw(spec.lo_range, spec.n)
         hi = draw(spec.hi_range, spec.n)
-        if np.any(lo > hi):
+        try:  # `ProblemInstance` rejects an inverted box or an infeasible load (`InfeasibleInstanceError`)
+            return ProblemInstance(loads, lo, hi, QuadraticCost(a, b, c)), attempt
+        except InvalidInstanceError:
             continue
-        total = loads.sum()
-        if not (lo.sum() <= total <= hi.sum()):
-            continue
-        inst = ProblemInstance(loads, lo, hi, QuadraticCost(a, b, c))
-        return inst, attempt
     raise GeneratorSpecError(
         f"{_REJECTION_LIMIT} consecutive infeasible draws; widen the spec ranges"
     )

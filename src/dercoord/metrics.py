@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import network  # looked up at call time, so a tracer that patches `network`'s attributes sees the call
 from .errors import DimensionMismatchError, FitWindowError
 from .problem import AlgorithmParams
 
@@ -50,7 +51,7 @@ class RunTrace:
     quantities an algorithm actually carries are present. ``final`` is
     the state after the last step, of the algorithm's own state type and
     sharing no memory with the series, so ``run(..., init=trace.final)``
-    resumes the run; None for `centralized_pd_run`.
+    resumes the run.
     """
 
     algorithm: str
@@ -281,13 +282,11 @@ def _lowest_weight(trace: RunTrace) -> InvariantCheck:
 
 
 def _v_floor_check(trace: RunTrace, schedule) -> InvariantCheck:
-    from .network import minimal_connectivity_window  # local import, no cycle at module load
-
     low = _lowest_weight(trace)
     if low.worst_step == 0:  # no step k >= 1 to bound
         return replace(low, name="v_floor")
     value = math.log10(low.value) if low.value > 0.0 else -math.inf
-    B = minimal_connectivity_window(schedule, trace.steps)
+    B = network.minimal_connectivity_window(schedule, trace.steps)
     if B is None:
         return InvariantCheck("v_floor", value, low.worst_step, None, True)
     n = schedule.nominal.n

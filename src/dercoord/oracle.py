@@ -1,4 +1,4 @@
-"""Exact dispatch solutions and the centralized projected primal-dual baseline.
+"""Exact solutions of the dispatch problem.
 
 The exact optimum is found by bisection on the scalar multiplier: each
 agent's optimal response p_i(lam) = clamp((f_i')^{-1}(xi*(nhat/n)*lam)) is
@@ -17,17 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInstanceError
-from .metrics import RunTrace, run_warnings
-from .problem import (
-    AlgorithmParams,
-    ProblemInstance,
-    QuadraticCost,
-    _primal_step,
-    checked_p0,
-    kkt_residual,
-    positive,
-)
+from .errors import InvalidInstanceError
+from .problem import ProblemInstance, QuadraticCost, kkt_residual, positive
 
 # The default balance tolerance |1'p - 1'load| of `solve_bisection`, also
 # the config's `oracle_tol` and `dercoord solve --tol` default.
@@ -115,9 +106,7 @@ def solve_bisection(
             )
     bracket = (lam_lo, lam_hi)
 
-    lam = 0.5 * (lam_lo + lam_hi)
-    p = clamped_best_response(inst, scale, lam)
-    best = (abs(float(p.sum()) - total), lam, p)
+    best = None  # (|gap|, lam, p) of the first midpoint, then of each closer one
     iterations = 0
     width_floor = 4.0 * np.finfo(float).eps * max(1.0, abs(lam_lo), abs(lam_hi))
     while True:
@@ -125,7 +114,7 @@ def solve_bisection(
         lam = 0.5 * (lam_lo + lam_hi)
         p = clamped_best_response(inst, scale, lam)
         gap = float(p.sum()) - total
-        if abs(gap) < best[0]:
+        if best is None or abs(gap) < best[0]:
             best = (abs(gap), lam, p)
         if abs(gap) <= tol or (lam_hi - lam_lo) <= width_floor:
             break
@@ -148,50 +137,4 @@ def solve_bisection(
         kkt_residual=res,
         iterations=iterations,
         bracket=bracket,
-    )
-
-
-def centralized_pd_run(
-    inst: ProblemInstance,
-    params: AlgorithmParams,
-    p0=None,
-    lam0: float = 0.0,
-) -> RunTrace:
-    """Projected primal-dual iteration with the exact total imbalance.
-
-    p[k+1] = clamp(p[k] - s f'(p[k]) + s xi lam[k]),
-    lam[k+1] = lam[k] - s 1'(p[k] - load);
-    both updates read step-k values. The primal step is the one the
-    distributed kernels take, `problem._primal_step` bound once per run,
-    with the scalar lam as every agent's feedback. Serves as the
-    single-multiplier baseline the distributed algorithms emulate.
-    """
-    n = inst.n
-    K = params.horizon
-    p_hist = np.empty((K + 1, n))
-    lam_hist = np.empty((K + 1, 1))
-    imbalance = np.empty(K + 1)
-    p_hist[0] = checked_p0(inst, p0)
-    lam = float(lam0)
-    lam_hist[0, 0] = lam
-    gap = float(np.sum(p_hist[0] - inst.loads))  # 1'(p[k] - load), read by imbalance[k] and the lam update
-    imbalance[0] = abs(gap)
-    primal = _primal_step(inst, params)
-    for k in range(K):
-        s = params.stepsize(k)
-        p = p_hist[k + 1]
-        primal(s, p_hist[k], lam, p)
-        lam -= s * gap
-        if not (np.all(np.isfinite(p)) and np.isfinite(lam)):
-            raise DivergenceError(k + 1, "centralized iterate")
-        lam_hist[k + 1, 0] = lam
-        gap = float(np.sum(p - inst.loads))
-        imbalance[k + 1] = abs(gap)
-    return RunTrace(
-        algorithm="centralized",
-        p=p_hist,
-        consensus=lam_hist,
-        residuals={"imbalance": imbalance},
-        params=params,
-        warnings=run_warnings(params, n, imbalance),
     )

@@ -12,8 +12,8 @@ of the balance constraint only by a constant rescaling of lambda; the
 optimal dispatch is identical.
 
 The projected primal step every iteration takes lives here once, as
-`_primal_step(inst, params)`: each distributed kernel in `algorithms`
-and `oracle.centralized_pd_run` binds it once per run.
+`_primal_step(inst, params)`: each kernel in `algorithms`, the
+centralized baseline's among them, binds it once per run.
 """
 
 from __future__ import annotations
@@ -296,9 +296,9 @@ class AlgorithmParams:
 def _primal_step(inst: ProblemInstance, params: AlgorithmParams) -> Callable:
     """The projected primal step clamp(p - s f'(p) + s xi feedback), bound to one run: ``step(s, p, feedback, out)``.
 
-    The one primal step of the centralized baseline (scalar feedback) and
-    of every distributed iteration (per-agent feedback): the kernels in
-    `algorithms` and `oracle.centralized_pd_run` each bind it once per run.
+    The one primal step of every algorithm, the centralized baseline's
+    included (its feedback rows all hold the one multiplier): each kernel
+    in `algorithms` binds it once per run.
     The cost's `grad`, the box, xi and one scratch row are bound. Evaluated
     as (p - s*f'(p)) + (s*xi)*feedback, then the clip ufunc, writing into
     `out` (not p): regrouping changes the last bits of every trace.

@@ -3,7 +3,10 @@
 * Dense mixing matrices (`metropolis_weights`, `push_matrix`,
   `augmented_push_matrix`): the n x n (or N x N) matrix of one step's
   mixing, built entry by entry.
-* `reference_run`: the five iterations written per field, allocating a
+* `directed` and `CONFIGS`: each algorithm's graph kind, read from the
+  package's one declaration of it, and the shipped config whose
+  parameters its pinned and resumed runs take.
+* `reference_run`: the six iterations written per field, allocating a
   new array for every intermediate, the way the package evaluated them
   before each state became one contiguous array filled in place. Each
   step forms its weights from the step's mask alone. `run` must give the
@@ -16,7 +19,8 @@
 * `stepwise_stochasticity`: one step's column-sum residual from its edge
   weights.
 * `reference_centralized`: the centralized primal-dual loop as it was
-  written before it shared the distributed iterations' primal step.
+  written before it shared the distributed iterations' primal step,
+  with its one multiplier as a (K + 1, 1) column.
 * `earliest_connect_scan`: the earliest-connect lengths found by a
   backward two-pointer scan that judges each probed window union with
   `union_connected`, the way the package found them before it took
@@ -33,9 +37,21 @@ from types import SimpleNamespace
 import numpy as np
 
 import dercoord as dc
+from dercoord.algorithms import _specs
 from dercoord.errors import InvalidGraphError
 from dercoord.experiment import TRACE_COLUMNS
 from dercoord.network import union_connected
+
+
+# Algorithm -> the shipped config (benchmark39_<name>.cfg) whose parameters its runs take.
+CONFIGS = {
+    "pd1": "pd1", "pd2": "pd2", "directed": "robust", "robust": "robust", "virtual": "robust", "centralized": "pd1",
+}
+
+
+def directed(algorithm: str) -> bool:
+    """Whether `algorithm` runs on a directed graph, as its `_Spec` entry declares."""
+    return _specs()[algorithm].directed
 
 
 def metropolis_weights(nominal: dc.NominalGraph, active: np.ndarray) -> np.ndarray:
@@ -128,7 +144,7 @@ def run_over(algorithm, inst, nominal, masks, params, init=None):
 def stepwise_stochasticity(algorithm, g, active, gamma):
     """One step's residual from its edge weights, formed from the mask alone."""
     n = g.n
-    if algorithm in ("pd1", "pd2"):
+    if not directed(algorithm):
         # Metropolis: both directions of each active edge weigh 1/max(d_i, d_j).
         d = g.degrees
         tails = np.concatenate([g.srcs, g.dsts])
@@ -231,6 +247,14 @@ def _pd2(st, inst, g, active, params, k):
     return SimpleNamespace(p=p_new, z=z_new)
 
 
+def _centralized(st, inst, g, active, params, k):
+    # `reference_centralized`'s expressions, over a lam row that holds the one multiplier n times.
+    s = params.stepsize(k)
+    p, lam = st.p, st.z[0]
+    p_new = np.clip(p - s * inst.cost.grad(p) + s * params.xi * lam, inst.p_lo, inst.p_hi)
+    return SimpleNamespace(p=p_new, z=np.stack([lam - s * float(np.sum(p - inst.loads))]))
+
+
 def _directed(st, inst, g, active, params, k):
     s = params.stepsize(k)
     order = np.lexsort((g.srcs, g.dsts))
@@ -285,7 +309,8 @@ def _virtual(st, inst, g, active, params, k):
     return SimpleNamespace(p=p_new, z=z_new, x=z_new[0] / z_new[1])
 
 
-STEPS = {"pd1": _pd1, "pd2": _pd2, "directed": _directed, "robust": _robust, "virtual": _virtual}
+STEPS = {"pd1": _pd1, "pd2": _pd2, "directed": _directed, "robust": _robust, "virtual": _virtual,
+         "centralized": _centralized}
 
 
 def reference_start(algorithm, inst, g, params):
@@ -295,7 +320,7 @@ def reference_start(algorithm, inst, g, params):
     y = params.nhat * (p - inst.loads)
     if algorithm == "pd1":
         return SimpleNamespace(p=p, z=np.stack([np.zeros(n), y]))
-    if algorithm == "pd2":
+    if algorithm in ("pd2", "centralized"):
         return SimpleNamespace(p=p, z=np.stack([np.zeros(n)]))
     st = SimpleNamespace(p=p, z=np.stack([np.zeros(n), np.ones(n), y]), x=np.zeros(n))
     if algorithm == "robust":
@@ -309,7 +334,7 @@ def reference_start(algorithm, inst, g, params):
 def fields_of(algorithm, state):
     """A package state as copies of the per-field arrays the reference steps take."""
     names = ["p", "z"]
-    if algorithm in ("directed", "robust", "virtual"):
+    if directed(algorithm):
         names.append("x")
     if algorithm == "robust":
         names += ["sums", "mirror", "virt"]
@@ -323,13 +348,14 @@ def reference_run(algorithm, inst, sched, params, start=None):
     or from the standard start if it is None.
     """
     g, n, nhat = sched.nominal, inst.n, params.nhat
-    push = algorithm in ("directed", "robust", "virtual")
-    fields = ["p", "consensus"] + (["y"] if algorithm != "pd2" else []) + (["v"] if push else [])
+    push = directed(algorithm)
+    tracked = algorithm not in ("pd2", "centralized")
+    fields = ["p", "consensus"] + (["y"] if tracked else []) + (["v"] if push else [])
     trace = {name: [] for name in fields}
     res = {"imbalance": [], "consensus_spread": []}
-    if algorithm != "robust":
+    if algorithm not in ("robust", "centralized"):  # these two form no mixing weights
         res["stochasticity"] = [0.0]
-    if algorithm != "pd2":
+    if tracked:
         res["conservation"] = []
     if push:
         res["mass"], res["min_v"] = [], []
@@ -342,7 +368,7 @@ def reference_run(algorithm, inst, sched, params, start=None):
         imb = float((p - inst.loads).sum())
         res["imbalance"].append(abs(imb))
         res["consensus_spread"].append(float(c.max() - c.min()))
-        if algorithm == "pd2":
+        if not tracked:
             return
         ys = [st.z[2] if push else st.z[1]]
         trace["y"].append(ys[0][:n])
@@ -368,7 +394,7 @@ def reference_run(algorithm, inst, sched, params, start=None):
 
 
 def reference_centralized(inst, params, p0=None, lam0=0.0):
-    """(p, consensus, imbalance) of `centralized_pd_run`, from its own inline loop."""
+    """(p, lam, imbalance) of the centralized iteration from (p0, lam0), by its own scalar-multiplier loop."""
     p = np.clip(np.zeros(inst.n), inst.p_lo, inst.p_hi) if p0 is None else np.asarray(p0, dtype=float).copy()
     lam = float(lam0)
     K = params.horizon

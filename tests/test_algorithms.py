@@ -17,7 +17,15 @@ from dercoord.errors import (
     ModeMismatchError,
 )
 from dercoord.metrics import BUDGETS
-from reference import augmented_push_matrix, push_matrix, reference_run, run_over, stepwise_stochasticity
+from reference import (
+    CONFIGS,
+    augmented_push_matrix,
+    directed,
+    push_matrix,
+    reference_run,
+    run_over,
+    stepwise_stochasticity,
+)
 
 
 def ring(n, directed):
@@ -72,7 +80,7 @@ class TestInitialization:
     def test_start_rejects_graph_of_another_size(self, small_instance, algorithm):
         # 3 agents on a 4-node graph
         params = params_for(3)
-        graph = ring(4, algorithm not in ("pd1", "pd2"))
+        graph = ring(4, directed(algorithm))
         with pytest.raises(ModeMismatchError, match="graph has 4 nodes, instance has 3"):
             dc.initial_state(algorithm, small_instance, graph, params)
         sol = dc.solve_bisection(small_instance, xi=params.xi, nhat=params.nhat)
@@ -84,7 +92,7 @@ class TestUndirectedSteps:
     def test_balanced_start_keeps_multiplier_at_zero(self, small_instance):
         params = params_for(3)
         g = ring(3, False)
-        for algorithm in ("pd1", "pd2"):
+        for algorithm in (a for a in dc.ALGORITHMS if not directed(a)):
             state = dc.initial_state(algorithm, small_instance, g, params, p0=small_instance.loads)
             new = run_over(algorithm, small_instance, g, [np.ones(3, bool)], params, state).final
             np.testing.assert_allclose(new.lam, 0.0, atol=1e-15)
@@ -299,10 +307,10 @@ class TestRun:
         sched = dc.GraphSchedule(ring(3, False), 0.2, 1, 100)
         with pytest.raises(ModeMismatchError, match="UndirectedState.*DirectedState"):
             dc.run("pd1", small_instance, sched, params, init=dc.initial_state("directed", small_instance, g, params))
-        directed = dc.GraphSchedule(g, 0.2, 1, 100)
+        directed_sched = dc.GraphSchedule(g, 0.2, 1, 100)
         twin = dc.initial_state("virtual", small_instance, g, params)
         with pytest.raises(ModeMismatchError, match="DirectedState.*VirtualState"):
-            dc.run("directed", small_instance, directed, params, init=twin)
+            dc.run("directed", small_instance, directed_sched, params, init=twin)
 
     def test_init_of_wrong_length_names_the_field(self, small_instance):
         params = params_for(3)
@@ -341,9 +349,9 @@ class TestRun:
     def test_single_agent_degeneracy_matches_centralized(self):
         inst = dc.ProblemInstance([5.0], [0.0], [10.0], dc.QuadraticCost([1.0]))
         params = dc.AlgorithmParams(step=dc.ConstantStep(0.1), xi=1.0, nhat=1.0, horizon=300)
-        reference = dc.centralized_pd_run(inst, params)
-        for alg, directed in (("pd1", False), ("pd2", False), ("directed", True), ("robust", True), ("virtual", True)):
-            g = dc.NominalGraph(1, [], directed)
+        reference = dc.run("centralized", inst, dc.GraphSchedule(dc.NominalGraph(1, [], False), 0.0, 0, 300), params)
+        for alg in dc.ALGORITHMS:
+            g = dc.NominalGraph(1, [], directed(alg))
             trace = dc.run(alg, inst, dc.GraphSchedule(g, 0.0, 0, 300), params)
             np.testing.assert_allclose(trace.p, reference.p, atol=1e-12)
 
@@ -403,7 +411,7 @@ class TestRun:
         }
         params = dc.AlgorithmParams(step=dc.ConstantStep(0.01), xi=0.05, nhat=float(n), horizon=3)
         for algorithm in dc.ALGORITHMS:
-            sched = dc.GraphSchedule(graphs[algorithm not in ("pd1", "pd2")], 0.2, 1, 3)
+            sched = dc.GraphSchedule(graphs[directed(algorithm)], 0.2, 1, 3)
             sched.masks  # sampled before measuring
             tracemalloc.start()
             try:
@@ -434,7 +442,7 @@ class TestResume:
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_resumed_run_continues_the_uninterrupted_one(self, repo_root, algorithm):
-        name = algorithm if algorithm in ("pd1", "pd2") else "robust"
+        name = CONFIGS[algorithm]
         config = dc.load_config(repo_root / "configs" / f"benchmark39_{name}.cfg")
         inst, params = config.instance, config.params
         K = params.horizon
@@ -461,7 +469,7 @@ class TestResume:
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_final_is_a_copy_of_the_last_state(self, small_instance, algorithm):
-        g = ring(3, algorithm not in ("pd1", "pd2"))
+        g = ring(3, directed(algorithm))
         init = dc.initial_state(algorithm, small_instance, g, params_for(3))
         for K in (0, 5):
             params = params_for(3, horizon=K)
@@ -474,7 +482,6 @@ class TestResume:
                 got, start = getattr(final, f.name), getattr(init, f.name)
                 assert not any(np.shares_memory(got, a) for a in [*kept, *trace.residuals.values(), start]), f.name
                 assert K or bit_equal(got, start), f.name
-        assert dc.centralized_pd_run(small_instance, params_for(3, horizon=5)).final is None
 
 
 def block_rows(g):
@@ -553,14 +560,14 @@ class TestResidualBlocks:
     )
     @settings(max_examples=40, deadline=None)
     def test_block_residuals_equal_stepwise(self, algorithm, n, extra, seed, q, gamma, horizon, equilibrium):
-        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=algorithm not in ("pd1", "pd2")), seed)
+        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed(algorithm)), seed)
         rows = block_rows(g)
         K = {"0": 0, "1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1}[horizon]
         self.check_residuals(algorithm, g, q, seed, gamma, K, equilibrium)
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_fewest_rows_per_block(self, algorithm):
-        g = dc.generate_graph(dc.GraphSpec(n=100, extra_edges=4200, directed=algorithm not in ("pd1", "pd2")), 5)
+        g = dc.generate_graph(dc.GraphSpec(n=100, extra_edges=4200, directed=directed(algorithm)), 5)
         assert block_rows(g) == _MIN_BLOCK_ROWS
         for K in (_MIN_BLOCK_ROWS - 1, 2 * _MIN_BLOCK_ROWS, 2 * _MIN_BLOCK_ROWS + 1):
             self.check_residuals(algorithm, g, 0.3, 7, 0.6, K, equilibrium=False)
@@ -608,11 +615,11 @@ class TestResidualBlocks:
     def test_traced_series_are_contiguous_views_of_one_block(
         self, algorithm, case39_undirected, case39_directed
     ):
-        inst, g = case39_undirected if algorithm in ("pd1", "pd2") else case39_directed
+        inst, g = case39_directed if directed(algorithm) else case39_undirected
         K = 2 * block_rows(g) + 3
         trace = dc.run(algorithm, inst, dc.GraphSchedule(g, 0.2, 1, K), params_for(inst.n, s=0.01, horizon=K))
         series = [a for a in (trace.p, trace.consensus, trace.y, trace.v) if a is not None]
-        assert len(series) == (2 if algorithm == "pd2" else 3 if algorithm == "pd1" else 4)
+        assert len(series) == {"pd1": 3, "pd2": 2, "centralized": 2}.get(algorithm, 4)
         for a in series:
             assert a.shape == (K + 1, inst.n) and a.flags.c_contiguous
         # One allocation holds exactly the series.
@@ -686,13 +693,14 @@ class TestDivergenceNames:
         ("directed", "directed: lam, y, x"),
         ("robust", "robust: lam, y, x, sums.lam, sums.y"),
         ("virtual", "virtual: lam, y, x"),
+        ("centralized", "centralized: lam"),
     ])
     def test_inf_in_y_names_step_and_fields(self, small_instance, algorithm, named):
-        graph = ring(3, algorithm not in ("pd1", "pd2"))
+        graph = ring(3, directed(algorithm))
         params = params_for(3, horizon=10)
         start = dc.initial_state(algorithm, small_instance, graph, params)
         start = replace(start, nodes=start.nodes.copy())
-        (start.lam if algorithm == "pd2" else start.y)[0] = np.inf  # pd2 carries no tracker
+        (start.lam if start.y is None else start.y)[0] = np.inf  # pd2 and centralized carry no tracker
         no_warning = np.errstate(invalid="ignore")  # inactive arcs weigh 0 * inf
         with no_warning, pytest.raises(DivergenceError, match=rf"^non-finite iterate at step 1 \({named}\)$") as err:
             dc.run(algorithm, small_instance, dc.GraphSchedule(graph, 0.2, 1, 10), params, init=start)
@@ -773,9 +781,8 @@ class TestBlockGuard:
     def test_run_raises_what_one_step_blocks_raise(
         self, algorithm, n, extra, seed, q, rows, trigger, place, spike, data
     ):
-        directed = algorithm not in ("pd1", "pd2")
-        assume(trigger != "zero v" or directed)
-        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed)
+        assume(trigger != "zero v" or directed(algorithm))
+        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed(algorithm)), seed)
         inst = dc.generate_instance(dc.InstanceSpec(n=n), seed)
         K = 2 * rows + 3
         # Block 0 holds steps 1 .. rows - 1, block 1 steps rows .. 2 rows - 1.
@@ -834,8 +841,7 @@ class TestBitIdentity:
     )
     @settings(max_examples=100, deadline=None)
     def test_run_equals_reference_stepping(self, algorithm, n, extra, seed, q, gamma, step, K):
-        directed = algorithm not in ("pd1", "pd2")
-        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed)
+        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed(algorithm)), seed)
         inst = dc.generate_instance(dc.InstanceSpec(n=n), seed)
         params = dc.AlgorithmParams(step=step, xi=0.5, nhat=float(n), gamma=gamma, horizon=K)
         sched = dc.GraphSchedule(g, q, seed, K)
@@ -854,7 +860,7 @@ class TestBitIdentity:
     def test_general_cost_runs_as_its_quadratic(self, repo_root, algorithm):
         # The kernels call the cost's own grad: a GeneralCost whose f' is the
         # quadratic's, 2a*p + b, gives the quadratic run's traces bit for bit.
-        name = algorithm if algorithm in ("pd1", "pd2") else "robust"
+        name = CONFIGS[algorithm]
         config = dc.load_config(repo_root / "configs" / f"benchmark39_{name}.cfg")
         inst, params = config.instance, config.params
         a, b, c, twice_a = inst.cost.a, inst.cost.b, inst.cost.c, inst.cost.twice_a
@@ -870,8 +876,6 @@ class TestBitIdentity:
         assert set(got.residuals) == set(want.residuals)
         for key, series in want.residuals.items():
             assert bit_equal(got.residuals[key], series), key
-        if algorithm == "pd1":  # the centralized baseline takes the same primal step
-            assert bit_equal(dc.centralized_pd_run(wrapped, params).p, dc.centralized_pd_run(inst, params).p)
 
 class TestWeightTables:
     @pytest.mark.parametrize("algorithm, builder", [
@@ -880,12 +884,12 @@ class TestWeightTables:
         ("directed", "push_table"),
         ("robust", "_mask_table"),
         ("virtual", "_mask_table"),
+        ("centralized", "_mask_table"),
     ])
     def test_built_once_per_block(self, monkeypatch, algorithm, builder):
         from dercoord import algorithms
 
-        directed = algorithm not in ("pd1", "pd2")
-        g = dc.generate_graph(dc.GraphSpec(n=8, extra_edges=4, directed=directed), 3)
+        g = dc.generate_graph(dc.GraphSpec(n=8, extra_edges=4, directed=directed(algorithm)), 3)
         rows = block_rows(g)
         K = 2 * rows + 3  # blocks of rows - 1, rows and 4 steps
         original = getattr(algorithms, builder)
@@ -931,8 +935,7 @@ class TestRelabelEquivariance:
     @settings(max_examples=60, deadline=None)
     def test_relabeled_run_permutes_the_trace(self, algorithm, n, extra, seed, data, q, gamma, s, K):
         perm = np.array(data.draw(st.permutations(range(n)), label="perm"), dtype=int)
-        directed = algorithm not in ("pd1", "pd2")
-        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed)
+        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed(algorithm)), seed)
         inst = dc.generate_instance(dc.InstanceSpec(n=n), seed)
         params = params_for(n, s=s, horizon=K, gamma=gamma)
         base = dc.run(algorithm, inst, dc.GraphSchedule(g, q, seed, K), params)

@@ -39,7 +39,6 @@ PUBLIC_NAMES = [
     "RunTrace",
     "UndirectedState",
     "VirtualState",
-    "centralized_pd_run",
     "check_B_connectivity",
     "clamped_best_response",
     "consensus_deviation",

@@ -549,6 +549,27 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "trace_5.csv").exists()
 
+    def test_run_centralized_config(self, repo_root, tmp_path, capsys):
+        # pd1's shipped parameters with id = centralized and no gamma key, which only
+        # the running-sum algorithms require.
+        body = (repo_root / "configs" / "benchmark39_pd1.cfg").read_text().replace("id = pd1", "id = centralized")
+        body = body.replace("../cases/", f"{repo_root / 'cases'}/")
+        assert "gamma" not in body
+        cfg = write_config(tmp_path / "c.cfg", body)
+        out = tmp_path / "out"
+        assert cli_main(["run", str(cfg), "--seeds", "1,2", "--out", str(out)]) == 0
+        for seed in (1, 2):
+            assert np.all(trace_column(out, seed, "consensus_spread") == 0.0)
+            for column in ("conservation_residual", "mass_residual", "min_v"):
+                assert np.all(np.isnan(trace_column(out, seed, column))), column
+        # The iteration reads no link, so the seeds' schedules leave no mark on the trace.
+        assert (out / "trace_1.csv").read_bytes() == (out / "trace_2.csv").read_bytes()
+        capsys.readouterr()
+        mismatch = write_config(tmp_path / "d.cfg", body.replace("case39_undirected", "case39_directed"))
+        assert cli_main(["run", str(mismatch), "--out", str(tmp_path / "mismatch")]) == 2
+        assert capsys.readouterr().err == "error: centralized requires an undirected graph\n"
+        assert not (tmp_path / "mismatch").exists()
+
     def test_run_bad_config_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", GOOD_CONFIG.replace("id = directed", "id = warp"))
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -1,8 +1,9 @@
 """Pinned outputs: the SHA-256 of traces, link-failure masks and trace CSVs.
 
-* Traces: every trace array and residual series of `run`, for the five
+* Traces: every trace array and residual series of `run`, for the six
   algorithms on the 39-agent cases, seeds 1-3, at the shipped configs'
-  parameters (directed and virtual at the robust config's).
+  parameters (`reference.CONFIGS`: directed and virtual at the robust
+  config's, centralized at pd1's).
 * Masks: `GraphSchedule.masks` of both 39-agent graphs at the configs' q,
   for seeds 1-3 over the configs' K and for seeds 0, 2^63 and 2^64 - 1
   over 50 steps (the ends of the seed range).
@@ -27,10 +28,10 @@ import pytest
 
 import dercoord as dc
 from dercoord import cli
+from reference import CONFIGS
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.json")
-CONFIGS = {"pd1": "pd1", "pd2": "pd2", "directed": "robust", "robust": "robust", "virtual": "robust"}
 SEEDS = (1, 2, 3)
 # Graph -> the config whose q and K its schedules take.
 MASK_GRAPHS = {"case39_undirected": "pd1", "case39_directed": "robust"}

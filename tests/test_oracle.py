@@ -144,6 +144,19 @@ class TestSolveBisection:
         assert ExperimentConfig.oracle_tol is ORACLE_TOL
         assert build_parser().parse_args(["solve", "case.txt"]).tol is ORACLE_TOL
 
+
+def centralized(inst, params, graph=None, init=None):
+    """`run("centralized")` over `graph` (a path if None; the iteration reads no link), from `init` if given."""
+    graph = dc.NominalGraph(inst.n, [(i, i + 1) for i in range(inst.n - 1)], False) if graph is None else graph
+    return dc.run("centralized", inst, dc.GraphSchedule(graph, 0.0, 0, params.horizon), params, init=init)
+
+
+def centralized_start(p0, lam0):
+    """The centralized state with dispatch p0 and multiplier lam0 in every agent's row."""
+    p0 = np.asarray(p0, dtype=float)
+    return dc.UndirectedState(np.stack([p0, np.full(p0.size, lam0)]))
+
+
 class TestCentralizedRun:
     def scalar_reference(self, s, xi, K, load=5.0, a=1.0, lo=0.0, hi=10.0):
         p, lam = 0.0, 0.0
@@ -158,7 +171,7 @@ class TestCentralizedRun:
     def test_matches_independent_scalar_recursion(self):
         inst = dc.ProblemInstance([5.0], [0.0], [10.0], dc.QuadraticCost([1.0]))
         params = dc.AlgorithmParams(step=dc.ConstantStep(0.1), xi=1.0, nhat=1.0, horizon=500)
-        trace = dc.centralized_pd_run(inst, params)
+        trace = centralized(inst, params)
         np.testing.assert_allclose(trace.p[:, 0], self.scalar_reference(0.1, 1.0, 500), atol=1e-12)
         assert abs(trace.p[-1, 0] - 5.0) <= 1e-6
         assert trace.warnings == []
@@ -167,36 +180,50 @@ class TestCentralizedRun:
         params = dc.AlgorithmParams(step=dc.ConstantStep(0.05), xi=1.0, nhat=3.0, horizon=200)
         sol = dc.solve_bisection(small_instance, xi=1.0, nhat=3.0)
         lam0 = sol.lambda_star * params.nhat / small_instance.n
-        trace = dc.centralized_pd_run(small_instance, params, p0=sol.p_star, lam0=lam0)
+        trace = centralized(small_instance, params, init=centralized_start(sol.p_star, lam0))
         assert np.abs(trace.p - sol.p_star).max() <= 1e-10
         assert np.abs(trace.consensus - lam0).max() <= 1e-10
 
     def test_oversized_stepsize_is_flagged(self):
         inst = dc.ProblemInstance([5.0], [0.0], [10.0], dc.QuadraticCost([1.0]))
         params = dc.AlgorithmParams(step=dc.ConstantStep(10.0), xi=1.0, nhat=1.0, horizon=500)
-        trace = dc.centralized_pd_run(inst, params)
+        trace = centralized(inst, params)
         assert any("no-progress" in w for w in trace.warnings)
 
     def test_p0_outside_box_rejected(self):
         inst = dc.ProblemInstance([5.0], [0.0], [10.0], dc.QuadraticCost([1.0]))
         params = dc.AlgorithmParams(step=dc.ConstantStep(0.1), horizon=10)
         with pytest.raises(InvalidInstanceError):
-            dc.centralized_pd_run(inst, params, p0=[11.0])
+            dc.initial_state("centralized", inst, dc.NominalGraph(1, [], False), params, p0=[11.0])
 
     @pytest.mark.parametrize("step", [dc.ConstantStep(0.01), dc.DiminishingStep(1.0, 50.0)], ids=["constant", "diminishing"])
     @pytest.mark.parametrize("start", [False, True], ids=["default-start", "p0-lam0"])
     def test_equals_reference_loop_bit_for_bit(self, case39_undirected, step, start):
-        # The loop shares the distributed iterations' primal step; the bits must not move.
-        inst, _ = case39_undirected
+        # The driver steps the one multiplier as a row of n copies; each copy, the
+        # dispatch and the imbalance must carry the scalar loop's bits.
+        inst, graph = case39_undirected
         params = dc.AlgorithmParams(step=step, xi=0.05, nhat=39.0, horizon=1500)
         kwargs = {"p0": 0.5 * (inst.p_lo + inst.p_hi), "lam0": 3.7} if start else {}
-        trace = dc.centralized_pd_run(inst, params, **kwargs)
-        want = reference_centralized(inst, params, **kwargs)
-        for got, ref in zip((trace.p, trace.consensus, trace.residuals["imbalance"]), want):
+        trace = centralized(inst, params, graph, init=centralized_start(**kwargs) if start else None)
+        p, lam, imbalance = reference_centralized(inst, params, **kwargs)
+        pairs = [(trace.p, p), (trace.residuals["imbalance"], imbalance)]
+        pairs += [(trace.consensus[:, [j]], lam) for j in range(inst.n)]
+        for got, ref in pairs:
             assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
     def test_converges_to_bisection_solution(self, small_instance):
         params = dc.AlgorithmParams(step=dc.ConstantStep(0.05), xi=1.0, nhat=3.0, horizon=4000)
         sol = dc.solve_bisection(small_instance, xi=1.0, nhat=3.0)
-        trace = dc.centralized_pd_run(small_instance, params)
+        trace = centralized(small_instance, params)
         assert np.linalg.norm(trace.p[-1] - sol.p_star) <= 1e-6
+
+    def test_deviation_from_optimum_reaches_zero(self, case39_undirected):
+        # The multiplier sits in every agent's row, so the nhat-scaled row sum is
+        # the scaled lambda the oracle reports; a one-column trace read 47.4 here.
+        inst, graph = case39_undirected
+        params = dc.AlgorithmParams(step=dc.ConstantStep(0.01), xi=0.05, nhat=39.0, horizon=20000)
+        sol = dc.solve_bisection(inst, xi=params.xi, nhat=params.nhat)
+        trace = centralized(inst, params, graph)
+        assert trace.consensus.shape == (params.horizon + 1, inst.n)
+        assert np.all(trace.residuals["consensus_spread"] == 0.0)
+        assert dc.deviation_from_optimum(trace, sol)[-1] <= 1e-9
