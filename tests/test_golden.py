@@ -4,6 +4,11 @@
   algorithms on the 39-agent cases, seeds 1-3, at the shipped configs'
   parameters (`reference.CONFIGS`: directed and virtual at the robust
   config's, centralized at pd1's).
+* n = 3000 traces: every trace array, residual series and field of
+  ``final`` of `run`, for the six algorithms on a generated n = 3000
+  instance and ring-plus-1,500-chord graphs, at the configs' parameters
+  and short horizons. A block is 8 steps there, the floor, so these runs
+  cross many block edges; the 39-agent runs take blocks of 167-178.
 * Masks: `GraphSchedule.masks` of both 39-agent graphs at the configs' q,
   for seeds 1-3 over the configs' K and for seeds 0, 2^63 and 2^64 - 1
   over 50 steps (the ends of the seed range).
@@ -22,13 +27,15 @@ them, say why in CHANGES.md and rewrite the pins with
 import hashlib
 import json
 import tempfile
+from dataclasses import fields, replace
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 import dercoord as dc
 from dercoord import cli
-from reference import CONFIGS
+from reference import CONFIGS, directed
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -36,6 +43,8 @@ SEEDS = (1, 2, 3)
 # Graph -> the config whose q and K its schedules take.
 MASK_GRAPHS = {"case39_undirected": "pd1", "case39_directed": "robust"}
 EDGE_SEEDS, EDGE_HORIZON = (0, 2**63, 2**64 - 1), 50
+SCALE_N, SCALE_CHORDS, SCALE_SEED = 3000, 1500, 1
+SCALE_HORIZONS = {"pd1": 20, "pd2": 20, "centralized": 20, "directed": 10, "robust": 300, "virtual": 5}
 CSV_CONFIGS = ("pd1", "pd2", "robust")
 # Summary columns computed through np.polyfit.
 UNPINNED_COLUMNS = ("fitted_rate", "fit_r_squared")
@@ -49,15 +58,38 @@ def config_path(name: str) -> Path:
     return REPO / "configs" / f"benchmark39_{name}.cfg"
 
 
+def digests(trace, final: bool = False) -> dict[str, str]:
+    """Series name -> SHA-256 of its float64 bytes; with `final`, each field of ``trace.final`` too."""
+    arrays = {name: getattr(trace, name) for name in ("p", "consensus", "y", "v")}
+    arrays.update((f"residuals.{key}", value) for key, value in trace.residuals.items())
+    if final:
+        arrays.update((f"final.{f.name}", getattr(trace.final, f.name)) for f in fields(trace.final))
+    return {name: sha256(a.tobytes()) for name, a in arrays.items() if a is not None}
+
+
 def trace_digests(algorithm: str, seed: int) -> dict[str, str]:
-    """Series name -> SHA-256 of its float64 bytes, for one run at the config's parameters."""
+    """Series name -> digest, for one run at the config's parameters."""
     config = dc.load_config(config_path(CONFIGS[algorithm]))
     params = config.params
     schedule = dc.GraphSchedule(config.graph, config.q, seed, params.horizon)
-    trace = dc.run(algorithm, config.instance, schedule, params)
-    arrays = {name: getattr(trace, name) for name in ("p", "consensus", "y", "v")}
-    arrays.update((f"residuals.{key}", value) for key, value in trace.residuals.items())
-    return {name: sha256(a.tobytes()) for name, a in arrays.items() if a is not None}
+    return digests(dc.run(algorithm, config.instance, schedule, params))
+
+
+@cache
+def scale_inputs(directed: bool):
+    """The generated n = 3000 instance and its graph of the given kind."""
+    inst = dc.generate_instance(dc.InstanceSpec(n=SCALE_N), SCALE_SEED)
+    spec = dc.GraphSpec(n=SCALE_N, extra_edges=SCALE_CHORDS, directed=directed)
+    return inst, dc.generate_graph(spec, SCALE_SEED)
+
+
+def scale_digests(algorithm: str) -> dict[str, str]:
+    """Series and final field -> digest, for one n = 3000 run at the config's parameters and a short horizon."""
+    config = dc.load_config(config_path(CONFIGS[algorithm]))
+    params = replace(config.params, horizon=SCALE_HORIZONS[algorithm])
+    inst, graph = scale_inputs(directed(algorithm))
+    schedule = dc.GraphSchedule(graph, config.q, SCALE_SEED, params.horizon)
+    return digests(dc.run(algorithm, inst, schedule, params), final=True)
 
 
 def mask_digests(graph: str) -> dict[str, str]:
@@ -107,6 +139,12 @@ def test_traces_match_their_pins(algorithm):
         assert not changed, f"{algorithm}, seed {seed}: series {', '.join(changed)} moved from their pins"
 
 
+@pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+def test_n3000_traces_match_their_pins(algorithm):
+    changed = moved(f"{algorithm}, n = 3000", scale_digests(algorithm), json.loads(GOLDEN.read_text())["n3000"][algorithm])
+    assert not changed, f"{algorithm}, n = 3000: series {', '.join(changed)} moved from their pins"
+
+
 @pytest.mark.parametrize("graph", MASK_GRAPHS)
 def test_masks_match_their_pins(graph):
     changed = moved(graph, mask_digests(graph), json.loads(GOLDEN.read_text())["masks"][graph])
@@ -143,6 +181,7 @@ def test_summary_columns_match_their_pins(name, cli_outputs):
 
 if __name__ == "__main__":
     pins = {a: {str(seed): trace_digests(a, seed) for seed in SEEDS} for a in dc.ALGORITHMS}
+    pins["n3000"] = {a: scale_digests(a) for a in dc.ALGORITHMS}
     pins["masks"] = {graph: mask_digests(graph) for graph in MASK_GRAPHS}
     with tempfile.TemporaryDirectory() as tmp:
         outs = {name: run_cli(name, Path(tmp) / name) for name in CSV_CONFIGS}
