@@ -41,36 +41,37 @@ gives the standard start (lam = 0, y = nhat*(p - load)) and
 `equilibrium_state` the state at the oracle's solution (a fixed point of
 every algorithm but pd2), both for any algorithm.
 
-`run` steps any algorithm over the schedule's mask block.
-The driver works in blocks of about 2^13 link entries and at least 8
-rows, in place in a ring of rows + 1 slots per state array: slot 0 holds
-the state before the block, step j reads slot j and writes slot j + 1,
-and the last slot then moves to slot 0. Each step makes the view tuple of
-the slot it writes, which the next step reads. A block's weight table and
-stepsizes are formed once; the stochasticity residuals come from the
-same table, so they measure exactly the weights the steps use. After the
-block, one positivity reduction over the v rows and one finiteness
-reduction over all node rows guard it. Only on failure are its slots
-taken in order, to raise the error of the first failing step: positivity
-before finiteness, every non-finite row named, p first. The block's
-later steps have by then run on that step's values, which may be
-non-finite, but nothing they computed is kept. The steps run with NumPy's
-floating-point warnings off: an overflow, invalid value or division by
-zero ends in a non-finite or non-positive iterate, which the guard names
-by step and field. The
+`run` steps any algorithm over the schedule's mask block. It records
+state 0 first, then works through the steps in blocks of about 2^13
+link entries and at least 8 steps, in place in a ring of rows + 1 slots
+per state array: slot 0 holds the state before the block, the block's
+step j reads slot j and writes slot j + 1, and the last slot written then
+moves to slot 0 in place. The ring's arrays are never reallocated, so
+each slot's view tuple is made once per run and the step loop makes
+none. A block's weight table and stepsizes are formed once; the
+stochasticity residuals come from the same table, so they measure
+exactly the weights the steps use. After the block, one positivity
+reduction over the v rows and one finiteness reduction over all node
+rows guard it. Only on failure are its slots taken in order, to raise
+the error of the first failing step: positivity before finiteness, every
+non-finite row named, p first. The block's later steps have by then run
+on that step's values, which may be non-finite, but nothing they
+computed is kept. The steps run with NumPy's floating-point warnings
+off: an overflow, invalid value or division by zero ends in a non-finite
+or non-positive iterate, which the guard names by step and field. The
 trace is one series-major (series, K + 1, n) block, so each recorded
-series is a C-contiguous (K + 1, n) view of it; a block's traced rows go
-into it as one slice. The residual series are reduced row-wise, over
-those rows and, for the tracked-imbalance and mass totals, over the
-ring rows the spec names (robust's in-flight values among them, and
-virtual's v and y over all N nodes), in the order of one state at a
-time, so they are bit-identical to a per-step evaluation. After the last
-block, slot 0 holds the last state, which the trace keeps a copy of as
-`final`: ``run(..., init=trace.final)`` resumes from it. The resumed run
-numbers its steps from 0 again, so it takes its schedule's masks and
-the stepsize of step 0 onwards: a ``DiminishingStep(a, b)`` run stopped
-after k1 steps resumes with ``DiminishingStep(a, b + k1)``, bit for bit
-when b is integer-valued.
+series is a C-contiguous (K + 1, n) view of it. One `record` per block
+copies the block's states into it as one slice and reduces the residual
+series row-wise, over those rows and, for the tracked-imbalance and mass
+totals, over the ring rows the spec names (robust's in-flight values
+among them, and virtual's v and y over all N nodes), in the order of one
+state at a time, so they are bit-identical to a per-step evaluation.
+After the last block, slot 0 holds the last state, which the trace keeps
+a copy of as `final`: ``run(..., init=trace.final)`` resumes from it.
+The resumed run numbers its steps from 0 again, so it takes its
+schedule's masks and the stepsize of step 0 onwards: a
+``DiminishingStep(a, b)`` run stopped after k1 steps resumes with
+``DiminishingStep(a, b + k1)``, bit for bit when b is integer-valued.
 
 Algorithms (ids used by `run`):
 
@@ -489,10 +490,11 @@ class _Spec:
     field's columns, are the tracked imbalance and the push-sum mass;
     empty means the algorithm carries no such quantity.
     ``weights`` maps (graph, masks) to the weight table of a (rows, m)
-    block of masks, a tuple of arrays whose row r the step of the block's
-    row r takes. ``stochasticity`` maps (graph, table, params) to the
-    residual of each step's mixing weights, or is None when the weights
-    are not formed.
+    block of masks, a tuple of arrays whose row r the block's step r
+    takes; it is None for a step that reads no link, which then takes the
+    masks, unread, and whose run makes no connectivity note.
+    ``stochasticity`` maps (graph, table, params) to the residual of each
+    step's mixing weights, or is None when the weights are not formed.
     """
 
     state: type
@@ -548,15 +550,15 @@ def _specs() -> dict[str, _Spec]:
         ),
         "centralized": _Spec(
             UndirectedState, None, ("p", "lam"), None,
-            _centralized, _mask_table, slice(0, 2), ("p", "consensus"), y=(), v=(),
+            _centralized, None, slice(0, 2), ("p", "consensus"), y=(), v=(),
             stochasticity=None,
         ),
     }
 
 
 ALGORITHMS = tuple(_specs())
-# The running-sum algorithms: directed, their weight table is the masks, and their mirrors retain a share gamma.
-RUNNING_SUM_ALGORITHMS = tuple(name for name, spec in _specs().items() if spec.directed and spec.weights is _mask_table)
+# The running-sum algorithms: their weight table is the masks, and their mirrors retain a share gamma.
+RUNNING_SUM_ALGORITHMS = tuple(name for name, spec in _specs().items() if spec.weights is _mask_table)
 
 
 def _checked_init(algorithm: str, init, start):
@@ -631,18 +633,18 @@ def run(
     # One (series, K + 1, n) block holds every series, so each series is a contiguous (K + 1, n) view.
     trace_rows = np.empty((len(spec.series), K + 1, n))
     series = dict(zip(spec.series, trace_rows))
-    residuals = {key: np.empty(K + 1) for key in keys}
+    residuals = {key: np.zeros(K + 1) for key in keys}  # no mixing precedes state 0: its stochasticity is 0
     stochasticity = residuals.get("stochasticity")
     rows = max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
-    # Slot 0 holds the state before a block, state 0 in the first.
+    # Slot 0 holds the state before a block, state 0 in the first; slot j the state after its j-th step.
     ring = {f.name: np.empty((rows + 1, *getattr(state, f.name).shape)) for f in fields(state)}
     for name, arrays in ring.items():
         arrays[0] = getattr(state, name)
-    slots = list(zip(*ring.values()))
 
-    def block_residuals(lo: int, hi: int, slot: int) -> None:
-        """The residual rows lo..hi-1 from the recorded rows and the ring from `slot`, by row-wise reductions."""
+    def record(lo: int, hi: int, slot: int) -> None:
+        """Trace rows lo..hi-1 and their residuals, from the ring's slots from `slot` on, by row-wise reductions."""
         span = slice(slot, slot + hi - lo)
+        trace_rows[:, lo:hi] = ring["nodes"][span, spec.rows, :n].swapaxes(0, 1)
         imb = (series["p"][lo:hi] - inst.loads).sum(axis=1)
         c = series["consensus"][lo:hi]
         residuals["imbalance"][lo:hi] = np.abs(imb)
@@ -661,39 +663,31 @@ def run(
             residuals["min_v"][lo:hi] = low
 
     views, step = spec.kernel(inst, graph, params)
+    # The ring's arrays are never reallocated (slot 0 is overwritten in place), so each slot's views serve the run.
+    slot_views = [views(*slot) for slot in zip(*ring.values())]
+    weights = spec.weights or _mask_table  # a step that reads no link takes the masks, unread
     masks = schedule.masks[:K]
-    if stochasticity is not None:
-        stochasticity[0] = 0.0
-    for lo in range(0, K + 1, rows):
-        hi = min(lo + rows, K + 1)
-        first = max(lo, 1)  # row k >= 1 follows step k - 1
-        last = hi - first  # the slot of row hi - 1
-        if last:
-            table = spec.weights(graph, masks[first - 1 : hi - 1])
-            if stochasticity is not None:
-                stochasticity[first:hi] = spec.stochasticity(graph, table, params)
-            steps = [params.stepsize(k) for k in range(first - 1, hi - 1)]
-            cur = views(*slots[0])
-            with np.errstate(all="ignore"):  # a step that overflows fails the guard, which names it
-                for nxt, weights, s in zip((views(*slot) for slot in slots[1:]), zip(*table), steps):
-                    step(cur, nxt, weights, s)
-                    cur = nxt
-            _check_block(algorithm, spec, first, ring["nodes"][1 : last + 1])
-        slot = last + 1 - (hi - lo)  # the slot of row lo
-        trace_rows[:, lo:hi] = ring["nodes"][slot : last + 1, spec.rows, :n].swapaxes(0, 1)
-        block_residuals(lo, hi, slot)
+    record(0, 1, 0)
+    for k0 in range(0, K, rows):  # steps k0..k1-1 make rows k0+1..k1
+        k1 = min(k0 + rows, K)
+        table = weights(graph, masks[k0:k1])
+        if stochasticity is not None:
+            stochasticity[k0 + 1 : k1 + 1] = spec.stochasticity(graph, table, params)
+        steps = map(params.stepsize, range(k0, k1))
+        with np.errstate(all="ignore"):  # a step that overflows fails the guard, which names it
+            for cur, nxt, row, s in zip(slot_views, slot_views[1:], zip(*table), steps):
+                step(cur, nxt, row, s)
+        _check_block(algorithm, spec, k0 + 1, ring["nodes"][1 : k1 - k0 + 1])
+        record(k0 + 1, k1 + 1, 1)
         for arrays in ring.values():
-            arrays[0] = arrays[last]
+            arrays[0] = arrays[k1 - k0]
 
     warnings = run_warnings(params, n, residuals["imbalance"])
-    if K > 0 and not union_connected(graph, masks.any(axis=0)):
+    if spec.weights is not None and K > 0 and not union_connected(graph, masks.any(axis=0)):
         warnings.append("connectivity: union of active links over the horizon is not connected")
     return RunTrace(
         algorithm=algorithm,
-        p=series["p"],
-        consensus=series["consensus"],
-        y=series.get("y"),
-        v=series.get("v"),
+        **series,
         residuals=residuals,
         params=params,
         seed=schedule.seed,

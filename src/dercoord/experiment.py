@@ -116,14 +116,15 @@ class InstanceSpec:
             raise GeneratorSpecError("a_range must be strictly positive")
 
 
-def _generate_instance(spec: InstanceSpec, seed: int) -> tuple[ProblemInstance, int]:
+def generate_instance(spec: InstanceSpec, seed: int) -> ProblemInstance:
+    """Deterministic feasible instance for (spec, seed): the first draw `ProblemInstance` accepts."""
     gen = _stream(seed, _TAG_INSTANCE)
 
     def draw(rng: tuple[float, float], size: int) -> np.ndarray:
         lo, hi = rng
         return np.full(size, lo) if lo == hi else gen.uniform(lo, hi, size)
 
-    for attempt in range(1, _REJECTION_LIMIT + 1):
+    for _ in range(_REJECTION_LIMIT):
         a = draw(spec.a_range, spec.n)
         b = draw(spec.b_range, spec.n)
         c = draw(spec.c_range, spec.n)
@@ -131,18 +132,12 @@ def _generate_instance(spec: InstanceSpec, seed: int) -> tuple[ProblemInstance, 
         lo = draw(spec.lo_range, spec.n)
         hi = draw(spec.hi_range, spec.n)
         try:  # `ProblemInstance` rejects an inverted box or an infeasible load (`InfeasibleInstanceError`)
-            return ProblemInstance(loads, lo, hi, QuadraticCost(a, b, c)), attempt
+            return ProblemInstance(loads, lo, hi, QuadraticCost(a, b, c))
         except InvalidInstanceError:
             continue
     raise GeneratorSpecError(
         f"{_REJECTION_LIMIT} consecutive infeasible draws; widen the spec ranges"
     )
-
-
-def generate_instance(spec: InstanceSpec, seed: int) -> ProblemInstance:
-    """Deterministic feasible instance for (spec, seed)."""
-    inst, _ = _generate_instance(spec, seed)
-    return inst
 
 
 @dataclass(frozen=True)
@@ -532,19 +527,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     _write_atomic(out / "summary.csv", header + "\n" + body + "\n")
     return result
 
-
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "GraphSpec",
-    "InstanceSpec",
-    "SeedOutcome",
-    "format_case",
-    "generate_graph",
-    "generate_instance",
-    "load_case",
-    "load_config",
-    "parse_case",
-    "run_experiment",
-    "write_case",
-]

@@ -386,6 +386,13 @@ class TestRun:
         else:  # seed-dependent guard: the chosen seed must keep all links dark
             pytest.fail("seed 12 unexpectedly produced an active link")
 
+    def test_no_connectivity_warning_for_a_step_that_reads_no_link(self, small_instance):
+        sched = dc.GraphSchedule(dc.NominalGraph(3, [(0, 1), (1, 2)], False), 0.999, 12, 2)
+        assert not sched.masks.any()
+        params = params_for(3, horizon=2)
+        assert dc.run("centralized", small_instance, sched, params).warnings == []
+        assert any("connectivity" in w for w in dc.run("pd1", small_instance, sched, params).warnings)
+
     def test_scaling_warning_recorded(self, small_instance):
         g = ring(3, False)
         params = dc.AlgorithmParams(step=dc.ConstantStep(0.01), xi=2.0, nhat=3.0, horizon=5)
@@ -785,8 +792,8 @@ class TestBlockGuard:
         g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed(algorithm)), seed)
         inst = dc.generate_instance(dc.InstanceSpec(n=n), seed)
         K = 2 * rows + 3
-        # Block 0 holds steps 1 .. rows - 1, block 1 steps rows .. 2 rows - 1.
-        fail_at = {"first": 1, "middle": rows // 2, "last": rows - 1, "second block": rows}[place]
+        # Block 0 makes states 1 .. rows, block 1 states rows + 1 .. 2 rows.
+        fail_at = {"first": 1, "middle": rows // 2, "last": rows, "second block": rows + 1}[place]
         step = SpikeStep(0.02, fail_at - 1, spike) if trigger == "stepsize" else dc.ConstantStep(0.02)
         params = dc.AlgorithmParams(step=step, xi=0.5, nhat=float(n), gamma=0.9, horizon=K)
         sched = dc.GraphSchedule(g, q, seed, K)
@@ -884,14 +891,13 @@ class TestWeightTables:
         ("directed", "push_table"),
         ("robust", "_mask_table"),
         ("virtual", "_mask_table"),
-        ("centralized", "_mask_table"),
     ])
     def test_built_once_per_block(self, monkeypatch, algorithm, builder):
         from dercoord import algorithms
 
         g = dc.generate_graph(dc.GraphSpec(n=8, extra_edges=4, directed=directed(algorithm)), 3)
         rows = block_rows(g)
-        K = 2 * rows + 3  # blocks of rows - 1, rows and 4 steps
+        K = 2 * rows + 3  # blocks of rows, rows and 3 steps
         original = getattr(algorithms, builder)
         built = []
 
@@ -902,7 +908,7 @@ class TestWeightTables:
         monkeypatch.setattr(algorithms, builder, counting)
         inst = dc.generate_instance(dc.InstanceSpec(n=g.n), 3)
         dc.run(algorithm, inst, dc.GraphSchedule(g, 0.3, 5, K), params_for(g.n, s=0.01, horizon=K))
-        assert built == [rows - 1, rows, 4]
+        assert built == [rows, rows, 3]
 
 
 def permuted_instance(inst, perm):

@@ -129,6 +129,17 @@ class TestInstanceValidation:
         with pytest.raises(InfeasibleInstanceError, match="1'p_hi"):
             dc.ProblemInstance([5.0], [0.0], [3.0], dc.QuadraticCost([1.0]))
 
+    @pytest.mark.parametrize("loads, p_lo, p_hi", [
+        ([1e308, 1e308], [0.0, 0.0], [1e308, 1e308]),
+        ([0.0, 0.0], [-1e308, -1e308], [1.0, 1.0]),
+        ([1.0, 1.0], [0.0, 0.0], [1e308, 1e308]),
+    ])
+    def test_overflowing_sums_are_rejected_without_a_warning(self, loads, p_lo, p_hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInstanceError, match="must be finite"):
+                dc.ProblemInstance(loads, p_lo, p_hi, dc.QuadraticCost([1e-10, 1e-10]))
+
     def test_nonpositive_quadratic_coefficient(self):
         with pytest.raises(InvalidCostError):
             dc.QuadraticCost([0.0])
