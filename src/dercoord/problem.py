@@ -198,7 +198,9 @@ class ProblemInstance:
         with np.errstate(over="ignore"):  # a sum that overflows is rejected, not warned about
             total, lo_sum, hi_sum = (float(a.sum()) for a in (self.loads, self.p_lo, self.p_hi))
         if not np.isfinite([total, lo_sum, hi_sum]).all():
-            raise InvalidInstanceError(f"1'load = {total:.6g}, 1'p_lo = {lo_sum:.6g} and 1'p_hi = {hi_sum:.6g} must be finite")
+            raise InvalidInstanceError(
+                f"1'load = {total:.6g}, 1'p_lo = {lo_sum:.6g} and 1'p_hi = {hi_sum:.6g} must be finite"
+            )
         if lo_sum > total:
             raise InfeasibleInstanceError(
                 f"1'p_lo = {lo_sum:.6g} > 1'load = {total:.6g}"

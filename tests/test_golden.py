@@ -76,10 +76,10 @@ def trace_digests(algorithm: str, seed: int) -> dict[str, str]:
 
 
 @cache
-def scale_inputs(directed: bool):
+def scale_inputs(directed_graph: bool):
     """The generated n = 3000 instance and its graph of the given kind."""
     inst = dc.generate_instance(dc.InstanceSpec(n=SCALE_N), SCALE_SEED)
-    spec = dc.GraphSpec(n=SCALE_N, extra_edges=SCALE_CHORDS, directed=directed)
+    spec = dc.GraphSpec(n=SCALE_N, extra_edges=SCALE_CHORDS, directed=directed_graph)
     return inst, dc.generate_graph(spec, SCALE_SEED)
 
 
@@ -141,7 +141,8 @@ def test_traces_match_their_pins(algorithm):
 
 @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
 def test_n3000_traces_match_their_pins(algorithm):
-    changed = moved(f"{algorithm}, n = 3000", scale_digests(algorithm), json.loads(GOLDEN.read_text())["n3000"][algorithm])
+    pins = json.loads(GOLDEN.read_text())["n3000"][algorithm]
+    changed = moved(f"{algorithm}, n = 3000", scale_digests(algorithm), pins)
     assert not changed, f"{algorithm}, n = 3000: series {', '.join(changed)} moved from their pins"
 
 
