@@ -63,7 +63,6 @@ from .network import (
     check_B_connectivity,
     load_graph,
     minimal_connectivity_window,
-    write_graph,
 )
 from .oracle import DispatchSolution, clamped_best_response, solve_bisection
 from .problem import (

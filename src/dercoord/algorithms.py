@@ -17,17 +17,20 @@ per-arc mirror and in-flight values are one (6, m) array `arcs`. Each
 algorithm's arithmetic is one private kernel, bound once per run:
 ``kernel(inst, graph, params) -> (views, step)``. Binding
 looks up what is fixed for the run (the primal step with its cost
-gradient and box, xi, nhat and gamma, the graph's tails, exact-length
+gradient and box, nhat as a 0-d array, the graph's tails, exact-length
 `mix` bins and out-degrees) and allocates the scratch buffers a step
-writes through. ``views(*arrays)`` makes the view tuple of one state's
-arrays (`nodes`, then robust's `arcs`): the rows and row stacks the step
-reads or writes. ``step(cur, nxt, weights, s)`` reads the views `cur`,
-the step's row of the algorithm's weight table and the stepsize s, and
-fills `nxt` with ufuncs writing through positional `out`, mixing the
-whole stack in one call of the edge-list primitive `network.mix` in
-O(F (n + m)); each expression keeps its operands and their order, so
-the bits are those of the plain NumPy expressions. No kernel builds a
-dense matrix.
+writes through, with their row and flat views. ``views(*arrays)`` makes
+the view tuple of one state's arrays (`nodes`, then robust's `arcs`):
+the rows and row stacks the step reads or writes.
+``step(cur, nxt, weights, s, sxi)`` reads the views `cur`, the step's row
+of the algorithm's weight table and the stepsize s and its product
+s*xi, both as 0-d arrays, and fills `nxt` with ufuncs writing through
+positional `out`, mixing the whole stack in one call of the edge-list
+primitive `network.mix` in O(F (n + m)). A step allocates no array
+(but `mix`'s sums) and makes no view, and no Python float reaches its
+ufuncs; each expression keeps its operands and their order, so the bits
+are those of the plain NumPy expressions. No kernel builds a dense
+matrix.
 
 Each algorithm is declared once, as one `_Spec` entry plus its kernel.
 The entry gives its state type (whose rows say the graph kind: push-sum
@@ -44,15 +47,21 @@ every algorithm but pd2), both for any algorithm.
 `run` steps any algorithm over the schedule's mask block. It records
 state 0 first, then works through the steps in blocks of about 2^13
 link entries and at least 8 steps, in place in a ring of rows + 1 slots
-per state array: slot 0 holds the state before the block, the block's
-step j reads slot j and writes slot j + 1, and the last slot written then
-moves to slot 0 in place. The ring's arrays are never reallocated, so
-each slot's view tuple is made once per run and the step loop makes
-none. A block's weight table and stepsizes are formed once; the
-stochasticity residuals come from the same table, so they measure
-exactly the weights the steps use. After the block, one positivity
-reduction over the v rows and one finiteness reduction over all node
-rows guard it. Only on failure are its slots taken in order, to raise
+per state array, each slot starting as the start state (so what no step
+writes, such as virtual's pinned dispatch, keeps its start value): slot
+0 holds the state before the block, the block's step j reads slot j and
+writes slot j + 1, and the last slot written then moves to slot 0 in
+place. The ring's arrays are never reallocated, so each slot's view
+tuple is made once per run and the step loop makes none. A block's
+weight table is formed once, and its stepsizes s and s*xi fill two
+vectors whose 0-d views are made once per run. For robust and virtual
+the table is the release fractions g = gamma*mask, which the step
+multiplies into a bound buffer (an idle arc gives +-0.0, which leaves
+every sum it enters unchanged, but a non-finite value on an idle arc
+gives NaN). The stochasticity residuals come from the same table, so
+they measure exactly the weights the steps use. After the block, one
+positivity reduction over the v rows and one finiteness reduction over
+all node rows guard it. Only on failure are its slots taken in order, to raise
 the error of the first failing step: positivity before finiteness, every
 non-finite row named, p first. The block's later steps have by then run
 on that step's values, which may be non-finite, but nothing they
@@ -272,19 +281,19 @@ def _pd2(inst, graph, params):
     Metropolis weights. Needs a diminishing stepsize to converge; with a
     constant one it stalls at a bias.
     """
-    primal, loads, nhat = _primal_step(inst, params), inst.loads, params.nhat
+    primal, loads, nhat = _primal_step(inst, params), inst.loads, _scalar(params.nhat)
     tails, bins, _ = graph.metropolis_arcs
-    gathered, scratch = np.empty((1, len(tails))), np.empty(inst.n)
+    gathered, scratch, snhat = np.empty((1, len(tails))), np.empty(inst.n), np.empty(())
     bins, flat = bins[: gathered.size], gathered.reshape(-1)
 
-    def step(cur, nxt, weights, s):
+    def step(cur, nxt, weights, s, sxi):
         self_w, w = weights
         (p0, lam0, z0), (p, lam, z) = cur, nxt
-        primal(s, p0, lam0, p)
+        primal(s, sxi, p0, lam0, p)
         multiply(z0, self_w, z)
         multiply(z0.take(tails, 1, gathered, "clip"), w, gathered)
         mix(z, bins, flat)
-        subtract(lam, multiply(subtract(p0, loads, scratch), s * nhat, scratch), lam)
+        subtract(lam, multiply(subtract(p0, loads, scratch), multiply(s, nhat, snhat), scratch), lam)
 
     return lambda a: (a[0], a[1], a[1:2]), step
 
@@ -296,10 +305,10 @@ def _pd1(inst, graph, params):
     gathered, scratch = np.empty((2, len(tails))), np.empty(inst.n)
     flat = gathered.reshape(-1)
 
-    def step(cur, nxt, weights, s):
+    def step(cur, nxt, weights, s, sxi):
         self_w, w = weights
         (p0, lam0, y0, z0), (p, lam, y, z) = cur, nxt
-        primal(s, p0, lam0, p)
+        primal(s, sxi, p0, lam0, p)
         multiply(z0, self_w, z)
         multiply(z0.take(tails, 1, gathered, "clip"), w, gathered)
         mix(z, bins, flat)
@@ -323,11 +332,11 @@ def _directed(inst, graph, params):
     gathered, scratch = np.empty((3, graph.m)), np.empty(inst.n)
     flat = gathered.reshape(-1)
 
-    def step(cur, nxt, weights, s):
+    def step(cur, nxt, weights, s, sxi):
         D, live = weights
         lam0, _, y0, p0, x0, _, vy0 = cur
         lam, v, y, p, x, z, vy = nxt  # z: each node's share of (lam - s*y, v, y), mixed in place
-        primal(s, p0, x0, p)
+        primal(s, sxi, p0, x0, p)
         divide(subtract(lam0, multiply(y0, s, scratch), scratch), D, lam)
         divide(vy0, D, vy)
         multiply(z.take(tails, 1, gathered, "clip"), live, gathered)
@@ -341,29 +350,31 @@ def _directed(inst, graph, params):
 def _robust(inst, graph, params):
     """Running-sum primal-dual step; only nominal out-degrees are used.
 
-    Mirror advance for arc (j, i): on delivery the mirror jumps to
-    (1-gamma)*mirror + gamma*(running sum of j); otherwise it is
-    unchanged. A node keeps its own current share. All mirrors advance
-    first; node states are then their own shares plus the delivered mirror
-    differences (with the y differences entering the lam update at -s).
-    The step's weights are its active mask, as a 1-tuple.
+    Mirror advance for arc (j, i): the mirror jumps to
+    (1-g)*mirror + g*(running sum of j), g the arc's release fraction
+    (gamma on delivery, 0 otherwise). A node keeps its own current share.
+    All mirrors advance first; node states are then their own shares plus
+    the delivered mirror differences (with the y differences entering the
+    lam update at -s). The step's weights are its release fractions, as a
+    1-tuple.
     """
-    primal, nhat, gamma = _primal_step(inst, params), _scalar(params.nhat), _scalar(params.gamma)
+    primal, nhat = _primal_step(inst, params), _scalar(params.nhat)
     srcs, bins, dplus = graph.srcs, graph.arc_bins, graph.out_degrees
     gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(inst.n), np.empty(inst.n), np.empty(graph.m)
+    d = np.empty((3, graph.m))  # the mirror advances, then what the arcs deliver
+    d_lam, d_y, d_flat = d[0], d[2], d.reshape(-1)
 
-    def step(cur, nxt, weights, s):
-        (active,) = weights
+    def step(cur, nxt, weights, s, sxi):
+        (g,) = weights
         _, _, _, p0, x0, z0, sums0, mirror0, virt0 = cur
         lam, v, y, p, x, z, sums, mirror, virt = nxt
-        primal(s, p0, x0, p)
-        # Mirror advances in increment form: gamma*(sum - mirror) equals
-        # (1-gamma)*mirror + gamma*sum exactly, but the subtraction of the two
+        primal(s, sxi, p0, x0, p)
+        # Mirror advances in increment form: g*(sum - mirror) equals
+        # (1-g)*mirror + g*sum exactly, but the subtraction of the two
         # nearby running quantities is exact in floating point, so the node
         # updates are free of the large-magnitude rounding the running sums
-        # would otherwise inject.
-        gap = subtract(sums0.take(srcs, 1, gathered, "clip"), mirror0, gathered)
-        d = np.where(active, multiply(gap, gamma, gathered), 0.0)
+        # would otherwise inject. An idle arc advances by +-0.0.
+        multiply(subtract(sums0.take(srcs, 1, gathered, "clip"), mirror0, gathered), g, d)
         add(mirror0, d, mirror)
         divide(z0, dplus, z)  # each node's shares, mixed in place below
         # In-flight sidecar: every step an arc absorbs its source's share and
@@ -371,8 +382,8 @@ def _robust(inst, graph, params):
         # conservation sums telescope without touching the large running sums.
         subtract(add(virt0, z.take(srcs, 1, gathered, "clip"), virt), d, virt)
         multiply(y, s, own_y)
-        subtract(d[0], multiply(d[2], s, dy), d[0])  # lam arrives together with -s times y
-        mix(z, bins, d.reshape(-1))
+        subtract(d_lam, multiply(d_y, s, dy), d_lam)  # lam arrives together with -s times y
+        mix(z, bins, d_flat)
         subtract(lam, own_y, lam)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
         divide(lam, v, x)
@@ -388,37 +399,39 @@ def _virtual(inst, graph, params):
     accumulate raw lam shares); v mixes plainly; y mixes and the real rows
     gain nhat*(p[k+1] - p[k]). The mixing is evaluated per column the way
     the augmented matrix is defined: each real source splits off
-    1/out-degree shares, a delivering arc releases the gamma portion of
-    its held value plus the incoming share and retains the complement (the
-    retained part is computed as inflow minus the released product, so the
-    masses cancel exactly). Real-node coordinates match `_robust` step by
-    step, and the result equals applying the augmented push matrix to
-    (lam - s*y on real rows, v, y) up to roundoff. The step's weights are
-    its active mask, as a 1-tuple.
+    1/out-degree shares, an arc releases the fraction g of its held value
+    plus the incoming share (gamma on delivery, 0 otherwise) and retains
+    the complement (the retained part is computed as inflow minus the
+    released product, so the masses cancel exactly). Real-node
+    coordinates match `_robust` step by step, and the result equals
+    applying the augmented push matrix to (lam - s*y on real rows, v, y)
+    up to roundoff. The step's weights are its release fractions, as a
+    1-tuple. The virtual nodes' dispatch is never written: every ring
+    slot starts as the run's start state.
     """
-    n, primal, nhat, gamma = inst.n, _primal_step(inst, params), _scalar(params.nhat), _scalar(params.gamma)
+    n, primal, nhat = inst.n, _primal_step(inst, params), _scalar(params.nhat)
     srcs, bins, dplus = graph.srcs, graph.arc_bins, graph.out_degrees
     gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(n), np.empty(n), np.empty(graph.m)
+    released = np.empty((3, graph.m))
+    released_lam, released_y, released_flat = released[0], released[2], released.reshape(-1)
 
-    def step(cur, nxt, weights, s):
-        (active,) = weights
-        real0, held0, _, _, p0, pinned0, x0, _, _, _ = cur
-        real, held, lam, y, p, pinned, _, full_lam, v, x = nxt  # pinned: the virtual nodes' dispatch
-        pinned[...] = pinned0
-        primal(s, p0, x0, p)
+    def step(cur, nxt, weights, s, sxi):
+        (g,) = weights
+        real0, held0, _, _, p0, x0, _, _, _, _ = cur
+        real, held, lam, y, p, _, full_lam, v, x, z = nxt
+        primal(s, sxi, p0, x0, p)
         divide(real0, dplus, real)  # each real node's shares, mixed in place below
-        add(held0, real.take(srcs, 1, gathered, "clip"), held)
-        released = np.where(active, multiply(held, gamma, gathered), 0.0)
-        subtract(held, released, held)
+        add(held0, z.take(srcs, 1, gathered, "clip"), held)  # from the contiguous rows: take copies a strided source
+        subtract(held, multiply(held, g, released), held)
         # real rows mix (lam - s*y); virtual rows carry lam and y separately
         multiply(y, s, own_y)
-        subtract(released[0], multiply(released[2], s, dy), released[0])
-        mix(real, bins, released.reshape(-1))
+        subtract(released_lam, multiply(released_y, s, dy), released_lam)
+        mix(real, bins, released_flat)
         subtract(lam, own_y, lam)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
         divide(full_lam, v, x)
 
-    return lambda a: (a[:3, :n], a[:3, n:], a[0, :n], a[2, :n], a[3, :n], a[3, n:], a[4, :n], a[0], a[1], a[4]), step
+    return lambda a: (a[:3, :n], a[:3, n:], a[0, :n], a[2, :n], a[3, :n], a[4, :n], a[0], a[1], a[4], a[:3]), step
 
 
 def _centralized(inst, graph, params):
@@ -429,18 +442,20 @@ def _centralized(inst, graph, params):
     step reads no link: its weights (the masks) go unread.
     """
     primal, loads, gap = _primal_step(inst, params), inst.loads, np.empty(inst.n)
+    total, scaled = np.empty(()), np.empty(())  # apart: a 0-d ufunc writing over its input runs at half speed
 
-    def step(cur, nxt, weights, s):
+    def step(cur, nxt, weights, s, sxi):
         (p0, lam0), (p, lam) = cur, nxt
-        primal(s, p0, lam0, p)
-        subtract(lam0, s * float(subtract(p0, loads, gap).sum()), lam)
+        primal(s, sxi, p0, lam0, p)
+        add.reduce(subtract(p0, loads, gap), 0, None, total)  # what gap.sum() computes
+        subtract(lam0, multiply(total, s, scaled), lam)
 
     return lambda a: (a[0], a[1]), step
 
 
-def _mask_table(graph: NominalGraph, masks: np.ndarray) -> tuple[np.ndarray]:
-    """Running-sum weight table: the masks themselves (gamma and the nominal degrees are fixed)."""
-    return (masks,)
+def _release_table(graph: NominalGraph, masks: np.ndarray, params) -> tuple[np.ndarray]:
+    """Running-sum weight table: the release fractions g = gamma*mask (the nominal degrees are fixed)."""
+    return (params.gamma * masks,)
 
 
 def _metropolis_stochasticity(graph: NominalGraph, table, params) -> np.ndarray:
@@ -462,7 +477,7 @@ def _augmented_stochasticity(graph: NominalGraph, table, params) -> np.ndarray:
     n, m = graph.n, graph.m
     share = 1.0 / graph.out_degrees
     arc_share = share[graph.srcs]
-    g = np.where(table[0], params.gamma, 0.0)
+    (g,) = table
     virt = n + np.arange(m)
     return column_residual(
         np.concatenate([np.broadcast_to(share, (g.shape[0], n)), 1.0 - g], axis=1),
@@ -489,10 +504,13 @@ class _Spec:
     (state field, row) pairs of the state ring whose totals, over all the
     field's columns, are the tracked imbalance and the push-sum mass;
     empty means the algorithm carries no such quantity.
-    ``weights`` maps (graph, masks) to the weight table of a (rows, m)
-    block of masks, a tuple of arrays whose row r the block's step r
-    takes; it is None for a step that reads no link, which then takes the
-    masks, unread, and whose run makes no connectivity note.
+    ``weights`` maps (graph, masks, params) to the weight table of a
+    (rows, m) block of masks, a tuple of arrays whose row r the block's
+    step r takes: the Metropolis or push-sum table, or the running sums'
+    release fractions g = gamma*mask (`_release_table`), which their
+    stochasticity reads too. It is None for a step that reads no link,
+    which then takes the masks, unread, and whose run makes no
+    connectivity note.
     ``stochasticity`` maps (graph, table, params) to the residual of each
     step's mixing weights, or is None when the weights are not formed.
     """
@@ -520,32 +538,35 @@ def _specs() -> dict[str, _Spec]:
     # sees the calls. A kernel is called once per run, to bind its step.
     names = ("lam", "v", "y", "p", "x")
     push = {"rows": slice(1, 5), "series": ("v", "y", "p", "consensus")}
+    # The link tables read no parameter; the release table reads gamma.
+    metropolis = lambda graph, masks, params: metropolis_table(graph, masks)  # noqa: E731
+    pushes = lambda graph, masks, params: push_table(graph, masks)  # noqa: E731
     own = {"y": (("nodes", 2),), "v": (("nodes", 1),)}  # the state's own y and v rows
     return {
         "pd1": _Spec(
             UndirectedState, None, ("p", "lam", "y"), None,
-            _pd1, metropolis_table, slice(0, 3), ("p", "consensus", "y"), y=(("nodes", 2),), v=(),
+            _pd1, metropolis, slice(0, 3), ("p", "consensus", "y"), y=(("nodes", 2),), v=(),
             stochasticity=_metropolis_stochasticity,
         ),
         "pd2": _Spec(
             UndirectedState, None, ("p", "lam"), None,
-            _pd2, metropolis_table, slice(0, 2), ("p", "consensus"), y=(), v=(),
+            _pd2, metropolis, slice(0, 2), ("p", "consensus"), y=(), v=(),
             stochasticity=_metropolis_stochasticity,
         ),
         "directed": _Spec(
             DirectedState, lambda graph, start: start, names, "push-sum weight v lost positivity",
-            _directed, push_table, **push, **own,
+            _directed, pushes, **push, **own,
             stochasticity=_push_stochasticity,
         ),
         "robust": _Spec(
             RobustState, _robust_start, names + ("sums.lam", "sums.v", "sums.y"), "push-sum weight v hit zero",
-            _robust, _mask_table, **push,
+            _robust, _release_table, **push,
             y=(("nodes", 2), ("arcs", 5)), v=(("nodes", 1), ("arcs", 4)),  # in-flight y and v too
             stochasticity=None,
         ),
         "virtual": _Spec(
             VirtualState, _virtual_start, names, "augmented push-sum weight hit zero",
-            _virtual, _mask_table, **push, **own,  # over all N nodes
+            _virtual, _release_table, **push, **own,  # over all N nodes
             stochasticity=_augmented_stochasticity,
         ),
         "centralized": _Spec(
@@ -557,8 +578,8 @@ def _specs() -> dict[str, _Spec]:
 
 
 ALGORITHMS = tuple(_specs())
-# The running-sum algorithms: their weight table is the masks, and their mirrors retain a share gamma.
-RUNNING_SUM_ALGORITHMS = tuple(name for name, spec in _specs().items() if spec.weights is _mask_table)
+# The running-sum algorithms: their weight table is the release fractions, and their mirrors retain a share gamma.
+RUNNING_SUM_ALGORITHMS = tuple(name for name, spec in _specs().items() if spec.weights is _release_table)
 
 
 def _checked_init(algorithm: str, init, start):
@@ -639,7 +660,7 @@ def run(
     # Slot 0 holds the state before a block, state 0 in the first; slot j the state after its j-th step.
     ring = {f.name: np.empty((rows + 1, *getattr(state, f.name).shape)) for f in fields(state)}
     for name, arrays in ring.items():
-        arrays[0] = getattr(state, name)
+        arrays[:] = getattr(state, name)  # every slot, so what no step writes holds the start's values
 
     def record(lo: int, hi: int, slot: int) -> None:
         """Trace rows lo..hi-1 and their residuals, from the ring's slots from `slot` on, by row-wise reductions."""
@@ -663,20 +684,24 @@ def run(
             residuals["min_v"][lo:hi] = low
 
     views, step = spec.kernel(inst, graph, params)
-    # The ring's arrays are never reallocated (slot 0 is overwritten in place), so each slot's views serve the run.
+    # The ring's arrays are never reallocated (slot 0 is overwritten in place), so each slot's views serve the run;
+    # so do the 0-d views of each block's stepsizes s and s*xi.
     slot_views = [views(*slot) for slot in zip(*ring.values())]
-    weights = spec.weights or _mask_table  # a step that reads no link takes the masks, unread
+    sizes, scaled = np.empty(rows), np.empty(rows)
+    size_views = [(sizes[j, ...], scaled[j, ...]) for j in range(rows)]
     masks = schedule.masks[:K]
     record(0, 1, 0)
     for k0 in range(0, K, rows):  # steps k0..k1-1 make rows k0+1..k1
         k1 = min(k0 + rows, K)
-        table = weights(graph, masks[k0:k1])
+        block = masks[k0:k1]
+        table = (block,) if spec.weights is None else spec.weights(graph, block, params)  # masks go unread
         if stochasticity is not None:
             stochasticity[k0 + 1 : k1 + 1] = spec.stochasticity(graph, table, params)
-        steps = map(params.stepsize, range(k0, k1))
         with np.errstate(all="ignore"):  # a step that overflows fails the guard, which names it
-            for cur, nxt, row, s in zip(slot_views, slot_views[1:], zip(*table), steps):
-                step(cur, nxt, row, s)
+            sizes[: k1 - k0] = [params.stepsize(k) for k in range(k0, k1)]
+            multiply(sizes[: k1 - k0], params.xi, scaled[: k1 - k0])  # the products Python's s * xi gives
+            for cur, nxt, row, (s, sxi) in zip(slot_views, slot_views[1:], zip(*table), size_views):
+                step(cur, nxt, row, s, sxi)
         _check_block(algorithm, spec, k0 + 1, ring["nodes"][1 : k1 - k0 + 1])
         record(k0 + 1, k1 + 1, 1)
         for arrays in ring.values():

@@ -117,14 +117,20 @@ class InstanceSpec:
 
 
 def generate_instance(spec: InstanceSpec, seed: int) -> ProblemInstance:
-    """Deterministic feasible instance for (spec, seed): the first draw `ProblemInstance` accepts."""
+    """Deterministic feasible instance for (spec, seed): the first draw `ProblemInstance` accepts.
+
+    Raises `GeneratorSpecError`, chained to the last rejection and quoting
+    it, after `_REJECTION_LIMIT` rejected draws, or after the first when
+    every range is one value (every draw is then the same).
+    """
     gen = _stream(seed, _TAG_INSTANCE)
 
     def draw(rng: tuple[float, float], size: int) -> np.ndarray:
         lo, hi = rng
         return np.full(size, lo) if lo == hi else gen.uniform(lo, hi, size)
 
-    for _ in range(_REJECTION_LIMIT):
+    tries = 1 if all(low == high for low, high in (getattr(spec, name) for name in _RANGES)) else _REJECTION_LIMIT
+    for _ in range(tries):
         a = draw(spec.a_range, spec.n)
         b = draw(spec.b_range, spec.n)
         c = draw(spec.c_range, spec.n)
@@ -133,11 +139,10 @@ def generate_instance(spec: InstanceSpec, seed: int) -> ProblemInstance:
         hi = draw(spec.hi_range, spec.n)
         try:  # `ProblemInstance` rejects an inverted box or an infeasible load (`InfeasibleInstanceError`)
             return ProblemInstance(loads, lo, hi, QuadraticCost(a, b, c))
-        except InvalidInstanceError:
-            continue
-    raise GeneratorSpecError(
-        f"{_REJECTION_LIMIT} consecutive infeasible draws; widen the spec ranges"
-    )
+        except InvalidInstanceError as err:
+            rejected = err
+    advice = "every range is one value, so every draw is this one" if tries == 1 else "widen the spec ranges"
+    raise GeneratorSpecError(f"{tries} consecutive draws rejected, the last with: {rejected}; {advice}") from rejected
 
 
 @dataclass(frozen=True)

@@ -48,11 +48,12 @@ the step needs:
 * `push_table` (directed): node j keeps z_j / D_j and pushes the same
   share along each active out-arc, D_j = |active out-arcs| + 1; the
   table holds D and each arc's live flag (an inactive arc pushes 0).
-* running sums (robust, virtual): the masks themselves. Shares are
-  1/(nominal out-degree), and an active arc releases the fraction gamma
-  of what it holds. Over real plus virtual nodes (nominal arc e is node
-  n + e, holding in-flight mass) this is column stochastic with every
-  nonzero weight >= tau = min(gamma, 1-gamma)/n.
+* running sums (robust, virtual): the release fractions gamma*mask
+  (built in `algorithms`). Shares are 1/(nominal out-degree), and an
+  active arc releases the fraction gamma of what it holds. Over real
+  plus virtual nodes (nominal arc e is node n + e, holding in-flight
+  mass) this is column stochastic with every nonzero weight
+  >= tau = min(gamma, 1-gamma)/n.
 
 `column_residual` gives each mixing's stochasticity from the same table.
 """
@@ -464,11 +465,6 @@ def minimal_connectivity_window(schedule: GraphSchedule, K: int | None = None) -
         if (lengths[: K - B + 1 : B] <= B).all():
             return B
     return None
-
-
-def write_graph(graph: NominalGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(graph))
 
 
 def format_graph(graph: NominalGraph) -> str:

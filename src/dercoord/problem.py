@@ -93,8 +93,9 @@ class QuadraticCost:
         """2a, formed once: (2a)*p is how 2.0*a*p evaluates, so the bits are the same."""
         return 2.0 * self.a
 
-    def grad(self, p: np.ndarray) -> np.ndarray:
-        return self.twice_a * p + self.b
+    def grad(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """f'(p) = (2a)*p + b, written into `out` if given."""
+        return np.add(np.multiply(self.twice_a, p, out), self.b, out)
 
     def grad_inverse(self, t: np.ndarray) -> np.ndarray:
         """Solve f_i'(p) = t_i for p, componentwise."""
@@ -128,7 +129,8 @@ class GeneralCost:
     def value(self, p: np.ndarray) -> np.ndarray:
         return np.asarray(self.value_fn(p), dtype=float)
 
-    def grad(self, p: np.ndarray) -> np.ndarray:
+    def grad(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """f'(p) as a new array; `out` is accepted for the quadratic's signature and ignored."""
         return np.asarray(self.grad_fn(p), dtype=float)
 
     def hess(self, p: np.ndarray) -> np.ndarray:
@@ -297,21 +299,24 @@ class AlgorithmParams:
 
 
 def _primal_step(inst: ProblemInstance, params: AlgorithmParams) -> Callable:
-    """The projected primal step clamp(p - s f'(p) + s xi feedback), bound to one run: ``step(s, p, feedback, out)``.
+    """The projected primal step clamp(p - s f'(p) + s xi feedback), bound to one run: ``step(s, sxi, p, feedback, out)``.
 
     The one primal step of every algorithm, the centralized baseline's
     included (its feedback rows all hold the one multiplier): each kernel
-    in `algorithms` binds it once per run.
-    The cost's `grad`, the box, xi and one scratch row are bound. Evaluated
+    in `algorithms` binds it once per run. s and sxi = s*xi arrive as 0-d
+    arrays (`run` forms both per block).
+    The cost's `grad`, the box and one scratch row are bound. Evaluated
     as (p - s*f'(p)) + (s*xi)*feedback, then the clip ufunc, writing into
-    `out` (not p): regrouping changes the last bits of every trace.
+    `out` (not p) and allocating nothing for a quadratic cost (its f'
+    goes into the scratch row): regrouping changes the last bits of every
+    trace.
     """
-    grad, lo, hi, xi = inst.cost.grad, inst.p_lo, inst.p_hi, params.xi
+    grad, lo, hi = inst.cost.grad, inst.p_lo, inst.p_hi
     scratch = np.empty(inst.n)
 
-    def step(s, p, feedback, out) -> None:
-        np.subtract(p, np.multiply(grad(p), s, scratch), out)
-        np.add(out, np.multiply(feedback, s * xi, scratch), out)
+    def step(s, sxi, p, feedback, out) -> None:
+        np.subtract(p, np.multiply(grad(p, scratch), s, scratch), out)
+        np.add(out, np.multiply(feedback, sxi, scratch), out)
         clip(out, lo, hi, out)
 
     return step

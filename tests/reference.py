@@ -10,8 +10,9 @@
   new array for every intermediate, the way the package evaluated them
   before each state became one contiguous array filled in place. Each
   step forms its weights from the step's mask alone. `run` must give the
-  same trace and residual series bit for bit, from the standard start or
-  from any state given as ``start=`` (what `run` takes as ``init``).
+  same trace, residual series and last state (its ``final``, as
+  `fields_of` gives it) bit for bit, from the standard start or from any
+  state given as ``start=`` (what `run` takes as ``init``).
 * `FixedMasks` and `run_over`: a schedule of given masks, and `run` over
   one, so a test steps any state through masks of its choosing (one
   mask: one step, read back as ``trace.final``) or resumes a run over the
@@ -342,7 +343,7 @@ def fields_of(algorithm, state):
 
 
 def reference_run(algorithm, inst, sched, params, start=None):
-    """Trace arrays and residual series of `run`, from per-field steps and per-state reductions.
+    """Trace arrays, residual series and last per-field state of `run`, from per-field steps and per-state reductions.
 
     The run steps from `start`, a package state as `run` takes for `init`,
     or from the standard start if it is None.
@@ -390,7 +391,8 @@ def reference_run(algorithm, inst, sched, params, start=None):
         if "stochasticity" in res:
             res["stochasticity"].append(stepwise_stochasticity(algorithm, g, active, params.gamma))
         record(st)
-    return {name: np.array(rows) for name, rows in trace.items()}, {key: np.array(v) for key, v in res.items()}
+    arrays = {name: np.array(rows) for name, rows in trace.items()}
+    return arrays, {key: np.array(v) for key, v in res.items()}, st
 
 
 def reference_centralized(inst, params, p0=None, lam0=0.0):

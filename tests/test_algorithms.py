@@ -21,6 +21,7 @@ from reference import (
     CONFIGS,
     augmented_push_matrix,
     directed,
+    fields_of,
     push_matrix,
     reference_run,
     run_over,
@@ -589,7 +590,7 @@ class TestResidualBlocks:
         if equilibrium:
             solution = dc.solve_bisection(inst, xi=params.xi, nhat=params.nhat)
             init = dc.equilibrium_state(algorithm, inst, g, params, solution)
-        arrays, want = reference_run(algorithm, inst, sched, params, start=init)
+        arrays, want, _ = reference_run(algorithm, inst, sched, params, start=init)
         trace = dc.run(algorithm, inst, sched, params, init=init)
         for name, series in arrays.items():
             assert np.array_equal(getattr(trace, name), series), name
@@ -853,7 +854,7 @@ class TestBitIdentity:
         params = dc.AlgorithmParams(step=step, xi=0.5, nhat=float(n), gamma=gamma, horizon=K)
         sched = dc.GraphSchedule(g, q, seed, K)
         trace = dc.run(algorithm, inst, sched, params)
-        arrays, residuals = reference_run(algorithm, inst, sched, params)
+        arrays, residuals, last = reference_run(algorithm, inst, sched, params)
         got = {name: getattr(trace, name) for name in ("p", "consensus", "y", "v")}
         assert {name for name, a in got.items() if a is not None} == set(arrays)
         assert set(trace.residuals) == set(residuals)
@@ -861,6 +862,38 @@ class TestBitIdentity:
             assert bit_equal(got[name], want), name
         for key, want in residuals.items():
             assert bit_equal(trace.residuals[key], want), key
+        # Every field of the last state, robust's mirrors and in-flight values among them, sign bits included.
+        final = vars(fields_of(algorithm, trace.final))
+        assert set(final) == set(vars(last))
+        for name, want in vars(last).items():
+            assert bit_equal(final[name], want), name
+
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_no_output_reads_an_unwritten_buffer(self, repo_root, monkeypatch, algorithm):
+        # Every float array `np.empty` makes starts as NaN: a value read before it is written shows in the output.
+        name = CONFIGS[algorithm]
+        config = dc.load_config(repo_root / "configs" / f"benchmark39_{name}.cfg")
+        params = replace(config.params, horizon=3 * block_rows(config.graph) + 5)
+        sched = dc.GraphSchedule(config.graph, config.q, 1, params.horizon)
+        want = dc.run(algorithm, config.instance, sched, params)
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            a = empty(*args, **kwargs)
+            if a.dtype.kind == "f":  # a NaN cast to another dtype warns
+                a.fill(np.nan)
+            return a
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        got = dc.run(algorithm, config.instance, sched, params)
+        for name in ("p", "consensus", "y", "v"):
+            assert (getattr(got, name) is None) == (getattr(want, name) is None), name
+            assert getattr(want, name) is None or getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert set(got.residuals) == set(want.residuals)
+        for key, series in want.residuals.items():
+            assert got.residuals[key].tobytes() == series.tobytes(), key
+        for f in fields(want.final):
+            assert getattr(got.final, f.name).tobytes() == getattr(want.final, f.name).tobytes(), f.name
 
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
@@ -889,8 +922,8 @@ class TestWeightTables:
         ("pd1", "metropolis_table"),
         ("pd2", "metropolis_table"),
         ("directed", "push_table"),
-        ("robust", "_mask_table"),
-        ("virtual", "_mask_table"),
+        ("robust", "_release_table"),
+        ("virtual", "_release_table"),
     ])
     def test_built_once_per_block(self, monkeypatch, algorithm, builder):
         from dercoord import algorithms
@@ -901,9 +934,9 @@ class TestWeightTables:
         original = getattr(algorithms, builder)
         built = []
 
-        def counting(graph, masks):
+        def counting(graph, masks, *rest):  # the release table also takes the run's params
             built.append(masks.shape[0])
-            return original(graph, masks)
+            return original(graph, masks, *rest)
 
         monkeypatch.setattr(algorithms, builder, counting)
         inst = dc.generate_instance(dc.InstanceSpec(n=g.n), 3)

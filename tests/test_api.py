@@ -61,7 +61,6 @@ PUBLIC_NAMES = [
     "solve_bisection",
     "weighted_norm",
     "write_case",
-    "write_graph",
 ]
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dercoord as dc
+from dercoord import experiment
 from dercoord.cli import main as cli_main
 from dercoord.errors import (
     CaseParseError,
@@ -115,8 +116,25 @@ class TestGenerators:
     def test_impossible_spec_raises_after_rejections(self):
         # loads always exceed the total capacity: every draw is infeasible
         spec = InstanceSpec(n=2, load_range=(5.0, 6.0), hi_range=(1.0, 2.0))
-        with pytest.raises(GeneratorSpecError):
+        with pytest.raises(GeneratorSpecError, match=r"^1000 consecutive draws rejected, the last with: 1'load") as err:
             dc.generate_instance(spec, 1)
+        assert isinstance(err.value.__cause__, InvalidInstanceError)
+
+    def test_rejection_reason_is_quoted_and_chained(self):
+        # The sums of the loads and of the upper bounds overflow on every draw.
+        spec = InstanceSpec(n=3, load_range=(1e308, 1e308), hi_range=(1e308, 1e308))
+        with pytest.raises(GeneratorSpecError, match=r"^1000 consecutive draws rejected, the last with: 1'load = inf") as err:
+            dc.generate_instance(spec, 1)
+        assert "must be finite" in str(err.value) and isinstance(err.value.__cause__, InvalidInstanceError)
+
+    def test_spec_of_single_values_raises_after_one_rejection(self, monkeypatch):
+        # Every range is one value, so every draw is the same.
+        spec = InstanceSpec(n=3, a_range=(1.0, 1.0), load_range=(1e308, 1e308), hi_range=(1e308, 1e308))
+        calls = []
+        monkeypatch.setattr(experiment, "ProblemInstance", lambda *args: calls.append(args) or dc.ProblemInstance(*args))
+        with pytest.raises(GeneratorSpecError, match=r"^1 consecutive draws rejected, the last with: 1'load = inf.*one value"):
+            dc.generate_instance(spec, 1)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name,bounds", [
         ("a_range", (np.nan, 1.0)), ("load_range", (1.0, np.nan)), ("hi_range", (1.0, np.inf)),

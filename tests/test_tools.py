@@ -1,12 +1,18 @@
-"""`tools/count_code_lines.py`, the code-line counter the size claims use."""
+"""The tools: `count_code_lines.py`, the code-line counter the size claims use, and `step_cost.py`, the per-step timer."""
 
 import importlib.util
 
 from conftest import REPO
 
-_spec = importlib.util.spec_from_file_location("count_code_lines", REPO / "tools" / "count_code_lines.py")
-counter = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(counter)
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+counter = load_tool("count_code_lines")
 
 SNIPPET = '''"""Module docstring,
 over two lines."""
@@ -46,3 +52,12 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
     assert counter.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == ["     1  b.py", "    10  pkg/a.py", "    11  total"]
+
+
+def test_step_cost_prints_one_row_per_case(capsys):
+    # One run in one fresh process, over the package of this checkout.
+    assert load_tool("step_cost").main(["--runs", "1", "--procs", "1", "--only", "centralized", str(REPO / "src")]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["case", "us/step"]
+    name, cost = row.split()
+    assert name == "centralized" and float(cost) > 0
