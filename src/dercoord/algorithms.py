@@ -45,7 +45,9 @@ gives the standard start (lam = 0, y = nhat*(p - load)) and
 every algorithm but pd2), both for any algorithm.
 
 `run` steps any algorithm over the schedule's mask block. It records
-state 0 first, then works through the steps in blocks of about 2^13
+state 0 first, once its node rows are found finite (a non-finite one is
+named at step 0; positivity waits for step 1, since virtual nodes start
+at v = 0), then works through the steps in blocks of about 2^13
 link entries and at least 8 steps, in place in a ring of rows + 1 slots
 per state array, each slot starting as the start state (so what no step
 writes, such as virtual's pinned dispatch, keeps its start value): slot
@@ -251,13 +253,14 @@ def equilibrium_state(algorithm: str, inst: ProblemInstance, graph: NominalGraph
     return _start(spec, graph, np.asarray(solution.p_star, dtype=float), lam, np.zeros(inst.n))
 
 
-def _check_block(algorithm: str, spec: _Spec, first: int, block: np.ndarray) -> None:
+def _check_block(algorithm: str, names, what: str | None, first: int, block: np.ndarray) -> None:
     """Guard the node arrays of consecutive states, the first at step `first`, with two reductions.
 
-    fmin skips NaNs, so a minimum v <= 0 means some weight is <= 0. Only a
-    failing block is taken state by state, for the first failing state's error.
+    The rows are `names`; v (row 1) must stay positive unless `what`, the
+    error's detail, is None. fmin skips NaNs, so a minimum v <= 0 means
+    some weight is <= 0. Only a failing block is taken state by state, for
+    the first failing state's error.
     """
-    names, what = spec.names, spec.lost_weight
     if (what is None or not np.fmin.reduce(block[:, 1], axis=None) <= 0.0) and np.isfinite(block).all():
         return
     for step, nodes in enumerate(block, first):
@@ -690,6 +693,7 @@ def run(
     sizes, scaled = np.empty(rows), np.empty(rows)
     size_views = [(sizes[j, ...], scaled[j, ...]) for j in range(rows)]
     masks = schedule.masks[:K]
+    _check_block(algorithm, spec.names, None, 0, ring["nodes"][:1])  # finite only: virtual nodes start at v = 0
     record(0, 1, 0)
     for k0 in range(0, K, rows):  # steps k0..k1-1 make rows k0+1..k1
         k1 = min(k0 + rows, K)
@@ -702,7 +706,7 @@ def run(
             multiply(sizes[: k1 - k0], params.xi, scaled[: k1 - k0])  # the products Python's s * xi gives
             for cur, nxt, row, (s, sxi) in zip(slot_views, slot_views[1:], zip(*table), size_views):
                 step(cur, nxt, row, s, sxi)
-        _check_block(algorithm, spec, k0 + 1, ring["nodes"][1 : k1 - k0 + 1])
+        _check_block(algorithm, spec.names, spec.lost_weight, k0 + 1, ring["nodes"][1 : k1 - k0 + 1])
         record(k0 + 1, k1 + 1, 1)
         for arrays in ring.values():
             arrays[0] = arrays[k1 - k0]

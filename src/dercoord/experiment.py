@@ -2,7 +2,8 @@
 
 A run is described by one INI-style config (sections [instance], [graph],
 [algorithm], [run], [output]); every algorithm parameter must appear
-explicitly, there are no hidden defaults for them. Each seed produces
+explicitly, there are no hidden defaults for them, and a key that nothing
+reads is an error. Each seed produces
 ``trace_<seed>.csv`` and the batch produces ``summary.csv``; floats are
 rendered with 17 significant digits so values round-trip losslessly and
 repeated runs are byte-identical. A seed is finished in one pass and
@@ -33,20 +34,24 @@ from .errors import (
     DercoordError,
     GeneratorSpecError,
     InvalidCostError,
+    InvalidGraphError,
     InvalidInstanceError,
 )
 from .metrics import InvariantReport, RunTrace, convergence_error, fit_rate, invariant_report
 from .network import (
-    _MAX_SEED,
+    KINDS,
     GraphSchedule,
     NominalGraph,
+    checked_seed,
     format_graph,
+    is_directed,
     load_graph,
     numbered_lines,
+    parse_fields,
     parse_graph_lines,
 )
-from .oracle import ORACLE_TOL, solve_bisection
-from .problem import AlgorithmParams, ConstantStep, DiminishingStep, ProblemInstance, QuadraticCost, positive
+from .oracle import solve_bisection
+from .problem import AlgorithmParams, ConstantStep, DiminishingStep, ProblemInstance, QuadraticCost
 
 # Stream tags keep generator draws disjoint from schedule draws (which use
 # key = [seed, step]).
@@ -83,8 +88,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _stream(seed: int, tag: int) -> np.random.Generator:
-    key = np.array([seed, tag], dtype=np.uint64)
+def _stream(seed, tag: int, what: str) -> np.random.Generator:
+    """The Philox stream keyed by (seed, tag); `GeneratorSpecError` unless `seed` is a 64-bit seed."""
+    key = np.array([checked_seed(seed, what, GeneratorSpecError), tag], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -123,7 +129,7 @@ def generate_instance(spec: InstanceSpec, seed: int) -> ProblemInstance:
     it, after `_REJECTION_LIMIT` rejected draws, or after the first when
     every range is one value (every draw is then the same).
     """
-    gen = _stream(seed, _TAG_INSTANCE)
+    gen = _stream(seed, _TAG_INSTANCE, "instance seed")
 
     def draw(rng: tuple[float, float], size: int) -> np.ndarray:
         lo, hi = rng
@@ -164,7 +170,7 @@ class GraphSpec:
 
 
 def generate_graph(spec: GraphSpec, seed: int) -> NominalGraph:
-    gen = _stream(seed, _TAG_GRAPH)
+    gen = _stream(seed, _TAG_GRAPH, "graph seed")
     n = spec.n
     if n == 1:
         return NominalGraph(1, [], spec.directed)
@@ -227,31 +233,19 @@ def parse_case(text: str) -> tuple[ProblemInstance, NominalGraph]:
     lines = numbered_lines(text)
     if not lines:
         raise CaseParseError(0, "empty case file")
-    lineno, head = lines[0]
-    try:
-        n = int(head)
-    except ValueError:
-        raise CaseParseError(lineno, f"expected agent count, got {head!r}") from None
+    (n,) = parse_fields(lines[0], "n", (int,))
     if n < 1:
-        raise CaseParseError(lineno, "agent count must be >= 1")
+        raise CaseParseError(lines[0][0], "agent count must be >= 1")
     if len(lines) < 1 + n:
         raise CaseParseError(lines[-1][0], f"expected {n} agent lines, found {len(lines) - 1}")
     cols = np.empty((n, 6))
-    for row in range(n):
-        lineno, content = lines[1 + row]
-        parts = content.split()
-        if len(parts) != 6:
-            raise CaseParseError(lineno, f"expected 'a b c p_lo p_hi load', got {content!r}")
-        try:
-            cols[row] = [float(p) for p in parts]
-        except ValueError:
-            raise CaseParseError(lineno, f"non-numeric field in {content!r}") from None
+    for row, line in enumerate(lines[1 : 1 + n]):
+        cols[row] = parse_fields(line, "a b c p_lo p_hi load", (float,) * 6)
+        # Checked here too, because here the error can name the file's line.
         if cols[row, 3] > cols[row, 4]:
-            raise InvalidInstanceError(
-                f"line {lineno}: p_lo={cols[row, 3]:.6g} > p_hi={cols[row, 4]:.6g}"
-            )
+            raise InvalidInstanceError(f"line {line[0]}: p_lo={cols[row, 3]:.6g} > p_hi={cols[row, 4]:.6g}")
         if cols[row, 0] <= 0:
-            raise InvalidInstanceError(f"line {lineno}: quadratic coefficient a={cols[row, 0]:.6g} must be > 0")
+            raise InvalidInstanceError(f"line {line[0]}: quadratic coefficient a={cols[row, 0]:.6g} must be > 0")
     graph = parse_graph_lines(lines[1 + n :])
     if graph.n != n:
         raise CaseParseError(lines[1 + n][0], f"graph has {graph.n} nodes but case has {n} agents")
@@ -279,7 +273,6 @@ class ExperimentConfig:
     q: float
     seeds: tuple[int, ...]
     out_dir: Path | None
-    oracle_tol: float = ORACLE_TOL
 
 
 def _range(text: str) -> tuple[float, float]:
@@ -287,15 +280,33 @@ def _range(text: str) -> tuple[float, float]:
     return low, high
 
 
-_KINDS = {int: "an integer", float: "a number", _range: "two numbers 'low high'"}
+_KINDS = {**KINDS, _range: "two numbers 'low high'"}
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, kind=str, default=None):
-    """[section] key parsed by `kind` (str, int, float or `_range`), or `default` if it is absent.
+class _Config(configparser.ConfigParser):
+    """A parsed config that records each key asked about, so that `load_config` can name every other key.
+
+    Every read asks `has_option`: `_get` does, and so do ``key in section``
+    and ``section[key]``.
+    """
+
+    def __init__(self):
+        # No header names the section "", so [DEFAULT] is an ordinary section, which no reader reads.
+        super().__init__(inline_comment_prefixes=("#",), default_section="")
+        self.asked: set[tuple[str, str]] = set()
+
+    def has_option(self, section, option):
+        self.asked.add((section, self.optionxform(option)))
+        return super().has_option(section, option)
+
+
+def _get(cp: _Config, section: str, key: str, kind=str, default=None):
+    """[section] key parsed by `kind` (str, int, float, `_range` or `is_directed`), or `default` if it is absent.
 
     A key without a default is required. Each error names the key, and a
-    value `kind` cannot parse is quoted in it. Ranges and positivity are
-    checked by what the value is given to.
+    value `kind` cannot parse is quoted in it. Ranges, positivity, q and
+    seeds are checked by what the value is given to. Asking for the key
+    makes it known to `cp`, so `load_config` accepts it.
     """
     if not cp.has_option(section, key):
         if default is None:
@@ -308,7 +319,7 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, kind=str, defaul
         raise ConfigError(f"[{section}] {key} must be {_KINDS[kind]}, got {text!r}") from None
 
 
-def _path(cp: configparser.ConfigParser, config: Path, section: str, key: str, exists: bool = True) -> Path:
+def _path(cp: _Config, config: Path, section: str, key: str, exists: bool = True) -> Path:
     """[section] key as a path, a relative one taken from the config file's directory."""
     path = config.parent / _get(cp, section, key)
     if exists and not path.is_file():
@@ -316,32 +327,21 @@ def _path(cp: configparser.ConfigParser, config: Path, section: str, key: str, e
     return path
 
 
-def _check_seed(seed: int, key: str) -> None:
-    if not 0 <= seed < _MAX_SEED:
-        raise ConfigError(f"{key} must lie in [0, 2^64), got {seed}")
-
-
-def _instance_and_graph(cp: configparser.ConfigParser, path: Path) -> tuple[ProblemInstance, NominalGraph]:
+def _instance_and_graph(cp: _Config, path: Path) -> tuple[ProblemInstance, NominalGraph]:
     if cp.has_option("instance", "case"):
         return load_case(_path(cp, path, "instance", "case"))
     inst_seed = _get(cp, "instance", "seed", int)
-    _check_seed(inst_seed, "[instance] seed")
     ranges = {key: _get(cp, "instance", key, _range) for key in _RANGES if cp.has_option("instance", key)}
     inst = generate_instance(InstanceSpec(n=_get(cp, "instance", "n", int), **ranges), inst_seed)
-    if "graph" not in cp:
-        raise ConfigError("generated instances need a [graph] section")
     if cp.has_option("graph", "file"):
         return inst, load_graph(_path(cp, path, "graph", "file"))
-    mode = _get(cp, "graph", "mode").lower()
-    if mode not in ("undirected", "directed"):
-        raise ConfigError(f"graph mode must be undirected|directed, got {mode!r}")
+    directed = _get(cp, "graph", "mode", is_directed)
     graph_seed = _get(cp, "graph", "seed", int, inst_seed)
-    _check_seed(graph_seed, "[graph] seed")
-    spec = GraphSpec(inst.n, _get(cp, "graph", "extra_edges", int, GraphSpec.extra_edges), mode == "directed")
+    spec = GraphSpec(inst.n, _get(cp, "graph", "extra_edges", int, GraphSpec.extra_edges), directed)
     return inst, generate_graph(spec, graph_seed)
 
 
-def _params(cp: configparser.ConfigParser, algorithm: str) -> AlgorithmParams:
+def _params(cp: _Config, algorithm: str) -> AlgorithmParams:
     alg = cp["algorithm"]
     if "s" in alg:
         if "step_a" in alg or "step_b" in alg:
@@ -361,19 +361,25 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
     """Parse and fully resolve a config file; all validation happens here.
 
     Every key is read through one typed reader, so a missing or
-    unparsable value is a `ConfigError` that names its key. Every invalid
+    unparsable value is a `ConfigError` that names its key, and so is a
+    key that nothing reads: a misspelt one, or one the other keys leave
+    unused (`[graph]` keys beside a `case`). `seeds` and `[output] dir`
+    are read even when `seeds_override` and `out_override` replace them.
+    Every value is checked by what it is given to, and every invalid
     input raises `ConfigError`: a missing file, an instance, cost or
     graph the library rejects (an unknown algorithm id, or one whose
-    directedness or size does not match the graph, among them), and
+    directedness or size does not match the graph, among them),
     parameters the `AlgorithmParams` and stepsize constructors reject (s,
-    step_a, step_b, xi and nhat must be positive and finite). Paths in
-    the config (`case`, `file`, `[output] dir`) are relative to its
-    directory.
+    step_a, step_b, xi and nhat must be positive and finite), generator
+    seeds `generate_instance` and `generate_graph` reject, and a q or a
+    seed each seed's `GraphSchedule` rejects (q in [0, 1), seeds in
+    [0, 2^64)). Paths in the config (`case`, `file`, `[output] dir`) are
+    relative to its directory.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = _Config()
     try:
         cp.read_string(path.read_text(encoding="utf-8"))
     except configparser.Error as exc:
@@ -382,20 +388,8 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
         if section not in cp:
             raise ConfigError(f"missing section [{section}]")
     algorithm = _get(cp, "algorithm", "id").lower()
-    try:
-        inst, graph = _instance_and_graph(cp, path)
-        check_pairing(algorithm, inst, graph)
-        params = _params(cp, algorithm)
-    except (InvalidInstanceError, InvalidCostError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    q = _get(cp, "run", "q", float)
-    if not 0.0 <= q < 1.0:
-        raise ConfigError(f"q={q} outside [0, 1)")
-    oracle_tol = _get(cp, "run", "oracle_tol", float, ExperimentConfig.oracle_tol)
-    if not positive(oracle_tol):
-        raise ConfigError(f"oracle_tol={oracle_tol} must be positive and finite")
-    seeds_text = seeds_override if seeds_override is not None else _get(cp, "run", "seeds")
+    in_config = _get(cp, "run", "seeds", default=seeds_override)  # asked even when overridden, so the key stays known
+    seeds_text = in_config if seeds_override is None else seeds_override
     try:
         seeds = tuple(int(s) for s in str(seeds_text).replace(",", " ").split())
     except ValueError:
@@ -404,12 +398,21 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
         raise ConfigError("empty seed list")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("duplicate seeds")
-    for seed in seeds:
-        _check_seed(seed, "seeds")
-
-    out_dir = out_override
-    if out_dir is None and cp.has_option("output", "dir"):
-        out_dir = _path(cp, path, "output", "dir", exists=False)
+    try:
+        inst, graph = _instance_and_graph(cp, path)
+        check_pairing(algorithm, inst, graph)
+        params = _params(cp, algorithm)
+        q = _get(cp, "run", "q", float)
+        for seed in seeds:  # sampling is lazy: a schedule draws nothing until its masks are read
+            GraphSchedule(graph, q, seed, params.horizon)
+    except (InvalidInstanceError, InvalidCostError, InvalidGraphError) as exc:
+        raise ConfigError(str(exc)) from exc
+    out_dir = _path(cp, path, "output", "dir", exists=False) if cp.has_option("output", "dir") else None
+    if out_override is not None:
+        out_dir = Path(out_override)
+    unread = [f"[{s}] {key}" for s in cp.sections() for key in cp.options(s) if (s, key) not in cp.asked]
+    if unread:
+        raise ConfigError(f"no reader for {', '.join(unread)}: a misspelt key, or one the other keys leave unused")
     return ExperimentConfig(
         instance=inst,
         graph=graph,
@@ -417,8 +420,7 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
         params=params,
         q=q,
         seeds=seeds,
-        out_dir=None if out_dir is None else Path(out_dir),
-        oracle_tol=oracle_tol,
+        out_dir=out_dir,
     )
 
 
@@ -512,9 +514,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     if config.out_dir is None:
         raise ConfigError("no output directory: set [output] dir or pass --out")
-    solution = solve_bisection(
-        config.instance, xi=config.params.xi, nhat=config.params.nhat, tol=config.oracle_tol
-    )
+    solution = solve_bisection(config.instance, xi=config.params.xi, nhat=config.params.nhat)
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -71,7 +71,16 @@ from .errors import CaseParseError, InvalidGraphError
 
 PRNG_VERSION = "philox4x64-v1"
 
-_MAX_SEED = 2**64
+
+def checked_seed(seed, what: str, error: type[Exception]) -> int:
+    """`seed` as an int in [0, 2^64), the key word a Philox stream takes; else `error` naming `what`."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {seed!r}") from None
+    if not 0 <= seed < 2**64:
+        raise error(f"{what} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -198,12 +207,8 @@ class GraphSchedule:
     def __post_init__(self):
         if not (0.0 <= self.q < 1.0):
             raise InvalidGraphError(f"failure probability q={self.q} outside [0, 1)")
-        try:  # stored as an int, so equal seeds give equal digests
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise InvalidGraphError(f"seed must be an integer, got {self.seed!r}") from None
-        if not (0 <= self.seed < _MAX_SEED):
-            raise InvalidGraphError("seed must fit in 64 bits")
+        # stored as an int, so equal seeds give equal digests
+        object.__setattr__(self, "seed", checked_seed(self.seed, "schedule seed", InvalidGraphError))
         if self.horizon < 0:
             raise InvalidGraphError("horizon must be nonnegative")
 
@@ -484,6 +489,37 @@ def numbered_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def is_directed(mode: str) -> bool:
+    """The graph mode word: True for 'directed', False for 'undirected', in any case; ValueError otherwise."""
+    mode = mode.lower()
+    if mode not in ("undirected", "directed"):
+        raise ValueError(mode)
+    return mode == "directed"
+
+
+# What each field parser of `parse_fields` (and of the config reader) accepts, for the error that rejects a value.
+KINDS = {int: "an integer", float: "a number", is_directed: "'undirected' or 'directed'"}
+
+
+def parse_fields(line: tuple[int, str], names: str, kinds: tuple) -> list:
+    """The values of a numbered line of exactly the fields `names`, field i parsed by kinds[i].
+
+    Each `CaseParseError` carries the line number: a wrong field count
+    quotes the line, a value its parser rejects names its field.
+    """
+    lineno, content = line
+    words = content.split()
+    if len(words) != len(kinds):
+        raise CaseParseError(lineno, f"expected '{names}', got {content!r}")
+    values = []
+    for name, kind, word in zip(names.split(), kinds, words):
+        try:
+            values.append(kind(word))
+        except ValueError:
+            raise CaseParseError(lineno, f"{name} must be {KINDS[kind]}, got {word!r}") from None
+    return values
+
+
 def parse_graph_lines(lines: list[tuple[int, str]]) -> NominalGraph:
     """Parse the graph section: header ``n m mode`` then one edge per line.
 
@@ -492,34 +528,16 @@ def parse_graph_lines(lines: list[tuple[int, str]]) -> NominalGraph:
     """
     if not lines:
         raise CaseParseError(0, "missing graph header 'n m mode'")
-    first_line, header = lines[0]
-    head = header.split()
-    if len(head) != 3:
-        raise CaseParseError(first_line, f"expected 'n m mode', got {header!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise CaseParseError(first_line, f"non-integer node/edge count in {header!r}") from None
-    mode = head[2].lower()
-    if mode not in ("undirected", "directed"):
-        raise CaseParseError(first_line, f"mode must be undirected|directed, got {head[2]!r}")
+    n, m, directed = parse_fields(lines[0], "n m mode", (int, int, is_directed))
     if len(lines) - 1 < m:
         raise CaseParseError(lines[-1][0], f"expected {m} edge lines, found {len(lines) - 1}")
     if len(lines) - 1 > m:
         raise CaseParseError(lines[1 + m][0], f"unexpected content after {m} edge lines")
-    edges = []
-    for lineno, content in lines[1 : 1 + m]:
-        parts = content.split()
-        if len(parts) != 2:
-            raise CaseParseError(lineno, f"expected 'i j', got {content!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise CaseParseError(lineno, f"non-integer endpoint in {content!r}") from None
+    edges = [parse_fields(line, "i j", (int, int)) for line in lines[1 : 1 + m]]
     try:
-        return NominalGraph(n, edges, directed=(mode == "directed"))
+        return NominalGraph(n, edges, directed)
     except InvalidGraphError as exc:
-        raise CaseParseError(first_line, str(exc)) from exc
+        raise CaseParseError(lines[0][0], str(exc)) from exc
 
 
 def load_graph(path) -> NominalGraph:

@@ -128,7 +128,7 @@ class TestUndirectedSteps:
         params = params_for(3)
         bad = dc.UndirectedState(np.stack([[0.0, np.nan, 0.0], np.zeros(3), np.zeros(3)]))  # p, lam, y
         g = ring(3, False)
-        with pytest.raises(DivergenceError, match="at step 1 "):
+        with pytest.raises(DivergenceError, match=r"at step 0 \(pd1: p\)$"):  # the start is checked before any step
             run_over("pd1", small_instance, g, [np.ones(3, bool)], params, bad)
 
 
@@ -696,23 +696,39 @@ class TestDivergenceNames:
     """A `DivergenceError` names its step and every non-finite field."""
 
     @pytest.mark.parametrize("algorithm, named", [
-        ("pd1", "pd1: lam, y"),
+        ("pd1", "pd1: y"),
         ("pd2", "pd2: lam"),
-        ("directed", "directed: lam, y, x"),
-        ("robust", "robust: lam, y, x, sums.lam, sums.y"),
-        ("virtual", "virtual: lam, y, x"),
+        ("directed", "directed: y"),
+        ("robust", "robust: y"),
+        ("virtual", "virtual: y"),
         ("centralized", "centralized: lam"),
     ])
     def test_inf_in_y_names_step_and_fields(self, small_instance, algorithm, named):
+        # The start is checked before the first step, so only the row that holds the inf is named, at step 0.
         graph = ring(3, directed(algorithm))
         params = params_for(3, horizon=10)
         start = dc.initial_state(algorithm, small_instance, graph, params)
         start = replace(start, nodes=start.nodes.copy())
         (start.lam if start.y is None else start.y)[0] = np.inf  # pd2 and centralized carry no tracker
-        no_warning = np.errstate(invalid="ignore")  # inactive arcs weigh 0 * inf
-        with no_warning, pytest.raises(DivergenceError, match=rf"^non-finite iterate at step 1 \({named}\)$") as err:
+        with pytest.raises(DivergenceError, match=rf"^non-finite iterate at step 0 \({named}\)$") as err:
             dc.run(algorithm, small_instance, dc.GraphSchedule(graph, 0.2, 1, 10), params, init=start)
-        assert err.value.step == 1
+        assert err.value.step == 0
+
+    @pytest.mark.parametrize("algorithm, row, named", [
+        ("robust", "sums", "robust: sums.y"),
+        ("virtual", "virtual lam", "virtual: lam"),
+    ])
+    def test_nan_in_the_start_names_only_its_row(self, case39_directed, algorithm, row, named):
+        inst, graph = case39_directed
+        params = params_for(inst.n, horizon=10)
+        start = dc.initial_state(algorithm, inst, graph, params)
+        start = replace(start, nodes=start.nodes.copy())
+        if row == "sums":
+            start.sums[2, 5] = np.nan
+        else:
+            start.lam[inst.n + 3] = np.nan  # a virtual node: its v starts at 0, which the start check allows
+        with pytest.raises(DivergenceError, match=rf"^non-finite iterate at step 0 \({named}\)$"):
+            dc.run(algorithm, inst, dc.GraphSchedule(graph, 0.2, 1, 10), params, init=start)
 
     @pytest.mark.parametrize("algorithm", ["directed", "robust", "virtual"])
     def test_overflow_in_x_alone_names_x(self, small_instance, algorithm):

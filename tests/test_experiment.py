@@ -18,6 +18,7 @@ from dercoord.errors import (
     CaseParseError,
     ConfigError,
     GeneratorSpecError,
+    InvalidGraphError,
     InvalidInstanceError,
 )
 from dercoord.experiment import (
@@ -58,6 +59,21 @@ class TestCaseFiles:
         with pytest.raises(CaseParseError) as err:
             parse_case(text)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("text,line,detail", [
+        ("x\n", 1, "n must be an integer, got 'x'"),
+        ("1 2\n", 1, "expected 'n', got '1 2'"),
+        ("# header\n1\n1 0 0 0 5\n1 0 undirected\n", 3, "expected 'a b c p_lo p_hi load', got '1 0 0 0 5'"),
+        ("1\n1 0 oops 0 5 2\n", 2, "c must be a number, got 'oops'"),
+        ("1\n1 0 0 0 5 2\n1 0 sideways\n", 3, "mode must be 'undirected' or 'directed', got 'sideways'"),
+        ("1\n1 0 0 0 5 2\n1 x undirected\n", 3, "m must be an integer, got 'x'"),
+        ("2\n1 0 0 0 5 2\n1 0 0 0 5 2\n2 1 Undirected\n0\n", 5, "expected 'i j', got '0'"),
+        ("2\n1 0 0 0 5 2\n1 0 0 0 5 2\n2 1 UNDIRECTED\n\n0 1.5\n", 6, "j must be an integer, got '1.5'"),
+    ])
+    def test_each_line_kind_names_its_line_and_field(self, text, line, detail):
+        with pytest.raises(CaseParseError, match=re.escape(f"line {line}: {detail}")) as err:
+            parse_case(text)
+        assert err.value.line == line
 
     def test_graph_agent_count_mismatch(self):
         text = "1\n1.0 0 0 0 10 5\n2 1 undirected\n0 1\n"
@@ -144,6 +160,16 @@ class TestGenerators:
         with pytest.raises(GeneratorSpecError, match=rf"{name}=\(.*\) must be finite with low <= high"):
             InstanceSpec(n=3, **{name: bounds})
 
+    @pytest.mark.parametrize("seed,rule", [(-1, "lie in [0, 2^64), got -1"), (2**64, f"lie in [0, 2^64), got {2**64}"),
+                                           (1.5, "be an integer, got 1.5")])
+    def test_generators_reject_seeds_outside_64_bits(self, seed, rule):
+        with pytest.raises(GeneratorSpecError, match=re.escape(f"instance seed must {rule}")):
+            dc.generate_instance(InstanceSpec(n=3), seed)
+        with pytest.raises(GeneratorSpecError, match=re.escape(f"graph seed must {rule}")):
+            dc.generate_graph(dc.GraphSpec(n=5, extra_edges=2), seed)
+        edge = dc.generate_graph(dc.GraphSpec(n=5, extra_edges=2), np.uint64(2**64 - 1))
+        assert edge.edges == dc.generate_graph(dc.GraphSpec(n=5, extra_edges=2), 2**64 - 1).edges
+
     def test_generated_graphs_connected_and_sized(self):
         for seed in range(20):
             g = dc.generate_graph(dc.GraphSpec(n=9, extra_edges=3, directed=True), seed)
@@ -158,7 +184,7 @@ class TestGenerators:
 
 def candidate_list_graph(spec, seed):
     """Ring-plus-chords graph drawn from the explicit list of all non-ring pairs."""
-    gen = _stream(seed, _TAG_GRAPH)
+    gen = _stream(seed, _TAG_GRAPH, "graph seed")
     n = spec.n
     if n == 1:
         return dc.NominalGraph(1, [], spec.directed)
@@ -240,10 +266,15 @@ seeds = 1,2
 
 
 def config_with(section, key, value, body=GOOD_CONFIG):
-    """`body` with [section] key = value; step_a and step_b (1 and 10 unless given) replace s."""
+    """`body` with [section] key = value, the section added if absent.
+
+    step_a and step_b (1 and 10 unless given) replace s.
+    """
     cp = configparser.ConfigParser()
     cp.optionxform = str
     cp.read_string(body)
+    if not cp.has_section(section):
+        cp.add_section(section)
     if key.startswith("step_"):
         cp.remove_option("algorithm", "s")
         cp["algorithm"].update(step_a="1", step_b="10")
@@ -258,19 +289,19 @@ NUMERIC_KEYS = [
     ("instance", "c_range"), ("instance", "load_range"), ("instance", "lo_range"), ("instance", "hi_range"),
     ("graph", "extra_edges"), ("graph", "seed"), ("algorithm", "s"), ("algorithm", "step_a"),
     ("algorithm", "step_b"), ("algorithm", "xi"), ("algorithm", "nhat"), ("algorithm", "gamma"),
-    ("run", "K"), ("run", "q"), ("run", "oracle_tol"), ("run", "seeds"),
+    ("run", "K"), ("run", "q"), ("run", "seeds"),
 ]
 # (section, key, value, what the error names): a number the key's rule rejects
 BAD_NUMBERS = [
     *(("algorithm", key, value, f"{name}={value}") for key, name in
       (("s", "s"), ("step_a", "a"), ("step_b", "b"), ("xi", "xi"), ("nhat", "nhat")) for value in ("nan", "inf")),
-    ("run", "oracle_tol", "nan", "oracle_tol=nan"), ("run", "oracle_tol", "inf", "oracle_tol=inf"),
     ("algorithm", "gamma", "nan", "gamma=nan"), ("run", "q", "nan", "q=nan"),
 ]
 BAD_VALUES = [
     *((section, key, "abc", f"{key} must be ") for section, key in NUMERIC_KEYS),
     *BAD_NUMBERS,
     ("algorithm", "id", "warp", "unknown algorithm 'warp'"),
+    ("graph", "mode", "sideways", "mode must be 'undirected' or 'directed', got 'sideways'"),
 ]
 
 
@@ -360,18 +391,61 @@ seeds = 1
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, tmp_path, seed):
+        # The schedule each seed is given to owns the rule.
         cfg = write_config(tmp_path / "c.cfg", GOOD_CONFIG)
-        with pytest.raises(ConfigError, match=r"seeds must lie in \[0, 2\^64\)"):
+        want = re.escape(f"schedule seed must lie in [0, 2^64), got {seed}")
+        with pytest.raises(ConfigError, match=want) as err:
             load_config(cfg, seeds_override=str(seed))
-        with pytest.raises(ConfigError, match="seeds must lie"):
+        assert isinstance(err.value.__cause__, InvalidGraphError)
+        with pytest.raises(ConfigError, match=want):
             load_config(write_config(tmp_path / "d.cfg", GOOD_CONFIG.replace("seeds = 1,2", f"seeds = 1,{seed}")))
         assert load_config(cfg, seeds_override=f"0,{2**64 - 1}").seeds == (0, 2**64 - 1)
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-    def test_oracle_tol_must_be_positive_and_finite(self, tmp_path, tol):
-        bad = GOOD_CONFIG.replace("seeds = 1,2", f"seeds = 1,2\noracle_tol = {tol}")
-        with pytest.raises(ConfigError, match="oracle_tol"):
-            load_config(write_config(tmp_path / "c.cfg", bad))
+    def test_misspelt_key_is_not_ignored(self, tmp_path):
+        # Were it ignored, the graph would keep its default: the 6 ring edges and no chord.
+        body = GOOD_CONFIG.replace("extra_edges = 2", "extra_edge = 40")
+        with pytest.raises(ConfigError, match=re.escape("no reader for [graph] extra_edge")):
+            load_config(write_config(tmp_path / "c.cfg", body))
+        both = GOOD_CONFIG.replace("extra_edges = 2", "extra_edge = 40\nXI = 2")
+        with pytest.raises(ConfigError, match=re.escape("no reader for [graph] extra_edge, [graph] xi")):
+            load_config(write_config(tmp_path / "d.cfg", both))
+        # A [DEFAULT] key is not spread over the sections that do not read it.
+        defaults = "[DEFAULT]\nextra_edges = 2\n" + GOOD_CONFIG.replace("extra_edges = 2\n", "")
+        with pytest.raises(ConfigError, match=re.escape("no reader for [DEFAULT] extra_edges: ")):
+            load_config(write_config(tmp_path / "e.cfg", defaults))
+
+    def test_keys_the_other_keys_leave_unused_are_rejected(self, tmp_path, repo_root):
+        # A case file brings its own graph, and a graph file its own mode.
+        case = case_config(repo_root / "cases" / "case39_undirected.txt")
+        case = case.replace("[algorithm]", "n = 39\n[graph]\nmode = undirected\n[algorithm]")
+        with pytest.raises(ConfigError, match=re.escape("no reader for [instance] n, [graph] mode")):
+            load_config(write_config(tmp_path / "c.cfg", case))
+        (tmp_path / "g.txt").write_text("6 6 directed\n" + "".join(f"{i} {(i + 1) % 6}\n" for i in range(6)))
+        with pytest.raises(ConfigError, match=re.escape("no reader for [graph] mode, [graph] extra_edges")):
+            load_config(write_config(tmp_path / "d.cfg", GOOD_CONFIG.replace("[graph]\n", "[graph]\nfile = g.txt\n")))
+
+    @pytest.mark.parametrize("name", ["pd1", "pd2", "robust"])
+    def test_shipped_configs_load_with_and_without_overrides(self, repo_root, tmp_path, name):
+        cfg = repo_root / "configs" / f"benchmark39_{name}.cfg"
+        plain = load_config(cfg)
+        assert plain.seeds == (1, 2, 3, 4, 5) and plain.out_dir == cfg.parent / f"../out/benchmark39_{name}"
+        assert load_config(cfg, seeds_override="7").seeds == (7,)
+        assert load_config(cfg, out_override=tmp_path).out_dir == tmp_path
+        both = load_config(cfg, out_override=tmp_path, seeds_override="2,3")
+        assert both.seeds == (2, 3) and both.out_dir == tmp_path
+
+    def test_seeds_may_come_from_the_override_alone(self, tmp_path):
+        body = GOOD_CONFIG.replace("seeds = 1,2\n", "")
+        assert load_config(write_config(tmp_path / "c.cfg", body), seeds_override="4").seeds == (4,)
+        with pytest.raises(ConfigError, match="missing required key 'seeds' in \\[run\\]"):
+            load_config(write_config(tmp_path / "c.cfg", body))
+
+    def test_readme_example_config_loads(self, repo_root, tmp_path):
+        readme = (repo_root / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"## Config format.*?```ini\n(.*?)```", readme, re.S).group(1)
+        config = load_config(write_config(tmp_path / "c.cfg", example))
+        assert config.algorithm == "robust" and config.graph.directed and config.seeds == (1, 2, 3, 4, 5)
+        assert config.out_dir == tmp_path / "../out/example_robust"
 
 
 class TestRunExperiment:
@@ -601,7 +675,7 @@ class TestCli:
     def test_run_with_negative_seed_exits_2_without_artifacts(self, repo_root, tmp_path, capsys):
         cfg = repo_root / "configs" / "benchmark39_pd1.cfg"
         assert cli_main(["run", str(cfg), "--seeds=-1", "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error: seeds must lie in [0, 2^64)")
+        assert capsys.readouterr().err.startswith("error: schedule seed must lie in [0, 2^64), got -1")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section", ["instance", "graph"])
@@ -615,7 +689,7 @@ class TestCli:
             body = GOOD_CONFIG.replace("[graph]\n", f"[graph]\nseed = {seed}\n")
         cfg = write_config(tmp_path / "c.cfg", body)
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: [{section}] seed must lie in [0, 2^64)")
+        assert capsys.readouterr().err.startswith(f"error: {section} seed must lie in [0, 2^64), got {seed}")
         assert not (tmp_path / "out").exists()
         edge = write_config(tmp_path / "d.cfg", body.replace(f"seed = {seed}", f"seed = {2**64 - 1}"))
         assert load_config(edge).instance.n == 6
@@ -692,6 +766,16 @@ class TestCli:
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,key", [
+        ("instance", "seeds"), ("graph", "extra_edge"), ("algorithm", "gama"), ("run", "oracle_tol"),
+        ("output", "dirs"), ("outptu", "dir"),
+    ])
+    def test_key_no_reader_reads_exits_2_without_artifacts(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path / "c.cfg", config_with(section, key, "1"))
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out"), "--seeds", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: no reader for [{section}] {key}: ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section,key", [("instance", "case"), ("graph", "file")])

@@ -1,10 +1,13 @@
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dercoord as dc
-from dercoord.errors import InvalidCostError, InvalidInstanceError
+from dercoord.errors import InfeasibleInstanceError, InvalidCostError, InvalidInstanceError
 from dercoord.cli import build_parser
 from dercoord.experiment import ExperimentConfig
 from dercoord.oracle import ORACLE_TOL
@@ -139,10 +142,45 @@ class TestSolveBisection:
 
 
     def test_default_tolerance_is_one_constant(self):
-        # The solver's default, the config's and `dercoord solve --tol`'s are one statement.
+        # The solver's default is the one statement; no config key or `dercoord solve` flag overrides it.
         assert inspect.signature(dc.solve_bisection).parameters["tol"].default is ORACLE_TOL
-        assert ExperimentConfig.oracle_tol is ORACLE_TOL
-        assert build_parser().parse_args(["solve", "case.txt"]).tol is ORACLE_TOL
+        assert "oracle_tol" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert not hasattr(build_parser().parse_args(["solve", "case.txt"]), "tol")
+
+    @pytest.mark.parametrize("name", ["pd1", "robust"])
+    def test_kkt_residual_is_the_public_one_on_the_shipped_configs(self, repo_root, name):
+        config = dc.load_config(repo_root / "configs" / f"benchmark39_{name}.cfg")
+        xi, nhat = config.params.xi, config.params.nhat
+        sol = dc.solve_bisection(config.instance, xi=xi, nhat=nhat)
+        assert sol.kkt_residual == dc.kkt_residual(config.instance, sol.p_star, sol.lambda_star, xi, nhat)
+        assert 0.0 < sol.kkt_residual <= ORACLE_TOL
+
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+        pinned=st.integers(0, 11),
+        xi=st.floats(0.05, 2.0),
+        nhat_scale=st.floats(0.5, 2.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_kkt_residual_is_the_public_one_with_agents_at_their_bounds(self, n, seed, pinned, xi, nhat_scale):
+        # Narrow boxes put agents at p_lo and at p_hi. Up to n - 1 agents then get
+        # p_lo = p_hi = their optimal dispatch, which keeps the instance feasible unless
+        # every other agent sits at a bound.
+        spec = dc.InstanceSpec(n=n, lo_range=(0.0, 0.8), hi_range=(0.9, 1.6), load_range=(0.4, 1.4))
+        inst = dc.generate_instance(spec, seed)
+        nhat = nhat_scale * n
+        pinned = min(pinned, n - 1)
+        lo, hi = inst.p_lo.copy(), inst.p_hi.copy()
+        lo[:pinned] = hi[:pinned] = dc.solve_bisection(inst, xi=xi, nhat=nhat).p_star[:pinned]
+        try:
+            inst = dc.ProblemInstance(inst.loads, lo, hi, inst.cost)
+        except InfeasibleInstanceError:
+            assume(False)
+        sol = dc.solve_bisection(inst, xi=xi, nhat=nhat)
+        assert sol.kkt_residual == dc.kkt_residual(inst, sol.p_star, sol.lambda_star, xi, nhat)
+        assert np.all(sol.mu_star >= 0.0) and np.all(sol.nu_star >= 0.0)
+        assert not np.any(sol.mu_star[sol.p_star < inst.p_hi]) and not np.any(sol.nu_star[sol.p_star > inst.p_lo])
 
 
 def centralized(inst, params, graph=None, init=None):
