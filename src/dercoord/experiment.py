@@ -351,7 +351,8 @@ def _params(cp: _Config, algorithm: str) -> AlgorithmParams:
         step = DiminishingStep(_get(cp, "algorithm", "step_a", float), _get(cp, "algorithm", "step_b", float))
     else:
         raise ConfigError("missing stepsize: give s or step_a and step_b in [algorithm]")
-    gamma = _get(cp, "algorithm", "gamma", float, None if algorithm in RUNNING_SUM_ALGORITHMS else AlgorithmParams.gamma)
+    # Only the running-sum algorithms read gamma, so any other algorithm leaves the key unread.
+    gamma = _get(cp, "algorithm", "gamma", float) if algorithm in RUNNING_SUM_ALGORITHMS else AlgorithmParams.gamma
     return AlgorithmParams(
         step, _get(cp, "algorithm", "xi", float), _get(cp, "algorithm", "nhat", float), gamma, _get(cp, "run", "K", int)
     )
@@ -363,7 +364,8 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
     Every key is read through one typed reader, so a missing or
     unparsable value is a `ConfigError` that names its key, and so is a
     key that nothing reads: a misspelt one, or one the other keys leave
-    unused (`[graph]` keys beside a `case`). `seeds` and `[output] dir`
+    unused (`[graph]` keys beside a `case`, `gamma` for an algorithm
+    without running sums). `seeds` and `[output] dir`
     are read even when `seeds_override` and `out_override` replace them.
     Every value is checked by what it is given to, and every invalid
     input raises `ConfigError`: a missing file, an instance, cost or

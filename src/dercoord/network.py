@@ -529,6 +529,8 @@ def parse_graph_lines(lines: list[tuple[int, str]]) -> NominalGraph:
     if not lines:
         raise CaseParseError(0, "missing graph header 'n m mode'")
     n, m, directed = parse_fields(lines[0], "n m mode", (int, int, is_directed))
+    if m < 0:
+        raise CaseParseError(lines[0][0], f"edge count must be >= 0, got {m}")
     if len(lines) - 1 < m:
         raise CaseParseError(lines[-1][0], f"expected {m} edge lines, found {len(lines) - 1}")
     if len(lines) - 1 > m:

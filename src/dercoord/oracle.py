@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInstanceError
-from .problem import ProblemInstance, QuadraticCost, positive
+from .problem import ProblemInstance, QuadraticCost, kkt_multipliers, positive
 
 # The default balance tolerance |1'p - 1'load| of `solve_bisection`, which
 # `run_experiment` and `dercoord solve` take.
@@ -124,12 +124,7 @@ def solve_bisection(
             lam_hi = lam
 
     _, lam_star, p_star = best
-    stat_gap = scale * lam_star - inst.cost.grad(p_star)
-    mu = np.where(p_star >= inst.p_hi, np.maximum(stat_gap, 0.0), 0.0)
-    nu = np.where(p_star <= inst.p_lo, np.maximum(-stat_gap, 0.0), 0.0)
-    # f' - c*lam + mu - nu is what the bound multipliers leave of each agent's stationarity
-    # defect, so this equals `kkt_residual` at (p*, lam*) bit for bit.
-    res = max(abs(float(np.sum(p_star - inst.loads))), float(np.abs(-stat_gap + mu - nu).max()))
+    mu, nu, res = kkt_multipliers(inst, p_star, lam_star, scale)
     return DispatchSolution(
         p_star=p_star,
         lambda_star=float(lam_star),

@@ -339,25 +339,23 @@ def checked_p0(inst: ProblemInstance, p0=None) -> np.ndarray:
     return p0
 
 
-def kkt_residual(inst: ProblemInstance, p, lam: float, xi: float, nhat: float) -> float:
-    """Residual of the scaled KKT system at (p, lam).
+def kkt_multipliers(inst: ProblemInstance, p: np.ndarray, lam: float, c: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bound multipliers (mu, nu) at (p, lam) with c = xi*nhat/n, and the KKT residual they leave.
 
-    Returns the max of the balance violation |1'(p - load)| and the worst
-    per-agent stationarity violation |f_i'(p_i) - xi*(nhat/n)*lam|, where
-    agents sitting at a bound are charged only for the part a nonnegative
-    bound multiplier cannot absorb. Zero iff (p, lam) solves the KKT
-    system in the scaled convention.
+    The residual is the max of the balance violation |1'(p - load)| and
+    the worst per-agent stationarity violation |c*lam - f_i'(p_i) - mu_i
+    + nu_i|: an agent at a bound is charged only for the part a
+    nonnegative multiplier cannot absorb. It is zero iff (p, lam) solves
+    the KKT system in the scaled convention.
     """
-    p = _as_vector(p, "p", inst.n)
-    c = xi * nhat / inst.n
-    g = inst.cost.grad(p)
-    gap = g - c * float(lam)
-    viol = np.abs(gap)
-    at_hi = p >= inst.p_hi
-    at_lo = p <= inst.p_lo
+    stat = c * lam - inst.cost.grad(p)
     # At the upper bound mu >= 0 absorbs c*lam - f' >= 0; symmetric below.
-    viol = np.where(at_hi, np.maximum(gap, 0.0), viol)
-    viol = np.where(at_lo, np.maximum(-gap, 0.0), viol)
-    viol = np.where(at_hi & at_lo, 0.0, viol)
+    mu = np.where(p >= inst.p_hi, np.maximum(stat, 0.0), 0.0)
+    nu = np.where(p <= inst.p_lo, np.maximum(-stat, 0.0), 0.0)
     balance = abs(float(np.sum(p - inst.loads)))
-    return max(balance, float(viol.max()))
+    return mu, nu, max(balance, float(np.abs(stat - mu + nu).max()))
+
+
+def kkt_residual(inst: ProblemInstance, p, lam: float, xi: float, nhat: float) -> float:
+    """Residual of the scaled KKT system at (p, lam) (see `kkt_multipliers`)."""
+    return kkt_multipliers(inst, _as_vector(p, "p", inst.n), float(lam), xi * nhat / inst.n)[2]

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import dercoord as dc
 from dercoord import experiment
+from dercoord.algorithms import RUNNING_SUM_ALGORITHMS
 from dercoord.cli import main as cli_main
 from dercoord.errors import (
     CaseParseError,
@@ -67,6 +68,7 @@ class TestCaseFiles:
         ("1\n1 0 oops 0 5 2\n", 2, "c must be a number, got 'oops'"),
         ("1\n1 0 0 0 5 2\n1 0 sideways\n", 3, "mode must be 'undirected' or 'directed', got 'sideways'"),
         ("1\n1 0 0 0 5 2\n1 x undirected\n", 3, "m must be an integer, got 'x'"),
+        ("2\n1 0 0 0 5 2\n1 0 0 0 5 2\n2 -1 undirected\n0 1\n", 4, "edge count must be >= 0, got -1"),
         ("2\n1 0 0 0 5 2\n1 0 0 0 5 2\n2 1 Undirected\n0\n", 5, "expected 'i j', got '0'"),
         ("2\n1 0 0 0 5 2\n1 0 0 0 5 2\n2 1 UNDIRECTED\n\n0 1.5\n", 6, "j must be an integer, got '1.5'"),
     ])
@@ -234,7 +236,7 @@ id = {algorithm}
 s = 0.01
 xi = 0.05
 nhat = 39
-gamma = 0.9
+{"gamma = 0.9" if algorithm in RUNNING_SUM_ALGORITHMS else ""}
 
 [run]
 K = 10
@@ -268,7 +270,8 @@ seeds = 1,2
 def config_with(section, key, value, body=GOOD_CONFIG):
     """`body` with [section] key = value, the section added if absent.
 
-    step_a and step_b (1 and 10 unless given) replace s.
+    step_a and step_b (1 and 10 unless given) replace s, and gamma, which
+    only the running-sum algorithms read, makes the algorithm robust.
     """
     cp = configparser.ConfigParser()
     cp.optionxform = str
@@ -278,6 +281,8 @@ def config_with(section, key, value, body=GOOD_CONFIG):
     if key.startswith("step_"):
         cp.remove_option("algorithm", "s")
         cp["algorithm"].update(step_a="1", step_b="10")
+    if key == "gamma":
+        cp["algorithm"]["id"] = "robust"
     cp[section][key] = value
     out = io.StringIO()
     cp.write(out)
@@ -343,6 +348,11 @@ class TestConfigs:
     def test_robust_requires_gamma(self, tmp_path):
         bad = GOOD_CONFIG.replace("id = directed", "id = robust")
         with pytest.raises(ConfigError, match="gamma"):
+            load_config(write_config(tmp_path / "c.cfg", bad))
+
+    def test_gamma_for_an_algorithm_without_running_sums_is_unread(self, tmp_path):
+        bad = GOOD_CONFIG.replace("nhat = 6", "nhat = 6\ngamma = 0.5")
+        with pytest.raises(ConfigError, match=re.escape("no reader for [algorithm] gamma: ")):
             load_config(write_config(tmp_path / "c.cfg", bad))
 
     def test_case_path_resolved_relative_to_config(self, tmp_path, repo_root):
@@ -649,7 +659,7 @@ class TestCli:
 
     def test_run_centralized_config(self, repo_root, tmp_path, capsys):
         # pd1's shipped parameters with id = centralized and no gamma key, which only
-        # the running-sum algorithms require.
+        # the running-sum algorithms read.
         body = (repo_root / "configs" / "benchmark39_pd1.cfg").read_text().replace("id = pd1", "id = centralized")
         body = body.replace("../cases/", f"{repo_root / 'cases'}/")
         assert "gamma" not in body
