@@ -26,11 +26,19 @@ the rows and row stacks the step reads or writes.
 of the algorithm's weight table and the stepsize s and its product
 s*xi, both as 0-d arrays, and fills `nxt` with ufuncs writing through
 positional `out`, mixing the whole stack in one call of the edge-list
-primitive `network.mix` in O(F (n + m)). A step allocates no array
-(but `mix`'s sums) and makes no view, and no Python float reaches its
-ufuncs; each expression keeps its operands and their order, so the bits
-are those of the plain NumPy expressions. No kernel builds a dense
-matrix.
+primitive `network.mix` in O(F (n + m)). The table's rows come in the
+shape of the stack each one meets: pd1 reads self weights (2, n) and arc
+weights (2, 2m), pd2 the same over one row, directed D (n,) for lam, D
+(2, n) for v and y and the live arcs (3, m), and robust and virtual the
+release fractions (3, m); robust and virtual divide by their
+out-degrees as a bound (3, n) array. So a step's ufunc calls meet
+operands of one shape and take NumPy's same-shape loop, with the bits
+of the broadcasting one; a row longer than `network.STACK_ROW_MAX`
+stays one row, which the call broadcasts (`network.stacked`). A step
+allocates no array (but `mix`'s sums) and makes no view, and no Python
+float reaches its ufuncs; each expression keeps its operands and their
+order, so the bits are those of the plain NumPy expressions. No kernel
+builds a dense matrix.
 
 Each algorithm is declared once, as one `_Spec` entry plus its kernel.
 The entry gives its state type (whose rows say the graph kind: push-sum
@@ -61,13 +69,15 @@ the table is the release fractions g = gamma*mask, which the step
 multiplies into a bound buffer (an idle arc gives +-0.0, which leaves
 every sum it enters unchanged, but a non-finite value on an idle arc
 gives NaN). The stochasticity residuals come from the same table, so
-they measure exactly the weights the steps use. After the block, one
-positivity reduction over the v rows and one finiteness reduction over
-all node rows guard it. Only on failure are its slots taken in order, to raise
-the error of the first failing step: positivity before finiteness, every
-non-finite row named, p first. The block's later steps have by then run
-on that step's values, which may be non-finite, but nothing they
-computed is kept. The steps run with NumPy's floating-point warnings
+they measure exactly the weights the steps use, and reuse the work of
+its pass: the Metropolis column sums b (the self weights are 1 - b) and
+the offset bins of the push-sum arc tails are taken once per block.
+After the block, one positivity reduction over the v rows and one
+finiteness reduction over all node rows guard it. Only on failure are
+its slots taken in order, to raise the error of the first failing step:
+positivity before finiteness, every non-finite row named, p first. The
+block's later steps have by then run on that step's values, which may be
+non-finite, but nothing they computed is kept. The steps run with NumPy's floating-point warnings
 off: an overflow, invalid value or division by zero ends in a non-finite
 or non-positive iterate, which the guard names by step and field. The
 trace is one series-major (series, K + 1, n) block, so each recorded
@@ -119,10 +129,12 @@ from .metrics import RunTrace, run_warnings
 from .network import (
     GraphSchedule,
     NominalGraph,
-    column_residual,
     metropolis_table,
     mix,
+    offset_bins,
     push_table,
+    row_bincount,
+    stacked,
     union_connected,
 )
 from .problem import AlgorithmParams, ProblemInstance, _primal_step, checked_p0
@@ -336,12 +348,12 @@ def _directed(inst, graph, params):
     flat = gathered.reshape(-1)
 
     def step(cur, nxt, weights, s, sxi):
-        D, live = weights
+        D, D_vy, live = weights
         lam0, _, y0, p0, x0, _, vy0 = cur
         lam, v, y, p, x, z, vy = nxt  # z: each node's share of (lam - s*y, v, y), mixed in place
         primal(s, sxi, p0, x0, p)
         divide(subtract(lam0, multiply(y0, s, scratch), scratch), D, lam)
-        divide(vy0, D, vy)
+        divide(vy0, D_vy, vy)
         multiply(z.take(tails, 1, gathered, "clip"), live, gathered)
         mix(z, bins, flat)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
@@ -358,11 +370,11 @@ def _robust(inst, graph, params):
     (gamma on delivery, 0 otherwise). A node keeps its own current share.
     All mirrors advance first; node states are then their own shares plus
     the delivered mirror differences (with the y differences entering the
-    lam update at -s). The step's weights are its release fractions, as a
-    1-tuple.
+    lam update at -s). The step's weights are its release fractions over
+    the three mixed rows, as a 1-tuple.
     """
     primal, nhat = _primal_step(inst, params), _scalar(params.nhat)
-    srcs, bins, dplus = graph.srcs, graph.arc_bins, graph.out_degrees
+    srcs, bins, dplus = graph.srcs, graph.arc_bins, stacked(graph.out_degrees, 3)  # as z0 meets it
     gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(inst.n), np.empty(inst.n), np.empty(graph.m)
     d = np.empty((3, graph.m))  # the mirror advances, then what the arcs deliver
     d_lam, d_y, d_flat = d[0], d[2], d.reshape(-1)
@@ -408,12 +420,12 @@ def _virtual(inst, graph, params):
     released product, so the masses cancel exactly). Real-node
     coordinates match `_robust` step by step, and the result equals
     applying the augmented push matrix to (lam - s*y on real rows, v, y)
-    up to roundoff. The step's weights are its release fractions, as a
-    1-tuple. The virtual nodes' dispatch is never written: every ring
-    slot starts as the run's start state.
+    up to roundoff. The step's weights are its release fractions over the
+    three mixed rows, as a 1-tuple. The virtual nodes' dispatch is never
+    written: every ring slot starts as the run's start state.
     """
     n, primal, nhat = inst.n, _primal_step(inst, params), _scalar(params.nhat)
-    srcs, bins, dplus = graph.srcs, graph.arc_bins, graph.out_degrees
+    srcs, bins, dplus = graph.srcs, graph.arc_bins, stacked(graph.out_degrees, 3)  # as real0 meets it
     gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(n), np.empty(n), np.empty(graph.m)
     released = np.empty((3, graph.m))
     released_lam, released_y, released_flat = released[0], released[2], released.reshape(-1)
@@ -456,37 +468,35 @@ def _centralized(inst, graph, params):
     return lambda a: (a[0], a[1]), step
 
 
-def _release_table(graph: NominalGraph, masks: np.ndarray, params) -> tuple[np.ndarray]:
-    """Running-sum weight table: the release fractions g = gamma*mask (the nominal degrees are fixed)."""
-    return (params.gamma * masks,)
+def _release_table(graph: NominalGraph, masks: np.ndarray, params) -> tuple[tuple, None]:
+    """Running-sum weight table: the release fractions g = gamma*mask over the three mixed rows (`stacked`).
+
+    The pass shares nothing with a residual.
+    """
+    return (stacked(params.gamma * masks, 3),), None
 
 
-def _metropolis_stochasticity(graph: NominalGraph, table, params) -> np.ndarray:
-    self_w, w = table
-    # Each edge carries the same weight both ways, so columns are rows.
-    return column_residual(self_w, graph.metropolis_arcs[0], w)
+def _metropolis_stochasticity(graph: NominalGraph, table, sums) -> np.ndarray:
+    # Each edge carries the same weight both ways, so columns are rows: column j's arc weights sum to b_j.
+    return np.abs(sums + table[0][:, 0] - 1.0).max(axis=1)
 
 
-def _push_stochasticity(graph: NominalGraph, table, params) -> np.ndarray:
-    D, live = table
+def _push_stochasticity(graph: NominalGraph, table, bins) -> np.ndarray:
+    D, _, live = table
     tails = graph.arcs_by_head[1]
-    return column_residual(1.0 / D, tails, live / D[:, tails])
+    return np.abs(row_bincount(bins, live[:, 0] / D[:, tails], graph.n) + 1.0 / D - 1.0).max(axis=1)
 
 
-def _augmented_stochasticity(graph: NominalGraph, table, params) -> np.ndarray:
-    # Real column j keeps 1/d_j and sends g/d_j to the head and (1-g)/d_j
-    # to the virtual node of each out-arc; a virtual column keeps 1 - g and
+def _augmented_stochasticity(graph: NominalGraph, table, _) -> np.ndarray:
+    # Real column j keeps 1/d_j and sends g/d_j to the head, then (1-g)/d_j
+    # to the virtual node, of each out-arc; a virtual column keeps 1 - g and
     # releases g. g is gamma on active arcs, 0 on the others.
-    n, m = graph.n, graph.m
-    share = 1.0 / graph.out_degrees
-    arc_share = share[graph.srcs]
-    (g,) = table
-    virt = n + np.arange(m)
-    return column_residual(
-        np.concatenate([np.broadcast_to(share, (g.shape[0], n)), 1.0 - g], axis=1),
-        np.concatenate([graph.srcs, graph.srcs, virt]),
-        np.concatenate([g * arc_share, (1.0 - g) * arc_share, g], axis=1),
-    )
+    n, srcs, share = graph.n, graph.srcs, 1.0 / graph.out_degrees
+    arc_share, g = share[srcs], table[0][:, 0]
+    kept = 1.0 - g
+    sent = np.concatenate([g * arc_share, kept * arc_share], axis=1)
+    real = row_bincount(offset_bins(np.concatenate([srcs, srcs]), len(g), n), sent, n) + share - 1.0
+    return np.maximum(np.abs(real).max(axis=1), np.abs(g + kept - 1.0).max(axis=1, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -509,12 +519,14 @@ class _Spec:
     empty means the algorithm carries no such quantity.
     ``weights`` maps (graph, masks, params) to the weight table of a
     (rows, m) block of masks, a tuple of arrays whose row r the block's
-    step r takes: the Metropolis or push-sum table, or the running sums'
-    release fractions g = gamma*mask (`_release_table`), which their
-    stochasticity reads too. It is None for a step that reads no link,
-    which then takes the masks, unread, and whose run makes no
+    step r takes, each in the shape of the stack it meets (see the module
+    docstring): the Metropolis or push-sum table, or the running sums'
+    release fractions g = gamma*mask (`_release_table`); and what the
+    table pass shares with the residual: the Metropolis column sums, the
+    push-sum tails' offset bins, or None. It is None for a step that reads
+    no link, which then takes the masks, unread, and whose run makes no
     connectivity note.
-    ``stochasticity`` maps (graph, table, params) to the residual of each
+    ``stochasticity`` maps (graph, table, shared) to the residual of each
     step's mixing weights, or is None when the weights are not formed.
     """
 
@@ -542,18 +554,18 @@ def _specs() -> dict[str, _Spec]:
     names = ("lam", "v", "y", "p", "x")
     push = {"rows": slice(1, 5), "series": ("v", "y", "p", "consensus")}
     # The link tables read no parameter; the release table reads gamma.
-    metropolis = lambda graph, masks, params: metropolis_table(graph, masks)  # noqa: E731
+    metropolis = lambda fields: lambda graph, masks, params: metropolis_table(graph, masks, fields)  # noqa: E731
     pushes = lambda graph, masks, params: push_table(graph, masks)  # noqa: E731
     own = {"y": (("nodes", 2),), "v": (("nodes", 1),)}  # the state's own y and v rows
     return {
         "pd1": _Spec(
             UndirectedState, None, ("p", "lam", "y"), None,
-            _pd1, metropolis, slice(0, 3), ("p", "consensus", "y"), y=(("nodes", 2),), v=(),
+            _pd1, metropolis(2), slice(0, 3), ("p", "consensus", "y"), y=(("nodes", 2),), v=(),
             stochasticity=_metropolis_stochasticity,
         ),
         "pd2": _Spec(
             UndirectedState, None, ("p", "lam"), None,
-            _pd2, metropolis, slice(0, 2), ("p", "consensus"), y=(), v=(),
+            _pd2, metropolis(1), slice(0, 2), ("p", "consensus"), y=(), v=(),
             stochasticity=_metropolis_stochasticity,
         ),
         "directed": _Spec(
@@ -698,9 +710,9 @@ def run(
     for k0 in range(0, K, rows):  # steps k0..k1-1 make rows k0+1..k1
         k1 = min(k0 + rows, K)
         block = masks[k0:k1]
-        table = (block,) if spec.weights is None else spec.weights(graph, block, params)  # masks go unread
+        table, shared = ((block,), None) if spec.weights is None else spec.weights(graph, block, params)  # masks unread
         if stochasticity is not None:
-            stochasticity[k0 + 1 : k1 + 1] = spec.stochasticity(graph, table, params)
+            stochasticity[k0 + 1 : k1 + 1] = spec.stochasticity(graph, table, shared)
         with np.errstate(all="ignore"):  # a step that overflows fails the guard, which names it
             sizes[: k1 - k0] = [params.stepsize(k) for k in range(k0, k1)]
             multiply(sizes[: k1 - k0], params.xi, scaled[: k1 - k0])  # the products Python's s * xi gives

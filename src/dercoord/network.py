@@ -39,7 +39,9 @@ whose bins are the arc heads offset by f*n for row f (cached per graph).
 Each node sums the same terms in the same order as a per-field mix. The
 edge weights depend on the schedule alone, so they are built for a
 (rows, m) block of masks at once, as a weight table whose row r is what
-the step needs:
+the step needs, in the shape of the stack the step meets it in: a row of
+at most STACK_ROW_MAX entries repeated over the stack's F rows, so the
+step's ufunc calls do not broadcast, a longer one as one row (`stacked`):
 
 * `metropolis_table` (undirected): w_ij = 1/max(d_i, d_j) both ways on
   active edges, nominal degrees d_i = |N_i| + 1, and self weights
@@ -47,7 +49,8 @@ the step needs:
   with no constant to choose.
 * `push_table` (directed): node j keeps z_j / D_j and pushes the same
   share along each active out-arc, D_j = |active out-arcs| + 1; the
-  table holds D and each arc's live flag (an inactive arc pushes 0).
+  table holds D (for lam, then over v and y) and each arc's live flag
+  over the three mixed rows (an inactive arc pushes 0).
 * running sums (robust, virtual): the release fractions gamma*mask
   (built in `algorithms`). Shares are 1/(nominal out-degree), and an
   active arc releases the fraction gamma of what it holds. Over real
@@ -55,7 +58,10 @@ the step needs:
   mass) this is column stochastic with every nonzero weight
   >= tau = min(gamma, 1-gamma)/n.
 
-`column_residual` gives each mixing's stochasticity from the same table.
+Each table builder also returns what the stochasticity residual of the
+same weights reuses: the Metropolis column sums b (the self weights are
+1 - b) and the push-sum tails' offset bins, so a block's schedule-only
+work is done once.
 """
 
 from __future__ import annotations
@@ -302,44 +308,67 @@ def mix(own: np.ndarray, bins: np.ndarray, arc_values: np.ndarray) -> np.ndarray
     return own
 
 
-def row_bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """out[r, i] sums weights[r, e] over index[e] == i in increasing e, like a per-row bincount."""
-    rows = weights.shape[0]
-    return np.bincount(offset_bins(index, rows, n), weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
+def row_bincount(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """out[r, i] sums weights[r, e] over the e whose bin is r*n + i, in increasing e, like a per-row bincount.
 
-
-def column_residual(own: np.ndarray, tails: np.ndarray, arc_weights: np.ndarray) -> np.ndarray:
-    """Worst |column sum - 1| of each step's mixing in a block of steps.
-
-    Row r's column j sums the self weight own[r, j] and the weights
-    arc_weights[r, e] of the arcs with tails[e] == j, in the order given.
+    `bins` are `offset_bins(index, rows, n)` of the (rows, len(index)) `weights`.
     """
-    return np.abs(row_bincount(tails, arc_weights, own.shape[1]) + own - 1.0).max(axis=1)
+    rows = weights.shape[0]
+    return np.bincount(bins, weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
 
 
-def metropolis_table(nominal: NominalGraph, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Metropolis weights of a (rows, m) block of steps, in O(rows (n + m)).
+# Step rows of at most this many entries are repeated over the stack they meet (`stacked`); the
+# longest row at case39 is pd1's 92 arc weights.
+STACK_ROW_MAX = 128
 
-    Returns (self weights (rows, n), arc weights (rows, 2m)) over both
-    directions of every nominal edge (`metropolis_arcs`), inactive ones
-    weighing 0.
+
+def stacked(table: np.ndarray, fields: int) -> np.ndarray:
+    """A row of length L, or each row of a (rows, L) table, as a step multiplies or divides a (fields, L) stack by it.
+
+    Each row is repeated over the stack's rows, (fields, L) or
+    (rows, fields, L), so the ufunc call meets operands of one shape and
+    takes NumPy's same-shape loop, about 0.5 us faster per call at L = 49.
+    A row longer than STACK_ROW_MAX stays one row, (1, L) or (rows, 1, L),
+    which the call broadcasts: at n = 3000, reading it `fields` times costs
+    the step more than the loop saves.
+    """
+    row = table[..., None, :]
+    return np.repeat(row, fields, axis=-2) if table.shape[-1] <= STACK_ROW_MAX else row
+
+
+def metropolis_table(nominal: NominalGraph, masks: np.ndarray, fields: int) -> tuple[tuple, np.ndarray]:
+    """Metropolis weights of a (rows, m) block of steps for a stack of `fields` rows, in O(rows fields (n + m)).
+
+    Returns the table (self weights (rows, fields, n), arc weights
+    (rows, fields, 2m)) over both directions of every nominal edge
+    (`metropolis_arcs`), inactive ones weighing 0, each step's weights laid
+    out over the stack's rows by `stacked` (one row where a row is long);
+    and the (rows, n) column sums b of the arc weights, whose complements
+    1 - b are the self weights.
     """
     tails, _, w = nominal.metropolis_arcs
     w = w * np.concatenate([masks, masks], axis=1)  # inactive edges weigh 0
-    return 1.0 - row_bincount(tails, w, nominal.n), w
+    sums = row_bincount(offset_bins(tails, len(masks), nominal.n), w, nominal.n)
+    return (stacked(1.0 - sums, fields), stacked(w, fields)), sums
 
 
-def push_table(nominal: NominalGraph, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def push_table(nominal: NominalGraph, masks: np.ndarray) -> tuple[tuple, np.ndarray]:
     """Instantaneous out-degrees and live arcs of a (rows, m) block of steps, in O(rows (n + m)).
 
-    Returns (D (rows, n), live (rows, m)) with D_j = |active out-arcs of j| + 1
-    and live 1.0 or 0.0 per arc in `arcs_by_head` order.
+    Returns the table (D (rows, n), D (rows, 2, n), live (rows, 3, m)):
+    D_j = |active out-arcs of j| + 1 as the directed step divides lam by
+    it, then laid out over its v and y rows, and each arc's live flag (1.0
+    or 0.0, in `arcs_by_head` order) over its three mixed rows, both by
+    `stacked`; and the offset bins of the arc tails, which a residual over
+    the block reuses.
     """
     if not nominal.directed:
         raise InvalidGraphError("push matrices require a directed graph")
     order, tails, _ = nominal.arcs_by_head
     live = masks[:, order].astype(float)
-    return 1.0 + row_bincount(tails, live, nominal.n), live
+    bins = offset_bins(tails, len(masks), nominal.n)
+    D = 1.0 + row_bincount(bins, live, nominal.n)
+    return (D, stacked(D, 2), stacked(live, 3)), bins
 
 
 def _reaches_all(n: int, tails: list[int], heads: list[int]) -> bool:

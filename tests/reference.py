@@ -19,6 +19,9 @@
   masks that remain.
 * `stepwise_stochasticity`: one step's column-sum residual from its edge
   weights.
+* `column_residual`: a block's column-sum residuals from its self and arc
+  weights written out whole, the way the package took them before its
+  residuals reused the work of the weight table's pass.
 * `reference_centralized`: the centralized primal-dual loop as it was
   written before it shared the distributed iterations' primal step,
   with its one multiplier as a (K + 1, 1) column.
@@ -165,6 +168,14 @@ def stepwise_stochasticity(algorithm, g, active, gamma):
         w = np.concatenate([gg * arc_share, (1.0 - gg) * arc_share, gg])
         sums = np.bincount(tails, weights=w, minlength=n + g.m) + np.concatenate([share, 1.0 - gg])
     return float(np.abs(sums - 1.0).max())
+
+
+def column_residual(own, tails, arc_weights):
+    """Worst |column sum - 1| of each step of a block: row r's column j sums the arc_weights[r, e] with
+    tails[e] == j in the order given, then adds the self weight own[r, j]."""
+    rows, n = own.shape
+    bins = (np.arange(rows)[:, None] * n + tails).ravel()
+    return np.abs(np.bincount(bins, arc_weights.ravel(), rows * n).reshape(rows, n) + own - 1.0).max(axis=1)
 
 
 

@@ -1,3 +1,5 @@
+import itertools
+import re
 import tracemalloc
 from dataclasses import dataclass, fields, replace
 
@@ -841,6 +843,22 @@ class TestBlockGuard:
         if trigger == "zero v":
             assert want is not None and want[:2] == (InternalInvariantError, 1)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_one_non_finite_entry_anywhere_in_a_block_is_named(self, value):
+        # Robust's node rows, its running sums included, over a block of three states of four nodes.
+        spec = algorithms._specs()["robust"]
+        block = np.ones((3, len(spec.names), 4))
+        algorithms._check_block("robust", spec.names, spec.lost_weight, 5, block)  # a finite block passes
+        for step, row, col in itertools.product(range(3), range(len(spec.names)), range(4)):
+            bad = block.copy()
+            bad[step, row, col] = value
+            if row == 1 and value < 0:  # a weight v of -inf fails positivity first
+                error, detail = InternalInvariantError, f": {spec.lost_weight}"
+            else:
+                error, detail = DivergenceError, rf" \(robust: {re.escape(spec.names[row])}\)"
+            with pytest.raises(error, match=rf"at step {5 + step}{detail}$"):
+                algorithms._check_block("robust", spec.names, spec.lost_weight, 5, bad)
+
 
 def bit_equal(a, b):
     """Same shape, same values and same sign bits (so -0.0 differs from 0.0)."""
@@ -913,6 +931,25 @@ class TestBitIdentity:
 
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_rows_left_unrepeated_change_no_bit(self, repo_root, monkeypatch, algorithm):
+        # A weight row longer than STACK_ROW_MAX stays one row, which the step's ufuncs broadcast over
+        # the stack: with every row taken as long, the traces are those of the repeated rows bit for bit.
+        from dercoord import network
+
+        config = dc.load_config(repo_root / "configs" / f"benchmark39_{CONFIGS[algorithm]}.cfg")
+        params = replace(config.params, horizon=2 * block_rows(config.graph) + 5)
+        sched = dc.GraphSchedule(config.graph, config.q, 1, params.horizon)
+        want = dc.run(algorithm, config.instance, sched, params)
+        monkeypatch.setattr(network, "STACK_ROW_MAX", 0)
+        got = dc.run(algorithm, config.instance, sched, params)
+        for name in ("p", "consensus", "y", "v"):
+            assert getattr(want, name) is None or bit_equal(getattr(got, name), getattr(want, name)), name
+        for key, series in want.residuals.items():
+            assert bit_equal(got.residuals[key], series), key
+        for f in fields(want.final):
+            assert bit_equal(getattr(got.final, f.name), getattr(want.final, f.name)), f.name
+
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_general_cost_runs_as_its_quadratic(self, repo_root, algorithm):
         # The kernels call the cost's own grad: a GeneralCost whose f' is the
         # quadratic's, 2a*p + b, gives the quadratic run's traces bit for bit.
@@ -958,6 +995,32 @@ class TestWeightTables:
         inst = dc.generate_instance(dc.InstanceSpec(n=g.n), 3)
         dc.run(algorithm, inst, dc.GraphSchedule(g, 0.3, 5, K), params_for(g.n, s=0.01, horizon=K))
         assert built == [rows, rows, 3]
+
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_residual_reuses_the_table_pass(self, monkeypatch, algorithm):
+        # A block takes one set of offset bins at most: the Metropolis residual reuses the table's
+        # column sums and the push residual its bins; the release table takes none, the augmented
+        # residual one, and robust and centralized record no residual.
+        from dercoord import network
+
+        g = dc.generate_graph(dc.GraphSpec(n=8, extra_edges=4, directed=directed(algorithm)), 3)
+        rows = block_rows(g)
+        K = 2 * rows + 3
+        inst = dc.generate_instance(dc.InstanceSpec(n=g.n), 3)
+        params = params_for(g.n, s=0.01, horizon=K)
+        sched = dc.GraphSchedule(g, 0.3, 5, K)
+        dc.run(algorithm, inst, sched, params)  # the graph's own bins, cached per graph, are made here
+        original = network.offset_bins
+        made = []
+
+        def counting(heads, block, n):
+            made.append(block)
+            return original(heads, block, n)
+
+        monkeypatch.setattr(network, "offset_bins", counting)
+        monkeypatch.setattr(algorithms, "offset_bins", counting)
+        trace = dc.run(algorithm, inst, sched, params)
+        assert made == ([rows, rows, 3] if "stochasticity" in trace.residuals else [])
 
 
 def permuted_instance(inst, perm):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dercoord as dc
+from dercoord import network
 from dercoord.errors import CaseParseError, InvalidGraphError
 from dercoord.algorithms import (
     _augmented_stochasticity,
@@ -26,10 +27,18 @@ from dercoord.network import (
     numbered_lines,
     parse_graph_lines,
     push_table,
+    stacked,
     union_connected,
     windows_connected,
 )
-from reference import augmented_push_matrix, earliest_connect_scan, metropolis_weights, push_matrix, run_over
+from reference import (
+    augmented_push_matrix,
+    column_residual,
+    earliest_connect_scan,
+    metropolis_weights,
+    push_matrix,
+    run_over,
+)
 
 
 def random_connected_graph(rng, n, directed, extra=3):
@@ -413,20 +422,24 @@ class TestEdgeListMixing:
         if not directed:
             z = rng.normal(size=(2, n))  # a two-field stack mixes each row by W
             W = metropolis_weights(g, active)
-            self_w, w = (a[0] for a in metropolis_table(g, active[None]))
+            table, sums = metropolis_table(g, active[None], 2)
+            self_w, w = (a[0] for a in table)  # (2, n) and (2, 2m): one row per field of the stack
+            assert (self_w == self_w[0]).all() and (w == w[0]).all()
             tails, bins, _ = g.metropolis_arcs
             mixed = mix(self_w * z, bins, (w * z[:, tails]).ravel())  # flat arc values, field after field
             np.testing.assert_allclose(mixed, z @ W.T, rtol=0, atol=1e-13)
             dense = max(np.abs(W.sum(axis=0) - 1).max(), np.abs(W.sum(axis=1) - 1).max())
-            residual = _metropolis_stochasticity(g, metropolis_table(g, active[None]), params)[0]
+            residual = _metropolis_stochasticity(g, table, sums)[0]
             assert residual <= 1e-12 and abs(residual - dense) <= 1e-15
             return
         z = rng.normal(size=(3, n))
-        D, live = (a[0] for a in push_table(g, active[None]))
+        table, tail_bins = push_table(g, active[None])
+        D, D_vy, live = (a[0] for a in table)  # D for the lam row, then (2, n) and (3, m) over the mixed rows
+        assert (D_vy == D).all() and (live == live[0]).all()
         _, tails, bins = g.arcs_by_head
         P = push_matrix(g, active)
         np.testing.assert_allclose(mix(z / D, bins, ((z / D)[:, tails] * live).ravel()), z @ P.T, rtol=0, atol=1e-13)
-        residual = _push_stochasticity(g, push_table(g, active[None]), params)[0]
+        residual = _push_stochasticity(g, table, tail_bins)[0]
         assert residual <= 1e-12 and abs(residual - np.abs(P.sum(axis=0) - 1).max()) <= 1e-15
         # The virtual step's mixing of lam and v (y = 0) is the augmented action.
         N = n + g.m
@@ -436,8 +449,60 @@ class TestEdgeListMixing:
         new = run_over("virtual", inst, g, [active], params, state).final
         np.testing.assert_allclose(new.lam, A @ state.lam, rtol=0, atol=1e-13)
         np.testing.assert_allclose(new.v, A @ state.v, rtol=0, atol=1e-13)
-        residual = _augmented_stochasticity(g, _release_table(g, active[None], params), params)[0]
+        (g_rows,), _ = _release_table(g, active[None], params)
+        assert (g_rows[0] == g_rows[0, 0]).all()  # (3, m): one row per mixed field
+        residual = _augmented_stochasticity(g, *_release_table(g, active[None], params))[0]
         assert residual <= 1e-12 and abs(residual - np.abs(A.sum(axis=0) - 1).max()) <= 1e-15
+
+    @given(
+        n=st.integers(1, 12),
+        directed=st.booleans(),
+        extra=st.integers(0, 8),
+        seed=st.integers(0, 10_000),
+        q=st.floats(0.0, 0.95),
+        gamma=st.floats(0.01, 0.99),
+        rows=st.integers(1, 6),
+    )
+    @example(n=1, directed=False, extra=0, seed=0, q=0.0, gamma=0.5, rows=2)  # m = 0
+    @example(n=1, directed=True, extra=0, seed=0, q=0.0, gamma=0.5, rows=2)
+    @settings(max_examples=200, deadline=None)
+    def test_residuals_are_the_column_residual_bit_for_bit(self, n, directed, extra, seed, q, gamma, rows):
+        # Each block residual equals the reference `column_residual` over the self and arc weights written out whole,
+        # sign bits included: the Metropolis one from the table's column sums, the push one from its
+        # offset bins, and the augmented one without the (rows, n + m) and (rows, 3m) concatenations.
+        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed)
+        masks = dc.GraphSchedule(g, q, seed, rows).masks
+        bits = lambda a: a.view(np.uint64)  # noqa: E731
+        if not directed:
+            tails, _, w = g.metropolis_arcs
+            w = w * np.concatenate([masks, masks], axis=1)
+            own = 1.0 - np.array([np.bincount(tails, row, n) for row in w])
+            np.testing.assert_array_equal(bits(_metropolis_stochasticity(g, *metropolis_table(g, masks, 2))),
+                                          bits(column_residual(own, tails, w)))
+            return
+        order, tails, _ = g.arcs_by_head
+        live = masks[:, order].astype(float)
+        D = 1.0 + np.array([np.bincount(tails, row, n) for row in live])
+        np.testing.assert_array_equal(bits(_push_stochasticity(g, *push_table(g, masks))),
+                                      bits(column_residual(1.0 / D, tails, live / D[:, tails])))
+        params = dc.AlgorithmParams(step=dc.ConstantStep(0.1), gamma=gamma)
+        g_rows = gamma * masks
+        share = 1.0 / g.out_degrees
+        arc_share = share[g.srcs]
+        want = column_residual(
+            np.concatenate([np.broadcast_to(share, (rows, n)), 1.0 - g_rows], axis=1),
+            np.concatenate([g.srcs, g.srcs, n + np.arange(g.m)]),
+            np.concatenate([g_rows * arc_share, (1.0 - g_rows) * arc_share, g_rows], axis=1),
+        )
+        np.testing.assert_array_equal(bits(_augmented_stochasticity(g, *_release_table(g, masks, params))), bits(want))
+
+    def test_stacked_repeats_short_rows_only(self):
+        table = np.arange(6.0).reshape(2, 3)
+        np.testing.assert_array_equal(stacked(table, 3), np.stack([table] * 3, axis=1))
+        np.testing.assert_array_equal(stacked(table[0], 3), np.stack([table[0]] * 3))
+        long = np.arange(2.0 * (network.STACK_ROW_MAX + 1)).reshape(2, -1)
+        assert stacked(long, 3).shape == (2, 1, network.STACK_ROW_MAX + 1) and np.shares_memory(stacked(long, 3), long)
+        assert stacked(long[0], 3).shape == (1, network.STACK_ROW_MAX + 1)
 
 
 class TestConnectivityWindows:

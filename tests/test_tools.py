@@ -55,9 +55,10 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
 
 
 def test_step_cost_prints_one_row_per_case(capsys):
-    # One run in one fresh process, over the package of this checkout.
-    assert load_tool("step_cost").main(["--runs", "1", "--procs", "1", "--only", "centralized", str(REPO / "src")]) == 0
-    header, row = capsys.readouterr().out.splitlines()
+    # One run in one fresh process, over the package of this checkout: a 39-agent case and a scaled one.
+    cases = ["centralized", "pd1_300"]
+    assert load_tool("step_cost").main(["--runs", "1", "--procs", "1", "--only", ",".join(cases), str(REPO / "src")]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["case", "us/step"]
-    name, cost = row.split()
-    assert name == "centralized" and float(cost) > 0
+    assert [row.split()[0] for row in rows] == cases
+    assert all(float(row.split()[1]) > 0 for row in rows)

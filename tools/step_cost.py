@@ -1,4 +1,9 @@
-"""Per-step cost of `run`: each algorithm on its 39-agent case at the shipped configs' parameters, and robust at n = 3000.
+"""Per-step cost of `run`: each algorithm on its 39-agent case at the shipped configs' parameters, and some at scaled n.
+
+The scaled cases (pd1, directed and robust at n = 300 and 1000, and at
+n = 3000, where robust's case keeps its older name ``robust3000``) run on a
+generated instance and ring-plus-chords graph of n/2 chords, both of seed 1,
+over a short horizon, at the parameters of the config their 39-agent case takes.
 
 Each number is the best of R runs in each of P fresh processes, the least
 over all of them, as microseconds per step (the whole `run` over its
@@ -23,10 +28,13 @@ from dataclasses import replace
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-# Case -> (algorithm, the shipped config whose parameters it takes).
-CASES = {"pd1": ("pd1", "pd1"), "pd2": ("pd2", "pd2"), "directed": ("directed", "robust"), "robust": ("robust", "robust"),
-         "virtual": ("virtual", "robust"), "centralized": ("centralized", "pd1"), "robust3000": ("robust", "robust")}
-SCALE_N, SCALE_CHORDS, SCALE_K = 3000, 1500, 200  # generated instance and graph, seed 1; a short horizon
+# Case -> (algorithm, the shipped config whose parameters it takes, n of a scaled case or None).
+CASES = {"pd1": ("pd1", "pd1", None), "pd2": ("pd2", "pd2", None), "directed": ("directed", "robust", None),
+         "robust": ("robust", "robust", None), "virtual": ("virtual", "robust", None),
+         "centralized": ("centralized", "pd1", None)}
+CASES |= {f"{name}_{n}": (*CASES[name][:2], n) for n in (300, 1000, 3000) for name in ("pd1", "directed", "robust")}
+CASES["robust3000"] = CASES.pop("robust_3000")
+SCALE_K = 200  # the scaled cases' short horizon
 
 
 def measure(names: list[str], runs: int) -> dict[str, float]:
@@ -34,12 +42,12 @@ def measure(names: list[str], runs: int) -> dict[str, float]:
 
     costs = {}
     for name in names:
-        algorithm, cfg = CASES[name]
+        algorithm, cfg, n = CASES[name]
         config = dc.load_config(REPO / "configs" / f"benchmark39_{cfg}.cfg")
         inst, graph, params = config.instance, config.graph, config.params
-        if name.endswith("3000"):
-            inst = dc.generate_instance(dc.InstanceSpec(n=SCALE_N), 1)
-            graph = dc.generate_graph(dc.GraphSpec(n=SCALE_N, extra_edges=SCALE_CHORDS, directed=True), 1)
+        if n is not None:
+            inst = dc.generate_instance(dc.InstanceSpec(n=n), 1)
+            graph = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=n // 2, directed=graph.directed), 1)
             params = replace(params, horizon=SCALE_K)
         schedule = dc.GraphSchedule(graph, config.q, 1, params.horizon)
         schedule.masks  # sampled once, before the timed runs
