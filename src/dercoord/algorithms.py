@@ -68,25 +68,24 @@ vectors whose 0-d views are made once per run. For robust and virtual
 the table is the release fractions g = gamma*mask, which the step
 multiplies into a bound buffer (an idle arc gives +-0.0, which leaves
 every sum it enters unchanged, but a non-finite value on an idle arc
-gives NaN). The stochasticity residuals come from the same table, so
-they measure exactly the weights the steps use, and reuse the work of
-its pass: the Metropolis column sums b (the self weights are 1 - b) and
-the offset bins of the push-sum arc tails are taken once per block.
-After the block, one positivity reduction over the v rows and one
-finiteness reduction over all node rows guard it. Only on failure are
-its slots taken in order, to raise the error of the first failing step:
-positivity before finiteness, every non-finite row named, p first. The
-block's later steps have by then run on that step's values, which may be
-non-finite, but nothing they computed is kept. The steps run with NumPy's floating-point warnings
-off: an overflow, invalid value or division by zero ends in a non-finite
-or non-positive iterate, which the guard names by step and field. The
-trace is one series-major (series, K + 1, n) block, so each recorded
-series is a C-contiguous (K + 1, n) view of it. One `record` per block
-copies the block's states into it as one slice and reduces the residual
-series row-wise, over those rows and, for the tracked-imbalance and mass
-totals, over the ring rows the spec names (robust's in-flight values
-among them, and virtual's v and y over all N nodes), in the order of one
-state at a time, so they are bit-identical to a per-step evaluation.
+gives NaN). After the block, one positivity reduction over the v rows
+and one finiteness reduction over all node rows guard it. Only on
+failure are its slots taken in order, to raise the error of the first
+failing step: positivity before finiteness, every non-finite row named,
+p first. The block's later steps have by then run on that step's values,
+which may be non-finite, but nothing they computed is kept. The steps
+run with NumPy's floating-point warnings off: an overflow, invalid value
+or division by zero ends in a non-finite or non-positive iterate, which
+the guard names by step and field. The trace is one series-major
+(series, K + 1, n) block, so each recorded series is a C-contiguous
+(K + 1, n) view of it, and the residual series are the rows of one
+(residuals, K + 1) block. One `record` per block copies the block's
+states into the trace as one slice and writes the block's rows of every
+residual series, reduced row-wise over those rows and, for the
+tracked-imbalance and mass totals, over the ring rows the spec names
+(robust's in-flight values among them, and virtual's v and y over all N
+nodes), in the order of one state at a time, so they are bit-identical
+to a per-step evaluation.
 After the last block, slot 0 holds the last state, which the trace keeps
 a copy of as `final`: ``run(..., init=trace.final)`` resumes from it.
 The resumed run numbers its steps from 0 again, so it takes its
@@ -131,9 +130,7 @@ from .network import (
     NominalGraph,
     metropolis_table,
     mix,
-    offset_bins,
     push_table,
-    row_bincount,
     stacked,
     union_connected,
 )
@@ -468,35 +465,9 @@ def _centralized(inst, graph, params):
     return lambda a: (a[0], a[1]), step
 
 
-def _release_table(graph: NominalGraph, masks: np.ndarray, params) -> tuple[tuple, None]:
-    """Running-sum weight table: the release fractions g = gamma*mask over the three mixed rows (`stacked`).
-
-    The pass shares nothing with a residual.
-    """
-    return (stacked(params.gamma * masks, 3),), None
-
-
-def _metropolis_stochasticity(graph: NominalGraph, table, sums) -> np.ndarray:
-    # Each edge carries the same weight both ways, so columns are rows: column j's arc weights sum to b_j.
-    return np.abs(sums + table[0][:, 0] - 1.0).max(axis=1)
-
-
-def _push_stochasticity(graph: NominalGraph, table, bins) -> np.ndarray:
-    D, _, live = table
-    tails = graph.arcs_by_head[1]
-    return np.abs(row_bincount(bins, live[:, 0] / D[:, tails], graph.n) + 1.0 / D - 1.0).max(axis=1)
-
-
-def _augmented_stochasticity(graph: NominalGraph, table, _) -> np.ndarray:
-    # Real column j keeps 1/d_j and sends g/d_j to the head, then (1-g)/d_j
-    # to the virtual node, of each out-arc; a virtual column keeps 1 - g and
-    # releases g. g is gamma on active arcs, 0 on the others.
-    n, srcs, share = graph.n, graph.srcs, 1.0 / graph.out_degrees
-    arc_share, g = share[srcs], table[0][:, 0]
-    kept = 1.0 - g
-    sent = np.concatenate([g * arc_share, kept * arc_share], axis=1)
-    real = row_bincount(offset_bins(np.concatenate([srcs, srcs]), len(g), n), sent, n) + share - 1.0
-    return np.maximum(np.abs(real).max(axis=1), np.abs(g + kept - 1.0).max(axis=1, initial=0.0))
+def _release_table(graph: NominalGraph, masks: np.ndarray, params) -> tuple:
+    """Running-sum weight table: the release fractions g = gamma*mask over the three mixed rows (`stacked`)."""
+    return (stacked(params.gamma * masks, 3),)
 
 
 @dataclass(frozen=True)
@@ -521,13 +492,9 @@ class _Spec:
     (rows, m) block of masks, a tuple of arrays whose row r the block's
     step r takes, each in the shape of the stack it meets (see the module
     docstring): the Metropolis or push-sum table, or the running sums'
-    release fractions g = gamma*mask (`_release_table`); and what the
-    table pass shares with the residual: the Metropolis column sums, the
-    push-sum tails' offset bins, or None. It is None for a step that reads
-    no link, which then takes the masks, unread, and whose run makes no
-    connectivity note.
-    ``stochasticity`` maps (graph, table, shared) to the residual of each
-    step's mixing weights, or is None when the weights are not formed.
+    release fractions g = gamma*mask (`_release_table`). It is None for a
+    step that reads no link, which then takes the masks, unread, and whose
+    run makes no connectivity note.
     """
 
     state: type
@@ -540,7 +507,6 @@ class _Spec:
     series: tuple[str, ...]
     y: tuple
     v: tuple
-    stochasticity: Callable | None
 
     @property
     def directed(self) -> bool:
@@ -561,33 +527,27 @@ def _specs() -> dict[str, _Spec]:
         "pd1": _Spec(
             UndirectedState, None, ("p", "lam", "y"), None,
             _pd1, metropolis(2), slice(0, 3), ("p", "consensus", "y"), y=(("nodes", 2),), v=(),
-            stochasticity=_metropolis_stochasticity,
         ),
         "pd2": _Spec(
             UndirectedState, None, ("p", "lam"), None,
             _pd2, metropolis(1), slice(0, 2), ("p", "consensus"), y=(), v=(),
-            stochasticity=_metropolis_stochasticity,
         ),
         "directed": _Spec(
             DirectedState, lambda graph, start: start, names, "push-sum weight v lost positivity",
             _directed, pushes, **push, **own,
-            stochasticity=_push_stochasticity,
         ),
         "robust": _Spec(
             RobustState, _robust_start, names + ("sums.lam", "sums.v", "sums.y"), "push-sum weight v hit zero",
             _robust, _release_table, **push,
             y=(("nodes", 2), ("arcs", 5)), v=(("nodes", 1), ("arcs", 4)),  # in-flight y and v too
-            stochasticity=None,
         ),
         "virtual": _Spec(
             VirtualState, _virtual_start, names, "augmented push-sum weight hit zero",
             _virtual, _release_table, **push, **own,  # over all N nodes
-            stochasticity=_augmented_stochasticity,
         ),
         "centralized": _Spec(
             UndirectedState, None, ("p", "lam"), None,
             _centralized, None, slice(0, 2), ("p", "consensus"), y=(), v=(),
-            stochasticity=None,
         ),
     }
 
@@ -635,16 +595,18 @@ def run(
 
     The trace is deterministic in (instance, schedule, params, init):
     identical inputs give byte-identical traces. Invariant residuals
-    (imbalance, consensus spread, mixing stochasticity, conservation,
-    mass, min weight) get one value per step where the algorithm carries
-    the quantities; they are reduced per block of recorded rows, not per
-    step. For the running-sum algorithm the conservation and mass
-    identities are evaluated over the augmented vector using its in-flight
-    sidecar. Each block is stepped in place in a ring of states, under one
-    guard that raises the error of the block's first failing step (see
-    the module docstring). The recorded series are C-contiguous views of
-    one allocation that holds them all. Without `init` the run takes
-    `initial_state`; an `init` must have that state's type and shapes.
+    (imbalance, consensus spread, conservation, mass, min weight) get one
+    value per step where the algorithm carries the quantities; they are
+    reduced per block of recorded rows, not per step. Conservation and
+    mass are what column-stochastic mixing keeps, so they are the checks
+    of the mixing weights too. For the running-sum algorithm they are
+    evaluated over the augmented vector using its in-flight sidecar. Each
+    block is stepped in place in a ring of states, under one guard that
+    raises the error of the block's first failing step (see the module
+    docstring). The recorded series are C-contiguous views of one
+    allocation that holds them all, and the residual series of another.
+    Without `init` the run takes `initial_state`; an `init` must have
+    that state's type and shapes.
     ``final`` is a copy of the last state, which `init` takes to resume
     the run. The resumed run numbers its steps from 0 again: a run with
     ``DiminishingStep(a, b)`` stopped after k1 steps resumes with
@@ -660,8 +622,6 @@ def run(
 
     n, nhat = inst.n, params.nhat
     keys = ["imbalance", "consensus_spread"]
-    if spec.stochasticity is not None:
-        keys.append("stochasticity")
     if spec.y:
         keys.append("conservation")
     if spec.v:
@@ -669,8 +629,7 @@ def run(
     # One (series, K + 1, n) block holds every series, so each series is a contiguous (K + 1, n) view.
     trace_rows = np.empty((len(spec.series), K + 1, n))
     series = dict(zip(spec.series, trace_rows))
-    residuals = {key: np.zeros(K + 1) for key in keys}  # no mixing precedes state 0: its stochasticity is 0
-    stochasticity = residuals.get("stochasticity")
+    residuals = dict(zip(keys, np.empty((len(keys), K + 1))))  # every row is written by `record`
     rows = max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
     # Slot 0 holds the state before a block, state 0 in the first; slot j the state after its j-th step.
     ring = {f.name: np.empty((rows + 1, *getattr(state, f.name).shape)) for f in fields(state)}
@@ -710,9 +669,7 @@ def run(
     for k0 in range(0, K, rows):  # steps k0..k1-1 make rows k0+1..k1
         k1 = min(k0 + rows, K)
         block = masks[k0:k1]
-        table, shared = ((block,), None) if spec.weights is None else spec.weights(graph, block, params)  # masks unread
-        if stochasticity is not None:
-            stochasticity[k0 + 1 : k1 + 1] = spec.stochasticity(graph, table, shared)
+        table = (block,) if spec.weights is None else spec.weights(graph, block, params)  # masks unread
         with np.errstate(all="ignore"):  # a step that overflows fails the guard, which names it
             sizes[: k1 - k0] = [params.stepsize(k) for k in range(k0, k1)]
             multiply(sizes[: k1 - k0], params.xi, scaled[: k1 - k0])  # the products Python's s * xi gives

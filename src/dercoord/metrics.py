@@ -7,9 +7,12 @@ rates, and pass/fail invariant reports. `run_warnings` builds the
 warnings every run carries.
 
 Residual budgets live in one table (`BUDGETS`) so the test suite and the
-CLI summaries agree on what "healthy" means. The CLI summary's residual
-extrema are `invariant_report` values, so each extremum, including the
-k >= 1 rule for the least push-sum weight, is computed here only.
+CLI summaries agree on what "healthy" means. It budgets the conservation
+and mass identities, which column-stochastic mixing keeps: taken from the
+states a run produces, they check the mixing weights as well as the
+steps. The CLI summary's residual extrema are `invariant_report` values,
+so each extremum, including the k >= 1 rule for the least push-sum
+weight, is computed here only.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ _ERROR_BLOCK_ENTRIES = 1 << 16
 BUDGETS: dict[str, float] = {
     "conservation": 1e-9,
     "mass": 1e-12,
-    "stochasticity": 1e-12,
 }
 
 
@@ -240,24 +242,24 @@ def _max_check(name: str, series: np.ndarray, budget: float | None) -> Invariant
 def invariant_report(trace: RunTrace, schedule=None) -> InvariantReport:
     """Summarize per-step residuals against the central budgets.
 
-    The maxima of the conservation, mass, stochasticity and consensus
-    spread series are checked (the spread without a budget). The smallest
-    push-sum weight is taken over the steps k >= 1 only, because virtual
-    nodes start at v = 0. When the producing `schedule` is supplied and
-    the trace came from a running-sum run (`RUNNING_SUM_ALGORITHMS`),
-    that weight is checked as ``v_floor`` against (1-gamma)/n *
-    tau^(N(2B-1)) with B measured from the realized schedule, both as
-    log10. Otherwise it is an
-    informational ``min_v`` entry. Without a step k >= 1 either one is
+    The maxima of the conservation, mass and consensus spread series are
+    checked (the spread without a budget); conservation and mass are the
+    checks of the column-stochastic mixing. The smallest push-sum weight
+    is taken over the steps k >= 1 only, because virtual nodes start at
+    v = 0. When the producing `schedule` is supplied and the trace came
+    from a running-sum run (`RUNNING_SUM_ALGORITHMS`), that weight is
+    checked as ``v_floor`` against (1-gamma)/n * tau^(N(2B-1)) with B
+    measured from the realized schedule, both as log10. Otherwise it is
+    an informational ``min_v`` entry. Without a step k >= 1 either one is
     informational with value NaN.
     """
     from .algorithms import RUNNING_SUM_ALGORITHMS  # local import, no cycle at module load
 
     checks: list[InvariantCheck] = []
     res = trace.residuals
-    for key in ("conservation", "mass", "stochasticity"):
+    for key, budget in BUDGETS.items():
         if key in res:
-            checks.append(_max_check(key, res[key], BUDGETS[key]))
+            checks.append(_max_check(key, res[key], budget))
     if "consensus_spread" in res:
         checks.append(_max_check("consensus_spread", res["consensus_spread"], None))
     if (

@@ -58,10 +58,9 @@ step's ufunc calls do not broadcast, a longer one as one row (`stacked`):
   mass) this is column stochastic with every nonzero weight
   >= tau = min(gamma, 1-gamma)/n.
 
-Each table builder also returns what the stochasticity residual of the
-same weights reuses: the Metropolis column sums b (the self weights are
-1 - b) and the push-sum tails' offset bins, so a block's schedule-only
-work is done once.
+All three are column stochastic, so mixing keeps the totals that `run`
+records as its conservation and mass residuals; those identities, taken
+from the states the steps produce, are what checks the weights.
 """
 
 from __future__ import annotations
@@ -78,12 +77,23 @@ from .errors import CaseParseError, InvalidGraphError
 PRNG_VERSION = "philox4x64-v1"
 
 
+def checked_int(value, what: str, error: type[Exception], low: int | None = None) -> int:
+    """`value` as an int by `operator.index`, which refuses floats (NaN among them), and >= `low` if given.
+
+    Otherwise raises `error` naming `what`.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise error(f"{what} must be >= {low}, got {value}")
+    return value
+
+
 def checked_seed(seed, what: str, error: type[Exception]) -> int:
     """`seed` as an int in [0, 2^64), the key word a Philox stream takes; else `error` naming `what`."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {seed!r}") from None
+    seed = checked_int(seed, what, error)
     if not 0 <= seed < 2**64:
         raise error(f"{what} must lie in [0, 2^64), got {seed}")
     return seed
@@ -93,8 +103,9 @@ def checked_seed(seed, what: str, error: type[Exception]) -> int:
 class NominalGraph:
     """Fixed communication topology: n nodes plus undirected edges or arcs.
 
-    Undirected edges are stored as (min, max) pairs. The graph must be
-    connected (undirected) or strongly connected (directed); this is
+    Undirected edges are stored as (min, max) pairs. n and every edge
+    endpoint must be integers (`checked_int`), and the graph must be
+    connected (undirected) or strongly connected (directed); both are
     checked at construction.
     """
 
@@ -103,12 +114,11 @@ class NominalGraph:
     directed: bool
 
     def __init__(self, n: int, edges, directed: bool):
-        if n < 1:
-            raise InvalidGraphError("graph needs at least one node")
+        n = checked_int(n, "node count n", InvalidGraphError, 1)
         canon = []
         seen = set()
         for e in edges:
-            i, j = int(e[0]), int(e[1])
+            i, j = (checked_int(end, "edge endpoint", InvalidGraphError) for end in (e[0], e[1]))
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidGraphError(f"edge ({i}, {j}) out of range for n={n}")
             if i == j:
@@ -213,10 +223,9 @@ class GraphSchedule:
     def __post_init__(self):
         if not (0.0 <= self.q < 1.0):
             raise InvalidGraphError(f"failure probability q={self.q} outside [0, 1)")
-        # stored as an int, so equal seeds give equal digests
+        # seed and horizon stored as ints, so equal values give equal digests
         object.__setattr__(self, "seed", checked_seed(self.seed, "schedule seed", InvalidGraphError))
-        if self.horizon < 0:
-            raise InvalidGraphError("horizon must be nonnegative")
+        object.__setattr__(self, "horizon", checked_int(self.horizon, "schedule horizon", InvalidGraphError, 0))
 
     def _sample(self, lo: int, hi: int) -> np.ndarray:
         """(hi - lo, m) masks of steps lo..hi-1: the edges whose uniform from Philox4x64 keyed by (seed, k) is >= q.
@@ -308,13 +317,13 @@ def mix(own: np.ndarray, bins: np.ndarray, arc_values: np.ndarray) -> np.ndarray
     return own
 
 
-def row_bincount(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """out[r, i] sums weights[r, e] over the e whose bin is r*n + i, in increasing e, like a per-row bincount.
+def row_bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """out[r, i] sums weights[r, e] over the e with index[e] == i, in increasing e, like a per-row bincount.
 
-    `bins` are `offset_bins(index, rows, n)` of the (rows, len(index)) `weights`.
+    One `bincount` over the (rows, len(index)) `weights`, row r's entries binned at r*n + index (`offset_bins`).
     """
     rows = weights.shape[0]
-    return np.bincount(bins, weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
+    return np.bincount(offset_bins(index, rows, n), weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
 
 
 # Step rows of at most this many entries are repeated over the stack they meet (`stacked`); the
@@ -336,39 +345,35 @@ def stacked(table: np.ndarray, fields: int) -> np.ndarray:
     return np.repeat(row, fields, axis=-2) if table.shape[-1] <= STACK_ROW_MAX else row
 
 
-def metropolis_table(nominal: NominalGraph, masks: np.ndarray, fields: int) -> tuple[tuple, np.ndarray]:
+def metropolis_table(nominal: NominalGraph, masks: np.ndarray, fields: int) -> tuple:
     """Metropolis weights of a (rows, m) block of steps for a stack of `fields` rows, in O(rows fields (n + m)).
 
     Returns the table (self weights (rows, fields, n), arc weights
     (rows, fields, 2m)) over both directions of every nominal edge
     (`metropolis_arcs`), inactive ones weighing 0, each step's weights laid
-    out over the stack's rows by `stacked` (one row where a row is long);
-    and the (rows, n) column sums b of the arc weights, whose complements
-    1 - b are the self weights.
+    out over the stack's rows by `stacked` (one row where a row is long).
+    A self weight is 1 - b, b the sum of its node's arc weights.
     """
     tails, _, w = nominal.metropolis_arcs
     w = w * np.concatenate([masks, masks], axis=1)  # inactive edges weigh 0
-    sums = row_bincount(offset_bins(tails, len(masks), nominal.n), w, nominal.n)
-    return (stacked(1.0 - sums, fields), stacked(w, fields)), sums
+    return stacked(1.0 - row_bincount(tails, w, nominal.n), fields), stacked(w, fields)
 
 
-def push_table(nominal: NominalGraph, masks: np.ndarray) -> tuple[tuple, np.ndarray]:
+def push_table(nominal: NominalGraph, masks: np.ndarray) -> tuple:
     """Instantaneous out-degrees and live arcs of a (rows, m) block of steps, in O(rows (n + m)).
 
     Returns the table (D (rows, n), D (rows, 2, n), live (rows, 3, m)):
     D_j = |active out-arcs of j| + 1 as the directed step divides lam by
     it, then laid out over its v and y rows, and each arc's live flag (1.0
     or 0.0, in `arcs_by_head` order) over its three mixed rows, both by
-    `stacked`; and the offset bins of the arc tails, which a residual over
-    the block reuses.
+    `stacked`.
     """
     if not nominal.directed:
         raise InvalidGraphError("push matrices require a directed graph")
     order, tails, _ = nominal.arcs_by_head
     live = masks[:, order].astype(float)
-    bins = offset_bins(tails, len(masks), nominal.n)
-    D = 1.0 + row_bincount(bins, live, nominal.n)
-    return (D, stacked(D, 2), stacked(live, 3)), bins
+    D = 1.0 + row_bincount(tails, live, nominal.n)
+    return D, stacked(D, 2), stacked(live, 3)
 
 
 def _reaches_all(n: int, tails: list[int], heads: list[int]) -> bool:

@@ -35,6 +35,7 @@ from .errors import (
     InvalidCostError,
     InvalidInstanceError,
 )
+from .network import checked_int
 
 # Grid resolution of the best-effort strong-convexity check for general
 # (callable) cost models. Quadratic models are checked exactly.
@@ -266,7 +267,8 @@ class AlgorithmParams:
     ``step`` is either a constant stepsize or an a/(k+b) schedule. ``xi``
     scales the multiplier feedback into the primal step; ``nhat`` is each
     agent's estimate of the network size; ``gamma`` is the retention mix of
-    the running-sum protocol; ``horizon`` is the default number of steps.
+    the running-sum protocol; ``horizon`` is the default number of steps,
+    an integer >= 0 (`checked_int`).
     """
 
     step: Stepsize
@@ -281,8 +283,7 @@ class AlgorithmParams:
                 raise InvalidInstanceError(f"{name}={getattr(self, name)} must be positive and finite")
         if not (0.0 < self.gamma < 1.0):
             raise InvalidInstanceError(f"gamma={self.gamma} must lie in (0, 1)")
-        if self.horizon < 0:
-            raise InvalidInstanceError(f"horizon K={self.horizon} must be nonnegative")
+        object.__setattr__(self, "horizon", checked_int(self.horizon, "horizon K", InvalidInstanceError, 0))
 
     def stepsize(self, k: int) -> float:
         return self.step.at(k)

@@ -17,11 +17,6 @@
   one, so a test steps any state through masks of its choosing (one
   mask: one step, read back as ``trace.final``) or resumes a run over the
   masks that remain.
-* `stepwise_stochasticity`: one step's column-sum residual from its edge
-  weights.
-* `column_residual`: a block's column-sum residuals from its self and arc
-  weights written out whole, the way the package took them before its
-  residuals reused the work of the weight table's pass.
 * `reference_centralized`: the centralized primal-dual loop as it was
   written before it shared the distributed iterations' primal step,
   with its one multiplier as a (K + 1, 1) column.
@@ -143,40 +138,6 @@ def run_over(algorithm, inst, nominal, masks, params, init=None):
     """`run` from `init` (the standard start if None) through `masks`, one step per mask."""
     schedule = FixedMasks(nominal, masks)
     return dc.run(algorithm, inst, schedule, replace(params, horizon=schedule.horizon), init=init)
-
-
-def stepwise_stochasticity(algorithm, g, active, gamma):
-    """One step's residual from its edge weights, formed from the mask alone."""
-    n = g.n
-    if not directed(algorithm):
-        # Metropolis: both directions of each active edge weigh 1/max(d_i, d_j).
-        d = g.degrees
-        tails = np.concatenate([g.srcs, g.dsts])
-        w = np.tile(active / np.maximum(d[g.srcs], d[g.dsts]), 2)
-        sums = np.bincount(tails, weights=w, minlength=n) + (1.0 - np.bincount(tails, weights=w, minlength=n))
-    elif algorithm == "directed":
-        # Push-sum over the live arcs, summed per tail in (head, tail) order.
-        order = np.lexsort((g.srcs, g.dsts))
-        tails = g.srcs[order][active[order]]
-        D = 1.0 + np.bincount(tails, minlength=n)
-        sums = np.bincount(tails, weights=1.0 / D[tails], minlength=n) + 1.0 / D
-    else:
-        share = 1.0 / g.out_degrees
-        arc_share = share[g.srcs]
-        gg = np.where(active, gamma, 0.0)
-        tails = np.concatenate([g.srcs, g.srcs, n + np.arange(g.m)])
-        w = np.concatenate([gg * arc_share, (1.0 - gg) * arc_share, gg])
-        sums = np.bincount(tails, weights=w, minlength=n + g.m) + np.concatenate([share, 1.0 - gg])
-    return float(np.abs(sums - 1.0).max())
-
-
-def column_residual(own, tails, arc_weights):
-    """Worst |column sum - 1| of each step of a block: row r's column j sums the arc_weights[r, e] with
-    tails[e] == j in the order given, then adds the self weight own[r, j]."""
-    rows, n = own.shape
-    bins = (np.arange(rows)[:, None] * n + tails).ravel()
-    return np.abs(np.bincount(bins, arc_weights.ravel(), rows * n).reshape(rows, n) + own - 1.0).max(axis=1)
-
 
 
 def earliest_connect_scan(nominal: dc.NominalGraph, masks: np.ndarray) -> np.ndarray:
@@ -365,8 +326,6 @@ def reference_run(algorithm, inst, sched, params, start=None):
     fields = ["p", "consensus"] + (["y"] if tracked else []) + (["v"] if push else [])
     trace = {name: [] for name in fields}
     res = {"imbalance": [], "consensus_spread": []}
-    if algorithm not in ("robust", "centralized"):  # these two form no mixing weights
-        res["stochasticity"] = [0.0]
     if tracked:
         res["conservation"] = []
     if push:
@@ -399,8 +358,6 @@ def reference_run(algorithm, inst, sched, params, start=None):
     for k in range(params.horizon):
         active = sched.masks[k]
         st = STEPS[algorithm](st, inst, g, active, params, k)
-        if "stochasticity" in res:
-            res["stochasticity"].append(stepwise_stochasticity(algorithm, g, active, params.gamma))
         record(st)
     arrays = {name: np.array(rows) for name, rows in trace.items()}
     return arrays, {key: np.array(v) for key, v in res.items()}, st

@@ -27,7 +27,6 @@ from reference import (
     push_matrix,
     reference_run,
     run_over,
-    stepwise_stochasticity,
 )
 
 
@@ -498,63 +497,6 @@ def block_rows(g):
     return max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(g.m, 1))
 
 
-class TestStochasticityBlocks:
-    """`run` computes the residual series per block of steps, before stepping."""
-
-    def check_series(self, algorithm, g, q, seed, gamma, K):
-        inst = dc.generate_instance(dc.InstanceSpec(n=g.n), seed)
-        params = dc.AlgorithmParams(
-            step=dc.ConstantStep(0.01), xi=0.5, nhat=float(g.n), gamma=gamma, horizon=K
-        )
-        sched = dc.GraphSchedule(g, q, seed, K)
-        series = dc.run(algorithm, inst, sched, params).residuals["stochasticity"]
-        want = [0.0] + [stepwise_stochasticity(algorithm, g, sched.masks[k], gamma) for k in range(K)]
-        assert np.array_equal(series, want)
-
-    @given(
-        algorithm=st.sampled_from(["pd1", "directed", "virtual"]),
-        n=st.integers(5, 12),
-        extra=st.integers(3, 10),
-        seed=st.integers(0, 2**32),
-        q=st.floats(0.0, 0.95),
-        gamma=st.floats(0.01, 0.99),
-        offset=st.sampled_from([-1, 0, 1]),
-    )
-    @settings(max_examples=24, deadline=None)
-    def test_block_series_equals_stepwise(self, algorithm, n, extra, seed, q, gamma, offset):
-        spec = dc.GraphSpec(n=n, extra_edges=extra, directed=algorithm != "pd1")
-        g = dc.generate_graph(spec, seed)
-        self.check_series(algorithm, g, q, seed, gamma, block_rows(g) + offset)
-
-    @pytest.mark.parametrize("algorithm", ["pd1", "directed", "virtual"])
-    def test_one_row_blocks(self, algorithm):
-        # m > 4096 gets the fewest rows per block; horizon 0 is one block of
-        # one row, and a horizon of `rows` ends in a one-row block.
-        g = dc.generate_graph(dc.GraphSpec(n=100, extra_edges=4200, directed=algorithm != "pd1"), 5)
-        assert block_rows(g) == _MIN_BLOCK_ROWS
-        for K in (0, 1, _MIN_BLOCK_ROWS - 1, _MIN_BLOCK_ROWS, _MIN_BLOCK_ROWS + 1):
-            self.check_series(algorithm, g, 0.3, 7, 0.6, K)
-
-    def test_residual_memory_does_not_grow_with_horizon(self, case39_undirected):
-        inst, g = case39_undirected
-
-        def peak_beyond_trace(K):
-            params = dc.AlgorithmParams(step=dc.ConstantStep(0.01), xi=0.05, nhat=39.0, horizon=K)
-            sched = dc.GraphSchedule(g, 0.2, 1, K)
-            sched.masks  # sampled before measuring
-            tracemalloc.start()
-            try:
-                trace = dc.run("pd1", inst, sched, params)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            kept = [trace.p, trace.consensus, trace.y, *trace.residuals.values()]
-            return peak - sum(a.nbytes for a in kept)
-
-        growth = peak_beyond_trace(20_000) - peak_beyond_trace(2_000)
-        assert growth < 1_000_000, f"peak beyond the trace grew by {growth} bytes"
-
-
 class TestResidualBlocks:
     """`run` reduces the residual series per block of recorded rows, as `reference_run` does per state."""
 
@@ -636,6 +578,29 @@ class TestResidualBlocks:
         block = series[0].base
         assert all(a.base is block for a in series)
         assert block.nbytes == sum(a.nbytes for a in series)
+        # And another exactly the residual series.
+        residuals = list(trace.residuals.values())
+        assert all(a.base is residuals[0].base for a in residuals)
+        assert residuals[0].base.nbytes == sum(a.nbytes for a in residuals)
+
+    def test_residual_memory_does_not_grow_with_horizon(self, case39_undirected):
+        inst, g = case39_undirected
+
+        def peak_beyond_trace(K):
+            params = dc.AlgorithmParams(step=dc.ConstantStep(0.01), xi=0.05, nhat=39.0, horizon=K)
+            sched = dc.GraphSchedule(g, 0.2, 1, K)
+            sched.masks  # sampled before measuring
+            tracemalloc.start()
+            try:
+                trace = dc.run("pd1", inst, sched, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = [trace.p, trace.consensus, trace.y, *trace.residuals.values()]
+            return peak - sum(a.nbytes for a in kept)
+
+        growth = peak_beyond_trace(20_000) - peak_beyond_trace(2_000)
+        assert growth < 1_000_000, f"peak beyond the trace grew by {growth} bytes"
 
 
 class TestRunProperties:
@@ -970,6 +935,7 @@ class TestBitIdentity:
         for key, series in want.residuals.items():
             assert bit_equal(got.residuals[key], series), key
 
+
 class TestWeightTables:
     @pytest.mark.parametrize("algorithm, builder", [
         ("pd1", "metropolis_table"),
@@ -995,32 +961,6 @@ class TestWeightTables:
         inst = dc.generate_instance(dc.InstanceSpec(n=g.n), 3)
         dc.run(algorithm, inst, dc.GraphSchedule(g, 0.3, 5, K), params_for(g.n, s=0.01, horizon=K))
         assert built == [rows, rows, 3]
-
-    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
-    def test_residual_reuses_the_table_pass(self, monkeypatch, algorithm):
-        # A block takes one set of offset bins at most: the Metropolis residual reuses the table's
-        # column sums and the push residual its bins; the release table takes none, the augmented
-        # residual one, and robust and centralized record no residual.
-        from dercoord import network
-
-        g = dc.generate_graph(dc.GraphSpec(n=8, extra_edges=4, directed=directed(algorithm)), 3)
-        rows = block_rows(g)
-        K = 2 * rows + 3
-        inst = dc.generate_instance(dc.InstanceSpec(n=g.n), 3)
-        params = params_for(g.n, s=0.01, horizon=K)
-        sched = dc.GraphSchedule(g, 0.3, 5, K)
-        dc.run(algorithm, inst, sched, params)  # the graph's own bins, cached per graph, are made here
-        original = network.offset_bins
-        made = []
-
-        def counting(heads, block, n):
-            made.append(block)
-            return original(heads, block, n)
-
-        monkeypatch.setattr(network, "offset_bins", counting)
-        monkeypatch.setattr(algorithms, "offset_bins", counting)
-        trace = dc.run(algorithm, inst, sched, params)
-        assert made == ([rows, rows, 3] if "stochasticity" in trace.residuals else [])
 
 
 def permuted_instance(inst, perm):

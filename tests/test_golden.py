@@ -21,7 +21,10 @@
 A change that moves any bit fails here, naming the series or column, the
 algorithm, graph or config, and the seed. When a change is meant to move
 them, say why in CHANGES.md and rewrite the pins with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``, which first prints one
+line per pin it adds, removes or changes against the file as it stands,
+such as ``removed pd1/1/residuals.stochasticity``. The file keeps the
+form that command writes (`pin_text`), so a hand edit must keep it too.
 """
 
 import hashlib
@@ -126,9 +129,51 @@ def summary_digests(out: Path) -> dict[str, dict[str, str]]:
     return digests
 
 
+def pin_text(pins: dict) -> str:
+    """The text of the pin file holding `pins`: keys sorted, one-space indents, a closing newline."""
+    return json.dumps(pins, indent=1, sort_keys=True) + "\n"
+
+
+def flat_pins(pins: dict, prefix: str = "") -> dict[str, str]:
+    """The pins as path -> digest, the path joining the nested keys with '/'."""
+    flat = {}
+    for key, value in pins.items():
+        if isinstance(value, dict):
+            flat.update(flat_pins(value, f"{prefix}{key}/"))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def pin_changes(old: dict, new: dict) -> list[str]:
+    """One line per pin that `new` adds to, removes from or changes in `old`, by path."""
+    old, new = flat_pins(old), flat_pins(new)
+    verdicts = {}
+    for path in old.keys() | new.keys():
+        if path not in new:
+            verdicts[path] = "removed"
+        elif path not in old:
+            verdicts[path] = "added"
+        elif old[path] != new[path]:
+            verdicts[path] = "changed"
+    return [f"{verdicts[path]} {path}" for path in sorted(verdicts)]
+
+
 def moved(what: str, got: dict[str, str], want: dict[str, str]) -> list[str]:
     assert sorted(got) == sorted(want), f"{what}: keys {sorted(got)} != {sorted(want)}"
     return [key for key in want if got[key] != want[key]]
+
+
+def test_pin_file_keeps_the_regenerators_form():
+    text = GOLDEN.read_text()
+    assert text == pin_text(json.loads(text)), "golden.json: rewrite it with pin_text's form"
+
+
+def test_pin_changes_name_each_added_removed_and_changed_pin():
+    old = {"pd1": {"1": {"p": "a", "residuals.stochasticity": "b"}}, "masks": {"g": {"0": "c"}}}
+    new = {"pd1": {"1": {"p": "a2"}}, "masks": {"g": {"0": "c", "1": "d"}}}
+    assert pin_changes(old, new) == ["added masks/g/1", "changed pd1/1/p", "removed pd1/1/residuals.stochasticity"]
+    assert pin_changes(new, new) == []
 
 
 @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
@@ -188,4 +233,6 @@ if __name__ == "__main__":
         outs = {name: run_cli(name, Path(tmp) / name) for name in CSV_CONFIGS}
         pins["csv"] = {name: csv_digests(out) for name, out in outs.items()}
         pins["summary"] = {name: summary_digests(out) for name, out in outs.items()}
-    GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    for line in pin_changes(json.loads(GOLDEN.read_text()), pins):
+        print(line)
+    GOLDEN.write_text(pin_text(pins))

@@ -229,6 +229,12 @@ class TestAlgorithmParams:
             dc.AlgorithmParams(step=dc.ConstantStep(0.1), gamma=1.0)
         with pytest.raises(InvalidInstanceError):
             dc.AlgorithmParams(step=dc.ConstantStep(0.1), xi=-1.0)
+        for horizon in (float("nan"), 2.5, "10"):
+            with pytest.raises(InvalidInstanceError, match="horizon K must be an integer"):
+                dc.AlgorithmParams(step=dc.ConstantStep(0.1), horizon=horizon)
+        with pytest.raises(InvalidInstanceError, match="horizon K must be >= 0, got -1"):
+            dc.AlgorithmParams(step=dc.ConstantStep(0.1), horizon=-1)
+        assert type(dc.AlgorithmParams(step=dc.ConstantStep(0.1), horizon=np.int64(5)).horizon) is int
 
     def test_positive_means_above_zero_and_finite(self):
         assert positive(1e-300) and positive(1e308) and positive(np.float64(2.0))
