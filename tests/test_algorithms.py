@@ -962,6 +962,30 @@ class TestWeightTables:
         dc.run(algorithm, inst, dc.GraphSchedule(g, 0.3, 5, K), params_for(g.n, s=0.01, horizon=K))
         assert built == [rows, rows, 3]
 
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_one_bin_pass_per_table_block(self, monkeypatch, algorithm):
+        # A block's table takes one set of offset bins at most: the Metropolis and push tables one
+        # each, for their per-row sums; the release table none, and centralized reads no link.
+        from dercoord import network
+
+        g = dc.generate_graph(dc.GraphSpec(n=8, extra_edges=4, directed=directed(algorithm)), 3)
+        rows = block_rows(g)
+        K = 2 * rows + 3
+        inst = dc.generate_instance(dc.InstanceSpec(n=g.n), 3)
+        params = params_for(g.n, s=0.01, horizon=K)
+        sched = dc.GraphSchedule(g, 0.3, 5, K)
+        dc.run(algorithm, inst, sched, params)  # the graph's own bins, cached per graph, are made here
+        original = network.offset_bins
+        made = []
+
+        def counting(heads, block, n):
+            made.append(block)
+            return original(heads, block, n)
+
+        monkeypatch.setattr(network, "offset_bins", counting)
+        dc.run(algorithm, inst, sched, params)
+        assert made == ([rows, rows, 3] if algorithm in ("pd1", "pd2", "directed") else [])
+
 
 def permuted_instance(inst, perm):
     """Agent r of the result is agent perm[r] of `inst`."""

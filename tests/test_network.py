@@ -22,6 +22,7 @@ from dercoord.network import (
     numbered_lines,
     parse_graph_lines,
     push_table,
+    row_bincount,
     stacked,
     union_connected,
     windows_connected,
@@ -460,6 +461,23 @@ class TestEdgeListMixing:
         np.testing.assert_allclose(new.v, A @ state.v, rtol=0, atol=1e-13)
         (g_rows,) = _release_table(g, active[None], params)
         assert (g_rows[0] == g_rows[0, 0]).all()  # (3, m): one row per mixed field
+
+    @given(
+        n=st.integers(1, 12),
+        m=st.integers(0, 30),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_row_bincount_is_a_per_row_bincount(self, n, m, rows, seed):
+        # Bit for bit: each row's entries are summed per bin in the same order as a bincount of that row alone.
+        rng = np.random.default_rng(seed)
+        index = rng.integers(0, n, size=m)
+        weights = rng.normal(size=(rows, m))
+        want = np.array([np.bincount(index, row, n) for row in weights])
+        got = row_bincount(index, weights, n)
+        assert got.shape == (rows, n)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_stacked_repeats_short_rows_only(self):
         table = np.arange(6.0).reshape(2, 3)
