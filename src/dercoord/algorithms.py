@@ -21,7 +21,10 @@ gradient and box, nhat as a 0-d array, the graph's tails, exact-length
 `mix` bins and out-degrees) and allocates the scratch buffers a step
 writes through, with their row and flat views. ``views(*arrays)`` makes
 the view tuple of one state's arrays (`nodes`, then robust's `arcs`):
-the rows and row stacks the step reads or writes.
+the rows and row stacks the step reads or writes, and the flat view of
+the mixed stack that `mix` adds into (virtual's spans the full rows of
+all N nodes, its bins offset by N per row, since its real-node stack is
+strided).
 ``step(cur, nxt, weights, s, sxi)`` reads the views `cur`, the step's row
 of the algorithm's weight table and the stepsize s and its product
 s*xi, both as 0-d arrays, and fills `nxt` with ufuncs writing through
@@ -53,10 +56,10 @@ gives the standard start (lam = 0, y = nhat*(p - load)) and
 every algorithm but pd2), both for any algorithm.
 
 `run` steps any algorithm over the schedule's mask block. It records
-state 0 first, once its node rows are found finite (a non-finite one is
-named at step 0; positivity waits for step 1, since virtual nodes start
-at v = 0), then works through the steps in blocks of about 2^13
-link entries and at least 8 steps, in place in a ring of rows + 1 slots
+state 0 first, once its node rows and robust's arc rows are found finite
+(a non-finite one is named at step 0; positivity waits for step 1, since
+virtual nodes start at v = 0), then works through the steps in blocks of
+about 2^13 link entries and at least 8 steps, in place in a ring of rows + 1 slots
 per state array, each slot starting as the start state (so what no step
 writes, such as virtual's pinned dispatch, keeps its start value): slot
 0 holds the state before the block, the block's step j reads slot j and
@@ -64,8 +67,9 @@ writes slot j + 1, and the last slot written then moves to slot 0 in
 place. The ring's arrays are never reallocated, so each slot's view
 tuple is made once per run and the step loop makes none. A block's
 weight table is formed once, and its stepsizes s and s*xi fill two
-vectors whose 0-d views are made once per run. For robust and virtual
-the table is the release fractions g = gamma*mask, which the step
+vectors whose 0-d views are made once per run, s from one
+``params.stepsize`` call over the block's step numbers. For robust and
+virtual the table is the release fractions g = gamma*mask, which the step
 multiplies into a bound buffer (an idle arc gives +-0.0, which leaves
 every sum it enters unchanged, but a non-finite value on an idle arc
 gives NaN). After the block, one positivity reduction over the v rows
@@ -130,6 +134,7 @@ from .network import (
     NominalGraph,
     metropolis_table,
     mix,
+    offset_bins,
     push_table,
     stacked,
     union_connected,
@@ -304,7 +309,7 @@ def _pd2(inst, graph, params):
         primal(s, sxi, p0, lam0, p)
         multiply(z0, self_w, z)
         multiply(z0.take(tails, 1, gathered, "clip"), w, gathered)
-        mix(z, bins, flat)
+        mix(lam, bins, flat)  # lam: the one-row stack z, flat
         subtract(lam, multiply(subtract(p0, loads, scratch), multiply(s, nhat, snhat), scratch), lam)
 
     return lambda a: (a[0], a[1], a[1:2]), step
@@ -319,15 +324,15 @@ def _pd1(inst, graph, params):
 
     def step(cur, nxt, weights, s, sxi):
         self_w, w = weights
-        (p0, lam0, y0, z0), (p, lam, y, z) = cur, nxt
+        (p0, lam0, y0, z0, _), (p, lam, y, z, z_flat) = cur, nxt
         primal(s, sxi, p0, lam0, p)
         multiply(z0, self_w, z)
         multiply(z0.take(tails, 1, gathered, "clip"), w, gathered)
-        mix(z, bins, flat)
+        mix(z_flat, bins, flat)
         subtract(lam, multiply(y0, s, scratch), lam)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
 
-    return lambda a: (a[0], a[1], a[2], a[1:]), step
+    return lambda a: (a[0], a[1], a[2], a[1:], a[1:].reshape(-1)), step
 
 
 def _directed(inst, graph, params):
@@ -346,17 +351,17 @@ def _directed(inst, graph, params):
 
     def step(cur, nxt, weights, s, sxi):
         D, D_vy, live = weights
-        lam0, _, y0, p0, x0, _, vy0 = cur
-        lam, v, y, p, x, z, vy = nxt  # z: each node's share of (lam - s*y, v, y), mixed in place
+        lam0, _, y0, p0, x0, _, vy0, _ = cur
+        lam, v, y, p, x, z, vy, z_flat = nxt  # z: each node's share of (lam - s*y, v, y), mixed in place
         primal(s, sxi, p0, x0, p)
         divide(subtract(lam0, multiply(y0, s, scratch), scratch), D, lam)
         divide(vy0, D_vy, vy)
         multiply(z.take(tails, 1, gathered, "clip"), live, gathered)
-        mix(z, bins, flat)
+        mix(z_flat, bins, flat)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
         divide(lam, v, x)
 
-    return lambda a: (a[0], a[1], a[2], a[3], a[4], a[:3], a[1:3]), step
+    return lambda a: (a[0], a[1], a[2], a[3], a[4], a[:3], a[1:3], a[:3].reshape(-1)), step
 
 
 def _robust(inst, graph, params):
@@ -378,8 +383,8 @@ def _robust(inst, graph, params):
 
     def step(cur, nxt, weights, s, sxi):
         (g,) = weights
-        _, _, _, p0, x0, z0, sums0, mirror0, virt0 = cur
-        lam, v, y, p, x, z, sums, mirror, virt = nxt
+        _, _, _, p0, x0, z0, _, sums0, mirror0, virt0 = cur
+        lam, v, y, p, x, z, z_flat, sums, mirror, virt = nxt
         primal(s, sxi, p0, x0, p)
         # Mirror advances in increment form: g*(sum - mirror) equals
         # (1-g)*mirror + g*sum exactly, but the subtraction of the two
@@ -395,13 +400,13 @@ def _robust(inst, graph, params):
         subtract(add(virt0, z.take(srcs, 1, gathered, "clip"), virt), d, virt)
         multiply(y, s, own_y)
         subtract(d_lam, multiply(d_y, s, dy), d_lam)  # lam arrives together with -s times y
-        mix(z, bins, d_flat)
+        mix(z_flat, bins, d_flat)
         subtract(lam, own_y, lam)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
         divide(lam, v, x)
         add(divide(z, dplus, sums), sums0, sums)
 
-    return lambda a, arcs: (*a[:5], a[:3], a[5:], arcs[:3], arcs[3:]), step
+    return lambda a, arcs: (*a[:5], a[:3], a[:3].reshape(-1), a[5:], arcs[:3], arcs[3:]), step
 
 
 def _virtual(inst, graph, params):
@@ -422,15 +427,16 @@ def _virtual(inst, graph, params):
     written: every ring slot starts as the run's start state.
     """
     n, primal, nhat = inst.n, _primal_step(inst, params), _scalar(params.nhat)
-    srcs, bins, dplus = graph.srcs, graph.arc_bins, stacked(graph.out_degrees, 3)  # as real0 meets it
+    srcs, dplus = graph.srcs, stacked(graph.out_degrees, 3)  # as real0 meets it
+    bins = offset_bins(graph.dsts, 3, n + graph.m)  # the arc heads in rows of all N nodes
     gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(n), np.empty(n), np.empty(graph.m)
     released = np.empty((3, graph.m))
     released_lam, released_y, released_flat = released[0], released[2], released.reshape(-1)
 
     def step(cur, nxt, weights, s, sxi):
         (g,) = weights
-        real0, held0, _, _, p0, x0, _, _, _, _ = cur
-        real, held, lam, y, p, _, full_lam, v, x, z = nxt
+        real0, held0, _, _, p0, x0, _, _, _, _, _ = cur
+        real, held, lam, y, p, _, full_lam, v, x, z, z_flat = nxt
         primal(s, sxi, p0, x0, p)
         divide(real0, dplus, real)  # each real node's shares, mixed in place below
         add(held0, z.take(srcs, 1, gathered, "clip"), held)  # from the contiguous rows: take copies a strided source
@@ -438,12 +444,13 @@ def _virtual(inst, graph, params):
         # real rows mix (lam - s*y); virtual rows carry lam and y separately
         multiply(y, s, own_y)
         subtract(released_lam, multiply(released_y, s, dy), released_lam)
-        mix(real, bins, released_flat)
+        mix(z_flat, bins, released_flat)  # virtual nodes gain +0.0, and held - held*g is never -0.0: same bits
         subtract(lam, own_y, lam)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
         divide(full_lam, v, x)
 
-    return lambda a: (a[:3, :n], a[:3, n:], a[0, :n], a[2, :n], a[3, :n], a[4, :n], a[0], a[1], a[4], a[:3]), step
+    return lambda a: (a[:3, :n], a[:3, n:], a[0, :n], a[2, :n], a[3, :n], a[4, :n], a[0], a[1], a[4], a[:3],
+                      a[:3].reshape(-1)), step
 
 
 def _centralized(inst, graph, params):
@@ -494,7 +501,10 @@ class _Spec:
     docstring): the Metropolis or push-sum table, or the running sums'
     release fractions g = gamma*mask (`_release_table`). It is None for a
     step that reads no link, which then takes the masks, unread, and whose
-    run makes no connectivity note.
+    run makes no connectivity note. ``arc_names`` names the rows of the
+    state's ``arcs`` array (robust's mirrors, then its in-flight values),
+    which `run` checks finite at step 0, beside the node rows; the guard
+    after each block reads node rows only.
     """
 
     state: type
@@ -507,6 +517,7 @@ class _Spec:
     series: tuple[str, ...]
     y: tuple
     v: tuple
+    arc_names: tuple[str, ...] = ()
 
     @property
     def directed(self) -> bool:
@@ -540,6 +551,7 @@ def _specs() -> dict[str, _Spec]:
             RobustState, _robust_start, names + ("sums.lam", "sums.v", "sums.y"), "push-sum weight v hit zero",
             _robust, _release_table, **push,
             y=(("nodes", 2), ("arcs", 5)), v=(("nodes", 1), ("arcs", 4)),  # in-flight y and v too
+            arc_names=tuple(f"{part}.{row}" for part in ("mirror", "virt") for row in names[:3]),
         ),
         "virtual": _Spec(
             VirtualState, _virtual_start, names, "augmented push-sum weight hit zero",
@@ -664,14 +676,15 @@ def run(
     sizes, scaled = np.empty(rows), np.empty(rows)
     size_views = [(sizes[j, ...], scaled[j, ...]) for j in range(rows)]
     masks = schedule.masks[:K]
-    _check_block(algorithm, spec.names, None, 0, ring["nodes"][:1])  # finite only: virtual nodes start at v = 0
+    for arrays, names in zip(ring.values(), (spec.names, spec.arc_names)):  # nodes, then robust's arcs
+        _check_block(algorithm, names, None, 0, arrays[:1])  # finite only: virtual nodes start at v = 0
     record(0, 1, 0)
     for k0 in range(0, K, rows):  # steps k0..k1-1 make rows k0+1..k1
         k1 = min(k0 + rows, K)
         block = masks[k0:k1]
         table = (block,) if spec.weights is None else spec.weights(graph, block, params)  # masks unread
         with np.errstate(all="ignore"):  # a step that overflows fails the guard, which names it
-            sizes[: k1 - k0] = [params.stepsize(k) for k in range(k0, k1)]
+            sizes[: k1 - k0] = params.stepsize(np.arange(k0, k1))  # int to float64 is exact: Python's bits
             multiply(sizes[: k1 - k0], params.xi, scaled[: k1 - k0])  # the products Python's s * xi gives
             for cur, nxt, row, (s, sxi) in zip(slot_views, slot_views[1:], zip(*table), size_views):
                 step(cur, nxt, row, s, sxi)

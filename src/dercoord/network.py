@@ -16,7 +16,14 @@ and the connectivity analysis read that block and never resample.
 
 Connectivity of one union is one O(n + m) routine, `union_connected`:
 forward and reverse reachability from node 0 (undirected links count
-both ways). The realized connectivity window B
+both ways) over per-node (arc, head) lists, reading the union's live
+flags as a list. The lists are built once per call of `union_connected`
+or `windows_connected` and kept nowhere (at n = 3000 they take about
+0.7 MB per direction, which a cache would add to every run's peak):
+one call builds and drops them one direction at a time, and
+`windows_connected` builds both once for all its windows and takes
+every union's flags with one `tolist`, so each window's own search makes
+no NumPy call. The realized connectivity window B
 (`minimal_connectivity_window`) comes from per-start earliest-connect
 lengths L(s), all found in one integer computation: window [s, e)
 connects exactly when node 0 reaches, and is reached from, every node
@@ -24,7 +31,8 @@ along arcs first live at some step in [s, e), so s + L(s) is 1 + the
 largest minimax path weight from node 0 when each arc weighs its first
 live step at or after s (`_earliest_connect`). Gauss-Seidel sweeps over
 the arcs relax those weights for every s at once, O(m K) per sweep for
-K steps, until a sweep changes nothing. A schedule finds the lengths
+K steps, until a sweep changes nothing; each sweep reads row views of
+the weights made once per search. A schedule finds the lengths
 once, over its full horizon, on first use (`GraphSchedule.connect_lengths`);
 every horizon prefix derives its own lengths from them in O(K), and
 scanning the candidate B costs O(K log K). `check_B_connectivity` judges
@@ -35,7 +43,8 @@ stays an independent check of the B they give.
 Mixing is one O(F (n + m)) edge-list primitive, `mix`, over a (F, n)
 stack of fields: every node keeps its own share of each field and adds
 the values arriving along the step's arcs, all fields in one `bincount`
-whose bins are the arc heads offset by f*n for row f (cached per graph).
+whose bins are the arc heads offset by f*n for row f (cached per graph),
+added through a flat view of the stack that each ring slot binds once.
 Each node sums the same terms in the same order as a per-field mix. The
 edge weights depend on the schedule alone, so they are built for a
 (rows, m) block of masks at once, as a weight table whose row r is what
@@ -103,8 +112,9 @@ def checked_seed(seed, what: str, error: type[Exception]) -> int:
 class NominalGraph:
     """Fixed communication topology: n nodes plus undirected edges or arcs.
 
-    Undirected edges are stored as (min, max) pairs. n and every edge
-    endpoint must be integers (`checked_int`), and the graph must be
+    Undirected edges are stored as (min, max) pairs. Every edge must have
+    exactly two endpoints, n and every endpoint must be integers
+    (`checked_int`), and the graph must be
     connected (undirected) or strongly connected (directed); both are
     checked at construction.
     """
@@ -118,7 +128,10 @@ class NominalGraph:
         canon = []
         seen = set()
         for e in edges:
-            i, j = (checked_int(end, "edge endpoint", InvalidGraphError) for end in (e[0], e[1]))
+            try:
+                i, j = (checked_int(end, "edge endpoint", InvalidGraphError) for end in e)
+            except (TypeError, ValueError):  # not iterable, or not two endpoints
+                raise InvalidGraphError(f"edge {e!r} must have exactly two endpoints") from None
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidGraphError(f"edge ({i}, {j}) out of range for n={n}")
             if i == j:
@@ -131,12 +144,8 @@ class NominalGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "directed", bool(directed))
-        self._check_connectivity()
-
-    def _check_connectivity(self) -> None:
-        if not union_connected(self, np.ones(self.m, dtype=bool)):
-            what = "strongly connected" if self.directed else "connected"
-            raise InvalidGraphError(f"nominal graph must be {what}")
+        if not union_connected(self, [True] * self.m):
+            raise InvalidGraphError(f"nominal graph must be {'strongly connected' if self.directed else 'connected'}")
 
     @property
     def m(self) -> int:
@@ -184,19 +193,14 @@ class NominalGraph:
         """Nominal degrees |N_i| + 1 (undirected)."""
         if self.directed:
             raise InvalidGraphError("nominal degrees are an undirected notion")
-        d = np.ones(self.n)
-        np.add.at(d, self.srcs, 1.0)
-        np.add.at(d, self.dsts, 1.0)
-        return d
+        return 1.0 + np.bincount(self.srcs, minlength=self.n) + np.bincount(self.dsts, minlength=self.n)
 
     @cached_property
     def out_degrees(self) -> np.ndarray:
         """Nominal out-degrees |N_i^+| + 1 (directed)."""
         if not self.directed:
             raise InvalidGraphError("out-degrees are a directed notion")
-        d = np.ones(self.n)
-        np.add.at(d, self.srcs, 1.0)
-        return d
+        return 1.0 + np.bincount(self.srcs, minlength=self.n)
 
     def relabeled(self, perm) -> "NominalGraph":
         """Graph with node i renamed perm[i]; edge order is preserved."""
@@ -304,17 +308,17 @@ def offset_bins(heads: np.ndarray, rows: int, n: int) -> np.ndarray:
 
 
 def mix(own: np.ndarray, bins: np.ndarray, arc_values: np.ndarray) -> np.ndarray:
-    """One mixing step of a (F, n) stack of fields over an edge list, in place, in O(F (n + m)).
+    """One mixing step of a stack of F fields over an edge list, in place, in O(F (n + m)).
 
-    Field f of node i ends with own[f, i] plus the sum of every
-    arc_values[e] whose bin is f*n + i, the arcs of each node summed in
-    the order given; `own` is updated and returned. `arc_values` is flat,
-    F*m values field after field, and `bins` are as many heads offset per
-    field (`offset_bins`): the callers bind both once per run, so a step
-    slices and ravels nothing.
+    `own` is the stack as one flat view, F rows of N >= n entries: field
+    f of node i ends with own[f*N + i] plus the sum of every arc_values[e]
+    whose bin is f*N + i, the arcs of each node summed in the order given;
+    `own` is updated and returned. `arc_values` is flat, F*m values field
+    after field, and `bins` are as many heads offset per field
+    (`offset_bins`). The callers bind all three once per run (the flat
+    view once per ring slot), so a step slices, reshapes and ravels nothing.
     """
-    own += np.bincount(bins, arc_values, own.size).reshape(own.shape)
-    return own
+    return np.add(own, np.bincount(bins, arc_values, own.size), out=own)
 
 
 def row_bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -376,39 +380,46 @@ def push_table(nominal: NominalGraph, masks: np.ndarray) -> tuple:
     return D, stacked(D, 2), stacked(live, 3)
 
 
-def _reaches_all(n: int, tails: list[int], heads: list[int]) -> bool:
-    """Does node 0 reach every node along the arcs tails[e] -> heads[e]?"""
-    out: list[list[int]] = [[] for _ in range(n)]
-    for t, h in zip(tails, heads):
-        out[t].append(h)
-    seen = {0}
+def _arc_lists(nominal: NominalGraph):
+    """Per-node (arc, head) lists for each search, built as the caller takes them: along the arcs, then against them.
+
+    An undirected edge goes both ways in the forward lists, and they are
+    the only ones: a forward search reaches what a reverse one would.
+    """
+    for reverse in (False, True)[: 1 + nominal.directed]:
+        out: list[list[tuple[int, int]]] = [[] for _ in range(nominal.n)]
+        for a, ends in enumerate(nominal.edges):
+            i, j = ends[::-1] if reverse else ends
+            out[i].append((a, j))
+            if not nominal.directed:
+                out[j].append((a, i))
+        yield out
+
+
+def _reaches_all(out: list[list[tuple[int, int]]], live: list[bool]) -> bool:
+    """Does node 0 reach every node along the live arcs of the per-node (arc, head) lists `out`?"""
+    seen = [True] + [False] * (len(out) - 1)
     stack = [0]
     while stack:
-        for j in out[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
+        for a, j in out[stack.pop()]:
+            if live[a] and not seen[j]:
+                seen[j] = True
                 stack.append(j)
-    return len(seen) == n
+    return all(seen)
 
 
-def union_connected(nominal: NominalGraph, mask: np.ndarray) -> bool:
+def union_connected(nominal: NominalGraph, mask, arcs=None) -> bool:
     """Is the subgraph of nominal edges flagged by `mask` (strongly) connected?
 
-    Forward and reverse reachability from node 0; undirected edges are
-    followed both ways, so the forward search suffices. O(n + m).
+    `mask` holds one live flag per edge, as a boolean array or a list of
+    bools. Forward and reverse reachability from node 0 over the per-node
+    arc lists of each search, `arcs` (`_arc_lists`, built here unless
+    given); undirected edges are followed both ways, so the forward search
+    suffices. O(n + m). Built here, the lists of one search are dropped
+    before the next one's are built.
     """
-    n = nominal.n
-    srcs = nominal.srcs[mask]
-    dsts = nominal.dsts[mask]
-    if not nominal.directed:
-        srcs, dsts = np.concatenate([srcs, dsts]), np.concatenate([dsts, srcs])
-    # Every node needs an outgoing and an incoming link. This test is much
-    # cheaper than the searches; on sampled schedules of the shipped directed
-    # case at q = 0.2 it rejected every disconnected window union.
-    if n > 1 and not (np.bincount(srcs, minlength=n).all() and np.bincount(dsts, minlength=n).all()):
-        return False
-    tails, heads = srcs.tolist(), dsts.tolist()
-    return _reaches_all(n, tails, heads) and (not nominal.directed or _reaches_all(n, heads, tails))
+    live = mask.tolist() if isinstance(mask, np.ndarray) else mask
+    return all(map(_reaches_all, _arc_lists(nominal) if arcs is None else arcs, [live] * 2))  # map keeps no lists
 
 
 def windows_connected(nominal: NominalGraph, masks: np.ndarray, B: int) -> np.ndarray:
@@ -416,13 +427,16 @@ def windows_connected(nominal: NominalGraph, masks: np.ndarray, B: int) -> np.nd
 
     `masks` is a (K, m) boolean array of active sets; only complete
     windows [kB, (k+1)B - 1] within K are judged. The unions are built at
-    once and each is judged by `union_connected`.
+    once and read as lists of live flags with one `tolist`, and the arc
+    lists are built once; each union is then judged on its own by
+    `union_connected`, in O(n + m) and with no NumPy call per window.
     """
     if B < 1:
         raise InvalidGraphError("window length B must be >= 1")
     K, m = masks.shape
     unions = masks[: K // B * B].reshape(K // B, B, m).any(axis=1)
-    return np.array([union_connected(nominal, union) for union in unions], dtype=bool)
+    arcs = list(_arc_lists(nominal))
+    return np.array([union_connected(nominal, live, arcs) for live in unions.tolist()], dtype=bool)
 
 
 def check_B_connectivity(schedule: GraphSchedule, B: int) -> np.ndarray:
@@ -458,17 +472,19 @@ def _minimax_from_root(n: int, first: np.ndarray, arcs: list[tuple[int, int, int
 
     `arcs` are (row of `first`, tail, head) triples. Gauss-Seidel sweeps
     relax d[v] = min(d[v], max(d[u], first[a])) over the arcs, alternating
-    their order, until a sweep changes nothing.
+    their order, until a sweep changes nothing. The rows of d and `first`
+    are listed once, so a relaxation is two ufunc calls on views it
+    already holds.
     """
     K = first.shape[1]
     d = np.full((n, K), K, dtype=first.dtype)
     d[0] = np.arange(K)
     via = np.empty(K, dtype=first.dtype)
+    rows, firsts = list(d), list(first)  # row views, made once
     while True:
         before = d.copy()
         for a, u, v in arcs:
-            np.maximum(d[u], first[a], out=via)
-            np.minimum(d[v], via, out=d[v])
+            np.minimum(rows[v], np.maximum(rows[u], firsts[a], out=via), out=rows[v])
         if np.array_equal(before, d):
             return d
         arcs = arcs[::-1]

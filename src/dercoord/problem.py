@@ -253,8 +253,14 @@ class DiminishingStep:
         if not (positive(self.a) and positive(self.b)):
             raise InvalidInstanceError(f"schedule a={self.a}, b={self.b}: a and b must be positive and finite")
 
-    def at(self, k: int) -> float:
-        return self.a / (k + self.b)
+    def at(self, k):
+        """s[k] for an int k, or elementwise for an int array, in float64 either way.
+
+        int to float64 is exact below 2^53, so both give the same bits. a and
+        b are taken as Python floats, since a NumPy float32 would make a
+        scalar k compute in float32 but an array of k in float64.
+        """
+        return float(self.a) / (k + float(self.b))
 
 
 Stepsize = ConstantStep | DiminishingStep
@@ -264,7 +270,9 @@ Stepsize = ConstantStep | DiminishingStep
 class AlgorithmParams:
     """Shared knobs of the dispatch iterations.
 
-    ``step`` is either a constant stepsize or an a/(k+b) schedule. ``xi``
+    ``step`` is either a constant stepsize or an a/(k+b) schedule; its
+    ``at(k)`` takes a step number or an int array of them (`run` asks for
+    a block's steps at once), giving a float or what broadcasts over k. ``xi``
     scales the multiplier feedback into the primal step; ``nhat`` is each
     agent's estimate of the network size; ``gamma`` is the retention mix of
     the running-sum protocol; ``horizon`` is the default number of steps,
@@ -285,7 +293,7 @@ class AlgorithmParams:
             raise InvalidInstanceError(f"gamma={self.gamma} must lie in (0, 1)")
         object.__setattr__(self, "horizon", checked_int(self.horizon, "horizon K", InvalidInstanceError, 0))
 
-    def stepsize(self, k: int) -> float:
+    def stepsize(self, k):
         return self.step.at(k)
 
     def configuration_warnings(self, n: int) -> list[str]:

@@ -697,6 +697,24 @@ class TestDivergenceNames:
         with pytest.raises(DivergenceError, match=rf"^non-finite iterate at step 0 \({named}\)$"):
             dc.run(algorithm, inst, dc.GraphSchedule(graph, 0.2, 1, 10), params, init=start)
 
+    @pytest.mark.parametrize("part, row, value, named", [
+        ("mirror", 0, np.nan, "robust: mirror.lam"),
+        ("virt", 1, np.inf, "robust: virt.v"),
+        ("virt", 2, -np.inf, "robust: virt.y"),
+    ])
+    def test_non_finite_arc_rows_are_named_at_step_0(self, case39_directed, part, row, value, named):
+        # The guard after each block reads node rows only, so the start check is where an arc row is named:
+        # a NaN mirror would otherwise show at step 1 under the node rows it reaches, an inf in-flight
+        # value only as an infinite mass residual.
+        inst, graph = case39_directed
+        params = params_for(inst.n, horizon=10)
+        start = dc.initial_state("robust", inst, graph, params)
+        start = replace(start, arcs=start.arcs.copy())
+        getattr(start, part)[row, 7] = value
+        with pytest.raises(DivergenceError, match=rf"^non-finite iterate at step 0 \({named}\)$") as err:
+            dc.run("robust", inst, dc.GraphSchedule(graph, 0.2, 1, 10), params, init=start)
+        assert err.value.step == 0
+
     @pytest.mark.parametrize("algorithm", ["directed", "robust", "virtual"])
     def test_overflow_in_x_alone_names_x(self, small_instance, algorithm):
         # lam and v stay finite and v positive, but lam / v overflows: the one
@@ -740,8 +758,8 @@ class SpikeStep:
     k: int
     spike: float
 
-    def at(self, k: int) -> float:
-        return self.s if k < self.k else self.spike
+    def at(self, k):
+        return np.where(k < self.k, self.s, self.spike)
 
 
 def raised(fn):

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -136,6 +137,11 @@ class TestNominalGraph:
         g = dc.NominalGraph(np.int64(3), [(np.int32(0), np.uint8(1)), (1, 2)], False)
         assert type(g.n) is int and all(type(end) is int for edge in g.edges for end in edge)
         assert g == dc.NominalGraph(3, [(0, 1), (1, 2)], False)
+
+    @pytest.mark.parametrize("edge", [(0, 1, 7), (0,), (), 5])
+    def test_rejects_an_edge_without_exactly_two_endpoints(self, edge):
+        with pytest.raises(InvalidGraphError, match=rf"^edge {re.escape(repr(edge))} must have exactly two endpoints$"):
+            dc.NominalGraph(3, [edge, (1, 2)], False)
 
     def test_directed_opposite_arcs_allowed(self):
         g = dc.NominalGraph(2, [(0, 1), (1, 0)], True)
@@ -442,15 +448,16 @@ class TestEdgeListMixing:
             self_w, w = (a[0] for a in metropolis_table(g, active[None], 2))
             assert (self_w == self_w[0]).all() and (w == w[0]).all()
             tails, bins, _ = g.metropolis_arcs
-            mixed = mix(self_w * z, bins, (w * z[:, tails]).ravel())  # flat arc values, field after field
-            np.testing.assert_allclose(mixed, z @ W.T, rtol=0, atol=1e-13)
+            mixed = mix((self_w * z).ravel(), bins, (w * z[:, tails]).ravel())  # the stack and arc values, flat
+            np.testing.assert_allclose(mixed.reshape(z.shape), z @ W.T, rtol=0, atol=1e-13)
             return
         z = rng.normal(size=(3, n))
         D, D_vy, live = (a[0] for a in push_table(g, active[None]))  # D for the lam row, then (2, n) and (3, m) over the mixed rows
         assert (D_vy == D).all() and (live == live[0]).all()
         _, tails, bins = g.arcs_by_head
         P = push_matrix(g, active)
-        np.testing.assert_allclose(mix(z / D, bins, ((z / D)[:, tails] * live).ravel()), z @ P.T, rtol=0, atol=1e-13)
+        mixed = mix((z / D).ravel(), bins, ((z / D)[:, tails] * live).ravel())
+        np.testing.assert_allclose(mixed.reshape(z.shape), z @ P.T, rtol=0, atol=1e-13)
         # The virtual step's mixing of lam and v (y = 0) is the augmented action.
         N = n + g.m
         A = augmented_push_matrix(g, active, gamma)
@@ -605,6 +612,36 @@ class TestConnectivityWindows:
         for K in (None, 1, 40, 60, 80):
             dc.minimal_connectivity_window(sched, K)
         assert calls == [80]
+
+    @given(
+        n=st.integers(1, 10),
+        extra=st.integers(0, 8),
+        directed=st.booleans(),
+        seed=st.integers(0, 2**32),
+        K=st.integers(0, 40),
+        B=st.integers(1, 12),
+        density=st.sampled_from([0.1, 0.5, 0.9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_windows_connected_matches_scipy(self, n, extra, directed, seed, K, B, density):
+        # Each flag live with probability `density`, so windows fail as well as pass (a sparse draw fails most).
+        g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed)
+        masks = np.random.default_rng(seed).random((K, g.m)) < density
+        verdicts = windows_connected(g, masks, B)
+        assert verdicts.dtype == bool and verdicts.shape == (K // B,)
+        np.testing.assert_array_equal(verdicts, brute_windows(g, masks, B))
+
+    def test_one_missing_arc_fails_only_its_window_on_a_3000_ring(self):
+        # A directed ring is strongly connected only with every arc, so exactly the window that misses
+        # one arc fails. Each window is its own O(n + m) search; one quadratic in n would make these
+        # 40 windows at n = 3000 take minutes.
+        n, B = 3000, 5
+        g = dc.NominalGraph(n, [(i, (i + 1) % n) for i in range(n)], True)
+        masks = np.ones((40 * B, n), dtype=bool)
+        masks[17 * B : 18 * B, 1234] = False
+        expected = np.ones(40, dtype=bool)
+        expected[17] = False
+        np.testing.assert_array_equal(windows_connected(g, masks, B), expected)
 
     @given(sched=schedules, B=st.integers(1, 70))
     @settings(max_examples=100, deadline=None)

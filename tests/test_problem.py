@@ -222,6 +222,22 @@ class TestAlgorithmParams:
         assert step.at(0) == pytest.approx(0.01)
         assert step.at(100) == pytest.approx(0.005)
 
+    @given(
+        a=st.floats(1e-6, 1e6),
+        b=st.floats(1e-6, 1e6),
+        k0=st.one_of(st.integers(0, 10_000), st.integers(0, 2**53 - 64)),
+        count=st.integers(1, 64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_diminishing_steps_of_a_block_are_the_python_floats(self, a, b, k0, count):
+        # `run` takes a block's stepsizes from one call over its step numbers; each must be the float that
+        # Python's a / (k + b) gives for that step alone, bit for bit.
+        for step in (dc.DiminishingStep(a, b), dc.DiminishingStep(np.float32(a), np.float32(b))):
+            block = step.at(np.arange(k0, k0 + count))
+            want = np.array([step.at(k) for k in range(k0, k0 + count)])
+            assert block.dtype == np.float64
+            np.testing.assert_array_equal(block.view(np.uint64), want.view(np.uint64))
+
     def test_invalid_values_rejected(self):
         with pytest.raises(InvalidInstanceError):
             dc.ConstantStep(0.0)
