@@ -42,6 +42,7 @@ from .network import (
     KINDS,
     GraphSchedule,
     NominalGraph,
+    checked_int,
     checked_seed,
     format_graph,
     is_directed,
@@ -100,7 +101,8 @@ class InstanceSpec:
 
     Quadratic coefficients, loads, and capacity bounds are drawn uniformly
     from the given (low, high) ranges, which must be finite with low <= high
-    (and a positive); infeasible draws are rejected and redrawn.
+    (and a positive); infeasible draws are rejected and redrawn. n must be
+    an integer >= 1 (`checked_int`).
     """
 
     n: int
@@ -112,8 +114,7 @@ class InstanceSpec:
     hi_range: tuple[float, float] = (1.0, 3.0)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GeneratorSpecError("instance spec needs n >= 1")
+        object.__setattr__(self, "n", checked_int(self.n, "instance spec n", GeneratorSpecError, 1))
         for name in _RANGES:  # each comparison is False for NaN
             low, high = getattr(self, name)
             if not -np.inf < low <= high < np.inf:
@@ -157,7 +158,8 @@ class GraphSpec:
 
     A ring over all nodes guarantees (strong) connectivity; `extra_edges`
     chords are added between non-adjacent pairs. Directed chords get a
-    random orientation and occasionally both arcs.
+    random orientation and occasionally both arcs. n must be an integer
+    >= 1 and `extra_edges` one >= 0 (`checked_int`).
     """
 
     n: int
@@ -165,8 +167,9 @@ class GraphSpec:
     directed: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GeneratorSpecError("graph spec needs n >= 1")
+        object.__setattr__(self, "n", checked_int(self.n, "graph spec n", GeneratorSpecError, 1))
+        extra_edges = checked_int(self.extra_edges, "graph spec extra_edges", GeneratorSpecError, 0)
+        object.__setattr__(self, "extra_edges", extra_edges)
 
 
 def generate_graph(spec: GraphSpec, seed: int) -> NominalGraph:

@@ -203,9 +203,11 @@ class NominalGraph:
         return 1.0 + np.bincount(self.srcs, minlength=self.n)
 
     def relabeled(self, perm) -> "NominalGraph":
-        """Graph with node i renamed perm[i]; edge order is preserved."""
-        perm = np.asarray(perm, dtype=int)
-        edges = [(int(perm[i]), int(perm[j])) for i, j in self.edges]
+        """Graph with node i renamed perm[i]; edge order is preserved. `perm` must be a permutation of range(n)."""
+        perm = [checked_int(node, "perm entry", InvalidGraphError) for node in perm]
+        if sorted(perm) != list(range(self.n)):
+            raise InvalidGraphError(f"perm must be a permutation of range({self.n})")
+        edges = [(perm[i], perm[j]) for i, j in self.edges]
         return NominalGraph(self.n, edges, self.directed)
 
 
@@ -227,7 +229,8 @@ class GraphSchedule:
     def __post_init__(self):
         if not (0.0 <= self.q < 1.0):
             raise InvalidGraphError(f"failure probability q={self.q} outside [0, 1)")
-        # seed and horizon stored as ints, so equal values give equal digests
+        # q stored with -0.0 as 0.0, and seed and horizon as ints, so equal values give equal digests
+        object.__setattr__(self, "q", self.q + 0.0)
         object.__setattr__(self, "seed", checked_seed(self.seed, "schedule seed", InvalidGraphError))
         object.__setattr__(self, "horizon", checked_int(self.horizon, "schedule horizon", InvalidGraphError, 0))
 
@@ -258,7 +261,8 @@ class GraphSchedule:
         return block
 
     def active_mask(self, k: int) -> np.ndarray:
-        """Boolean mask over nominal edges active during step k."""
+        """Boolean mask over nominal edges active during step k, an integer in [0, horizon)."""
+        k = checked_int(k, "step k", InvalidGraphError)
         if not (0 <= k < self.horizon):
             raise InvalidGraphError(f"step {k} outside horizon {self.horizon}")
         return self._sample(k, k + 1)[0]
@@ -429,10 +433,10 @@ def windows_connected(nominal: NominalGraph, masks: np.ndarray, B: int) -> np.nd
     windows [kB, (k+1)B - 1] within K are judged. The unions are built at
     once and read as lists of live flags with one `tolist`, and the arc
     lists are built once; each union is then judged on its own by
-    `union_connected`, in O(n + m) and with no NumPy call per window.
+    `union_connected`, in O(n + m) and with no NumPy call per window. B
+    must be an integer >= 1 (`checked_int`).
     """
-    if B < 1:
-        raise InvalidGraphError("window length B must be >= 1")
+    B = checked_int(B, "window length B", InvalidGraphError, 1)
     K, m = masks.shape
     unions = masks[: K // B * B].reshape(K // B, B, m).any(axis=1)
     arcs = list(_arc_lists(nominal))
@@ -510,9 +514,9 @@ def minimal_connectivity_window(schedule: GraphSchedule, K: int | None = None) -
     fail while a smaller one passes, because the windows realign.
 
     The lengths derive from the schedule's cached `connect_lengths`, so
-    every K reuses one search.
+    every K reuses one search. K, if given, must be an integer.
     """
-    K = schedule.horizon if K is None else min(K, schedule.horizon)
+    K = schedule.horizon if K is None else min(checked_int(K, "prefix length K", InvalidGraphError), schedule.horizon)
     if K < 1:
         return None
     lengths = _prefix_lengths(schedule, K)

@@ -172,6 +172,26 @@ class TestGenerators:
         edge = dc.generate_graph(dc.GraphSpec(n=5, extra_edges=2), np.uint64(2**64 - 1))
         assert edge.edges == dc.generate_graph(dc.GraphSpec(n=5, extra_edges=2), 2**64 - 1).edges
 
+    @pytest.mark.parametrize("make,rule", [
+        (lambda: InstanceSpec(n=2.0), "instance spec n must be an integer, got 2.0"),
+        (lambda: InstanceSpec(n=0), "instance spec n must be >= 1, got 0"),
+        (lambda: dc.GraphSpec(n=2.0), "graph spec n must be an integer, got 2.0"),
+        (lambda: dc.GraphSpec(n=0), "graph spec n must be >= 1, got 0"),
+        (lambda: dc.GraphSpec(n=8, extra_edges=-1), "graph spec extra_edges must be >= 0, got -1"),
+        (lambda: dc.GraphSpec(n=8, extra_edges=2.5), "graph spec extra_edges must be an integer, got 2.5"),
+    ])
+    def test_specs_take_integer_sizes(self, make, rule):
+        with pytest.raises(GeneratorSpecError, match=f"^{re.escape(rule)}$"):
+            make()
+
+    def test_specs_accept_numpy_integer_sizes(self):
+        spec = InstanceSpec(n=np.int64(4))
+        assert type(spec.n) is int and spec == InstanceSpec(n=4)
+        np.testing.assert_array_equal(dc.generate_instance(spec, 1).loads, dc.generate_instance(InstanceSpec(n=4), 1).loads)
+        graph = dc.GraphSpec(n=np.int32(9), extra_edges=np.uint8(3), directed=True)
+        assert type(graph.n) is int and type(graph.extra_edges) is int
+        assert dc.generate_graph(graph, 1).edges == dc.generate_graph(dc.GraphSpec(n=9, extra_edges=3, directed=True), 1).edges
+
     def test_generated_graphs_connected_and_sized(self):
         for seed in range(20):
             g = dc.generate_graph(dc.GraphSpec(n=9, extra_edges=3, directed=True), seed)

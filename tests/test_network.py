@@ -143,6 +143,17 @@ class TestNominalGraph:
         with pytest.raises(InvalidGraphError, match=rf"^edge {re.escape(repr(edge))} must have exactly two endpoints$"):
             dc.NominalGraph(3, [edge, (1, 2)], False)
 
+    def test_relabeled_rejects_a_perm_that_is_not_a_permutation(self):
+        g = dc.NominalGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], False)
+        for perm in ([0, 1], [0, 0, 1, 2, 3], [1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]):
+            with pytest.raises(InvalidGraphError, match=re.escape("perm must be a permutation of range(5)")):
+                g.relabeled(perm)
+        with pytest.raises(InvalidGraphError, match="perm entry must be an integer, got 1.5"):
+            g.relabeled([0, 1.5, 2, 3, 4])
+        relabeled = g.relabeled(np.array([4, 3, 2, 1, 0]))
+        assert all(type(end) is int for edge in relabeled.edges for end in edge)
+        assert relabeled == dc.NominalGraph(5, [(4, 3), (3, 2), (2, 1), (1, 0), (0, 4)], False)
+
     def test_directed_opposite_arcs_allowed(self):
         g = dc.NominalGraph(2, [(0, 1), (1, 0)], True)
         assert g.m == 2
@@ -221,6 +232,19 @@ class TestSchedule:
             dc.GraphSchedule(g, 0.2, 1, -1)
         same = dc.GraphSchedule(g, 0.2, 1, np.int64(10))
         assert type(same.horizon) is int and same.digest() == dc.GraphSchedule(g, 0.2, 1, 10).digest()
+
+    def test_negative_zero_q_gives_the_digest_of_zero(self):
+        g = self.graph()
+        zero, negative = dc.GraphSchedule(g, 0.0, 1, 10), dc.GraphSchedule(g, -0.0, 1, 10)
+        assert negative == zero and negative.digest() == zero.digest()
+        assert np.copysign(1.0, negative.q) == 1.0
+        np.testing.assert_array_equal(negative.masks, zero.masks)
+
+    def test_step_must_be_an_integer(self):
+        sched = dc.GraphSchedule(self.graph(), 0.2, 1, 10)
+        with pytest.raises(InvalidGraphError, match="step k must be an integer, got 1.5"):
+            sched.active_mask(1.5)
+        np.testing.assert_array_equal(sched.active_mask(np.int64(3)), sched.masks[3])
 
     def test_out_of_horizon_step_rejected(self):
         sched = dc.GraphSchedule(self.graph(), 0.2, 1, 10)
@@ -502,9 +526,20 @@ class TestConnectivityWindows:
             sched = dc.GraphSchedule(g, 0.2, 1, K)
             with pytest.raises(InvalidGraphError, match="B must be >= 1"):
                 dc.check_B_connectivity(sched, 0)
+            with pytest.raises(InvalidGraphError, match="window length B must be an integer, got 1.5"):
+                dc.check_B_connectivity(sched, 1.5)
+            with pytest.raises(InvalidGraphError, match="window length B must be an integer, got 1.5"):
+                windows_connected(g, sched.masks, 1.5)
             for B in (K + 1, K + 2):  # no complete window fits
                 verdicts = dc.check_B_connectivity(sched, B)
                 assert verdicts.dtype == bool and verdicts.shape == (0,)
+
+    def test_window_prefix_must_be_an_integer(self):
+        g = dc.NominalGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], False)
+        sched = dc.GraphSchedule(g, 0.0, 1, 20)
+        with pytest.raises(InvalidGraphError, match="prefix length K must be an integer, got 2.5"):
+            dc.minimal_connectivity_window(sched, 2.5)
+        assert dc.minimal_connectivity_window(sched, np.int64(5)) == dc.minimal_connectivity_window(sched, 5) == 1
 
     def test_no_failures_all_windows_connected(self):
         g = dc.NominalGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], False)

@@ -1,89 +1,105 @@
 """Per-step cost of `run`: each algorithm on its 39-agent case at the shipped configs' parameters, and some at scaled n.
 
-The scaled cases (pd1, directed and robust at n = 300 and 1000, and at
-n = 3000, where robust's case keeps its older name ``robust3000``) run on a
+The scaled cases (pd1, directed and robust at n = 300, 1000 and 3000) run on a
 generated instance and ring-plus-chords graph of n/2 chords, both of seed 1,
 over a short horizon, at the parameters of the config their 39-agent case takes.
 
-Each number is the best of R runs in each of P fresh processes, the least
-over all of them, as microseconds per step (the whole `run` over its
-horizon): on a shared machine a neighbour slows a whole process at a time.
-Given a second source root, the processes alternate between the two roots,
-and the table gains a second column and the ratio of the second to the
-first.
+Each source root's package is imported into this process under a name of its
+own, which works because the package uses only relative imports. Each case
+builds its inputs once per package and runs once untimed per package, so
+cached graph arrays and first-call costs stay out of the numbers. Then the
+roots' runs alternate, A,B then B,A, for R pairs, each run timed by `timeit`
+(so with the garbage collector off). A column is the best time per step in
+microseconds (the whole `run` over its horizon). Given two roots,
+the table adds the median paired ratio B/A and its 95 % interval
+(`ratio_interval`); a case whose interval excludes 1 is marked ``*``, resolved.
+Import and first-call costs are perfbench's to measure.
 
-Usage: ``python tools/step_cost.py [--runs R] [--procs P] [--only NAME,...] SRC [SRC2]``,
+Usage: ``python tools/step_cost.py [--runs R] [--only NAME,...] SRC [SRC2]``,
 SRC being a directory that holds the ``dercoord`` package (``src``).
 """
 
-from __future__ import annotations
-
 import argparse
-import json
-import os
-import subprocess
+import importlib.util
+import math
+import statistics
 import sys
-import time
+import timeit
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-# Case -> (algorithm, the shipped config whose parameters it takes, n of a scaled case or None).
-CASES = {"pd1": ("pd1", "pd1", None), "pd2": ("pd2", "pd2", None), "directed": ("directed", "robust", None),
-         "robust": ("robust", "robust", None), "virtual": ("virtual", "robust", None),
-         "centralized": ("centralized", "pd1", None)}
-CASES |= {f"{name}_{n}": (*CASES[name][:2], n) for n in (300, 1000, 3000) for name in ("pd1", "directed", "robust")}
-CASES["robust3000"] = CASES.pop("robust_3000")
+# Case -> (the shipped config whose parameters it takes, n of a scaled case or None); a case runs the algorithm
+# that its name begins with.
+CASES = {"pd1": ("pd1", None), "pd2": ("pd2", None), "directed": ("robust", None), "robust": ("robust", None),
+         "virtual": ("robust", None), "centralized": ("pd1", None)}
+CASES |= {f"{name}_{n}": (CASES[name][0], n) for n in (300, 1000, 3000) for name in ("pd1", "directed", "robust")}
 SCALE_K = 200  # the scaled cases' short horizon
 
 
-def measure(names: list[str], runs: int) -> dict[str, float]:
-    import dercoord as dc
+def load(root: str, name: str):
+    """The ``dercoord`` package under `root`, imported afresh as `name`, which its relative imports then resolve to."""
+    for module in [key for key in sys.modules if key.split(".")[0] == name]:
+        del sys.modules[module]
+    init = Path(root) / "dercoord" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return package
 
-    costs = {}
-    for name in names:
-        algorithm, cfg, n = CASES[name]
-        config = dc.load_config(REPO / "configs" / f"benchmark39_{cfg}.cfg")
-        inst, graph, params = config.instance, config.graph, config.params
-        if n is not None:
-            inst = dc.generate_instance(dc.InstanceSpec(n=n), 1)
-            graph = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=n // 2, directed=graph.directed), 1)
-            params = replace(params, horizon=SCALE_K)
-        schedule = dc.GraphSchedule(graph, config.q, 1, params.horizon)
-        schedule.masks  # sampled once, before the timed runs
-        best = float("inf")
-        for _ in range(runs):
-            start = time.perf_counter()
-            dc.run(algorithm, inst, schedule, params)
-            best = min(best, time.perf_counter() - start)
-        costs[name] = best / params.horizon * 1e6
-    return costs
+
+def prepare(dc, name: str):
+    """A call of `dc.run` on case `name`, with its inputs built and run once untimed, and the case's horizon."""
+    cfg, n = CASES[name]
+    config = dc.load_config(REPO / "configs" / f"benchmark39_{cfg}.cfg")
+    inst, graph, params = config.instance, config.graph, config.params
+    if n is not None:
+        inst = dc.generate_instance(dc.InstanceSpec(n=n), 1)
+        graph = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=n // 2, directed=graph.directed), 1)
+        params = replace(params, horizon=SCALE_K)
+    call = partial(dc.run, name.split("_")[0], inst, dc.GraphSchedule(graph, config.q, 1, params.horizon), params)
+    call()  # the warm-up: it samples the schedule and fills the graph's cached arrays
+    return call, params.horizon
+
+
+def ratio_interval(ratios) -> tuple[float, float, float]:
+    """The median of N paired ratios and its distribution-free 95 % interval.
+
+    The count of ratios below the true median is Binomial(N, 1/2), so the
+    order statistics j and N + 1 - j (1-based) bracket it with probability
+    1 - 2 P(count <= j - 1); j is the largest rank that keeps this >= 0.95
+    (6 and 15 at N = 20, 10 and 21 at N = 30). Below N = 6 no rank does,
+    and the interval is (-inf, inf).
+    """
+    x = [-math.inf, *sorted(ratios), math.inf]
+    n = len(x) - 2
+    # 2^N P(count <= k - 1) grows with k, so j is the number of ranks k whose tail is at most 0.025.
+    j = sum(40 * sum(math.comb(n, i) for i in range(k)) <= 2**n for k in range(1, n + 1))
+    return statistics.median(x[1:-1]), x[j], x[n + 1 - j]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("roots", nargs="+", metavar="SRC")
-    ap.add_argument("--runs", type=int, default=15)
-    ap.add_argument("--procs", type=int, default=8)
+    ap.add_argument("--runs", type=int, default=20)
     ap.add_argument("--only", type=lambda names: names.split(","), default=list(CASES), help=", ".join(CASES))
-    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if set(args.only) - set(CASES) or len(args.roots) > 2:
-        ap.error(f"cases must be among {', '.join(CASES)}, and at most two roots given")
-    if args.child:
-        print(json.dumps(measure(args.only, args.runs)))
-        return 0
-    roots = [str(Path(root).resolve()) for root in args.roots]
-    samples = {root: [] for root in roots}
-    for p in range(args.procs):
-        for root in roots if p % 2 == 0 else roots[::-1]:
-            cmd = [sys.executable, __file__, "--child", "--runs", str(args.runs), "--only", ",".join(args.only), root]
-            out = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=root), capture_output=True, text=True, check=True)
-            samples[root].append(json.loads(out.stdout))
-    print(f"{'case':<12}" + "".join(f"{'us/step':>10}" for _ in roots) + (f"{'ratio':>8}" if len(roots) == 2 else ""))
+    if set(args.only) - set(CASES) or len(args.roots) > 2 or args.runs < 1:
+        ap.error(f"cases must be among {', '.join(CASES)}, at most two roots given, and runs >= 1")
+    packages = [load(root, f"step_cost_{i}") for i, root in enumerate(args.roots)]
+    print(f"{'case':<14}" + f"{'us/step':>10}" * len(packages) + ("   ratio  interval" if len(packages) == 2 else ""))
     for name in args.only:
-        cols = [min(s[name] for s in samples[root]) for root in roots]
-        print(f"{name:<12}" + "".join(f"{c:>10.2f}" for c in cols) + (f"{cols[1] / cols[0]:>8.3f}" if len(cols) == 2 else ""))
+        calls = [prepare(dc, name) for dc in packages]
+        times = [[] for _ in calls]
+        for pair in range(args.runs):
+            for i in range(len(calls)) if pair % 2 == 0 else reversed(range(len(calls))):
+                times[i].append(timeit.timeit(calls[i][0], number=1))
+        row = f"{name:<14}" + "".join(f"{min(t) / horizon * 1e6:>10.2f}" for t, (_, horizon) in zip(times, calls))
+        if len(calls) == 2:
+            median, low, high = ratio_interval([b / a for a, b in zip(*times)])
+            row += f"{median:>8.3f}  [{low:.3f},{high:.3f}]" + ("" if low <= 1 <= high else " *")
+        print(row)
     return 0
 
 
