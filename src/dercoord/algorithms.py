@@ -12,19 +12,19 @@ array `nodes`, and the named fields are row views of it: (p, lam, y) for
 pd1, (p, lam) for pd2 and centralized, and (lam, v, y, p, x) for the
 push-sum algorithms, with the running sums of lam, v and y as three more
 rows for robust. The rows a step mixes are adjacent, the stack `z`:
-(lam, y), (lam,) or (lam, v, y); centralized mixes none. Robust's
-per-arc mirror and in-flight values are one (6, m) array `arcs`. Each
+(lam, y), (lam,) or (lam, v, y); centralized mixes none. Per-arc values
+are the rows of one contiguous array `arcs`: robust's mirrors and
+in-flight values (6, m), and virtual's in-flight values (3, m), which
+are its virtual nodes' lam, v and y. Each
 algorithm's arithmetic is one private kernel, bound once per run:
 ``kernel(inst, graph, params) -> (views, step)``. Binding
 looks up what is fixed for the run (the primal step with its cost
 gradient and box, nhat as a 0-d array, the graph's tails, exact-length
 `mix` bins and out-degrees) and allocates the scratch buffers a step
 writes through, with their row and flat views. ``views(*arrays)`` makes
-the view tuple of one state's arrays (`nodes`, then robust's `arcs`):
-the rows and row stacks the step reads or writes, and the flat view of
-the mixed stack that `mix` adds into (virtual's spans the full rows of
-all N nodes, its bins offset by N per row, since its real-node stack is
-strided).
+the view tuple of one state's arrays (`nodes`, then `arcs`): the rows
+and row stacks the step reads or writes, each C-contiguous, and the flat
+view of the mixed stack that `mix` adds into.
 ``step(cur, nxt, weights, s, sxi)`` reads the views `cur`, the step's row
 of the algorithm's weight table and the stepsize s and its product
 s*xi, both as 0-d arrays, and fills `nxt` with ufuncs writing through
@@ -56,12 +56,12 @@ gives the standard start (lam = 0, y = nhat*(p - load)) and
 every algorithm but pd2), both for any algorithm.
 
 `run` steps any algorithm over the schedule's mask block. It records
-state 0 first, once its node rows and robust's arc rows are found finite
-(a non-finite one is named at step 0; positivity waits for step 1, since
+state 0 first, once its node rows and arc rows are found finite (a
+non-finite one is named at step 0; positivity waits for step 1, since
 virtual nodes start at v = 0), then works through the steps in blocks of
 about 2^13 link entries and at least 8 steps, in place in a ring of rows + 1 slots
-per state array, each slot starting as the start state (so what no step
-writes, such as virtual's pinned dispatch, keeps its start value): slot
+per state array, slot 0 starting as the start state (every step writes
+every row of the slot after it): slot
 0 holds the state before the block, the block's step j reads slot j and
 writes slot j + 1, and the last slot written then moves to slot 0 in
 place. The ring's arrays are never reallocated, so each slot's view
@@ -73,7 +73,8 @@ virtual the table is the release fractions g = gamma*mask, which the step
 multiplies into a bound buffer (an idle arc gives +-0.0, which leaves
 every sum it enters unchanged, but a non-finite value on an idle arc
 gives NaN). After the block, one positivity reduction over the v rows
-and one finiteness reduction over all node rows guard it. Only on
+and one finiteness reduction over all rows of each state array the spec
+guards (the node rows, and virtual's in-flight values) guard it. Only on
 failure are its slots taken in order, to raise the error of the first
 failing step: positivity before finiteness, every non-finite row named,
 p first. The block's later steps have by then run on that step's values,
@@ -87,9 +88,9 @@ the guard names by step and field. The trace is one series-major
 states into the trace as one slice and writes the block's rows of every
 residual series, reduced row-wise over those rows and, for the
 tracked-imbalance and mass totals, over the ring rows the spec names
-(robust's in-flight values among them, and virtual's v and y over all N
-nodes), in the order of one state at a time, so they are bit-identical
-to a per-step evaluation.
+(the real nodes' part, then robust's or virtual's in-flight part), in
+the order of one state at a time, so they are bit-identical to a
+per-step evaluation.
 After the last block, slot 0 holds the last state, which the trace keeps
 a copy of as `final`: ``run(..., init=trace.final)`` resumes from it.
 The resumed run numbers its steps from 0 again, so it takes its
@@ -123,6 +124,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 from numpy import add, divide, multiply, subtract
@@ -134,7 +136,6 @@ from .network import (
     NominalGraph,
     metropolis_table,
     mix,
-    offset_bins,
     push_table,
     stacked,
     union_connected,
@@ -208,13 +209,16 @@ class RobustState(_PushSumRows):
 
 @dataclass(frozen=True)
 class VirtualState(_PushSumRows):
-    """Augmented iterates over the n real nodes, then one virtual node per nominal arc (N = n + m columns).
+    """Augmented iterates: the n real nodes' rows as for push-sum, then one virtual node per nominal arc.
 
-    Virtual dispatch entries are pinned to zero (their box is [0, 0]);
-    virtual lam/v/y start at zero.
+    ``arcs`` is one (3, m) array: column e holds the lam, v and y (the rows
+    of z) of nominal arc e's virtual node, node n + e of the augmented
+    system, which are the values in flight on the arc; they start at zero.
+    A virtual node has no dispatch (its box is [0, 0]), so no row holds one.
     """
 
     nodes: np.ndarray
+    arcs: np.ndarray
 
 
 def _robust_start(graph: NominalGraph, start: DirectedState) -> RobustState:
@@ -223,8 +227,8 @@ def _robust_start(graph: NominalGraph, start: DirectedState) -> RobustState:
 
 
 def _virtual_start(graph: NominalGraph, start: DirectedState) -> VirtualState:
-    """The real nodes of `start`, then one virtual node per nominal arc (arc e is node n + e) holding zero."""
-    return VirtualState(np.pad(start.nodes, ((0, 0), (0, graph.m))))
+    """The real nodes of `start`, then one virtual node per nominal arc holding zero."""
+    return VirtualState(start.nodes, np.zeros((3, graph.m)))
 
 
 def _start(spec: _Spec, graph: NominalGraph, p, lam, y):
@@ -267,20 +271,23 @@ def equilibrium_state(algorithm: str, inst: ProblemInstance, graph: NominalGraph
     return _start(spec, graph, np.asarray(solution.p_star, dtype=float), lam, np.zeros(inst.n))
 
 
-def _check_block(algorithm: str, names, what: str | None, first: int, block: np.ndarray) -> None:
-    """Guard the node arrays of consecutive states, the first at step `first`, with two reductions.
+def _check_block(algorithm: str, names, what: str | None, first: int, *blocks: np.ndarray) -> None:
+    """Guard consecutive states, the first at step `first`, with two reductions per state array.
 
-    The rows are `names`; v (row 1) must stay positive unless `what`, the
-    error's detail, is None. fmin skips NaNs, so a minimum v <= 0 means
-    some weight is <= 0. Only a failing block is taken state by state, for
-    the first failing state's error.
+    `blocks` are state arrays over those states (node rows, then arc rows),
+    whose rows are `names` in that order. Row 1 of each, push-sum weights
+    v, must stay positive unless `what`, the error's detail, is None. fmin
+    skips NaNs, so a minimum v <= 0 means some weight is <= 0. Only a
+    failing block is taken state by state, for the first failing state's
+    error.
     """
-    if (what is None or not np.fmin.reduce(block[:, 1], axis=None) <= 0.0) and np.isfinite(block).all():
+    lost = what is not None and any(np.fmin.reduce(b[:, 1], axis=None, initial=np.inf) <= 0.0 for b in blocks)
+    if not lost and all(np.isfinite(b).all() for b in blocks):
         return
-    for step, nodes in enumerate(block, first):
-        if what is not None and np.fmin.reduce(nodes[1]) <= 0.0:
+    for step, state in enumerate(zip(*blocks), first):
+        if what is not None and any(np.fmin.reduce(rows[1], initial=np.inf) <= 0.0 for rows in state):
             raise InternalInvariantError(step, what)
-        bad = [name for name, row in zip(names, nodes) if not np.isfinite(row).all()]
+        bad = [name for name, row in zip(names, (row for rows in state for row in rows)) if not np.isfinite(row).all()]
         if bad:
             bad.sort(key=lambda name: name != "p")
             raise DivergenceError(step, f"{algorithm}: {', '.join(bad)}")
@@ -412,8 +419,8 @@ def _robust(inst, graph, params):
 def _virtual(inst, graph, params):
     """Augmented-system step: the action of the column-stochastic mixing.
 
-    lam mixes together with -s*y on the real rows only (virtual nodes
-    accumulate raw lam shares); v mixes plainly; y mixes and the real rows
+    lam mixes together with -s*y on the real nodes only (virtual nodes
+    accumulate raw lam shares); v mixes plainly; y mixes and the real nodes
     gain nhat*(p[k+1] - p[k]). The mixing is evaluated per column the way
     the augmented matrix is defined: each real source splits off
     1/out-degree shares, an arc releases the fraction g of its held value
@@ -421,36 +428,36 @@ def _virtual(inst, graph, params):
     the complement (the retained part is computed as inflow minus the
     released product, so the masses cancel exactly). Real-node
     coordinates match `_robust` step by step, and the result equals
-    applying the augmented push matrix to (lam - s*y on real rows, v, y)
-    up to roundoff. The step's weights are its release fractions over the
-    three mixed rows, as a 1-tuple. The virtual nodes' dispatch is never
-    written: every ring slot starts as the run's start state.
+    applying the augmented push matrix to (lam - s*y on real nodes, v, y)
+    up to roundoff. The real rows and the arcs' held values are separate
+    contiguous stacks, as robust's node rows and in-flight values are:
+    the real stack mixes over the graph's arc bins, and x is formed over
+    the real nodes only. The step's weights are its release fractions
+    over the three mixed rows, as a 1-tuple.
     """
-    n, primal, nhat = inst.n, _primal_step(inst, params), _scalar(params.nhat)
-    srcs, dplus = graph.srcs, stacked(graph.out_degrees, 3)  # as real0 meets it
-    bins = offset_bins(graph.dsts, 3, n + graph.m)  # the arc heads in rows of all N nodes
-    gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(n), np.empty(n), np.empty(graph.m)
+    primal, nhat = _primal_step(inst, params), _scalar(params.nhat)
+    srcs, bins, dplus = graph.srcs, graph.arc_bins, stacked(graph.out_degrees, 3)  # as z0 meets it
+    gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(inst.n), np.empty(inst.n), np.empty(graph.m)
     released = np.empty((3, graph.m))
     released_lam, released_y, released_flat = released[0], released[2], released.reshape(-1)
 
     def step(cur, nxt, weights, s, sxi):
         (g,) = weights
-        real0, held0, _, _, p0, x0, _, _, _, _, _ = cur
-        real, held, lam, y, p, _, full_lam, v, x, z, z_flat = nxt
+        _, _, _, p0, x0, z0, _, held0 = cur
+        lam, v, y, p, x, z, z_flat, held = nxt
         primal(s, sxi, p0, x0, p)
-        divide(real0, dplus, real)  # each real node's shares, mixed in place below
-        add(held0, z.take(srcs, 1, gathered, "clip"), held)  # from the contiguous rows: take copies a strided source
+        divide(z0, dplus, z)  # each real node's shares, mixed in place below
+        add(held0, z.take(srcs, 1, gathered, "clip"), held)
         subtract(held, multiply(held, g, released), held)
-        # real rows mix (lam - s*y); virtual rows carry lam and y separately
+        # real nodes mix (lam - s*y); virtual nodes carry lam and y separately
         multiply(y, s, own_y)
         subtract(released_lam, multiply(released_y, s, dy), released_lam)
-        mix(z_flat, bins, released_flat)  # virtual nodes gain +0.0, and held - held*g is never -0.0: same bits
+        mix(z_flat, bins, released_flat)
         subtract(lam, own_y, lam)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
-        divide(full_lam, v, x)
+        divide(lam, v, x)
 
-    return lambda a: (a[:3, :n], a[:3, n:], a[0, :n], a[2, :n], a[3, :n], a[4, :n], a[0], a[1], a[4], a[:3],
-                      a[:3].reshape(-1)), step
+    return lambda a, arcs: (*a[:5], a[:3], a[:3].reshape(-1), arcs), step
 
 
 def _centralized(inst, graph, params):
@@ -502,9 +509,13 @@ class _Spec:
     release fractions g = gamma*mask (`_release_table`). It is None for a
     step that reads no link, which then takes the masks, unread, and whose
     run makes no connectivity note. ``arc_names`` names the rows of the
-    state's ``arcs`` array (robust's mirrors, then its in-flight values),
-    which `run` checks finite at step 0, beside the node rows; the guard
-    after each block reads node rows only.
+    state's ``arcs`` array (robust's mirrors, then its in-flight values;
+    virtual's in-flight values), which `run` checks finite at step 0,
+    beside the node rows. ``guarded`` are the state arrays the guard after
+    each block reads, the first of the state's fields (nodes, then arcs),
+    row 1 of each being push-sum weights: virtual's in-flight values are
+    among them, robust's arcs are not (a mirror's v is 0 until its arc
+    delivers), so a robust step pays for no per-arc reduction.
     """
 
     state: type
@@ -518,6 +529,7 @@ class _Spec:
     y: tuple
     v: tuple
     arc_names: tuple[str, ...] = ()
+    guarded: tuple[str, ...] = ("nodes",)
 
     @property
     def directed(self) -> bool:
@@ -533,7 +545,6 @@ def _specs() -> dict[str, _Spec]:
     # The link tables read no parameter; the release table reads gamma.
     metropolis = lambda fields: lambda graph, masks, params: metropolis_table(graph, masks, fields)  # noqa: E731
     pushes = lambda graph, masks, params: push_table(graph, masks)  # noqa: E731
-    own = {"y": (("nodes", 2),), "v": (("nodes", 1),)}  # the state's own y and v rows
     return {
         "pd1": _Spec(
             UndirectedState, None, ("p", "lam", "y"), None,
@@ -545,7 +556,7 @@ def _specs() -> dict[str, _Spec]:
         ),
         "directed": _Spec(
             DirectedState, lambda graph, start: start, names, "push-sum weight v lost positivity",
-            _directed, pushes, **push, **own,
+            _directed, pushes, **push, y=(("nodes", 2),), v=(("nodes", 1),),
         ),
         "robust": _Spec(
             RobustState, _robust_start, names + ("sums.lam", "sums.v", "sums.y"), "push-sum weight v hit zero",
@@ -555,7 +566,8 @@ def _specs() -> dict[str, _Spec]:
         ),
         "virtual": _Spec(
             VirtualState, _virtual_start, names, "augmented push-sum weight hit zero",
-            _virtual, _release_table, **push, **own,  # over all N nodes
+            _virtual, _release_table, **push, y=(("nodes", 2), ("arcs", 2)), v=(("nodes", 1), ("arcs", 1)),
+            arc_names=tuple(f"virt.{row}" for row in names[:3]), guarded=("nodes", "arcs"),
         ),
         "centralized": _Spec(
             UndirectedState, None, ("p", "lam"), None,
@@ -646,12 +658,12 @@ def run(
     # Slot 0 holds the state before a block, state 0 in the first; slot j the state after its j-th step.
     ring = {f.name: np.empty((rows + 1, *getattr(state, f.name).shape)) for f in fields(state)}
     for name, arrays in ring.items():
-        arrays[:] = getattr(state, name)  # every slot, so what no step writes holds the start's values
+        arrays[0] = getattr(state, name)  # each step writes every row of the slot after it
 
     def record(lo: int, hi: int, slot: int) -> None:
         """Trace rows lo..hi-1 and their residuals, from the ring's slots from `slot` on, by row-wise reductions."""
         span = slice(slot, slot + hi - lo)
-        trace_rows[:, lo:hi] = ring["nodes"][span, spec.rows, :n].swapaxes(0, 1)
+        trace_rows[:, lo:hi] = ring["nodes"][span, spec.rows].swapaxes(0, 1)
         imb = (series["p"][lo:hi] - inst.loads).sum(axis=1)
         c = series["consensus"][lo:hi]
         residuals["imbalance"][lo:hi] = np.abs(imb)
@@ -663,11 +675,8 @@ def run(
             parts = [ring[name][span, row] for name, row in spec.v]
             residuals["mass"][lo:hi] = np.abs(sum(a.sum(axis=1) for a in parts) - n)
             # Python's min: a later part replaces the running minimum only where it is smaller.
-            lows = [a.min(axis=1) for a in parts if a.shape[1]]
-            low = lows[0]
-            for other in lows[1:]:
-                low = np.where(other < low, other, low)
-            residuals["min_v"][lo:hi] = low
+            lows = (a.min(axis=1) for a in parts if a.shape[1])
+            residuals["min_v"][lo:hi] = reduce(lambda low, other: np.where(other < low, other, low), lows)
 
     views, step = spec.kernel(inst, graph, params)
     # The ring's arrays are never reallocated (slot 0 is overwritten in place), so each slot's views serve the run;
@@ -676,8 +685,8 @@ def run(
     sizes, scaled = np.empty(rows), np.empty(rows)
     size_views = [(sizes[j, ...], scaled[j, ...]) for j in range(rows)]
     masks = schedule.masks[:K]
-    for arrays, names in zip(ring.values(), (spec.names, spec.arc_names)):  # nodes, then robust's arcs
-        _check_block(algorithm, names, None, 0, arrays[:1])  # finite only: virtual nodes start at v = 0
+    names = spec.names + spec.arc_names  # the rows of the ring's arrays, in order, as the guard names them
+    _check_block(algorithm, names, None, 0, *(arrays[:1] for arrays in ring.values()))  # in-flight v starts at 0
     record(0, 1, 0)
     for k0 in range(0, K, rows):  # steps k0..k1-1 make rows k0+1..k1
         k1 = min(k0 + rows, K)
@@ -688,7 +697,7 @@ def run(
             multiply(sizes[: k1 - k0], params.xi, scaled[: k1 - k0])  # the products Python's s * xi gives
             for cur, nxt, row, (s, sxi) in zip(slot_views, slot_views[1:], zip(*table), size_views):
                 step(cur, nxt, row, s, sxi)
-        _check_block(algorithm, spec.names, spec.lost_weight, k0 + 1, ring["nodes"][1 : k1 - k0 + 1])
+        _check_block(algorithm, names, spec.lost_weight, k0 + 1, *(ring[f][1 : k1 - k0 + 1] for f in spec.guarded))
         record(k0 + 1, k1 + 1, 1)
         for arrays in ring.values():
             arrays[0] = arrays[k1 - k0]

@@ -63,9 +63,11 @@ step's ufunc calls do not broadcast, a longer one as one row (`stacked`):
 * running sums (robust, virtual): the release fractions gamma*mask
   (built in `algorithms`). Shares are 1/(nominal out-degree), and an
   active arc releases the fraction gamma of what it holds. Over real
-  plus virtual nodes (nominal arc e is node n + e, holding in-flight
-  mass) this is column stochastic with every nonzero weight
-  >= tau = min(gamma, 1-gamma)/n.
+  plus virtual nodes (one per nominal arc, holding its in-flight mass;
+  the analysis numbers arc e's node n + e, while the states keep the
+  in-flight values as (3, m) arc rows beside the (F, n) node stack,
+  which mixes over the arc heads as any other) this is column stochastic
+  with every nonzero weight >= tau = min(gamma, 1-gamma)/n.
 
 All three are column stochastic, so mixing keeps the totals that `run`
 records as its conservation and mass residuals; those identities, taken
@@ -75,6 +77,7 @@ from the states the steps produce, are what checks the weights.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -227,8 +230,8 @@ class GraphSchedule:
     horizon: int
 
     def __post_init__(self):
-        if not (0.0 <= self.q < 1.0):
-            raise InvalidGraphError(f"failure probability q={self.q} outside [0, 1)")
+        if not (isinstance(self.q, numbers.Real) and 0.0 <= self.q < 1.0):  # a str or None meets no comparison
+            raise InvalidGraphError(f"failure probability q={self.q!r} must be a real number in [0, 1)")
         # q stored with -0.0 as 0.0, and seed and horizon as ints, so equal values give equal digests
         object.__setattr__(self, "q", self.q + 0.0)
         object.__setattr__(self, "seed", checked_seed(self.seed, "schedule seed", InvalidGraphError))
@@ -314,9 +317,9 @@ def offset_bins(heads: np.ndarray, rows: int, n: int) -> np.ndarray:
 def mix(own: np.ndarray, bins: np.ndarray, arc_values: np.ndarray) -> np.ndarray:
     """One mixing step of a stack of F fields over an edge list, in place, in O(F (n + m)).
 
-    `own` is the stack as one flat view, F rows of N >= n entries: field
-    f of node i ends with own[f*N + i] plus the sum of every arc_values[e]
-    whose bin is f*N + i, the arcs of each node summed in the order given;
+    `own` is the stack as one flat view, F rows of n entries: field f of
+    node i ends with own[f*n + i] plus the sum of every arc_values[e]
+    whose bin is f*n + i, the arcs of each node summed in the order given;
     `own` is updated and returned. `arc_values` is flat, F*m values field
     after field, and `bins` are as many heads offset per field
     (`offset_bins`). The callers bind all three once per run (the flat
@@ -379,7 +382,7 @@ def push_table(nominal: NominalGraph, masks: np.ndarray) -> tuple:
     if not nominal.directed:
         raise InvalidGraphError("push matrices require a directed graph")
     order, tails, _ = nominal.arcs_by_head
-    live = masks[:, order].astype(float)
+    live = masks.take(order, 1).astype(float)  # C order: masks[:, order] comes out column-major
     D = 1.0 + row_bincount(tails, live, nominal.n)
     return D, stacked(D, 2), stacked(live, 3)
 
@@ -514,9 +517,9 @@ def minimal_connectivity_window(schedule: GraphSchedule, K: int | None = None) -
     fail while a smaller one passes, because the windows realign.
 
     The lengths derive from the schedule's cached `connect_lengths`, so
-    every K reuses one search. K, if given, must be an integer.
+    every K reuses one search. K, if given, must be an integer >= 0.
     """
-    K = schedule.horizon if K is None else min(checked_int(K, "prefix length K", InvalidGraphError), schedule.horizon)
+    K = schedule.horizon if K is None else min(checked_int(K, "prefix length K", InvalidGraphError, 0), schedule.horizon)
     if K < 1:
         return None
     lengths = _prefix_lengths(schedule, K)

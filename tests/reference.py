@@ -6,13 +6,20 @@
 * `directed` and `CONFIGS`: each algorithm's graph kind, read from the
   package's one declaration of it, and the shipped config whose
   parameters its pinned and resumed runs take.
+* `augmented` and `virtual_state`: a virtual state's mixed rows over all
+  N = n + m nodes of the augmented system (the real rows, then the
+  in-flight values of arc e as node n + e), and the state made from such
+  rows, so a test can hold it against the dense N x N matrix.
 * `reference_run`: the six iterations written per field, allocating a
   new array for every intermediate, the way the package evaluated them
   before each state became one contiguous array filled in place. Each
   step forms its weights from the step's mask alone. `run` must give the
   same trace, residual series and last state (its ``final``, as
   `fields_of` gives it) bit for bit, from the standard start or from any
-  state given as ``start=`` (what `run` takes as ``init``).
+  state given as ``start=`` (what `run` takes as ``init``). virtual's
+  step runs over all N = n + m nodes of the augmented system, as its
+  dense matrix defines it; only its totals take `run`'s order, the real
+  nodes' part, then the in-flight part.
 * `FixedMasks` and `run_over`: a schedule of given masks, and `run` over
   one, so a test steps any state through masks of its choosing (one
   mask: one step, read back as ``trace.final``) or resumes a run over the
@@ -51,6 +58,18 @@ CONFIGS = {
 def directed(algorithm: str) -> bool:
     """Whether `algorithm` runs on a directed graph, as its `_Spec` entry declares."""
     return _specs()[algorithm].directed
+
+
+def augmented(state: dc.VirtualState) -> np.ndarray:
+    """The (3, N) stack (lam, v, y) of a virtual state over all N = n + m nodes: column n + e is arc e's."""
+    return np.concatenate([state.z, state.arcs], axis=1)
+
+
+def virtual_state(z, p, x) -> dc.VirtualState:
+    """The virtual state whose mixed rows over all N nodes are the (3, N) stack `z`, with the n real p and x."""
+    n = len(p)
+    z = np.asarray(z, dtype=float)
+    return dc.VirtualState(np.vstack([z[:, :n], p, x]), z[:, n:].copy())
 
 
 def metropolis_weights(nominal: dc.NominalGraph, active: np.ndarray) -> np.ndarray:
@@ -279,7 +298,7 @@ def _virtual(st, inst, g, active, params, k):
     real[0] -= s * share[2]
     real[2] += params.nhat * (p_new[:n] - st.p[:n])
     z_new = np.concatenate([real, inflow - released], axis=1)
-    return SimpleNamespace(p=p_new, z=z_new, x=z_new[0] / z_new[1])
+    return SimpleNamespace(p=p_new, z=z_new, x=real[0] / real[1])  # x of the real nodes: nothing reads the rest
 
 
 STEPS = {"pd1": _pd1, "pd2": _pd2, "directed": _directed, "robust": _robust, "virtual": _virtual,
@@ -300,12 +319,17 @@ def reference_start(algorithm, inst, g, params):
         st.mirror, st.sums, st.virt = np.zeros((3, g.m)), st.z / g.out_degrees, np.zeros((3, g.m))
     elif algorithm == "virtual":
         pad = (0, g.m)
-        st = SimpleNamespace(p=np.pad(st.p, pad), z=np.pad(st.z, ((0, 0), pad)), x=np.pad(st.x, pad))
+        st = SimpleNamespace(p=np.pad(st.p, pad), z=np.pad(st.z, ((0, 0), pad)), x=st.x)
     return st
 
 
 def fields_of(algorithm, state):
-    """A package state as copies of the per-field arrays the reference steps take."""
+    """A package state as copies of the per-field arrays the reference steps take.
+
+    A virtual state's p and z span all N nodes, virtual nodes holding no dispatch (p = 0) and their in-flight values.
+    """
+    if algorithm == "virtual":
+        return SimpleNamespace(p=np.pad(state.p, (0, state.arcs.shape[1])), z=augmented(state), x=np.array(state.x))
     names = ["p", "z"]
     if directed(algorithm):
         names.append("x")
@@ -331,6 +355,12 @@ def reference_run(algorithm, inst, sched, params, start=None):
     if push:
         res["mass"], res["min_v"] = [], []
 
+    def parts(st, row):
+        """Row `row` of z in the parts `run` totals, in its order: the nodes' row, then the in-flight values."""
+        if algorithm == "robust":
+            return [st.z[row], st.virt[row]]
+        return [st.z[row, :n], st.z[row, n:]] if algorithm == "virtual" else [st.z[row]]
+
     def record(st):
         p = st.p[:n]
         c = (st.x if push else st.z[0])[:n]
@@ -341,15 +371,13 @@ def reference_run(algorithm, inst, sched, params, start=None):
         res["consensus_spread"].append(float(c.max() - c.min()))
         if not tracked:
             return
-        ys = [st.z[2] if push else st.z[1]]
-        trace["y"].append(ys[0][:n])
-        if algorithm == "robust":
-            ys.append(st.virt[2])
+        ys = parts(st, 2 if push else 1)
+        trace["y"].append(ys[0])
         res["conservation"].append(abs(sum(float(a.sum()) for a in ys) - nhat * imb))
         if not push:
             return
-        vs = [st.z[1]] + ([st.virt[1]] if algorithm == "robust" else [])
-        trace["v"].append(vs[0][:n])
+        vs = parts(st, 1)
+        trace["v"].append(vs[0])
         res["mass"].append(abs(sum(float(a.sum()) for a in vs) - n))
         res["min_v"].append(min(float(a.min()) for a in vs if a.size))
 

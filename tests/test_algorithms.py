@@ -21,6 +21,7 @@ from dercoord.errors import (
 from dercoord.metrics import BUDGETS
 from reference import (
     CONFIGS,
+    augmented,
     augmented_push_matrix,
     directed,
     fields_of,
@@ -62,13 +63,13 @@ class TestInitialization:
         np.testing.assert_array_equal(state.x, 0.0)
         np.testing.assert_array_equal(state.v, 1.0)
 
-    def test_virtual_start_pads_one_node_per_arc(self, small_instance):
+    def test_virtual_start_adds_one_empty_node_per_arc(self, small_instance):
         g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)], True)
         state = dc.initial_state("virtual", small_instance, g, params_for(3))
         direct = dc.initial_state("directed", small_instance, g, params_for(3))
-        assert state.nodes.shape == (5, 3 + g.m)
-        np.testing.assert_array_equal(state.nodes[:, :3], direct.nodes)
-        np.testing.assert_array_equal(state.nodes[:, 3:], 0.0)
+        np.testing.assert_array_equal(state.nodes, direct.nodes)
+        assert state.arcs.shape == (3, g.m)  # lam, v and y of the virtual node of each arc
+        np.testing.assert_array_equal(state.arcs, 0.0)
 
     def test_virtual_start_rejects_undirected_graph(self, small_instance):
         params = params_for(3)
@@ -213,15 +214,23 @@ class TestRobustSteps:
         sched = dc.GraphSchedule(g, 0.2, 1, 1200)
         robust = dc.initial_state("robust", inst, g, params)
         twin = dc.initial_state("virtual", inst, g, params)
-        n = inst.n
         worst = 0.0
         for active in sched.masks:  # one run per step: the constant step needs no step index
             robust = run_over("robust", inst, g, [active], params, robust).final
             twin = run_over("virtual", inst, g, [active], params, twin).final
             for row in range(3):  # lam, v, y
-                gap = np.abs(twin.z[row, n:] - robust.virt[row]).max()
+                gap = np.abs(twin.arcs[row] - robust.virt[row]).max()
                 worst = max(worst, float(gap))
         assert worst <= BUDGETS["conservation"]
+
+    def test_in_flight_values_match_the_twins_over_a_whole_run(self, repo_root):
+        # One run each at the robust config's horizon: the sidecar, advanced by differences of the running
+        # sums, against the twin's held values, advanced by the augmented mixing.
+        config = dc.load_config(repo_root / "configs" / "benchmark39_robust.cfg")
+        sched = dc.GraphSchedule(config.graph, config.q, 1, config.params.horizon)
+        robust = dc.run("robust", config.instance, sched, config.params).final
+        twin = dc.run("virtual", config.instance, sched, config.params).final
+        assert np.abs(robust.virt - twin.arcs).max() <= BUDGETS["conservation"]
 
     def test_failure_free_high_gamma_limit(self, small_instance):
         # q=0, gamma near 1: virtual nodes hold vanishing mass and the
@@ -262,23 +271,24 @@ class TestVirtualDomain:
             act = sched.active_mask(k)
             P = augmented_push_matrix(g, act, params.gamma)
             s = params.stepsize(k)
-            lam_ref = P @ state.lam
-            Py = P @ state.y
+            lam, v, y = augmented(state)
+            lam_ref = P @ lam
+            Py = P @ y
             lam_ref[:n] -= s * Py[:n]
-            v_ref = P @ state.v
+            v_ref = P @ v
             state = run_over("virtual", small_instance, g, [act], params, state).final
-            np.testing.assert_allclose(state.lam, lam_ref, atol=1e-13)
-            np.testing.assert_allclose(state.v, v_ref, atol=1e-13)
+            np.testing.assert_allclose(augmented(state)[0], lam_ref, atol=1e-13)
+            np.testing.assert_allclose(augmented(state)[1], v_ref, atol=1e-13)
 
-    def test_augmented_mass_and_virtual_dispatch_stay_pinned(self, small_instance):
+    def test_augmented_mass_stays_pinned_and_only_real_nodes_dispatch(self, small_instance):
         g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0)], True)
         params = params_for(3, horizon=200)
         sched = dc.GraphSchedule(g, 0.2, 3, 200)
         state = dc.initial_state("virtual", small_instance, g, params)
         for k in range(200):
             state = run_over("virtual", small_instance, g, [sched.active_mask(k)], params, state).final
-            assert np.sum(state.v) == pytest.approx(3.0, abs=1e-12)
-            assert np.all(state.p[3:] == 0.0)
+            assert np.sum(augmented(state)[1]) == pytest.approx(3.0, abs=1e-12)
+            assert state.p.shape == (3,)  # a virtual node's box is [0, 0]: no row holds its dispatch
 
 
 class TestRun:
@@ -334,9 +344,9 @@ class TestRun:
             dc.run("robust", small_instance, dc.GraphSchedule(g, 0.2, 1, 100), params,
                    init=replace(robust, arcs=np.zeros((6, 2))))
         twin = dc.initial_state("virtual", small_instance, g, params)
-        with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(5, 6\), got \(5, 3\)"):
+        with pytest.raises(DimensionMismatchError, match=r"init\.arcs: expected shape \(3, 3\), got \(3, 2\)"):
             dc.run("virtual", small_instance, dc.GraphSchedule(g, 0.2, 1, 100), params,
-                   init=replace(twin, nodes=np.zeros((5, 3))))
+                   init=replace(twin, arcs=np.zeros((3, 2))))
 
     def test_repeat_runs_identical(self, small_instance):
         g = ring(3, True)
@@ -683,17 +693,17 @@ class TestDivergenceNames:
 
     @pytest.mark.parametrize("algorithm, row, named", [
         ("robust", "sums", "robust: sums.y"),
-        ("virtual", "virtual lam", "virtual: lam"),
+        ("virtual", "in-flight lam", "virtual: virt.lam"),
     ])
     def test_nan_in_the_start_names_only_its_row(self, case39_directed, algorithm, row, named):
         inst, graph = case39_directed
         params = params_for(inst.n, horizon=10)
         start = dc.initial_state(algorithm, inst, graph, params)
-        start = replace(start, nodes=start.nodes.copy())
+        start = replace(start, nodes=start.nodes.copy(), arcs=start.arcs.copy())
         if row == "sums":
             start.sums[2, 5] = np.nan
         else:
-            start.lam[inst.n + 3] = np.nan  # a virtual node: its v starts at 0, which the start check allows
+            start.arcs[0, 3] = np.nan  # arc 3's virtual node: its v starts at 0, which the start check allows
         with pytest.raises(DivergenceError, match=rf"^non-finite iterate at step 0 \({named}\)$"):
             dc.run(algorithm, inst, dc.GraphSchedule(graph, 0.2, 1, 10), params, init=start)
 
@@ -714,6 +724,22 @@ class TestDivergenceNames:
         with pytest.raises(DivergenceError, match=rf"^non-finite iterate at step 0 \({named}\)$") as err:
             dc.run("robust", inst, dc.GraphSchedule(graph, 0.2, 1, 10), params, init=start)
         assert err.value.step == 0
+
+    def test_in_flight_rows_are_guarded_after_each_step(self, small_instance):
+        # Over idle arcs, an in-flight weight that turns negative reaches no real node, and only the in-flight
+        # values' own rows name an in-flight lam that overflows: the guard after each block reads them too.
+        g = ring(3, True)
+        params = params_for(3, horizon=2)
+        idle = np.zeros((2, g.m), bool)
+        start = dc.initial_state("virtual", small_instance, g, params)
+        negative = replace(start, arcs=start.arcs.copy())
+        negative.arcs[1, 0] = -1.0  # held v at step 1: -1 plus a share of 1/2
+        with pytest.raises(InternalInvariantError, match=r"at step 1: augmented push-sum weight hit zero$"):
+            run_over("virtual", small_instance, g, idle, params, negative)
+        huge = replace(start, nodes=start.nodes.copy(), arcs=start.arcs.copy())
+        huge.lam[0] = huge.arcs[0, 0] = 1.5e308  # held lam at step 1: 1.5e308 plus a share of 0.75e308
+        with pytest.raises(DivergenceError, match=r"^non-finite iterate at step 1 \(virtual: lam, x, virt\.lam\)$"):
+            run_over("virtual", small_instance, g, idle, params, huge)
 
     @pytest.mark.parametrize("algorithm", ["directed", "robust", "virtual"])
     def test_overflow_in_x_alone_names_x(self, small_instance, algorithm):
@@ -800,15 +826,16 @@ class TestBlockGuard:
         params = dc.AlgorithmParams(step=step, xi=0.5, nhat=float(n), gamma=0.9, horizon=K)
         sched = dc.GraphSchedule(g, q, seed, K)
         start = dc.initial_state(algorithm, inst, g, params)
-        start = replace(start, nodes=start.nodes.copy())
+        start = replace(start, **{f.name: getattr(start, f.name).copy() for f in fields(start)})
         if trigger == "zero v":
             start.v[:] = 0.0
             if algorithm == "robust":
                 start.sums[:] = start.z / g.out_degrees  # running sums through step 0
-        elif trigger.startswith("init"):
-            row = data.draw(st.integers(0, len(start.nodes) - 1), label="row")
-            col = data.draw(st.integers(0, start.nodes.shape[1] - 1), label="column")
-            start.nodes[row, col] = np.inf if trigger == "init inf" else np.nan
+        elif trigger.startswith("init"):  # in the node rows or, for robust and virtual, the arc rows
+            array = getattr(start, data.draw(st.sampled_from([f.name for f in fields(start)]), label="array"))
+            row = data.draw(st.integers(0, len(array) - 1), label="row")
+            col = data.draw(st.integers(0, array.shape[1] - 1), label="column")
+            array[row, col] = np.inf if trigger == "init inf" else np.nan
 
         def run_from_start():
             return dc.run(algorithm, inst, sched, params, init=start)
@@ -1003,6 +1030,35 @@ class TestWeightTables:
         monkeypatch.setattr(network, "offset_bins", counting)
         dc.run(algorithm, inst, sched, params)
         assert made == ([rows, rows, 3] if algorithm in ("pd1", "pd2", "directed") else [])
+
+
+class TestStepOperands:
+    @pytest.mark.parametrize("n", [39, 300])
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_every_operand_is_c_contiguous(self, repo_root, monkeypatch, algorithm, n):
+        # Every array of each ring slot's view tuple, and every row of each block's weight table, is
+        # C-contiguous: a strided operand costs a ufunc call 2-3 times a contiguous one.
+        config = dc.load_config(repo_root / "configs" / f"benchmark39_{CONFIGS[algorithm]}.cfg")
+        inst, g = config.instance, config.graph
+        if n != 39:
+            inst = dc.generate_instance(dc.InstanceSpec(n=n), 1)
+            g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=n // 2, directed=g.directed), 1)
+        K = block_rows(g) + 2  # every slot of the ring, then a second block
+        kernel, operands = getattr(algorithms, f"_{algorithm}"), []
+
+        def bound(*args):
+            views, step = kernel(*args)
+
+            def recorded(cur, nxt, weights, s, sxi):
+                operands.extend(a for a in (*cur, *nxt, *weights) if a.ndim >= 1)
+                step(cur, nxt, weights, s, sxi)
+
+            return views, recorded
+
+        monkeypatch.setattr(algorithms, f"_{algorithm}", bound)
+        dc.run(algorithm, inst, dc.GraphSchedule(g, config.q, 1, K), replace(config.params, horizon=K))
+        assert len(operands) > K
+        assert all(a.flags.c_contiguous for a in operands)
 
 
 def permuted_instance(inst, perm):

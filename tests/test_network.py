@@ -29,11 +29,13 @@ from dercoord.network import (
     windows_connected,
 )
 from reference import (
+    augmented,
     augmented_push_matrix,
     earliest_connect_scan,
     metropolis_weights,
     push_matrix,
     run_over,
+    virtual_state,
 )
 
 
@@ -267,6 +269,13 @@ class TestSchedule:
         with pytest.raises(InvalidGraphError):
             dc.GraphSchedule(self.graph(), 1.0, 1, 10)
 
+    @pytest.mark.parametrize("q", ["0.2", None])
+    def test_q_that_is_not_a_number_is_named(self, q):
+        # Checked before the range comparison, which would raise a bare TypeError.
+        message = f"failure probability q={q!r} must be a real number in [0, 1)"
+        with pytest.raises(InvalidGraphError, match=re.escape(message)):
+            dc.GraphSchedule(self.graph(), q, 1, 10)
+
     @pytest.mark.parametrize("seed", [0, 42, 2**63, 2**63 + 12345, 2**64 - 1])
     @pytest.mark.parametrize(
         "n, edges, directed",
@@ -440,12 +449,12 @@ class TestAugmentedPushMatrix:
         g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)], True)
         params = dc.AlgorithmParams(step=dc.ConstantStep(0.1))
         lam = np.array([1.0, 2.0, 4.0, 0.0, 0.0, 0.0, 0.0])
-        state = dc.VirtualState(np.stack([lam, np.ones(7), np.zeros(7), np.zeros(7), lam]))
+        state = virtual_state(np.stack([lam, np.ones(7), np.zeros(7)]), np.zeros(3), lam[:3])
         down = np.zeros(g.m, bool)
         new = run_over("virtual", small_instance, g, [down], params, state).final
         P = augmented_push_matrix(g, down, params.gamma)
         for e, (src, _) in enumerate(g.edges):
-            assert new.lam[g.n + e] == lam[src] / g.out_degrees[src]
+            assert augmented(new)[0, g.n + e] == new.arcs[0, e] == lam[src] / g.out_degrees[src]
             assert P[g.n + e, src] == 1.0 / g.out_degrees[src]
 
 
@@ -486,10 +495,11 @@ class TestEdgeListMixing:
         N = n + g.m
         A = augmented_push_matrix(g, active, gamma)
         inst = dc.ProblemInstance(np.zeros(n), np.zeros(n), np.zeros(n), dc.QuadraticCost(np.ones(n)))
-        state = dc.VirtualState(np.stack([rng.normal(size=N), rng.random(N) + 0.5, np.zeros(N), np.zeros(N), np.zeros(N)]))
-        new = run_over("virtual", inst, g, [active], params, state).final
-        np.testing.assert_allclose(new.lam, A @ state.lam, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(new.v, A @ state.v, rtol=0, atol=1e-13)
+        z = np.stack([rng.normal(size=N), rng.random(N) + 0.5, np.zeros(N)])  # lam, v and y of all N nodes
+        state = virtual_state(z, np.zeros(n), np.zeros(n))
+        new = augmented(run_over("virtual", inst, g, [active], params, state).final)
+        np.testing.assert_allclose(new[0], A @ z[0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(new[1], A @ z[1], rtol=0, atol=1e-13)
         (g_rows,) = _release_table(g, active[None], params)
         assert (g_rows[0] == g_rows[0, 0]).all()  # (3, m): one row per mixed field
 
@@ -540,6 +550,14 @@ class TestConnectivityWindows:
         with pytest.raises(InvalidGraphError, match="prefix length K must be an integer, got 2.5"):
             dc.minimal_connectivity_window(sched, 2.5)
         assert dc.minimal_connectivity_window(sched, np.int64(5)) == dc.minimal_connectivity_window(sched, 5) == 1
+
+    def test_window_prefix_must_not_be_negative(self):
+        # A negative K is an error, not a prefix with no window; an empty prefix has none.
+        g = dc.NominalGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], False)
+        sched = dc.GraphSchedule(g, 0.0, 1, 20)
+        with pytest.raises(InvalidGraphError, match="prefix length K must be >= 0, got -3"):
+            dc.minimal_connectivity_window(sched, -3)
+        assert dc.minimal_connectivity_window(sched, 0) is None
 
     def test_no_failures_all_windows_connected(self):
         g = dc.NominalGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], False)
@@ -595,6 +613,10 @@ class TestConnectivityWindows:
     @given(sched=schedules, K=st.none() | st.integers(-1, 70))
     @settings(max_examples=150, deadline=None)
     def test_minimal_window_matches_brute_force(self, sched, K):
+        if K is not None and K < 0:  # no prefix is that long
+            with pytest.raises(InvalidGraphError, match=f"prefix length K must be >= 0, got {K}"):
+                dc.minimal_connectivity_window(sched, K)
+            return
         assert dc.minimal_connectivity_window(sched, K) == brute_minimal_window(sched, K)
 
     @given(

@@ -1,6 +1,6 @@
 """Per-step cost of `run`: each algorithm on its 39-agent case at the shipped configs' parameters, and some at scaled n.
 
-The scaled cases (pd1, directed and robust at n = 300, 1000 and 3000) run on a
+The scaled cases (pd1, directed, robust and virtual at n = 300, 1000 and 3000) run on a
 generated instance and ring-plus-chords graph of n/2 chords, both of seed 1,
 over a short horizon, at the parameters of the config their 39-agent case takes.
 
@@ -34,7 +34,8 @@ REPO = Path(__file__).resolve().parent.parent
 # that its name begins with.
 CASES = {"pd1": ("pd1", None), "pd2": ("pd2", None), "directed": ("robust", None), "robust": ("robust", None),
          "virtual": ("robust", None), "centralized": ("pd1", None)}
-CASES |= {f"{name}_{n}": (CASES[name][0], n) for n in (300, 1000, 3000) for name in ("pd1", "directed", "robust")}
+SCALED = ("pd1", "directed", "robust", "virtual")
+CASES |= {f"{name}_{n}": (CASES[name][0], n) for n in (300, 1000, 3000) for name in SCALED}
 SCALE_K = 200  # the scaled cases' short horizon
 
 
