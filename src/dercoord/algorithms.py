@@ -43,14 +43,22 @@ float reaches its ufuncs; each expression keeps its operands and their
 order, so the bits are those of the plain NumPy expressions. No kernel
 builds a dense matrix.
 
-Each algorithm is declared once, as one `_Spec` entry plus its kernel.
-The entry gives its state type (whose rows say the graph kind: push-sum
-states need a directed graph), how its start lifts from the push-sum
-rows, the names its guard gives the node rows and what a lost push-sum
-weight reads, its kernel and weight table, the rows it records and the
-rows that carry its tracked imbalance and push-sum mass. `ALGORITHMS`,
-`check_pairing`'s rules and `RUNNING_SUM_ALGORITHMS` derive from the
-table. Every start comes from one builder, `_start`: `initial_state`
+Each algorithm is declared once, as one entry of the one table `_SPECS`
+plus its kernel. The entry gives its state type (whose rows say the graph
+kind: push-sum states need a directed graph), how its start lifts from
+the push-sum rows, the names of its node rows and arc rows, its kernel
+and weight table, and the state arrays its guard reads after each block.
+The names state the layout, and the rest derives from them: the trace
+records the rows named p, y and v, and as its consensus series x, or lam
+where the state has no x; the tracked imbalance is the total of the rows
+named y and virt.y, the push-sum mass that of the rows named v and
+virt.v (the in-flight rows virt.* are the running-sum protocol's
+virtual-node masses), and the guard keeps those weights positive and
+names every failing row. `ALGORITHMS`, `check_pairing`'s rules and
+`RUNNING_SUM_ALGORITHMS` derive from the table. The table is built once,
+at import: a test that wraps a kernel or a table builder replaces its
+entry (``monkeypatch.setitem(_SPECS, id, replace(spec, kernel=...))``).
+Every start comes from one builder, `_start`: `initial_state`
 gives the standard start (lam = 0, y = nhat*(p - load)) and
 `equilibrium_state` the state at the oracle's solution (a fixed point of
 every algorithm but pd2), both for any algorithm.
@@ -72,25 +80,27 @@ vectors whose 0-d views are made once per run, s from one
 virtual the table is the release fractions g = gamma*mask, which the step
 multiplies into a bound buffer (an idle arc gives +-0.0, which leaves
 every sum it enters unchanged, but a non-finite value on an idle arc
-gives NaN). After the block, one positivity reduction over the v rows
-and one finiteness reduction over all rows of each state array the spec
-guards (the node rows, and virtual's in-flight values) guard it. Only on
-failure are its slots taken in order, to raise the error of the first
-failing step: positivity before finiteness, every non-finite row named,
-p first. The block's later steps have by then run on that step's values,
-which may be non-finite, but nothing they computed is kept. The steps
+gives NaN). After the block, one positivity reduction over each weight
+row (v, and virtual's virt.v) and one finiteness reduction over all rows
+of each state array the spec guards (the node rows, and virtual's
+in-flight values) guard it. Only on failure are its slots taken in
+order, to raise the error of the first failing step: positivity before
+finiteness, every failing row named (a non-finite p first), as in
+``internal invariant violated at step 1: virtual: v, virt.v not
+positive``. The block's later steps have by then run on that step's
+values, which may be non-finite, but nothing they computed is kept. The steps
 run with NumPy's floating-point warnings off: an overflow, invalid value
 or division by zero ends in a non-finite or non-positive iterate, which
 the guard names by step and field. The trace is one series-major
 (series, K + 1, n) block, so each recorded series is a C-contiguous
 (K + 1, n) view of it, and the residual series are the rows of one
-(residuals, K + 1) block. One `record` per block copies the block's
-states into the trace as one slice and writes the block's rows of every
-residual series, reduced row-wise over those rows and, for the
-tracked-imbalance and mass totals, over the ring rows the spec names
-(the real nodes' part, then robust's or virtual's in-flight part), in
-the order of one state at a time, so they are bit-identical to a
-per-step evaluation.
+(residuals, K + 1) block. One `record` per block copies each recorded
+row of the block's states into its series as one slice and writes the
+block's rows of every residual series, reduced row-wise over those rows
+and, for the tracked-imbalance and mass totals, over the ring rows named
+for them (the real nodes' part, then robust's or virtual's in-flight
+part), in the order of one state at a time, so they are bit-identical
+to a per-step evaluation.
 After the last block, slot 0 holds the last state, which the trace keeps
 a copy of as `final`: ``run(..., init=trace.final)`` resumes from it.
 The resumed run numbers its steps from 0 again, so it takes its
@@ -149,6 +159,10 @@ _RESIDUAL_BLOCK_ENTRIES = 2**13
 # reductions is shared (at n = 3000 one-row blocks cost more per step
 # than reducing each state on its own).
 _MIN_BLOCK_ROWS = 8
+# The rows whose totals `run` records, by name: the tracked imbalance y and the push-sum weights v, each
+# with its in-flight part where the state has one (virt.y and virt.v, the running-sum protocol's
+# virtual-node masses). The guard keeps the weights positive.
+_TRACKER, _WEIGHT = ("y", "virt.y"), ("v", "virt.v")
 
 
 @dataclass(frozen=True)
@@ -236,11 +250,12 @@ def _start(spec: _Spec, graph: NominalGraph, p, lam, y):
 
     Undirected states take the first len(spec.names) of p, lam and y (pd2
     has no y); push-sum states take lam, v = 1, y, p and x = lam, then the
-    spec's lift.
+    spec's lift, if it has one.
     """
     if not spec.directed:
         return spec.state(np.stack([p, lam, y][: len(spec.names)]))
-    return spec.lift(graph, DirectedState(np.stack([lam, np.ones(len(p)), y, p, lam])))
+    start = DirectedState(np.stack([lam, np.ones(len(p)), y, p, lam]))
+    return start if spec.lift is None else spec.lift(graph, start)
 
 
 def initial_state(algorithm: str, inst: ProblemInstance, graph: NominalGraph, params: AlgorithmParams, p0=None):
@@ -271,26 +286,28 @@ def equilibrium_state(algorithm: str, inst: ProblemInstance, graph: NominalGraph
     return _start(spec, graph, np.asarray(solution.p_star, dtype=float), lam, np.zeros(inst.n))
 
 
-def _check_block(algorithm: str, names, what: str | None, first: int, *blocks: np.ndarray) -> None:
+def _check_block(algorithm: str, first: int, blocks, positive=_WEIGHT) -> None:
     """Guard consecutive states, the first at step `first`, with two reductions per state array.
 
-    `blocks` are state arrays over those states (node rows, then arc rows),
-    whose rows are `names` in that order. Row 1 of each, push-sum weights
-    v, must stay positive unless `what`, the error's detail, is None. fmin
-    skips NaNs, so a minimum v <= 0 means some weight is <= 0. Only a
-    failing block is taken state by state, for the first failing state's
-    error.
+    `blocks` pairs each state array over those states with the names of
+    its rows (node rows, then arc rows). The rows named in `positive`,
+    push-sum weights, must stay positive: fmin skips NaNs, so a minimum
+    <= 0 means some weight is <= 0. Only a failing block is taken state
+    by state, for the first failing state's error: positivity before
+    finiteness, every failing row named, a non-finite p first.
     """
-    lost = what is not None and any(np.fmin.reduce(b[:, 1], axis=None, initial=np.inf) <= 0.0 for b in blocks)
-    if not lost and all(np.isfinite(b).all() for b in blocks):
+    weights = [(name, b[:, i]) for names, b in blocks for i, name in enumerate(names) if name in positive]
+    lost = any(np.fmin.reduce(w, axis=None, initial=np.inf) <= 0.0 for _, w in weights)
+    if not lost and all(np.isfinite(b).all() for _, b in blocks):
         return
-    for step, state in enumerate(zip(*blocks), first):
-        if what is not None and any(np.fmin.reduce(rows[1], initial=np.inf) <= 0.0 for rows in state):
-            raise InternalInvariantError(step, what)
-        bad = [name for name, row in zip(names, (row for rows in state for row in rows)) if not np.isfinite(row).all()]
+    for j in range(len(blocks[0][1])):
+        low = [name for name, w in weights if np.fmin.reduce(w[j], initial=np.inf) <= 0.0]
+        if low:
+            raise InternalInvariantError(first + j, f"{algorithm}: {', '.join(low)} not positive")
+        bad = [name for names, b in blocks for name, row in zip(names, b[j]) if not np.isfinite(row).all()]
         if bad:
             bad.sort(key=lambda name: name != "p")
-            raise DivergenceError(step, f"{algorithm}: {', '.join(bad)}")
+            raise DivergenceError(first + j, f"{algorithm}: {', '.join(bad)}")
 
 
 def _scalar(x) -> np.ndarray:
@@ -486,48 +503,42 @@ def _release_table(graph: NominalGraph, masks: np.ndarray, params) -> tuple:
 
 @dataclass(frozen=True)
 class _Spec:
-    """One algorithm, declared once: how it starts, how it is guarded, stepped and recorded.
+    """One algorithm, declared once by the names of its rows: how it starts, is stepped, guarded and recorded.
 
     ``state`` is its state type. A push-sum state (rows lam, v, y, p, x)
     runs on a directed graph, any other on an undirected one
     (``directed``). ``lift`` maps (graph, push-sum start) to a push-sum
-    algorithm's state (see `_start`); the undirected algorithms have none.
-    ``names`` names the state's node rows in guard errors (an undirected
-    state has exactly these rows); ``lost_weight`` is what a lost
-    positivity of the push-sum weights v reads (None: no weights).
-    ``kernel`` binds the views and the step to a run (see the module
-    docstring). The trace records node rows ``rows`` of each state, as the
-    series named in ``series`` (row for row), with one copy per block;
-    "consensus" is the multiplier estimates. ``y`` and ``v`` are the
-    (state field, row) pairs of the state ring whose totals, over all the
-    field's columns, are the tracked imbalance and the push-sum mass;
-    empty means the algorithm carries no such quantity.
+    algorithm's state (see `_start`); None keeps the push-sum start, and
+    the undirected algorithms take none. ``names`` names the state's node
+    rows in order (an undirected state has exactly these rows), and
+    ``arc_names`` the rows of its ``arcs`` array: robust's mirrors, then
+    its in-flight values, and virtual's in-flight values. ``kernel`` binds
+    the views and the step to a run (see the module docstring).
     ``weights`` maps (graph, masks, params) to the weight table of a
     (rows, m) block of masks, a tuple of arrays whose row r the block's
     step r takes, each in the shape of the stack it meets (see the module
     docstring): the Metropolis or push-sum table, or the running sums'
     release fractions g = gamma*mask (`_release_table`). It is None for a
     step that reads no link, which then takes the masks, unread, and whose
-    run makes no connectivity note. ``arc_names`` names the rows of the
-    state's ``arcs`` array (robust's mirrors, then its in-flight values;
-    virtual's in-flight values), which `run` checks finite at step 0,
-    beside the node rows. ``guarded`` are the state arrays the guard after
-    each block reads, the first of the state's fields (nodes, then arcs),
-    row 1 of each being push-sum weights: virtual's in-flight values are
-    among them, robust's arcs are not (a mirror's v is 0 until its arc
-    delivers), so a robust step pays for no per-arc reduction.
+    run makes no connectivity note. ``guarded`` are the state arrays the
+    guard after each block reads (`run` checks every array finite at step
+    0): virtual's in-flight values are among them, robust's arcs are not
+    (a mirror's v is 0 until its arc delivers), so a robust step pays for
+    no per-arc reduction.
+
+    The rest derives from the names. The trace records the node rows named
+    p, y and v, and as "consensus" the row named x, or lam where the state
+    has no x (``series``). The tracked imbalance is the total of the rows
+    named y and virt.y (``tracker``) and the push-sum mass that of the rows
+    named v and virt.v (``mass``), whose rows in the guarded arrays the
+    guard keeps positive. Guard errors name the failing rows.
     """
 
     state: type
     lift: Callable | None
     names: tuple[str, ...]
-    lost_weight: str | None
     kernel: Callable
-    weights: Callable
-    rows: slice
-    series: tuple[str, ...]
-    y: tuple
-    v: tuple
+    weights: Callable | None
     arc_names: tuple[str, ...] = ()
     guarded: tuple[str, ...] = ("nodes",)
 
@@ -535,50 +546,49 @@ class _Spec:
     def directed(self) -> bool:
         return issubclass(self.state, _PushSumRows)
 
+    def labels(self, field: str) -> tuple[str, ...]:
+        """The names of the rows of the state's array `field`."""
+        return self.arc_names if field == "arcs" else self.names
 
-def _specs() -> dict[str, _Spec]:
-    # Built per run, so the step kernels and table builders are looked
-    # up when the run starts: a profiler or tracer that wraps them in place
-    # sees the calls. A kernel is called once per run, to bind its step.
-    names = ("lam", "v", "y", "p", "x")
-    push = {"rows": slice(1, 5), "series": ("v", "y", "p", "consensus")}
-    # The link tables read no parameter; the release table reads gamma.
-    metropolis = lambda fields: lambda graph, masks, params: metropolis_table(graph, masks, fields)  # noqa: E731
-    pushes = lambda graph, masks, params: push_table(graph, masks)  # noqa: E731
-    return {
-        "pd1": _Spec(
-            UndirectedState, None, ("p", "lam", "y"), None,
-            _pd1, metropolis(2), slice(0, 3), ("p", "consensus", "y"), y=(("nodes", 2),), v=(),
-        ),
-        "pd2": _Spec(
-            UndirectedState, None, ("p", "lam"), None,
-            _pd2, metropolis(1), slice(0, 2), ("p", "consensus"), y=(), v=(),
-        ),
-        "directed": _Spec(
-            DirectedState, lambda graph, start: start, names, "push-sum weight v lost positivity",
-            _directed, pushes, **push, y=(("nodes", 2),), v=(("nodes", 1),),
-        ),
-        "robust": _Spec(
-            RobustState, _robust_start, names + ("sums.lam", "sums.v", "sums.y"), "push-sum weight v hit zero",
-            _robust, _release_table, **push,
-            y=(("nodes", 2), ("arcs", 5)), v=(("nodes", 1), ("arcs", 4)),  # in-flight y and v too
-            arc_names=tuple(f"{part}.{row}" for part in ("mirror", "virt") for row in names[:3]),
-        ),
-        "virtual": _Spec(
-            VirtualState, _virtual_start, names, "augmented push-sum weight hit zero",
-            _virtual, _release_table, **push, y=(("nodes", 2), ("arcs", 2)), v=(("nodes", 1), ("arcs", 1)),
-            arc_names=tuple(f"virt.{row}" for row in names[:3]), guarded=("nodes", "arcs"),
-        ),
-        "centralized": _Spec(
-            UndirectedState, None, ("p", "lam"), None,
-            _centralized, None, slice(0, 2), ("p", "consensus"), y=(), v=(),
-        ),
-    }
+    @property
+    def series(self) -> dict[str, int]:
+        """Each recorded series and the node row it copies."""
+        row = {name: i for i, name in enumerate(self.names)}
+        recorded = {name: row[name] for name in ("p", "y", "v") if name in row}
+        return {**recorded, "consensus": row.get("x", row["lam"])}
+
+    def _located(self, wanted: tuple[str, ...]) -> tuple[tuple[str, int], ...]:
+        """The (state field, row) of each row named in `wanted`: node rows, then arc rows."""
+        return tuple((f, i) for f in ("nodes", "arcs") for i, name in enumerate(self.labels(f)) if name in wanted)
+
+    tracker = property(lambda self: self._located(_TRACKER))
+    mass = property(lambda self: self._located(_WEIGHT))
 
 
-ALGORITHMS = tuple(_specs())
+def _link_table(build, *args):
+    """The weight-table builder `build(graph, masks, *args)`: a link table reads no parameter."""
+    return lambda graph, masks, params: build(graph, masks, *args)
+
+
+_PUSH_SUM = ("lam", "v", "y", "p", "x")
+# The one table of algorithms. A test that wraps a kernel or a table builder replaces its entry.
+_SPECS = {
+    "pd1": _Spec(UndirectedState, None, ("p", "lam", "y"), _pd1, _link_table(metropolis_table, 2)),
+    "pd2": _Spec(UndirectedState, None, ("p", "lam"), _pd2, _link_table(metropolis_table, 1)),
+    "directed": _Spec(DirectedState, None, _PUSH_SUM, _directed, _link_table(push_table)),
+    "robust": _Spec(
+        RobustState, _robust_start, _PUSH_SUM + ("sums.lam", "sums.v", "sums.y"), _robust, _release_table,
+        arc_names=tuple(f"{part}.{row}" for part in ("mirror", "virt") for row in _PUSH_SUM[:3]),
+    ),
+    "virtual": _Spec(
+        VirtualState, _virtual_start, _PUSH_SUM, _virtual, _release_table,
+        arc_names=tuple(f"virt.{row}" for row in _PUSH_SUM[:3]), guarded=("nodes", "arcs"),
+    ),
+    "centralized": _Spec(UndirectedState, None, ("p", "lam"), _centralized, None),
+}
+ALGORITHMS = tuple(_SPECS)
 # The running-sum algorithms: their weight table is the release fractions, and their mirrors retain a share gamma.
-RUNNING_SUM_ALGORITHMS = tuple(name for name, spec in _specs().items() if spec.weights is _release_table)
+RUNNING_SUM_ALGORITHMS = tuple(name for name, spec in _SPECS.items() if spec.weights is _release_table)
 
 
 def _checked_init(algorithm: str, init, start):
@@ -598,7 +608,7 @@ def check_pairing(algorithm: str, inst: ProblemInstance, graph: NominalGraph) ->
 
     It fits when the graph has the algorithm's directedness and the instance's size.
     """
-    spec = _specs().get(algorithm)
+    spec = _SPECS.get(algorithm)
     if spec is None:
         raise ModeMismatchError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if graph.directed != spec.directed:
@@ -645,14 +655,10 @@ def run(
     state = start if init is None else _checked_init(algorithm, init, start)
 
     n, nhat = inst.n, params.nhat
-    keys = ["imbalance", "consensus_spread"]
-    if spec.y:
-        keys.append("conservation")
-    if spec.v:
-        keys += ["mass", "min_v"]
+    recorded, tracker, mass = spec.series, spec.tracker, spec.mass
+    keys = ["imbalance", "consensus_spread"] + ["conservation"] * bool(tracker) + ["mass", "min_v"] * bool(mass)
     # One (series, K + 1, n) block holds every series, so each series is a contiguous (K + 1, n) view.
-    trace_rows = np.empty((len(spec.series), K + 1, n))
-    series = dict(zip(spec.series, trace_rows))
+    series = dict(zip(recorded, np.empty((len(recorded), K + 1, n))))
     residuals = dict(zip(keys, np.empty((len(keys), K + 1))))  # every row is written by `record`
     rows = max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
     # Slot 0 holds the state before a block, state 0 in the first; slot j the state after its j-th step.
@@ -663,16 +669,17 @@ def run(
     def record(lo: int, hi: int, slot: int) -> None:
         """Trace rows lo..hi-1 and their residuals, from the ring's slots from `slot` on, by row-wise reductions."""
         span = slice(slot, slot + hi - lo)
-        trace_rows[:, lo:hi] = ring["nodes"][span, spec.rows].swapaxes(0, 1)
+        for name, row in recorded.items():
+            series[name][lo:hi] = ring["nodes"][span, row]
         imb = (series["p"][lo:hi] - inst.loads).sum(axis=1)
         c = series["consensus"][lo:hi]
         residuals["imbalance"][lo:hi] = np.abs(imb)
         residuals["consensus_spread"][lo:hi] = c.max(axis=1) - c.min(axis=1)
-        if spec.y:
-            total = sum(ring[name][span, row].sum(axis=1) for name, row in spec.y)
+        if tracker:
+            total = sum(ring[name][span, row].sum(axis=1) for name, row in tracker)
             residuals["conservation"][lo:hi] = np.abs(total - nhat * imb)
-        if spec.v:
-            parts = [ring[name][span, row] for name, row in spec.v]
+        if mass:
+            parts = [ring[name][span, row] for name, row in mass]
             residuals["mass"][lo:hi] = np.abs(sum(a.sum(axis=1) for a in parts) - n)
             # Python's min: a later part replaces the running minimum only where it is smaller.
             lows = (a.min(axis=1) for a in parts if a.shape[1])
@@ -685,8 +692,8 @@ def run(
     sizes, scaled = np.empty(rows), np.empty(rows)
     size_views = [(sizes[j, ...], scaled[j, ...]) for j in range(rows)]
     masks = schedule.masks[:K]
-    names = spec.names + spec.arc_names  # the rows of the ring's arrays, in order, as the guard names them
-    _check_block(algorithm, names, None, 0, *(arrays[:1] for arrays in ring.values()))  # in-flight v starts at 0
+    # Finite only: virtual's in-flight v starts at 0.
+    _check_block(algorithm, 0, [(spec.labels(f), arrays[:1]) for f, arrays in ring.items()], positive=())
     record(0, 1, 0)
     for k0 in range(0, K, rows):  # steps k0..k1-1 make rows k0+1..k1
         k1 = min(k0 + rows, K)
@@ -697,7 +704,7 @@ def run(
             multiply(sizes[: k1 - k0], params.xi, scaled[: k1 - k0])  # the products Python's s * xi gives
             for cur, nxt, row, (s, sxi) in zip(slot_views, slot_views[1:], zip(*table), size_views):
                 step(cur, nxt, row, s, sxi)
-        _check_block(algorithm, names, spec.lost_weight, k0 + 1, *(ring[f][1 : k1 - k0 + 1] for f in spec.guarded))
+        _check_block(algorithm, k0 + 1, [(spec.labels(f), ring[f][1 : k1 - k0 + 1]) for f in spec.guarded])
         record(k0 + 1, k1 + 1, 1)
         for arrays in ring.values():
             arrays[0] = arrays[k1 - k0]

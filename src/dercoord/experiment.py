@@ -21,6 +21,7 @@ Case file format (text)::
 from __future__ import annotations
 
 import configparser
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,9 +101,10 @@ class InstanceSpec:
     """Randomization recipe for dispatch instances.
 
     Quadratic coefficients, loads, and capacity bounds are drawn uniformly
-    from the given (low, high) ranges, which must be finite with low <= high
-    (and a positive); infeasible draws are rejected and redrawn. n must be
-    an integer >= 1 (`checked_int`).
+    from the given (low, high) ranges: each a pair of real numbers, finite
+    with low <= high (and a positive). Infeasible draws are rejected and
+    redrawn. n must be an integer >= 1 (`checked_int`). Otherwise
+    `GeneratorSpecError` names the field.
     """
 
     n: int
@@ -115,9 +117,15 @@ class InstanceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", checked_int(self.n, "instance spec n", GeneratorSpecError, 1))
-        for name in _RANGES:  # each comparison is False for NaN
-            low, high = getattr(self, name)
-            if not -np.inf < low <= high < np.inf:
+        for name in _RANGES:
+            bounds = getattr(self, name)
+            try:
+                low, high = bounds
+            except (TypeError, ValueError):  # not two values
+                low = high = None
+            if not (isinstance(low, numbers.Real) and isinstance(high, numbers.Real)):
+                raise GeneratorSpecError(f"{name}={bounds!r} must be a pair (low, high) of real numbers")
+            if not -np.inf < low <= high < np.inf:  # each comparison is False for NaN
                 raise GeneratorSpecError(f"{name}=({low}, {high}) must be finite with low <= high")
         if self.a_range[0] <= 0:
             raise GeneratorSpecError("a_range must be strictly positive")

@@ -154,10 +154,11 @@ def weighted_norm(series, a: float, K: int) -> float:
     if not (0.0 < a < 1.0):
         raise ValueError(f"a must lie in (0, 1), got {a}")
     series = np.asarray(series, dtype=float)
+    K = network.checked_int(K, "K", ValueError)
     if K < 0 or K >= series.shape[0]:
         raise ValueError(f"K={K} outside series of length {series.shape[0]}")
     vals = series[: K + 1]
-    if np.any(vals < 0):
+    if not np.all(vals >= 0):  # NaN fails too
         raise ValueError("series values must be nonnegative")
     with np.errstate(divide="ignore"):
         logs = np.log(vals) - np.arange(K + 1) * np.log(a)
@@ -176,7 +177,7 @@ def fit_rate(series, window: tuple[int, int] | None = None) -> RateEstimate:
     K = series.shape[0] - 1
     if window is None:
         window = (series.shape[0] // 2, K)
-    k0, k1 = window
+    k0, k1 = (network.checked_int(k, "window end", ValueError) for k in window)
     if not (0 <= k0 <= k1 <= K):
         raise ValueError(f"window {window} outside series of length {K + 1}")
     usable = series > FIT_FLOOR

@@ -82,17 +82,17 @@ def solve_bisection(
     machine resolution). The initial bracket is instance-derived and
     guaranteed to straddle the optimum by monotonicity; `ProblemInstance`
     has already checked that the instance is feasible and its cost
-    strongly convex. xi, nhat (default n) and tol must be positive and
-    finite (`problem.positive`), else `InvalidInstanceError` names the
-    first that is not. `ProblemInstance` has checked that f' is finite at
-    both ends of every box; an f' that overflows the bracket once divided
-    by xi*nhat/n raises `InvalidInstanceError`.
+    strongly convex. xi, nhat (default n) and tol must be real numbers,
+    positive and finite (`problem.positive`), else `InvalidInstanceError`
+    names the first that is not. `ProblemInstance` has checked that f' is
+    finite at both ends of every box; an f' that overflows the bracket once
+    divided by xi*nhat/n raises `InvalidInstanceError`.
     """
     if nhat is None:
         nhat = float(inst.n)
     for name, value in (("xi", xi), ("nhat", nhat), ("tol", tol)):
         if not positive(value):
-            raise InvalidInstanceError(f"{name}={value} must be positive and finite")
+            raise InvalidInstanceError(f"{name}={value!r} must be positive and finite")
     scale = xi * nhat / inst.n
     total = inst.total_load
 

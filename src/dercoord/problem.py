@@ -18,6 +18,7 @@ centralized baseline's among them, binds it once per run.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,8 +44,11 @@ CONVEXITY_GRID_POINTS = 1000
 
 
 def positive(x) -> bool:
-    """The rule for the problem's positive parameters: 0 < x < inf, which NaN fails."""
-    return 0.0 < x < np.inf
+    """The rule for the problem's positive parameters: a real number (`numbers.Real`) with 0 < x < inf, which NaN fails.
+
+    A str or None is no real number, so it fails before any comparison.
+    """
+    return isinstance(x, numbers.Real) and 0.0 < x < np.inf
 
 
 def _as_vector(x, name: str, n: int | None = None) -> np.ndarray:
@@ -123,7 +127,7 @@ class GeneralCost:
 
     def __post_init__(self):
         if not positive(self.m):
-            raise InvalidCostError(f"declared strong convexity m={self.m} must be positive and finite")
+            raise InvalidCostError(f"declared strong convexity m={self.m!r} must be positive and finite")
         if self.n < 1:
             raise InvalidCostError("agent count must be >= 1")
 
@@ -236,7 +240,7 @@ class ConstantStep:
 
     def __post_init__(self):
         if not positive(self.s):
-            raise InvalidInstanceError(f"stepsize s={self.s} must be positive and finite")
+            raise InvalidInstanceError(f"stepsize s={self.s!r} must be positive and finite")
 
     def at(self, k: int) -> float:
         return self.s
@@ -251,7 +255,7 @@ class DiminishingStep:
 
     def __post_init__(self):
         if not (positive(self.a) and positive(self.b)):
-            raise InvalidInstanceError(f"schedule a={self.a}, b={self.b}: a and b must be positive and finite")
+            raise InvalidInstanceError(f"schedule a={self.a!r}, b={self.b!r}: a and b must be positive and finite")
 
     def at(self, k):
         """s[k] for an int k, or elementwise for an int array, in float64 either way.
@@ -274,9 +278,11 @@ class AlgorithmParams:
     ``at(k)`` takes a step number or an int array of them (`run` asks for
     a block's steps at once), giving a float or what broadcasts over k. ``xi``
     scales the multiplier feedback into the primal step; ``nhat`` is each
-    agent's estimate of the network size; ``gamma`` is the retention mix of
-    the running-sum protocol; ``horizon`` is the default number of steps,
-    an integer >= 0 (`checked_int`).
+    agent's estimate of the network size; both must be `positive`.
+    ``gamma`` is the retention mix of the running-sum protocol, a real
+    number in (0, 1); ``horizon`` is the default number of steps, an
+    integer >= 0 (`checked_int`). Otherwise `InvalidInstanceError` names
+    the parameter.
     """
 
     step: Stepsize
@@ -288,9 +294,9 @@ class AlgorithmParams:
     def __post_init__(self):
         for name in ("xi", "nhat"):
             if not positive(getattr(self, name)):
-                raise InvalidInstanceError(f"{name}={getattr(self, name)} must be positive and finite")
-        if not (0.0 < self.gamma < 1.0):
-            raise InvalidInstanceError(f"gamma={self.gamma} must lie in (0, 1)")
+                raise InvalidInstanceError(f"{name}={getattr(self, name)!r} must be positive and finite")
+        if not (isinstance(self.gamma, numbers.Real) and 0.0 < self.gamma < 1.0):  # a str or None meets no comparison
+            raise InvalidInstanceError(f"gamma={self.gamma!r} must lie in (0, 1)")
         object.__setattr__(self, "horizon", checked_int(self.horizon, "horizon K", InvalidInstanceError, 0))
 
     def stepsize(self, k):

@@ -43,7 +43,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import dercoord as dc
-from dercoord.algorithms import _specs
+from dercoord.algorithms import _SPECS
 from dercoord.errors import InvalidGraphError
 from dercoord.experiment import TRACE_COLUMNS
 from dercoord.network import union_connected
@@ -57,7 +57,7 @@ CONFIGS = {
 
 def directed(algorithm: str) -> bool:
     """Whether `algorithm` runs on a directed graph, as its `_Spec` entry declares."""
-    return _specs()[algorithm].directed
+    return _SPECS[algorithm].directed
 
 
 def augmented(state: dc.VirtualState) -> np.ndarray:

@@ -734,7 +734,7 @@ class TestDivergenceNames:
         start = dc.initial_state("virtual", small_instance, g, params)
         negative = replace(start, arcs=start.arcs.copy())
         negative.arcs[1, 0] = -1.0  # held v at step 1: -1 plus a share of 1/2
-        with pytest.raises(InternalInvariantError, match=r"at step 1: augmented push-sum weight hit zero$"):
+        with pytest.raises(InternalInvariantError, match=r"at step 1: virtual: virt\.v not positive$"):
             run_over("virtual", small_instance, g, idle, params, negative)
         huge = replace(start, nodes=start.nodes.copy(), arcs=start.arcs.copy())
         huge.lam[0] = huge.arcs[0, 0] = 1.5e308  # held lam at step 1: 1.5e308 plus a share of 0.75e308
@@ -759,9 +759,9 @@ class TestDivergenceNames:
             dc.run(algorithm, small_instance, dc.GraphSchedule(graph, 0.2, 1, 10), params, init=start)
 
     @pytest.mark.parametrize("algorithm, what", [
-        ("directed", "push-sum weight v lost positivity"),
-        ("robust", "push-sum weight v hit zero"),
-        ("virtual", "augmented push-sum weight hit zero"),
+        ("directed", "directed: v not positive"),
+        ("robust", "robust: v not positive"),
+        ("virtual", r"virtual: v, virt\.v not positive"),
     ])
     def test_positivity_guard_names_its_step(self, small_instance, algorithm, what):
         graph = ring(3, True)
@@ -856,18 +856,18 @@ class TestBlockGuard:
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_one_non_finite_entry_anywhere_in_a_block_is_named(self, value):
         # Robust's node rows, its running sums included, over a block of three states of four nodes.
-        spec = algorithms._specs()["robust"]
-        block = np.ones((3, len(spec.names), 4))
-        algorithms._check_block("robust", spec.names, spec.lost_weight, 5, block)  # a finite block passes
-        for step, row, col in itertools.product(range(3), range(len(spec.names)), range(4)):
+        names = algorithms._SPECS["robust"].names
+        block = np.ones((3, len(names), 4))
+        algorithms._check_block("robust", 5, [(names, block)])  # a finite block passes
+        for step, row, col in itertools.product(range(3), range(len(names)), range(4)):
             bad = block.copy()
             bad[step, row, col] = value
             if row == 1 and value < 0:  # a weight v of -inf fails positivity first
-                error, detail = InternalInvariantError, f": {spec.lost_weight}"
+                error, detail = InternalInvariantError, ": robust: v not positive"
             else:
-                error, detail = DivergenceError, rf" \(robust: {re.escape(spec.names[row])}\)"
+                error, detail = DivergenceError, rf" \(robust: {re.escape(names[row])}\)"
             with pytest.raises(error, match=rf"at step {5 + step}{detail}$"):
-                algorithms._check_block("robust", spec.names, spec.lost_weight, 5, bad)
+                algorithms._check_block("robust", 5, [(names, bad)])
 
 
 def bit_equal(a, b):
@@ -982,27 +982,19 @@ class TestBitIdentity:
 
 
 class TestWeightTables:
-    @pytest.mark.parametrize("algorithm, builder", [
-        ("pd1", "metropolis_table"),
-        ("pd2", "metropolis_table"),
-        ("directed", "push_table"),
-        ("robust", "_release_table"),
-        ("virtual", "_release_table"),
-    ])
-    def test_built_once_per_block(self, monkeypatch, algorithm, builder):
-        from dercoord import algorithms
-
+    @pytest.mark.parametrize("algorithm", [a for a in dc.ALGORITHMS if a != "centralized"])
+    def test_built_once_per_block(self, monkeypatch, algorithm):
         g = dc.generate_graph(dc.GraphSpec(n=8, extra_edges=4, directed=directed(algorithm)), 3)
         rows = block_rows(g)
         K = 2 * rows + 3  # blocks of rows, rows and 3 steps
-        original = getattr(algorithms, builder)
+        spec = algorithms._SPECS[algorithm]
         built = []
 
-        def counting(graph, masks, *rest):  # the release table also takes the run's params
+        def counting(graph, masks, params):
             built.append(masks.shape[0])
-            return original(graph, masks, *rest)
+            return spec.weights(graph, masks, params)
 
-        monkeypatch.setattr(algorithms, builder, counting)
+        monkeypatch.setitem(algorithms._SPECS, algorithm, replace(spec, weights=counting))
         inst = dc.generate_instance(dc.InstanceSpec(n=g.n), 3)
         dc.run(algorithm, inst, dc.GraphSchedule(g, 0.3, 5, K), params_for(g.n, s=0.01, horizon=K))
         assert built == [rows, rows, 3]
@@ -1032,6 +1024,51 @@ class TestWeightTables:
         assert made == ([rows, rows, 3] if algorithm in ("pd1", "pd2", "directed") else [])
 
 
+def named_row(state, name):
+    """The row the state type's own properties give by `name` (``p``; ``sums.v``: row v of ``sums``), or None."""
+    part, _, row = name.rpartition(".")
+    if not part:
+        return getattr(state, name, None)
+    rows = getattr(state, part, None)
+    return None if rows is None else rows[("lam", "v", "y").index(row)]
+
+
+# What each table entry declared as index literals before its row names alone stated its layout: the recorded
+# series with the node row each copies, and the (state field, row) pairs whose totals are the tracked imbalance
+# (conservation) and the push-sum mass.
+PUSH_SUM_SERIES = {"v": 1, "y": 2, "p": 3, "consensus": 4}
+DECLARED_ROWS = {
+    "pd1": ({"p": 0, "consensus": 1, "y": 2}, (("nodes", 2),), ()),
+    "pd2": ({"p": 0, "consensus": 1}, (), ()),
+    "directed": (PUSH_SUM_SERIES, (("nodes", 2),), (("nodes", 1),)),
+    "robust": (PUSH_SUM_SERIES, (("nodes", 2), ("arcs", 5)), (("nodes", 1), ("arcs", 4))),
+    "virtual": (PUSH_SUM_SERIES, (("nodes", 2), ("arcs", 2)), (("nodes", 1), ("arcs", 1))),
+    "centralized": ({"p": 0, "consensus": 1}, (), ()),
+}
+
+
+class TestSpecTable:
+    """Each algorithm states its layout once, by its row names; what `run` records and sums derives from them."""
+
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_names_cover_every_state_row_once(self, small_instance, algorithm):
+        spec = algorithms._SPECS[algorithm]
+        graph = ring(3, directed(algorithm))
+        state = dc.initial_state(algorithm, small_instance, graph, params_for(3))
+        arcs = getattr(state, "arcs", np.empty((0, graph.m)))
+        for names, rows in ((spec.names, state.nodes), (spec.arc_names, arcs)):
+            assert len(set(names)) == len(names) == len(rows)
+            for name, row in zip(names, rows):
+                # A name the state type also reads a row by (p, lam, v, y, x; robust's sums, mirror, virt) is that row.
+                own = named_row(state, name)
+                assert own is None or (own.ctypes.data, own.shape) == (row.ctypes.data, row.shape), name
+
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_derived_rows_are_the_declared_ones(self, algorithm):
+        spec = algorithms._SPECS[algorithm]
+        assert (spec.series, spec.tracker, spec.mass) == DECLARED_ROWS[algorithm]
+
+
 class TestStepOperands:
     @pytest.mark.parametrize("n", [39, 300])
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
@@ -1044,10 +1081,10 @@ class TestStepOperands:
             inst = dc.generate_instance(dc.InstanceSpec(n=n), 1)
             g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=n // 2, directed=g.directed), 1)
         K = block_rows(g) + 2  # every slot of the ring, then a second block
-        kernel, operands = getattr(algorithms, f"_{algorithm}"), []
+        spec, operands = algorithms._SPECS[algorithm], []
 
         def bound(*args):
-            views, step = kernel(*args)
+            views, step = spec.kernel(*args)
 
             def recorded(cur, nxt, weights, s, sxi):
                 operands.extend(a for a in (*cur, *nxt, *weights) if a.ndim >= 1)
@@ -1055,7 +1092,7 @@ class TestStepOperands:
 
             return views, recorded
 
-        monkeypatch.setattr(algorithms, f"_{algorithm}", bound)
+        monkeypatch.setitem(algorithms._SPECS, algorithm, replace(spec, kernel=bound))
         dc.run(algorithm, inst, dc.GraphSchedule(g, config.q, 1, K), replace(config.params, horizon=K))
         assert len(operands) > K
         assert all(a.flags.c_contiguous for a in operands)

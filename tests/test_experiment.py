@@ -162,6 +162,13 @@ class TestGenerators:
         with pytest.raises(GeneratorSpecError, match=rf"{name}=\(.*\) must be finite with low <= high"):
             InstanceSpec(n=3, **{name: bounds})
 
+    @pytest.mark.parametrize("name,bounds", [
+        ("a_range", ("1", "2")), ("a_range", (1, 2, 3)), ("load_range", None), ("hi_range", 2.0), ("b_range", (0.0,)),
+    ])
+    def test_spec_ranges_must_be_pairs_of_real_numbers(self, name, bounds):
+        with pytest.raises(GeneratorSpecError, match=re.escape(f"{name}={bounds!r} must be a pair (low, high)")):
+            InstanceSpec(n=3, **{name: bounds})
+
     @pytest.mark.parametrize("seed,rule", [(-1, "lie in [0, 2^64), got -1"), (2**64, f"lie in [0, 2^64), got {2**64}"),
                                            (1.5, "be an integer, got 1.5")])
     def test_generators_reject_seeds_outside_64_bits(self, seed, rule):

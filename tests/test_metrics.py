@@ -117,6 +117,15 @@ class TestWeightedNorm:
         with pytest.raises(ValueError):
             dc.weighted_norm([1.0], 0.0, 0)
 
+    def test_K_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="K must be an integer, got 2.5"):
+            dc.weighted_norm([1.0, 0.5, 0.25, 0.125], 0.5, 2.5)
+
+    def test_nan_values_rejected(self):
+        # A NaN entry fails the nonnegativity check, which would otherwise let the norm come out as nan.
+        with pytest.raises(ValueError, match="series values must be nonnegative"):
+            dc.weighted_norm([1.0, np.nan, 0.25], 0.5, 2)
+
     @given(
         a=st.floats(0.1, 0.95),
         K1=st.integers(0, 18),
@@ -161,6 +170,11 @@ class TestFitRate:
         est = dc.fit_rate(series, window=(0, 39))
         assert est.n_points == 30
         assert est.rate == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("window", [(0.5, 8), (0, 8.0), (None, 8)])
+    def test_window_ends_must_be_integers(self, window):
+        with pytest.raises(ValueError, match="window end must be an integer"):
+            dc.fit_rate(0.5 ** np.arange(10.0), window=window)
 
     def test_unusable_window_suggests_start(self):
         series = np.concatenate([np.zeros(5), 0.5 ** np.arange(10.0)])

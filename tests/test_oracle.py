@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,11 @@ class TestSolveBisection:
     @pytest.mark.parametrize("name", ["xi", "nhat", "tol"])
     def test_parameters_must_be_positive_and_finite(self, small_instance, name, value):
         with pytest.raises(InvalidInstanceError, match=f"{name}={value} must be positive and finite"):
+            dc.solve_bisection(small_instance, **{name: value})
+
+    @pytest.mark.parametrize("name, value", [("xi", "1"), ("nhat", "3"), ("tol", "1e-12")])
+    def test_parameters_that_are_not_numbers_are_named(self, small_instance, name, value):
+        with pytest.raises(InvalidInstanceError, match=re.escape(f"{name}={value!r} must be positive and finite")):
             dc.solve_bisection(small_instance, **{name: value})
 
     def test_scaled_convention_shifts_lambda_only(self, small_instance):

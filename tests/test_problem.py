@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -268,6 +269,24 @@ class TestAlgorithmParams:
         }[name]
         with pytest.raises(InvalidInstanceError, match=f"{name}={value}"):
             make()
+
+    @pytest.mark.parametrize("value", ["0.1", None])
+    def test_stepsize_that_is_not_a_number_is_named(self, value):
+        with pytest.raises(InvalidInstanceError, match=re.escape(f"stepsize s={value!r} must be positive")):
+            dc.ConstantStep(value)
+
+    @pytest.mark.parametrize("a, b", [(1.0, None), ("1", 2.0)])
+    def test_schedule_that_is_not_a_number_is_named(self, a, b):
+        with pytest.raises(InvalidInstanceError, match=re.escape(f"schedule a={a!r}, b={b!r}: a and b must be")):
+            dc.DiminishingStep(a, b)
+
+    @pytest.mark.parametrize("name, value, rule", [
+        ("xi", "1", "must be positive"), ("nhat", None, "must be positive"),
+        ("gamma", "0.5", "must lie in"), ("gamma", None, "must lie in"),
+    ])
+    def test_params_that_are_not_numbers_are_named(self, name, value, rule):
+        with pytest.raises(InvalidInstanceError, match=re.escape(f"{name}={value!r} {rule}")):
+            dc.AlgorithmParams(step=dc.ConstantStep(0.1), **{name: value})
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, np.nan, np.inf])
     def test_gamma_must_lie_in_the_open_unit_interval(self, gamma):
