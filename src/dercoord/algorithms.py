@@ -45,10 +45,10 @@ builds a dense matrix.
 
 Each algorithm is declared once, as one entry of the one table `_SPECS`
 plus its kernel. The entry gives its state type (whose rows say the graph
-kind: push-sum states need a directed graph), how its start lifts from
-the push-sum rows, the names of its node rows and arc rows, its kernel
-and weight table, and the state arrays its guard reads after each block.
-The names state the layout, and the rest derives from them: the trace
+kind: push-sum states need a directed graph), the names of its node rows
+and arc rows, its kernel and weight table, and the state arrays its guard
+reads after each block. The names state the layout, and the rest derives
+from them: the start builds each row from its name, the trace
 records the rows named p, y and v, and as its consensus series x, or lam
 where the state has no x; the tracked imbalance is the total of the rows
 named y and virt.y, the push-sum mass that of the rows named v and
@@ -58,10 +58,11 @@ names every failing row. `ALGORITHMS`, `check_pairing`'s rules and
 `RUNNING_SUM_ALGORITHMS` derive from the table. The table is built once,
 at import: a test that wraps a kernel or a table builder replaces its
 entry (``monkeypatch.setitem(_SPECS, id, replace(spec, kernel=...))``).
-Every start comes from one builder, `_start`: `initial_state`
-gives the standard start (lam = 0, y = nhat*(p - load)) and
-`equilibrium_state` the state at the oracle's solution (a fixed point of
-every algorithm but pd2), both for any algorithm.
+Every start comes from one function, `_start`, which reads each row off
+its name: `initial_state` gives the standard start (lam = 0, y =
+nhat*(p - load)) and `equilibrium_state` the state at the oracle's
+solution (a fixed point of every algorithm but pd2), both for any
+algorithm.
 
 `run` steps any algorithm over the schedule's mask block. It records
 state 0 first, once its node rows and arc rows are found finite (a
@@ -235,27 +236,19 @@ class VirtualState(_PushSumRows):
     arcs: np.ndarray
 
 
-def _robust_start(graph: NominalGraph, start: DirectedState) -> RobustState:
-    """The node values of `start`, running sums through step 0, zero mirrors and in-flight values."""
-    return RobustState(np.concatenate([start.nodes, start.z / graph.out_degrees]), np.zeros((6, graph.m)))
-
-
-def _virtual_start(graph: NominalGraph, start: DirectedState) -> VirtualState:
-    """The real nodes of `start`, then one virtual node per nominal arc holding zero."""
-    return VirtualState(start.nodes, np.zeros((3, graph.m)))
-
-
 def _start(spec: _Spec, graph: NominalGraph, p, lam, y):
-    """The state of `spec`'s algorithm with dispatch p, multiplier estimates lam and tracker y.
+    """The state of `spec`'s algorithm with dispatch p, multiplier estimates lam and tracker y, row by row.
 
-    Undirected states take the first len(spec.names) of p, lam and y (pd2
-    has no y); push-sum states take lam, v = 1, y, p and x = lam, then the
-    spec's lift, if it has one.
+    The node row named p, lam or y is that vector, v is 1 and x = lam / v
+    is lam; ``sums.<f>``, robust's running sum of row f through step 0, is
+    f over the nominal out-degrees. Every arc row starts at 0: robust's
+    mirrors and in-flight values, virtual's virtual nodes. Any other name
+    raises `KeyError`, so a misspelt one is not silently started at 0.
     """
-    if not spec.directed:
-        return spec.state(np.stack([p, lam, y][: len(spec.names)]))
-    start = DirectedState(np.stack([lam, np.ones(len(p)), y, p, lam]))
-    return start if spec.lift is None else spec.lift(graph, start)
+    rows = {"p": p, "lam": lam, "y": y, "v": np.ones(len(p)), "x": lam}
+    nodes = [rows[name[5:]] / graph.out_degrees if name.startswith("sums.") else rows[name] for name in spec.names]
+    arcs = (np.zeros((len(spec.arc_names), graph.m)),) if spec.arc_names else ()
+    return spec.state(np.stack(nodes), *arcs)
 
 
 def initial_state(algorithm: str, inst: ProblemInstance, graph: NominalGraph, params: AlgorithmParams, p0=None):
@@ -507,10 +500,8 @@ class _Spec:
 
     ``state`` is its state type. A push-sum state (rows lam, v, y, p, x)
     runs on a directed graph, any other on an undirected one
-    (``directed``). ``lift`` maps (graph, push-sum start) to a push-sum
-    algorithm's state (see `_start`); None keeps the push-sum start, and
-    the undirected algorithms take none. ``names`` names the state's node
-    rows in order (an undirected state has exactly these rows), and
+    (``directed``). ``names`` names the state's node rows in order (an
+    undirected state has exactly these rows), and
     ``arc_names`` the rows of its ``arcs`` array: robust's mirrors, then
     its in-flight values, and virtual's in-flight values. ``kernel`` binds
     the views and the step to a run (see the module docstring).
@@ -526,7 +517,8 @@ class _Spec:
     (a mirror's v is 0 until its arc delivers), so a robust step pays for
     no per-arc reduction.
 
-    The rest derives from the names. The trace records the node rows named
+    The rest derives from the names. `_start` builds each row from its
+    name. The trace records the node rows named
     p, y and v, and as "consensus" the row named x, or lam where the state
     has no x (``series``). The tracked imbalance is the total of the rows
     named y and virt.y (``tracker``) and the push-sum mass that of the rows
@@ -535,7 +527,6 @@ class _Spec:
     """
 
     state: type
-    lift: Callable | None
     names: tuple[str, ...]
     kernel: Callable
     weights: Callable | None
@@ -573,18 +564,18 @@ def _link_table(build, *args):
 _PUSH_SUM = ("lam", "v", "y", "p", "x")
 # The one table of algorithms. A test that wraps a kernel or a table builder replaces its entry.
 _SPECS = {
-    "pd1": _Spec(UndirectedState, None, ("p", "lam", "y"), _pd1, _link_table(metropolis_table, 2)),
-    "pd2": _Spec(UndirectedState, None, ("p", "lam"), _pd2, _link_table(metropolis_table, 1)),
-    "directed": _Spec(DirectedState, None, _PUSH_SUM, _directed, _link_table(push_table)),
+    "pd1": _Spec(UndirectedState, ("p", "lam", "y"), _pd1, _link_table(metropolis_table, 2)),
+    "pd2": _Spec(UndirectedState, ("p", "lam"), _pd2, _link_table(metropolis_table, 1)),
+    "directed": _Spec(DirectedState, _PUSH_SUM, _directed, _link_table(push_table)),
     "robust": _Spec(
-        RobustState, _robust_start, _PUSH_SUM + ("sums.lam", "sums.v", "sums.y"), _robust, _release_table,
+        RobustState, _PUSH_SUM + ("sums.lam", "sums.v", "sums.y"), _robust, _release_table,
         arc_names=tuple(f"{part}.{row}" for part in ("mirror", "virt") for row in _PUSH_SUM[:3]),
     ),
     "virtual": _Spec(
-        VirtualState, _virtual_start, _PUSH_SUM, _virtual, _release_table,
+        VirtualState, _PUSH_SUM, _virtual, _release_table,
         arc_names=tuple(f"virt.{row}" for row in _PUSH_SUM[:3]), guarded=("nodes", "arcs"),
     ),
-    "centralized": _Spec(UndirectedState, None, ("p", "lam"), _centralized, None),
+    "centralized": _Spec(UndirectedState, ("p", "lam"), _centralized, None),
 }
 ALGORITHMS = tuple(_SPECS)
 # The running-sum algorithms: their weight table is the release fractions, and their mirrors retain a share gamma.

@@ -21,7 +21,6 @@ Case file format (text)::
 from __future__ import annotations
 
 import configparser
-import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,7 +42,9 @@ from .network import (
     KINDS,
     GraphSchedule,
     NominalGraph,
+    checked_bool,
     checked_int,
+    checked_real,
     checked_seed,
     format_graph,
     is_directed,
@@ -101,10 +102,12 @@ class InstanceSpec:
     """Randomization recipe for dispatch instances.
 
     Quadratic coefficients, loads, and capacity bounds are drawn uniformly
-    from the given (low, high) ranges: each a pair of real numbers, finite
-    with low <= high (and a positive). Infeasible draws are rejected and
+    from the given (low, high) ranges: each a pair whose low is a finite
+    real number (a positive one for a_range) and whose high is one in
+    [low, inf) (`checked_real`). Infeasible draws are rejected and
     redrawn. n must be an integer >= 1 (`checked_int`). Otherwise
-    `GeneratorSpecError` names the field.
+    `GeneratorSpecError` names the field, as in ``a_range low=0.0 must be
+    positive and finite``.
     """
 
     n: int
@@ -118,17 +121,12 @@ class InstanceSpec:
     def __post_init__(self):
         object.__setattr__(self, "n", checked_int(self.n, "instance spec n", GeneratorSpecError, 1))
         for name in _RANGES:
-            bounds = getattr(self, name)
             try:
-                low, high = bounds
+                low, high = getattr(self, name)
             except (TypeError, ValueError):  # not two values
-                low = high = None
-            if not (isinstance(low, numbers.Real) and isinstance(high, numbers.Real)):
-                raise GeneratorSpecError(f"{name}={bounds!r} must be a pair (low, high) of real numbers")
-            if not -np.inf < low <= high < np.inf:  # each comparison is False for NaN
-                raise GeneratorSpecError(f"{name}=({low}, {high}) must be finite with low <= high")
-        if self.a_range[0] <= 0:
-            raise GeneratorSpecError("a_range must be strictly positive")
+                raise GeneratorSpecError(f"{name}={getattr(self, name)!r} must be a pair (low, high)") from None
+            low = checked_real(low, f"{name} low", GeneratorSpecError, 0 if name == "a_range" else -np.inf)
+            checked_real(high, f"{name} high", GeneratorSpecError, low, closed=True)
 
 
 def generate_instance(spec: InstanceSpec, seed: int) -> ProblemInstance:
@@ -167,7 +165,8 @@ class GraphSpec:
     A ring over all nodes guarantees (strong) connectivity; `extra_edges`
     chords are added between non-adjacent pairs. Directed chords get a
     random orientation and occasionally both arcs. n must be an integer
-    >= 1 and `extra_edges` one >= 0 (`checked_int`).
+    >= 1 and `extra_edges` one >= 0 (`checked_int`), and `directed` a bool
+    (`checked_bool`); otherwise `GeneratorSpecError` names the field.
     """
 
     n: int
@@ -178,6 +177,7 @@ class GraphSpec:
         object.__setattr__(self, "n", checked_int(self.n, "graph spec n", GeneratorSpecError, 1))
         extra_edges = checked_int(self.extra_edges, "graph spec extra_edges", GeneratorSpecError, 0)
         object.__setattr__(self, "extra_edges", extra_edges)
+        object.__setattr__(self, "directed", checked_bool(self.directed, "graph spec directed", GeneratorSpecError))
 
 
 def generate_graph(spec: GraphSpec, seed: int) -> NominalGraph:

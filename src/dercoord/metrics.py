@@ -149,10 +149,11 @@ def weighted_norm(series, a: float, K: int) -> float:
     """Exponentially weighted sup norm: max over 0<=k<=K of a^(-k) * series[k].
 
     Boundedness of this quantity as K grows certifies O(a^k) decay of the
-    series. Evaluated in log space so large K does not overflow.
+    series. Evaluated in log space so large K does not overflow. a must be
+    a real number in (0, 1) (`network.checked_real`) and K an integer
+    (`network.checked_int`), else `ValueError` names it.
     """
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"a must lie in (0, 1), got {a}")
+    network.checked_real(a, "a", ValueError, 0, 1)
     series = np.asarray(series, dtype=float)
     K = network.checked_int(K, "K", ValueError)
     if K < 0 or K >= series.shape[0]:

@@ -14,6 +14,14 @@ buffer of at most 2^13 uniforms before a single comparison with q;
 `active_mask(k)` draws through the same code, one step long. The run loop
 and the connectivity analysis read that block and never resample.
 
+The package's input rules for scalars live here, one per number kind, and
+every public scalar goes through one of them at its boundary:
+`checked_int` (an integer by `operator.index`, so no float passes, with
+an optional floor), `checked_real` (a real number in an open or
+half-open interval, which NaN fails) and `checked_bool` (a bool). Each
+takes the error type its caller raises and names the parameter in it;
+`checked_seed` narrows `checked_int` to the 64-bit seed range.
+
 Connectivity of one union is one O(n + m) routine, `union_connected`:
 forward and reverse reachability from node 0 (undirected links count
 both ways) over per-node (arc, head) lists, reading the union's live
@@ -103,6 +111,29 @@ def checked_int(value, what: str, error: type[Exception], low: int | None = None
     return value
 
 
+def checked_real(value, what: str, error: type[Exception], low=0, high=np.inf, closed=False):
+    """`value` if it is a real number (`numbers.Real`) in (low, high), or in [low, high) when `closed`; NaN fails.
+
+    Otherwise raises `error` naming `what` and quoting the value by `repr`:
+    ``xi='1' must be positive and finite`` for the default (0, inf), else
+    ``gamma=None must be a real number in (0, 1)``, the ends written by
+    `str`. A str or None is no real number, so it fails before any
+    comparison.
+    """
+    if isinstance(value, numbers.Real) and (low <= value if closed else low < value) and value < high:
+        return value
+    default = (low, high, closed) == (0, np.inf, False)
+    rule = "positive and finite" if default else f"a real number in {'[' if closed else '('}{low}, {high})"
+    raise error(f"{what}={value!r} must be {rule}")
+
+
+def checked_bool(value, what: str, error: type[Exception]) -> bool:
+    """`value` as a bool if it is one (Python's or NumPy's); otherwise raises `error` naming `what`."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise error(f"{what} must be True or False, got {value!r}")
+    return bool(value)
+
+
 def checked_seed(seed, what: str, error: type[Exception]) -> int:
     """`seed` as an int in [0, 2^64), the key word a Philox stream takes; else `error` naming `what`."""
     seed = checked_int(seed, what, error)
@@ -117,8 +148,8 @@ class NominalGraph:
 
     Undirected edges are stored as (min, max) pairs. Every edge must have
     exactly two endpoints, n and every endpoint must be integers
-    (`checked_int`), and the graph must be
-    connected (undirected) or strongly connected (directed); both are
+    (`checked_int`), `directed` a bool (`checked_bool`), and the graph must
+    be connected (undirected) or strongly connected (directed); all are
     checked at construction.
     """
 
@@ -128,6 +159,7 @@ class NominalGraph:
 
     def __init__(self, n: int, edges, directed: bool):
         n = checked_int(n, "node count n", InvalidGraphError, 1)
+        directed = checked_bool(directed, "directed", InvalidGraphError)
         canon = []
         seen = set()
         for e in edges:
@@ -146,7 +178,7 @@ class NominalGraph:
             canon.append(key)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(self, "directed", bool(directed))
+        object.__setattr__(self, "directed", directed)
         if not union_connected(self, [True] * self.m):
             raise InvalidGraphError(f"nominal graph must be {'strongly connected' if self.directed else 'connected'}")
 
@@ -221,7 +253,10 @@ class GraphSchedule:
     Every nominal link is present independently with probability 1 - q at
     each step; undirected edges fail as a unit (both directions at once),
     directed arcs fail independently. Identical (seed, nominal, q, k)
-    always yield the identical active set.
+    always yield the identical active set. q must be a real number in
+    [0, 1) (`checked_real`), the seed a 64-bit seed (`checked_seed`) and
+    the horizon an integer >= 0 (`checked_int`); otherwise
+    `InvalidGraphError` names the parameter.
     """
 
     nominal: NominalGraph
@@ -230,10 +265,9 @@ class GraphSchedule:
     horizon: int
 
     def __post_init__(self):
-        if not (isinstance(self.q, numbers.Real) and 0.0 <= self.q < 1.0):  # a str or None meets no comparison
-            raise InvalidGraphError(f"failure probability q={self.q!r} must be a real number in [0, 1)")
+        q = checked_real(self.q, "failure probability q", InvalidGraphError, 0, 1, closed=True)
         # q stored with -0.0 as 0.0, and seed and horizon as ints, so equal values give equal digests
-        object.__setattr__(self, "q", self.q + 0.0)
+        object.__setattr__(self, "q", q + 0.0)
         object.__setattr__(self, "seed", checked_seed(self.seed, "schedule seed", InvalidGraphError))
         object.__setattr__(self, "horizon", checked_int(self.horizon, "schedule horizon", InvalidGraphError, 0))
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInstanceError
-from .problem import ProblemInstance, QuadraticCost, kkt_multipliers, positive
+from .network import checked_real
+from .problem import ProblemInstance, QuadraticCost, kkt_multipliers
 
 # The default balance tolerance |1'p - 1'load| of `solve_bisection`, which
 # `run_experiment` and `dercoord solve` take.
@@ -42,8 +43,14 @@ class DispatchSolution:
 
 
 def clamped_best_response(inst: ProblemInstance, scale: float, lam: float) -> np.ndarray:
-    """p(lam): componentwise clamp of (f')^{-1}(scale * lam) onto the box, for a scalar lam."""
-    t = scale * float(lam)
+    """p(lam): componentwise clamp of (f')^{-1}(scale * lam) onto the box, for a scalar lam.
+
+    scale must be positive and finite and lam a finite real number
+    (`checked_real`), else `InvalidInstanceError` names the first that is
+    not.
+    """
+    scale = checked_real(scale, "scale", InvalidInstanceError)
+    t = scale * float(checked_real(lam, "lam", InvalidInstanceError, -np.inf))
     cost = inst.cost
     if isinstance(cost, QuadraticCost):
         return inst.clamp(cost.grad_inverse(t))
@@ -82,17 +89,16 @@ def solve_bisection(
     machine resolution). The initial bracket is instance-derived and
     guaranteed to straddle the optimum by monotonicity; `ProblemInstance`
     has already checked that the instance is feasible and its cost
-    strongly convex. xi, nhat (default n) and tol must be real numbers,
-    positive and finite (`problem.positive`), else `InvalidInstanceError`
-    names the first that is not. `ProblemInstance` has checked that f' is
+    strongly convex. xi, nhat (default n) and tol must be positive and
+    finite (`network.checked_real`), else `InvalidInstanceError` names the
+    first that is not. `ProblemInstance` has checked that f' is
     finite at both ends of every box; an f' that overflows the bracket once
     divided by xi*nhat/n raises `InvalidInstanceError`.
     """
     if nhat is None:
         nhat = float(inst.n)
     for name, value in (("xi", xi), ("nhat", nhat), ("tol", tol)):
-        if not positive(value):
-            raise InvalidInstanceError(f"{name}={value!r} must be positive and finite")
+        checked_real(value, name, InvalidInstanceError)
     scale = xi * nhat / inst.n
     total = inst.total_load
 

@@ -11,6 +11,15 @@ centralized and distributed iterations. It differs from the raw multiplier
 of the balance constraint only by a constant rescaling of lambda; the
 optimal dispatch is identical.
 
+Every scalar parameter is checked where it enters, by the rules in
+`network`: m, s, a, b, xi and nhat must be positive and finite and gamma
+a real number in (0, 1) (`checked_real`), a general cost's n and the
+horizon integers (`checked_int`). A failure raises `InvalidInstanceError`
+(`InvalidCostError` for a cost) naming the parameter, as in
+``stepsize s='0.1' must be positive and finite``. `kkt_residual` checks
+its xi, nhat and lam the same way, and lets a NaN in p or f'(p) through
+into the residual rather than hide it.
+
 The projected primal step every iteration takes lives here once, as
 `_primal_step(inst, params)`: each kernel in `algorithms`, the
 centralized baseline's among them, binds it once per run.
@@ -18,7 +27,6 @@ centralized baseline's among them, binds it once per run.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,19 +44,11 @@ from .errors import (
     InvalidCostError,
     InvalidInstanceError,
 )
-from .network import checked_int
+from .network import checked_int, checked_real
 
 # Grid resolution of the best-effort strong-convexity check for general
 # (callable) cost models. Quadratic models are checked exactly.
 CONVEXITY_GRID_POINTS = 1000
-
-
-def positive(x) -> bool:
-    """The rule for the problem's positive parameters: a real number (`numbers.Real`) with 0 < x < inf, which NaN fails.
-
-    A str or None is no real number, so it fails before any comparison.
-    """
-    return isinstance(x, numbers.Real) and 0.0 < x < np.inf
 
 
 def _as_vector(x, name: str, n: int | None = None) -> np.ndarray:
@@ -113,7 +113,8 @@ class GeneralCost:
 
     ``value``/``grad``/``hess`` map a length-n vector to per-agent values.
     The user declares the strong-convexity parameter m, which must be
-    `positive`; it is verified on a sampled grid when the cost is attached
+    positive and finite (`checked_real`), and the agent count n, an
+    integer >= 1 (`checked_int`); m is verified on a sampled grid when the cost is attached
     to an instance (best effort, see `validate_on_box`; a NaN second
     derivative fails it). Derivatives are never approximated
     numerically inside iteration loops.
@@ -126,10 +127,8 @@ class GeneralCost:
     n: int
 
     def __post_init__(self):
-        if not positive(self.m):
-            raise InvalidCostError(f"declared strong convexity m={self.m!r} must be positive and finite")
-        if self.n < 1:
-            raise InvalidCostError("agent count must be >= 1")
+        checked_real(self.m, "declared strong convexity m", InvalidCostError)
+        object.__setattr__(self, "n", checked_int(self.n, "agent count n", InvalidCostError, 1))
 
     def value(self, p: np.ndarray) -> np.ndarray:
         return np.asarray(self.value_fn(p), dtype=float)
@@ -239,8 +238,7 @@ class ConstantStep:
     s: float
 
     def __post_init__(self):
-        if not positive(self.s):
-            raise InvalidInstanceError(f"stepsize s={self.s!r} must be positive and finite")
+        checked_real(self.s, "stepsize s", InvalidInstanceError)
 
     def at(self, k: int) -> float:
         return self.s
@@ -254,8 +252,8 @@ class DiminishingStep:
     b: float
 
     def __post_init__(self):
-        if not (positive(self.a) and positive(self.b)):
-            raise InvalidInstanceError(f"schedule a={self.a!r}, b={self.b!r}: a and b must be positive and finite")
+        for name in ("a", "b"):
+            checked_real(getattr(self, name), f"schedule {name}", InvalidInstanceError)
 
     def at(self, k):
         """s[k] for an int k, or elementwise for an int array, in float64 either way.
@@ -278,11 +276,11 @@ class AlgorithmParams:
     ``at(k)`` takes a step number or an int array of them (`run` asks for
     a block's steps at once), giving a float or what broadcasts over k. ``xi``
     scales the multiplier feedback into the primal step; ``nhat`` is each
-    agent's estimate of the network size; both must be `positive`.
-    ``gamma`` is the retention mix of the running-sum protocol, a real
-    number in (0, 1); ``horizon`` is the default number of steps, an
-    integer >= 0 (`checked_int`). Otherwise `InvalidInstanceError` names
-    the parameter.
+    agent's estimate of the network size; both must be positive and
+    finite. ``gamma`` is the retention mix of the running-sum protocol, a
+    real number in (0, 1) (both `checked_real`); ``horizon`` is the default
+    number of steps, an integer >= 0 (`checked_int`). Otherwise
+    `InvalidInstanceError` names the parameter.
     """
 
     step: Stepsize
@@ -293,10 +291,8 @@ class AlgorithmParams:
 
     def __post_init__(self):
         for name in ("xi", "nhat"):
-            if not positive(getattr(self, name)):
-                raise InvalidInstanceError(f"{name}={getattr(self, name)!r} must be positive and finite")
-        if not (isinstance(self.gamma, numbers.Real) and 0.0 < self.gamma < 1.0):  # a str or None meets no comparison
-            raise InvalidInstanceError(f"gamma={self.gamma!r} must lie in (0, 1)")
+            checked_real(getattr(self, name), name, InvalidInstanceError)
+        checked_real(self.gamma, "gamma", InvalidInstanceError, 0, 1)
         object.__setattr__(self, "horizon", checked_int(self.horizon, "horizon K", InvalidInstanceError, 0))
 
     def stepsize(self, k):
@@ -361,16 +357,24 @@ def kkt_multipliers(inst: ProblemInstance, p: np.ndarray, lam: float, c: float) 
     the worst per-agent stationarity violation |c*lam - f_i'(p_i) - mu_i
     + nu_i|: an agent at a bound is charged only for the part a
     nonnegative multiplier cannot absorb. It is zero iff (p, lam) solves
-    the KKT system in the scaled convention.
+    the KKT system in the scaled convention, and NaN if either part is
+    NaN (a NaN in p or in f'(p)), so a certificate never passes on one.
     """
     stat = c * lam - inst.cost.grad(p)
     # At the upper bound mu >= 0 absorbs c*lam - f' >= 0; symmetric below.
     mu = np.where(p >= inst.p_hi, np.maximum(stat, 0.0), 0.0)
     nu = np.where(p <= inst.p_lo, np.maximum(-stat, 0.0), 0.0)
     balance = abs(float(np.sum(p - inst.loads)))
-    return mu, nu, max(balance, float(np.abs(stat - mu + nu).max()))
+    return mu, nu, float(np.maximum(balance, np.abs(stat - mu + nu).max()))
 
 
 def kkt_residual(inst: ProblemInstance, p, lam: float, xi: float, nhat: float) -> float:
-    """Residual of the scaled KKT system at (p, lam) (see `kkt_multipliers`)."""
-    return kkt_multipliers(inst, _as_vector(p, "p", inst.n), float(lam), xi * nhat / inst.n)[2]
+    """Residual of the scaled KKT system at (p, lam) (see `kkt_multipliers`).
+
+    xi and nhat must be positive and finite and lam a finite real number
+    (`checked_real`), else `InvalidInstanceError` names the first that is
+    not.
+    """
+    c = checked_real(xi, "xi", InvalidInstanceError) * checked_real(nhat, "nhat", InvalidInstanceError) / inst.n
+    lam = checked_real(lam, "lam", InvalidInstanceError, -np.inf)
+    return kkt_multipliers(inst, _as_vector(p, "p", inst.n), float(lam), c)[2]

@@ -1063,6 +1063,15 @@ class TestSpecTable:
                 own = named_row(state, name)
                 assert own is None or (own.ctypes.data, own.shape) == (row.ctypes.data, row.shape), name
 
+    @pytest.mark.parametrize("misspelt, unknown", [("lamb", "lamb"), ("sums.lamb", "lamb")])
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_a_row_name_the_start_does_not_know_raises(self, monkeypatch, small_instance, algorithm, misspelt, unknown):
+        # The start builds each row from its name, so a misspelt name is caught rather than started at 0.
+        spec = algorithms._SPECS[algorithm]
+        monkeypatch.setitem(algorithms._SPECS, algorithm, replace(spec, names=spec.names[:-1] + (misspelt,)))
+        with pytest.raises(KeyError, match=f"^'{unknown}'$"):
+            dc.initial_state(algorithm, small_instance, ring(3, directed(algorithm)), params_for(3))
+
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_derived_rows_are_the_declared_ones(self, algorithm):
         spec = algorithms._SPECS[algorithm]

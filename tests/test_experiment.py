@@ -154,19 +154,26 @@ class TestGenerators:
             dc.generate_instance(spec, 1)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("name,bounds", [
-        ("a_range", (np.nan, 1.0)), ("load_range", (1.0, np.nan)), ("hi_range", (1.0, np.inf)),
-        ("b_range", (-np.inf, 0.0)), ("lo_range", (1.0, 0.0)),
+    @pytest.mark.parametrize("name,bounds,message", [
+        ("a_range", (np.nan, 1.0), "a_range low=nan must be positive and finite"),
+        ("a_range", (0.0, 1.0), "a_range low=0.0 must be positive and finite"),
+        ("load_range", (1.0, np.nan), "load_range high=nan must be a real number in [1.0, inf)"),
+        ("hi_range", (1.0, np.inf), "hi_range high=inf must be a real number in [1.0, inf)"),
+        ("b_range", (-np.inf, 0.0), "b_range low=-inf must be a real number in (-inf, inf)"),
+        ("lo_range", (1.0, 0.0), "lo_range high=0.0 must be a real number in [1.0, inf)"),
     ])
-    def test_spec_ranges_must_be_finite_and_ordered(self, name, bounds):
-        with pytest.raises(GeneratorSpecError, match=rf"{name}=\(.*\) must be finite with low <= high"):
+    def test_spec_ranges_must_be_finite_and_ordered(self, name, bounds, message):
+        with pytest.raises(GeneratorSpecError, match=f"^{re.escape(message)}$"):
             InstanceSpec(n=3, **{name: bounds})
 
-    @pytest.mark.parametrize("name,bounds", [
-        ("a_range", ("1", "2")), ("a_range", (1, 2, 3)), ("load_range", None), ("hi_range", 2.0), ("b_range", (0.0,)),
+    @pytest.mark.parametrize("name,bounds,message", [
+        ("a_range", ("1", "2"), "a_range low='1' must be positive and finite"),
+        ("c_range", (1.0, "2"), "c_range high='2' must be a real number in [1.0, inf)"),
+        *((name, bounds, f"{name}={bounds!r} must be a pair (low, high)")
+          for name, bounds in [("a_range", (1, 2, 3)), ("load_range", None), ("hi_range", 2.0), ("b_range", (0.0,))]),
     ])
-    def test_spec_ranges_must_be_pairs_of_real_numbers(self, name, bounds):
-        with pytest.raises(GeneratorSpecError, match=re.escape(f"{name}={bounds!r} must be a pair (low, high)")):
+    def test_spec_ranges_must_be_pairs_of_real_numbers(self, name, bounds, message):
+        with pytest.raises(GeneratorSpecError, match=f"^{re.escape(message)}$"):
             InstanceSpec(n=3, **{name: bounds})
 
     @pytest.mark.parametrize("seed,rule", [(-1, "lie in [0, 2^64), got -1"), (2**64, f"lie in [0, 2^64), got {2**64}"),

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from dercoord.algorithms import _release_table
 from dercoord.network import (
     _earliest_connect,
     _prefix_lengths,
+    checked_bool,
+    checked_real,
     format_graph,
     metropolis_table,
     mix,
@@ -118,6 +121,40 @@ schedules = st.builds(
     seed=st.integers(0, 2**32),
     horizon=st.integers(0, 60),
 )
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("value", [1e-300, 1e308, np.float64(2.0), np.float32(0.5), 3, Fraction(1, 3)])
+    def test_real_default_interval_is_positive_and_finite(self, value):
+        assert checked_real(value, "x", ValueError) is value
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, -np.inf, np.inf, np.nan, "1", None, np.array(1.0), 1j])
+    def test_real_default_interval_refuses_the_rest_by_name(self, value):
+        with pytest.raises(ValueError, match=f"^x={re.escape(repr(value))} must be positive and finite$"):
+            checked_real(value, "x", ValueError)
+
+    def test_real_closed_interval_takes_its_low_end_only(self):
+        assert checked_real(0.0, "q", ValueError, 0, 1, closed=True) == 0.0
+        assert checked_real(-0.0, "q", ValueError, 0, 1, closed=True) == 0.0
+        for value in (1.0, -1e-300, np.nan):
+            with pytest.raises(ValueError, match=re.escape(f"q={value!r} must be a real number in [0, 1)")):
+                checked_real(value, "q", ValueError, 0, 1, closed=True)
+        with pytest.raises(ValueError, match=re.escape("g=0.0 must be a real number in (0, 1)")):
+            checked_real(0.0, "g", ValueError, 0, 1)
+        with pytest.raises(ValueError, match=re.escape("z=inf must be a real number in (-inf, inf)")):
+            checked_real(np.inf, "z", ValueError, -np.inf)
+        # The ends are written by `str`, so a float end reads exactly, and a 0.0 end still gives the default rule.
+        with pytest.raises(ValueError, match=re.escape("h=0.1 must be a real number in [0.1234567, inf)")):
+            checked_real(0.1, "h", ValueError, 0.1234567, closed=True)
+        with pytest.raises(ValueError, match=re.escape("x=0.0 must be positive and finite")):
+            checked_real(0.0, "x", ValueError, 0.0)
+
+    def test_bool_takes_python_and_numpy_bools_only(self):
+        assert checked_bool(True, "flag", ValueError) is True
+        assert checked_bool(np.False_, "flag", ValueError) is False
+        for value in (1, 0, "no", "false", None, np.nan):
+            with pytest.raises(ValueError, match=f"^flag must be True or False, got {re.escape(repr(value))}$"):
+                checked_bool(value, "flag", ValueError)
 
 
 class TestNominalGraph:

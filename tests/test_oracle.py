@@ -182,6 +182,23 @@ class TestSolveBisection:
         assert np.all(sol.mu_star >= 0.0) and np.all(sol.nu_star >= 0.0)
         assert not np.any(sol.mu_star[sol.p_star < inst.p_hi]) and not np.any(sol.nu_star[sol.p_star > inst.p_lo])
 
+    def test_nan_gradient_at_the_solution_shows_in_the_residual(self):
+        # The certificate takes f' at p* once more after the bisection, as the cost's last call. A NaN there
+        # must make the residual NaN, not leave it at the balance part.
+        calls, poisoned = [], None
+
+        def grad(p):
+            calls.append(p)
+            return np.full_like(p, np.nan) if len(calls) == poisoned else 2.0 * p
+
+        cost = dc.GeneralCost(lambda p: p * p, grad, lambda p: np.full_like(p, 2.0), m=2.0, n=2)
+        inst = dc.ProblemInstance([1.0, 1.0], [0.0, 0.0], [3.0, 3.0], cost)
+        calls.clear()
+        assert dc.solve_bisection(inst).kkt_residual <= 1e-9
+        poisoned = len(calls)
+        calls.clear()
+        assert np.isnan(dc.solve_bisection(inst).kkt_residual)
+
 
 def centralized(inst, params, graph=None, init=None):
     """`run("centralized")` over `graph` (a path if None; the iteration reads no link), from `init` if given."""

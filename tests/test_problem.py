@@ -13,7 +13,7 @@ from dercoord.errors import (
     InvalidCostError,
     InvalidInstanceError,
 )
-from dercoord.problem import checked_p0, positive
+from dercoord.problem import checked_p0, kkt_multipliers
 
 NOT_POSITIVE = [0.0, -1.0, -np.inf, np.inf, np.nan]
 
@@ -115,6 +115,29 @@ class TestKktResidual:
         # symmetric at the lower cap: f'(floor) > lam absorbed by nu >= 0
         inst2 = dc.ProblemInstance([1.0], [1.0], [5.0], dc.QuadraticCost([1.0]))
         assert dc.kkt_residual(inst2, [1.0], 0.5, 1.0, 1.0) == 0.0
+
+    def test_nan_gradient_is_not_hidden_by_a_zero_balance(self):
+        # f' is NaN inside (0.4, 0.6) but finite at the box ends, which is all `ProblemInstance` checks. At
+        # p = load the balance part is 0, and a max that skipped the NaN stationarity part would read 0.0.
+        cost = dc.GeneralCost(
+            lambda p: p * p, lambda p: np.where((p > 0.4) & (p < 0.6), np.nan, 2.0 * p),
+            lambda p: np.full_like(p, 2.0), m=2.0, n=1,
+        )
+        inst = dc.ProblemInstance([0.5], [0.0], [1.0], cost)
+        assert np.isnan(dc.kkt_residual(inst, [0.5], 123.0, 1.0, 1.0))
+        assert dc.kkt_residual(inst, [0.7], 1.4, 1.0, 1.0) == pytest.approx(0.2)
+
+    def test_nan_multiplier_or_dispatch_gives_a_nan_residual(self, case39_undirected):
+        inst, _ = case39_undirected
+        sol = dc.solve_bisection(inst)
+        c = 1.0  # xi*nhat/n at the oracle's defaults, xi = 1 and nhat = n
+        assert kkt_multipliers(inst, sol.p_star, sol.lambda_star, c)[2] < 1e-9
+        assert np.isnan(kkt_multipliers(inst, sol.p_star, np.nan, c)[2])
+        p = sol.p_star.copy()
+        p[3] = np.nan
+        assert np.isnan(dc.kkt_residual(inst, p, sol.lambda_star, 1.0, inst.n))
+        with pytest.raises(InvalidInstanceError, match="lam=nan must be a real number in"):
+            dc.kkt_residual(inst, sol.p_star, np.nan, 1.0, inst.n)
 
 
 class TestInstanceValidation:
@@ -253,10 +276,6 @@ class TestAlgorithmParams:
             dc.AlgorithmParams(step=dc.ConstantStep(0.1), horizon=-1)
         assert type(dc.AlgorithmParams(step=dc.ConstantStep(0.1), horizon=np.int64(5)).horizon) is int
 
-    def test_positive_means_above_zero_and_finite(self):
-        assert positive(1e-300) and positive(1e308) and positive(np.float64(2.0))
-        assert not any(positive(x) for x in NOT_POSITIVE)
-
     @pytest.mark.parametrize("value", NOT_POSITIVE)
     @pytest.mark.parametrize("name", ["s", "a", "b", "xi", "nhat"])
     def test_positive_parameters_must_be_positive_and_finite(self, name, value):
@@ -275,14 +294,14 @@ class TestAlgorithmParams:
         with pytest.raises(InvalidInstanceError, match=re.escape(f"stepsize s={value!r} must be positive")):
             dc.ConstantStep(value)
 
-    @pytest.mark.parametrize("a, b", [(1.0, None), ("1", 2.0)])
-    def test_schedule_that_is_not_a_number_is_named(self, a, b):
-        with pytest.raises(InvalidInstanceError, match=re.escape(f"schedule a={a!r}, b={b!r}: a and b must be")):
+    @pytest.mark.parametrize("a, b, named", [(1.0, None, "b=None"), ("1", 2.0, "a='1'")])
+    def test_schedule_that_is_not_a_number_is_named(self, a, b, named):
+        with pytest.raises(InvalidInstanceError, match=re.escape(f"schedule {named} must be positive and finite")):
             dc.DiminishingStep(a, b)
 
     @pytest.mark.parametrize("name, value, rule", [
         ("xi", "1", "must be positive"), ("nhat", None, "must be positive"),
-        ("gamma", "0.5", "must lie in"), ("gamma", None, "must lie in"),
+        ("gamma", "0.5", "must be a real number in (0, 1)"), ("gamma", None, "must be a real number in (0, 1)"),
     ])
     def test_params_that_are_not_numbers_are_named(self, name, value, rule):
         with pytest.raises(InvalidInstanceError, match=re.escape(f"{name}={value!r} {rule}")):
@@ -290,5 +309,5 @@ class TestAlgorithmParams:
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, np.nan, np.inf])
     def test_gamma_must_lie_in_the_open_unit_interval(self, gamma):
-        with pytest.raises(InvalidInstanceError, match=f"gamma={gamma} must lie in"):
+        with pytest.raises(InvalidInstanceError, match=re.escape(f"gamma={gamma} must be a real number in (0, 1)")):
             dc.AlgorithmParams(step=dc.ConstantStep(0.1), gamma=gamma)
