@@ -101,7 +101,9 @@ block's rows of every residual series, reduced row-wise over those rows
 and, for the tracked-imbalance and mass totals, over the ring rows named
 for them (the real nodes' part, then robust's or virtual's in-flight
 part), in the order of one state at a time, so they are bit-identical
-to a per-step evaluation.
+to a per-step evaluation. A run given an optimum copies no state: its
+series have no rows, and ``record`` reduces ||p - p*||_2 from the same ring
+rows into one more residual series, ``err_p``.
 After the last block, slot 0 holds the last state, which the trace keeps
 a copy of as `final`: ``run(..., init=trace.final)`` resumes from it.
 The resumed run numbers its steps from 0 again, so it takes its
@@ -141,7 +143,7 @@ import numpy as np
 from numpy import add, divide, multiply, subtract
 
 from .errors import DimensionMismatchError, DivergenceError, InternalInvariantError, ModeMismatchError
-from .metrics import RunTrace, run_warnings
+from .metrics import RunTrace, optimum_dispatch, row_distance, run_warnings
 from .network import (
     GraphSchedule,
     NominalGraph,
@@ -615,6 +617,7 @@ def run(
     schedule: GraphSchedule,
     params: AlgorithmParams,
     init=None,
+    optimum=None,
 ) -> RunTrace:
     """Drive one algorithm for params.horizon steps and record the trace.
 
@@ -632,6 +635,12 @@ def run(
     allocation that holds them all, and the residual series of another.
     Without `init` the run takes `initial_state`; an `init` must have
     that state's type and shapes.
+    Given an `optimum` (the oracle's solution, or anything with a
+    ``p_star`` of n entries), the run keeps reductions, not states: it
+    allocates none of the (K + 1, n) series, which are empty (0, n) arrays,
+    and records ``residuals["err_p"]``, ||p[k] - p*||_2 per step, reduced
+    per block from the ring's p rows with `convergence_error`'s bits. Its
+    memory is then O(block + K), not O(K n).
     ``final`` is a copy of the last state, which `init` takes to resume
     the run. The resumed run numbers its steps from 0 again: a run with
     ``DiminishingStep(a, b)`` stopped after k1 steps resumes with
@@ -644,12 +653,14 @@ def run(
         raise ModeMismatchError(f"horizon {K} exceeds schedule horizon {schedule.horizon}")
     start = initial_state(algorithm, inst, graph, params)
     state = start if init is None else _checked_init(algorithm, init, start)
+    p_star = None if optimum is None else optimum_dispatch(optimum, inst.n, "optimum.p_star")
 
     n, nhat = inst.n, params.nhat
     recorded, tracker, mass = spec.series, spec.tracker, spec.mass
-    keys = ["imbalance", "consensus_spread"] + ["conservation"] * bool(tracker) + ["mass", "min_v"] * bool(mass)
+    keys = ["err_p"] * (p_star is not None) + ["imbalance", "consensus_spread"]
+    keys += ["conservation"] * bool(tracker) + ["mass", "min_v"] * bool(mass)
     # One (series, K + 1, n) block holds every series, so each series is a contiguous (K + 1, n) view.
-    series = dict(zip(recorded, np.empty((len(recorded), K + 1, n))))
+    series = dict(zip(recorded, np.empty((len(recorded), K + 1 if p_star is None else 0, n))))
     residuals = dict(zip(keys, np.empty((len(keys), K + 1))))  # every row is written by `record`
     rows = max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
     # Slot 0 holds the state before a block, state 0 in the first; slot j the state after its j-th step.
@@ -660,10 +671,13 @@ def run(
     def record(lo: int, hi: int, slot: int) -> None:
         """Trace rows lo..hi-1 and their residuals, from the ring's slots from `slot` on, by row-wise reductions."""
         span = slice(slot, slot + hi - lo)
-        for name, row in recorded.items():
-            series[name][lo:hi] = ring["nodes"][span, row]
-        imb = (series["p"][lo:hi] - inst.loads).sum(axis=1)
-        c = series["consensus"][lo:hi]
+        p, c = ring["nodes"][span, recorded["p"]], ring["nodes"][span, recorded["consensus"]]
+        if p_star is None:
+            for name, row in recorded.items():
+                series[name][lo:hi] = ring["nodes"][span, row]
+        else:
+            residuals["err_p"][lo:hi] = row_distance(p, p_star)
+        imb = (p - inst.loads).sum(axis=1)
         residuals["imbalance"][lo:hi] = np.abs(imb)
         residuals["consensus_spread"][lo:hi] = c.max(axis=1) - c.min(axis=1)
         if tracker:

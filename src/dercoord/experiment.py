@@ -37,7 +37,7 @@ from .errors import (
     InvalidGraphError,
     InvalidInstanceError,
 )
-from .metrics import InvariantReport, RunTrace, convergence_error, fit_rate, invariant_report
+from .metrics import InvariantReport, RunTrace, fit_rate, invariant_report
 from .network import (
     KINDS,
     GraphSchedule,
@@ -441,9 +441,11 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
 class SeedOutcome:
     """One seed's result: status, error message and the values of its summary row.
 
-    It holds no arrays, so a batch keeps one seed's trace at a time. The
-    residual extrema are the seed's `invariant_report`, taken without a
-    schedule; a seed that errored has an empty report.
+    It holds no arrays, so a batch keeps one seed's trace at a time, and
+    that trace holds reductions only: `final_error` is the last entry of
+    its ``residuals["err_p"]``. The residual extrema are the seed's
+    `invariant_report`, taken without a schedule; a seed that errored has
+    an empty report.
     """
 
     seed: int
@@ -502,10 +504,14 @@ def _summary_row(outcome: SeedOutcome) -> str:
 
 
 def _run_seed(config: ExperimentConfig, solution, seed: int, out: Path) -> SeedOutcome:
-    """Run one seed, write its trace CSV and keep its summary values; its arrays die on return."""
+    """Run one seed, write its trace CSV and keep its summary values; its arrays die on return.
+
+    The run is given the optimum, so it keeps the residual series and ||p - p*|| (``err_p``), O(K), and no state
+    series, which would be O(K n).
+    """
     schedule = GraphSchedule(config.graph, config.q, seed, config.params.horizon)
-    trace = run(config.algorithm, config.instance, schedule, config.params)
-    err = convergence_error(trace, solution)
+    trace = run(config.algorithm, config.instance, schedule, config.params, optimum=solution)
+    err = trace.residuals["err_p"]
     try:
         fit = fit_rate(err)
         rate, r_squared = fit.rate, fit.r_squared
@@ -519,8 +525,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every seed, write per-seed trace CSVs plus summary.csv.
 
     Each seed is finished before the next starts, and only its
-    `SeedOutcome` is kept. Per-seed failures are recorded and remaining
-    seeds still run; the result's `ok` flag is False if any seed errored.
+    `SeedOutcome` is kept. Each seed's `run` is given the oracle's
+    solution, so it records ||p - p*|| per step and no state series: the
+    memory is O(block + K) per seed, not O(K n). Per-seed failures are
+    recorded and remaining seeds still run; the result's `ok` flag is
+    False if any seed errored.
     Output files are written atomically and are byte-identical across
     repeated runs of the same config. The oracle is solved before the
     output directory is made, so an oracle failure leaves none behind.

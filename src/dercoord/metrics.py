@@ -56,6 +56,13 @@ class RunTrace:
     the state after the last step, of the algorithm's own state type and
     sharing no memory with the series, so ``run(..., init=trace.final)``
     resumes the run.
+
+    A run given an ``optimum`` keeps reductions, not states: each series
+    it would record is an empty (0, n) array, and ``residuals["err_p"]``
+    holds ||p[k] - p*||_2 beside the other residual series. The functions
+    that read the series (`convergence_error`, `consensus_deviation`,
+    `deviation_from_optimum`) then raise `ValueError`; ``steps``,
+    `invariant_report` and resuming from ``final`` work on both kinds.
     """
 
     algorithm: str
@@ -72,7 +79,15 @@ class RunTrace:
 
     @property
     def steps(self) -> int:
-        return self.p.shape[0] - 1
+        """K: the rows of p less one, or of ``residuals["err_p"]`` for a run given an optimum (its p has none)."""
+        return len(self.residuals.get("err_p", self.p)) - 1
+
+
+def _state_series(trace: RunTrace) -> RunTrace:
+    """`trace` if it kept its state series; `ValueError` for a run that was given an optimum."""
+    if "err_p" in trace.residuals:
+        raise ValueError("trace has no state series (its run was given an optimum): read residuals['err_p']")
+    return trace
 
 
 @dataclass(frozen=True)
@@ -126,22 +141,34 @@ class InvariantReport:
         return any(c.name == name for c in self.checks)
 
 
+def optimum_dispatch(solution, n: int, what: str) -> np.ndarray:
+    """`solution.p_star` as a float vector; `DimensionMismatchError` naming `what` unless its shape is (n,)."""
+    p_star = np.asarray(solution.p_star, dtype=float)
+    if p_star.shape != (n,):
+        raise DimensionMismatchError(what, (n,), p_star.shape)
+    return p_star
+
+
+def row_distance(rows: np.ndarray, p_star: np.ndarray) -> np.ndarray:
+    """||row - p*||_2 of each row. Each row is reduced on its own, so any blocking of the rows gives the same bits."""
+    return np.linalg.norm(rows - p_star, axis=1)
+
+
 def convergence_error(trace: RunTrace, solution) -> np.ndarray:
-    """Euclidean distance ||p[k] - p*||_2 for every recorded step.
+    """Euclidean distance ||p[k] - p*||_2 for every recorded step (`row_distance`).
 
     The norm is taken over blocks of about `_ERROR_BLOCK_ENTRIES` entries,
-    so the temporaries stay O(block) however long the trace. Each row is
-    reduced on its own, so the result is bit-identical to one full-array
-    ``np.linalg.norm(p - p_star, axis=1)``.
+    so the temporaries stay O(block) however long the trace, with the bits
+    of one full-array ``np.linalg.norm(p - p_star, axis=1)``. A trace
+    whose run was given an optimum has no p series: `ValueError` points
+    to its ``residuals["err_p"]``, the same values.
     """
-    p_star = np.asarray(solution.p_star, dtype=float)
-    p = trace.p
-    if p.shape[1] != p_star.shape[0]:
-        raise DimensionMismatchError("solution.p_star", p.shape[1], p_star.shape[0])
+    p = _state_series(trace).p
+    p_star = optimum_dispatch(solution, p.shape[1], "solution.p_star")
     err = np.empty(p.shape[0])
     rows = max(1, _ERROR_BLOCK_ENTRIES // max(p.shape[1], 1))
     for lo in range(0, p.shape[0], rows):
-        err[lo : lo + rows] = np.linalg.norm(p[lo : lo + rows] - p_star, axis=1)
+        err[lo : lo + rows] = row_distance(p[lo : lo + rows], p_star)
     return err
 
 
@@ -213,7 +240,7 @@ def consensus_deviation(trace: RunTrace) -> np.ndarray:
     For push-sum algorithms the mean is taken over lambda = x * v, matching
     the deviation the feedback decomposition tracks.
     """
-    if trace.consensus is None:
+    if _state_series(trace).consensus is None:
         raise ValueError("trace has no consensus estimates")
     est = trace.consensus
     lam = est if trace.v is None else est * trace.v
@@ -227,7 +254,7 @@ def deviation_from_optimum(trace: RunTrace, solution) -> np.ndarray:
     lambda_hat is the nhat-scaled multiplier sum, which converges to the
     oracle's lambda* in the scaled convention.
     """
-    if trace.consensus is None or trace.params is None:
+    if _state_series(trace).consensus is None or trace.params is None:
         raise ValueError("trace lacks consensus estimates or params")
     lam = trace.consensus if trace.v is None else trace.consensus * trace.v
     lam_hat = lam.sum(axis=1) / trace.params.nhat

@@ -97,13 +97,17 @@ from .errors import CaseParseError, InvalidGraphError
 PRNG_VERSION = "philox4x64-v1"
 
 
+_BOOLS = (bool, np.bool_)  # what `checked_bool` takes, and no other checker
+
+
 def checked_int(value, what: str, error: type[Exception], low: int | None = None) -> int:
     """`value` as an int by `operator.index`, which refuses floats (NaN among them), and >= `low` if given.
 
+    A bool (Python's or NumPy's) is no integer here: `checked_bool` takes it.
     Otherwise raises `error` naming `what`.
     """
     try:
-        value = operator.index(value)
+        value = operator.index(None if isinstance(value, _BOOLS) else value)  # index would take a bool as 0 or 1
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
     if low is not None and value < low:
@@ -117,10 +121,11 @@ def checked_real(value, what: str, error: type[Exception], low=0, high=np.inf, c
     Otherwise raises `error` naming `what` and quoting the value by `repr`:
     ``xi='1' must be positive and finite`` for the default (0, inf), else
     ``gamma=None must be a real number in (0, 1)``, the ends written by
-    `str`. A str or None is no real number, so it fails before any
-    comparison.
+    `str`. A str, None or bool (Python's or NumPy's, which `checked_bool`
+    takes) is no real number, so it fails before any comparison.
     """
-    if isinstance(value, numbers.Real) and (low <= value if closed else low < value) and value < high:
+    number = isinstance(value, numbers.Real) and not isinstance(value, _BOOLS)
+    if number and (low <= value if closed else low < value) and value < high:
         return value
     default = (low, high, closed) == (0, np.inf, False)
     rule = "positive and finite" if default else f"a real number in {'[' if closed else '('}{low}, {high})"
@@ -129,7 +134,7 @@ def checked_real(value, what: str, error: type[Exception], low=0, high=np.inf, c
 
 def checked_bool(value, what: str, error: type[Exception]) -> bool:
     """`value` as a bool if it is one (Python's or NumPy's); otherwise raises `error` naming `what`."""
-    if not isinstance(value, (bool, np.bool_)):
+    if not isinstance(value, _BOOLS):
         raise error(f"{what} must be True or False, got {value!r}")
     return bool(value)
 

@@ -153,10 +153,10 @@ class FixedMasks:
         return hashlib.sha256(self.masks.tobytes()).hexdigest()
 
 
-def run_over(algorithm, inst, nominal, masks, params, init=None):
+def run_over(algorithm, inst, nominal, masks, params, init=None, optimum=None):
     """`run` from `init` (the standard start if None) through `masks`, one step per mask."""
     schedule = FixedMasks(nominal, masks)
-    return dc.run(algorithm, inst, schedule, replace(params, horizon=schedule.horizon), init=init)
+    return dc.run(algorithm, inst, schedule, replace(params, horizon=schedule.horizon), init=init, optimum=optimum)
 
 
 def earliest_connect_scan(nominal: dc.NominalGraph, masks: np.ndarray) -> np.ndarray:

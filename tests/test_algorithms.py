@@ -485,6 +485,15 @@ class TestResume:
             assert bit_equal(tail.residuals[key][1:], series[k1 + 1 :]), key
         for f in fields(whole.final):
             assert bit_equal(getattr(tail.final, f.name), getattr(whole.final, f.name)), f.name
+        # Given the optimum, the head and the resumed tail record the whole run's error series, and no state.
+        sol = dc.solve_bisection(inst, xi=params.xi, nhat=params.nhat)
+        err = dc.convergence_error(whole, sol)
+        head = dc.run(algorithm, inst, sched, replace(params, horizon=k1), optimum=sol)
+        tail = run_over(algorithm, inst, config.graph, sched.masks[k1:], replace(params, step=step), head.final, sol)
+        assert bit_equal(head.residuals["err_p"], err[: k1 + 1])
+        assert bit_equal(tail.residuals["err_p"], err[k1:])
+        for f in fields(whole.final):
+            assert bit_equal(getattr(tail.final, f.name), getattr(whole.final, f.name)), f.name
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_final_is_a_copy_of_the_last_state(self, small_instance, algorithm):
@@ -527,6 +536,15 @@ class TestResidualBlocks:
         K = {"0": 0, "1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1}[horizon]
         self.check_residuals(algorithm, g, q, seed, gamma, K, equilibrium)
 
+    @pytest.mark.parametrize("equilibrium", [False, True])
+    @pytest.mark.parametrize("horizon", ["0", "1", "rows-1", "rows", "rows+1"])
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_block_residuals_at_each_block_edge(self, algorithm, horizon, equilibrium):
+        g = dc.generate_graph(dc.GraphSpec(n=12, extra_edges=40, directed=directed(algorithm)), 3)
+        rows = block_rows(g)
+        K = {"0": 0, "1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1}[horizon]
+        self.check_residuals(algorithm, g, 0.3, 3, 0.6, K, equilibrium)
+
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_fewest_rows_per_block(self, algorithm):
         g = dc.generate_graph(dc.GraphSpec(n=100, extra_edges=4200, directed=directed(algorithm)), 5)
@@ -540,10 +558,8 @@ class TestResidualBlocks:
             step=dc.ConstantStep(0.01), xi=0.5, nhat=float(g.n), gamma=gamma, horizon=K
         )
         sched = dc.GraphSchedule(g, q, seed, K)
-        init = None
-        if equilibrium:
-            solution = dc.solve_bisection(inst, xi=params.xi, nhat=params.nhat)
-            init = dc.equilibrium_state(algorithm, inst, g, params, solution)
+        solution = dc.solve_bisection(inst, xi=params.xi, nhat=params.nhat)
+        init = dc.equilibrium_state(algorithm, inst, g, params, solution) if equilibrium else None
         arrays, want, _ = reference_run(algorithm, inst, sched, params, start=init)
         trace = dc.run(algorithm, inst, sched, params, init=init)
         for name, series in arrays.items():
@@ -552,6 +568,18 @@ class TestResidualBlocks:
         assert set(got) == set(want)
         for key, series in want.items():
             assert np.array_equal(got[key], series), key
+        # Given the optimum, the run keeps the same residual series plus ||p - p*||, and no state series.
+        reduced = dc.run(algorithm, inst, sched, params, init=init, optimum=solution)
+        assert set(reduced.residuals) == set(want) | {"err_p"}
+        assert bit_equal(reduced.residuals["err_p"], dc.convergence_error(trace, solution))
+        for key, series in got.items():
+            assert bit_equal(reduced.residuals[key], series), key
+        for name in ("p", "consensus", "y", "v"):
+            series = getattr(trace, name)
+            assert getattr(reduced, name) is None if series is None else getattr(reduced, name).shape == (0, g.n)
+        assert reduced.steps == trace.steps == K
+        for f in fields(trace.final):
+            assert bit_equal(getattr(reduced.final, f.name), getattr(trace.final, f.name)), f.name
 
     @pytest.mark.parametrize("algorithm", ["robust", "virtual"])
     def test_buffer_memory_does_not_grow_with_horizon(self, algorithm, case39_directed):

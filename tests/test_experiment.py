@@ -627,6 +627,23 @@ class TestRunExperiment:
         peak("1", "warm-up")  # one-time allocations (caches, imports) land here
         assert peak("1,2,3,4,5", "five") - peak("1", "one") < 0.5 * 2**20
 
+    def test_peak_memory_of_a_long_wide_run_is_block_plus_horizon(self, tmp_path):
+        # robust at n = 3000 and K = 2000. Four (K + 1, n) state series would take 183 MiB. Each seed's run is
+        # given the optimum and keeps only ||p - p*|| and the residual series, so the schedule's K x m masks
+        # (about 9 MiB) and the block's ring and weight table remain, besides O(K) series.
+        body = ("[instance]\nn = 3000\nseed = 1\n[graph]\nmode = directed\nextra_edges = 1500\n"
+                "[algorithm]\nid = robust\ns = 0.02\nxi = 0.2\nnhat = 20\ngamma = 0.9\n"
+                "[run]\nK = 2000\nq = 0.2\nseeds = 1\n")
+        config = load_config(write_config(tmp_path / "c.cfg", body), out_override=tmp_path / "out")
+        tracemalloc.start()
+        try:
+            result = run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.ok
+        assert peak < 40 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+
     @pytest.mark.parametrize("name", ["pd1", "pd2", "robust"])
     def test_summary_extrema_are_the_invariant_report(self, repo_root, tmp_path, name):
         config = load_config(repo_root / "configs" / f"benchmark39_{name}.cfg", out_override=tmp_path, seeds_override="1,2")

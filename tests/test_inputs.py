@@ -1,10 +1,11 @@
 """One table of every public scalar parameter and the rule its boundary checks.
 
 Each parameter is fed values its rule refuses: a str, None, NaN and
-+-inf, plus 2.5 for an integer and "no" for a bool. Each must raise the
-package's error for that boundary, with the message the checkers in
-`network` write (``what=value must be ...`` or ``what must be ...``),
-never a bare TypeError or a returned value.
++-inf, plus True and NumPy's True for a number, 2.5 for an integer and
+"no" for a bool. Each must raise the package's error for that boundary,
+with the message the checkers in `network` write (``what=value must be
+...`` or ``what must be ...``), never a bare TypeError or a returned
+value.
 """
 
 import re
@@ -27,9 +28,11 @@ def general_cost(m=2.0, n=1):
     return dc.GeneralCost(lambda p: p * p, lambda p: 2.0 * p, lambda p: np.full_like(p, 2.0), m=m, n=n)
 
 
-REFUSED = {"real": ["1", None, np.nan, np.inf, -np.inf]}
+NOT_NUMBERS = ["1", None, np.nan, np.inf, -np.inf]
+# A bool is no number: only a bool parameter takes one (`checked_bool`).
+REFUSED = {"real": NOT_NUMBERS + [True, np.True_]}
 REFUSED["int"] = REFUSED["real"] + [2.5]
-REFUSED["bool"] = REFUSED["real"] + ["no"]
+REFUSED["bool"] = NOT_NUMBERS + ["no"]
 # Parameters whose None means "the default" are fed the other values only.
 REFUSED["real or None"] = [v for v in REFUSED["real"] if v is not None]
 REFUSED["int or None"] = [v for v in REFUSED["int"] if v is not None]

@@ -316,6 +316,43 @@ class TestDeviationSeries:
         assert z[-1] <= 1e-6 * z[0]
 
 
+class TestReducedTrace:
+    """A run given an optimum keeps reductions, not states: what reads a series fails by name, the rest works."""
+
+    @pytest.fixture
+    def runs(self, case39_directed):
+        inst, g = case39_directed
+        params = dc.AlgorithmParams(step=dc.ConstantStep(0.02), xi=0.2, nhat=20.0, gamma=0.9, horizon=50)
+        sched = dc.GraphSchedule(g, 0.2, 1, 50)
+        sol = dc.solve_bisection(inst, xi=0.2, nhat=20.0)
+        return dc.run("robust", inst, sched, params), dc.run("robust", inst, sched, params, optimum=sol), sched, sol
+
+    @pytest.mark.parametrize("read", [
+        lambda trace, sol: dc.convergence_error(trace, sol),
+        lambda trace, sol: dc.consensus_deviation(trace),
+        lambda trace, sol: dc.deviation_from_optimum(trace, sol),
+    ], ids=["convergence_error", "consensus_deviation", "deviation_from_optimum"])
+    def test_a_series_reader_points_to_err_p(self, runs, read):
+        full, reduced, _, sol = runs
+        read(full, sol)
+        with pytest.raises(ValueError, match=r"no state series .*residuals\['err_p'\]"):
+            read(reduced, sol)
+
+    def test_steps_and_invariant_report_read_both_kinds(self, runs):
+        full, reduced, sched, _ = runs
+        assert full.steps == reduced.steps == 50
+        assert reduced.p.shape == (0, full.p.shape[1])
+        assert dc.invariant_report(reduced, sched) == dc.invariant_report(full, sched)
+        assert "v_floor" in dc.invariant_report(reduced, sched)
+
+    def test_an_optimum_of_another_size_is_refused(self, runs, case39_directed):
+        _, reduced, sched, sol = runs
+        inst, _ = case39_directed
+        short = SimpleNamespace(p_star=sol.p_star[:-1])
+        with pytest.raises(DimensionMismatchError, match=r"optimum\.p_star: expected shape \(39,\), got \(38,\)"):
+            dc.run("robust", inst, sched, reduced.params, optimum=short)
+
+
 class TestNoProgressFlag:
     def test_limit_cycle_flagged(self):
         imbalance = np.tile([5.0, 5.0], 100)

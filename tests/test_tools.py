@@ -60,8 +60,8 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
 
 
 def test_step_cost_prints_one_row_per_case(capsys):
-    # One run of each case, over the package of this checkout: a 39-agent case and a scaled one.
-    cases = ["centralized", "pd1_300"]
+    # One run of each case, over the package of this checkout: a 39-agent case, a scaled one and a CLI-path one.
+    cases = ["centralized", "pd1_300", "robust_opt"]
     assert step_cost.main(["--runs", "1", "--only", ",".join(cases), str(REPO / "src")]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["case", "us/step"]
@@ -81,6 +81,20 @@ def test_step_cost_pairs_two_roots(capsys):
         a, b, ratio = map(float, row.split()[1:4])
         low, high = map(float, row.split()[4].strip("[]").split(","))
         assert a > 0 and b > 0 and low <= ratio <= high
+
+
+def test_an_optimum_case_times_the_cli_path_of_either_package(monkeypatch):
+    # Given the optimum, `run` keeps ||p - p*||; a package whose `run` takes no optimum gets what its CLI did,
+    # the full trace and then `convergence_error`, with the same values.
+    package = step_cost.load(REPO / "src", "step_cost_cli")
+    call, horizon = step_cost.prepare(package, "robust_opt")
+    trace = call()
+    assert trace.p.shape == (0, 39) and trace.steps == horizon
+    full = package.run
+    monkeypatch.setattr(package, "run", lambda algorithm, inst, schedule, params, init=None:
+                        full(algorithm, inst, schedule, params, init))
+    call, _ = step_cost.prepare(package, "robust_opt")
+    assert np.array_equal(call(), trace.residuals["err_p"])
 
 
 def test_ratio_interval_ranks():

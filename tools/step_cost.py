@@ -3,6 +3,11 @@
 The scaled cases (pd1, directed, robust and virtual at n = 300, 1000 and 3000) run on a
 generated instance and ring-plus-chords graph of n/2 chords, both of seed 1,
 over a short horizon, at the parameters of the config their 39-agent case takes.
+The ``_opt`` cases (pd1 and robust at case39, robust at n = 3000) time the CLI's
+path: `run` given the oracle's solution, which keeps ||p - p*|| and the
+residual series but no state series. A package whose `run` takes no optimum
+gets what its CLI does instead, the full trace and then `convergence_error`, so
+two roots compare the CLI paths as the other cases compare library `run`.
 
 Each source root's package is imported into this process under a name of its
 own, which works because the package uses only relative imports. Each case
@@ -21,6 +26,7 @@ SRC being a directory that holds the ``dercoord`` package (``src``).
 
 import argparse
 import importlib.util
+import inspect
 import math
 import statistics
 import sys
@@ -31,11 +37,12 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 # Case -> (the shipped config whose parameters it takes, n of a scaled case or None); a case runs the algorithm
-# that its name begins with.
+# that its name begins with, given the optimum when its name ends in _opt.
 CASES = {"pd1": ("pd1", None), "pd2": ("pd2", None), "directed": ("robust", None), "robust": ("robust", None),
          "virtual": ("robust", None), "centralized": ("pd1", None)}
 SCALED = ("pd1", "directed", "robust", "virtual")
 CASES |= {f"{name}_{n}": (CASES[name][0], n) for n in (300, 1000, 3000) for name in SCALED}
+CASES |= {f"{name}_opt": CASES[name] for name in ("pd1", "robust", "robust_3000")}
 SCALE_K = 200  # the scaled cases' short horizon
 
 
@@ -51,7 +58,7 @@ def load(root: str, name: str):
 
 
 def prepare(dc, name: str):
-    """A call of `dc.run` on case `name`, with its inputs built and run once untimed, and the case's horizon."""
+    """A call of `dc.run` on case `name` (given the optimum for an ``_opt`` case), run once untimed, and its horizon."""
     cfg, n = CASES[name]
     config = dc.load_config(REPO / "configs" / f"benchmark39_{cfg}.cfg")
     inst, graph, params = config.instance, config.graph, config.params
@@ -59,7 +66,14 @@ def prepare(dc, name: str):
         inst = dc.generate_instance(dc.InstanceSpec(n=n), 1)
         graph = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=n // 2, directed=graph.directed), 1)
         params = replace(params, horizon=SCALE_K)
-    call = partial(dc.run, name.split("_")[0], inst, dc.GraphSchedule(graph, config.q, 1, params.horizon), params)
+    args = (name.split("_")[0], inst, dc.GraphSchedule(graph, config.q, 1, params.horizon), params)
+    call = partial(dc.run, *args)
+    if name.endswith("_opt"):
+        solution = dc.solve_bisection(inst, xi=params.xi, nhat=params.nhat)
+        if "optimum" in inspect.signature(dc.run).parameters:
+            call = partial(dc.run, *args, optimum=solution)
+        else:  # the CLI's path before `run` took an optimum
+            call = lambda: dc.convergence_error(dc.run(*args), solution)
     call()  # the warm-up: it samples the schedule and fills the graph's cached arrays
     return call, params.horizon
 
