@@ -11,10 +11,7 @@ convergence/invariant analysis.
 
 from .algorithms import (
     ALGORITHMS,
-    DirectedState,
-    RobustState,
-    UndirectedState,
-    VirtualState,
+    State,
     equilibrium_state,
     initial_state,
     run,

@@ -7,16 +7,18 @@ algorithm takes), multiplier/weight estimates are mixed
 from step-k values, and the imbalance tracker y is mixed from step-k
 values and then incremented with nhat*(p[k+1] - p[k]).
 
-Each state keeps its node fields as the rows of one contiguous (R, n)
-array `nodes`, and the named fields are row views of it: (p, lam, y) for
-pd1, (p, lam) for pd2 and centralized, and (lam, v, y, p, x) for the
-push-sum algorithms, with the running sums of lam, v and y as three more
-rows for robust. The rows a step mixes are adjacent, the stack `z`:
-(lam, y), (lam,) or (lam, v, y); centralized mixes none. Per-arc values
-are the rows of one contiguous array `arcs`: robust's mirrors and
-in-flight values (6, m), and virtual's in-flight values (3, m), which
-are its virtual nodes' lam, v and y. Each
-algorithm's arithmetic is one private kernel, bound once per run:
+Every algorithm's state is one type, `State(algorithm, nodes, arcs)`.
+Its node values are the rows of one contiguous (R, n) array `nodes`:
+(p, lam, y) for pd1, (p, lam) for pd2 and centralized, and
+(lam, v, y, p, x) for the push-sum algorithms, with the running sums of
+lam, v and y as three more rows for robust. Per-arc values are the rows
+of one contiguous array `arcs`: robust's mirrors and in-flight values
+(6, m), and virtual's in-flight values (3, m), which are its virtual
+nodes' lam, v and y. A state reads each row, and each stack of rows
+sharing a prefix (sums, mirror, virt), by the name its algorithm's
+table entry gives it, as a view. The rows a step mixes are adjacent,
+the stack `z`: (lam, y), (lam,) or (lam, v, y); centralized mixes none.
+Each algorithm's arithmetic is one private kernel, bound once per run:
 ``kernel(inst, graph, params) -> (views, step)``. Binding
 looks up what is fixed for the run (the primal step with its cost
 gradient and box, nhat as a 0-d array, the graph's tails, exact-length
@@ -44,11 +46,12 @@ order, so the bits are those of the plain NumPy expressions. No kernel
 builds a dense matrix.
 
 Each algorithm is declared once, as one entry of the one table `_SPECS`
-plus its kernel. The entry gives its state type (whose rows say the graph
-kind: push-sum states need a directed graph), the names of its node rows
-and arc rows, its kernel and weight table, and the state arrays its guard
-reads after each block. The names state the layout, and the rest derives
-from them: the start builds each row from its name, the trace
+plus its kernel. The entry gives the names of its node rows and arc
+rows, its kernel and weight table, and the state arrays its guard reads
+after each block. The names state the layout, and the rest derives from
+them: a state with push-sum weights (a row named v) needs a directed
+graph, `State` reads each row by its name, the start builds each row
+from its name, the trace
 records the rows named p, y and v, and as its consensus series x, or lam
 where the state has no x; the tracked imbalance is the total of the rows
 named y and virt.y, the push-sum mass that of the rows named v and
@@ -105,7 +108,9 @@ to a per-step evaluation. A run given an optimum copies no state: its
 series have no rows, and ``record`` reduces ||p - p*||_2 from the same ring
 rows into one more residual series, ``err_p``.
 After the last block, slot 0 holds the last state, which the trace keeps
-a copy of as `final`: ``run(..., init=trace.final)`` resumes from it.
+a copy of as `final`: ``run(..., init=trace.final)`` resumes from it,
+and a state of another algorithm is refused even where its arrays have
+the right shapes.
 The resumed run numbers its steps from 0 again, so it takes its
 schedule's masks and the stepsize of step 0 onwards: a
 ``DiminishingStep(a, b)`` run stopped after k1 steps resumes with
@@ -136,7 +141,7 @@ advances, all mirrors being advanced before any difference is formed.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -166,80 +171,52 @@ _MIN_BLOCK_ROWS = 8
 # with its in-flight part where the state has one (virt.y and virt.v, the running-sum protocol's
 # virtual-node masses). The guard keeps the weights positive.
 _TRACKER, _WEIGHT = ("y", "virt.y"), ("v", "virt.v")
+# The rows a step mixes, adjacent in every state that has them: the stack z.
+_MIXED = ("lam", "v", "y")
 
 
 @dataclass(frozen=True)
-class UndirectedState:
-    """Iterates of pd1/pd2/centralized as the rows of one (R, n) array: p, then the mixed stack z.
+class State:
+    """The iterates of one algorithm, read by the names its `_SPECS` entry gives their rows.
 
-    z is (lam, y), the multiplier estimates and the imbalance tracker; pd2
-    and the centralized baseline carry no tracker, so their z is (lam,)
-    and their y is None.
+    ``nodes`` is one (R, n) array whose rows are the entry's ``names``;
+    ``arcs`` is one (A, m) array whose rows are its ``arc_names``, or None
+    where it has none; ``arrays`` is ``nodes``, then ``arcs`` where present.
+    ``state.p``, ``lam``, ``v``, ``y`` and ``x`` are the rows of those
+    names. ``state.sums``, ``mirror`` and ``virt`` are the stacks of the
+    rows named ``sums.*``, ``mirror.*`` and ``virt.*``: robust's running
+    sums and mirrors, and the running-sum algorithms' in-flight values.
+    ``state.z`` is the mixed stack, the rows named lam, v and y. Each is a
+    view, not a copy. A name that another algorithm has but this one lacks
+    reads None (pd2's y); any other raises `AttributeError`.
     """
 
+    algorithm: str
     nodes: np.ndarray
+    arcs: np.ndarray | None = None
 
-    p = property(lambda self: self.nodes[0])
-    z = property(lambda self: self.nodes[1:])
-    lam = property(lambda self: self.nodes[1])
-    y = property(lambda self: self.nodes[2] if len(self.nodes) > 2 else None)
+    arrays = property(lambda self: (self.nodes,) if self.arcs is None else (self.nodes, self.arcs))
+    z = property(lambda self: self._rows(_MIXED))
 
+    def __getattr__(self, name: str):
+        # Only a name the class lacks comes here. It is checked before any field is read: unpickling and
+        # copying ask for __setstate__ before `algorithm` is set, and reading that would come back here.
+        if name not in _ROW_NAMES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute or row {name!r}")
+        row = self._rows((name,))  # None where `name` is a stack's prefix, such as sums, or a row this state lacks
+        return self._rows(tuple(f"{name}.{family}" for family in _MIXED)) if row is None else row[0]
 
-class _PushSumRows:
-    """A push-sum state's node rows: lam, v, y (the mixed stack z), then p and x."""
-
-    z = property(lambda self: self.nodes[:3])
-    lam = property(lambda self: self.nodes[0])
-    v = property(lambda self: self.nodes[1])
-    y = property(lambda self: self.nodes[2])
-    p = property(lambda self: self.nodes[3])
-    x = property(lambda self: self.nodes[4])
-
-
-@dataclass(frozen=True)
-class DirectedState(_PushSumRows):
-    """Push-sum iterates: rows lam, v, y, p, x; v the push-sum weights, x = lam / v."""
-
-    nodes: np.ndarray
+    def _rows(self, wanted: tuple[str, ...]) -> np.ndarray | None:
+        """The view of the rows named in `wanted`, which are adjacent rows of one array, or None if there are none."""
+        located = _SPECS[self.algorithm]._located(wanted)
+        if not located:
+            return None
+        (field, first), (_, last) = located[0], located[-1]
+        return getattr(self, field)[first : last + 1]
 
 
-@dataclass(frozen=True)
-class RobustState(_PushSumRows):
-    """Running-sum iterates: node rows as for push-sum, then the running sums.
-
-    The last three node rows, ``sums``, are the broadcast running sums of
-    lam, v and y through the current step. ``arcs`` holds one (6, m) array
-    over the nominal arcs: ``mirror``, the accumulators kept at the
-    receiving node, then ``virt``, the in-flight values (the virtual-node
-    states the protocol implies), each a stack of the three families in the
-    rows of z. Memory is O(n + arcs) per family. ``virt`` is advanced
-    alongside the protocol for diagnostics; no node update reads it.
-    """
-
-    nodes: np.ndarray
-    arcs: np.ndarray
-
-    sums = property(lambda self: self.nodes[5:])
-    mirror = property(lambda self: self.arcs[:3])
-    virt = property(lambda self: self.arcs[3:])
-
-
-@dataclass(frozen=True)
-class VirtualState(_PushSumRows):
-    """Augmented iterates: the n real nodes' rows as for push-sum, then one virtual node per nominal arc.
-
-    ``arcs`` is one (3, m) array: column e holds the lam, v and y (the rows
-    of z) of nominal arc e's virtual node, node n + e of the augmented
-    system, which are the values in flight on the arc; they start at zero.
-    A virtual node has no dispatch (its box is [0, 0]), so no row holds one.
-    """
-
-    nodes: np.ndarray
-    arcs: np.ndarray
-
-
-def _start(spec: _Spec, graph: NominalGraph, p, lam, y):
-    """The state of `spec`'s algorithm with dispatch p, multiplier estimates lam and tracker y, row by row.
+def _start(algorithm: str, graph: NominalGraph, p, lam, y):
+    """The state of `algorithm` with dispatch p, multiplier estimates lam and tracker y, row by row.
 
     The node row named p, lam or y is that vector, v is 1 and x = lam / v
     is lam; ``sums.<f>``, robust's running sum of row f through step 0, is
@@ -247,10 +224,10 @@ def _start(spec: _Spec, graph: NominalGraph, p, lam, y):
     mirrors and in-flight values, virtual's virtual nodes. Any other name
     raises `KeyError`, so a misspelt one is not silently started at 0.
     """
+    spec = _SPECS[algorithm]
     rows = {"p": p, "lam": lam, "y": y, "v": np.ones(len(p)), "x": lam}
     nodes = [rows[name[5:]] / graph.out_degrees if name.startswith("sums.") else rows[name] for name in spec.names]
-    arcs = (np.zeros((len(spec.arc_names), graph.m)),) if spec.arc_names else ()
-    return spec.state(np.stack(nodes), *arcs)
+    return State(algorithm, np.stack(nodes), np.zeros((len(spec.arc_names), graph.m)) if spec.arc_names else None)
 
 
 def initial_state(algorithm: str, inst: ProblemInstance, graph: NominalGraph, params: AlgorithmParams, p0=None):
@@ -261,9 +238,9 @@ def initial_state(algorithm: str, inst: ProblemInstance, graph: NominalGraph, pa
     nodes start at zero. Raises `ModeMismatchError` unless the algorithm
     fits the graph (`check_pairing`).
     """
-    spec = check_pairing(algorithm, inst, graph)
+    check_pairing(algorithm, inst, graph)
     p = checked_p0(inst, p0)
-    return _start(spec, graph, p, np.zeros(inst.n), params.nhat * (p - inst.loads))
+    return _start(algorithm, graph, p, np.zeros(inst.n), params.nhat * (p - inst.loads))
 
 
 def equilibrium_state(algorithm: str, inst: ProblemInstance, graph: NominalGraph, params: AlgorithmParams, solution):
@@ -276,9 +253,9 @@ def equilibrium_state(algorithm: str, inst: ProblemInstance, graph: NominalGraph
     local imbalance, so they leave this state. Raises `ModeMismatchError`
     unless the algorithm fits the graph (`check_pairing`).
     """
-    spec = check_pairing(algorithm, inst, graph)
+    check_pairing(algorithm, inst, graph)
     lam = np.full(inst.n, params.nhat / inst.n * solution.lambda_star)
-    return _start(spec, graph, np.asarray(solution.p_star, dtype=float), lam, np.zeros(inst.n))
+    return _start(algorithm, graph, np.asarray(solution.p_star, dtype=float), lam, np.zeros(inst.n))
 
 
 def _check_block(algorithm: str, first: int, blocks, positive=_WEIGHT) -> None:
@@ -500,12 +477,11 @@ def _release_table(graph: NominalGraph, masks: np.ndarray, params) -> tuple:
 class _Spec:
     """One algorithm, declared once by the names of its rows: how it starts, is stepped, guarded and recorded.
 
-    ``state`` is its state type. A push-sum state (rows lam, v, y, p, x)
-    runs on a directed graph, any other on an undirected one
-    (``directed``). ``names`` names the state's node rows in order (an
-    undirected state has exactly these rows), and
+    ``names`` names the rows of its `State`'s ``nodes`` in order, and
     ``arc_names`` the rows of its ``arcs`` array: robust's mirrors, then
-    its in-flight values, and virtual's in-flight values. ``kernel`` binds
+    its in-flight values, and virtual's in-flight values. A state with
+    push-sum weights (a row named v) runs on a directed graph, any other
+    on an undirected one (``directed``). ``kernel`` binds
     the views and the step to a run (see the module docstring).
     ``weights`` maps (graph, masks, params) to the weight table of a
     (rows, m) block of masks, a tuple of arrays whose row r the block's
@@ -520,28 +496,24 @@ class _Spec:
     no per-arc reduction.
 
     The rest derives from the names. `_start` builds each row from its
-    name. The trace records the node rows named
-    p, y and v, and as "consensus" the row named x, or lam where the state
-    has no x (``series``). The tracked imbalance is the total of the rows
+    name, and `State` reads each row by it. The trace records the node
+    rows named p, y and v, and as "consensus" the row named x, or lam
+    where the state has no x (``series``). The tracked imbalance is the total of the rows
     named y and virt.y (``tracker``) and the push-sum mass that of the rows
     named v and virt.v (``mass``), whose rows in the guarded arrays the
     guard keeps positive. Guard errors name the failing rows.
     """
 
-    state: type
     names: tuple[str, ...]
     kernel: Callable
     weights: Callable | None
     arc_names: tuple[str, ...] = ()
     guarded: tuple[str, ...] = ("nodes",)
 
-    @property
-    def directed(self) -> bool:
-        return issubclass(self.state, _PushSumRows)
+    directed = property(lambda self: "v" in self.names)
 
-    def labels(self, field: str) -> tuple[str, ...]:
-        """The names of the rows of the state's array `field`."""
-        return self.arc_names if field == "arcs" else self.names
+    # The names of the rows of each state array, by the array's name, in the order of `State.arrays`.
+    labels = property(lambda self: {"nodes": self.names, "arcs": self.arc_names})
 
     @property
     def series(self) -> dict[str, int]:
@@ -552,7 +524,7 @@ class _Spec:
 
     def _located(self, wanted: tuple[str, ...]) -> tuple[tuple[str, int], ...]:
         """The (state field, row) of each row named in `wanted`: node rows, then arc rows."""
-        return tuple((f, i) for f in ("nodes", "arcs") for i, name in enumerate(self.labels(f)) if name in wanted)
+        return tuple((f, i) for f, names in self.labels.items() for i, name in enumerate(names) if name in wanted)
 
     tracker = property(lambda self: self._located(_TRACKER))
     mass = property(lambda self: self._located(_WEIGHT))
@@ -563,36 +535,37 @@ def _link_table(build, *args):
     return lambda graph, masks, params: build(graph, masks, *args)
 
 
-_PUSH_SUM = ("lam", "v", "y", "p", "x")
+_PUSH_SUM = _MIXED + ("p", "x")
 # The one table of algorithms. A test that wraps a kernel or a table builder replaces its entry.
 _SPECS = {
-    "pd1": _Spec(UndirectedState, ("p", "lam", "y"), _pd1, _link_table(metropolis_table, 2)),
-    "pd2": _Spec(UndirectedState, ("p", "lam"), _pd2, _link_table(metropolis_table, 1)),
-    "directed": _Spec(DirectedState, _PUSH_SUM, _directed, _link_table(push_table)),
+    "pd1": _Spec(("p", "lam", "y"), _pd1, _link_table(metropolis_table, 2)),
+    "pd2": _Spec(("p", "lam"), _pd2, _link_table(metropolis_table, 1)),
+    "directed": _Spec(_PUSH_SUM, _directed, _link_table(push_table)),
     "robust": _Spec(
-        RobustState, _PUSH_SUM + ("sums.lam", "sums.v", "sums.y"), _robust, _release_table,
-        arc_names=tuple(f"{part}.{row}" for part in ("mirror", "virt") for row in _PUSH_SUM[:3]),
+        _PUSH_SUM + tuple(f"sums.{row}" for row in _MIXED), _robust, _release_table,
+        arc_names=tuple(f"{part}.{row}" for part in ("mirror", "virt") for row in _MIXED),
     ),
     "virtual": _Spec(
-        VirtualState, _PUSH_SUM, _virtual, _release_table,
-        arc_names=tuple(f"virt.{row}" for row in _PUSH_SUM[:3]), guarded=("nodes", "arcs"),
+        _PUSH_SUM, _virtual, _release_table,
+        arc_names=tuple(f"virt.{row}" for row in _MIXED), guarded=("nodes", "arcs"),
     ),
-    "centralized": _Spec(UndirectedState, ("p", "lam"), _centralized, None),
+    "centralized": _Spec(("p", "lam"), _centralized, None),
 }
 ALGORITHMS = tuple(_SPECS)
+# The names a state reads rows by (`State`): each row name, or the part of it before a dot (sums, mirror, virt).
+_ROW_NAMES = {name.partition(".")[0] for spec in _SPECS.values() for name in spec.names + spec.arc_names}
 # The running-sum algorithms: their weight table is the release fractions, and their mirrors retain a share gamma.
 RUNNING_SUM_ALGORITHMS = tuple(name for name, spec in _SPECS.items() if spec.weights is _release_table)
 
 
-def _checked_init(algorithm: str, init, start):
-    """`init` if it has the type of the standard `start` and every array its shape."""
-    if type(init) is not type(start):
-        raise ModeMismatchError(f"{algorithm} starts from a {type(start).__name__}, got {type(init).__name__}")
-    for f in fields(start):
-        want = getattr(start, f.name).shape
-        got = np.shape(getattr(init, f.name))
+def _checked_init(algorithm: str, init: State, start: State) -> State:
+    """`init` if it is a state of `algorithm` with each array of the standard `start`'s shape."""
+    if init.algorithm != algorithm:
+        raise ModeMismatchError(f"{algorithm} cannot start from a state of {init.algorithm}")
+    for name in ("nodes", "arcs"):
+        want, got = np.shape(getattr(start, name)), np.shape(getattr(init, name))
         if got != want:
-            raise DimensionMismatchError(f"init.{f.name}", want, got)
+            raise DimensionMismatchError(f"init.{name}", want, got)
     return init
 
 
@@ -633,8 +606,9 @@ def run(
     raises the error of the block's first failing step (see the module
     docstring). The recorded series are C-contiguous views of one
     allocation that holds them all, and the residual series of another.
-    Without `init` the run takes `initial_state`; an `init` must have
-    that state's type and shapes.
+    Without `init` the run takes `initial_state`; an `init` must be a
+    state of the same algorithm (else `ModeMismatchError`, naming both)
+    with that state's array shapes (else `DimensionMismatchError`).
     Given an `optimum` (the oracle's solution, or anything with a
     ``p_star`` of n entries), the run keeps reductions, not states: it
     allocates none of the (K + 1, n) series, which are empty (0, n) arrays,
@@ -664,9 +638,9 @@ def run(
     residuals = dict(zip(keys, np.empty((len(keys), K + 1))))  # every row is written by `record`
     rows = max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
     # Slot 0 holds the state before a block, state 0 in the first; slot j the state after its j-th step.
-    ring = {f.name: np.empty((rows + 1, *getattr(state, f.name).shape)) for f in fields(state)}
-    for name, arrays in ring.items():
-        arrays[0] = getattr(state, name)  # each step writes every row of the slot after it
+    ring = {name: np.empty((rows + 1, *array.shape)) for name, array in zip(spec.labels, state.arrays)}
+    for arrays, array in zip(ring.values(), state.arrays):
+        arrays[0] = array  # each step writes every row of the slot after it
 
     def record(lo: int, hi: int, slot: int) -> None:
         """Trace rows lo..hi-1 and their residuals, from the ring's slots from `slot` on, by row-wise reductions."""
@@ -698,7 +672,7 @@ def run(
     size_views = [(sizes[j, ...], scaled[j, ...]) for j in range(rows)]
     masks = schedule.masks[:K]
     # Finite only: virtual's in-flight v starts at 0.
-    _check_block(algorithm, 0, [(spec.labels(f), arrays[:1]) for f, arrays in ring.items()], positive=())
+    _check_block(algorithm, 0, [(spec.labels[f], arrays[:1]) for f, arrays in ring.items()], positive=())
     record(0, 1, 0)
     for k0 in range(0, K, rows):  # steps k0..k1-1 make rows k0+1..k1
         k1 = min(k0 + rows, K)
@@ -709,7 +683,7 @@ def run(
             multiply(sizes[: k1 - k0], params.xi, scaled[: k1 - k0])  # the products Python's s * xi gives
             for cur, nxt, row, (s, sxi) in zip(slot_views, slot_views[1:], zip(*table), size_views):
                 step(cur, nxt, row, s, sxi)
-        _check_block(algorithm, k0 + 1, [(spec.labels(f), ring[f][1 : k1 - k0 + 1]) for f in spec.guarded])
+        _check_block(algorithm, k0 + 1, [(spec.labels[f], ring[f][1 : k1 - k0 + 1]) for f in spec.guarded])
         record(k0 + 1, k1 + 1, 1)
         for arrays in ring.values():
             arrays[0] = arrays[k1 - k0]
@@ -725,5 +699,5 @@ def run(
         seed=schedule.seed,
         schedule_digest=schedule.digest(),
         warnings=warnings,
-        final=spec.state(*(arrays[0].copy() for arrays in ring.values())),
+        final=State(algorithm, *(arrays[0].copy() for arrays in ring.values())),
     )

@@ -53,9 +53,9 @@ class RunTrace:
     undirected algorithms, the push-sum ratio x for the directed ones).
     ``residuals`` maps diagnostic names to per-step series; only the
     quantities an algorithm actually carries are present. ``final`` is
-    the state after the last step, of the algorithm's own state type and
-    sharing no memory with the series, so ``run(..., init=trace.final)``
-    resumes the run.
+    the state after the last step, a `State` of the run's algorithm whose
+    rows are read by name (``final.p``, ``final.sums``), sharing no memory
+    with the series, so ``run(..., init=trace.final)`` resumes the run.
 
     A run given an ``optimum`` keeps reductions, not states: each series
     it would record is an empty (0, n) array, and ``residuals["err_p"]``

@@ -60,16 +60,16 @@ def directed(algorithm: str) -> bool:
     return _SPECS[algorithm].directed
 
 
-def augmented(state: dc.VirtualState) -> np.ndarray:
+def augmented(state: dc.State) -> np.ndarray:
     """The (3, N) stack (lam, v, y) of a virtual state over all N = n + m nodes: column n + e is arc e's."""
     return np.concatenate([state.z, state.arcs], axis=1)
 
 
-def virtual_state(z, p, x) -> dc.VirtualState:
+def virtual_state(z, p, x) -> dc.State:
     """The virtual state whose mixed rows over all N nodes are the (3, N) stack `z`, with the n real p and x."""
     n = len(p)
     z = np.asarray(z, dtype=float)
-    return dc.VirtualState(np.vstack([z[:, :n], p, x]), z[:, n:].copy())
+    return dc.State("virtual", np.vstack([z[:, :n], p, x]), z[:, n:].copy())
 
 
 def metropolis_weights(nominal: dc.NominalGraph, active: np.ndarray) -> np.ndarray:

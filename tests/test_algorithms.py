@@ -1,7 +1,9 @@
+import copy
 import itertools
+import pickle
 import re
 import tracemalloc
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -128,7 +130,7 @@ class TestUndirectedSteps:
 
     def test_divergence_guard(self, small_instance):
         params = params_for(3)
-        bad = dc.UndirectedState(np.stack([[0.0, np.nan, 0.0], np.zeros(3), np.zeros(3)]))  # p, lam, y
+        bad = dc.State("pd1", np.stack([[0.0, np.nan, 0.0], np.zeros(3), np.zeros(3)]))  # p, lam, y
         g = ring(3, False)
         with pytest.raises(DivergenceError, match=r"at step 0 \(pd1: p\)$"):  # the start is checked before any step
             run_over("pd1", small_instance, g, [np.ones(3, bool)], params, bad)
@@ -313,16 +315,24 @@ class TestRun:
             with pytest.raises(ModeMismatchError, match="unknown algorithm 'warp'"):
                 algorithms.check_pairing("warp", small_instance, graph)
 
-    def test_init_of_another_algorithm_rejected(self, small_instance):
+    def test_init_of_another_algorithm_rejected(self, small_instance, repo_root):
         params = params_for(3)
         g = ring(3, True)
         sched = dc.GraphSchedule(ring(3, False), 0.2, 1, 100)
-        with pytest.raises(ModeMismatchError, match="UndirectedState.*DirectedState"):
+        with pytest.raises(ModeMismatchError, match="pd1.*directed"):
             dc.run("pd1", small_instance, sched, params, init=dc.initial_state("directed", small_instance, g, params))
         directed_sched = dc.GraphSchedule(g, 0.2, 1, 100)
         twin = dc.initial_state("virtual", small_instance, g, params)
-        with pytest.raises(ModeMismatchError, match="DirectedState.*VirtualState"):
+        with pytest.raises(ModeMismatchError, match="directed.*virtual"):
             dc.run("directed", small_instance, directed_sched, params, init=twin)
+        # pd2's last state has centralized's shapes, but its lam rows differ per agent, which breaks centralized's
+        # invariant that every lam row holds the one multiplier.
+        config = dc.load_config(repo_root / "configs" / "benchmark39_pd2.cfg")
+        sched = dc.GraphSchedule(config.graph, config.q, 1, config.params.horizon)
+        final = dc.run("pd2", config.instance, sched, config.params).final
+        assert np.ptp(final.lam) > 0.1
+        with pytest.raises(ModeMismatchError, match="centralized.*pd2"):
+            dc.run("centralized", config.instance, sched, config.params, init=final)
 
     def test_init_of_wrong_length_names_the_field(self, small_instance):
         params = params_for(3)
@@ -332,12 +342,14 @@ class TestRun:
             dc.run("pd1", small_instance, sched, params, init=replace(state, nodes=np.zeros((3, 4))))
         with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(3, 3\), got \(2, 3\)"):
             dc.run("pd1", small_instance, sched, params, init=replace(state, nodes=np.zeros((2, 3))))
-        # pd1 and pd2 share the state type, but not its rows.
-        pd2_state = dc.initial_state("pd2", small_instance, ring(3, False), params)
-        with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(2, 3\), got \(3, 3\)"):
+        # pd1 and pd2 differ by a row: a state of each fails by algorithm given to the other, and one with the
+        # other's row count by shape.
+        with pytest.raises(ModeMismatchError, match="pd2.*pd1"):
             dc.run("pd2", small_instance, sched, params, init=state)
+        with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(2, 3\), got \(3, 3\)"):
+            dc.run("pd2", small_instance, sched, params, init=dc.State("pd2", np.zeros((3, 3))))
         with pytest.raises(DimensionMismatchError, match=r"init\.nodes: expected shape \(3, 3\), got \(2, 3\)"):
-            dc.run("pd1", small_instance, sched, params, init=pd2_state)
+            dc.run("pd1", small_instance, sched, params, init=dc.State("pd1", np.zeros((2, 3))))
         g = ring(3, True)
         robust = dc.initial_state("robust", small_instance, g, params)
         with pytest.raises(DimensionMismatchError, match=r"init\.arcs: expected shape \(6, 3\), got \(6, 2\)"):
@@ -483,8 +495,8 @@ class TestResume:
         for key, series in whole.residuals.items():
             assert bit_equal(head.residuals[key], series[: k1 + 1]), key
             assert bit_equal(tail.residuals[key][1:], series[k1 + 1 :]), key
-        for f in fields(whole.final):
-            assert bit_equal(getattr(tail.final, f.name), getattr(whole.final, f.name)), f.name
+        for got, want in zip(tail.final.arrays, whole.final.arrays, strict=True):
+            assert bit_equal(got, want)
         # Given the optimum, the head and the resumed tail record the whole run's error series, and no state.
         sol = dc.solve_bisection(inst, xi=params.xi, nhat=params.nhat)
         err = dc.convergence_error(whole, sol)
@@ -492,8 +504,27 @@ class TestResume:
         tail = run_over(algorithm, inst, config.graph, sched.masks[k1:], replace(params, step=step), head.final, sol)
         assert bit_equal(head.residuals["err_p"], err[: k1 + 1])
         assert bit_equal(tail.residuals["err_p"], err[k1:])
-        for f in fields(whole.final):
-            assert bit_equal(getattr(tail.final, f.name), getattr(whole.final, f.name)), f.name
+        for got, want in zip(tail.final.arrays, whole.final.arrays, strict=True):
+            assert bit_equal(got, want)
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_final_resumes_after_a_pickle_or_copy_round_trip(self, small_instance, algorithm, how):
+        g = ring(3, directed(algorithm))
+        params = params_for(3, horizon=12)
+        sched = dc.GraphSchedule(g, 0.3, 1, 12)
+        final = dc.run(algorithm, small_instance, sched, params).final
+        again = pickle.loads(pickle.dumps(final)) if how == "pickle" else copy.deepcopy(final)
+        assert again.algorithm == algorithm
+        for a, b in zip(again.arrays, final.arrays, strict=True):
+            assert bit_equal(a, b) and not np.shares_memory(a, b)
+        want, got = (dc.run(algorithm, small_instance, sched, params, init=state) for state in (final, again))
+        for name in ("p", "consensus", "y", "v"):
+            assert getattr(want, name) is None or bit_equal(getattr(got, name), getattr(want, name)), name
+        for key, series in want.residuals.items():
+            assert bit_equal(got.residuals[key], series), key
+        for a, b in zip(got.final.arrays, want.final.arrays, strict=True):
+            assert bit_equal(a, b)
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_final_is_a_copy_of_the_last_state(self, small_instance, algorithm):
@@ -503,13 +534,12 @@ class TestResume:
             params = params_for(3, horizon=K)
             trace = dc.run(algorithm, small_instance, dc.GraphSchedule(g, 0.2, 1, K), params, init=init)
             final = trace.final
-            assert type(final) is type(init)
+            assert final.algorithm == init.algorithm == algorithm
             assert bit_equal(final.p[:3], trace.p[-1])
             kept = [a for a in (trace.p, trace.consensus, trace.y, trace.v) if a is not None]
-            for f in fields(final):
-                got, start = getattr(final, f.name), getattr(init, f.name)
-                assert not any(np.shares_memory(got, a) for a in [*kept, *trace.residuals.values(), start]), f.name
-                assert K or bit_equal(got, start), f.name
+            for got, start in zip(final.arrays, init.arrays, strict=True):
+                assert not any(np.shares_memory(got, a) for a in [*kept, *trace.residuals.values(), start])
+                assert K or bit_equal(got, start)
 
 
 def block_rows(g):
@@ -578,8 +608,8 @@ class TestResidualBlocks:
             series = getattr(trace, name)
             assert getattr(reduced, name) is None if series is None else getattr(reduced, name).shape == (0, g.n)
         assert reduced.steps == trace.steps == K
-        for f in fields(trace.final):
-            assert bit_equal(getattr(reduced.final, f.name), getattr(trace.final, f.name)), f.name
+        for got, want in zip(reduced.final.arrays, trace.final.arrays, strict=True):
+            assert bit_equal(got, want)
 
     @pytest.mark.parametrize("algorithm", ["robust", "virtual"])
     def test_buffer_memory_does_not_grow_with_horizon(self, algorithm, case39_directed):
@@ -854,13 +884,13 @@ class TestBlockGuard:
         params = dc.AlgorithmParams(step=step, xi=0.5, nhat=float(n), gamma=0.9, horizon=K)
         sched = dc.GraphSchedule(g, q, seed, K)
         start = dc.initial_state(algorithm, inst, g, params)
-        start = replace(start, **{f.name: getattr(start, f.name).copy() for f in fields(start)})
+        start = dc.State(algorithm, *(array.copy() for array in start.arrays))
         if trigger == "zero v":
             start.v[:] = 0.0
             if algorithm == "robust":
                 start.sums[:] = start.z / g.out_degrees  # running sums through step 0
         elif trigger.startswith("init"):  # in the node rows or, for robust and virtual, the arc rows
-            array = getattr(start, data.draw(st.sampled_from([f.name for f in fields(start)]), label="array"))
+            array = data.draw(st.sampled_from(start.arrays), label="array")
             row = data.draw(st.integers(0, len(array) - 1), label="row")
             col = data.draw(st.integers(0, array.shape[1] - 1), label="column")
             array[row, col] = np.inf if trigger == "init inf" else np.nan
@@ -964,8 +994,8 @@ class TestBitIdentity:
         assert set(got.residuals) == set(want.residuals)
         for key, series in want.residuals.items():
             assert got.residuals[key].tobytes() == series.tobytes(), key
-        for f in fields(want.final):
-            assert getattr(got.final, f.name).tobytes() == getattr(want.final, f.name).tobytes(), f.name
+        for a, b in zip(got.final.arrays, want.final.arrays, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
@@ -984,8 +1014,8 @@ class TestBitIdentity:
             assert getattr(want, name) is None or bit_equal(getattr(got, name), getattr(want, name)), name
         for key, series in want.residuals.items():
             assert bit_equal(got.residuals[key], series), key
-        for f in fields(want.final):
-            assert bit_equal(getattr(got.final, f.name), getattr(want.final, f.name)), f.name
+        for a, b in zip(got.final.arrays, want.final.arrays, strict=True):
+            assert bit_equal(a, b)
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_general_cost_runs_as_its_quadratic(self, repo_root, algorithm):
@@ -1052,15 +1082,6 @@ class TestWeightTables:
         assert made == ([rows, rows, 3] if algorithm in ("pd1", "pd2", "directed") else [])
 
 
-def named_row(state, name):
-    """The row the state type's own properties give by `name` (``p``; ``sums.v``: row v of ``sums``), or None."""
-    part, _, row = name.rpartition(".")
-    if not part:
-        return getattr(state, name, None)
-    rows = getattr(state, part, None)
-    return None if rows is None else rows[("lam", "v", "y").index(row)]
-
-
 # What each table entry declared as index literals before its row names alone stated its layout: the recorded
 # series with the node row each copies, and the (state field, row) pairs whose totals are the tracked imbalance
 # (conservation) and the push-sum mass.
@@ -1079,17 +1100,43 @@ class TestSpecTable:
     """Each algorithm states its layout once, by its row names; what `run` records and sums derives from them."""
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
-    def test_names_cover_every_state_row_once(self, small_instance, algorithm):
+    def test_each_name_reads_its_own_row(self, small_instance, algorithm):
+        # A state reads row i of an array by the i-th name of that array: a plain name as one row, a dotted one
+        # (sums.v) as its row of the stack its prefix names. Every view shares memory with the state's own
+        # array and is C-contiguous, so the kernels, which take the ring's rows by index, meet the same rows.
         spec = algorithms._SPECS[algorithm]
-        graph = ring(3, directed(algorithm))
-        state = dc.initial_state(algorithm, small_instance, graph, params_for(3))
-        arcs = getattr(state, "arcs", np.empty((0, graph.m)))
-        for names, rows in ((spec.names, state.nodes), (spec.arc_names, arcs)):
-            assert len(set(names)) == len(names) == len(rows)
-            for name, row in zip(names, rows):
-                # A name the state type also reads a row by (p, lam, v, y, x; robust's sums, mirror, virt) is that row.
-                own = named_row(state, name)
-                assert own is None or (own.ctypes.data, own.shape) == (row.ctypes.data, row.shape), name
+        state = dc.initial_state(algorithm, small_instance, ring(3, directed(algorithm)), params_for(3))
+        assert [id(a) for a in state.arrays] == [id(a) for a in (state.nodes, state.arcs) if a is not None]
+        views = [state.z]
+        for names, array in ((spec.names, state.nodes), (spec.arc_names, state.arcs)):
+            assert len(set(names)) == len(names) == (0 if array is None else len(array))
+            for i, name in enumerate(names):
+                prefix, dot, _ = name.rpartition(".")
+                if dot:
+                    group = [other for other in names if other.startswith(prefix + ".")]
+                    stack = getattr(state, prefix)
+                    assert len(stack) == len(group), name
+                    row = stack[group.index(name)]
+                    views.append(stack)
+                else:
+                    row = getattr(state, name)
+                assert (row.ctypes.data, row.shape) == (array[i].ctypes.data, array[i].shape), name
+                views.append(row)
+        for view in views:
+            assert any(np.shares_memory(view, array) for array in state.arrays)
+            assert view.flags.c_contiguous
+        assert np.array_equal(state.z, np.stack([getattr(state, name) for name in ("lam", "v", "y") if name in spec.names]))
+
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_a_name_of_another_algorithm_reads_none_and_any_other_raises(self, small_instance, algorithm):
+        spec = algorithms._SPECS[algorithm]
+        state = dc.initial_state(algorithm, small_instance, ring(3, directed(algorithm)), params_for(3))
+        own = {name.partition(".")[0] for name in spec.names + spec.arc_names}
+        for name in {"p", "lam", "v", "y", "x", "sums", "mirror", "virt"} - own:
+            assert getattr(state, name) is None, name
+        for name in ("lamb", "sums.lam", "mirrors", "_rows_cache"):
+            with pytest.raises(AttributeError):
+                getattr(state, name)
 
     @pytest.mark.parametrize("misspelt, unknown", [("lamb", "lamb"), ("sums.lamb", "lamb")])
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)

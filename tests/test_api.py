@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "DercoordError",
     "DimensionMismatchError",
     "DiminishingStep",
-    "DirectedState",
     "DispatchSolution",
     "DivergenceError",
     "ExperimentConfig",
@@ -35,10 +34,8 @@ PUBLIC_NAMES = [
     "ProblemInstance",
     "QuadraticCost",
     "RateEstimate",
-    "RobustState",
     "RunTrace",
-    "UndirectedState",
-    "VirtualState",
+    "State",
     "check_B_connectivity",
     "clamped_best_response",
     "consensus_deviation",

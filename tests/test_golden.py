@@ -30,7 +30,7 @@ form that command writes (`pin_text`), so a hand edit must keep it too.
 import hashlib
 import json
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -66,7 +66,7 @@ def digests(trace, final: bool = False) -> dict[str, str]:
     arrays = {name: getattr(trace, name) for name in ("p", "consensus", "y", "v")}
     arrays.update((f"residuals.{key}", value) for key, value in trace.residuals.items())
     if final:
-        arrays.update((f"final.{f.name}", getattr(trace.final, f.name)) for f in fields(trace.final))
+        arrays.update((f"final.{name}", array) for name, array in zip(("nodes", "arcs"), trace.final.arrays))
     return {name: sha256(a.tobytes()) for name, a in arrays.items() if a is not None}
 
 

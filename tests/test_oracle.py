@@ -209,7 +209,7 @@ def centralized(inst, params, graph=None, init=None):
 def centralized_start(p0, lam0):
     """The centralized state with dispatch p0 and multiplier lam0 in every agent's row."""
     p0 = np.asarray(p0, dtype=float)
-    return dc.UndirectedState(np.stack([p0, np.full(p0.size, lam0)]))
+    return dc.State("centralized", np.stack([p0, np.full(p0.size, lam0)]))
 
 
 class TestCentralizedRun:
