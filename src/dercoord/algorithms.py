@@ -67,7 +67,11 @@ nhat*(p - load)) and `equilibrium_state` the state at the oracle's
 solution (a fixed point of every algorithm but pd2), both for any
 algorithm.
 
-`run` steps any algorithm over the schedule's mask block. It records
+`run` steps any algorithm over its schedule (`network.Schedule`), whose
+masks it reads one block of steps at a time, with `schedule.block`. The
+links live at some step are or-ed up as the blocks come, until every link
+has been, for the closing connectivity note, which needs no search when
+every link was live: the union is then the nominal graph. It records
 state 0 first, once its node rows and arc rows are found finite (a
 non-finite one is named at step 0; positivity waits for step 1, since
 virtual nodes start at v = 0), then works through the steps in blocks of
@@ -150,8 +154,8 @@ from numpy import add, divide, multiply, subtract
 from .errors import DimensionMismatchError, DivergenceError, InternalInvariantError, ModeMismatchError
 from .metrics import RunTrace, optimum_dispatch, row_distance, run_warnings
 from .network import (
-    GraphSchedule,
     NominalGraph,
+    Schedule,
     metropolis_table,
     mix,
     push_table,
@@ -454,7 +458,8 @@ def _centralized(inst, graph, params):
 
     lam[k+1] = lam[k] - s*1'(p[k] - load), the exact total imbalance, so
     each element goes through the operations of the scalar iteration. The
-    step reads no link: its weights (the masks) go unread.
+    step reads no link: `run` reads no block of its schedule, and its
+    weights row goes unread.
     """
     primal, loads, gap = _primal_step(inst, params), inst.loads, np.empty(inst.n)
     total, scaled = np.empty(()), np.empty(())  # apart: a 0-d ufunc writing over its input runs at half speed
@@ -488,8 +493,8 @@ class _Spec:
     step r takes, each in the shape of the stack it meets (see the module
     docstring): the Metropolis or push-sum table, or the running sums'
     release fractions g = gamma*mask (`_release_table`). It is None for a
-    step that reads no link, which then takes the masks, unread, and whose
-    run makes no connectivity note. ``guarded`` are the state arrays the
+    step that reads no link, whose run reads no block of the schedule and
+    makes no connectivity note. ``guarded`` are the state arrays the
     guard after each block reads (`run` checks every array finite at step
     0): virtual's in-flight values are among them, robust's arcs are not
     (a mirror's v is 0 until its arc delivers), so a robust step pays for
@@ -587,7 +592,7 @@ def check_pairing(algorithm: str, inst: ProblemInstance, graph: NominalGraph) ->
 def run(
     algorithm: str,
     inst: ProblemInstance,
-    schedule: GraphSchedule,
+    schedule: Schedule,
     params: AlgorithmParams,
     init=None,
     optimum=None,
@@ -614,7 +619,10 @@ def run(
     allocates none of the (K + 1, n) series, which are empty (0, n) arrays,
     and records ``residuals["err_p"]``, ||p[k] - p*||_2 per step, reduced
     per block from the ring's p rows with `convergence_error`'s bits. Its
-    memory is then O(block + K), not O(K n).
+    memory is then O(block + K), not O(K n), beside the schedule's own:
+    `run` reads the masks block by block (`schedule.block`), and a
+    `GraphSchedule` keeps its horizon as packed bits, horizon * ceil(m/8)
+    bytes, so no run makes a horizon-sized bool block.
     ``final`` is a copy of the last state, which `init` takes to resume
     the run. The resumed run numbers its steps from 0 again: a run with
     ``DiminishingStep(a, b)`` stopped after k1 steps resumes with
@@ -670,14 +678,18 @@ def run(
     slot_views = [views(*slot) for slot in zip(*ring.values())]
     sizes, scaled = np.empty(rows), np.empty(rows)
     size_views = [(sizes[j, ...], scaled[j, ...]) for j in range(rows)]
-    masks = schedule.masks[:K]
+    live = np.zeros(graph.m, dtype=bool)  # the links live at some step so far
     # Finite only: virtual's in-flight v starts at 0.
     _check_block(algorithm, 0, [(spec.labels[f], arrays[:1]) for f, arrays in ring.items()], positive=())
     record(0, 1, 0)
     for k0 in range(0, K, rows):  # steps k0..k1-1 make rows k0+1..k1
         k1 = min(k0 + rows, K)
-        block = masks[k0:k1]
-        table = (block,) if spec.weights is None else spec.weights(graph, block, params)  # masks unread
+        table = (np.empty((k1 - k0, 0)),)  # a step that reads no link takes an empty row per step, and no block
+        if spec.weights is not None:
+            block = schedule.block(k0, k1)
+            if not live.all():  # once every link has been live, later blocks cannot change the union
+                live |= block.any(axis=0)
+            table = spec.weights(graph, block, params)
         with np.errstate(all="ignore"):  # a step that overflows fails the guard, which names it
             sizes[: k1 - k0] = params.stepsize(np.arange(k0, k1))  # int to float64 is exact: Python's bits
             multiply(sizes[: k1 - k0], params.xi, scaled[: k1 - k0])  # the products Python's s * xi gives
@@ -689,7 +701,8 @@ def run(
             arrays[0] = arrays[k1 - k0]
 
     warnings = run_warnings(params, n, residuals["imbalance"])
-    if spec.weights is not None and K > 0 and not union_connected(graph, masks.any(axis=0)):
+    # With every link live the union is the nominal graph, which `NominalGraph` found connected.
+    if spec.weights is not None and K > 0 and not live.all() and not union_connected(graph, live):
         warnings.append("connectivity: union of active links over the horizon is not connected")
     return RunTrace(
         algorithm=algorithm,

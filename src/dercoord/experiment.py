@@ -416,7 +416,7 @@ def load_config(path, out_override=None, seeds_override=None) -> ExperimentConfi
         check_pairing(algorithm, inst, graph)
         params = _params(cp, algorithm)
         q = _get(cp, "run", "q", float)
-        for seed in seeds:  # sampling is lazy: a schedule draws nothing until its masks are read
+        for seed in seeds:  # sampling is lazy: a schedule draws nothing until a block of it is read
             GraphSchedule(graph, q, seed, params.horizon)
     except (InvalidInstanceError, InvalidCostError, InvalidGraphError) as exc:
         raise ConfigError(str(exc)) from exc

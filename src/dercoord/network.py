@@ -6,13 +6,19 @@ link independently with probability q at every step, deterministically per
 one 53-bit uniform per edge index), so step k can be sampled without
 sampling any earlier step and identical inputs give identical schedules.
 The generator contract is named `philox4x64-v1` and enters the schedule
-digest. `GraphSchedule.masks` samples the whole horizon once, on first
-use, into a read-only (horizon, m) block whose row k is `active_mask(k)`,
-re-keying one generator per step instead of building one: only the key of
-one state dict changes, and each chunk of steps draws into one reused
-buffer of at most 2^13 uniforms before a single comparison with q;
-`active_mask(k)` draws through the same code, one step long. The run loop
-and the connectivity analysis read that block and never resample.
+digest. A `GraphSchedule` samples its whole horizon once, on first use,
+into a private cache of packed bits, (horizon, ceil(m/8)) bytes whose row
+k packs `active_mask(k)`, re-keying one generator per step instead of
+building one: only the key of one state dict changes, and each chunk of
+steps draws into one reused buffer of at most 2^13 uniforms, is compared
+with q once and is packed as it goes, so sampling holds no (horizon, m)
+bool block. `block(lo, hi)` unpacks rows lo..hi-1 into a fresh bool
+array, and `masks` is the read-only `block(0, horizon)`, itself cached,
+which only the connectivity analysis reads. `active_mask(k)` draws
+through the same code, one step long, and reads no cache. What `run`
+reads of a schedule, block by block, is named once, by the protocol
+`Schedule`: ``nominal``, ``horizon``, ``seed``, ``digest()`` and
+``block(lo, hi)``. Neither the run loop nor the analysis resamples.
 
 The package's input rules for scalars live here, one per number kind, and
 every public scalar goes through one of them at its boundary:
@@ -89,6 +95,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Protocol
 
 import numpy as np
 
@@ -251,6 +258,26 @@ class NominalGraph:
         return NominalGraph(self.n, edges, self.directed)
 
 
+class Schedule(Protocol):
+    """What `run` reads of a schedule: the active links of each step, a block of steps at a time.
+
+    ``nominal`` is the graph whose links the masks flag, ``horizon`` the
+    number of steps, ``seed`` the seed the trace records (None for a
+    schedule drawn from none) and ``digest()`` the hash it records.
+    ``block(lo, hi)`` is a fresh (hi - lo, m) bool array whose row r is
+    the active mask of step lo + r, for 0 <= lo <= hi <= horizon.
+    `GraphSchedule` is one; so is any object with these members.
+    """
+
+    nominal: NominalGraph
+    horizon: int
+    seed: int | None
+
+    def digest(self) -> str: ...
+
+    def block(self, lo: int, hi: int) -> np.ndarray: ...
+
+
 @dataclass(frozen=True)
 class GraphSchedule:
     """Per-step active edge sets over a nominal graph.
@@ -262,6 +289,13 @@ class GraphSchedule:
     [0, 1) (`checked_real`), the seed a 64-bit seed (`checked_seed`) and
     the horizon an integer >= 0 (`checked_int`); otherwise
     `InvalidGraphError` names the parameter.
+
+    The horizon is sampled once, on first use of `block` or `masks`, into
+    a private cache of packed bits, one bit per link and step:
+    (horizon, ceil(m/8)) bytes, an eighth of the bool block. `block(lo,
+    hi)` unpacks rows from it, so `run`, which reads one block of steps at
+    a time, holds no horizon-sized bool array; `masks` unpacks the whole
+    horizon once, for the connectivity analysis.
     """
 
     nominal: NominalGraph
@@ -277,13 +311,16 @@ class GraphSchedule:
         object.__setattr__(self, "horizon", checked_int(self.horizon, "schedule horizon", InvalidGraphError, 0))
 
     def _sample(self, lo: int, hi: int) -> np.ndarray:
-        """(hi - lo, m) masks of steps lo..hi-1: the edges whose uniform from Philox4x64 keyed by (seed, k) is >= q.
+        """Packed masks of steps lo..hi-1, (hi - lo, ceil(m/8)) uint8: the edges whose Philox uniform is >= q.
 
-        One generator re-keyed per step (zero counter, empty buffer) gives the
+        Step k's uniforms come from Philox4x64 keyed by (seed, k). One
+        generator re-keyed per step (zero counter, empty buffer) gives the
         stream of a fresh `Philox(key=[seed, k])` without building one. Only
         the key of one state dict changes from step to step; the uniforms of
         a chunk of steps land in one reused buffer of at most 2^13 entries
-        (at least one row) and are compared with q once per chunk.
+        (at least one row), are compared with q once per chunk and packed
+        (`np.packbits`, first edge in the high bit), so no (hi - lo, m) bool
+        block is made.
         """
         bits = np.random.Philox(0)
         gen = np.random.Generator(bits)
@@ -291,7 +328,7 @@ class GraphSchedule:
         state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
                  "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         key = state["state"]
-        block = np.empty((hi - lo, m), dtype=bool)
+        packed = np.empty((hi - lo, (m + 7) // 8), dtype=np.uint8)
         buf = np.empty((max(1, min(2**13 // max(m, 1), hi - lo)), m))
         for first in range(lo, hi, len(buf)):
             last = min(first + len(buf), hi)
@@ -299,24 +336,41 @@ class GraphSchedule:
                 key["key"] = (seed, k)
                 bits.state = state
                 gen.random(out=buf[k - first])
-            np.greater_equal(buf[: last - first], q, out=block[first - lo : last - lo])
-        return block
+            packed[first - lo : last - lo] = np.packbits(buf[: last - first] >= q, axis=1)
+        return packed
 
     def active_mask(self, k: int) -> np.ndarray:
-        """Boolean mask over nominal edges active during step k, an integer in [0, horizon)."""
+        """Boolean mask over nominal edges active during step k, an integer in [0, horizon), sampled on its own."""
         k = checked_int(k, "step k", InvalidGraphError)
         if not (0 <= k < self.horizon):
             raise InvalidGraphError(f"step {k} outside horizon {self.horizon}")
-        return self._sample(k, k + 1)[0]
+        return np.unpackbits(self._sample(k, k + 1)[0], count=self.nominal.m).view(bool)
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        """The packed masks of the whole horizon, sampled on first access."""
+        return self._sample(0, self.horizon)
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """A fresh (hi - lo, m) bool array whose row r is `active_mask(lo + r)`, unpacked from the packed cache.
+
+        lo and hi are integers (`checked_int`) with 0 <= lo <= hi <=
+        horizon; otherwise `InvalidGraphError` names the bound.
+        """
+        lo = checked_int(lo, "block start lo", InvalidGraphError, 0)
+        hi = checked_int(hi, "block end hi", InvalidGraphError, lo)
+        if hi > self.horizon:
+            raise InvalidGraphError(f"block end hi must be <= horizon {self.horizon}, got {hi}")
+        return np.unpackbits(self._bits[lo:hi], axis=1, count=self.nominal.m).view(bool)
 
     @cached_property
     def masks(self) -> np.ndarray:
-        """Read-only (horizon, m) block whose row k is `active_mask(k)`.
+        """Read-only (horizon, m) block whose row k is `active_mask(k)`: `block(0, horizon)`, kept.
 
-        Sampled once, over the full horizon, on first access, re-keying one
-        generator per step.
+        The connectivity analysis reads it (`connect_lengths`,
+        `check_B_connectivity`); `run` reads `block` and leaves it unmade.
         """
-        block = self._sample(0, self.horizon)
+        block = self.block(0, self.horizon)
         block.flags.writeable = False
         return block
 

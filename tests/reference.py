@@ -140,8 +140,9 @@ def augmented_push_matrix(nominal: dc.NominalGraph, active: np.ndarray, gamma: f
 class FixedMasks:
     """A schedule of given masks: row k of `masks` is step k's active mask.
 
-    It has what `run` reads of a `GraphSchedule`: ``nominal``, ``horizon``
-    (the number of masks), ``masks``, ``seed`` and ``digest()``.
+    It is a `network.Schedule`: ``nominal``, ``horizon`` (the number of
+    masks), ``seed``, ``digest()`` and ``block(lo, hi)``, a copy of masks
+    lo..hi-1.
     """
 
     def __init__(self, nominal: dc.NominalGraph, masks):
@@ -151,6 +152,9 @@ class FixedMasks:
 
     def digest(self) -> str:
         return hashlib.sha256(self.masks.tobytes()).hexdigest()
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        return self.masks[lo:hi].copy()
 
 
 def run_over(algorithm, inst, nominal, masks, params, init=None, optimum=None):

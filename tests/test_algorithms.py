@@ -410,12 +410,36 @@ class TestRun:
         else:  # seed-dependent guard: the chosen seed must keep all links dark
             pytest.fail("seed 12 unexpectedly produced an active link")
 
-    def test_no_connectivity_warning_for_a_step_that_reads_no_link(self, small_instance):
+    @pytest.mark.parametrize("edges, lit_last, searches, warned", [
+        ([(0, 1), (1, 2), (2, 0)], True, 0, False),  # every link live at some step: the union is the nominal graph
+        ([(0, 1), (1, 2), (2, 0)], False, 1, False),  # one triangle edge never live: the union is still connected
+        ([(0, 1), (1, 2)], False, 1, True),  # one path edge never live: it is not
+    ])
+    def test_union_is_searched_only_when_a_link_never_fired(
+        self, small_instance, monkeypatch, edges, lit_last, searches, warned
+    ):
+        g = dc.NominalGraph(3, edges, False)
+        masks = np.ones((block_rows(g) + 3, g.m), dtype=bool)  # two blocks
+        masks[1:, 0] = False  # the first edge is live at step 0 only, in the first block,
+        masks[:-1, -1] = False  # and the last one at most at the last step, in the second
+        masks[-1, -1] = lit_last
+        calls = []
+        search = algorithms.union_connected
+        monkeypatch.setattr(algorithms, "union_connected", lambda *args: calls.append(args) or search(*args))
+        trace = run_over("pd1", small_instance, g, masks, params_for(3))
+        assert len(calls) == searches
+        assert any("connectivity" in w for w in trace.warnings) == warned
+
+    def test_no_connectivity_warning_for_a_step_that_reads_no_link(self, small_instance, monkeypatch):
         sched = dc.GraphSchedule(dc.NominalGraph(3, [(0, 1), (1, 2)], False), 0.999, 12, 2)
         assert not sched.masks.any()
         params = params_for(3, horizon=2)
+        read, block = [], dc.GraphSchedule.block
+        monkeypatch.setattr(dc.GraphSchedule, "block", lambda self, lo, hi: read.append((lo, hi)) or block(self, lo, hi))
         assert dc.run("centralized", small_instance, sched, params).warnings == []
+        assert read == []  # nor does its run read a block of the schedule
         assert any("connectivity" in w for w in dc.run("pd1", small_instance, sched, params).warnings)
+        assert read == [(0, 2)]
 
     def test_scaling_warning_recorded(self, small_instance):
         g = ring(3, False)
@@ -650,6 +674,32 @@ class TestResidualBlocks:
         residuals = list(trace.residuals.values())
         assert all(a.base is residuals[0].base for a in residuals)
         assert residuals[0].base.nbytes == sum(a.nbytes for a in residuals)
+
+    def test_full_series_run_holds_no_bool_horizon(self, repo_root):
+        # A robust run on a fresh schedule (n = 1000, m = 1605) fills the schedule's packed bits,
+        # K * ceil(m/8) bytes, and unpacks one block at a time: beyond its trace, its peak at 4K
+        # exceeds the one at K by about the packed bits of 3K steps, 0.12 MB here. Holding a
+        # (K, m) bool horizon, it grew by 0.96 MB, over the bound.
+        inst = dc.generate_instance(dc.InstanceSpec(n=1000), 1)
+        g = dc.generate_graph(dc.GraphSpec(n=1000, extra_edges=500, directed=True), 1)
+        config = dc.load_config(repo_root / "configs" / "benchmark39_robust.cfg")
+        K = 200
+
+        def peak_beyond_trace(K):
+            sched = dc.GraphSchedule(g, 0.2, 1, K)
+            tracemalloc.start()
+            try:
+                trace = dc.run("robust", inst, sched, replace(config.params, horizon=K))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert "masks" not in vars(sched)
+            kept = [trace.p, trace.consensus, trace.y, trace.v, *trace.residuals.values()]
+            return peak - sum(a.nbytes for a in kept)
+
+        growth = peak_beyond_trace(4 * K) - peak_beyond_trace(K)
+        bound = 3 * K * -(-g.m // 8) + 2**19
+        assert growth <= bound, f"peak beyond the trace grew by {growth} bytes, more than {bound}"
 
     def test_residual_memory_does_not_grow_with_horizon(self, case39_undirected):
         inst, g = case39_undirected

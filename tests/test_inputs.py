@@ -2,10 +2,11 @@
 
 Each parameter is fed values its rule refuses: a str, None, NaN and
 +-inf, plus True and NumPy's True for a number, 2.5 for an integer and
-"no" for a bool. Each must raise the package's error for that boundary,
-with the message the checkers in `network` write (``what=value must be
-...`` or ``what must be ...``), never a bare TypeError or a returned
-value.
+"no" for a bool; a bound of `GraphSchedule.block` is also fed integers
+that break 0 <= lo <= hi <= horizon. Each must raise the package's error
+for that boundary, with the message the checkers in `network` write
+(``what=value must be ...`` or ``what must be ...``), never a bare
+TypeError or a returned value.
 """
 
 import re
@@ -36,6 +37,9 @@ REFUSED["bool"] = NOT_NUMBERS + ["no"]
 # Parameters whose None means "the default" are fed the other values only.
 REFUSED["real or None"] = [v for v in REFUSED["real"] if v is not None]
 REFUSED["int or None"] = [v for v in REFUSED["int"] if v is not None]
+# SCHEDULE.block(v, 3) and SCHEDULE.block(2, v): a negative lo, then lo > hi and hi > horizon.
+REFUSED["block lo"] = REFUSED["int"] + [-1]
+REFUSED["block hi"] = REFUSED["int"] + [1, 11]
 
 # (what the message names, kind, error, the call that takes the value)
 BOUNDARIES = [
@@ -79,6 +83,8 @@ BOUNDARIES = [
     ("graph spec directed", "bool", GeneratorSpecError, lambda v: dc.GraphSpec(n=4, directed=v)),
     ("instance seed", "int", GeneratorSpecError, lambda v: dc.generate_instance(dc.InstanceSpec(n=3), v)),
     ("graph seed", "int", GeneratorSpecError, lambda v: dc.generate_graph(dc.GraphSpec(n=4), v)),
+    ("block start lo", "block lo", InvalidGraphError, lambda v: SCHEDULE.block(v, 3)),
+    ("block end hi", "block hi", InvalidGraphError, lambda v: SCHEDULE.block(2, v)),
 ]
 
 
@@ -98,5 +104,5 @@ def test_every_public_scalar_is_checked_at_its_boundary(what, error, call, value
 ])
 def test_every_boundary_in_the_table_accepts_a_valid_value(what, kind, call):
     # A row whose call raised for every value would pass the table above without checking anything.
-    valid = {"bool": True, "int": 2, "int or None": None, "real or None": None}.get(kind, 0.5)
-    call(valid)
+    valid = {"bool": True, "int": 2, "block lo": 2, "block hi": 2, "int or None": None, "real or None": None}
+    call(valid.get(kind, 0.5))

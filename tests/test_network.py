@@ -110,6 +110,29 @@ def sampled_schedules(draw):
     return dc.GraphSchedule(g, draw(st.floats(0.0, 1.0, exclude_max=True)), seed, horizon)
 
 
+def path_schedule(m, seed, horizon, q=0.3):
+    """A schedule over the undirected path of m edges."""
+    return dc.GraphSchedule(dc.NominalGraph(m + 1, [(i, i + 1) for i in range(m)], False), q, seed, horizon)
+
+
+@st.composite
+def packed_ranges(draw):
+    """A path schedule and (lo, hi) ranges in its horizon: empty ones, and ones at 0, anywhere or across a chunk edge.
+
+    m from 1 to 17 leaves every padding width in the last packed byte, and
+    46 and 49 are the case39 graphs' edge counts.
+    """
+    m = draw(st.one_of(st.integers(1, 17), st.sampled_from([46, 49])))
+    rows = chunk_rows(m)
+    horizon = draw(st.one_of(st.integers(0, 40), st.integers(rows - 2, rows + 30)))
+    sched = path_schedule(m, draw(st.integers(0, 2**64 - 1)), horizon, draw(st.floats(0.0, 0.9)))
+    ranges = [(0, 0), (horizon, horizon)]
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.one_of(st.integers(0, horizon), st.integers(max(0, min(rows, horizon) - 8), min(rows, horizon))))
+        ranges.append((lo, draw(st.integers(lo, min(horizon, lo + 40)))))
+    return sched, draw(st.permutations(ranges))
+
+
 schedules = st.builds(
     lambda n, extra, directed, q, seed, horizon: dc.GraphSchedule(
         dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed), q, seed, horizon
@@ -364,17 +387,43 @@ class TestSchedule:
         assert not dc.GraphSchedule(g, float(np.nextafter(u[1], 1.0)), 5, 4).masks[3, 1]
 
     def test_mask_block_peak_is_its_own_block(self):
-        # n = 3000, m = 4500: the temporaries beside the (K, m) block stay
-        # under 1 MiB; a buffer of uniforms for the whole horizon would be 72 MB.
+        # n = 3000, m = 4500: sampling the horizon into its packed cache
+        # (1.1 MB) peaks under 1 MiB above it, so no (K, m) bool block (9 MB)
+        # is made; a buffer of uniforms for the whole horizon would be 72 MB.
+        # Unpacking `masks` then adds its own block and under 1 MiB more.
         g = dc.generate_graph(dc.GraphSpec(n=3000, extra_edges=1500, directed=False), 7)
         sched = dc.GraphSchedule(g, 0.2, 11, 2000)
+        packed = sched.horizon * -(-g.m // 8)
         tracemalloc.start()
         try:
+            sched.block(0, 0)  # the first use samples the horizon
+            filled = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             block = sched.masks
-            peak = tracemalloc.get_traced_memory()[1]
+            unpacked = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - block.nbytes <= 2**20, f"masks peaked {peak - block.nbytes} bytes above its block"
+        assert filled - packed <= 2**20, f"sampling peaked {filled - packed} bytes above the packed bits"
+        above = unpacked - packed - block.nbytes
+        assert above <= 2**20, f"masks peaked {above} bytes above its block and the packed bits"
+
+    @given(case=packed_ranges())
+    @example(case=(path_schedule(1, 2**63, chunk_rows(1) + 3), [(chunk_rows(1) - 2, chunk_rows(1) + 3)]))
+    @example(case=(path_schedule(49, 0, chunk_rows(49) + 1), [(0, chunk_rows(49) + 1)]))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_unpack_the_sampled_rows(self, case):
+        sched, ranges = case
+        m, horizon = sched.nominal.m, sched.horizon
+        blocks = [sched.block(lo, hi) for lo, hi in ranges]  # the first samples the cache, before `masks`
+        masks = sched.masks
+        for (lo, hi), block in zip(ranges, blocks):
+            assert block.shape == (hi - lo, m) and block.dtype == bool
+            assert np.array_equal(block, masks[lo:hi]) and np.array_equal(sched.block(lo, hi), block)
+            for k in range(lo, hi):
+                assert np.array_equal(block[k - lo], sched.active_mask(k))
+        assert sched.masks is masks and not masks.flags.writeable
+        fresh = sched.block(0, horizon)
+        assert fresh.flags.writeable and not np.shares_memory(fresh, masks)
 
     def test_mask_block_builds_one_generator(self, monkeypatch):
         built = []
