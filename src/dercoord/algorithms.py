@@ -20,17 +20,26 @@ table entry gives it, as a view. The rows a step mixes are adjacent,
 the stack `z`: (lam, y), (lam,) or (lam, v, y); centralized mixes none.
 Each algorithm's arithmetic is one private kernel, bound once per run:
 ``kernel(inst, graph, params) -> (views, step)``. Binding
-looks up what is fixed for the run (the primal step with its cost
-gradient and box, nhat as a 0-d array, the graph's tails, exact-length
-`mix` bins and out-degrees) and allocates the scratch buffers a step
-writes through, with their row and flat views. ``views(*arrays)`` makes
-the view tuple of one state's arrays (`nodes`, then `arcs`): the rows
-and row stacks the step reads or writes, each C-contiguous, and the flat
-view of the mixed stack that `mix` adds into.
-``step(cur, nxt, weights, s, sxi)`` reads the views `cur`, the step's row
-of the algorithm's weight table and the stepsize s and its product
-s*xi, both as 0-d arrays, and fills `nxt` with ufuncs writing through
-positional `out`, mixing the whole stack in one call of the edge-list
+looks up what is fixed for the run (nhat as a 0-d array, the graph's
+tails, exact-length `mix` bins and out-degrees) and allocates the
+scratch buffers a step writes through, with their row and flat views,
+the product rows among them, two of which the primal step is bound to.
+``views(coef, *arrays)`` takes the run's coefficient rows and its state
+arrays (`nodes`, then `arcs`), each with a leading axis of ring slots,
+and gives one view per kind over all the slots: the slot's coefficient
+rows, the rows and row stacks the step reads or writes, each
+C-contiguous, and the flat view of the mixed stack that `mix` adds
+into. Iterated over the slots, these give each slot's view tuple.
+``step(cur, nxt, weights, s)`` reads the views `cur`, the step's row
+of the algorithm's weight table and the stepsize s as a 0-d array, and
+fills `nxt` with ufuncs writing through positional `out`. It first forms
+the products of its step-k rows in one multiply of adjacent state rows
+by the coefficient rows of its slot, which its spec names (``coefficients``):
+p and its feedback row by 2a and s*xi, and y by s where y is adjacent,
+so pd1 multiplies (p, lam, y) by (2a, s*xi, s), directed (y, p, x) by
+(s, 2a, s*xi), and the others (p, lam) or (p, x) by (2a, s*xi); pd2
+reads s*nhat from one more row. It then takes the primal step on those
+products, and mixes the whole stack in one call of the edge-list
 primitive `network.mix` in O(F (n + m)). The table's rows come in the
 shape of the stack each one meets: pd1 reads self weights (2, n) and arc
 weights (2, 2m), pd2 the same over one row, directed D (n,) for lam, D
@@ -42,16 +51,17 @@ of the broadcasting one; a row longer than `network.STACK_ROW_MAX`
 stays one row, which the call broadcasts (`network.stacked`). A step
 allocates no array (but `mix`'s sums) and makes no view, and no Python
 float reaches its ufuncs; each expression keeps its operands and their
-order, so the bits are those of the plain NumPy expressions. No kernel
+grouping (the operands of a product commute exactly), so the bits are
+those of the plain NumPy expressions. No kernel
 builds a dense matrix.
 
 Each algorithm is declared once, as one entry of the one table `_SPECS`
 plus its kernel. The entry gives the names of its node rows and arc
-rows, its kernel and weight table, and the state arrays its guard reads
-after each block. The names state the layout, and the rest derives from
-them: a state with push-sum weights (a row named v) needs a directed
-graph, `State` reads each row by its name, the start builds each row
-from its name, the trace
+rows, its kernel and weight table, the state arrays its guard reads
+after each block and the coefficient rows its step multiplies by. The
+names state the layout, and the rest derives from them: a state with
+push-sum weights (a row named v) needs a directed graph, `State` reads
+each row by its name, the start builds each row from its name, the trace
 records the rows named p, y and v, and as its consensus series x, or lam
 where the state has no x; the tracked imbalance is the total of the rows
 named y and virt.y, the push-sum mass that of the rows named v and
@@ -81,10 +91,15 @@ every row of the slot after it): slot
 0 holds the state before the block, the block's step j reads slot j and
 writes slot j + 1, and the last slot written then moves to slot 0 in
 place. The ring's arrays are never reallocated, so each slot's view
-tuple is made once per run and the step loop makes none. A block's
-weight table is formed once, and its stepsizes s and s*xi fill two
-vectors whose 0-d views are made once per run, s from one
-``params.stepsize`` call over the block's step numbers. For robust and
+tuple is made once per run, from one view per kind over the ring, and
+the step loop makes none but the rows it takes of each block's weight
+table. A block's weight table is formed once, and
+one ``params.stepsize`` call over the block's step numbers fills a
+vector of stepsizes, whose 0-d views are made once per run, and each
+slot's coefficient rows beside the ring: a per-step row is s times its
+factor (xi, 1 or nhat), copied along the row, and the 2a row is the
+cost's, filled once per run (a `GeneralCost`'s step takes its
+``grad(p)`` and leaves that product unread). For robust and
 virtual the table is the release fractions g = gamma*mask, which the step
 multiplies into a bound buffer (an idle arc gives +-0.0, which leaves
 every sum it enters unchanged, but a non-finite value on an idle arc
@@ -298,41 +313,42 @@ def _pd2(inst, graph, params):
     Metropolis weights. Needs a diminishing stepsize to converge; with a
     constant one it stalls at a bias.
     """
-    primal, loads, nhat = _primal_step(inst, params), inst.loads, _scalar(params.nhat)
     tails, bins, _ = graph.metropolis_arcs
-    gathered, scratch, snhat = np.empty((1, len(tails))), np.empty(inst.n), np.empty(())
-    bins, flat = bins[: gathered.size], gathered.reshape(-1)
+    gathered, scratch, prod = np.empty((1, len(tails))), np.empty(inst.n), np.empty((2, inst.n))  # prod: 2a*p, s*xi*lam
+    primal, loads, bins, flat = _primal_step(inst, *prod), inst.loads, bins[: gathered.size], gathered.reshape(-1)
 
-    def step(cur, nxt, weights, s, sxi):
+    def step(cur, nxt, weights, s):
         self_w, w = weights
-        (p0, lam0, z0), (p, lam, z) = cur, nxt
-        primal(s, sxi, p0, lam0, p)
+        (c, snhat, pl0, p0, _, z0), (_, _, _, p, lam, z) = cur, nxt
+        multiply(pl0, c, prod)
+        primal(s, p0, p)
         multiply(z0, self_w, z)
         multiply(z0.take(tails, 1, gathered, "clip"), w, gathered)
         mix(lam, bins, flat)  # lam: the one-row stack z, flat
-        subtract(lam, multiply(subtract(p0, loads, scratch), multiply(s, nhat, snhat), scratch), lam)
+        subtract(lam, multiply(subtract(p0, loads, scratch), snhat, scratch), lam)
 
-    return lambda a: (a[0], a[1], a[1:2]), step
+    return lambda c, a: (c[:, :2], c[:, 2], a, *a.swapaxes(0, 1), a[:, 1:2]), step
 
 
 def _pd1(inst, graph, params):
     """Gradient-tracking primal-dual step over the doubly stochastic Metropolis weights."""
-    primal, nhat = _primal_step(inst, params), _scalar(params.nhat)
     tails, bins, _ = graph.metropolis_arcs
-    gathered, scratch = np.empty((2, len(tails))), np.empty(inst.n)
-    flat = gathered.reshape(-1)
+    # prod: 2a*p, s*xi*lam, s*y
+    gathered, scratch, prod = np.empty((2, len(tails))), np.empty(inst.n), np.empty((3, inst.n))
+    primal, nhat, sy, flat = _primal_step(inst, *prod[:2]), _scalar(params.nhat), prod[2], gathered.reshape(-1)
 
-    def step(cur, nxt, weights, s, sxi):
+    def step(cur, nxt, weights, s):
         self_w, w = weights
-        (p0, lam0, y0, z0, _), (p, lam, y, z, z_flat) = cur, nxt
-        primal(s, sxi, p0, lam0, p)
+        (c, pdy0, p0, _, _, z0, _), (_, _, p, lam, y, z, z_flat) = cur, nxt
+        multiply(pdy0, c, prod)
+        primal(s, p0, p)
         multiply(z0, self_w, z)
         multiply(z0.take(tails, 1, gathered, "clip"), w, gathered)
         mix(z_flat, bins, flat)
-        subtract(lam, multiply(y0, s, scratch), lam)
+        subtract(lam, sy, lam)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
 
-    return lambda a: (a[0], a[1], a[2], a[1:], a[1:].reshape(-1)), step
+    return lambda c, a: (c, a, *a.swapaxes(0, 1), a[:, 1:], a[:, 1:].reshape(len(a), -1)), step
 
 
 def _directed(inst, graph, params):
@@ -344,24 +360,24 @@ def _directed(inst, graph, params):
     tighter floating-point tolerance than a dense matrix product would.
     lam mixes together with -s*y.
     """
-    primal, nhat = _primal_step(inst, params), _scalar(params.nhat)
     _, tails, bins = graph.arcs_by_head
-    gathered, scratch = np.empty((3, graph.m)), np.empty(inst.n)
-    flat = gathered.reshape(-1)
+    gathered, scratch, prod = np.empty((3, graph.m)), np.empty(inst.n), np.empty((3, inst.n))  # prod: s*y, 2a*p, s*xi*x
+    primal, nhat, sy, flat = _primal_step(inst, *prod[1:]), _scalar(params.nhat), prod[0], gathered.reshape(-1)
 
-    def step(cur, nxt, weights, s, sxi):
+    def step(cur, nxt, weights, s):
         D, D_vy, live = weights
-        lam0, _, y0, p0, x0, _, vy0, _ = cur
-        lam, v, y, p, x, z, vy, z_flat = nxt  # z: each node's share of (lam - s*y, v, y), mixed in place
-        primal(s, sxi, p0, x0, p)
-        divide(subtract(lam0, multiply(y0, s, scratch), scratch), D, lam)
+        c, lam0, _, _, p0, _, _, vy0, ypx0, _ = cur
+        _, lam, v, y, p, x, z, vy, _, z_flat = nxt  # z: each node's share of (lam - s*y, v, y), mixed in place
+        multiply(ypx0, c, prod)
+        primal(s, p0, p)
+        divide(subtract(lam0, sy, scratch), D, lam)
         divide(vy0, D_vy, vy)
         multiply(z.take(tails, 1, gathered, "clip"), live, gathered)
         mix(z_flat, bins, flat)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
         divide(lam, v, x)
 
-    return lambda a: (a[0], a[1], a[2], a[3], a[4], a[:3], a[1:3], a[:3].reshape(-1)), step
+    return lambda c, a: (c, *a.swapaxes(0, 1), a[:, :3], a[:, 1:3], a[:, 2:], a[:, :3].reshape(len(a), -1)), step
 
 
 def _robust(inst, graph, params):
@@ -375,29 +391,33 @@ def _robust(inst, graph, params):
     lam update at -s). The step's weights are its release fractions over
     the three mixed rows, as a 1-tuple.
     """
-    primal, nhat = _primal_step(inst, params), _scalar(params.nhat)
     srcs, bins, dplus = graph.srcs, graph.arc_bins, stacked(graph.out_degrees, 3)  # as z0 meets it
-    gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(inst.n), np.empty(inst.n), np.empty(graph.m)
-    d = np.empty((3, graph.m))  # the mirror advances, then what the arcs deliver
-    d_lam, d_y, d_flat = d[0], d[2], d.reshape(-1)
+    own_y, scratch, dy, prod = np.empty(inst.n), np.empty(inst.n), np.empty(graph.m), np.empty((2, inst.n))
+    primal, nhat = _primal_step(inst, *prod), _scalar(params.nhat)  # prod: 2a*p, s*xi*x
+    # What the arc rows (mirrors, then in-flight values) advance by: d, the mirror advances (then what the
+    # arcs deliver), and the shares gathered from the arcs' sources.
+    moved = np.empty((6, graph.m))
+    d, shares, d_lam, d_y, d_flat = moved[:3], moved[3:], moved[0], moved[2], moved[:3].reshape(-1)
 
-    def step(cur, nxt, weights, s, sxi):
+    def step(cur, nxt, weights, s):
         (g,) = weights
-        _, _, _, p0, x0, z0, _, sums0, mirror0, virt0 = cur
-        lam, v, y, p, x, z, z_flat, sums, mirror, virt = nxt
-        primal(s, sxi, p0, x0, p)
+        c, _, _, _, p0, _, px0, z0, _, sums0, arcs0, mirror0, _ = cur
+        _, lam, v, y, p, x, _, z, z_flat, sums, arcs, _, virt = nxt
+        multiply(px0, c, prod)
+        primal(s, p0, p)
         # Mirror advances in increment form: g*(sum - mirror) equals
         # (1-g)*mirror + g*sum exactly, but the subtraction of the two
         # nearby running quantities is exact in floating point, so the node
         # updates are free of the large-magnitude rounding the running sums
         # would otherwise inject. An idle arc advances by +-0.0.
-        multiply(subtract(sums0.take(srcs, 1, gathered, "clip"), mirror0, gathered), g, d)
-        add(mirror0, d, mirror)
+        multiply(subtract(sums0.take(srcs, 1, shares, "clip"), mirror0, shares), g, d)
         divide(z0, dplus, z)  # each node's shares, mixed in place below
         # In-flight sidecar: every step an arc absorbs its source's share and
         # releases exactly the delivered mirror difference, so the augmented
         # conservation sums telescope without touching the large running sums.
-        subtract(add(virt0, z.take(srcs, 1, gathered, "clip"), virt), d, virt)
+        z.take(srcs, 1, shares, "clip")
+        add(arcs0, moved, arcs)  # mirrors advance by d, in-flight values absorb the shares
+        subtract(virt, d, virt)
         multiply(y, s, own_y)
         subtract(d_lam, multiply(d_y, s, dy), d_lam)  # lam arrives together with -s times y
         mix(z_flat, bins, d_flat)
@@ -406,7 +426,8 @@ def _robust(inst, graph, params):
         divide(lam, v, x)
         add(divide(z, dplus, sums), sums0, sums)
 
-    return lambda a, arcs: (*a[:5], a[:3], a[:3].reshape(-1), a[5:], arcs[:3], arcs[3:]), step
+    return lambda c, a, arcs: (c, *a.swapaxes(0, 1)[:5], a[:, 3:5], a[:, :3], a[:, :3].reshape(len(a), -1),
+                               a[:, 5:], arcs, arcs[:, :3], arcs[:, 3:]), step
 
 
 def _virtual(inst, graph, params):
@@ -428,17 +449,18 @@ def _virtual(inst, graph, params):
     the real nodes only. The step's weights are its release fractions
     over the three mixed rows, as a 1-tuple.
     """
-    primal, nhat = _primal_step(inst, params), _scalar(params.nhat)
     srcs, bins, dplus = graph.srcs, graph.arc_bins, stacked(graph.out_degrees, 3)  # as z0 meets it
     gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(inst.n), np.empty(inst.n), np.empty(graph.m)
-    released = np.empty((3, graph.m))
+    released, prod = np.empty((3, graph.m)), np.empty((2, inst.n))  # prod: 2a*p, s*xi*x
     released_lam, released_y, released_flat = released[0], released[2], released.reshape(-1)
+    primal, nhat = _primal_step(inst, *prod), _scalar(params.nhat)
 
-    def step(cur, nxt, weights, s, sxi):
+    def step(cur, nxt, weights, s):
         (g,) = weights
-        _, _, _, p0, x0, z0, _, held0 = cur
-        lam, v, y, p, x, z, z_flat, held = nxt
-        primal(s, sxi, p0, x0, p)
+        c, _, _, _, p0, _, px0, z0, _, held0 = cur
+        _, lam, v, y, p, x, _, z, z_flat, held = nxt
+        multiply(px0, c, prod)
+        primal(s, p0, p)
         divide(z0, dplus, z)  # each real node's shares, mixed in place below
         add(held0, z.take(srcs, 1, gathered, "clip"), held)
         subtract(held, multiply(held, g, released), held)
@@ -450,7 +472,7 @@ def _virtual(inst, graph, params):
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
         divide(lam, v, x)
 
-    return lambda a, arcs: (*a[:5], a[:3], a[:3].reshape(-1), arcs), step
+    return lambda c, a, arcs: (c, *a.swapaxes(0, 1), a[:, 3:], a[:, :3], a[:, :3].reshape(len(a), -1), arcs), step
 
 
 def _centralized(inst, graph, params):
@@ -461,16 +483,18 @@ def _centralized(inst, graph, params):
     step reads no link: `run` reads no block of its schedule, and its
     weights row goes unread.
     """
-    primal, loads, gap = _primal_step(inst, params), inst.loads, np.empty(inst.n)
-    total, scaled = np.empty(()), np.empty(())  # apart: a 0-d ufunc writing over its input runs at half speed
+    loads, gap, prod = inst.loads, np.empty(inst.n), np.empty((2, inst.n))  # prod: 2a*p, s*xi*lam
+    # total and scaled apart: a 0-d ufunc writing over its input runs at half speed
+    primal, total, scaled = _primal_step(inst, *prod), np.empty(()), np.empty(())
 
-    def step(cur, nxt, weights, s, sxi):
-        (p0, lam0), (p, lam) = cur, nxt
-        primal(s, sxi, p0, lam0, p)
+    def step(cur, nxt, weights, s):
+        (c, pl0, p0, lam0), (_, _, p, lam) = cur, nxt
+        multiply(pl0, c, prod)
+        primal(s, p0, p)
         add.reduce(subtract(p0, loads, gap), 0, None, total)  # what gap.sum() computes
         subtract(lam0, multiply(total, s, scaled), lam)
 
-    return lambda a: (a[0], a[1]), step
+    return lambda c, a: (c, a, *a.swapaxes(0, 1)), step
 
 
 def _release_table(graph: NominalGraph, masks: np.ndarray, params) -> tuple:
@@ -498,7 +522,10 @@ class _Spec:
     guard after each block reads (`run` checks every array finite at step
     0): virtual's in-flight values are among them, robust's arcs are not
     (a mirror's v is 0 until its arc delivers), so a robust step pays for
-    no per-arc reduction.
+    no per-arc reduction. ``coefficients`` names the rows of each step's
+    coefficients, in the order of the adjacent state rows the kernel's
+    one multiply meets: ``2a`` (the cost's), ``s``, ``sxi`` (s*xi) or
+    ``snhat`` (s*nhat), which `run` fills.
 
     The rest derives from the names. `_start` builds each row from its
     name, and `State` reads each row by it. The trace records the node
@@ -514,6 +541,7 @@ class _Spec:
     weights: Callable | None
     arc_names: tuple[str, ...] = ()
     guarded: tuple[str, ...] = ("nodes",)
+    coefficients: tuple[str, ...] = ("2a", "sxi")
 
     directed = property(lambda self: "v" in self.names)
 
@@ -543,9 +571,9 @@ def _link_table(build, *args):
 _PUSH_SUM = _MIXED + ("p", "x")
 # The one table of algorithms. A test that wraps a kernel or a table builder replaces its entry.
 _SPECS = {
-    "pd1": _Spec(("p", "lam", "y"), _pd1, _link_table(metropolis_table, 2)),
-    "pd2": _Spec(("p", "lam"), _pd2, _link_table(metropolis_table, 1)),
-    "directed": _Spec(_PUSH_SUM, _directed, _link_table(push_table)),
+    "pd1": _Spec(("p", "lam", "y"), _pd1, _link_table(metropolis_table, 2), coefficients=("2a", "sxi", "s")),
+    "pd2": _Spec(("p", "lam"), _pd2, _link_table(metropolis_table, 1), coefficients=("2a", "sxi", "snhat")),
+    "directed": _Spec(_PUSH_SUM, _directed, _link_table(push_table), coefficients=("s", "2a", "sxi")),
     "robust": _Spec(
         _PUSH_SUM + tuple(f"sums.{row}" for row in _MIXED), _robust, _release_table,
         arc_names=tuple(f"{part}.{row}" for part in ("mirror", "virt") for row in _MIXED),
@@ -608,9 +636,12 @@ def run(
     of the mixing weights too. For the running-sum algorithm they are
     evaluated over the augmented vector using its in-flight sidecar. Each
     block is stepped in place in a ring of states, under one guard that
-    raises the error of the block's first failing step (see the module
-    docstring). The recorded series are C-contiguous views of one
-    allocation that holds them all, and the residual series of another.
+    raises the error of the block's first failing step; each step reads
+    its stepsize and its coefficient rows (the cost's 2a, and s times xi,
+    1 or nhat) from buffers filled once per block beside the weight
+    table, through views made once per run (see the module docstring).
+    The recorded series are C-contiguous views of one allocation that
+    holds them all, and the residual series of another.
     Without `init` the run takes `initial_state`; an `init` must be a
     state of the same algorithm (else `ModeMismatchError`, naming both)
     with that state's array shapes (else `DimensionMismatchError`).
@@ -673,11 +704,16 @@ def run(
             residuals["min_v"][lo:hi] = reduce(lambda low, other: np.where(other < low, other, low), lows)
 
     views, step = spec.kernel(inst, graph, params)
-    # The ring's arrays are never reallocated (slot 0 is overwritten in place), so each slot's views serve the run;
-    # so do the 0-d views of each block's stepsizes s and s*xi.
-    slot_views = [views(*slot) for slot in zip(*ring.values())]
-    sizes, scaled = np.empty(rows), np.empty(rows)
-    size_views = [(sizes[j, ...], scaled[j, ...]) for j in range(rows)]
+    # Slot j's coefficient rows are step j's, by the spec's names: 2a for the run (a GeneralCost's step takes
+    # grad(p) and leaves that product unread), and the block's stepsizes s times the factor of each other row.
+    coef, sizes = np.empty((rows + 1, len(spec.coefficients), n)), np.empty((rows, 1))
+    size_views = [sizes[j, 0, ...] for j in range(rows)]
+    factors = {"s": 1.0, "sxi": params.xi, "snhat": _scalar(nhat)}
+    coef[:, spec.coefficients.index("2a")] = getattr(inst.cost, "twice_a", 0.0)
+    per_step = [(coef[:, i], factors[name]) for i, name in enumerate(spec.coefficients) if name != "2a"]
+    # Neither the ring's arrays nor the coefficients are ever reallocated (slot 0 is overwritten in place), so each
+    # slot's view tuple, taken from one view of each kind over all the slots, serves the run.
+    slot_views = list(zip(*views(coef, *ring.values())))
     live = np.zeros(graph.m, dtype=bool)  # the links live at some step so far
     # Finite only: virtual's in-flight v starts at 0.
     _check_block(algorithm, 0, [(spec.labels[f], arrays[:1]) for f, arrays in ring.items()], positive=())
@@ -691,10 +727,11 @@ def run(
                 live |= block.any(axis=0)
             table = spec.weights(graph, block, params)
         with np.errstate(all="ignore"):  # a step that overflows fails the guard, which names it
-            sizes[: k1 - k0] = params.stepsize(np.arange(k0, k1))  # int to float64 is exact: Python's bits
-            multiply(sizes[: k1 - k0], params.xi, scaled[: k1 - k0])  # the products Python's s * xi gives
-            for cur, nxt, row, (s, sxi) in zip(slot_views, slot_views[1:], zip(*table), size_views):
-                step(cur, nxt, row, s, sxi)
+            sizes[: k1 - k0, 0] = params.stepsize(np.arange(k0, k1))  # int to float64 is exact: Python's bits
+            for rows_of, factor in per_step:  # the products Python's s * xi gives (s * 1.0 == s), copied along rows
+                rows_of[: k1 - k0] = sizes[: k1 - k0] * factor
+            for cur, nxt, row, s in zip(slot_views, slot_views[1:], zip(*table), size_views):
+                step(cur, nxt, row, s)
         _check_block(algorithm, k0 + 1, [(spec.labels[f], ring[f][1 : k1 - k0 + 1]) for f in spec.guarded])
         record(k0 + 1, k1 + 1, 1)
         for arrays in ring.values():

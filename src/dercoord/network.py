@@ -235,6 +235,9 @@ class NominalGraph:
         both = np.concatenate
         return both([self.srcs, self.dsts]), offset_bins(both([self.dsts, self.srcs]), 2, self.n), both([w, w])
 
+    # The edge list as the schedule digest hashes it, "i,j" pairs joined by ";": formed once per graph.
+    edge_text = cached_property(lambda self: ";".join(f"{i},{j}" for i, j in self.edges))
+
     @cached_property
     def degrees(self) -> np.ndarray:
         """Nominal degrees |N_i| + 1 (undirected)."""
@@ -394,7 +397,7 @@ class GraphSchedule:
             PRNG_VERSION,
             str(self.nominal.n),
             "directed" if self.nominal.directed else "undirected",
-            ";".join(f"{i},{j}" for i, j in self.nominal.edges),
+            self.nominal.edge_text,
             format(self.q, ".17g"),
             str(self.seed),
             str(self.horizon),

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy import add, multiply, subtract
 
 try:
     from numpy._core.umath import clip  # the ufunc that np.clip reaches after its Python wrappers
@@ -98,9 +99,9 @@ class QuadraticCost:
         """2a, formed once: (2a)*p is how 2.0*a*p evaluates, so the bits are the same."""
         return 2.0 * self.a
 
-    def grad(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """f'(p) = (2a)*p + b, written into `out` if given."""
-        return np.add(np.multiply(self.twice_a, p, out), self.b, out)
+    def grad(self, p: np.ndarray) -> np.ndarray:
+        """f'(p) = (2a)*p + b."""
+        return self.twice_a * p + self.b
 
     def grad_inverse(self, t: np.ndarray) -> np.ndarray:
         """Solve f_i'(p) = t_i for p, componentwise."""
@@ -133,8 +134,8 @@ class GeneralCost:
     def value(self, p: np.ndarray) -> np.ndarray:
         return np.asarray(self.value_fn(p), dtype=float)
 
-    def grad(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """f'(p) as a new array; `out` is accepted for the quadratic's signature and ignored."""
+    def grad(self, p: np.ndarray) -> np.ndarray:
+        """f'(p) as a new array."""
         return np.asarray(self.grad_fn(p), dtype=float)
 
     def hess(self, p: np.ndarray) -> np.ndarray:
@@ -309,25 +310,29 @@ class AlgorithmParams:
         return out
 
 
-def _primal_step(inst: ProblemInstance, params: AlgorithmParams) -> Callable:
-    """The projected primal step clamp(p - s f'(p) + s xi feedback), bound to one run: ``step(s, sxi, p, feedback, out)``.
+def _primal_step(inst: ProblemInstance, twice_a_p: np.ndarray, scaled_feedback: np.ndarray) -> Callable:
+    """The projected primal step clamp(p - s f'(p) + s xi feedback), bound to one run: ``step(s, p, out)``.
 
     The one primal step of every algorithm, the centralized baseline's
     included (its feedback rows all hold the one multiplier): each kernel
-    in `algorithms` binds it once per run. s and sxi = s*xi arrive as 0-d
-    arrays (`run` forms both per block).
-    The cost's `grad`, the box and one scratch row are bound. Evaluated
-    as (p - s*f'(p)) + (s*xi)*feedback, then the clip ufunc, writing into
-    `out` (not p) and allocating nothing for a quadratic cost (its f'
-    goes into the scratch row): regrouping changes the last bits of every
-    trace.
+    in `algorithms` binds it once per run, to two rows of products that
+    the kernel forms in one multiply before each step, (2a)*p and
+    (s*xi)*feedback; s arrives as a 0-d array (`run` forms the stepsizes,
+    and fills the coefficient rows, per block). A quadratic cost's f' is
+    then that product plus b, which is how `QuadraticCost.grad` evaluates
+    it; any other cost's `grad(p)` is called, and the (2a)*p row goes
+    unread. The box and one scratch row are bound. Evaluated as
+    (p - s*f'(p)) + (s*xi)*feedback, then the clip ufunc, writing into
+    `out` (not p) and allocating nothing for a quadratic cost: regrouping
+    changes the last bits of every trace.
     """
-    grad, lo, hi = inst.cost.grad, inst.p_lo, inst.p_hi
-    scratch = np.empty(inst.n)
+    cost, lo, hi, scratch = inst.cost, inst.p_lo, inst.p_hi, np.empty(inst.n)
+    b = cost.b if isinstance(cost, QuadraticCost) else None
 
-    def step(s, sxi, p, feedback, out) -> None:
-        np.subtract(p, np.multiply(grad(p, scratch), s, scratch), out)
-        np.add(out, np.multiply(feedback, sxi, scratch), out)
+    def step(s, p, out) -> None:
+        grad = cost.grad(p) if b is None else add(twice_a_p, b, scratch)
+        subtract(p, multiply(grad, s, scratch), out)
+        add(out, scaled_feedback, out)
         clip(out, lo, hi, out)
 
     return step

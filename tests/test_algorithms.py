@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import dercoord as dc
 from dercoord.algorithms import _MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES
-from dercoord import algorithms
+from dercoord import algorithms, problem
 from dercoord.errors import (
     DercoordError,
     DimensionMismatchError,
@@ -1208,21 +1208,50 @@ class TestStepOperands:
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_every_operand_is_c_contiguous(self, repo_root, monkeypatch, algorithm, n):
         # Every array of each ring slot's view tuple, and every row of each block's weight table, is
-        # C-contiguous: a strided operand costs a ufunc call 2-3 times a contiguous one.
+        # C-contiguous: a strided operand costs a ufunc call 2-3 times a contiguous one. Every other operand
+        # a step meets (state, coefficient and product rows, scratch) is the same object at the same slot of
+        # every block: bound once per run, so the step makes no view.
         config = dc.load_config(repo_root / "configs" / f"benchmark39_{CONFIGS[algorithm]}.cfg")
         inst, g = config.instance, config.graph
         if n != 39:
             inst = dc.generate_instance(dc.InstanceSpec(n=n), 1)
             g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=n // 2, directed=g.directed), 1)
-        K = block_rows(g) + 2  # every slot of the ring, then a second block
-        spec, operands = algorithms._SPECS[algorithm], []
+        rows = block_rows(g)
+        K = rows + 2  # every slot of the ring, then a second block
+        spec, operands, met = algorithms._SPECS[algorithm], [], []  # met: per step, the arrays it met
+        stepping = False
+
+        class Recording:
+            """A ufunc or `mix` that adds its array arguments to the stepping step's list; `.reduce` is the ufunc's."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __call__(self, *args):
+                if stepping:
+                    met[-1].extend(a for a in args if isinstance(a, np.ndarray))
+                return self.f(*args)
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+        for module, names in ((algorithms, ("add", "divide", "multiply", "subtract", "mix")),
+                              (problem, ("add", "multiply", "subtract", "clip"))):  # the primal step's
+            for name in names:
+                monkeypatch.setattr(module, name, Recording(getattr(module, name)))
 
         def bound(*args):
             views, step = spec.kernel(*args)
 
-            def recorded(cur, nxt, weights, s, sxi):
+            def recorded(cur, nxt, weights, s):
+                nonlocal stepping
                 operands.extend(a for a in (*cur, *nxt, *weights) if a.ndim >= 1)
-                step(cur, nxt, weights, s, sxi)
+                met.append([*cur, *nxt, s])
+                stepping = True
+                step(cur, nxt, weights, s)
+                stepping = False
+                met[-1] = [a for a in met[-1] if not any(a is w for w in weights)]  # a block's table is its own
+                assert len(met[-1]) > len(cur) + len(nxt) + 1  # the step's calls were recorded
 
             return views, recorded
 
@@ -1230,6 +1259,9 @@ class TestStepOperands:
         dc.run(algorithm, inst, dc.GraphSchedule(g, config.q, 1, K), replace(config.params, horizon=K))
         assert len(operands) > K
         assert all(a.flags.c_contiguous for a in operands)
+        assert len(met) == K
+        for j in range(K - rows):
+            assert len(met[j]) == len(met[rows + j]) and all(a is b for a, b in zip(met[j], met[rows + j])), j
 
 
 def permuted_instance(inst, perm):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import dercoord as dc
 from dercoord.errors import DimensionMismatchError, FitWindowError
+from dercoord import metrics
 from dercoord.metrics import _ERROR_BLOCK_ENTRIES, RunTrace, flag_no_progress
 
 
@@ -28,6 +29,23 @@ class TestConvergenceError:
             dc.QuadraticCost(10.0 / p_star),
         )
         return dc.solve_bisection(inst)
+
+    def test_row_distance_is_the_norm_bit_for_bit(self):
+        # Rows long enough for the summation order to show, subnormal and overflowing ones, and rows and a p*
+        # holding -0.0, +-inf, NaN and subnormals.
+        rng = np.random.default_rng(7)
+        special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310])
+        rows, p_star = rng.normal(size=(40, 300)), rng.normal(size=300) * 1e-310
+        rows[10:20] *= 1e-310
+        rows[20:25] *= 1e300
+        for row in rows[25:]:
+            row[rng.integers(0, 300, size=3)] = rng.choice(special, 3)
+        p_star[:5] = -0.0
+        cases = [(rows, p_star), (special[:, None], special[:1]), (np.empty((0, 4)), np.ones(4)), (np.empty((4, 0)), [])]
+        for rows, p_star in cases:
+            with np.errstate(all="ignore"):
+                got, want = metrics.row_distance(rows, p_star), np.linalg.norm(rows - p_star, axis=1)
+            assert got.tobytes() == want.tobytes(), rows.shape
 
     def test_constant_at_optimum_is_zero(self):
         sol = self.solution([1.0, 2.0])

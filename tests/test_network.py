@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import re
@@ -294,6 +295,13 @@ class TestSchedule:
             dc.GraphSchedule(g, 0.2, 1, -1)
         same = dc.GraphSchedule(g, 0.2, 1, np.int64(10))
         assert type(same.horizon) is int and same.digest() == dc.GraphSchedule(g, 0.2, 1, 10).digest()
+
+    def test_digest_hashes_the_edge_text_formed_once_per_graph(self):
+        g = dc.NominalGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=True)
+        assert g.edge_text == "0,1;1,2;2,3;3,0" and g.edge_text is g.edge_text
+        parts = ["philox4x64-v1", "4", "directed", "0,1;1,2;2,3;3,0", "0.20000000000000001", "1", "10"]
+        want = hashlib.sha256("|".join(parts).encode()).hexdigest()
+        assert dc.GraphSchedule(g, 0.2, 1, 10).digest() == want
 
     def test_negative_zero_q_gives_the_digest_of_zero(self):
         g = self.graph()

@@ -2,8 +2,10 @@
 
 import importlib.util
 import math
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 import dercoord as dc
 from conftest import REPO
@@ -64,37 +66,67 @@ def test_step_cost_prints_one_row_per_case(capsys):
     cases = ["centralized", "pd1_300", "robust_opt"]
     assert step_cost.main(["--runs", "1", "--only", ",".join(cases), str(REPO / "src")]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["case", "us/step"]
+    assert header.split() == ["case", "setup_us", "us/step"]
     assert [row.split()[0] for row in rows] == cases
-    assert all(float(row.split()[1]) > 0 for row in rows)
+    assert all(float(value) > 0 for row in rows for value in row.split()[1:])
+
+
+PAIRED_HEADER = ["case", "setup_us", "setup_us", "ratio", "interval", "us/step", "us/step", "ratio", "interval"]
+
+
+def paired_columns(row):
+    """The case of a two-root row, and per column (set-up, per step): both values, the ratio and its interval."""
+    name, *cells = row.replace("*", "").split()
+    columns = []
+    for a, b, ratio, interval in (cells[:4], cells[4:]):
+        columns.append((float(a), float(b), float(ratio), *map(float, interval.strip("[]").split(","))))
+    return name, columns
 
 
 def test_step_cost_pairs_two_roots(capsys):
-    # The same tree as both roots: two columns, the median paired ratio and its interval, which holds the median.
+    # The same tree as both roots: both columns twice, each with the median paired ratio and its interval,
+    # which holds the median.
     cases = ["centralized", "pd1_300"]
     root = str(REPO / "src")
     assert step_cost.main(["--runs", "6", "--only", ",".join(cases), root, root]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["case", "us/step", "us/step", "ratio", "interval"]
-    assert [row.split()[0] for row in rows] == cases
+    assert header.split() == PAIRED_HEADER
+    assert [paired_columns(row)[0] for row in rows] == cases
     for row in rows:
-        a, b, ratio = map(float, row.split()[1:4])
-        low, high = map(float, row.split()[4].strip("[]").split(","))
-        assert a > 0 and b > 0 and low <= ratio <= high
+        for a, b, ratio, low, high in paired_columns(row)[1]:
+            assert a > 0 and b > 0 and low <= ratio <= high
+
+
+def test_step_cost_splits_setup_from_steps(monkeypatch, capsys):
+    # Each case is timed at its horizon K and at K = 0: set-up is T(0), a step (T(K) - T(0)) / K, each paired.
+    # Root A: T(K) = 10.5 ms, T(0) = 0.5 ms; root B: 6.5 and 0.4 ms; K = 100.
+    seconds = {("A", "K"): 0.0105, ("A", "0"): 0.0005, ("B", "K"): 0.0065, ("B", "0"): 0.0004}
+    packages = iter("AB")
+    monkeypatch.setattr(step_cost, "load", lambda root, name: next(packages))
+    monkeypatch.setattr(step_cost, "prepare", lambda package, name: ([(package, "K"), (package, "0")], 100))
+    monkeypatch.setattr(step_cost, "timeit", SimpleNamespace(timeit=lambda call, number: seconds[call]))
+    assert step_cost.main(["--runs", "6", "--only", "pd1", "a", "b"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == PAIRED_HEADER
+    (setup, step) = paired_columns(row)[1]
+    assert setup == pytest.approx((500.0, 400.0, 0.8, 0.8, 0.8))
+    assert step == pytest.approx((100.0, 61.0, 0.61, 0.61, 0.61))
+    assert row.count("*") == 2  # both ratios resolved
 
 
 def test_an_optimum_case_times_the_cli_path_of_either_package(monkeypatch):
     # Given the optimum, `run` keeps ||p - p*||; a package whose `run` takes no optimum gets what its CLI did,
-    # the full trace and then `convergence_error`, with the same values.
+    # the full trace and then `convergence_error`, with the same values, at K and at K = 0.
     package = step_cost.load(REPO / "src", "step_cost_cli")
-    call, horizon = step_cost.prepare(package, "robust_opt")
-    trace = call()
-    assert trace.p.shape == (0, 39) and trace.steps == horizon
+    calls, horizon = step_cost.prepare(package, "robust_opt")
+    traces = [call() for call in calls]
+    assert [(trace.p.shape, trace.steps) for trace in traces] == [((0, 39), horizon), ((0, 39), 0)]
     full = package.run
     monkeypatch.setattr(package, "run", lambda algorithm, inst, schedule, params, init=None:
                         full(algorithm, inst, schedule, params, init))
-    call, _ = step_cost.prepare(package, "robust_opt")
-    assert np.array_equal(call(), trace.residuals["err_p"])
+    calls, _ = step_cost.prepare(package, "robust_opt")
+    for call, trace in zip(calls, traces, strict=True):
+        assert np.array_equal(call(), trace.residuals["err_p"])
 
 
 def test_ratio_interval_ranks():

@@ -12,13 +12,17 @@ two roots compare the CLI paths as the other cases compare library `run`.
 Each source root's package is imported into this process under a name of its
 own, which works because the package uses only relative imports. Each case
 builds its inputs once per package and runs once untimed per package, so
-cached graph arrays and first-call costs stay out of the numbers. Then the
-roots' runs alternate, A,B then B,A, for R pairs, each run timed by `timeit`
-(so with the garbage collector off). A column is the best time per step in
-microseconds (the whole `run` over its horizon). Given two roots,
-the table adds the median paired ratio B/A and its 95 % interval
-(`ratio_interval`); a case whose interval excludes 1 is marked ``*``, resolved.
-Import and first-call costs are perfbench's to measure.
+cached graph arrays and first-call costs stay out of the numbers. Each case
+is one call of `run` timed twice, at its horizon K and at K = 0, each time by
+`timeit` (so with the garbage collector off); the roots' runs alternate, A,B
+then B,A, for R pairs. The K = 0 call is the run's set-up (state, ring,
+views, the trace and its digest), so the table splits each case in two
+columns: ``setup_us``, the best time at K = 0, and ``us/step``, (T(K) -
+T(0)) / K from the best of each, both in microseconds. Given two roots,
+each column adds the median paired ratio B/A, of T(0) and of T(K) - T(0),
+and its 95 % interval (`ratio_interval`); a ratio whose interval excludes 1
+is marked ``*``, resolved. Import and first-call costs are perfbench's to
+measure.
 
 Usage: ``python tools/step_cost.py [--runs R] [--only NAME,...] SRC [SRC2]``,
 SRC being a directory that holds the ``dercoord`` package (``src``).
@@ -58,7 +62,10 @@ def load(root: str, name: str):
 
 
 def prepare(dc, name: str):
-    """A call of `dc.run` on case `name` (given the optimum for an ``_opt`` case), run once untimed, and its horizon."""
+    """The call of `dc.run` on case `name` at its horizon K and at K = 0, each run once untimed, and K.
+
+    An ``_opt`` case's run is given the optimum.
+    """
     cfg, n = CASES[name]
     config = dc.load_config(REPO / "configs" / f"benchmark39_{cfg}.cfg")
     inst, graph, params = config.instance, config.graph, config.params
@@ -66,16 +73,21 @@ def prepare(dc, name: str):
         inst = dc.generate_instance(dc.InstanceSpec(n=n), 1)
         graph = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=n // 2, directed=graph.directed), 1)
         params = replace(params, horizon=SCALE_K)
-    args = (name.split("_")[0], inst, dc.GraphSchedule(graph, config.q, 1, params.horizon), params)
-    call = partial(dc.run, *args)
-    if name.endswith("_opt"):
-        solution = dc.solve_bisection(inst, xi=params.xi, nhat=params.nhat)
+    schedule = dc.GraphSchedule(graph, config.q, 1, params.horizon)
+    solution = dc.solve_bisection(inst, xi=params.xi, nhat=params.nhat) if name.endswith("_opt") else None
+
+    def call_at(horizon: int):
+        args = (name.split("_")[0], inst, schedule, replace(params, horizon=horizon))
+        if solution is None:
+            return partial(dc.run, *args)
         if "optimum" in inspect.signature(dc.run).parameters:
-            call = partial(dc.run, *args, optimum=solution)
-        else:  # the CLI's path before `run` took an optimum
-            call = lambda: dc.convergence_error(dc.run(*args), solution)
-    call()  # the warm-up: it samples the schedule and fills the graph's cached arrays
-    return call, params.horizon
+            return partial(dc.run, *args, optimum=solution)
+        return lambda: dc.convergence_error(dc.run(*args), solution)  # the CLI's path before `run` took an optimum
+
+    calls = [call_at(params.horizon), call_at(0)]
+    for call in calls:
+        call()  # the warm-up: it samples the schedule and fills the graph's cached arrays
+    return calls, params.horizon
 
 
 def ratio_interval(ratios) -> tuple[float, float, float]:
@@ -103,18 +115,28 @@ def main(argv=None) -> int:
     if set(args.only) - set(CASES) or len(args.roots) > 2 or args.runs < 1:
         ap.error(f"cases must be among {', '.join(CASES)}, at most two roots given, and runs >= 1")
     packages = [load(root, f"step_cost_{i}") for i, root in enumerate(args.roots)]
-    print(f"{'case':<14}" + f"{'us/step':>10}" * len(packages) + ("   ratio  interval" if len(packages) == 2 else ""))
+    paired = f"{'ratio':>8}  {'interval':<17}" if len(packages) == 2 else ""
+    header = f"{'case':<14}" + "".join(f"{column:>10}" * len(packages) + paired for column in ("setup_us", "us/step"))
+    print(header.rstrip())
     for name in args.only:
-        calls = [prepare(dc, name) for dc in packages]
-        times = [[] for _ in calls]
+        cases = [prepare(dc, name) for dc in packages]
+        horizon = cases[0][1]
+        # times[i][j]: root i's runs at K (j = 0) and at K = 0 (j = 1), pair by pair
+        times = [([], []) for _ in cases]
         for pair in range(args.runs):
-            for i in range(len(calls)) if pair % 2 == 0 else reversed(range(len(calls))):
-                times[i].append(timeit.timeit(calls[i][0], number=1))
-        row = f"{name:<14}" + "".join(f"{min(t) / horizon * 1e6:>10.2f}" for t, (_, horizon) in zip(times, calls))
-        if len(calls) == 2:
-            median, low, high = ratio_interval([b / a for a, b in zip(*times)])
-            row += f"{median:>8.3f}  [{low:.3f},{high:.3f}]" + ("" if low <= 1 <= high else " *")
-        print(row)
+            for i in range(len(cases)) if pair % 2 == 0 else reversed(range(len(cases))):
+                for runs, call in zip(times[i], cases[i][0]):
+                    runs.append(timeit.timeit(call, number=1))
+        # Per root, each column's best in microseconds and the values its ratios pair: T(0), and T(K) - T(0).
+        columns = [[(min(t0) * 1e6, t0), ((min(tk) - min(t0)) / horizon * 1e6, [a - b for a, b in zip(tk, t0)])]
+                   for tk, t0 in times]
+        row = f"{name:<14}"
+        for column in zip(*columns):
+            row += "".join(f"{best:>10.2f}" for best, _ in column)
+            if len(column) == 2:
+                median, low, high = ratio_interval([b / a for a, b in zip(column[0][1], column[1][1])])
+                row += f"{median:>8.3f}  {f'[{low:.3f},{high:.3f}]':<15}" + ("  " if low <= 1 <= high else " *")
+        print(row.rstrip())
     return 0
 
 
