@@ -45,15 +45,18 @@ shape of the stack each one meets: pd1 reads self weights (2, n) and arc
 weights (2, 2m), pd2 the same over one row, directed D (n,) for lam, D
 (2, n) for v and y and the live arcs (3, m), and robust and virtual the
 release fractions (3, m); robust and virtual divide by their
-out-degrees as a bound (3, n) array. So a step's ufunc calls meet
+out-degrees as a bound (3, n) array, robust once per step: the shares
+z / d+ of the state a step writes are kept in a (3, n) buffer bound
+once per run, which the next step gathers, mixes and scales s*y from,
+and which `views` first forms from slot 0. So a step's ufunc calls meet
 operands of one shape and take NumPy's same-shape loop, with the bits
 of the broadcasting one; a row longer than `network.STACK_ROW_MAX`
 stays one row, which the call broadcasts (`network.stacked`). A step
-allocates no array (but `mix`'s sums) and makes no view, and no Python
-float reaches its ufuncs; each expression keeps its operands and their
-grouping (the operands of a product commute exactly), so the bits are
-those of the plain NumPy expressions. No kernel
-builds a dense matrix.
+allocates no array (but `mix`'s sums) and makes no view, of its weight
+rows neither, and no Python float reaches its ufuncs; each expression
+keeps its operands and their grouping (the operands of a product commute
+exactly), so the bits are those of the plain NumPy expressions. No
+kernel builds a dense matrix.
 
 Each algorithm is declared once, as one entry of the one table `_SPECS`
 plus its kernel. The entry gives the names of its node rows and arc
@@ -91,9 +94,11 @@ every row of the slot after it): slot
 0 holds the state before the block, the block's step j reads slot j and
 writes slot j + 1, and the last slot written then moves to slot 0 in
 place. The ring's arrays are never reallocated, so each slot's view
-tuple is made once per run, from one view per kind over the ring, and
-the step loop makes none but the rows it takes of each block's weight
-table. A block's weight table is formed once, and
+tuple is made once per run, from one view per kind over the ring. So
+is the weight table's binding (`_Spec.weights`): buffers of a block's
+rows, which its fill writes over for each block, so that row j serves
+step j of every block and the step loop makes no view. Per block, the
+fill writes the block's table once, and
 one ``params.stepsize`` call over the block's step numbers fills a
 vector of stepsizes, whose 0-d views are made once per run, and each
 slot's coefficient rows beside the ring: a per-step row is s times its
@@ -175,6 +180,7 @@ from .network import (
     mix,
     push_table,
     stacked,
+    stacked_empty,
     union_connected,
 )
 from .problem import AlgorithmParams, ProblemInstance, _primal_step, checked_p0
@@ -390,10 +396,20 @@ def _robust(inst, graph, params):
     the delivered mirror differences (with the y differences entering the
     lam update at -s). The step's weights are its release fractions over
     the three mixed rows, as a 1-tuple.
+
+    The step divides by d+ once: the shares z / d+ of the state it writes,
+    which its running sums add and which the next step reads, from a (3, n)
+    buffer bound once per run. `views` forms them from slot 0, the run's
+    start, when it binds the slots; the ring's move of the last state to
+    slot 0 leaves them those of slot 0's state, so each block starts right.
     """
     srcs, bins, dplus = graph.srcs, graph.arc_bins, stacked(graph.out_degrees, 3)  # as z0 meets it
     own_y, scratch, dy, prod = np.empty(inst.n), np.empty(inst.n), np.empty(graph.m), np.empty((2, inst.n))
-    primal, nhat = _primal_step(inst, *prod), _scalar(params.nhat)  # prod: 2a*p, s*xi*x
+    # prod: 2a*p, s*xi*x. kept: each node's shares z / d+ of the state in the slot a step reads, formed from slot 0
+    # by `views`, then by each step from the state it writes, whose running sums add them; the ring moves that state
+    # to slot 0.
+    kept = np.empty((3, inst.n))
+    primal, nhat, kept_flat, kept_y = _primal_step(inst, *prod), _scalar(params.nhat), kept.reshape(-1), kept[2]
     # What the arc rows (mirrors, then in-flight values) advance by: d, the mirror advances (then what the
     # arcs deliver), and the shares gathered from the arcs' sources.
     moved = np.empty((6, graph.m))
@@ -401,7 +417,7 @@ def _robust(inst, graph, params):
 
     def step(cur, nxt, weights, s):
         (g,) = weights
-        c, _, _, _, p0, _, px0, z0, _, sums0, arcs0, mirror0, _ = cur
+        c, _, _, _, p0, _, px0, _, _, sums0, arcs0, mirror0, _ = cur
         _, lam, v, y, p, x, _, z, z_flat, sums, arcs, _, virt = nxt
         multiply(px0, c, prod)
         primal(s, p0, p)
@@ -411,23 +427,26 @@ def _robust(inst, graph, params):
         # updates are free of the large-magnitude rounding the running sums
         # would otherwise inject. An idle arc advances by +-0.0.
         multiply(subtract(sums0.take(srcs, 1, shares, "clip"), mirror0, shares), g, d)
-        divide(z0, dplus, z)  # each node's shares, mixed in place below
         # In-flight sidecar: every step an arc absorbs its source's share and
         # releases exactly the delivered mirror difference, so the augmented
         # conservation sums telescope without touching the large running sums.
-        z.take(srcs, 1, shares, "clip")
+        kept.take(srcs, 1, shares, "clip")
         add(arcs0, moved, arcs)  # mirrors advance by d, in-flight values absorb the shares
         subtract(virt, d, virt)
-        multiply(y, s, own_y)
+        multiply(kept_y, s, own_y)
         subtract(d_lam, multiply(d_y, s, dy), d_lam)  # lam arrives together with -s times y
-        mix(z_flat, bins, d_flat)
+        mix(kept_flat, bins, d_flat, z_flat)  # z: each node's own shares plus what arrives
         subtract(lam, own_y, lam)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
         divide(lam, v, x)
-        add(divide(z, dplus, sums), sums0, sums)
+        add(divide(z, dplus, kept), sums0, sums)
 
-    return lambda c, a, arcs: (c, *a.swapaxes(0, 1)[:5], a[:, 3:5], a[:, :3], a[:, :3].reshape(len(a), -1),
-                               a[:, 5:], arcs, arcs[:, :3], arcs[:, 3:]), step
+    def views(c, a, arcs):
+        divide(a[0, :3], dplus, kept)  # slot 0 holds the run's start
+        return (c, *a.swapaxes(0, 1)[:5], a[:, 3:5], a[:, :3], a[:, :3].reshape(len(a), -1), a[:, 5:], arcs,
+                arcs[:, :3], arcs[:, 3:])
+
+    return views, step
 
 
 def _virtual(inst, graph, params):
@@ -497,9 +516,15 @@ def _centralized(inst, graph, params):
     return lambda c, a: (c, a, *a.swapaxes(0, 1)), step
 
 
-def _release_table(graph: NominalGraph, masks: np.ndarray, params) -> tuple:
-    """Running-sum weight table: the release fractions g = gamma*mask over the three mixed rows (`stacked`)."""
-    return (stacked(params.gamma * masks, 3),)
+def _release_table(graph: NominalGraph, rows: int, params) -> tuple:
+    """Running-sum weight table of blocks of up to `rows` steps, and its fill (see `network.metropolis_table`).
+
+    The table is the release fractions g = gamma*mask over the three mixed
+    rows, (rows, 3, m) as `stacked` lays them; ``fill(masks)`` writes its
+    first len(masks) rows in one multiply.
+    """
+    g, gamma = stacked_empty(rows, graph.m, 3), params.gamma
+    return (g,), lambda masks: multiply(gamma, masks[:, None, :], g[: len(masks)])
 
 
 @dataclass(frozen=True)
@@ -512,11 +537,13 @@ class _Spec:
     push-sum weights (a row named v) runs on a directed graph, any other
     on an undirected one (``directed``). ``kernel`` binds
     the views and the step to a run (see the module docstring).
-    ``weights`` maps (graph, masks, params) to the weight table of a
-    (rows, m) block of masks, a tuple of arrays whose row r the block's
-    step r takes, each in the shape of the stack it meets (see the module
-    docstring): the Metropolis or push-sum table, or the running sums'
-    release fractions g = gamma*mask (`_release_table`). It is None for a
+    ``weights`` binds the weight table to a run: (graph, rows, params) ->
+    (table, fill), the table a tuple of arrays of `rows` rows whose row r
+    step r of each block takes, each in the shape of the stack it meets
+    (see the module docstring), and ``fill(masks)`` the writer of a (k, m)
+    block of masks into its first k rows: the Metropolis or push-sum table,
+    or the running sums' release fractions g = gamma*mask
+    (`_release_table`). It is None for a
     step that reads no link, whose run reads no block of the schedule and
     makes no connectivity note. ``guarded`` are the state arrays the
     guard after each block reads (`run` checks every array finite at step
@@ -564,8 +591,8 @@ class _Spec:
 
 
 def _link_table(build, *args):
-    """The weight-table builder `build(graph, masks, *args)`: a link table reads no parameter."""
-    return lambda graph, masks, params: build(graph, masks, *args)
+    """The weight-table binder `build(graph, rows, *args)`: a link table reads no parameter."""
+    return lambda graph, rows, params: build(graph, rows, *args)
 
 
 _PUSH_SUM = _MIXED + ("p", "x")
@@ -707,30 +734,33 @@ def run(
     # Slot j's coefficient rows are step j's, by the spec's names: 2a for the run (a GeneralCost's step takes
     # grad(p) and leaves that product unread), and the block's stepsizes s times the factor of each other row.
     coef, sizes = np.empty((rows + 1, len(spec.coefficients), n)), np.empty((rows, 1))
-    size_views = [sizes[j, 0, ...] for j in range(rows)]
     factors = {"s": 1.0, "sxi": params.xi, "snhat": _scalar(nhat)}
     coef[:, spec.coefficients.index("2a")] = getattr(inst.cost, "twice_a", 0.0)
     per_step = [(coef[:, i], factors[name]) for i, name in enumerate(spec.coefficients) if name != "2a"]
-    # Neither the ring's arrays nor the coefficients are ever reallocated (slot 0 is overwritten in place), so each
-    # slot's view tuple, taken from one view of each kind over all the slots, serves the run.
+    # A step that reads no link takes an empty row per step, and its run reads no block.
+    table, fill = ((np.empty((rows, 0)),), None) if spec.weights is None else spec.weights(graph, rows, params)
+    # Neither the ring's arrays, the coefficients nor the weight table are ever reallocated (slot 0 is overwritten
+    # in place, and each block's table is written over the last one's), so each step's operands, taken from one
+    # view of each kind over all the slots, serve the run: slot j's views, slot j + 1's, row j of the table and s,
+    # made for the first min(rows, K) steps only.
     slot_views = list(zip(*views(coef, *ring.values())))
+    steps = list(zip(slot_views, slot_views[1 : K + 1], zip(*table), (sizes[j, 0, ...] for j in range(rows))))
     live = np.zeros(graph.m, dtype=bool)  # the links live at some step so far
     # Finite only: virtual's in-flight v starts at 0.
     _check_block(algorithm, 0, [(spec.labels[f], arrays[:1]) for f, arrays in ring.items()], positive=())
     record(0, 1, 0)
     for k0 in range(0, K, rows):  # steps k0..k1-1 make rows k0+1..k1
         k1 = min(k0 + rows, K)
-        table = (np.empty((k1 - k0, 0)),)  # a step that reads no link takes an empty row per step, and no block
-        if spec.weights is not None:
+        if fill is not None:
             block = schedule.block(k0, k1)
             if not live.all():  # once every link has been live, later blocks cannot change the union
                 live |= block.any(axis=0)
-            table = spec.weights(graph, block, params)
+            fill(block)
         with np.errstate(all="ignore"):  # a step that overflows fails the guard, which names it
             sizes[: k1 - k0, 0] = params.stepsize(np.arange(k0, k1))  # int to float64 is exact: Python's bits
             for rows_of, factor in per_step:  # the products Python's s * xi gives (s * 1.0 == s), copied along rows
                 rows_of[: k1 - k0] = sizes[: k1 - k0] * factor
-            for cur, nxt, row, s in zip(slot_views, slot_views[1:], zip(*table), size_views):
+            for cur, nxt, row, s in steps[: k1 - k0]:
                 step(cur, nxt, row, s)
         _check_block(algorithm, k0 + 1, [(spec.labels[f], ring[f][1 : k1 - k0 + 1]) for f in spec.guarded])
         record(k0 + 1, k1 + 1, 1)

@@ -58,13 +58,18 @@ Mixing is one O(F (n + m)) edge-list primitive, `mix`, over a (F, n)
 stack of fields: every node keeps its own share of each field and adds
 the values arriving along the step's arcs, all fields in one `bincount`
 whose bins are the arc heads offset by f*n for row f (cached per graph),
-added through a flat view of the stack that each ring slot binds once.
-Each node sums the same terms in the same order as a per-field mix. The
-edge weights depend on the schedule alone, so they are built for a
-(rows, m) block of masks at once, as a weight table whose row r is what
-the step needs, in the shape of the stack the step meets it in: a row of
-at most STACK_ROW_MAX entries repeated over the stack's F rows, so the
-step's ufunc calls do not broadcast, a longer one as one row (`stacked`):
+added through a flat view of the stack that each ring slot binds once,
+into that view or into one `out` (robust adds its kept shares into its
+state). `mix` and `row_bincount` call bincount's C implementation,
+past NumPy's array-function dispatcher (`_bincount`). Each node sums
+the same terms in the same order as a per-field mix. The edge weights
+depend on the schedule alone, so they are written for a (k, m) block of
+masks at once, into a weight table a run binds once for blocks of up to
+`rows` steps, whose row r is what step r needs, in the shape of the
+stack the step meets it in: a row of at most STACK_ROW_MAX entries
+repeated over the stack's F rows, so the step's ufunc calls do not
+broadcast, a longer one as one row (`stacked`, `stacked_empty`). Each
+binder returns the table and its ``fill(masks)``:
 
 * `metropolis_table` (undirected): w_ij = 1/max(d_i, d_j) both ways on
   active edges, nominal degrees d_i = |N_i| + 1, and self weights
@@ -75,7 +80,7 @@ step's ufunc calls do not broadcast, a longer one as one row (`stacked`):
   table holds D (for lam, then over v and y) and each arc's live flag
   over the three mixed rows (an inactive arc pushes 0).
 * running sums (robust, virtual): the release fractions gamma*mask
-  (built in `algorithms`). Shares are 1/(nominal out-degree), and an
+  (bound in `algorithms`). Shares are 1/(nominal out-degree), and an
   active arc releases the fraction gamma of what it holds. Over real
   plus virtual nodes (one per nominal arc, holding its in-flight mass;
   the analysis numbers arc e's node n + e, while the states keep the
@@ -102,6 +107,8 @@ import numpy as np
 from .errors import CaseParseError, InvalidGraphError
 
 PRNG_VERSION = "philox4x64-v1"
+# bincount's C implementation, which np.bincount reaches through NumPy's array-function dispatcher.
+_bincount = getattr(np.bincount, "_implementation", np.bincount)
 
 
 _BOOLS = (bool, np.bool_)  # what `checked_bool` takes, and no other checker
@@ -234,6 +241,21 @@ class NominalGraph:
         w = 1.0 / np.maximum(d[self.srcs], d[self.dsts])
         both = np.concatenate
         return both([self.srcs, self.dsts]), offset_bins(both([self.dsts, self.srcs]), 2, self.n), both([w, w])
+
+    def tail_bins(self, rows: int) -> np.ndarray:
+        """`offset_bins` of the tails whose arc weights a weight table sums per node, for blocks of up to `rows` steps.
+
+        The tails are those of `metropolis_arcs` (undirected) or of
+        `arcs_by_head` (directed). The graph keeps the bins of the most rows
+        asked for, which serve every block of as many rows or fewer
+        (`row_bincount`). Written afresh for each run they took about 0.2
+        ms of a 39-agent pd1 run's set-up, more than it spends on anything else.
+        """
+        tails = self.arcs_by_head[1] if self.directed else self.metropolis_arcs[0]
+        bins = self.__dict__.get("_tail_bins")
+        if bins is None or len(bins) < rows * len(tails):
+            bins = self.__dict__["_tail_bins"] = offset_bins(tails, rows, self.n)
+        return bins
 
     # The edge list as the schedule digest hashes it, "i,j" pairs joined by ";": formed once per graph.
     edge_text = cached_property(lambda self: ";".join(f"{i},{j}" for i, j in self.edges))
@@ -410,27 +432,30 @@ def offset_bins(heads: np.ndarray, rows: int, n: int) -> np.ndarray:
     return (np.arange(rows)[:, None] * n + heads).ravel()
 
 
-def mix(own: np.ndarray, bins: np.ndarray, arc_values: np.ndarray) -> np.ndarray:
-    """One mixing step of a stack of F fields over an edge list, in place, in O(F (n + m)).
+def mix(own: np.ndarray, bins: np.ndarray, arc_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One mixing step of a stack of F fields over an edge list, in O(F (n + m)), into `out` or in place.
 
     `own` is the stack as one flat view, F rows of n entries: field f of
     node i ends with own[f*n + i] plus the sum of every arc_values[e]
     whose bin is f*n + i, the arcs of each node summed in the order given;
-    `own` is updated and returned. `arc_values` is flat, F*m values field
-    after field, and `bins` are as many heads offset per field
-    (`offset_bins`). The callers bind all three once per run (the flat
-    view once per ring slot), so a step slices, reshapes and ravels nothing.
+    the result is written to `out`, or to `own` where `out` is None, and
+    returned. `arc_values` is flat, F*m values field after field, and
+    `bins` are as many heads offset per field (`offset_bins`). The callers
+    bind all of them once per run (the flat views once per ring slot), so a
+    step slices, reshapes and ravels nothing.
     """
-    return np.add(own, np.bincount(bins, arc_values, own.size), out=own)
+    return np.add(own, _bincount(bins, arc_values, own.size), own if out is None else out)
 
 
-def row_bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """out[r, i] sums weights[r, e] over the e with index[e] == i, in increasing e, like a per-row bincount.
+def row_bincount(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """out[r, i] sums weights[r, e] over the e whose bin is r*n + i, in increasing e, like a per-row bincount.
 
-    One `bincount` over the (rows, len(index)) `weights`, row r's entries binned at r*n + index (`offset_bins`).
+    `bins` are `offset_bins(index, R, n)` for some R >= the rows of the
+    (rows, len(index)) `weights`, so one set serves every block of up to R
+    rows; one `bincount` sums every row.
     """
-    rows = weights.shape[0]
-    return np.bincount(offset_bins(index, rows, n), weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
+    rows = len(weights)
+    return _bincount(bins[: weights.size], weights.reshape(-1), rows * n).reshape(rows, n)
 
 
 # Step rows of at most this many entries are repeated over the stack they meet (`stacked`); the
@@ -452,35 +477,60 @@ def stacked(table: np.ndarray, fields: int) -> np.ndarray:
     return np.repeat(row, fields, axis=-2) if table.shape[-1] <= STACK_ROW_MAX else row
 
 
-def metropolis_table(nominal: NominalGraph, masks: np.ndarray, fields: int) -> tuple:
-    """Metropolis weights of a (rows, m) block of steps for a stack of `fields` rows, in O(rows fields (n + m)).
+def stacked_empty(rows: int, length: int, fields: int) -> np.ndarray:
+    """An unwritten table of `rows` rows of `length` entries, laid out as `stacked` lays such a table out."""
+    return np.empty((rows, fields if length <= STACK_ROW_MAX else 1, length))
 
-    Returns the table (self weights (rows, fields, n), arc weights
-    (rows, fields, 2m)) over both directions of every nominal edge
-    (`metropolis_arcs`), inactive ones weighing 0, each step's weights laid
-    out over the stack's rows by `stacked` (one row where a row is long).
-    A self weight is 1 - b, b the sum of its node's arc weights.
+
+def metropolis_table(nominal: NominalGraph, rows: int, fields: int) -> tuple:
+    """The Metropolis weight table of blocks of up to `rows` steps for a stack of `fields` rows, and its fill.
+
+    Returns ``(table, fill)``. The table is (self weights (rows, fields,
+    n), arc weights (rows, fields, 2m)) over both directions of every
+    nominal edge (`metropolis_arcs`), each step's weights laid out over the
+    stack's rows as `stacked` lays them (one row where a row is long).
+    ``fill(masks)`` writes the first k rows from a (k, m) block of masks,
+    k <= rows, in O(k fields (n + m)): inactive edges weigh 0, and a self
+    weight is 1 - b, b the sum of its node's arc weights, from one
+    `bincount` over the graph's `tail_bins`.
     """
-    tails, _, w = nominal.metropolis_arcs
-    w = w * np.concatenate([masks, masks], axis=1)  # inactive edges weigh 0
-    return stacked(1.0 - row_bincount(tails, w, nominal.n), fields), stacked(w, fields)
+    n, m, w, bins = nominal.n, nominal.m, nominal.metropolis_arcs[2], nominal.tail_bins(rows)
+    self_w, arcs = stacked_empty(rows, n, fields), stacked_empty(rows, 2 * m, fields)
+    flat = np.empty((rows, 2 * m)) if arcs.shape[1] > 1 else arcs[:, 0]  # each step's arc weights as one row
+
+    def fill(masks: np.ndarray) -> None:
+        k = len(masks)
+        np.multiply(w.reshape(2, m), masks[:, None, :], flat[:k].reshape(k, 2, m))
+        np.subtract(1.0, row_bincount(bins, flat[:k], n)[:, None], self_w[:k])
+        if flat.base is None:  # the rows repeated over the stack
+            arcs[:k] = flat[:k, None]
+
+    return (self_w, arcs), fill
 
 
-def push_table(nominal: NominalGraph, masks: np.ndarray) -> tuple:
-    """Instantaneous out-degrees and live arcs of a (rows, m) block of steps, in O(rows (n + m)).
+def push_table(nominal: NominalGraph, rows: int) -> tuple:
+    """The push-sum weight table of blocks of up to `rows` steps, and its fill.
 
-    Returns the table (D (rows, n), D (rows, 2, n), live (rows, 3, m)):
-    D_j = |active out-arcs of j| + 1 as the directed step divides lam by
-    it, then laid out over its v and y rows, and each arc's live flag (1.0
-    or 0.0, in `arcs_by_head` order) over its three mixed rows, both by
-    `stacked`.
+    Returns ``(table, fill)``. The table is (D (rows, n), D (rows, 2, n),
+    live (rows, 3, m)): D_j = |active out-arcs of j| + 1 as the directed
+    step divides lam by it, then laid out over its v and y rows, and each
+    arc's live flag (1.0 or 0.0, in `arcs_by_head` order) over its three
+    mixed rows, both as `stacked` lays them; D's rows are the first row of
+    each step's D over v and y. ``fill(masks)`` writes the first k rows
+    from a (k, m) block of masks, k <= rows, in O(k (n + m)), with one
+    `bincount` over the graph's `tail_bins`.
     """
     if not nominal.directed:
         raise InvalidGraphError("push matrices require a directed graph")
-    order, tails, _ = nominal.arcs_by_head
-    live = masks.take(order, 1).astype(float)  # C order: masks[:, order] comes out column-major
-    D = 1.0 + row_bincount(tails, live, nominal.n)
-    return D, stacked(D, 2), stacked(live, 3)
+    order, n, bins = nominal.arcs_by_head[0], nominal.n, nominal.tail_bins(rows)
+    D, live = stacked_empty(rows, n, 2), stacked_empty(rows, nominal.m, 3)
+
+    def fill(masks: np.ndarray) -> None:
+        flags = masks.take(order, 1)  # C order: masks[:, order] comes out column-major
+        np.copyto(live[: len(flags)], flags[:, None])
+        np.add(1.0, row_bincount(bins, flags, n)[:, None], D[: len(flags)])
+
+    return (D[:, 0], D, live), fill
 
 
 def _arc_lists(nominal: NominalGraph):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import dercoord as dc
 from dercoord.algorithms import _MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES
 from dercoord import algorithms, problem
+from dercoord.network import stacked
 from dercoord.errors import (
     DercoordError,
     DimensionMismatchError,
@@ -249,6 +250,32 @@ class TestRobustSteps:
         assert dc.convergence_error(trr, sol)[-1] <= 1e-8
         virtual_mass = 3.0 - trr.v[-1].sum()
         assert 0 <= virtual_mass <= 0.05
+
+    @pytest.mark.parametrize("start", ["standard", "mid-block final", "equilibrium"])
+    def test_shares_are_formed_from_each_runs_start(self, repo_root, start):
+        # A step divides by d+ once, the state it writes, and the next step reads those shares: the first step's
+        # are formed from the run's start, the standard one or an `init` whose z rows are not the standard start's,
+        # and each later block's from the state the ring moved to slot 0. Around the block boundaries, bit for bit.
+        config = dc.load_config(repo_root / "configs" / "benchmark39_robust.cfg")
+        inst, g = config.instance, config.graph
+        rows = block_rows(g)
+        init = {
+            "standard": None,
+            "mid-block final": dc.run("robust", inst, dc.GraphSchedule(g, config.q, 2, rows // 2),
+                                      replace(config.params, horizon=rows // 2)).final,
+            "equilibrium": dc.equilibrium_state("robust", inst, g, config.params,
+                                                dc.solve_bisection(inst, xi=config.params.xi, nhat=config.params.nhat)),
+        }[start]
+        for K in (rows - 1, rows, rows + 1, 2 * rows + 3):
+            params, sched = replace(config.params, horizon=K), dc.GraphSchedule(g, config.q, 1, K)
+            trace = dc.run("robust", inst, sched, params, init=init)
+            arrays, residuals, last = reference_run("robust", inst, sched, params, init)
+            for name, want in arrays.items():
+                assert bit_equal(getattr(trace, name), want), (K, name)
+            for key, want in residuals.items():
+                assert bit_equal(trace.residuals[key], want), (K, key)
+            for name, want in vars(last).items():
+                assert bit_equal(getattr(fields_of("robust", trace.final), name), want), (K, name)
 
     def test_equivalence_spot_check(self, small_instance):
         g = dc.NominalGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)], True)
@@ -1092,25 +1119,28 @@ class TestBitIdentity:
 class TestWeightTables:
     @pytest.mark.parametrize("algorithm", [a for a in dc.ALGORITHMS if a != "centralized"])
     def test_built_once_per_block(self, monkeypatch, algorithm):
+        # The table is bound once per run and written once per block.
         g = dc.generate_graph(dc.GraphSpec(n=8, extra_edges=4, directed=directed(algorithm)), 3)
         rows = block_rows(g)
         K = 2 * rows + 3  # blocks of rows, rows and 3 steps
         spec = algorithms._SPECS[algorithm]
-        built = []
+        bound, written = [], []
 
-        def counting(graph, masks, params):
-            built.append(masks.shape[0])
-            return spec.weights(graph, masks, params)
+        def counting(graph, table_rows, params):
+            table, fill = spec.weights(graph, table_rows, params)
+            bound.append(table_rows)
+            return table, lambda masks: (written.append(masks.shape[0]), fill(masks))
 
         monkeypatch.setitem(algorithms._SPECS, algorithm, replace(spec, weights=counting))
         inst = dc.generate_instance(dc.InstanceSpec(n=g.n), 3)
         dc.run(algorithm, inst, dc.GraphSchedule(g, 0.3, 5, K), params_for(g.n, s=0.01, horizon=K))
-        assert built == [rows, rows, 3]
+        assert bound == [rows] and written == [rows, rows, 3]
 
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
-    def test_one_bin_pass_per_table_block(self, monkeypatch, algorithm):
-        # A block's table takes one set of offset bins at most: the Metropolis and push tables one
-        # each, for their per-row sums; the release table none, and centralized reads no link.
+    def test_bins_are_made_once_per_graph(self, monkeypatch, algorithm):
+        # A graph makes each set of offset bins once, for every run on it: `mix`'s (two fields' for pd1 and pd2,
+        # three for the others) and, for the Metropolis and push tables, their per-row sums' over a block's
+        # rows; the release table needs none, and centralized reads no link.
         from dercoord import network
 
         g = dc.generate_graph(dc.GraphSpec(n=8, extra_edges=4, directed=directed(algorithm)), 3)
@@ -1119,7 +1149,6 @@ class TestWeightTables:
         inst = dc.generate_instance(dc.InstanceSpec(n=g.n), 3)
         params = params_for(g.n, s=0.01, horizon=K)
         sched = dc.GraphSchedule(g, 0.3, 5, K)
-        dc.run(algorithm, inst, sched, params)  # the graph's own bins, cached per graph, are made here
         original = network.offset_bins
         made = []
 
@@ -1128,8 +1157,10 @@ class TestWeightTables:
             return original(heads, block, n)
 
         monkeypatch.setattr(network, "offset_bins", counting)
-        dc.run(algorithm, inst, sched, params)
-        assert made == ([rows, rows, 3] if algorithm in ("pd1", "pd2", "directed") else [])
+        for _ in range(2):
+            dc.run(algorithm, inst, sched, params)
+        want = {"pd1": [2, rows], "pd2": [2, rows], "directed": [3, rows], "centralized": []}
+        assert made == want.get(algorithm, [3])
 
 
 # What each table entry declared as index literals before its row names alone stated its layout: the recorded
@@ -1207,10 +1238,10 @@ class TestStepOperands:
     @pytest.mark.parametrize("n", [39, 300])
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
     def test_every_operand_is_c_contiguous(self, repo_root, monkeypatch, algorithm, n):
-        # Every array of each ring slot's view tuple, and every row of each block's weight table, is
-        # C-contiguous: a strided operand costs a ufunc call 2-3 times a contiguous one. Every other operand
-        # a step meets (state, coefficient and product rows, scratch) is the same object at the same slot of
-        # every block: bound once per run, so the step makes no view.
+        # Every array of each ring slot's view tuple, and every row of the weight table, is C-contiguous: a
+        # strided operand costs a ufunc call 2-3 times a contiguous one. Every operand a step meets (state,
+        # coefficient, weight and product rows, scratch) is the same object at the same slot of every block:
+        # bound once per run, so the step makes no view.
         config = dc.load_config(repo_root / "configs" / f"benchmark39_{CONFIGS[algorithm]}.cfg")
         inst, g = config.instance, config.graph
         if n != 39:
@@ -1224,21 +1255,24 @@ class TestStepOperands:
         class Recording:
             """A ufunc or `mix` that adds its array arguments to the stepping step's list; `.reduce` is the ufunc's."""
 
-            def __init__(self, f):
-                self.f = f
+            def __init__(self, f, name):
+                self.f, self.name = f, name
 
             def __call__(self, *args):
                 if stepping:
                     met[-1].extend(a for a in args if isinstance(a, np.ndarray))
+                    if self.name == "divide":
+                        divides[-1].append(args)
                 return self.f(*args)
 
             def __getattr__(self, name):
                 return getattr(self.f, name)
 
+        divides = []  # per step, the arguments of each of its `divide` calls
         for module, names in ((algorithms, ("add", "divide", "multiply", "subtract", "mix")),
                               (problem, ("add", "multiply", "subtract", "clip"))):  # the primal step's
             for name in names:
-                monkeypatch.setattr(module, name, Recording(getattr(module, name)))
+                monkeypatch.setattr(module, name, Recording(getattr(module, name), name))
 
         def bound(*args):
             views, step = spec.kernel(*args)
@@ -1246,12 +1280,12 @@ class TestStepOperands:
             def recorded(cur, nxt, weights, s):
                 nonlocal stepping
                 operands.extend(a for a in (*cur, *nxt, *weights) if a.ndim >= 1)
-                met.append([*cur, *nxt, s])
+                met.append([*cur, *nxt, *weights, s])
+                divides.append([])
                 stepping = True
                 step(cur, nxt, weights, s)
                 stepping = False
-                met[-1] = [a for a in met[-1] if not any(a is w for w in weights)]  # a block's table is its own
-                assert len(met[-1]) > len(cur) + len(nxt) + 1  # the step's calls were recorded
+                assert len(met[-1]) > len(cur) + len(nxt) + len(weights) + 1  # the step's calls were recorded
 
             return views, recorded
 
@@ -1260,8 +1294,16 @@ class TestStepOperands:
         assert len(operands) > K
         assert all(a.flags.c_contiguous for a in operands)
         assert len(met) == K
+        # The weight rows among them: each block's table is written over the last one's.
         for j in range(K - rows):
             assert len(met[j]) == len(met[rows + j]) and all(a is b for a, b in zip(met[j], met[rows + j])), j
+        if algorithm == "robust":
+            # One division by the out-degrees per step, of the state it writes, by the d+ bound for the run; the
+            # next step reads those shares.
+            dplus = stacked(g.out_degrees, 3)
+            by_dplus = [[a for args in calls for a in args if a.shape == dplus.shape and np.array_equal(a, dplus)]
+                        for calls in divides]
+            assert all(len(found) == 1 and found[0] is by_dplus[0][0] for found in by_dplus)
 
 
 def permuted_instance(inst, perm):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from dercoord.network import (
     metropolis_table,
     mix,
     numbered_lines,
+    offset_bins,
     parse_graph_lines,
     push_table,
     row_bincount,
@@ -33,6 +35,7 @@ from dercoord.network import (
     windows_connected,
 )
 from reference import (
+    _metropolis,
     augmented,
     augmented_push_matrix,
     earliest_connect_scan,
@@ -41,6 +44,13 @@ from reference import (
     run_over,
     virtual_state,
 )
+
+
+def filled(bound, masks):
+    """The rows a weight table bound as ``(table, fill)`` holds for the steps of `masks` once filled from them."""
+    table, fill = bound
+    fill(masks)
+    return tuple(a[: len(masks)] for a in table)
 
 
 def random_connected_graph(rng, n, directed, extra=3):
@@ -572,14 +582,14 @@ class TestEdgeListMixing:
             z = rng.normal(size=(2, n))  # a two-field stack mixes each row by W
             W = metropolis_weights(g, active)
             # (2, n) and (2, 2m): one row per field of the stack
-            self_w, w = (a[0] for a in metropolis_table(g, active[None], 2))
+            self_w, w = (a[0] for a in filled(metropolis_table(g, 1, 2), active[None]))
             assert (self_w == self_w[0]).all() and (w == w[0]).all()
             tails, bins, _ = g.metropolis_arcs
             mixed = mix((self_w * z).ravel(), bins, (w * z[:, tails]).ravel())  # the stack and arc values, flat
             np.testing.assert_allclose(mixed.reshape(z.shape), z @ W.T, rtol=0, atol=1e-13)
             return
         z = rng.normal(size=(3, n))
-        D, D_vy, live = (a[0] for a in push_table(g, active[None]))  # D for the lam row, then (2, n) and (3, m) over the mixed rows
+        D, D_vy, live = (a[0] for a in filled(push_table(g, 1), active[None]))  # D for the lam row, then (2, n) and (3, m) over the mixed rows
         assert (D_vy == D).all() and (live == live[0]).all()
         _, tails, bins = g.arcs_by_head
         P = push_matrix(g, active)
@@ -594,7 +604,7 @@ class TestEdgeListMixing:
         new = augmented(run_over("virtual", inst, g, [active], params, state).final)
         np.testing.assert_allclose(new[0], A @ z[0], rtol=0, atol=1e-13)
         np.testing.assert_allclose(new[1], A @ z[1], rtol=0, atol=1e-13)
-        (g_rows,) = _release_table(g, active[None], params)
+        (g_rows,) = filled(_release_table(g, 1, params), active[None])
         assert (g_rows[0] == g_rows[0, 0]).all()  # (3, m): one row per mixed field
 
     @given(
@@ -610,9 +620,91 @@ class TestEdgeListMixing:
         index = rng.integers(0, n, size=m)
         weights = rng.normal(size=(rows, m))
         want = np.array([np.bincount(index, row, n) for row in weights])
-        got = row_bincount(index, weights, n)
+        got = row_bincount(offset_bins(index, rows + 2, n), weights, n)  # bins bound for longer blocks serve it
         assert got.shape == (rows, n)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_dispatcher_free_bincount_is_numpys(self):
+        # `mix` and `row_bincount` call bincount's C implementation, past NumPy's array-function dispatcher:
+        # the same sums bit for bit, -0.0, infinities, NaN and subnormals among the weights, and empty bins.
+        tiny = np.finfo(float).smallest_subnormal
+        weights = np.array([-0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1.0, tiny, 5e-324, -0.0, 2.5])
+        bins = np.array([0, 0, 1, 1, 2, 3, 3, 3, 5, 5, 7, 9])  # bins 4, 6 and 8 (and 10, 11) empty
+        for minlength in (0, 12):
+            want = np.bincount(bins, weights, minlength)
+            assert network._bincount(bins, weights, minlength).tobytes() == want.tobytes()
+        own = np.arange(12.0)
+        assert mix(own.copy(), bins, weights).tobytes() == (own + np.bincount(bins, weights, 12)).tobytes()
+        assert np.bincount(np.array([], dtype=np.intp), np.array([]), 3).tobytes() == network._bincount(
+            np.array([], dtype=np.intp), np.array([]), 3).tobytes()
+
+    def test_bincount_falls_back_to_numpys_without_an_implementation_attribute(self, monkeypatch):
+        # A NumPy whose np.bincount has no `_implementation` gets np.bincount itself: the package imported
+        # afresh under such a NumPy binds it, and mixes with it.
+        import importlib.util
+
+        calls, original = [], np.bincount
+
+        def bincount(*args):
+            calls.append(len(args))
+            return original(*args)
+
+        monkeypatch.setattr(np, "bincount", bincount)
+        init = Path(network.__file__).parent / "__init__.py"
+        spec = importlib.util.spec_from_file_location("network_fallback", init,
+                                                      submodule_search_locations=[str(init.parent)])
+        package = sys.modules["network_fallback"] = importlib.util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(package)
+            own = np.array([1.0, 2.0, 3.0])
+            mixed = package.network.mix(own, np.array([2, 0]), np.array([0.5, 0.25]))
+        finally:
+            for name in [key for key in sys.modules if key.split(".")[0] == "network_fallback"]:
+                del sys.modules[name]
+        assert package.network._bincount is bincount
+        assert mixed.tolist() == [1.25, 2.0, 3.5]
+        assert calls == [3]
+
+    @given(
+        n=st.integers(1, 10),
+        directed=st.booleans(),
+        seed=st.integers(0, 10_000),
+        q=st.floats(0.0, 0.95),
+        rows=st.integers(1, 5),
+        fields=st.integers(1, 3),
+        long=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tables_are_written_block_by_block(self, n, directed, seed, q, rows, fields, long):
+        # A table bound once for blocks of up to `rows` steps holds, after each block's fill, each step's weights
+        # as the reference steps build them, bit for bit, laid out over the stack as `stacked` lays them, or left
+        # one row when every row counts as long; a shorter block leaves the rows after it unread.
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, directed)
+        params = dc.AlgorithmParams(step=dc.ConstantStep(0.1), gamma=float(rng.uniform(0.01, 0.99)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "STACK_ROW_MAX", -1 if long else network.STACK_ROW_MAX)
+            if directed:
+                kinds, bound = ("push", "release"), [push_table(g, rows), _release_table(g, rows, params)]
+            else:
+                kinds, bound = ("metropolis",), [metropolis_table(g, rows, fields)]
+            for k in (rows, max(1, rows - 2), rows):
+                masks = rng.random((k, g.m)) >= q
+                for kind, table in zip(kinds, [filled(b, masks) for b in bound]):
+                    for j, active in enumerate(masks):
+                        if kind == "metropolis":
+                            self_w, w, _, _ = _metropolis(g, active)
+                            want, stacks = (self_w, w), (fields, fields)
+                        elif kind == "push":
+                            order, tails, _ = g.arcs_by_head
+                            live = active[order].astype(float)
+                            D = 1.0 + np.bincount(tails, weights=live, minlength=n)
+                            want, stacks = (D, D, live), (None, 2, 3)
+                        else:
+                            want, stacks = (params.gamma * active,), (3,)
+                        for got, row, stack in zip(table, want, stacks, strict=True):
+                            expect = row if stack is None else stacked(row, stack)
+                            assert got[j].shape == expect.shape and got[j].tobytes() == expect.tobytes(), kind
 
     def test_stacked_repeats_short_rows_only(self):
         table = np.arange(6.0).reshape(2, 3)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -65,53 +66,102 @@ def test_step_cost_prints_one_row_per_case(capsys):
     # One run of each case, over the package of this checkout: a 39-agent case, a scaled one and a CLI-path one.
     cases = ["centralized", "pd1_300", "robust_opt"]
     assert step_cost.main(["--runs", "1", "--only", ",".join(cases), str(REPO / "src")]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["case", "setup_us", "us/step"]
+    legend, header, *rows = capsys.readouterr().out.splitlines()
+    assert legend == step_cost.LEGEND and "take" in legend
+    assert header.split() == ["case", "setup_us", "us/step", "calls/step"]
     assert [row.split()[0] for row in rows] == cases
     assert all(float(value) > 0 for row in rows for value in row.split()[1:])
+    assert [row.split()[-1] for row in rows] == [str(CALLS_PER_STEP[name.split("_")[0]]) for name in cases]
 
 
-PAIRED_HEADER = ["case", "setup_us", "setup_us", "ratio", "interval", "us/step", "us/step", "ratio", "interval"]
+PAIRED_HEADER = ["case", "setup_us", "setup_us", "ratio", "interval", "us/step", "us/step", "ratio", "interval",
+                 "calls/step", "calls/step"]
 
 
 def paired_columns(row):
-    """The case of a two-root row, and per column (set-up, per step): both values, the ratio and its interval."""
+    """The case of a two-root row, per column (set-up, per step) both values, the ratio and its interval, and both
+    counts of calls per step."""
     name, *cells = row.replace("*", "").split()
     columns = []
-    for a, b, ratio, interval in (cells[:4], cells[4:]):
+    for a, b, ratio, interval in (cells[:4], cells[4:8]):
         columns.append((float(a), float(b), float(ratio), *map(float, interval.strip("[]").split(","))))
-    return name, columns
+    return name, columns, [float(count) for count in cells[8:]]
 
 
 def test_step_cost_pairs_two_roots(capsys):
     # The same tree as both roots: both columns twice, each with the median paired ratio and its interval,
-    # which holds the median.
+    # which holds the median, and the two equal counts of calls per step.
     cases = ["centralized", "pd1_300"]
     root = str(REPO / "src")
     assert step_cost.main(["--runs", "6", "--only", ",".join(cases), root, root]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+    _, header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == PAIRED_HEADER
     assert [paired_columns(row)[0] for row in rows] == cases
-    for row in rows:
-        for a, b, ratio, low, high in paired_columns(row)[1]:
+    for name, row in zip(cases, rows):
+        _, columns, counts = paired_columns(row)
+        for a, b, ratio, low, high in columns:
             assert a > 0 and b > 0 and low <= ratio <= high
+        assert counts == [CALLS_PER_STEP[name.split("_")[0]]] * 2
 
 
 def test_step_cost_splits_setup_from_steps(monkeypatch, capsys):
     # Each case is timed at its horizon K and at K = 0: set-up is T(0), a step (T(K) - T(0)) / K, each paired.
-    # Root A: T(K) = 10.5 ms, T(0) = 0.5 ms; root B: 6.5 and 0.4 ms; K = 100.
+    # Root A: T(K) = 10.5 ms, T(0) = 0.5 ms; root B: 6.5 and 0.4 ms; K = 100. Each root's count is printed.
     seconds = {("A", "K"): 0.0105, ("A", "0"): 0.0005, ("B", "K"): 0.0065, ("B", "0"): 0.0004}
     packages = iter("AB")
     monkeypatch.setattr(step_cost, "load", lambda root, name: next(packages))
     monkeypatch.setattr(step_cost, "prepare", lambda package, name: ([(package, "K"), (package, "0")], 100))
     monkeypatch.setattr(step_cost, "timeit", SimpleNamespace(timeit=lambda call, number: seconds[call]))
+    monkeypatch.setattr(step_cost, "calls_per_step", lambda package, call, algorithm: {"A": 25, "B": 24}[package])
     assert step_cost.main(["--runs", "6", "--only", "pd1", "a", "b"]) == 0
-    header, row = capsys.readouterr().out.splitlines()
+    _, header, row = capsys.readouterr().out.splitlines()
     assert header.split() == PAIRED_HEADER
-    (setup, step) = paired_columns(row)[1]
+    _, (setup, step), counts = paired_columns(row)
     assert setup == pytest.approx((500.0, 400.0, 0.8, 0.8, 0.8))
     assert step == pytest.approx((100.0, 61.0, 0.61, 0.61, 0.61))
+    assert counts == [25, 24]
     assert row.count("*") == 2  # both ratios resolved
+
+
+# NumPy calls per step of each algorithm at case39, as `calls_per_step` counts them: every ufunc call (a ufunc's
+# reduce among them) and bincount call of the step, `mix` being one bincount and one add; ndarray.take is not counted.
+CALLS_PER_STEP = {"pd1": 14, "pd2": 13, "directed": 16, "robust": 22, "virtual": 20, "centralized": 10}
+
+
+def test_calls_per_step_counts_each_numpy_call_of_the_steps():
+    # The six kernels' counts, and the counting of each way a module reaches NumPy, inside the steps only: a
+    # ufunc it names, its reduce, its `np` (np.multiply) and `mix`, whose bincount `network` names; take is an
+    # ndarray method, and is not counted. Every name is restored afterwards.
+    package = step_cost.load(REPO / "src", "step_cost_count")
+    for name, want in CALLS_PER_STEP.items():
+        calls, horizon = step_cost.prepare(package, name)
+        assert horizon > step_cost.COUNTED_STEPS
+        assert step_cost.calls_per_step(package, calls[0], name) == want, name
+    algorithms, network = package.algorithms, package.network
+    spec = algorithms._SPECS["centralized"]
+    made = []
+
+    def kernel(*args):
+        views, step = spec.kernel(*args)
+
+        def counted(cur, nxt, weights, s):
+            a = np.arange(4.0)
+            algorithms.add.reduce(algorithms.add(a, a), 0, None, s.copy())  # 2 calls
+            network.np.multiply(a, a)  # 1
+            network.mix(a, np.array([1, 3]), a[:2])  # bincount and add: 2
+            a.take([0, 1])  # an ndarray method: none
+            step(cur, nxt, weights, s)  # centralized's own
+
+        return views, counted
+
+    algorithms._SPECS["centralized"] = replace(spec, kernel=kernel)
+    try:
+        calls, _ = step_cost.prepare(package, "centralized")
+        assert step_cost.calls_per_step(package, calls[0], "centralized") == 5 + CALLS_PER_STEP["centralized"]
+    finally:
+        algorithms._SPECS["centralized"] = spec
+    modules = (algorithms, package.problem, network)
+    assert network.np is np and not any(isinstance(v, step_cost.Counted) for m in modules for v in vars(m).values())
 
 
 def test_an_optimum_case_times_the_cli_path_of_either_package(monkeypatch):

@@ -24,6 +24,15 @@ and its 95 % interval (`ratio_interval`); a ratio whose interval excludes 1
 is marked ``*``, resolved. Import and first-call costs are perfbench's to
 measure.
 
+A third column, ``calls/step``, is a count, the same on every run: the NumPy
+calls each step of the case makes, over its first COUNTED_STEPS steps
+(`calls_per_step`). It counts the calls of every ufunc (its ``reduce`` among
+them) and of bincount that a step makes through the names the package's
+`algorithms`, `problem` and `network` modules hold, NumPy's own (``np.add``)
+included. ``take`` is an ndarray method, which no module name reaches, so
+it is not counted; the table's first line says so. Given two roots, the
+column gives both counts.
+
 Usage: ``python tools/step_cost.py [--runs R] [--only NAME,...] SRC [SRC2]``,
 SRC being a directory that holds the ``dercoord`` package (``src``).
 """
@@ -39,6 +48,8 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 REPO = Path(__file__).resolve().parent.parent
 # Case -> (the shipped config whose parameters it takes, n of a scaled case or None); a case runs the algorithm
 # that its name begins with, given the optimum when its name ends in _opt.
@@ -48,6 +59,9 @@ SCALED = ("pd1", "directed", "robust", "virtual")
 CASES |= {f"{name}_{n}": (CASES[name][0], n) for n in (300, 1000, 3000) for name in SCALED}
 CASES |= {f"{name}_opt": CASES[name] for name in ("pd1", "robust", "robust_3000")}
 SCALE_K = 200  # the scaled cases' short horizon
+COUNTED_STEPS = 20  # the steps of each case whose NumPy calls `calls_per_step` counts
+LEGEND = (f"# calls/step: ufunc and bincount calls per step, over the first {COUNTED_STEPS} steps; "
+          "ndarray methods (take) not counted")
 
 
 def load(root: str, name: str):
@@ -90,6 +104,81 @@ def prepare(dc, name: str):
     return calls, params.horizon
 
 
+class Tally:
+    """The NumPy calls counted while `on`, and the steps they were counted over."""
+
+    def __init__(self):
+        self.calls, self.steps, self.on = 0, 0, False
+
+    def wrap(self, value):
+        """`value` wrapped to be counted if it is a ufunc or bincount, else `value` itself."""
+        bincounts = (np.bincount, getattr(np.bincount, "_implementation", np.bincount))
+        return Counted(value, self) if isinstance(value, np.ufunc) or any(value is b for b in bincounts) else value
+
+
+class Counted:
+    """A ufunc or bincount whose calls, and ``reduce`` calls, its tally counts while on."""
+
+    def __init__(self, f, tally: Tally):
+        self.f, self.tally = f, tally
+
+    def __call__(self, *args, **kwargs):
+        self.tally.calls += self.tally.on
+        return self.f(*args, **kwargs)
+
+    def reduce(self, *args, **kwargs):
+        self.tally.calls += self.tally.on
+        return self.f.reduce(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+
+class CountedNumpy:
+    """NumPy as a module sees it through its ``np`` name, with each ufunc and bincount counted."""
+
+    def __init__(self, tally: Tally):
+        self.tally = tally
+
+    def __getattr__(self, name):
+        return self.tally.wrap(getattr(np, name))
+
+
+def calls_per_step(dc, call, algorithm: str) -> float:
+    """NumPy calls per step of `call`, a run of `algorithm` by package `dc`, over its first COUNTED_STEPS steps.
+
+    Every ufunc and bincount that `dc`'s `algorithms`, `problem` and
+    `network` modules name, and their ``np``, is replaced by one that counts
+    its calls, and the algorithm's kernel by one whose step turns counting on
+    while it runs; all are restored after the run.
+    """
+    tally, spec = Tally(), dc.algorithms._SPECS[algorithm]
+
+    def kernel(*args):
+        views, step = spec.kernel(*args)
+
+        def counted(*step_args):
+            tally.on = tally.steps < COUNTED_STEPS
+            tally.steps += tally.on
+            step(*step_args)
+            tally.on = False
+
+        return views, counted
+
+    saved = [(module, name, value) for module in (dc.algorithms, dc.problem, dc.network)
+             for name, value in vars(module).items() if name == "np" or tally.wrap(value) is not value]
+    try:
+        for module, name, value in saved:
+            setattr(module, name, CountedNumpy(tally) if name == "np" else tally.wrap(value))
+        dc.algorithms._SPECS[algorithm] = replace(spec, kernel=kernel)
+        call()
+    finally:
+        dc.algorithms._SPECS[algorithm] = spec
+        for module, name, value in saved:
+            setattr(module, name, value)
+    return tally.calls / tally.steps
+
+
 def ratio_interval(ratios) -> tuple[float, float, float]:
     """The median of N paired ratios and its distribution-free 95 % interval.
 
@@ -117,9 +206,11 @@ def main(argv=None) -> int:
     packages = [load(root, f"step_cost_{i}") for i, root in enumerate(args.roots)]
     paired = f"{'ratio':>8}  {'interval':<17}" if len(packages) == 2 else ""
     header = f"{'case':<14}" + "".join(f"{column:>10}" * len(packages) + paired for column in ("setup_us", "us/step"))
-    print(header.rstrip())
+    print(LEGEND)
+    print(header + f"{'calls/step':>12}" * len(packages))
     for name in args.only:
         cases = [prepare(dc, name) for dc in packages]
+        counts = [calls_per_step(dc, calls[0], name.split("_")[0]) for dc, (calls, _) in zip(packages, cases)]
         horizon = cases[0][1]
         # times[i][j]: root i's runs at K (j = 0) and at K = 0 (j = 1), pair by pair
         times = [([], []) for _ in cases]
@@ -136,7 +227,7 @@ def main(argv=None) -> int:
             if len(column) == 2:
                 median, low, high = ratio_interval([b / a for a, b in zip(column[0][1], column[1][1])])
                 row += f"{median:>8.3f}  {f'[{low:.3f},{high:.3f}]':<15}" + ("  " if low <= 1 <= high else " *")
-        print(row.rstrip())
+        print(row + "".join(f"{count:>12g}" for count in counts))
     return 0
 
 
