@@ -39,6 +39,7 @@ from .experiment import (
     generate_instance,
     load_case,
     load_config,
+    load_graph,
     run_experiment,
     write_case,
 )
@@ -58,7 +59,6 @@ from .network import (
     GraphSchedule,
     NominalGraph,
     check_B_connectivity,
-    load_graph,
     minimal_connectivity_window,
 )
 from .oracle import DispatchSolution, clamped_best_response, solve_bisection

@@ -10,12 +10,20 @@ repeated runs are byte-identical. A seed is finished in one pass and
 leaves only its `SeedOutcome`, whose residual extrema are its
 `invariant_report`: the summary computes none of them itself.
 
-Case file format (text)::
+This module owns every file the package reads or writes: configs, case
+files, graph files and the CSVs. Case file format (text)::
 
     n
-    a_i b_i c_i p_lo p_hi load       (one line per agent)
+    a b c p_lo p_hi load             (one line per agent)
     n m mode                         (graph section, mode undirected|directed)
     i j                              (one line per edge, 0-based)
+
+A graph file, which ``[graph] file`` names, is the graph section alone.
+Both skip blank lines and lines that start with ``#``, and read the mode
+in any case. Every other line must hold exactly its fields, and a
+`CaseParseError` names its 1-based number and the field it rejects.
+Written numbers have 17 significant digits, so a written case reads back
+bit for bit.
 """
 
 from __future__ import annotations
@@ -39,19 +47,12 @@ from .errors import (
 )
 from .metrics import InvariantReport, RunTrace, fit_rate, invariant_report
 from .network import (
-    KINDS,
     GraphSchedule,
     NominalGraph,
     checked_bool,
     checked_int,
     checked_real,
     checked_seed,
-    format_graph,
-    is_directed,
-    load_graph,
-    numbered_lines,
-    parse_fields,
-    parse_graph_lines,
 )
 from .oracle import solve_bisection
 from .problem import AlgorithmParams, ConstantStep, DiminishingStep, ProblemInstance, QuadraticCost
@@ -63,7 +64,10 @@ _TAG_GRAPH = (1 << 63) + 2
 
 _REJECTION_LIMIT = 1000
 
+# The spec's ranges in the order `generate_instance` draws them.
 _RANGES = ("a_range", "b_range", "c_range", "load_range", "lo_range", "hi_range")
+# The fields of a case file's agent line, in order.
+_AGENT_FIELDS = "a b c p_lo p_hi load"
 
 TRACE_COLUMNS = (
     "k",
@@ -142,14 +146,10 @@ def generate_instance(spec: InstanceSpec, seed: int) -> ProblemInstance:
         lo, hi = rng
         return np.full(size, lo) if lo == hi else gen.uniform(lo, hi, size)
 
-    tries = 1 if all(low == high for low, high in (getattr(spec, name) for name in _RANGES)) else _REJECTION_LIMIT
+    ranges = [getattr(spec, name) for name in _RANGES]
+    tries = 1 if all(low == high for low, high in ranges) else _REJECTION_LIMIT
     for _ in range(tries):
-        a = draw(spec.a_range, spec.n)
-        b = draw(spec.b_range, spec.n)
-        c = draw(spec.c_range, spec.n)
-        loads = draw(spec.load_range, spec.n)
-        lo = draw(spec.lo_range, spec.n)
-        hi = draw(spec.hi_range, spec.n)
+        a, b, c, loads, lo, hi = (draw(rng, spec.n) for rng in ranges)
         try:  # `ProblemInstance` rejects an inverted box or an infeasible load (`InfeasibleInstanceError`)
             return ProblemInstance(loads, lo, hi, QuadraticCost(a, b, c))
         except InvalidInstanceError as err:
@@ -183,12 +183,8 @@ class GraphSpec:
 def generate_graph(spec: GraphSpec, seed: int) -> NominalGraph:
     gen = _stream(seed, _TAG_GRAPH, "graph seed")
     n = spec.n
-    if n == 1:
-        return NominalGraph(1, [], spec.directed)
-    if spec.directed:
-        edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1), (1, 0)]
-    else:
-        edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
+    # The ring: n links, but two nodes have one edge or two arcs, and one node none.
+    edges = [(i, (i + 1) % n) for i in range(n if n > 2 else (n - 1) * (1 + spec.directed))]
     # Chord candidates are the non-ring pairs i < j in lexicographic order:
     # row 0 holds j = 2..n-2 and row i >= 1 holds j = i+2..n-1. A pick is
     # mapped to its pair through the row starts, without listing all pairs.
@@ -215,25 +211,95 @@ def generate_graph(spec: GraphSpec, seed: int) -> NominalGraph:
     return NominalGraph(n, edges, spec.directed)
 
 
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """Non-empty, non-comment lines of `text` with their 1-based numbers."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            out.append((lineno, stripped))
+    return out
+
+
+def is_directed(mode: str) -> bool:
+    """The graph mode word: True for 'directed', False for 'undirected', in any case; ValueError otherwise."""
+    mode = mode.lower()
+    if mode not in ("undirected", "directed"):
+        raise ValueError(mode)
+    return mode == "directed"
+
+
+def _range(text: str) -> tuple[float, float]:
+    low, high = map(float, text.split())  # ValueError unless two numbers
+    return low, high
+
+
+# What each field parser of `parse_fields` and `_get` accepts, for the error that rejects a value.
+_KINDS = {int: "an integer", float: "a number", is_directed: "'undirected' or 'directed'",
+          _range: "two numbers 'low high'"}
+
+
+def parse_fields(line: tuple[int, str], names: str, kinds: tuple) -> list:
+    """The values of a numbered line of exactly the fields `names`, field i parsed by kinds[i].
+
+    Each `CaseParseError` carries the line number: a wrong field count
+    quotes the line, a value its parser rejects names its field.
+    """
+    lineno, content = line
+    words = content.split()
+    if len(words) != len(kinds):
+        raise CaseParseError(lineno, f"expected '{names}', got {content!r}")
+    values = []
+    for name, kind, word in zip(names.split(), kinds, words):
+        try:
+            values.append(kind(word))
+        except ValueError:
+            raise CaseParseError(lineno, f"{name} must be {_KINDS[kind]}, got {word!r}") from None
+    return values
+
+
+def parse_graph_lines(lines: list[tuple[int, str]], before: int = 0) -> NominalGraph:
+    """Parse the graph section: header ``n m mode`` then one edge per line.
+
+    `lines` are (1-based line number, content) pairs; numbers are carried
+    into parse errors. An empty section is blamed on line `before`, the one
+    it follows (0 for a graph file, which has no line before it).
+    """
+    if not lines:
+        raise CaseParseError(before, "missing graph header 'n m mode'")
+    n, m, directed = parse_fields(lines[0], "n m mode", (int, int, is_directed))
+    if m < 0:
+        raise CaseParseError(lines[0][0], f"edge count must be >= 0, got {m}")
+    if len(lines) - 1 < m:
+        raise CaseParseError(lines[-1][0], f"expected {m} edge lines, found {len(lines) - 1}")
+    if len(lines) - 1 > m:
+        raise CaseParseError(lines[1 + m][0], f"unexpected content after {m} edge lines")
+    edges = [parse_fields(line, "i j", (int, int)) for line in lines[1 : 1 + m]]
+    try:
+        return NominalGraph(n, edges, directed)
+    except InvalidGraphError as exc:
+        raise CaseParseError(lines[0][0], str(exc)) from exc
+
+
+def format_graph(graph: NominalGraph) -> str:
+    mode = "directed" if graph.directed else "undirected"
+    lines = [f"{graph.n} {graph.m} {mode}"]
+    lines += [f"{i} {j}" for i, j in graph.edges]
+    return "\n".join(lines) + "\n"
+
+
+def load_graph(path) -> NominalGraph:
+    return parse_graph_lines(numbered_lines(Path(path).read_text(encoding="utf-8")))
+
+
 def format_case(inst: ProblemInstance, graph: NominalGraph) -> str:
-    if not isinstance(inst.cost, QuadraticCost):
+    cost = inst.cost
+    if not isinstance(cost, QuadraticCost):
         raise InvalidInstanceError("case files store quadratic costs only")
-    lines = [str(inst.n)]
-    for i in range(inst.n):
-        lines.append(
-            " ".join(
-                _fmt(v)
-                for v in (
-                    inst.cost.a[i],
-                    inst.cost.b[i],
-                    inst.cost.c[i],
-                    inst.p_lo[i],
-                    inst.p_hi[i],
-                    inst.loads[i],
-                )
-            )
-        )
-    return "\n".join(lines) + "\n" + format_graph(graph)
+    col = {"a": cost.a, "b": cost.b, "c": cost.c, "p_lo": inst.p_lo, "p_hi": inst.p_hi, "load": inst.loads}
+    table = np.column_stack([col[name] for name in _AGENT_FIELDS.split()])
+    agents = [" ".join(map(_fmt, row)) for row in table.tolist()]
+    return "\n".join([str(inst.n), *agents]) + "\n" + format_graph(graph)
 
 
 def write_case(path, inst: ProblemInstance, graph: NominalGraph) -> None:
@@ -249,24 +315,21 @@ def parse_case(text: str) -> tuple[ProblemInstance, NominalGraph]:
         raise CaseParseError(lines[0][0], "agent count must be >= 1")
     if len(lines) < 1 + n:
         raise CaseParseError(lines[-1][0], f"expected {n} agent lines, found {len(lines) - 1}")
-    cols = np.empty((n, 6))
-    for row, line in enumerate(lines[1 : 1 + n]):
-        cols[row] = parse_fields(line, "a b c p_lo p_hi load", (float,) * 6)
+    names = _AGENT_FIELDS.split()
+    table = np.empty((n, len(names)))
+    for row, line in zip(table, lines[1 : 1 + n]):
+        row[:] = values = parse_fields(line, _AGENT_FIELDS, (float,) * len(names))
+        agent = dict(zip(names, values))
         # Checked here too, because here the error can name the file's line.
-        if cols[row, 3] > cols[row, 4]:
-            raise InvalidInstanceError(f"line {line[0]}: p_lo={cols[row, 3]:.6g} > p_hi={cols[row, 4]:.6g}")
-        if cols[row, 0] <= 0:
-            raise InvalidInstanceError(f"line {line[0]}: quadratic coefficient a={cols[row, 0]:.6g} must be > 0")
-    graph = parse_graph_lines(lines[1 + n :])
+        if agent["p_lo"] > agent["p_hi"]:
+            raise InvalidInstanceError(f"line {line[0]}: p_lo={agent['p_lo']:.6g} > p_hi={agent['p_hi']:.6g}")
+        if agent["a"] <= 0:
+            raise InvalidInstanceError(f"line {line[0]}: quadratic coefficient a={agent['a']:.6g} must be > 0")
+    graph = parse_graph_lines(lines[1 + n :], lines[n][0])
     if graph.n != n:
         raise CaseParseError(lines[1 + n][0], f"graph has {graph.n} nodes but case has {n} agents")
-    inst = ProblemInstance(
-        loads=cols[:, 5],
-        p_lo=cols[:, 3],
-        p_hi=cols[:, 4],
-        cost=QuadraticCost(cols[:, 0], cols[:, 1], cols[:, 2]),
-    )
-    return inst, graph
+    col = dict(zip(names, table.T))
+    return ProblemInstance(col["load"], col["p_lo"], col["p_hi"], QuadraticCost(col["a"], col["b"], col["c"])), graph
 
 
 def load_case(path) -> tuple[ProblemInstance, NominalGraph]:
@@ -284,14 +347,6 @@ class ExperimentConfig:
     q: float
     seeds: tuple[int, ...]
     out_dir: Path | None
-
-
-def _range(text: str) -> tuple[float, float]:
-    low, high = map(float, text.split())  # ValueError unless two numbers
-    return low, high
-
-
-_KINDS = {**KINDS, _range: "two numbers 'low high'"}
 
 
 class _Config(configparser.ConfigParser):

@@ -1,5 +1,9 @@
 """Time-varying communication graphs and per-step edge-list mixing.
 
+This module holds graphs, schedules, mixing, connectivity and the input
+rules for scalars, and opens no file: the graph-file format, like every
+file the package reads or writes, is `experiment`'s.
+
 A `NominalGraph` fixes the topology; a `GraphSchedule` drops each nominal
 link independently with probability q at every step, deterministically per
 (seed, step). Sampling is counter-based (Philox4x64 keyed by (seed, k),
@@ -104,7 +108,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import CaseParseError, InvalidGraphError
+from .errors import InvalidGraphError
 
 PRNG_VERSION = "philox4x64-v1"
 # bincount's C implementation, which np.bincount reaches through NumPy's array-function dispatcher.
@@ -674,77 +678,3 @@ def minimal_connectivity_window(schedule: GraphSchedule, K: int | None = None) -
             return B
     return None
 
-
-def format_graph(graph: NominalGraph) -> str:
-    mode = "directed" if graph.directed else "undirected"
-    lines = [f"{graph.n} {graph.m} {mode}"]
-    lines += [f"{i} {j}" for i, j in graph.edges]
-    return "\n".join(lines) + "\n"
-
-
-def numbered_lines(text: str) -> list[tuple[int, str]]:
-    """Non-empty, non-comment lines of `text` with their 1-based numbers."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            out.append((lineno, stripped))
-    return out
-
-
-def is_directed(mode: str) -> bool:
-    """The graph mode word: True for 'directed', False for 'undirected', in any case; ValueError otherwise."""
-    mode = mode.lower()
-    if mode not in ("undirected", "directed"):
-        raise ValueError(mode)
-    return mode == "directed"
-
-
-# What each field parser of `parse_fields` (and of the config reader) accepts, for the error that rejects a value.
-KINDS = {int: "an integer", float: "a number", is_directed: "'undirected' or 'directed'"}
-
-
-def parse_fields(line: tuple[int, str], names: str, kinds: tuple) -> list:
-    """The values of a numbered line of exactly the fields `names`, field i parsed by kinds[i].
-
-    Each `CaseParseError` carries the line number: a wrong field count
-    quotes the line, a value its parser rejects names its field.
-    """
-    lineno, content = line
-    words = content.split()
-    if len(words) != len(kinds):
-        raise CaseParseError(lineno, f"expected '{names}', got {content!r}")
-    values = []
-    for name, kind, word in zip(names.split(), kinds, words):
-        try:
-            values.append(kind(word))
-        except ValueError:
-            raise CaseParseError(lineno, f"{name} must be {KINDS[kind]}, got {word!r}") from None
-    return values
-
-
-def parse_graph_lines(lines: list[tuple[int, str]]) -> NominalGraph:
-    """Parse the graph section: header ``n m mode`` then one edge per line.
-
-    `lines` are (1-based line number, content) pairs; numbers are carried
-    into parse errors.
-    """
-    if not lines:
-        raise CaseParseError(0, "missing graph header 'n m mode'")
-    n, m, directed = parse_fields(lines[0], "n m mode", (int, int, is_directed))
-    if m < 0:
-        raise CaseParseError(lines[0][0], f"edge count must be >= 0, got {m}")
-    if len(lines) - 1 < m:
-        raise CaseParseError(lines[-1][0], f"expected {m} edge lines, found {len(lines) - 1}")
-    if len(lines) - 1 > m:
-        raise CaseParseError(lines[1 + m][0], f"unexpected content after {m} edge lines")
-    edges = [parse_fields(line, "i j", (int, int)) for line in lines[1 : 1 + m]]
-    try:
-        return NominalGraph(n, edges, directed)
-    except InvalidGraphError as exc:
-        raise CaseParseError(lines[0][0], str(exc)) from exc
-
-
-def load_graph(path) -> NominalGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph_lines(numbered_lines(fh.read()))

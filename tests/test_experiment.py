@@ -29,8 +29,11 @@ from dercoord.experiment import (
     _stream,
     _trace_csv,
     format_case,
+    format_graph,
     load_config,
+    numbered_lines,
     parse_case,
+    parse_graph_lines,
     run_experiment,
 )
 from reference import reference_trace_csv
@@ -42,6 +45,25 @@ FLOAT_BITS = st.one_of(
     st.sampled_from([0, 1 << 63, 1, (1 << 63) | 1, 0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000,
                      0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001]),
 )
+# Float64 values a case file must carry bit for bit: +-0, the extreme subnormals and values of 17 significant
+# digits, besides any float of magnitude up to 1e150, at which no sum of 12 values and no f' at a bound overflows.
+SPECIAL = [5e-324, 2.225073858507201e-308, 0.1, 1 / 3, 123456789.12345679]
+POSITIVE = st.one_of(st.sampled_from(SPECIAL), st.floats(5e-324, 1e150))
+MODERATE = st.one_of(st.sampled_from([0.0, -0.0, *SPECIAL, *(-x for x in SPECIAL)]), st.floats(-1e150, 1e150))
+# c enters no sum and no f', so it takes every finite float, the largest magnitudes among them.
+FINITE = st.one_of(MODERATE, st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def cases(draw):
+    """A valid case of n in 1..12 agents and a graph of either kind; each agent's p_lo <= load <= p_hi are sorted."""
+    n = draw(st.integers(1, 12))
+    a, b, c = (draw(arrays(float, n, elements=values)) for values in (POSITIVE, MODERATE, FINITE))
+    p_lo, loads, p_hi = np.sort(draw(arrays(float, (3, n), elements=MODERATE)), axis=0)
+    spec = dc.GraphSpec(n, draw(st.integers(0, n)), draw(st.booleans()))
+    graph = dc.generate_graph(spec, draw(st.integers(0, 2**64 - 1))).relabeled(draw(st.permutations(range(n))))
+    return dc.ProblemInstance(loads, p_lo, p_hi, dc.QuadraticCost(a, b, c)), graph
 
 
 class TestCaseFiles:
@@ -71,6 +93,8 @@ class TestCaseFiles:
         ("2\n1 0 0 0 5 2\n1 0 0 0 5 2\n2 -1 undirected\n0 1\n", 4, "edge count must be >= 0, got -1"),
         ("2\n1 0 0 0 5 2\n1 0 0 0 5 2\n2 1 Undirected\n0\n", 5, "expected 'i j', got '0'"),
         ("2\n1 0 0 0 5 2\n1 0 0 0 5 2\n2 1 UNDIRECTED\n\n0 1.5\n", 6, "j must be an integer, got '1.5'"),
+        ("1\n1 0 0 0 5 2\n", 2, "missing graph header 'n m mode'"),
+        ("1\n1 0 0 0 5 2\n\n# no graph\n", 2, "missing graph header 'n m mode'"),
     ])
     def test_each_line_kind_names_its_line_and_field(self, text, line, detail):
         with pytest.raises(CaseParseError, match=re.escape(f"line {line}: {detail}")) as err:
@@ -94,6 +118,21 @@ class TestCaseFiles:
         assert graph2.edges == graph.edges and graph2.directed == graph.directed
         assert format_case(inst2, graph2) == format_case(inst, graph)
 
+    @given(case=cases())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_is_bit_exact(self, case):
+        inst, graph = case
+        text = format_case(inst, graph)
+        inst2, graph2 = parse_case(text)
+        for name in ("loads", "p_lo", "p_hi"):
+            assert getattr(inst2, name).tobytes() == getattr(inst, name).tobytes(), name
+        for name in "abc":
+            assert getattr(inst2.cost, name).tobytes() == getattr(inst.cost, name).tobytes(), name
+        assert (graph2.n, graph2.edges, graph2.directed) == (graph.n, graph.edges, graph.directed)
+        assert format_case(inst2, graph2) == text
+        graph3 = parse_graph_lines(numbered_lines(format_graph(graph)))
+        assert (graph3.n, graph3.edges, graph3.directed) == (graph.n, graph.edges, graph.directed)
+
     def test_shipped_cases_valid(self, case39_undirected, case39_directed):
         inst, gu = case39_undirected
         _, gd = case39_directed
@@ -103,6 +142,34 @@ class TestCaseFiles:
         inst, graph = case39_directed
         text = (repo_root / "cases" / "case39_directed.txt").read_text(encoding="utf-8")
         assert format_case(inst, graph) == text
+
+
+class TestGraphFiles:
+    def test_round_trip(self, tmp_path):
+        g = dc.generate_graph(dc.GraphSpec(n=6, extra_edges=2, directed=True), 9)
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(g), encoding="utf-8")
+        loaded = dc.load_graph(path)
+        assert loaded.n == g.n and loaded.edges == g.edges and loaded.directed
+
+    def test_parse_error_carries_line_number(self):
+        lines = numbered_lines("3 2 undirected\n0 1\nbad line\n")
+        with pytest.raises(CaseParseError) as err:
+            parse_graph_lines(lines)
+        assert err.value.line == 3
+
+    def test_bad_mode_rejected(self):
+        with pytest.raises(CaseParseError, match="mode"):
+            parse_graph_lines(numbered_lines("2 1 sideways\n0 1\n"))
+
+    def test_disconnected_file_rejected(self):
+        text = "4 2 undirected\n0 1\n2 3\n"
+        with pytest.raises(CaseParseError):
+            parse_graph_lines(numbered_lines(text))
+
+    def test_format_is_header_plus_edges(self):
+        g = dc.NominalGraph(2, [(0, 1)], False)
+        assert format_graph(g) == "2 1 undirected\n0 1\n"
 
 
 class TestGenerators:

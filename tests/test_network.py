@@ -15,19 +15,16 @@ from hypothesis import strategies as st
 
 import dercoord as dc
 from dercoord import network
-from dercoord.errors import CaseParseError, InvalidGraphError
+from dercoord.errors import InvalidGraphError
 from dercoord.algorithms import _release_table
 from dercoord.network import (
     _earliest_connect,
     _prefix_lengths,
     checked_bool,
     checked_real,
-    format_graph,
     metropolis_table,
     mix,
-    numbered_lines,
     offset_bins,
-    parse_graph_lines,
     push_table,
     row_bincount,
     stacked,
@@ -901,30 +898,3 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
-
-class TestGraphFiles:
-    def test_round_trip(self, tmp_path):
-        g = dc.generate_graph(dc.GraphSpec(n=6, extra_edges=2, directed=True), 9)
-        path = tmp_path / "g.txt"
-        path.write_text(format_graph(g), encoding="utf-8")
-        loaded = dc.load_graph(path)
-        assert loaded.n == g.n and loaded.edges == g.edges and loaded.directed
-
-    def test_parse_error_carries_line_number(self):
-        lines = numbered_lines("3 2 undirected\n0 1\nbad line\n")
-        with pytest.raises(CaseParseError) as err:
-            parse_graph_lines(lines)
-        assert err.value.line == 3
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(CaseParseError, match="mode"):
-            parse_graph_lines(numbered_lines("2 1 sideways\n0 1\n"))
-
-    def test_disconnected_file_rejected(self):
-        text = "4 2 undirected\n0 1\n2 3\n"
-        with pytest.raises(CaseParseError):
-            parse_graph_lines(numbered_lines(text))
-
-    def test_format_is_header_plus_edges(self):
-        g = dc.NominalGraph(2, [(0, 1)], False)
-        assert format_graph(g) == "2 1 undirected\n0 1\n"

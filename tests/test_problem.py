@@ -89,6 +89,27 @@ class TestClamp:
         qq = inst.clamp(q)
         assert np.linalg.norm(pp - qq) <= np.linalg.norm(p - q) + 1e-12
 
+    def test_clip_falls_back_to_numpy_core_without_numpy_underscore_core(self, monkeypatch):
+        # NumPy 1.x has no numpy._core.umath: the package imported afresh where that import fails binds the same
+        # clip ufunc through numpy.core.umath, which NumPy 2 still serves, with a DeprecationWarning.
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        monkeypatch.setitem(sys.modules, "numpy._core.umath", None)  # importing it now raises ImportError
+        init = Path(dc.__file__)
+        spec = importlib.util.spec_from_file_location("clip_fallback", init,
+                                                      submodule_search_locations=[str(init.parent)])
+        package = sys.modules["clip_fallback"] = importlib.util.module_from_spec(spec)
+        try:
+            with pytest.warns(DeprecationWarning, match="numpy.core"):
+                spec.loader.exec_module(package)
+        finally:
+            for name in [key for key in sys.modules if key.split(".")[0] == "clip_fallback"]:
+                del sys.modules[name]
+        assert package.problem.clip is dc.problem.clip and isinstance(dc.problem.clip, np.ufunc)
+        assert package.problem.clip.__name__ == "clip"
+
 
 class TestKktResidual:
     def one_agent(self):

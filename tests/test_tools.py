@@ -164,19 +164,13 @@ def test_calls_per_step_counts_each_numpy_call_of_the_steps():
     assert network.np is np and not any(isinstance(v, step_cost.Counted) for m in modules for v in vars(m).values())
 
 
-def test_an_optimum_case_times_the_cli_path_of_either_package(monkeypatch):
-    # Given the optimum, `run` keeps ||p - p*||; a package whose `run` takes no optimum gets what its CLI did,
-    # the full trace and then `convergence_error`, with the same values, at K and at K = 0.
+def test_an_optimum_case_times_the_cli_path():
+    # Given the optimum, `run` keeps ||p - p*|| and no state series, at K and at K = 0.
     package = step_cost.load(REPO / "src", "step_cost_cli")
     calls, horizon = step_cost.prepare(package, "robust_opt")
     traces = [call() for call in calls]
     assert [(trace.p.shape, trace.steps) for trace in traces] == [((0, 39), horizon), ((0, 39), 0)]
-    full = package.run
-    monkeypatch.setattr(package, "run", lambda algorithm, inst, schedule, params, init=None:
-                        full(algorithm, inst, schedule, params, init))
-    calls, _ = step_cost.prepare(package, "robust_opt")
-    for call, trace in zip(calls, traces, strict=True):
-        assert np.array_equal(call(), trace.residuals["err_p"])
+    assert [len(trace.residuals["err_p"]) for trace in traces] == [horizon + 1, 1]
 
 
 def test_ratio_interval_ranks():

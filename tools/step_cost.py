@@ -5,9 +5,7 @@ generated instance and ring-plus-chords graph of n/2 chords, both of seed 1,
 over a short horizon, at the parameters of the config their 39-agent case takes.
 The ``_opt`` cases (pd1 and robust at case39, robust at n = 3000) time the CLI's
 path: `run` given the oracle's solution, which keeps ||p - p*|| and the
-residual series but no state series. A package whose `run` takes no optimum
-gets what its CLI does instead, the full trace and then `convergence_error`, so
-two roots compare the CLI paths as the other cases compare library `run`.
+residual series but no state series.
 
 Each source root's package is imported into this process under a name of its
 own, which works because the package uses only relative imports. Each case
@@ -39,7 +37,6 @@ SRC being a directory that holds the ``dercoord`` package (``src``).
 
 import argparse
 import importlib.util
-import inspect
 import math
 import statistics
 import sys
@@ -90,15 +87,9 @@ def prepare(dc, name: str):
     schedule = dc.GraphSchedule(graph, config.q, 1, params.horizon)
     solution = dc.solve_bisection(inst, xi=params.xi, nhat=params.nhat) if name.endswith("_opt") else None
 
-    def call_at(horizon: int):
-        args = (name.split("_")[0], inst, schedule, replace(params, horizon=horizon))
-        if solution is None:
-            return partial(dc.run, *args)
-        if "optimum" in inspect.signature(dc.run).parameters:
-            return partial(dc.run, *args, optimum=solution)
-        return lambda: dc.convergence_error(dc.run(*args), solution)  # the CLI's path before `run` took an optimum
-
-    calls = [call_at(params.horizon), call_at(0)]
+    algorithm = name.split("_")[0]
+    calls = [partial(dc.run, algorithm, inst, schedule, replace(params, horizon=horizon), optimum=solution)
+             for horizon in (params.horizon, 0)]
     for call in calls:
         call()  # the warm-up: it samples the schedule and fills the graph's cached arrays
     return calls, params.horizon
