@@ -320,6 +320,9 @@ def parse_case(text: str) -> tuple[ProblemInstance, NominalGraph]:
     for row, line in zip(table, lines[1 : 1 + n]):
         row[:] = values = parse_fields(line, _AGENT_FIELDS, (float,) * len(names))
         agent = dict(zip(names, values))
+        for name, value in agent.items():  # float() takes nan and inf, which no agent value may be
+            if not np.isfinite(value):
+                raise CaseParseError(line[0], f"{name} must be finite, got {value!r}")
         # Checked here too, because here the error can name the file's line.
         if agent["p_lo"] > agent["p_hi"]:
             raise InvalidInstanceError(f"line {line[0]}: p_lo={agent['p_lo']:.6g} > p_hi={agent['p_hi']:.6g}")

@@ -32,16 +32,17 @@ half-open interval, which NaN fails) and `checked_bool` (a bool). Each
 takes the error type its caller raises and names the parameter in it;
 `checked_seed` narrows `checked_int` to the 64-bit seed range.
 
-Connectivity of one union is one O(n + m) routine, `union_connected`:
-forward and reverse reachability from node 0 (undirected links count
-both ways) over per-node (arc, head) lists, reading the union's live
-flags as a list. The lists are built once per call of `union_connected`
-or `windows_connected` and kept nowhere (at n = 3000 they take about
-0.7 MB per direction, which a cache would add to every run's peak):
-one call builds and drops them one direction at a time, and
-`windows_connected` builds both once for all its windows and takes
-every union's flags with one `tolist`, so each window's own search makes
-no NumPy call. The realized connectivity window B
+Connectivity is one routine, `_connected`, which judges W unions of
+live flags at once: one worklist search from node 0 per direction
+(undirected links count both ways, so one search) over per-node bitsets,
+where bit w stands for union w. Each arc carries one Python int, the
+unions it is live in, taken from 64-bit words of `np.packbits`; a node
+is pushed again only when it gains bits, and union w connects when bit w
+is set at every node in both searches. `union_connected` is its W = 1
+case, and `windows_connected` hands it the unions of every complete
+B-window, so a window costs a bit of each search, not a search of its
+own. The per-node (bits, head) lists are built per call and kept
+nowhere, one direction at a time. The realized connectivity window B
 (`minimal_connectivity_window`) comes from per-start earliest-connect
 lengths L(s), all found in one integer computation: window [s, e)
 connects exactly when node 0 reaches, and is reached from, every node
@@ -54,9 +55,9 @@ the weights made once per search. A schedule finds the lengths
 once, over its full horizon, on first use (`GraphSchedule.connect_lengths`);
 every horizon prefix derives its own lengths from them in O(K), and
 scanning the candidate B costs O(K log K). `check_B_connectivity` judges
-each window's union on its own with `union_connected`
-(`windows_connected`), a different algorithm from the lengths', so it
-stays an independent check of the B they give.
+the window unions themselves by reachability (`windows_connected`), a
+different algorithm from the lengths', so it stays an independent check
+of the B they give.
 
 Mixing is one O(F (n + m)) edge-list primitive, `mix`, over a (F, n)
 stack of fields: every node keeps its own share of each field and adds
@@ -103,7 +104,7 @@ import hashlib
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Protocol
 
 import numpy as np
@@ -202,7 +203,7 @@ class NominalGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "directed", directed)
-        if not union_connected(self, [True] * self.m):
+        if not union_connected(self, np.ones(self.m, dtype=bool)):
             raise InvalidGraphError(f"nominal graph must be {'strongly connected' if self.directed else 'connected'}")
 
     @property
@@ -537,46 +538,55 @@ def push_table(nominal: NominalGraph, rows: int) -> tuple:
     return (D[:, 0], D, live), fill
 
 
-def _arc_lists(nominal: NominalGraph):
-    """Per-node (arc, head) lists for each search, built as the caller takes them: along the arcs, then against them.
+def _connected(nominal: NominalGraph, unions: np.ndarray) -> np.ndarray:
+    """Which of the W unions, a (W, m) bool array of live flags, are (strongly) connected: a (W,) bool array.
 
-    An undirected edge goes both ways in the forward lists, and they are
-    the only ones: a forward search reaches what a reverse one would.
+    One worklist search per direction, along the arcs and against them (one
+    for undirected edges, which go both ways), over per-node bitsets: bit w
+    of node i's int is set once node 0 is found to reach i (or, against the
+    arcs, to be reached from it) in union w. Each arc carries one int, the
+    unions it is live in, gathered from 64-bit words of `np.packbits`. Node
+    0 starts with every bit set; a popped node passes along each arc the
+    bits it holds, the arc carries and the head lacks, and a head is pushed
+    again whenever it gains some. Union w connects when bit w is set at
+    every node after every search. A pop costs the node's degree in
+    operations on W-bit ints, and a node is popped once per gain: once in
+    all for one union, so O(n + m) at W = 1.
     """
+    W = len(unions)
+    words = np.zeros((nominal.m, W // 64 * 64 + 64), dtype=bool)  # arc a's row: its unions, then zeros to a word's end
+    words[:, :W] = unions.T
+    live, *more = np.packbits(words, axis=1, bitorder="little").view("<u8").T.tolist()  # bit w of arc a: union w
+    for k, column in enumerate(more, 1):
+        live = [bits | word << 64 * k for bits, word in zip(live, column)]
+    everywhere = verdict = (1 << W) - 1
     for reverse in (False, True)[: 1 + nominal.directed]:
-        out: list[list[tuple[int, int]]] = [[] for _ in range(nominal.n)]
-        for a, ends in enumerate(nominal.edges):
-            i, j = ends[::-1] if reverse else ends
-            out[i].append((a, j))
+        out: list[list[tuple[int, int]]] = [[] for _ in range(nominal.n)]  # per node, (arc's unions, head)
+        for bits, (i, j) in zip(live, nominal.edges):
+            out[j if reverse else i].append((bits, i if reverse else j))
             if not nominal.directed:
-                out[j].append((a, i))
-        yield out
+                out[j].append((bits, i))
+        reach, stack = [everywhere] + [0] * (nominal.n - 1), [0]
+        while stack:
+            have = reach[u := stack.pop()]
+            for bits, v in out[u]:
+                gain = have & bits & ~reach[v]
+                if gain:
+                    reach[v] |= gain
+                    stack.append(v)
+        verdict = reduce(operator.and_, reach, verdict)
+    return np.unpackbits(bytearray(verdict.to_bytes(W // 8 + 1, "little")), count=W, bitorder="little").view(bool)
 
 
-def _reaches_all(out: list[list[tuple[int, int]]], live: list[bool]) -> bool:
-    """Does node 0 reach every node along the live arcs of the per-node (arc, head) lists `out`?"""
-    seen = [True] + [False] * (len(out) - 1)
-    stack = [0]
-    while stack:
-        for a, j in out[stack.pop()]:
-            if live[a] and not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return all(seen)
-
-
-def union_connected(nominal: NominalGraph, mask, arcs=None) -> bool:
+def union_connected(nominal: NominalGraph, mask) -> bool:
     """Is the subgraph of nominal edges flagged by `mask` (strongly) connected?
 
     `mask` holds one live flag per edge, as a boolean array or a list of
-    bools. Forward and reverse reachability from node 0 over the per-node
-    arc lists of each search, `arcs` (`_arc_lists`, built here unless
-    given); undirected edges are followed both ways, so the forward search
-    suffices. O(n + m). Built here, the lists of one search are dropped
-    before the next one's are built.
+    bools. This is `_connected` of one union: forward and reverse
+    reachability from node 0, undirected edges followed both ways, in
+    O(n + m).
     """
-    live = mask.tolist() if isinstance(mask, np.ndarray) else mask
-    return all(map(_reaches_all, _arc_lists(nominal) if arcs is None else arcs, [live] * 2))  # map keeps no lists
+    return bool(_connected(nominal, np.asarray(mask, dtype=bool)[None])[0])
 
 
 def windows_connected(nominal: NominalGraph, masks: np.ndarray, B: int) -> np.ndarray:
@@ -584,16 +594,12 @@ def windows_connected(nominal: NominalGraph, masks: np.ndarray, B: int) -> np.nd
 
     `masks` is a (K, m) boolean array of active sets; only complete
     windows [kB, (k+1)B - 1] within K are judged. The unions are built at
-    once and read as lists of live flags with one `tolist`, and the arc
-    lists are built once; each union is then judged on its own by
-    `union_connected`, in O(n + m) and with no NumPy call per window. B
-    must be an integer >= 1 (`checked_int`).
+    once and judged together by `_connected`, whose searches carry one bit
+    per window, so the cost of a window is a bit, not a search. B must be
+    an integer >= 1 (`checked_int`).
     """
     B = checked_int(B, "window length B", InvalidGraphError, 1)
-    K, m = masks.shape
-    unions = masks[: K // B * B].reshape(K // B, B, m).any(axis=1)
-    arcs = list(_arc_lists(nominal))
-    return np.array([union_connected(nominal, live, arcs) for live in unions.tolist()], dtype=bool)
+    return _connected(nominal, masks[: len(masks) // B * B].reshape(len(masks) // B, B, masks.shape[1]).any(axis=1))
 
 
 def check_B_connectivity(schedule: GraphSchedule, B: int) -> np.ndarray:

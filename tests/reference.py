@@ -27,9 +27,14 @@
 * `reference_centralized`: the centralized primal-dual loop as it was
   written before it shared the distributed iterations' primal step,
   with its one multiplier as a (K + 1, 1) column.
+* `dfs_union_connected` and `dfs_windows_connected`: connectivity of one
+  union by a depth-first search from node 0 over per-node (arc, head)
+  lists, along the arcs and against them, and the window verdicts as one
+  such search per window, the way the package judged them before it
+  searched every window at once over per-node bitsets.
 * `earliest_connect_scan`: the earliest-connect lengths found by a
   backward two-pointer scan that judges each probed window union with
-  `union_connected`, the way the package found them before it took
+  `dfs_union_connected`, the way the package found them before it took
   minimax path weights for every start at once.
 * `reference_trace_csv`: a trace CSV written with one f-string per step,
   the way the package wrote it before it formatted the whole body with one
@@ -46,7 +51,6 @@ import dercoord as dc
 from dercoord.algorithms import _SPECS
 from dercoord.errors import InvalidGraphError
 from dercoord.experiment import TRACE_COLUMNS
-from dercoord.network import union_connected
 
 
 # Algorithm -> the shipped config (benchmark39_<name>.cfg) whose parameters its runs take.
@@ -163,6 +167,45 @@ def run_over(algorithm, inst, nominal, masks, params, init=None, optimum=None):
     return dc.run(algorithm, inst, schedule, replace(params, horizon=schedule.horizon), init=init, optimum=optimum)
 
 
+def _arc_lists(nominal: dc.NominalGraph):
+    """Per-node (arc, head) lists for each search: along the arcs, then against them.
+
+    An undirected edge goes both ways in the first lists, which are then the only ones.
+    """
+    for reverse in (False, True)[: 1 + nominal.directed]:
+        out = [[] for _ in range(nominal.n)]
+        for a, ends in enumerate(nominal.edges):
+            i, j = ends[::-1] if reverse else ends
+            out[i].append((a, j))
+            if not nominal.directed:
+                out[j].append((a, i))
+        yield out
+
+
+def _reaches_all(out, live) -> bool:
+    """Does node 0 reach every node along the live arcs of the per-node (arc, head) lists `out`?"""
+    seen = [True] + [False] * (len(out) - 1)
+    stack = [0]
+    while stack:
+        for a, j in out[stack.pop()]:
+            if live[a] and not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    return all(seen)
+
+
+def dfs_union_connected(nominal: dc.NominalGraph, mask) -> bool:
+    """Is the subgraph of the edges flagged by `mask` (strongly) connected? One search from node 0 per direction."""
+    live = np.asarray(mask, dtype=bool).tolist()
+    return all(_reaches_all(out, live) for out in _arc_lists(nominal))
+
+
+def dfs_windows_connected(nominal: dc.NominalGraph, masks: np.ndarray, B: int) -> np.ndarray:
+    """Connectivity of each complete window [wB, (w+1)B) of `masks`, one `dfs_union_connected` per window."""
+    unions = [masks[s : s + B].any(axis=0) for s in range(0, len(masks) - B + 1, B)]
+    return np.array([dfs_union_connected(nominal, union) for union in unions], dtype=bool)
+
+
 def earliest_connect_scan(nominal: dc.NominalGraph, masks: np.ndarray) -> np.ndarray:
     """L[s]: fewest steps from s whose active sets join into a connected union, K + 1 if none do.
 
@@ -175,13 +218,13 @@ def earliest_connect_scan(nominal: dc.NominalGraph, masks: np.ndarray) -> np.nda
     lengths = np.full(K, K + 1)
     end = K + 1  # exclusive end of the earliest connected window from s + 1
     for s in range(K - 1, -1, -1):
-        if end > K and not union_connected(nominal, counts[K] > counts[s]):
+        if end > K and not dfs_union_connected(nominal, counts[K] > counts[s]):
             continue
         end = min(end, K)
         while end - 1 > s:
             shorter = counts[end - 1] > counts[s]
             # A last step that adds no link leaves the union, and its verdict, unchanged.
-            if (masks[end - 1] > shorter).any() and not union_connected(nominal, shorter):
+            if (masks[end - 1] > shorter).any() and not dfs_union_connected(nominal, shorter):
                 break
             end -= 1
         lengths[s] = end - s

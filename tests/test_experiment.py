@@ -88,6 +88,9 @@ class TestCaseFiles:
         ("1 2\n", 1, "expected 'n', got '1 2'"),
         ("# header\n1\n1 0 0 0 5\n1 0 undirected\n", 3, "expected 'a b c p_lo p_hi load', got '1 0 0 0 5'"),
         ("1\n1 0 oops 0 5 2\n", 2, "c must be a number, got 'oops'"),
+        ("1\nnan 0 0 0 5 2\n1 0 undirected\n", 2, "a must be finite, got nan"),
+        ("1\n1 0 0 0 inf 2\n1 0 undirected\n", 2, "p_hi must be finite, got inf"),
+        ("# header\n1\n1 0 0 0 5 -Infinity\n1 0 undirected\n", 3, "load must be finite, got -inf"),
         ("1\n1 0 0 0 5 2\n1 0 sideways\n", 3, "mode must be 'undirected' or 'directed', got 'sideways'"),
         ("1\n1 0 0 0 5 2\n1 x undirected\n", 3, "m must be an integer, got 'x'"),
         ("2\n1 0 0 0 5 2\n1 0 0 0 5 2\n2 -1 undirected\n0 1\n", 4, "edge count must be >= 0, got -1"),

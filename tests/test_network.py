@@ -35,6 +35,7 @@ from reference import (
     _metropolis,
     augmented,
     augmented_push_matrix,
+    dfs_windows_connected,
     earliest_connect_scan,
     metropolis_weights,
     push_matrix,
@@ -858,18 +859,33 @@ class TestConnectivityWindows:
         extra=st.integers(0, 8),
         directed=st.booleans(),
         seed=st.integers(0, 2**32),
-        K=st.integers(0, 40),
+        K=st.integers(0, 160),
         B=st.integers(1, 12),
         density=st.sampled_from([0.1, 0.5, 0.9]),
+        cut=st.integers(0, 4),
     )
+    @example(n=1, extra=0, directed=False, seed=0, K=212, B=3, density=0.5, cut=2)  # no link at all, 70 windows
+    @example(n=1, extra=0, directed=True, seed=0, K=3, B=4, density=0.5, cut=0)  # K < B: no window
+    @example(n=6, extra=2, directed=True, seed=3, K=128, B=2, density=0.9, cut=3)  # exactly one 64-bit word
+    @example(n=6, extra=2, directed=True, seed=3, K=131, B=2, density=0.9, cut=3)  # one bit into a second
+    @example(n=5, extra=3, directed=False, seed=7, K=130, B=1, density=0.9, cut=4)  # three words
+    @example(n=5, extra=3, directed=False, seed=7, K=13, B=1, density=0.5, cut=1)  # not whole bytes
     @settings(max_examples=200, deadline=None)
-    def test_windows_connected_matches_scipy(self, n, extra, directed, seed, K, B, density):
-        # Each flag live with probability `density`, so windows fail as well as pass (a sparse draw fails most).
+    def test_windows_connected_matches_scipy(self, n, extra, directed, seed, K, B, density, cut):
+        # All windows judged at once, one bit each, against one depth-first search per window and against
+        # SciPy's components. Each flag is live with probability `density`, so windows fail as well as pass (a
+        # sparse draw fails most), and every window w with w % 5 < cut has node 0 cut off for its B steps.
         g = dc.generate_graph(dc.GraphSpec(n=n, extra_edges=extra, directed=directed), seed)
         masks = np.random.default_rng(seed).random((K, g.m)) < density
+        at_0 = (g.srcs == 0) | (g.dsts == 0)
+        for w in range(K // B):
+            if w % 5 < cut:
+                masks[w * B : (w + 1) * B, at_0] = False
         verdicts = windows_connected(g, masks, B)
         assert verdicts.dtype == bool and verdicts.shape == (K // B,)
+        np.testing.assert_array_equal(verdicts, dfs_windows_connected(g, masks, B))
         np.testing.assert_array_equal(verdicts, brute_windows(g, masks, B))
+        assert n == 1 or not verdicts[:cut].any()  # a window with node 0 cut off fails, unless node 0 is all
 
     def test_one_missing_arc_fails_only_its_window_on_a_3000_ring(self):
         # A directed ring is strongly connected only with every arc, so exactly the window that misses

@@ -123,6 +123,55 @@ def test_step_cost_splits_setup_from_steps(monkeypatch, capsys):
     assert row.count("*") == 2  # both ratios resolved
 
 
+def test_step_cost_times_the_connectivity_layer(capsys):
+    # One run of each connectivity case, over the package of this checkout, in a table of its own.
+    assert step_cost.main(["--runs", "1", "--only", ",".join(step_cost.LAYER), str(REPO / "src")]) == 0
+    legend, header, *rows = capsys.readouterr().out.splitlines()
+    assert legend == step_cost.LAYER_LEGEND
+    assert header.split() == ["case", "us/call"]
+    assert [row.split()[0] for row in rows] == list(step_cost.LAYER)
+    assert all(float(row.split()[1]) > 0 for row in rows)
+
+
+def test_connectivity_cases_judge_what_their_rows_name():
+    # check_B: certify39's schedule at its measured B, every window connected; windows_3000: LAYER_WINDOWS windows
+    # of the directed n = 3000 graph, which fail as well as pass; union_3000: both full n = 3000 graphs connected.
+    package = step_cost.load(REPO / "src", "step_cost_layer")
+    check = step_cost.prepare_layer(package, "check_B")
+    schedule, B = check.args
+    assert schedule.nominal.directed and schedule.nominal.n == 39 and schedule.seed == 1
+    assert B == package.minimal_connectivity_window(schedule) and check().all()
+    windows = step_cost.prepare_layer(package, "windows_3000")
+    graph, masks, B = windows.args
+    assert (graph.n, graph.directed, B, masks.shape[0]) == (3000, True, step_cost.LAYER_B, B * step_cost.LAYER_WINDOWS)
+    verdicts = windows()
+    assert verdicts.shape == (step_cost.LAYER_WINDOWS,) and verdicts.any() and not verdicts.all()
+    assert step_cost.prepare_layer(package, "union_3000")() == [True, True]
+
+
+def test_step_cost_pairs_the_connectivity_layer(monkeypatch, capsys):
+    # Root A's call takes 2 ms and root B's 0.1 ms in every pair: the paired ratio is 0.05, resolved. By default
+    # the layer's rows follow the per-step table, so a run with no --only prints them.
+    seconds = {("A", "K"): 0.0105, ("A", "0"): 0.0005, ("B", "K"): 0.0065, ("B", "0"): 0.0004,
+               ("A", "call"): 0.002, ("B", "call"): 0.0001}
+    packages = iter("AB")
+    monkeypatch.setattr(step_cost, "load", lambda root, name: next(packages))
+    monkeypatch.setattr(step_cost, "prepare", lambda package, name: ([(package, "K"), (package, "0")], 100))
+    monkeypatch.setattr(step_cost, "prepare_layer", lambda package, name: (package, "call"))
+    monkeypatch.setattr(step_cost, "timeit", SimpleNamespace(timeit=lambda call, number: seconds[call]))
+    monkeypatch.setattr(step_cost, "calls_per_step", lambda package, call, algorithm: 1)
+    assert step_cost.main(["--runs", "6", "a", "b"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index(step_cost.LAYER_LEGEND)
+    assert at == 2 + len(step_cost.CASES)
+    assert lines[at + 1].split() == ["case", "us/call", "us/call", "ratio", "interval"]
+    for name, row in zip(step_cost.LAYER, lines[at + 2 :], strict=True):
+        case, a, b, ratio, interval, mark = row.split()
+        assert case == name and mark == "*"
+        assert (float(a), float(b), float(ratio)) == pytest.approx((2000.0, 100.0, 0.05))
+        assert interval == "[0.050,0.050]"
+
+
 # NumPy calls per step of each algorithm at case39, as `calls_per_step` counts them: every ufunc call (a ufunc's
 # reduce among them) and bincount call of the step, `mix` being one bincount and one add; ndarray.take is not counted.
 CALLS_PER_STEP = {"pd1": 14, "pd2": 13, "directed": 16, "robust": 22, "virtual": 20, "centralized": 10}

@@ -22,6 +22,17 @@ and its 95 % interval (`ratio_interval`); a ratio whose interval excludes 1
 is marked ``*``, resolved. Import and first-call costs are perfbench's to
 measure.
 
+The connectivity layer gets rows of its own, below the table's: one call
+timed whole, ``us/call``, best of R in microseconds and, given two roots,
+paired as above. ``check_B`` is `check_B_connectivity` on certify39's
+schedule (case39's directed graph at the robust config's q and horizon,
+seed 1) at the B that `minimal_connectivity_window` measures on it;
+``windows_3000`` is `windows_connected` over LAYER_WINDOWS windows of
+LAYER_B steps on the generated directed n = 3000 graph of scale3000
+(n/2 chords, seed 1) at that q; ``union_3000`` is `union_connected` on
+the full mask of that graph and of its undirected twin, the checks that
+building the two graphs makes.
+
 A third column, ``calls/step``, is a count, the same on every run: the NumPy
 calls each step of the case makes, over its first COUNTED_STEPS steps
 (`calls_per_step`). It counts the calls of every ufunc (its ``reduce`` among
@@ -32,6 +43,7 @@ it is not counted; the table's first line says so. Given two roots, the
 column gives both counts.
 
 Usage: ``python tools/step_cost.py [--runs R] [--only NAME,...] SRC [SRC2]``,
+NAME a case of either table (all by default),
 SRC being a directory that holds the ``dercoord`` package (``src``).
 """
 
@@ -59,6 +71,9 @@ SCALE_K = 200  # the scaled cases' short horizon
 COUNTED_STEPS = 20  # the steps of each case whose NumPy calls `calls_per_step` counts
 LEGEND = (f"# calls/step: ufunc and bincount calls per step, over the first {COUNTED_STEPS} steps; "
           "ndarray methods (take) not counted")
+LAYER = ("check_B", "windows_3000", "union_3000")  # the connectivity layer's cases, each one call
+LAYER_B, LAYER_WINDOWS = 5, 100  # windows_3000's window length and window count
+LAYER_LEGEND = "# connectivity layer: one call of each case, in microseconds"
 
 
 def load(root: str, name: str):
@@ -93,6 +108,23 @@ def prepare(dc, name: str):
     for call in calls:
         call()  # the warm-up: it samples the schedule and fills the graph's cached arrays
     return calls, params.horizon
+
+
+def prepare_layer(dc, name: str):
+    """The call of connectivity case `name` by package `dc`, run once untimed."""
+    config = dc.load_config(REPO / "configs" / "benchmark39_robust.cfg")
+    if name == "check_B":
+        schedule = dc.GraphSchedule(config.graph, config.q, 1, config.params.horizon)
+        call = partial(dc.check_B_connectivity, schedule, dc.minimal_connectivity_window(schedule))
+    else:
+        graphs = [dc.generate_graph(dc.GraphSpec(n=3000, extra_edges=1500, directed=directed), 1)
+                  for directed in (True, False)]
+        masks = dc.GraphSchedule(graphs[0], config.q, 1, LAYER_B * LAYER_WINDOWS).masks
+        full = [np.ones(graph.m, dtype=bool) for graph in graphs]
+        call = {"windows_3000": partial(dc.network.windows_connected, graphs[0], masks, LAYER_B),
+                "union_3000": lambda: [dc.network.union_connected(*pair) for pair in zip(graphs, full)]}[name]
+    call()
+    return call
 
 
 class Tally:
@@ -186,39 +218,58 @@ def ratio_interval(ratios) -> tuple[float, float, float]:
     return statistics.median(x[1:-1]), x[j], x[n + 1 - j]
 
 
+def paired(calls: list[list], runs: int) -> list[list[list[float]]]:
+    """times[i][j]: the seconds of root i's call j, one per pair; the roots alternate, A,B then B,A."""
+    times = [[[] for _ in root] for root in calls]
+    for pair in range(runs):
+        for i in range(len(calls)) if pair % 2 == 0 else reversed(range(len(calls))):
+            for seconds, call in zip(times[i], calls[i]):
+                seconds.append(timeit.timeit(call, number=1))
+    return times
+
+
+def cells(column) -> str:
+    """One column of a row: each root's best, and given two roots the median paired ratio B/A and its interval.
+
+    `column` holds, per root, (best, the values its ratios pair).
+    """
+    text = "".join(f"{best:>10.2f}" for best, _ in column)
+    if len(column) == 2:
+        median, low, high = ratio_interval([b / a for a, b in zip(column[0][1], column[1][1])])
+        text += f"{median:>8.3f}  {f'[{low:.3f},{high:.3f}]':<15}" + ("  " if low <= 1 <= high else " *")
+    return text
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("roots", nargs="+", metavar="SRC")
     ap.add_argument("--runs", type=int, default=20)
-    ap.add_argument("--only", type=lambda names: names.split(","), default=list(CASES), help=", ".join(CASES))
+    known = [*CASES, *LAYER]
+    ap.add_argument("--only", type=lambda names: names.split(","), default=known, help=", ".join(known))
     args = ap.parse_args(argv)
-    if set(args.only) - set(CASES) or len(args.roots) > 2 or args.runs < 1:
-        ap.error(f"cases must be among {', '.join(CASES)}, at most two roots given, and runs >= 1")
+    if set(args.only) - set(known) or len(args.roots) > 2 or args.runs < 1:
+        ap.error(f"cases must be among {', '.join(known)}, at most two roots given, and runs >= 1")
     packages = [load(root, f"step_cost_{i}") for i, root in enumerate(args.roots)]
-    paired = f"{'ratio':>8}  {'interval':<17}" if len(packages) == 2 else ""
-    header = f"{'case':<14}" + "".join(f"{column:>10}" * len(packages) + paired for column in ("setup_us", "us/step"))
-    print(LEGEND)
-    print(header + f"{'calls/step':>12}" * len(packages))
-    for name in args.only:
+    ratio = f"{'ratio':>8}  {'interval':<17}" if len(packages) == 2 else ""
+    steps, layer = [name for name in args.only if name in CASES], [name for name in args.only if name in LAYER]
+    if steps:
+        print(LEGEND)
+        header = "".join(f"{column:>10}" * len(packages) + ratio for column in ("setup_us", "us/step"))
+        print(f"{'case':<14}" + header + f"{'calls/step':>12}" * len(packages))
+    for name in steps:
         cases = [prepare(dc, name) for dc in packages]
         counts = [calls_per_step(dc, calls[0], name.split("_")[0]) for dc, (calls, _) in zip(packages, cases)]
         horizon = cases[0][1]
-        # times[i][j]: root i's runs at K (j = 0) and at K = 0 (j = 1), pair by pair
-        times = [([], []) for _ in cases]
-        for pair in range(args.runs):
-            for i in range(len(cases)) if pair % 2 == 0 else reversed(range(len(cases))):
-                for runs, call in zip(times[i], cases[i][0]):
-                    runs.append(timeit.timeit(call, number=1))
         # Per root, each column's best in microseconds and the values its ratios pair: T(0), and T(K) - T(0).
         columns = [[(min(t0) * 1e6, t0), ((min(tk) - min(t0)) / horizon * 1e6, [a - b for a, b in zip(tk, t0)])]
-                   for tk, t0 in times]
-        row = f"{name:<14}"
-        for column in zip(*columns):
-            row += "".join(f"{best:>10.2f}" for best, _ in column)
-            if len(column) == 2:
-                median, low, high = ratio_interval([b / a for a, b in zip(column[0][1], column[1][1])])
-                row += f"{median:>8.3f}  {f'[{low:.3f},{high:.3f}]':<15}" + ("  " if low <= 1 <= high else " *")
-        print(row + "".join(f"{count:>12g}" for count in counts))
+                   for tk, t0 in paired([calls for calls, _ in cases], args.runs)]
+        print(f"{name:<14}" + "".join(map(cells, zip(*columns))) + "".join(f"{count:>12g}" for count in counts))
+    if layer:
+        print(LAYER_LEGEND)
+        print(f"{'case':<14}" + f"{'us/call':>10}" * len(packages) + ratio)
+    for name in layer:
+        times = paired([[prepare_layer(dc, name)] for dc in packages], args.runs)
+        print(f"{name:<14}" + cells([(min(seconds) * 1e6, seconds) for (seconds,) in times]))
     return 0
 
 
