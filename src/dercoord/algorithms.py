@@ -19,22 +19,26 @@ sharing a prefix (sums, mirror, virt), by the name its algorithm's
 table entry gives it, as a view. The rows a step mixes are adjacent,
 the stack `z`: (lam, y), (lam,) or (lam, v, y); centralized mixes none.
 Each algorithm's arithmetic is one private kernel, bound once per run:
-``kernel(inst, graph, params) -> (views, step)``. Binding
+``kernel(inst, graph, params, start) -> (operands, step)``. Binding
 looks up what is fixed for the run (nhat as a 0-d array, the graph's
 tails, exact-length `mix` bins and out-degrees) and allocates the
 scratch buffers a step writes through, with their row and flat views,
 the product rows among them, two of which the primal step is bound to.
-``views(coef, *arrays)`` takes the run's coefficient rows and its state
-arrays (`nodes`, then `arcs`), each with a leading axis of ring slots,
-and gives one view per kind over all the slots: the slot's coefficient
-rows, the rows and row stacks the step reads or writes, each
-C-contiguous, and the flat view of the mixed stack that `mix` adds
-into. Iterated over the slots, these give each slot's view tuple.
+``operands`` names, by the rows' names, what the step reads from slot j
+and what it writes into slot j + 1, as two tuples: a row (``p``), a run
+of adjacent rows (``p x``), a prefix stack (``sums``: sums.lam, sums.v,
+sums.y), the mixed stack ``z`` or its flat view ``z_flat``, which `mix`
+adds into, or the slot's coefficient rows (``2a sxi``). One resolver,
+`_operand`, which `State` reads its rows by too, turns each name into
+one C-contiguous view over the ring's slot axis; a run that is not
+adjacent rows of one array, in the order named, raises at bind time,
+naming the algorithm and the operand. Iterated over the slots, these
+give each slot's two tuples, made once per run.
 ``step(cur, nxt, weights, s)`` reads the views `cur`, the step's row
 of the algorithm's weight table and the stepsize s as a 0-d array, and
 fills `nxt` with ufuncs writing through positional `out`. It first forms
 the products of its step-k rows in one multiply of adjacent state rows
-by the coefficient rows of its slot, which its spec names (``coefficients``):
+by the coefficient rows of its slot, laid out as its spec names them (``coefficients``):
 p and its feedback row by 2a and s*xi, and y by s where y is adjacent,
 so pd1 multiplies (p, lam, y) by (2a, s*xi, s), directed (y, p, x) by
 (s, 2a, s*xi), and the others (p, lam) or (p, x) by (2a, s*xi); pd2
@@ -48,7 +52,7 @@ release fractions (3, m); robust and virtual divide by their
 out-degrees as a bound (3, n) array, robust once per step: the shares
 z / d+ of the state a step writes are kept in a (3, n) buffer bound
 once per run, which the next step gathers, mixes and scales s*y from,
-and which `views` first forms from slot 0. So a step's ufunc calls meet
+and which binding first forms from the start. So a step's ufunc calls meet
 operands of one shape and take NumPy's same-shape loop, with the bits
 of the broadcasting one; a row longer than `network.STACK_ROW_MAX`
 stays one row, which the call broadcasts (`network.stacked`). A step
@@ -93,8 +97,9 @@ per state array, slot 0 starting as the start state (every step writes
 every row of the slot after it): slot
 0 holds the state before the block, the block's step j reads slot j and
 writes slot j + 1, and the last slot written then moves to slot 0 in
-place. The ring's arrays are never reallocated, so each slot's view
-tuple is made once per run, from one view per kind over the ring. So
+place. The ring's arrays are never reallocated, so each slot's operand
+tuples are made once per run, from one view of each operand over the
+ring. So
 is the weight table's binding (`_Spec.weights`): buffers of a block's
 rows, which its fill writes over for each block, so that row j serves
 step j of every block and the step loop makes no view. Per block, the
@@ -166,7 +171,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 from numpy import add, divide, multiply, subtract
@@ -212,8 +217,10 @@ class State:
     rows named ``sums.*``, ``mirror.*`` and ``virt.*``: robust's running
     sums and mirrors, and the running-sum algorithms' in-flight values.
     ``state.z`` is the mixed stack, the rows named lam, v and y. Each is a
-    view, not a copy. A name that another algorithm has but this one lacks
-    reads None (pd2's y); any other raises `AttributeError`.
+    view, not a copy, read through the resolver the kernels' operands are
+    (`_operand`), so a stack whose rows are not adjacent in one array
+    raises `ValueError`. A name that another algorithm has but this one
+    lacks reads None (pd2's y); any other raises `AttributeError`.
     """
 
     algorithm: str
@@ -221,23 +228,40 @@ class State:
     arcs: np.ndarray | None = None
 
     arrays = property(lambda self: (self.nodes,) if self.arcs is None else (self.nodes, self.arcs))
-    z = property(lambda self: self._rows(_MIXED))
 
     def __getattr__(self, name: str):
-        # Only a name the class lacks comes here. It is checked before any field is read: unpickling and
-        # copying ask for __setstate__ before `algorithm` is set, and reading that would come back here.
+        # Only a name the class lacks comes here, z among them. It is checked before any field is read: unpickling
+        # and copying ask for __setstate__ before `algorithm` is set, and reading that would come back here.
         if name not in _ROW_NAMES:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute or row {name!r}")
-        row = self._rows((name,))  # None where `name` is a stack's prefix, such as sums, or a row this state lacks
-        return self._rows(tuple(f"{name}.{family}" for family in _MIXED)) if row is None else row[0]
+        return _operand(self.algorithm, name, vars(self)) if name in _SPECS[self.algorithm].read_by else None
 
-    def _rows(self, wanted: tuple[str, ...]) -> np.ndarray | None:
-        """The view of the rows named in `wanted`, which are adjacent rows of one array, or None if there are none."""
-        located = _SPECS[self.algorithm]._located(wanted)
-        if not located:
-            return None
-        (field, first), (_, last) = located[0], located[-1]
-        return getattr(self, field)[first : last + 1]
+
+def _operand(algorithm: str, operand: str, arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """The view of the rows `operand` names over the last two axes of `arrays`, each by its name: nodes, arcs, coef.
+
+    Each word of `operand` names rows of the arrays of `algorithm`'s
+    `_SPECS` entry (``labels``): a row (p, or a coefficient row such as
+    sxi), the stack of the rows it prefixes (sums: sums.lam, sums.v,
+    sums.y, those the entry has), or z, the mixed rows lam, v and y the
+    entry has. One row's name gives that row; any other operand gives the
+    stack of the rows named; the suffix ``_flat`` gives the stack's flat
+    view. Every word must name a row, and the rows named must be adjacent
+    rows of one array, in the order named, else `ValueError` names the
+    algorithm and the operand. The arrays' leading axes (the ring's
+    slots) are kept.
+    """
+    spec = _SPECS[algorithm]
+    parts = [spec._located(_MIXED if word == "z" else (word, *(f"{word}.{row}" for row in _MIXED)))
+             for word in operand.removesuffix("_flat").split()]
+    located = sum(parts, ())
+    (field, first), count = located[0] if located else (None, 0), len(located)
+    if not all(parts) or located != tuple((field, first + k) for k in range(count)):
+        raise ValueError(f"{algorithm}: operand {operand!r} names no run of adjacent rows of one array, in order")
+    if spec._located((operand,)):
+        return arrays[field][..., first, :]
+    stack = arrays[field][..., first : first + count, :]
+    return stack.reshape(*stack.shape[:-2], -1) if operand.endswith("_flat") else stack
 
 
 def _start(algorithm: str, graph: NominalGraph, p, lam, y):
@@ -312,7 +336,7 @@ def _scalar(x) -> np.ndarray:
     return np.array(x, dtype=float)
 
 
-def _pd2(inst, graph, params):
+def _pd2(inst, graph, params, start):
     """Crude variant: the multiplier sees only the local imbalance.
 
     lam[k+1] = W lam[k] - s*nhat*(p[k] - load), W the doubly stochastic
@@ -325,7 +349,7 @@ def _pd2(inst, graph, params):
 
     def step(cur, nxt, weights, s):
         self_w, w = weights
-        (c, snhat, pl0, p0, _, z0), (_, _, _, p, lam, z) = cur, nxt
+        (c, snhat, pl0, p0, z0), (p, lam, z) = cur, nxt
         multiply(pl0, c, prod)
         primal(s, p0, p)
         multiply(z0, self_w, z)
@@ -333,10 +357,10 @@ def _pd2(inst, graph, params):
         mix(lam, bins, flat)  # lam: the one-row stack z, flat
         subtract(lam, multiply(subtract(p0, loads, scratch), snhat, scratch), lam)
 
-    return lambda c, a: (c[:, :2], c[:, 2], a, *a.swapaxes(0, 1), a[:, 1:2]), step
+    return (("2a sxi", "snhat", "p lam", "p", "z"), ("p", "lam", "z")), step
 
 
-def _pd1(inst, graph, params):
+def _pd1(inst, graph, params, start):
     """Gradient-tracking primal-dual step over the doubly stochastic Metropolis weights."""
     tails, bins, _ = graph.metropolis_arcs
     # prod: 2a*p, s*xi*lam, s*y
@@ -345,7 +369,7 @@ def _pd1(inst, graph, params):
 
     def step(cur, nxt, weights, s):
         self_w, w = weights
-        (c, pdy0, p0, _, _, z0, _), (_, _, p, lam, y, z, z_flat) = cur, nxt
+        (c, pdy0, p0, z0), (p, lam, y, z, z_flat) = cur, nxt
         multiply(pdy0, c, prod)
         primal(s, p0, p)
         multiply(z0, self_w, z)
@@ -354,10 +378,10 @@ def _pd1(inst, graph, params):
         subtract(lam, sy, lam)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
 
-    return lambda c, a: (c, a, *a.swapaxes(0, 1), a[:, 1:], a[:, 1:].reshape(len(a), -1)), step
+    return (("2a sxi s", "p lam y", "p", "z"), ("p", "lam", "y", "z", "z_flat")), step
 
 
-def _directed(inst, graph, params):
+def _directed(inst, graph, params, start):
     """Push-sum primal-dual step; instantaneous out-degrees are known.
 
     The mixing is evaluated the way the nodes compute it: each source
@@ -372,8 +396,8 @@ def _directed(inst, graph, params):
 
     def step(cur, nxt, weights, s):
         D, D_vy, live = weights
-        c, lam0, _, _, p0, _, _, vy0, ypx0, _ = cur
-        _, lam, v, y, p, x, z, vy, _, z_flat = nxt  # z: each node's share of (lam - s*y, v, y), mixed in place
+        (c, lam0, p0, vy0, ypx0), (lam, v, y, p, x, z, vy, z_flat) = cur, nxt
+        # z: each node's share of (lam - s*y, v, y), mixed in place
         multiply(ypx0, c, prod)
         primal(s, p0, p)
         divide(subtract(lam0, sy, scratch), D, lam)
@@ -383,10 +407,10 @@ def _directed(inst, graph, params):
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
         divide(lam, v, x)
 
-    return lambda c, a: (c, *a.swapaxes(0, 1), a[:, :3], a[:, 1:3], a[:, 2:], a[:, :3].reshape(len(a), -1)), step
+    return (("s 2a sxi", "lam", "p", "v y", "y p x"), ("lam", "v", "y", "p", "x", "z", "v y", "z_flat")), step
 
 
-def _robust(inst, graph, params):
+def _robust(inst, graph, params, start):
     """Running-sum primal-dual step; only nominal out-degrees are used.
 
     Mirror advance for arc (j, i): the mirror jumps to
@@ -399,16 +423,16 @@ def _robust(inst, graph, params):
 
     The step divides by d+ once: the shares z / d+ of the state it writes,
     which its running sums add and which the next step reads, from a (3, n)
-    buffer bound once per run. `views` forms them from slot 0, the run's
-    start, when it binds the slots; the ring's move of the last state to
-    slot 0 leaves them those of slot 0's state, so each block starts right.
+    buffer bound once per run. Binding forms them from the run's start,
+    which slot 0 holds; the ring's move of the last state to slot 0 leaves
+    them those of slot 0's state, so each block starts right.
     """
     srcs, bins, dplus = graph.srcs, graph.arc_bins, stacked(graph.out_degrees, 3)  # as z0 meets it
     own_y, scratch, dy, prod = np.empty(inst.n), np.empty(inst.n), np.empty(graph.m), np.empty((2, inst.n))
-    # prod: 2a*p, s*xi*x. kept: each node's shares z / d+ of the state in the slot a step reads, formed from slot 0
-    # by `views`, then by each step from the state it writes, whose running sums add them; the ring moves that state
+    # prod: 2a*p, s*xi*x. kept: each node's shares z / d+ of the state in the slot a step reads, formed here from
+    # the start, then by each step from the state it writes, whose running sums add them; the ring moves that state
     # to slot 0.
-    kept = np.empty((3, inst.n))
+    kept = divide(start.z, dplus)
     primal, nhat, kept_flat, kept_y = _primal_step(inst, *prod), _scalar(params.nhat), kept.reshape(-1), kept[2]
     # What the arc rows (mirrors, then in-flight values) advance by: d, the mirror advances (then what the
     # arcs deliver), and the shares gathered from the arcs' sources.
@@ -417,8 +441,7 @@ def _robust(inst, graph, params):
 
     def step(cur, nxt, weights, s):
         (g,) = weights
-        c, _, _, _, p0, _, px0, _, _, sums0, arcs0, mirror0, _ = cur
-        _, lam, v, y, p, x, _, z, z_flat, sums, arcs, _, virt = nxt
+        (c, p0, px0, sums0, arcs0, mirror0), (lam, v, y, p, x, z, z_flat, sums, arcs, virt) = cur, nxt
         multiply(px0, c, prod)
         primal(s, p0, p)
         # Mirror advances in increment form: g*(sum - mirror) equals
@@ -441,15 +464,11 @@ def _robust(inst, graph, params):
         divide(lam, v, x)
         add(divide(z, dplus, kept), sums0, sums)
 
-    def views(c, a, arcs):
-        divide(a[0, :3], dplus, kept)  # slot 0 holds the run's start
-        return (c, *a.swapaxes(0, 1)[:5], a[:, 3:5], a[:, :3], a[:, :3].reshape(len(a), -1), a[:, 5:], arcs,
-                arcs[:, :3], arcs[:, 3:])
-
-    return views, step
+    reads = ("2a sxi", "p", "p x", "sums", "mirror virt", "mirror")
+    return (reads, ("lam", "v", "y", "p", "x", "z", "z_flat", "sums", "mirror virt", "virt")), step
 
 
-def _virtual(inst, graph, params):
+def _virtual(inst, graph, params, start):
     """Augmented-system step: the action of the column-stochastic mixing.
 
     lam mixes together with -s*y on the real nodes only (virtual nodes
@@ -476,8 +495,7 @@ def _virtual(inst, graph, params):
 
     def step(cur, nxt, weights, s):
         (g,) = weights
-        c, _, _, _, p0, _, px0, z0, _, held0 = cur
-        _, lam, v, y, p, x, _, z, z_flat, held = nxt
+        (c, p0, px0, z0, held0), (lam, v, y, p, x, z, z_flat, held) = cur, nxt
         multiply(px0, c, prod)
         primal(s, p0, p)
         divide(z0, dplus, z)  # each real node's shares, mixed in place below
@@ -491,10 +509,10 @@ def _virtual(inst, graph, params):
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
         divide(lam, v, x)
 
-    return lambda c, a, arcs: (c, *a.swapaxes(0, 1), a[:, 3:], a[:, :3], a[:, :3].reshape(len(a), -1), arcs), step
+    return (("2a sxi", "p", "p x", "z", "virt"), ("lam", "v", "y", "p", "x", "z", "z_flat", "virt")), step
 
 
-def _centralized(inst, graph, params):
+def _centralized(inst, graph, params, start):
     """Centralized projected primal-dual step: every lam row holds the one multiplier.
 
     lam[k+1] = lam[k] - s*1'(p[k] - load), the exact total imbalance, so
@@ -507,13 +525,13 @@ def _centralized(inst, graph, params):
     primal, total, scaled = _primal_step(inst, *prod), np.empty(()), np.empty(())
 
     def step(cur, nxt, weights, s):
-        (c, pl0, p0, lam0), (_, _, p, lam) = cur, nxt
+        (c, pl0, p0, lam0), (p, lam) = cur, nxt
         multiply(pl0, c, prod)
         primal(s, p0, p)
         add.reduce(subtract(p0, loads, gap), 0, None, total)  # what gap.sum() computes
         subtract(lam0, multiply(total, s, scaled), lam)
 
-    return lambda c, a: (c, a, *a.swapaxes(0, 1)), step
+    return (("2a sxi", "p lam", "p", "lam"), ("p", "lam")), step
 
 
 def _release_table(graph: NominalGraph, rows: int, params) -> tuple:
@@ -536,7 +554,7 @@ class _Spec:
     its in-flight values, and virtual's in-flight values. A state with
     push-sum weights (a row named v) runs on a directed graph, any other
     on an undirected one (``directed``). ``kernel`` binds
-    the views and the step to a run (see the module docstring).
+    the step to a run and names its operands (see the module docstring).
     ``weights`` binds the weight table to a run: (graph, rows, params) ->
     (table, fill), the table a tuple of arrays of `rows` rows whose row r
     step r of each block takes, each in the shape of the stack it meets
@@ -572,19 +590,21 @@ class _Spec:
 
     directed = property(lambda self: "v" in self.names)
 
-    # The names of the rows of each state array, by the array's name, in the order of `State.arrays`.
-    labels = property(lambda self: {"nodes": self.names, "arcs": self.arc_names})
+    # The names of the rows of each array a step reads, by the array's name: the state's, in the order of
+    # `State.arrays`, then the coefficients'.
+    labels = property(lambda self: {"nodes": self.names, "arcs": self.arc_names, "coef": self.coefficients})
+    # The names its `State` reads rows by: each row name, the part of it before a dot (sums, mirror, virt), and z.
+    read_by = property(lambda self: {"z"} | {name.partition(".")[0] for name in self.names + self.arc_names})
 
-    @property
-    def series(self) -> dict[str, int]:
-        """Each recorded series and the node row it copies."""
-        row = {name: i for i, name in enumerate(self.names)}
-        recorded = {name: row[name] for name in ("p", "y", "v") if name in row}
-        return {**recorded, "consensus": row.get("x", row["lam"])}
+    # Each recorded series and the node row it copies: p, y and v, and as consensus x, or lam where there is no x.
+    series = property(lambda self: {**{name: row for name in ("p", "y", "v") for _, row in self._located((name,))},
+                                    "consensus": self._located(("x", "lam"))[0][1]})
 
+    @cache  # each entry's lookups: a run binds a dozen operands, and a state reads rows by name
     def _located(self, wanted: tuple[str, ...]) -> tuple[tuple[str, int], ...]:
-        """The (state field, row) of each row named in `wanted`: node rows, then arc rows."""
-        return tuple((f, i) for f, names in self.labels.items() for i, name in enumerate(names) if name in wanted)
+        """The (array name, row) of each row named in `wanted`, node rows, then arc rows, then coefficient rows, each
+        in the order of `wanted`, leaving out the names it lacks."""
+        return tuple((f, names.index(name)) for f, names in self.labels.items() for name in wanted if name in names)
 
     tracker = property(lambda self: self._located(_TRACKER))
     mass = property(lambda self: self._located(_WEIGHT))
@@ -612,8 +632,8 @@ _SPECS = {
     "centralized": _Spec(("p", "lam"), _centralized, None),
 }
 ALGORITHMS = tuple(_SPECS)
-# The names a state reads rows by (`State`): each row name, or the part of it before a dot (sums, mirror, virt).
-_ROW_NAMES = {name.partition(".")[0] for spec in _SPECS.values() for name in spec.names + spec.arc_names}
+# The names some state reads rows by (`State`).
+_ROW_NAMES = set().union(*(spec.read_by for spec in _SPECS.values()))
 # The running-sum algorithms: their weight table is the release fractions, and their mirrors retain a share gamma.
 RUNNING_SUM_ALGORITHMS = tuple(name for name, spec in _SPECS.items() if spec.weights is _release_table)
 
@@ -704,7 +724,7 @@ def run(
     residuals = dict(zip(keys, np.empty((len(keys), K + 1))))  # every row is written by `record`
     rows = max(_MIN_BLOCK_ROWS, _RESIDUAL_BLOCK_ENTRIES // max(graph.m, 1))
     # Slot 0 holds the state before a block, state 0 in the first; slot j the state after its j-th step.
-    ring = {name: np.empty((rows + 1, *array.shape)) for name, array in zip(spec.labels, state.arrays)}
+    ring = {name: np.empty((rows + 1, *array.shape)) for name, array in zip(("nodes", "arcs"), state.arrays)}
     for arrays, array in zip(ring.values(), state.arrays):
         arrays[0] = array  # each step writes every row of the slot after it
 
@@ -730,21 +750,24 @@ def run(
             lows = (a.min(axis=1) for a in parts if a.shape[1])
             residuals["min_v"][lo:hi] = reduce(lambda low, other: np.where(other < low, other, low), lows)
 
-    views, step = spec.kernel(inst, graph, params)
+    operands, step = spec.kernel(inst, graph, params, state)
     # Slot j's coefficient rows are step j's, by the spec's names: 2a for the run (a GeneralCost's step takes
     # grad(p) and leaves that product unread), and the block's stepsizes s times the factor of each other row.
-    coef, sizes = np.empty((rows + 1, len(spec.coefficients), n)), np.empty((rows, 1))
-    factors = {"s": 1.0, "sxi": params.xi, "snhat": _scalar(nhat)}
-    coef[:, spec.coefficients.index("2a")] = getattr(inst.cost, "twice_a", 0.0)
-    per_step = [(coef[:, i], factors[name]) for i, name in enumerate(spec.coefficients) if name != "2a"]
+    named = {**ring, "coef": np.empty((rows + 1, len(spec.coefficients), n))}  # the arrays operands name rows of
+    sizes, factors = np.empty((rows, 1)), {"s": 1.0, "sxi": params.xi, "snhat": _scalar(nhat)}
+    _operand(algorithm, "2a", named)[...] = getattr(inst.cost, "twice_a", 0.0)
+    per_step = [(_operand(algorithm, name, named), factors[name]) for name in spec.coefficients if name != "2a"]
     # A step that reads no link takes an empty row per step, and its run reads no block.
     table, fill = ((np.empty((rows, 0)),), None) if spec.weights is None else spec.weights(graph, rows, params)
     # Neither the ring's arrays, the coefficients nor the weight table are ever reallocated (slot 0 is overwritten
     # in place, and each block's table is written over the last one's), so each step's operands, taken from one
-    # view of each kind over all the slots, serve the run: slot j's views, slot j + 1's, row j of the table and s,
-    # made for the first min(rows, K) steps only.
-    slot_views = list(zip(*views(coef, *ring.values())))
-    steps = list(zip(slot_views, slot_views[1 : K + 1], zip(*table), (sizes[j, 0, ...] for j in range(rows))))
+    # view of each over all the slots, serve the run: what it reads of slot j, what it writes of slot j + 1, row j
+    # of the table and s, made for the first min(rows, K) steps only. An operand both read and written is one
+    # view per slot. The writes, which name every node row, are bound first, so a layout that splits the mixed
+    # stack is named by z.
+    slots = {name: list(_operand(algorithm, name, named)) for name in dict.fromkeys(operands[1] + operands[0])}
+    cur, nxt = (list(zip(*(slots[name] for name in names))) for names in operands)
+    steps = list(zip(cur, nxt[1 : K + 1], zip(*table), (sizes[j, 0, ...] for j in range(rows))))
     live = np.zeros(graph.m, dtype=bool)  # the links live at some step so far
     # Finite only: virtual's in-flight v starts at 0.
     _check_block(algorithm, 0, [(spec.labels[f], arrays[:1]) for f, arrays in ring.items()], positive=())

@@ -1234,6 +1234,114 @@ class TestSpecTable:
         assert (spec.series, spec.tracker, spec.mass) == DECLARED_ROWS[algorithm]
 
 
+def run_counting_steps(algorithm, inst, sched, params):
+    """`run`'s trace, or the error it raised; the rows of its last state by each name a state of `algorithm` reads
+    rows by, read under the table entry that made it (else None); and the number of steps its kernel took."""
+    spec, taken = algorithms._SPECS[algorithm], []
+
+    def kernel(*args):
+        operands, step = spec.kernel(*args)
+        return operands, lambda *step_args: (taken.append(1), step(*step_args))
+
+    algorithms._SPECS[algorithm] = replace(spec, kernel=kernel)
+    try:
+        trace = dc.run(algorithm, inst, sched, params)
+        named = spec.read_by & algorithms._ROW_NAMES  # a row name new to the table reads no attribute
+        return trace, {name: getattr(trace.final, name) for name in named}, len(taken)
+    except ValueError as error:
+        return error, None, len(taken)
+    finally:
+        algorithms._SPECS[algorithm] = spec
+
+
+def layout_case(directed):
+    """A generated instance of 6 agents, a schedule over its graph and parameters for two blocks and three steps."""
+    g = dc.generate_graph(dc.GraphSpec(n=6, extra_edges=3, directed=directed), 2)
+    K = 2 * block_rows(g) + 3
+    inst = dc.generate_instance(dc.InstanceSpec(n=g.n), 2)
+    return inst, dc.GraphSchedule(g, 0.3, 4, K), params_for(g.n, s=0.01, horizon=K)
+
+
+def assert_same_run(got, want):
+    """Bit-identical series and residuals, and the same last-state rows by name: each a trace and its rows."""
+    (got, got_rows), (want, want_rows) = got, want
+    for name in ("p", "consensus", "y", "v"):
+        assert (getattr(got, name) is None) == (getattr(want, name) is None), name
+        assert getattr(want, name) is None or bit_equal(getattr(got, name), getattr(want, name)), name
+    assert set(got.residuals) == set(want.residuals)
+    for key, series in want.residuals.items():
+        assert bit_equal(got.residuals[key], series), key
+    assert set(got_rows) == set(want_rows)
+    for name, rows in want_rows.items():
+        assert bit_equal(got_rows[name], rows), name
+
+
+class TestOperandLayout:
+    """The kernels name their operands by row, through the resolver `State` reads by: each layout is stated once."""
+
+    def test_a_stack_split_by_another_row_raises_naming_it(self, monkeypatch, small_instance):
+        # With p between lam and v, the rows named lam, v and y are no run of adjacent rows: the mixed stack z is
+        # refused, by the state and by `run`, rather than read as the four rows from lam to y.
+        spec = algorithms._SPECS["directed"]
+        monkeypatch.setitem(algorithms._SPECS, "directed", replace(spec, names=("lam", "p", "v", "y", "x")))
+        g, params = ring(3, True), params_for(3, horizon=5)
+        state = dc.initial_state("directed", small_instance, g, params)
+        assert np.array_equal(state.p, state.nodes[1]) and np.array_equal(state.v, np.ones(3))
+        with pytest.raises(ValueError, match="^directed: operand 'z' names no run of adjacent rows"):
+            state.z
+        with pytest.raises(ValueError, match="^directed: operand 'z' names no run of adjacent rows"):
+            dc.run("directed", small_instance, dc.GraphSchedule(g, 0.3, 1, 5), params)
+
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_swapping_two_node_rows_runs_alike_or_fails_at_binding(self, monkeypatch, algorithm):
+        # Each swap either leaves every operand a run of adjacent rows in order, and runs as the shipped layout does,
+        # or is refused before any step, naming the operand it splits. For the shipped kernels, every swap splits one.
+        inst, sched, params = layout_case(directed(algorithm))
+        *want, _ = run_counting_steps(algorithm, inst, sched, params)
+        spec = algorithms._SPECS[algorithm]
+        for i, j in itertools.combinations(range(len(spec.names)), 2):
+            names = list(spec.names)
+            names[i], names[j] = names[j], names[i]
+            monkeypatch.setitem(algorithms._SPECS, algorithm, replace(spec, names=tuple(names)))
+            got, rows, steps = run_counting_steps(algorithm, inst, sched, params)
+            if isinstance(got, ValueError):
+                assert re.match(rf"{algorithm}: operand '[^']+' names no run of adjacent rows", str(got)), got
+                assert steps == 0
+            else:
+                assert steps == params.horizon
+                assert_same_run((got, rows), want)
+
+    @pytest.mark.parametrize("algorithm, names", [
+        ("virtual", ("p", "x", "lam", "v", "y")),
+        ("robust", ("sums.lam", "sums.v", "sums.y", "lam", "v", "y", "p", "x")),
+        ("robust", ("p", "x", "sums.lam", "sums.v", "sums.y", "lam", "v", "y")),
+    ])
+    def test_moving_whole_operands_changes_no_bit(self, monkeypatch, algorithm, names):
+        # A layout that keeps each operand's rows together and in order runs as the shipped one does, bit for bit,
+        # through the same kernel.
+        inst, sched, params = layout_case(True)
+        *want, _ = run_counting_steps(algorithm, inst, sched, params)
+        spec = algorithms._SPECS[algorithm]
+        assert sorted(names) == sorted(spec.names) and names != spec.names
+        monkeypatch.setitem(algorithms._SPECS, algorithm, replace(spec, names=names))
+        got, rows, steps = run_counting_steps(algorithm, inst, sched, params)
+        assert steps == params.horizon
+        assert_same_run((got, rows), want)
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_an_unused_arc_row_changes_no_bit_of_robust(self, monkeypatch, at):
+        # `_start` starts every arc row at 0, and no kernel line names the new one: the run is bit for bit the same,
+        # though every arc row the kernel reads or writes has moved when it comes first.
+        inst, sched, params = layout_case(True)
+        *want, _ = run_counting_steps("robust", inst, sched, params)
+        spec = algorithms._SPECS["robust"]
+        arc_names = ("unused", *spec.arc_names) if at == "first" else (*spec.arc_names, "unused")
+        monkeypatch.setitem(algorithms._SPECS, "robust", replace(spec, arc_names=arc_names))
+        got, rows, steps = run_counting_steps("robust", inst, sched, params)
+        assert steps == params.horizon and got.final.arcs.shape == (7, sched.nominal.m)
+        assert_same_run((got, rows), want)
+
+
 class TestStepOperands:
     @pytest.mark.parametrize("n", [39, 300])
     @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
