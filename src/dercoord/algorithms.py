@@ -1,11 +1,12 @@
 """The centralized primal-dual baseline, the four distributed dispatch iterations and the virtual-domain twin.
 
 One driver, `run`, steps every algorithm. Update ordering within a step
-is fixed: the dispatch p[k+1] is the projected
-primal step from step-k values (`problem._primal_step`, which every
-algorithm takes), multiplier/weight estimates are mixed
-from step-k values, and the imbalance tracker y is mixed from step-k
-values and then incremented with nhat*(p[k+1] - p[k]).
+is fixed: the dispatch p[k+1] is the projected primal step from step-k
+values (`problem._primal_step`, the same for every algorithm),
+multiplier/weight estimates are mixed from step-k values, and the
+imbalance tracker y is mixed from step-k values and then incremented
+with nhat*(p[k+1] - p[k]). `run` binds the primal step; a kernel is the
+multiplier half.
 
 Every algorithm's state is one type, `State(algorithm, nodes, arcs)`.
 Its node values are the rows of one contiguous (R, n) array `nodes`:
@@ -18,33 +19,40 @@ nodes' lam, v and y. A state reads each row, and each stack of rows
 sharing a prefix (sums, mirror, virt), by the name its algorithm's
 table entry gives it, as a view. The rows a step mixes are adjacent,
 the stack `z`: (lam, y), (lam,) or (lam, v, y); centralized mixes none.
-Each algorithm's arithmetic is one private kernel, bound once per run:
-``kernel(inst, graph, params, start) -> (operands, step)``. Binding
-looks up what is fixed for the run (nhat as a 0-d array, the graph's
-tails, exact-length `mix` bins and out-degrees) and allocates the
-scratch buffers a step writes through, with their row and flat views,
-the product rows among them, two of which the primal step is bound to.
-``operands`` names, by the rows' names, what the step reads from slot j
-and what it writes into slot j + 1, as two tuples: a row (``p``), a run
-of adjacent rows (``p x``), a prefix stack (``sums``: sums.lam, sums.v,
-sums.y), the mixed stack ``z`` or its flat view ``z_flat``, which `mix`
-adds into, or the slot's coefficient rows (``2a sxi``). One resolver,
-`_operand`, which `State` reads its rows by too, turns each name into
-one C-contiguous view over the ring's slot axis; a run that is not
-adjacent rows of one array, in the order named, raises at bind time,
-naming the algorithm and the operand. Iterated over the slots, these
-give each slot's two tuples, made once per run.
-``step(cur, nxt, weights, s)`` reads the views `cur`, the step's row
-of the algorithm's weight table and the stepsize s as a 0-d array, and
-fills `nxt` with ufuncs writing through positional `out`. It first forms
-the products of its step-k rows in one multiply of adjacent state rows
-by the coefficient rows of its slot, laid out as its spec names them (``coefficients``):
-p and its feedback row by 2a and s*xi, and y by s where y is adjacent,
-so pd1 multiplies (p, lam, y) by (2a, s*xi, s), directed (y, p, x) by
-(s, 2a, s*xi), and the others (p, lam) or (p, x) by (2a, s*xi); pd2
-reads s*nhat from one more row. It then takes the primal step on those
-products, and mixes the whole stack in one call of the edge-list
-primitive `network.mix` in O(F (n + m)). The table's rows come in the
+The primal half of a step is the same for every algorithm, and `run`
+binds it once per run. Its products are laid out as the spec's
+``coefficients`` name them, by one rule: 2a multiplies p, s multiplies
+y and sxi (s*xi) multiplies the feedback row, the row recorded as
+consensus (x, or lam where the state has no x). So pd1 multiplies
+(p, lam, y) by (2a, s*xi, s), directed (y, p, x) by (s, 2a, s*xi), and
+the others (p, lam) or (p, x) by (2a, s*xi), in one multiply of
+adjacent state rows by the slot's coefficient rows into one product
+buffer, which `problem._primal_step` forms and then takes the projected
+step from. Each algorithm's multiplier and mixing half is one private
+kernel, bound once per run after the primal step:
+``kernel(inst, graph, params, start, products) -> (operands, step)``,
+``products`` being the product rows by coefficient name (pd1 and
+directed read s*y, the ``s`` row). Binding looks up what is fixed for
+the run (nhat as a 0-d array, the graph's tails, exact-length `mix`
+bins and out-degrees) and allocates the scratch buffers a step writes
+through, with their row and flat views. ``operands`` names, by the rows'
+names, what the step reads from slot j and what it writes into slot
+j + 1, as two tuples: a row (``p``), a run of adjacent rows (``v y``), a
+prefix stack (``sums``: sums.lam, sums.v, sums.y), the mixed stack ``z``
+or its flat view ``z_flat``, which `mix` adds into, or a coefficient row
+(pd2's ``snhat``, s*nhat, which its multiplier update reads). One
+resolver, `_operand`, which `State` reads its rows by too, turns each
+name into one C-contiguous view over the ring's slot axis; a run that
+is not adjacent rows of one array, in the order named, raises at bind
+time, naming the algorithm and the operand, the product operands `run`
+builds from the coefficients among them. Iterated over the slots, these
+give each slot's two tuples, made once per run. Each step, `run` first
+takes the primal step, which writes p of slot j + 1, then the kernel's
+``step(cur, nxt, weights, s)``, which reads the views `cur`, the step's
+row of the algorithm's weight table and the stepsize s as a 0-d array,
+and fills `nxt` with ufuncs writing through positional `out`. It mixes
+the whole stack in one call of the edge-list primitive `network.mix` in
+O(F (n + m)). The table's rows come in the
 shape of the stack each one meets: pd1 reads self weights (2, n) and arc
 weights (2, 2m), pd2 the same over one row, directed D (n,) for lam, D
 (2, n) for v and y and the live arcs (3, m), and robust and virtual the
@@ -65,7 +73,7 @@ kernel builds a dense matrix.
 Each algorithm is declared once, as one entry of the one table `_SPECS`
 plus its kernel. The entry gives the names of its node rows and arc
 rows, its kernel and weight table, the state arrays its guard reads
-after each block and the coefficient rows its step multiplies by. The
+after each block and the coefficient rows its steps read. The
 names state the layout, and the rest derives from them: a state with
 push-sum weights (a row named v) needs a directed graph, `State` reads
 each row by its name, the start builds each row from its name, the trace
@@ -220,7 +228,8 @@ class State:
     view, not a copy, read through the resolver the kernels' operands are
     (`_operand`), so a stack whose rows are not adjacent in one array
     raises `ValueError`. A name that another algorithm has but this one
-    lacks reads None (pd2's y); any other raises `AttributeError`.
+    lacks reads None (pd2's y); any other raises `AttributeError`. A state
+    of an unknown algorithm is refused when made, with `ModeMismatchError`.
     """
 
     algorithm: str
@@ -228,6 +237,10 @@ class State:
     arcs: np.ndarray | None = None
 
     arrays = property(lambda self: (self.nodes,) if self.arcs is None else (self.nodes, self.arcs))
+
+    def __post_init__(self):
+        if self.algorithm not in _SPECS:
+            raise ModeMismatchError(f"State algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
 
     def __getattr__(self, name: str):
         # Only a name the class lacks comes here, z among them. It is checked before any field is read: unpickling
@@ -300,11 +313,12 @@ def equilibrium_state(algorithm: str, inst: ProblemInstance, graph: NominalGraph
     algorithms lam stays proportional to v, keeping x constant even as the
     weights mix. pd2 has no fixed point: its multipliers see only the
     local imbalance, so they leave this state. Raises `ModeMismatchError`
-    unless the algorithm fits the graph (`check_pairing`).
+    unless the algorithm fits the graph (`check_pairing`) and `solution`
+    has a p_star (`metrics.optimum_dispatch`).
     """
     check_pairing(algorithm, inst, graph)
-    lam = np.full(inst.n, params.nhat / inst.n * solution.lambda_star)
-    return _start(algorithm, graph, np.asarray(solution.p_star, dtype=float), lam, np.zeros(inst.n))
+    p = optimum_dispatch(solution, inst.n, "solution")  # checked before lambda_star is read
+    return _start(algorithm, graph, p, np.full(inst.n, params.nhat / inst.n * solution.lambda_star), np.zeros(inst.n))
 
 
 def _check_block(algorithm: str, first: int, blocks, positive=_WEIGHT) -> None:
@@ -336,7 +350,7 @@ def _scalar(x) -> np.ndarray:
     return np.array(x, dtype=float)
 
 
-def _pd2(inst, graph, params, start):
+def _pd2(inst, graph, params, start, products):
     """Crude variant: the multiplier sees only the local imbalance.
 
     lam[k+1] = W lam[k] - s*nhat*(p[k] - load), W the doubly stochastic
@@ -344,44 +358,39 @@ def _pd2(inst, graph, params, start):
     constant one it stalls at a bias.
     """
     tails, bins, _ = graph.metropolis_arcs
-    gathered, scratch, prod = np.empty((1, len(tails))), np.empty(inst.n), np.empty((2, inst.n))  # prod: 2a*p, s*xi*lam
-    primal, loads, bins, flat = _primal_step(inst, *prod), inst.loads, bins[: gathered.size], gathered.reshape(-1)
+    gathered, scratch = np.empty((1, len(tails))), np.empty(inst.n)
+    loads, bins, flat = inst.loads, bins[: gathered.size], gathered.reshape(-1)
 
     def step(cur, nxt, weights, s):
         self_w, w = weights
-        (c, snhat, pl0, p0, z0), (p, lam, z) = cur, nxt
-        multiply(pl0, c, prod)
-        primal(s, p0, p)
+        (snhat, p0, z0), (lam, z) = cur, nxt
         multiply(z0, self_w, z)
         multiply(z0.take(tails, 1, gathered, "clip"), w, gathered)
         mix(lam, bins, flat)  # lam: the one-row stack z, flat
         subtract(lam, multiply(subtract(p0, loads, scratch), snhat, scratch), lam)
 
-    return (("2a sxi", "snhat", "p lam", "p", "z"), ("p", "lam", "z")), step
+    return (("snhat", "p", "z"), ("lam", "z")), step
 
 
-def _pd1(inst, graph, params, start):
+def _pd1(inst, graph, params, start, products):
     """Gradient-tracking primal-dual step over the doubly stochastic Metropolis weights."""
     tails, bins, _ = graph.metropolis_arcs
-    # prod: 2a*p, s*xi*lam, s*y
-    gathered, scratch, prod = np.empty((2, len(tails))), np.empty(inst.n), np.empty((3, inst.n))
-    primal, nhat, sy, flat = _primal_step(inst, *prod[:2]), _scalar(params.nhat), prod[2], gathered.reshape(-1)
+    gathered, scratch = np.empty((2, len(tails))), np.empty(inst.n)
+    nhat, sy, flat = _scalar(params.nhat), products["s"], gathered.reshape(-1)
 
     def step(cur, nxt, weights, s):
         self_w, w = weights
-        (c, pdy0, p0, z0), (p, lam, y, z, z_flat) = cur, nxt
-        multiply(pdy0, c, prod)
-        primal(s, p0, p)
+        (p0, z0), (p, lam, y, z, z_flat) = cur, nxt
         multiply(z0, self_w, z)
         multiply(z0.take(tails, 1, gathered, "clip"), w, gathered)
         mix(z_flat, bins, flat)
         subtract(lam, sy, lam)
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
 
-    return (("2a sxi s", "p lam y", "p", "z"), ("p", "lam", "y", "z", "z_flat")), step
+    return (("p", "z"), ("p", "lam", "y", "z", "z_flat")), step
 
 
-def _directed(inst, graph, params, start):
+def _directed(inst, graph, params, start, products):
     """Push-sum primal-dual step; instantaneous out-degrees are known.
 
     The mixing is evaluated the way the nodes compute it: each source
@@ -391,15 +400,13 @@ def _directed(inst, graph, params, start):
     lam mixes together with -s*y.
     """
     _, tails, bins = graph.arcs_by_head
-    gathered, scratch, prod = np.empty((3, graph.m)), np.empty(inst.n), np.empty((3, inst.n))  # prod: s*y, 2a*p, s*xi*x
-    primal, nhat, sy, flat = _primal_step(inst, *prod[1:]), _scalar(params.nhat), prod[0], gathered.reshape(-1)
+    gathered, scratch = np.empty((3, graph.m)), np.empty(inst.n)
+    nhat, sy, flat = _scalar(params.nhat), products["s"], gathered.reshape(-1)
 
     def step(cur, nxt, weights, s):
         D, D_vy, live = weights
-        (c, lam0, p0, vy0, ypx0), (lam, v, y, p, x, z, vy, z_flat) = cur, nxt
+        (lam0, p0, vy0), (lam, v, y, p, x, z, vy, z_flat) = cur, nxt
         # z: each node's share of (lam - s*y, v, y), mixed in place
-        multiply(ypx0, c, prod)
-        primal(s, p0, p)
         divide(subtract(lam0, sy, scratch), D, lam)
         divide(vy0, D_vy, vy)
         multiply(z.take(tails, 1, gathered, "clip"), live, gathered)
@@ -407,10 +414,10 @@ def _directed(inst, graph, params, start):
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
         divide(lam, v, x)
 
-    return (("s 2a sxi", "lam", "p", "v y", "y p x"), ("lam", "v", "y", "p", "x", "z", "v y", "z_flat")), step
+    return (("lam", "p", "v y"), ("lam", "v", "y", "p", "x", "z", "v y", "z_flat")), step
 
 
-def _robust(inst, graph, params, start):
+def _robust(inst, graph, params, start, products):
     """Running-sum primal-dual step; only nominal out-degrees are used.
 
     Mirror advance for arc (j, i): the mirror jumps to
@@ -428,12 +435,11 @@ def _robust(inst, graph, params, start):
     them those of slot 0's state, so each block starts right.
     """
     srcs, bins, dplus = graph.srcs, graph.arc_bins, stacked(graph.out_degrees, 3)  # as z0 meets it
-    own_y, scratch, dy, prod = np.empty(inst.n), np.empty(inst.n), np.empty(graph.m), np.empty((2, inst.n))
-    # prod: 2a*p, s*xi*x. kept: each node's shares z / d+ of the state in the slot a step reads, formed here from
-    # the start, then by each step from the state it writes, whose running sums add them; the ring moves that state
-    # to slot 0.
+    own_y, scratch, dy = np.empty(inst.n), np.empty(inst.n), np.empty(graph.m)
+    # kept: each node's shares z / d+ of the state in the slot a step reads, formed here from the start, then by
+    # each step from the state it writes, whose running sums add them; the ring moves that state to slot 0.
     kept = divide(start.z, dplus)
-    primal, nhat, kept_flat, kept_y = _primal_step(inst, *prod), _scalar(params.nhat), kept.reshape(-1), kept[2]
+    nhat, kept_flat, kept_y = _scalar(params.nhat), kept.reshape(-1), kept[2]
     # What the arc rows (mirrors, then in-flight values) advance by: d, the mirror advances (then what the
     # arcs deliver), and the shares gathered from the arcs' sources.
     moved = np.empty((6, graph.m))
@@ -441,9 +447,7 @@ def _robust(inst, graph, params, start):
 
     def step(cur, nxt, weights, s):
         (g,) = weights
-        (c, p0, px0, sums0, arcs0, mirror0), (lam, v, y, p, x, z, z_flat, sums, arcs, virt) = cur, nxt
-        multiply(px0, c, prod)
-        primal(s, p0, p)
+        (p0, sums0, arcs0, mirror0), (lam, v, y, p, x, z, z_flat, sums, arcs, virt) = cur, nxt
         # Mirror advances in increment form: g*(sum - mirror) equals
         # (1-g)*mirror + g*sum exactly, but the subtraction of the two
         # nearby running quantities is exact in floating point, so the node
@@ -464,11 +468,11 @@ def _robust(inst, graph, params, start):
         divide(lam, v, x)
         add(divide(z, dplus, kept), sums0, sums)
 
-    reads = ("2a sxi", "p", "p x", "sums", "mirror virt", "mirror")
-    return (reads, ("lam", "v", "y", "p", "x", "z", "z_flat", "sums", "mirror virt", "virt")), step
+    writes = ("lam", "v", "y", "p", "x", "z", "z_flat", "sums", "mirror virt", "virt")
+    return (("p", "sums", "mirror virt", "mirror"), writes), step
 
 
-def _virtual(inst, graph, params, start):
+def _virtual(inst, graph, params, start, products):
     """Augmented-system step: the action of the column-stochastic mixing.
 
     lam mixes together with -s*y on the real nodes only (virtual nodes
@@ -489,15 +493,12 @@ def _virtual(inst, graph, params, start):
     """
     srcs, bins, dplus = graph.srcs, graph.arc_bins, stacked(graph.out_degrees, 3)  # as z0 meets it
     gathered, own_y, scratch, dy = np.empty((3, graph.m)), np.empty(inst.n), np.empty(inst.n), np.empty(graph.m)
-    released, prod = np.empty((3, graph.m)), np.empty((2, inst.n))  # prod: 2a*p, s*xi*x
+    released, nhat = np.empty((3, graph.m)), _scalar(params.nhat)
     released_lam, released_y, released_flat = released[0], released[2], released.reshape(-1)
-    primal, nhat = _primal_step(inst, *prod), _scalar(params.nhat)
 
     def step(cur, nxt, weights, s):
         (g,) = weights
-        (c, p0, px0, z0, held0), (lam, v, y, p, x, z, z_flat, held) = cur, nxt
-        multiply(px0, c, prod)
-        primal(s, p0, p)
+        (p0, z0, held0), (lam, v, y, p, x, z, z_flat, held) = cur, nxt
         divide(z0, dplus, z)  # each real node's shares, mixed in place below
         add(held0, z.take(srcs, 1, gathered, "clip"), held)
         subtract(held, multiply(held, g, released), held)
@@ -509,10 +510,10 @@ def _virtual(inst, graph, params, start):
         add(y, multiply(subtract(p, p0, scratch), nhat, scratch), y)
         divide(lam, v, x)
 
-    return (("2a sxi", "p", "p x", "z", "virt"), ("lam", "v", "y", "p", "x", "z", "z_flat", "virt")), step
+    return (("p", "z", "virt"), ("lam", "v", "y", "p", "x", "z", "z_flat", "virt")), step
 
 
-def _centralized(inst, graph, params, start):
+def _centralized(inst, graph, params, start, products):
     """Centralized projected primal-dual step: every lam row holds the one multiplier.
 
     lam[k+1] = lam[k] - s*1'(p[k] - load), the exact total imbalance, so
@@ -520,18 +521,15 @@ def _centralized(inst, graph, params, start):
     step reads no link: `run` reads no block of its schedule, and its
     weights row goes unread.
     """
-    loads, gap, prod = inst.loads, np.empty(inst.n), np.empty((2, inst.n))  # prod: 2a*p, s*xi*lam
     # total and scaled apart: a 0-d ufunc writing over its input runs at half speed
-    primal, total, scaled = _primal_step(inst, *prod), np.empty(()), np.empty(())
+    loads, gap, total, scaled = inst.loads, np.empty(inst.n), np.empty(()), np.empty(())
 
     def step(cur, nxt, weights, s):
-        (c, pl0, p0, lam0), (p, lam) = cur, nxt
-        multiply(pl0, c, prod)
-        primal(s, p0, p)
+        (p0, lam0), (lam,) = cur, nxt
         add.reduce(subtract(p0, loads, gap), 0, None, total)  # what gap.sum() computes
         subtract(lam0, multiply(total, s, scaled), lam)
 
-    return (("2a sxi", "p lam", "p", "lam"), ("p", "lam")), step
+    return (("p", "lam"), ("lam",)), step
 
 
 def _release_table(graph: NominalGraph, rows: int, params) -> tuple:
@@ -553,8 +551,9 @@ class _Spec:
     ``arc_names`` the rows of its ``arcs`` array: robust's mirrors, then
     its in-flight values, and virtual's in-flight values. A state with
     push-sum weights (a row named v) runs on a directed graph, any other
-    on an undirected one (``directed``). ``kernel`` binds
-    the step to a run and names its operands (see the module docstring).
+    on an undirected one (``directed``). ``kernel`` binds the multiplier
+    half of the step to a run and names its operands (see the module
+    docstring); `run` binds the primal half.
     ``weights`` binds the weight table to a run: (graph, rows, params) ->
     (table, fill), the table a tuple of arrays of `rows` rows whose row r
     step r of each block takes, each in the shape of the stack it meets
@@ -568,9 +567,11 @@ class _Spec:
     0): virtual's in-flight values are among them, robust's arcs are not
     (a mirror's v is 0 until its arc delivers), so a robust step pays for
     no per-arc reduction. ``coefficients`` names the rows of each step's
-    coefficients, in the order of the adjacent state rows the kernel's
-    one multiply meets: ``2a`` (the cost's), ``s``, ``sxi`` (s*xi) or
-    ``snhat`` (s*nhat), which `run` fills.
+    coefficients, which `run` fills: ``2a`` (the cost's), ``s``, ``sxi``
+    (s*xi) or ``snhat`` (s*nhat). It is the one statement of the product
+    layout: the primal step's one multiply takes the state rows that 2a, s
+    and sxi multiply (p, y and the feedback row), in this order, and its
+    products are laid out as these rows are. ``snhat`` multiplies no row.
 
     The rest derives from the names. `_start` builds each row from its
     name, and `State` reads each row by it. The trace records the node
@@ -640,8 +641,9 @@ RUNNING_SUM_ALGORITHMS = tuple(name for name, spec in _SPECS.items() if spec.wei
 
 def _checked_init(algorithm: str, init: State, start: State) -> State:
     """`init` if it is a state of `algorithm` with each array of the standard `start`'s shape."""
-    if init.algorithm != algorithm:
-        raise ModeMismatchError(f"{algorithm} cannot start from a state of {init.algorithm}")
+    if not isinstance(init, State) or init.algorithm != algorithm:
+        got = f"a state of {init.algorithm}" if isinstance(init, State) else type(init).__name__
+        raise ModeMismatchError(f"init must be a State of {algorithm}, such as its trace's final, got {got}")
     for name in ("nodes", "arcs"):
         want, got = np.shape(getattr(start, name)), np.shape(getattr(init, name))
         if got != want:
@@ -683,17 +685,21 @@ def run(
     of the mixing weights too. For the running-sum algorithm they are
     evaluated over the augmented vector using its in-flight sidecar. Each
     block is stepped in place in a ring of states, under one guard that
-    raises the error of the block's first failing step; each step reads
-    its stepsize and its coefficient rows (the cost's 2a, and s times xi,
-    1 or nhat) from buffers filled once per block beside the weight
-    table, through views made once per run (see the module docstring).
+    raises the error of the block's first failing step. `run` binds the
+    primal step; a kernel is the multiplier half: each step takes the
+    primal step, then the kernel's. Both read the stepsize and the
+    coefficient rows (the cost's 2a, and s times xi, 1 or nhat) from
+    buffers filled once per block beside the weight table, through views
+    made once per run (see the module docstring).
     The recorded series are C-contiguous views of one allocation that
     holds them all, and the residual series of another.
     Without `init` the run takes `initial_state`; an `init` must be a
-    state of the same algorithm (else `ModeMismatchError`, naming both)
-    with that state's array shapes (else `DimensionMismatchError`).
-    Given an `optimum` (the oracle's solution, or anything with a
-    ``p_star`` of n entries), the run keeps reductions, not states: it
+    `State` (else `ModeMismatchError`, naming what it got) of the same
+    algorithm (else `ModeMismatchError`, naming both) with that state's
+    array shapes (else `DimensionMismatchError`). Given an `optimum` (the
+    oracle's solution, or anything with a ``p_star`` of n entries, else
+    `ModeMismatchError` or `DimensionMismatchError`, as
+    `metrics.optimum_dispatch` checks), the run keeps reductions, not states: it
     allocates none of the (K + 1, n) series, which are empty (0, n) arrays,
     and records ``residuals["err_p"]``, ||p[k] - p*||_2 per step, reduced
     per block from the ring's p rows with `convergence_error`'s bits. Its
@@ -713,7 +719,7 @@ def run(
         raise ModeMismatchError(f"horizon {K} exceeds schedule horizon {schedule.horizon}")
     start = initial_state(algorithm, inst, graph, params)
     state = start if init is None else _checked_init(algorithm, init, start)
-    p_star = None if optimum is None else optimum_dispatch(optimum, inst.n, "optimum.p_star")
+    p_star = None if optimum is None else optimum_dispatch(optimum, inst.n, "optimum")
 
     n, nhat = inst.n, params.nhat
     recorded, tracker, mass = spec.series, spec.tracker, spec.mass
@@ -750,7 +756,15 @@ def run(
             lows = (a.min(axis=1) for a in parts if a.shape[1])
             residuals["min_v"][lo:hi] = reduce(lambda low, other: np.where(other < low, other, low), lows)
 
-    operands, step = spec.kernel(inst, graph, params, state)
+    # The primal half of every step is bound here, once: one multiply of state rows by the slot's coefficient rows
+    # into a buffer laid out as the coefficients are, by one rule (2a times p, s times y, sxi times the feedback
+    # row, the one recorded as consensus), then the projected step (`problem._primal_step`). The kernel, the
+    # multiplier half, is given the products by coefficient name: pd1 and directed read s*y.
+    rule = {"2a": "p", "s": "y", "sxi": spec.names[recorded["consensus"]]}
+    buffer = {"coef": np.empty((len(spec.coefficients), n))}
+    products = {name: row for name, row in zip(spec.coefficients, buffer["coef"]) if name in rule}
+    primal = _primal_step(inst, _operand(algorithm, " ".join(products), buffer), products["2a"], products["sxi"])
+    operands, step = spec.kernel(inst, graph, params, state, products)
     # Slot j's coefficient rows are step j's, by the spec's names: 2a for the run (a GeneralCost's step takes
     # grad(p) and leaves that product unread), and the block's stepsizes s times the factor of each other row.
     named = {**ring, "coef": np.empty((rows + 1, len(spec.coefficients), n))}  # the arrays operands name rows of
@@ -763,11 +777,13 @@ def run(
     # in place, and each block's table is written over the last one's), so each step's operands, taken from one
     # view of each over all the slots, serve the run: what it reads of slot j, what it writes of slot j + 1, row j
     # of the table and s, made for the first min(rows, K) steps only. An operand both read and written is one
-    # view per slot. The writes, which name every node row, are bound first, so a layout that splits the mixed
-    # stack is named by z.
-    slots = {name: list(_operand(algorithm, name, named)) for name in dict.fromkeys(operands[1] + operands[0])}
-    cur, nxt = (list(zip(*(slots[name] for name in names))) for names in operands)
-    steps = list(zip(cur, nxt[1 : K + 1], zip(*table), (sizes[j, 0, ...] for j in range(rows))))
+    # view per slot. The halves' operands: what the primal half reads (the multiplied rows, their coefficients and
+    # p; it writes p of slot j + 1), then the kernel's. The kernel's writes are bound first, so a layout that
+    # splits the mixed stack is named by z.
+    halves = ((" ".join(map(rule.get, products)), " ".join(products), "p"), *operands)
+    slots = {name: list(_operand(algorithm, name, named)) for name in dict.fromkeys(sum(halves[::-1], ()))}
+    pcur, cur, nxt = (list(zip(*(slots[name] for name in names))) for names in halves)
+    steps = list(zip(pcur, slots["p"][1:], cur, nxt[1 : K + 1], zip(*table), (sizes[j, 0, ...] for j in range(rows))))
     live = np.zeros(graph.m, dtype=bool)  # the links live at some step so far
     # Finite only: virtual's in-flight v starts at 0.
     _check_block(algorithm, 0, [(spec.labels[f], arrays[:1]) for f, arrays in ring.items()], positive=())
@@ -783,7 +799,8 @@ def run(
             sizes[: k1 - k0, 0] = params.stepsize(np.arange(k0, k1))  # int to float64 is exact: Python's bits
             for rows_of, factor in per_step:  # the products Python's s * xi gives (s * 1.0 == s), copied along rows
                 rows_of[: k1 - k0] = sizes[: k1 - k0] * factor
-            for cur, nxt, row, s in steps[: k1 - k0]:
+            for (f, c, p0), p, cur, nxt, row, s in steps[: k1 - k0]:
+                primal(f, c, s, p0, p)
                 step(cur, nxt, row, s)
         _check_block(algorithm, k0 + 1, [(spec.labels[f], ring[f][1 : k1 - k0 + 1]) for f in spec.guarded])
         record(k0 + 1, k1 + 1, 1)

@@ -59,7 +59,7 @@ class ConfigError(DercoordError):
 
 class ModeMismatchError(ConfigError):
     """An algorithm does not fit its inputs: an unknown id, a graph of the wrong kind or size,
-    a start of another algorithm's state type, or a horizon past the schedule's."""
+    a start that is no state of the algorithm, an optimum with no p_star, or a horizon past the schedule's."""
 
 
 class GeneratorSpecError(ConfigError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import network  # looked up at call time, so a tracer that patches `network`'s attributes sees the call
-from .errors import DimensionMismatchError, FitWindowError
+from .errors import DimensionMismatchError, FitWindowError, ModeMismatchError
 from .problem import AlgorithmParams
 
 # Values at or below this are treated as converged-to-noise and excluded
@@ -142,10 +142,18 @@ class InvariantReport:
 
 
 def optimum_dispatch(solution, n: int, what: str) -> np.ndarray:
-    """`solution.p_star` as a float vector; `DimensionMismatchError` naming `what` unless its shape is (n,)."""
+    """`solution.p_star` as a float vector, `solution` being the argument named `what`.
+
+    `ModeMismatchError` names `what` and the type it got unless it has a
+    ``p_star``, as the oracle's solution does (the p_star array itself has
+    none), and `DimensionMismatchError` names ``<what>.p_star`` unless that
+    has shape (n,).
+    """
+    if not hasattr(solution, "p_star"):
+        raise ModeMismatchError(f"{what} must be a solution with a p_star, got {type(solution).__name__}")
     p_star = np.asarray(solution.p_star, dtype=float)
     if p_star.shape != (n,):
-        raise DimensionMismatchError(what, (n,), p_star.shape)
+        raise DimensionMismatchError(f"{what}.p_star", (n,), p_star.shape)
     return p_star
 
 
@@ -167,10 +175,11 @@ def convergence_error(trace: RunTrace, solution) -> np.ndarray:
     so the temporaries stay O(block) however long the trace, with the bits
     of one full-array ``np.linalg.norm(p - p_star, axis=1)``. A trace
     whose run was given an optimum has no p series: `ValueError` points
-    to its ``residuals["err_p"]``, the same values.
+    to its ``residuals["err_p"]``, the same values. A `solution` with no
+    p_star raises `ModeMismatchError` (`optimum_dispatch`).
     """
     p = _state_series(trace).p
-    p_star = optimum_dispatch(solution, p.shape[1], "solution.p_star")
+    p_star = optimum_dispatch(solution, p.shape[1], "solution")
     err = np.empty(p.shape[0])
     rows = max(1, _ERROR_BLOCK_ENTRIES // max(p.shape[1], 1))
     for lo in range(0, p.shape[0], rows):
@@ -258,13 +267,14 @@ def deviation_from_optimum(trace: RunTrace, solution) -> np.ndarray:
     """Norm series of z[k] = (p[k] - p*, lambda_hat[k] - lambda*).
 
     lambda_hat is the nhat-scaled multiplier sum, which converges to the
-    oracle's lambda* in the scaled convention.
+    oracle's lambda* in the scaled convention. A `solution` with no p_star
+    raises `ModeMismatchError` (`optimum_dispatch`).
     """
     if _state_series(trace).consensus is None or trace.params is None:
         raise ValueError("trace lacks consensus estimates or params")
     lam = trace.consensus if trace.v is None else trace.consensus * trace.v
     lam_hat = lam.sum(axis=1) / trace.params.nhat
-    dp = trace.p - np.asarray(solution.p_star)[None, :]
+    dp = trace.p - optimum_dispatch(solution, trace.p.shape[1], "solution")
     dlam = lam_hat - solution.lambda_star
     return np.sqrt(np.linalg.norm(dp, axis=1) ** 2 + dlam**2)
 

@@ -21,8 +21,9 @@ its xi, nhat and lam the same way, and lets a NaN in p or f'(p) through
 into the residual rather than hide it.
 
 The projected primal step every iteration takes lives here once, as
-`_primal_step(inst, params)`: each kernel in `algorithms`, the
-centralized baseline's among them, binds it once per run.
+`_primal_step(inst, products, twice_a_p, scaled_feedback)`: `run` in
+`algorithms` binds it once per run, for every algorithm, the
+centralized baseline among them.
 """
 
 from __future__ import annotations
@@ -310,26 +311,28 @@ class AlgorithmParams:
         return out
 
 
-def _primal_step(inst: ProblemInstance, twice_a_p: np.ndarray, scaled_feedback: np.ndarray) -> Callable:
-    """The projected primal step clamp(p - s f'(p) + s xi feedback), bound to one run: ``step(s, p, out)``.
+def _primal_step(inst: ProblemInstance, products, twice_a_p, scaled_feedback) -> Callable:
+    """The projected primal step clamp(p - s f'(p) + s xi feedback), bound to one run: ``step(rows, c, s, p, out)``.
 
     The one primal step of every algorithm, the centralized baseline's
-    included (its feedback rows all hold the one multiplier): each kernel
-    in `algorithms` binds it once per run, to two rows of products that
-    the kernel forms in one multiply before each step, (2a)*p and
-    (s*xi)*feedback; s arrives as a 0-d array (`run` forms the stepsizes,
-    and fills the coefficient rows, per block). A quadratic cost's f' is
-    then that product plus b, which is how `QuadraticCost.grad` evaluates
-    it; any other cost's `grad(p)` is called, and the (2a)*p row goes
-    unread. The box and one scratch row are bound. Evaluated as
-    (p - s*f'(p)) + (s*xi)*feedback, then the clip ufunc, writing into
-    `out` (not p) and allocating nothing for a quadratic cost: regrouping
-    changes the last bits of every trace.
+    included (its feedback rows all hold the one multiplier), which
+    `algorithms.run` binds once per run. A step first forms `products`, its
+    state rows times their coefficient rows, in one multiply of `rows` by
+    `c`; two of those product rows are bound, (2a)*p and (s*xi)*feedback,
+    and any others are the multiplier half's to read. s arrives as a 0-d
+    array (`run` forms the stepsizes, and fills the coefficient rows, per
+    block). A quadratic cost's f' is then (2a)*p plus b, which is how
+    `QuadraticCost.grad` evaluates it; any other cost's `grad(p)` is called,
+    and the (2a)*p row goes unread. The box and one scratch row are bound.
+    Evaluated as (p - s*f'(p)) + (s*xi)*feedback, then the clip ufunc,
+    writing into `out` (not p) and allocating nothing for a quadratic cost:
+    regrouping changes the last bits of every trace.
     """
     cost, lo, hi, scratch = inst.cost, inst.p_lo, inst.p_hi, np.empty(inst.n)
     b = cost.b if isinstance(cost, QuadraticCost) else None
 
-    def step(s, p, out) -> None:
+    def step(rows, c, s, p, out) -> None:
+        multiply(rows, c, products)
         grad = cost.grad(p) if b is None else add(twice_a_p, b, scratch)
         subtract(p, multiply(grad, s, scratch), out)
         add(out, scaled_feedback, out)

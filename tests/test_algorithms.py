@@ -1328,6 +1328,54 @@ class TestOperandLayout:
         assert steps == params.horizon
         assert_same_run((got, rows), want)
 
+    @pytest.mark.parametrize("algorithm", dc.ALGORITHMS)
+    def test_swapping_two_coefficients_runs_alike_or_fails_at_binding(self, monkeypatch, algorithm):
+        # The coefficients state the product layout once: `run` multiplies the rows its rule pairs with them (2a
+        # with p, s with y, sxi with the feedback row), in their order. A swap either leaves both product operands
+        # runs of adjacent rows in order, and runs as the shipped layout does, or is refused before any step,
+        # naming the operand `run` built. For the shipped layouts, every swap is refused.
+        inst, sched, params = layout_case(directed(algorithm))
+        *want, _ = run_counting_steps(algorithm, inst, sched, params)
+        spec = algorithms._SPECS[algorithm]
+        for i, j in itertools.combinations(range(len(spec.coefficients)), 2):
+            coefficients = list(spec.coefficients)
+            coefficients[i], coefficients[j] = coefficients[j], coefficients[i]
+            monkeypatch.setitem(algorithms._SPECS, algorithm, replace(spec, coefficients=tuple(coefficients)))
+            got, rows, steps = run_counting_steps(algorithm, inst, sched, params)
+            if isinstance(got, ValueError):
+                assert re.match(rf"{algorithm}: operand '[^']+' names no run of adjacent rows", str(got)), got
+                assert steps == 0
+            else:
+                assert steps == params.horizon
+                assert_same_run((got, rows), want)
+
+    @pytest.mark.parametrize("algorithm, coefficients, operand", [
+        ("pd1", ("sxi", "2a", "s"), "lam p y"),
+        ("directed", ("2a", "s", "sxi"), "p y x"),
+        ("robust", ("sxi", "2a"), "x p"),
+        ("pd2", ("2a", "snhat", "sxi"), "2a sxi"),
+    ])
+    def test_a_coefficient_order_the_rows_break_is_named(self, monkeypatch, algorithm, coefficients, operand):
+        # The refusal names the operand `run` built from the coefficients: the rows they multiply, or the
+        # coefficient rows of the products when another coefficient splits them.
+        inst, sched, params = layout_case(directed(algorithm))
+        spec = algorithms._SPECS[algorithm]
+        monkeypatch.setitem(algorithms._SPECS, algorithm, replace(spec, coefficients=coefficients))
+        got, _, steps = run_counting_steps(algorithm, inst, sched, params)
+        assert str(got) == f"{algorithm}: operand {operand!r} names no run of adjacent rows of one array, in order"
+        assert steps == 0
+
+    def test_a_coefficient_no_product_reads_moves_freely(self, monkeypatch):
+        # pd2's snhat multiplies no row: with it first, the products stay adjacent and the run is bit for bit the
+        # same, through the same kernel.
+        inst, sched, params = layout_case(False)
+        *want, _ = run_counting_steps("pd2", inst, sched, params)
+        spec = algorithms._SPECS["pd2"]
+        monkeypatch.setitem(algorithms._SPECS, "pd2", replace(spec, coefficients=("snhat", "2a", "sxi")))
+        got, rows, steps = run_counting_steps("pd2", inst, sched, params)
+        assert steps == params.horizon
+        assert_same_run((got, rows), want)
+
     @pytest.mark.parametrize("at", ["first", "last"])
     def test_an_unused_arc_row_changes_no_bit_of_robust(self, monkeypatch, at):
         # `_start` starts every arc row at 0, and no kernel line names the new one: the run is bit for bit the same,

@@ -6,7 +6,9 @@ Each parameter is fed values its rule refuses: a str, None, NaN and
 that break 0 <= lo <= hi <= horizon. Each must raise the package's error
 for that boundary, with the message the checkers in `network` write
 (``what=value must be ...`` or ``what must be ...``), never a bare
-TypeError or a returned value.
+TypeError or a returned value. A second table feeds the run inputs that
+are objects (a start state, an optimum, a state's algorithm) a value of
+the wrong type, which must be refused the same way.
 """
 
 import re
@@ -15,7 +17,13 @@ import numpy as np
 import pytest
 
 import dercoord as dc
-from dercoord.errors import GeneratorSpecError, InvalidCostError, InvalidGraphError, InvalidInstanceError
+from dercoord.errors import (
+    GeneratorSpecError,
+    InvalidCostError,
+    InvalidGraphError,
+    InvalidInstanceError,
+    ModeMismatchError,
+)
 from dercoord.experiment import _RANGES
 
 INST = dc.ProblemInstance([1.0, 1.0], [0.0, 0.0], [3.0, 3.0], dc.QuadraticCost([1.0, 2.0]))
@@ -106,3 +114,39 @@ def test_every_boundary_in_the_table_accepts_a_valid_value(what, kind, call):
     # A row whose call raised for every value would pass the table above without checking anything.
     valid = {"bool": True, "int": 2, "block lo": 2, "block hi": 2, "int or None": None, "real or None": None}
     call(valid.get(kind, 0.5))
+
+
+# A short pd1 run on INST over an undirected graph of its two agents, its trace and the oracle's solution.
+PAIR = dc.GraphSchedule(dc.NominalGraph(2, [(0, 1)], False), 0.2, 1, 5)
+PARAMS = dc.AlgorithmParams(STEP, horizon=3)
+TRACE, SOLUTION = dc.run("pd1", INST, PAIR, PARAMS), dc.solve_bisection(INST)
+
+# (what the message names, what it got, the call): an object of the wrong type where a run or an analysis takes a
+# state or a solution, each refused where it enters with `ModeMismatchError`, never read into a bare AttributeError
+# or KeyError.
+WRONG_TYPES = [
+    ("init", "RunTrace", lambda: dc.run("pd1", INST, PAIR, PARAMS, init=TRACE)),
+    ("init", "ndarray", lambda: dc.run("pd1", INST, PAIR, PARAMS, init=TRACE.final.nodes)),
+    ("optimum", "ndarray", lambda: dc.run("pd1", INST, PAIR, PARAMS, optimum=SOLUTION.p_star)),
+    ("solution", "ndarray", lambda: dc.convergence_error(TRACE, SOLUTION.p_star)),
+    ("solution", "ndarray", lambda: dc.deviation_from_optimum(TRACE, SOLUTION.p_star)),
+    ("solution", "ndarray", lambda: dc.equilibrium_state("pd1", INST, PAIR.nominal, PARAMS, SOLUTION.p_star)),
+    ("State algorithm", "'nope'", lambda: dc.State("nope", TRACE.final.nodes)),
+]
+
+
+@pytest.mark.parametrize("what, got, call", [
+    pytest.param(*row, id=f"{i}:{row[0]}={row[1]}") for i, row in enumerate(WRONG_TYPES)
+])
+def test_every_wrongly_typed_run_input_is_refused_at_its_boundary(what, got, call):
+    with pytest.raises(ModeMismatchError) as err:
+        call()
+    assert re.match(rf"{re.escape(what)} must be .*, got {re.escape(got)}$", str(err.value)), str(err.value)
+
+
+def test_the_right_types_are_taken():
+    # The values the table's calls get wrong, given right: each call of the table above runs with them.
+    dc.run("pd1", INST, PAIR, PARAMS, init=TRACE.final, optimum=SOLUTION)
+    assert dc.convergence_error(TRACE, SOLUTION).shape == dc.deviation_from_optimum(TRACE, SOLUTION).shape == (4,)
+    assert dc.State("pd1", TRACE.final.nodes).p is not None
+    assert dc.equilibrium_state("pd1", INST, PAIR.nominal, PARAMS, SOLUTION).algorithm == "pd1"

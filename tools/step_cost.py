@@ -35,12 +35,13 @@ building the two graphs makes.
 
 A third column, ``calls/step``, is a count, the same on every run: the NumPy
 calls each step of the case makes, over its first COUNTED_STEPS steps
-(`calls_per_step`). It counts the calls of every ufunc (its ``reduce`` among
-them) and of bincount that a step makes through the names the package's
-`algorithms`, `problem` and `network` modules hold, NumPy's own (``np.add``)
-included. ``take`` is an ndarray method, which no module name reaches, so
-it is not counted; the table's first line says so. Given two roots, the
-column gives both counts.
+(`calls_per_step`), both halves of it: the primal step that `run` binds and
+the kernel's multiplier and mixing half. It counts the calls of every ufunc
+(its ``reduce`` among them) and of bincount that a step makes through the
+names the package's `algorithms`, `problem` and `network` modules hold,
+NumPy's own (``np.add``) included. ``take`` is an ndarray method, which no
+module name reaches, so it is not counted; the table's first line says so.
+Given two roots, the column gives both counts.
 
 Usage: ``python tools/step_cost.py [--runs R] [--only NAME,...] SRC [SRC2]``,
 NAME a case of either table (all by default),
@@ -172,31 +173,42 @@ def calls_per_step(dc, call, algorithm: str) -> float:
 
     Every ufunc and bincount that `dc`'s `algorithms`, `problem` and
     `network` modules name, and their ``np``, is replaced by one that counts
-    its calls, and the algorithm's kernel by one whose step turns counting on
-    while it runs; all are restored after the run.
+    its calls. A step is two halves: the primal step that `run` binds
+    (`problem._primal_step`, which `algorithms` names) and the algorithm's
+    kernel step, its multiplier half; each is replaced by one that turns
+    counting on while it runs, and the kernel's counts the step. A tree whose
+    kernel calls the primal step itself counts it once, inside the kernel's
+    step. All are restored after the run.
     """
-    tally, spec = Tally(), dc.algorithms._SPECS[algorithm]
+    tally, spec, bind = Tally(), dc.algorithms._SPECS[algorithm], dc.algorithms._primal_step
+
+    def counting(half, counts_step: bool):
+        """`half`, counting the calls it makes in the first COUNTED_STEPS steps, within another half or not."""
+
+        def counted(*args):
+            outer = tally.on
+            tally.on = outer or tally.steps < COUNTED_STEPS
+            tally.steps += counts_step and tally.on
+            half(*args)
+            tally.on = outer
+
+        return counted
 
     def kernel(*args):
         views, step = spec.kernel(*args)
-
-        def counted(*step_args):
-            tally.on = tally.steps < COUNTED_STEPS
-            tally.steps += tally.on
-            step(*step_args)
-            tally.on = False
-
-        return views, counted
+        return views, counting(step, True)
 
     saved = [(module, name, value) for module in (dc.algorithms, dc.problem, dc.network)
              for name, value in vars(module).items() if name == "np" or tally.wrap(value) is not value]
     try:
         for module, name, value in saved:
             setattr(module, name, CountedNumpy(tally) if name == "np" else tally.wrap(value))
+        dc.algorithms._primal_step = lambda *args: counting(bind(*args), False)
         dc.algorithms._SPECS[algorithm] = replace(spec, kernel=kernel)
         call()
     finally:
         dc.algorithms._SPECS[algorithm] = spec
+        dc.algorithms._primal_step = bind
         for module, name, value in saved:
             setattr(module, name, value)
     return tally.calls / tally.steps
